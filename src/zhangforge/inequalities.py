@@ -21,11 +21,13 @@ import numpy as np
 from .errors import (
     EmptyProjectionLattice,
     HypothesesViolated,
+    Infeasible,
     NoCrossing,
     NoRoot,
     UnknownChecker,
 )
 from .lattice import (
+    column_lengths,
     count_lattice,
     lattice_points,
     mu_measure,
@@ -183,14 +185,12 @@ def hypotheses_h(P: Polytope, profiles: SectionProfiles | None = None) -> Hypoth
     S = steiner_symmetrize(P)
     best = -1
     at_zero = 0
-    origin = tuple(_ZERO for _ in range(P.dim - 1))
     for y in lattice_points(project_drop_last(P)):
         seg = vertical_section(S, y)
         cnt = 0 if seg is None else 2 * math.floor(seg.hi) + 1
         best = max(best, cnt)
         if all(c == 0 for c in y):
             at_zero = cnt
-    _ = origin
     return HypothesesH(max_at_zero_column=(best == at_zero and at_zero > 0), M=pr.M)
 
 
@@ -220,7 +220,7 @@ def diamond_extension(P: Polytope, x) -> MeasureValue:
     obj = [_ZERO] * (n - 1) + [-_ONE, _ONE]
     try:
         res = lp_solve(obj, rows, rhs)
-    except Exception:
+    except Infeasible:
         return MeasureValue.from_exact(0)
     return MeasureValue.from_exact(res.value / 2)
 
@@ -453,14 +453,6 @@ class BodyWorkspace:
         return self.body.contains(tuple(_ZERO for _ in range(self.n)))
 
     @cached_property
-    def G_body(self) -> int:
-        return count_lattice(self.body)
-
-    @cached_property
-    def G_open(self) -> int:
-        return count_lattice(self.body, self.n)
-
-    @cached_property
     def sample_dirs(self) -> np.ndarray:
         extra = []
         for v in self.body.vertices:
@@ -542,21 +534,11 @@ class BodyWorkspace:
 
     @cached_property
     def column_lengths(self) -> dict[tuple, Fraction]:
-        out = {}
-        for y in lattice_points(self.proj):
-            seg = vertical_section(self.body, y)
-            if seg is not None:
-                out[y] = seg.length
-        return out
+        return column_lengths(self.body)
 
     @cached_property
     def acolumn_lengths(self) -> dict[tuple, Fraction]:
-        out = {}
-        for y in lattice_points(self.aproj):
-            seg = vertical_section(self.anchored, y)
-            if seg is not None:
-                out[y] = seg.length
-        return out
+        return column_lengths(self.anchored)
 
 
 def _mu_moment_exact(cols: dict, p: int) -> Fraction:
@@ -919,12 +901,8 @@ def _chk_identity_triple_discrete(ws: BodyWorkspace, params: dict) -> Inequality
         const = vals[0] - slope * nodes[0]
         pieces.append((prev, brk, const, slope))
         prev = brk
-    sym = translate(ws.asym, ws.anchor + (_ZERO,))
-    sym_cols = {}
-    for y in lattice_points(project_drop_last(sym)):
-        seg = vertical_section(sym, y)
-        if seg is not None:
-            sym_cols[y] = seg.hi  # centered: half length
+    # the symmetral is centred, so each half length is its upper endpoint
+    sym_halves = [ell / 2 for ell in column_lengths(ws.sym).values()]
     all_equal = True
     per_p = []
     for p in ps:
@@ -935,7 +913,7 @@ def _chk_identity_triple_discrete(ws: BodyWorkspace, params: dict) -> Inequality
             b_val += c0 * (beta**p - alpha**p)
             b_val += c1 * Fraction(p, p + 1) * (beta ** (p + 1) - alpha ** (p + 1))
         c_val = Fraction(2) ** (p + 1) * sum(
-            (h ** (p + 1) for h in sym_cols.values()), _ZERO
+            (h ** (p + 1) for h in sym_halves), _ZERO
         ) / (p + 1)
         eq = a_val == b_val == c_val
         all_equal = all_equal and eq

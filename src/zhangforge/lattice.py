@@ -2,11 +2,12 @@
 covariograms, and exact ray-interval decompositions behind discrete moments.
 
 Lattice enumeration is a bounding-box scan with exact integer membership
-tests.  Membership in the open fattening P + (-1,1)^k x {0}^{n-k} is decided
-by an exact LP minimizing the l_inf distance of the first k coordinates to
-the matching slice of P, with a strict < 1 comparison; for k = n the strict
-interior of the closed Minkowski sum gives the same answer without an LP and
-is used as a fast path.
+tests.  One rule decides membership in the open fattening
+P + (-1,1)^k x {0}^{n-k} for every k: with F the closed sum
+P + [-1,1]^k x {0}^{n-k} (built once per body by :func:`fattening`), x is in
+the open fattening exactly when it satisfies every halfspace of F, strictly
+on the rows whose normal has a nonzero entry among the first k coordinates.
+k = 0 is the body itself with no strict rows.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from itertools import product
 
 from .errors import OriginMissing
 from .linalg import dot, vec
-from .lp import lp_solve
+from .lp import lp_solve  # noqa: F401  (unused here; perfbench/tracer.py's REQUIRED_BINDINGS needs it)
 from .polytope import (
     Direction,
     Interval,
@@ -31,7 +32,6 @@ from .polytope import (
 )
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -56,25 +56,32 @@ def closed_unit_cube(k: int, dim: int) -> Polytope:
     return Polytope.from_points(pts, dim)
 
 
-def _int_rows(P: Polytope) -> list[tuple[tuple[int, ...], int, int]]:
-    """Halfspaces as integer rows (a, num, den): sum a*x <= num/den."""
+def fattening(P: Polytope, k: int) -> Polytope:
+    """The closed sum P + [-1,1]^k x {0}^{n-k}, memoized on ``P``; P itself for k = 0."""
+    if k == 0:
+        return P
+    if P._fattenings is None:
+        P._fattenings = {}
+    if k not in P._fattenings:
+        P._fattenings[k] = minkowski_sum(P, closed_unit_cube(k, P.dim))
+    return P._fattenings[k]
+
+
+def _int_rows(P: Polytope, k: int) -> list[tuple[tuple[int, ...], int, int, bool]]:
+    """Halfspaces as integer rows (a, num, den, strict): sum a*x <= num/den,
+    strict where a has a nonzero entry among the first k coordinates."""
     rows = []
     for a, b in P.halfspaces:
-        rows.append((tuple(int(x) for x in a), b.numerator, b.denominator))
+        rows.append((tuple(int(x) for x in a), b.numerator, b.denominator, any(a[:k])))
     return rows
 
 
-def _int_box(P: Polytope, pad: float = 0.0) -> list[range]:
-    rngs = []
-    for lo, hi in P.bounding_box():
-        lo_i = math.ceil(lo - pad)
-        hi_i = math.floor(hi + pad)
-        rngs.append(range(lo_i, hi_i + 1))
-    return rngs
+def _int_box(P: Polytope) -> list[range]:
+    return [range(math.ceil(lo), math.floor(hi) + 1) for lo, hi in P.bounding_box()]
 
 
-def _contains_int(rows, x, strict: bool = False) -> bool:
-    for a, num, den in rows:
+def _contains_int(rows, x) -> bool:
+    for a, num, den, strict in rows:
         s = 0
         for ai, xi in zip(a, x):
             if ai:
@@ -85,83 +92,34 @@ def _contains_int(rows, x, strict: bool = False) -> bool:
     return True
 
 
-def _open_membership_lp(P: Polytope, x: tuple[int, ...], k: int) -> bool:
-    """Exact test of x in P + (-1,1)^k x {0}^{n-k} via the l_inf-distance LP."""
-    n = P.dim
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for a, b in P.halfspaces:  # variables: y (n), d
-        rows.append(list(a) + [_ZERO])
-        rhs.append(b)
-    for j in range(k, n):
-        e = [_ZERO] * (n + 1)
-        e[j] = _ONE
-        rows.append(list(e))
-        rhs.append(Fraction(x[j]))
-        rows.append([-v for v in e])
-        rhs.append(Fraction(-x[j]))
-    for j in range(k):
-        r1 = [_ZERO] * (n + 1)
-        r1[j] = _ONE
-        r1[n] = -_ONE
-        rows.append(r1)
-        rhs.append(Fraction(x[j]))
-        r2 = [_ZERO] * (n + 1)
-        r2[j] = -_ONE
-        r2[n] = -_ONE
-        rows.append(r2)
-        rhs.append(Fraction(-x[j]))
-    c = [_ZERO] * n + [-_ONE]  # maximize -d
-    try:
-        res = lp_solve(c, rows, rhs)
-    except Exception:
-        return False
-    return -res.value < 1
-
-
 def lattice_points(P: Polytope, open_cube_k: int = 0) -> LatticePointSet:
     """Integer points of P (open_cube_k = 0) or of P + (-1,1)^k x {0}^{n-k}."""
-    k = open_cube_k
-    if k == 0:
-        rows = _int_rows(P)
-        pts = [
-            x for x in product(*_int_box(P)) if _contains_int(rows, x)
-        ]
-        return LatticePointSet(P.dim, tuple(sorted(pts)))
-    closed_rows = _int_rows(P)
-    box = _int_box(P)
-    wide = [range(r.start - 1, r.stop + 1) if j < k else r for j, r in enumerate(box)]
-    fast_strict = None
-    if k == P.dim:
-        fat = minkowski_sum(P, closed_unit_cube(k, P.dim))
-        fast_strict = _int_rows(fat)
-    pts = []
-    for x in product(*wide):
-        if _contains_int(closed_rows, x):
-            pts.append(x)
-        elif fast_strict is not None:
-            if _contains_int(fast_strict, x, strict=True):
-                pts.append(x)
-        elif _open_membership_lp(P, x, k):
-            pts.append(x)
-    return LatticePointSet(P.dim, tuple(sorted(pts)))
+    fat = fattening(P, open_cube_k)
+    rows = _int_rows(fat, open_cube_k)
+    # the product of ascending ranges is already in lexicographic order
+    pts = tuple(x for x in product(*_int_box(fat)) if _contains_int(rows, x))
+    return LatticePointSet(P.dim, pts)
 
 
 def count_lattice(P: Polytope, open_cube_k: int = 0) -> int:
     return len(lattice_points(P, open_cube_k))
 
 
+def column_lengths(P: Polytope) -> dict[tuple[int, ...], Fraction]:
+    """Vertical-section length over each integer point of the projection that meets P."""
+    out = {}
+    for y in lattice_points(project_drop_last(P)):
+        seg = vertical_section(P, y)
+        if seg is not None:
+            out[y] = seg.length
+    return out
+
+
 def mu_measure(P: Polytope) -> MeasureValue:
     """Sum of vertical-section lengths over the integer columns of the projection."""
     if P.dim < 2:
         raise ValueError("column measure needs ambient dimension >= 2")
-    proj = project_drop_last(P)
-    total = _ZERO
-    for y in lattice_points(proj):
-        seg = vertical_section(P, y)
-        if seg is not None:
-            total += seg.length
-    return MeasureValue.from_exact(total)
+    return MeasureValue.from_exact(sum(column_lengths(P).values(), _ZERO))
 
 
 def discrete_covariogram(P: Polytope, x) -> int:
@@ -221,24 +179,19 @@ def ray_interval(body: Polytope, point, raw, strict: bool = False):
 def ray_decomposition(P: Polytope, theta: Direction, open_cube: bool = False) -> RayDecomposition:
     if not P.contains(tuple(Fraction(0) for _ in range(P.dim))):
         raise OriginMissing("ray decompositions require 0 in the body")
-    if open_cube:
-        body = minkowski_sum(P, closed_unit_cube(P.dim, P.dim))
-        strict = True
-        pts = lattice_points(P, P.dim)
-    else:
-        body = P
-        strict = False
-        pts = lattice_points(P)
+    k = P.dim if open_cube else 0
+    body = fattening(P, k)
+    pts = lattice_points(P, k)
     nrm = theta.exact_norm()
     exact = nrm is not None
     scale = nrm if exact else Fraction(math.sqrt(float(theta.norm_sq)))
     entries = []
     for y in pts:
-        seg = ray_interval(body, y, theta.raw, strict)
+        seg = ray_interval(body, y, theta.raw, open_cube)
         if seg is None:
             continue
         lo, hi = seg
-        entries.append((y, Interval(lo * scale, hi * scale, False, strict)))
+        entries.append((y, Interval(lo * scale, hi * scale, False, open_cube)))
     return RayDecomposition(theta, tuple(entries), open_cube, exact)
 
 

@@ -24,11 +24,12 @@ from .errors import (
     ExponentOutOfRange,
     OriginMissing,
     RouteUnsupported,
+    Unbounded,
     ZeroBase,
 )
 from .lattice import (
-    closed_unit_cube,
     count_lattice,
+    fattening,
     lattice_points,
     ray_decomposition,
 )
@@ -38,9 +39,9 @@ from .polytope import (
     Direction,
     MeasureValue,
     Polytope,
+    _points_volume,
     axis_direction,
     intersect,
-    minkowski_sum,
     project_drop_last,
     projection_volume,
     slice_at_height,
@@ -119,7 +120,7 @@ def _pyramid_volume(rows, dim: int, x0) -> Fraction:
     verts = []
     for u, c in dual_hull.facets:
         if c <= 0:
-            raise Unbounded_("unbounded in pyramid volume")
+            raise Unbounded("unbounded in pyramid volume")
         verts.append(tuple(x0[i] + u[i] / c for i in range(dim)))
     total = _ZERO
     for a, sigma in canon.items():
@@ -133,37 +134,9 @@ def _pyramid_volume(rows, dim: int, x0) -> Fraction:
             area = max(coords) - min(coords)
         else:
             dropped = [tuple(v[k] for k in range(dim) if k != j) for v in fv]
-            area = _points_area(dropped)
+            area = _points_volume(dropped)
         total += sigma * area / abs(a[j])
     return total / dim
-
-
-def Unbounded_(msg):
-    from .errors import Unbounded
-
-    return Unbounded(msg)
-
-
-def _points_area(points) -> Fraction:
-    """Full-dimensional volume of the hull of 2-d (or small-d) points."""
-    from .hull import convex_hull
-
-    uniq = sorted(set(points))
-    if len(uniq) < 3:
-        return _ZERO
-    try:
-        hull = convex_hull(uniq)
-    except ValueError:
-        return _ZERO
-    from .linalg import det as _d
-
-    c = hull.interior
-    total = _ZERO
-    d = len(uniq[0])
-    for simplex in hull.simplices:
-        rows = [list(vsub(uniq[i], c)) for i in simplex]
-        total += abs(_d(rows))
-    return total / math.factorial(d)
 
 
 def _simplify_interior(rows, hint):
@@ -784,21 +757,6 @@ def polar_projection_radial(P: Polytope, theta: Direction) -> MeasureValue:
     return MeasureValue.approx(val, pv.abs_error * val / pv.value)
 
 
-@dataclass
-class StarRadial:
-    """A star body given by its radial evaluator (unit directions -> radii)."""
-
-    source: str
-    body: Polytope
-    exponent: float | Fraction | None
-
-    def evaluate(self, theta: Direction) -> MeasureValue:
-        return radial_ball_body(self.source, self.body, theta, self.exponent)
-
-    def evaluate_batch(self, dirs: np.ndarray) -> np.ndarray:
-        return radial_batch(self.source, self.body, dirs, self.exponent)
-
-
 # ---------------------------------------------------------------------------
 # vectorized float radial evaluators (generic directions)
 # ---------------------------------------------------------------------------
@@ -841,18 +799,13 @@ def _interval_batch(body: Polytope, pts: np.ndarray, dirs: np.ndarray, strict: b
 
 def discrete_moment_batch(P: Polytope, dirs: np.ndarray, p, open_cube: bool) -> np.ndarray:
     """sum_y (b_y^p - a_y^p) per unit direction (binary64)."""
-    if open_cube:
-        body = minkowski_sum(P, closed_unit_cube(P.dim, P.dim))
-        pts = lattice_points(P, P.dim)
-        strict = True
-    else:
-        body = P
-        pts = lattice_points(P)
-        strict = False
+    k = P.dim if open_cube else 0
+    body = fattening(P, k)
+    pts = lattice_points(P, k)
     if len(pts) == 0:
         return np.zeros(len(dirs))
     Y = np.array([[float(c) for c in y] for y in pts])
-    lo, hi, feas = _interval_batch(body, Y, dirs, strict)
+    lo, hi, feas = _interval_batch(body, Y, dirs, open_cube)
     pf = float(p)
     contrib = np.where(feas, np.maximum(hi, 0.0) ** pf - np.maximum(lo, 0.0) ** pf, 0.0)
     return contrib.sum(axis=0)

@@ -21,6 +21,7 @@ from .hull import convex_hull
 from .linalg import (
     Vec,
     affine_basis,
+    det,
     dot,
     frac,
     mat_inv,
@@ -156,6 +157,7 @@ class Polytope:
         "_tri",
         "_volume",
         "_fweights",
+        "_fattenings",
     )
 
     def __init__(self, dim, affine_dim, vertices, halfspaces, interior, tri):
@@ -167,6 +169,7 @@ class Polytope:
         self._tri = tri
         self._volume: Fraction | None = None
         self._fweights = None
+        self._fattenings = None
 
     # -- construction ------------------------------------------------------
 
@@ -355,7 +358,7 @@ class Polytope:
                 total = _ZERO
                 for simplex, _plane in simplices:
                     rows = [list(vsub(pts[i], c)) for i in simplex]
-                    total += abs(_det(rows))
+                    total += abs(det(rows))
                 self._volume = total / math.factorial(self.dim)
         return self._volume
 
@@ -397,22 +400,19 @@ class Polytope:
         return out
 
 
-def _det(rows):
-    from .linalg import det
-
-    return det(rows)
-
-
 def _points_volume(points) -> Fraction:
-    """Full-dimensional volume of the hull of a point set (assumed full-dim)."""
+    """Full-dimensional volume of the hull of a point set; 0 when the set is flat."""
     d = len(points[0])
     uniq = sorted(set(points))
-    hull = convex_hull(uniq)
+    try:
+        hull = convex_hull(uniq)
+    except ValueError:  # the hull engine rejects sets that are not full-dimensional
+        return _ZERO
     c = hull.interior
     total = _ZERO
     for simplex in hull.simplices:
         rows = [list(vsub(uniq[i], c)) for i in simplex]
-        total += abs(_det(rows))
+        total += abs(det(rows))
     return total / math.factorial(d)
 
 

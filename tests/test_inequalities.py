@@ -82,6 +82,7 @@ class TestDiamond:
     def test_examples(self, triangle, sym_square):
         assert diamond_extension(triangle, (-1,)).exact == F(1, 2)
         assert diamond_extension(triangle, (2,)).exact == 0
+        assert diamond_extension(triangle, (3,)).exact == 0  # window misses the projection
         assert diamond_extension(sym_square, (0,)).exact == 1
 
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,6 @@ import pytest
 from zhangforge import Direction, make_polytope, translate, volume
 from zhangforge.errors import OriginMissing
 from zhangforge.lattice import (
-    closed_unit_cube,
     count_lattice,
     discrete_covariogram,
     discrete_ray_moment,
@@ -55,17 +55,49 @@ class TestCounting:
                 assert closed <= set(lattice_points(P, k).points)
 
     def test_lp_route_matches_strict_closure_route(self):
-        # for k = dim the LP route and the strict Minkowski route must agree
-        from zhangforge.lattice import _int_box, _open_membership_lp, _int_rows, _contains_int
-        from zhangforge.lattice import minkowski_sum
-
-        body = make_polytope([(0, 0), (2, 1), (1, 2)], 2)
-        fat = minkowski_sum(body, closed_unit_cube(2, 2))
-        rows = _int_rows(fat)
+        # independent oracle: x is in P + (-1,1)^k x {0}^{n-k} exactly when the
+        # l_inf distance from x to {y in P : y_j = x_j for j >= k} over the
+        # first k coordinates is < 1; the LP minimizes that distance d
         from itertools import product
 
-        for x in product(range(-2, 4), repeat=2):
-            assert _open_membership_lp(body, x, 2) == _contains_int(rows, x, strict=True)
+        from zhangforge.errors import Infeasible
+        from zhangforge.lp import lp_solve
+
+        def member(P, x, k):
+            n = P.dim
+            rows, rhs = [], []
+            for a, b in P.halfspaces:  # variables y (n), d
+                rows.append(list(a) + [0])
+                rhs.append(b)
+            for j in range(n):
+                e = [0] * (n + 1)
+                e[j] = 1
+                if j < k:  # |y_j - x_j| <= d
+                    e[n] = -1
+                    rows += [e, [-c if i < n else -1 for i, c in enumerate(e)]]
+                    rhs += [x[j], -x[j]]
+                else:  # y_j = x_j
+                    rows += [e, [-c for c in e]]
+                    rhs += [x[j], -x[j]]
+            try:
+                res = lp_solve([0] * n + [-1], rows, rhs)
+            except Infeasible:
+                return False
+            return -res.value < 1
+
+        bodies = [
+            make_polytope([(0, 0), (2, 1), (1, 2)], 2),
+            make_polytope([(0, 0, 0), (2, 1, 0), (1, 2, F(1, 2)), (F(1, 2), 1, 2)], 3),
+            # a lower-dimensional slice: a triangle in the plane x_3 = 1
+            make_polytope([(0, 0, 1), (2, 1, 1), (F(1, 2), 2, 1)], 3),
+        ]
+        for body in bodies:
+            # every point of the open fattening lies within distance 1 of P's box
+            box = [range(math.floor(lo) - 1, math.ceil(hi) + 2) for lo, hi in body.bounding_box()]
+            for k in range(1, body.dim + 1):
+                got = set(lattice_points(body, k).points)
+                want = {x for x in product(*box) if member(body, x, k)}
+                assert got == want, (body, k)
 
     def test_sorted_and_json(self, unit_square):
         pts = lattice_points(unit_square)
