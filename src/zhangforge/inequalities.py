@@ -31,17 +31,13 @@ from .lattice import (
     count_lattice,
     lattice_points,
     mu_measure,
-    ray_decomposition,
 )
 from .linalg import dot, frac
 from .lp import lp_solve
 from .moments import (
-    discrete_moment_batch,
     facet_angles,
-    polygon_ray_moment_batch,
     projection_power_moment,
     radial_batch,
-    ray_moment_quadrature,
     ray_support,
     section_power_integral,
     slab_moment,
@@ -134,6 +130,7 @@ class SectionProfiles:
     f_tilde: dict[int, int]
     M: int
     support_bound: Fraction
+    symmetral: Polytope
 
     def f_at(self, k: int) -> int:
         return self.f.get(k, 0)
@@ -177,12 +174,12 @@ def section_profiles(P: Polytope, symmetral: Polytope | None = None) -> SectionP
     M = 0
     for x in lattice_points(S):
         M = max(M, x[-1])
-    return SectionProfiles(P, f, ft, M, support)
+    return SectionProfiles(P, f, ft, M, support, S)
 
 
 def hypotheses_h(P: Polytope, profiles: SectionProfiles | None = None) -> HypothesesH:
     pr = profiles if profiles is not None else section_profiles(P)
-    S = steiner_symmetrize(P)
+    S = pr.symmetral
     best = -1
     at_zero = 0
     for y in lattice_points(project_drop_last(P)):
@@ -497,8 +494,6 @@ class BodyWorkspace:
         return section_distribution(self.body, symmetral=self.sym)
 
     def section_power(self, q) -> MeasureValue:
-        if self.n == 2 and float(q) > 0:
-            return section_power_integral(self.body, q)
         return section_power_integral(self.body, q, dist=self.section_dist)
 
     def ray_engine(self, theta: Direction):
@@ -511,19 +506,7 @@ class BodyWorkspace:
         return cache[key]
 
     def projection_power(self, p) -> MeasureValue:
-        from .moments import (
-            mc_section_samples,
-            projection_power_from_samples,
-            projection_power_moment,
-        )
-
-        if self.n == 2:
-            return projection_power_moment(self.body, p, seed=self.seed)
-        samples = self.__dict__.get("_mc_samples")
-        if samples is None:
-            samples = mc_section_samples(self.body, self.seed)
-            self.__dict__["_mc_samples"] = samples
-        return projection_power_from_samples(samples, p)
+        return projection_power_moment(self.body, p, dist=self.section_dist)
 
     @cached_property
     def diamond_values(self) -> dict:
@@ -560,17 +543,13 @@ def _G_sym_fattened(ws: BodyWorkspace) -> int:
     return total
 
 
-def _binom(a: int, b: int) -> int:
-    return math.comb(a, b)
-
-
 # ---------------------------------------------------------------------------
 # checkers
 # ---------------------------------------------------------------------------
 
 def _chk_zhang_preintegration(ws: BodyWorkspace, params: dict) -> InequalityReport:
     n = ws.n
-    const = Fraction(_binom(2 * n, n), n**n)
+    const = Fraction(math.comb(2 * n, n), n**n)
     mom = ws.ray_engine(axis_direction(n)).moment(n)
     lhs = MeasureValue.approx(float(const) * mom.value, float(const) * mom.abs_error)
     rhs = MeasureValue.from_exact(ws.vol ** (n + 1) / ws.volp**n)
@@ -579,7 +558,7 @@ def _chk_zhang_preintegration(ws: BodyWorkspace, params: dict) -> InequalityRepo
 
 def _chk_zhang_preintegration_2(ws: BodyWorkspace, params: dict) -> InequalityReport:
     n = ws.n
-    const = Fraction(_binom(2 * n, n), n**n)
+    const = Fraction(math.comb(2 * n, n), n**n)
     mom = ws.slab(n)
     lhs = MeasureValue.from_exact(const * mom.exact)
     rhs = MeasureValue.from_exact(ws.vol ** (n + 1) / ws.volp**n)
@@ -595,7 +574,7 @@ def _chk_zhang_directional(ws: BodyWorkspace, params: dict) -> InequalityReport:
         # checker params apply across a mixed-dimension corpus; a direction of
         # the wrong length falls back to the all-ones default for this body
         theta = Direction(tuple(Fraction(1) for _ in range(n)))
-    const = Fraction(_binom(2 * n, n), n**n)
+    const = Fraction(math.comb(2 * n, n), n**n)
     mom = ws.ray_engine(theta).moment(n)
     lhs = MeasureValue.approx(float(const) * mom.value, float(const) * mom.abs_error)
     pv = projection_volume(ws.body, theta)
@@ -611,7 +590,7 @@ def _chk_zhang_directional(ws: BodyWorkspace, params: dict) -> InequalityReport:
 
 def _chk_discrete_zhang_mu(ws: BodyWorkspace, params: dict) -> InequalityReport:
     n = ws.n
-    const = Fraction(_binom(2 * n, n), n**n)
+    const = Fraction(math.comb(2 * n, n), n**n)
     lhs = MeasureValue.from_exact(const * _mu_moment_exact(ws.acolumn_lengths, n))
     mu_fat = _mu_fattened(ws)
     rhs = MeasureValue.from_exact(mu_fat ** (n + 1) / Fraction(ws.G_aproj) ** n)
@@ -629,7 +608,7 @@ def _chk_lattice_zhang(ws: BodyWorkspace, params: dict) -> InequalityReport:
 
     n = ws.n
     body = ws.anchored
-    const = Fraction(_binom(2 * n, n), n**n)
+    const = Fraction(math.comb(2 * n, n), n**n)
     e_n = tuple(Fraction(0) for _ in range(n - 1)) + (Fraction(1),)
     mom = _ZERO
     for y in lattice_points(body):
@@ -730,10 +709,10 @@ def _chk_berwald_discrete(ws: BodyWorkspace, params: dict) -> InequalityReport:
     for p, q in pairs:
         sq = sum((v**q for v in halves.values()), _ZERO)
         sp = sum((v**p for v in diam.values()), _ZERO)
-        lhs_pow = (Fraction(_binom(nn + q, nn)) * sq / G) ** p
-        rhs_pow = (Fraction(_binom(nn + p, nn)) * sp / G) ** q
-        lv = float(Fraction(_binom(nn + q, nn)) * sq / G) ** (1.0 / q)
-        rv = float(Fraction(_binom(nn + p, nn)) * sp / G) ** (1.0 / p)
+        lhs_pow = (Fraction(math.comb(nn + q, nn)) * sq / G) ** p
+        rhs_pow = (Fraction(math.comb(nn + p, nn)) * sp / G) ** q
+        lv = float(Fraction(math.comb(nn + q, nn)) * sq / G) ** (1.0 / q)
+        rv = float(Fraction(math.comb(nn + p, nn)) * sp / G) ** (1.0 / p)
         ok = lhs_pow <= rhs_pow
         details.append({"p": p, "q": q, "lhs": lv, "rhs": rv, "holds": bool(ok)})
         key = (not ok, lv - rv)
@@ -810,7 +789,7 @@ def _chk_zhang_volume(ws: BodyWorkspace, params: dict) -> InequalityReport:
         n_polar=48 * scale,
         n_azimuth=96 * scale,
     )
-    lhs = MeasureValue.from_exact(Fraction(_binom(2 * n, n), n**n))
+    lhs = MeasureValue.from_exact(Fraction(math.comb(2 * n, n), n**n))
     rv = float(ws.vol) ** (n - 1) * sv.value
     rhs = MeasureValue.approx(rv, float(ws.vol) ** (n - 1) * sv.abs_error)
     return _report("zhang_volume", lhs, rhs, polar_volume=sv.value, nodes_scale=scale)
@@ -825,7 +804,7 @@ def _chk_different_inclusion(ws: BodyWorkspace, params: dict) -> InequalityRepor
             xs.append((0, Fraction(n) * ws.vol / ws.volp))
         else:
             mom = ws.slab(int(p))
-            xs.append((int(p), Fraction(n) * _binom(n + int(p), n) * mom.exact / ws.volp))
+            xs.append((int(p), Fraction(n) * math.comb(n + int(p), n) * mom.exact / ws.volp))
     ok_all = True
     worst = None
     for (p, xp), (q, xq) in zip(xs, xs[1:]):
@@ -934,8 +913,8 @@ def _chk_ball_inclusion_discrete(ws: BodyWorkspace, params: dict) -> InequalityR
     p = int(params.get("p", 1))
     q = int(params.get("q", 2))
     dirs = ws.sample_dirs
-    lhs_arr = _binom(n + q, n) ** (1.0 / q) * radial_batch("discrete", ws.body, dirs, q)
-    rhs_arr = _binom(n + p, n) ** (1.0 / p) * radial_batch(
+    lhs_arr = math.comb(n + q, n) ** (1.0 / q) * radial_batch("discrete", ws.body, dirs, q)
+    rhs_arr = math.comb(n + p, n) ** (1.0 / p) * radial_batch(
         "discrete-open-tilde", ws.body, dirs, p
     )
     slack = rhs_arr - lhs_arr
@@ -988,7 +967,7 @@ def _chk_difference_set_inclusion(ws: BodyWorkspace, params: dict) -> Inequality
     p = int(params.get("p", 1))
     dirs = ws.sample_dirs
     lhs_arr = radial_batch("difference-set", ws.body, dirs, None)
-    rhs_arr = _binom(n + p, n) ** (1.0 / p) * radial_batch(
+    rhs_arr = math.comb(n + p, n) ** (1.0 / p) * radial_batch(
         "discrete-open-tilde", ws.body, dirs, p
     )
     slack = rhs_arr - lhs_arr
@@ -1361,7 +1340,7 @@ def limit_sweep(P: Polytope, target: str, scales, params: dict | None = None) ->
     if target == "B_limit":
         n = int(params.get("n", 2))
         p = params.get("p", 1)
-        ref = 1.0 / _binom(n - 1 + int(p), n - 1)
+        ref = 1.0 / math.comb(n - 1 + int(p), n - 1)
         for x in scales:
             rows.append(_row(x, "B_x(p)", B_coeff(float(x), p, n), ref))
         return rows
@@ -1378,7 +1357,7 @@ def limit_sweep(P: Polytope, target: str, scales, params: dict | None = None) ->
             rows.append(_row(lam, "mu/scale^n", mu_measure(Q).exact / int(lam) ** n, ws.vol))
         return rows
     if target == "discrete_to_continuous_zhang":
-        const = Fraction(_binom(2 * n, n), n**n)
+        const = Fraction(math.comb(2 * n, n), n**n)
         anchored = ws.anchored
         ref_lhs = const * ws.slab(n).exact
         ref_rhs = ws.vol ** (n + 1) / ws.volp**n
@@ -1396,7 +1375,7 @@ def limit_sweep(P: Polytope, target: str, scales, params: dict | None = None) ->
             rows.append(_row(lam, "rhs_symmetral", rhs_sym, ref_rhs))
         return rows
     if target == "purely_discrete_to_continuous":
-        const = Fraction(_binom(2 * n, n), n**n)
+        const = Fraction(math.comb(2 * n, n), n**n)
         anchored = ws.anchored
         ref_lhs = const * ws.slab(n).exact
         ref_rhs = ws.vol ** (n + 1) / ws.volp**n

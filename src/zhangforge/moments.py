@@ -8,6 +8,11 @@ quadrature nodes, generic directions and fractional exponents run in binary64
 with abs_error populated.  Between the kink locations inherited from vertex
 differences, every integrand here is a polynomial of degree <= n (+ exponent),
 so fixed-order Gauss-Legendre panels are exact up to rounding.
+
+Section-length powers int ell^q, and with them the projection-power route and
+the chord-mean radials, have one integrator in every dimension: the layer-cake
+over the section-length distribution.  No checker samples; Monte Carlo is left
+only as a test oracle (``mc_section_samples``).
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import numpy as np
 
 from .errors import (
     DegenerateBody,
+    DimensionMismatch,
     ExponentOutOfRange,
     OriginMissing,
     RouteUnsupported,
@@ -33,7 +39,7 @@ from .lattice import (
     lattice_points,
     ray_decomposition,
 )
-from .linalg import Vec, dot, frac, vsub
+from .linalg import Vec, dot, frac, mat_inv, vsub
 from .lp import lp_solve
 from .polytope import (
     Direction,
@@ -45,8 +51,8 @@ from .polytope import (
     project_drop_last,
     projection_volume,
     slice_at_height,
+    transform,
     translate,
-    vertical_section,
 )
 from .steiner import steiner_symmetrize
 
@@ -69,8 +75,6 @@ def covariogram(P: Polytope, x) -> MeasureValue:
 def ray_support(P: Polytope, theta: Direction) -> tuple[Fraction, Vec]:
     """(R, u) with R = sup{r : r*theta.raw in K-K} in raw units and u a witness
     point satisfying u in K and u - R*theta.raw in K."""
-    from .errors import DimensionMismatch
-
     if theta.dim != P.dim:
         raise DimensionMismatch("direction and body dimensions differ")
     n = P.dim
@@ -273,7 +277,6 @@ class MomentRequest:
     direction: Direction
     exponent: float | Fraction
     route: str
-    seed: int = 20240
 
     def __post_init__(self):
         if self.route not in ROUTES:
@@ -471,62 +474,27 @@ def slab_moment(P: Polytope, p, symmetral: Polytope | None = None,
     return MeasureValue.approx(val, 1e-12 * abs(val) + 1e-15)
 
 
-def projection_power_moment(P: Polytope, p, seed: int = 20240) -> MeasureValue:
-    """(1/(p+1)) int_{P(K)} ell(y)^{p+1} dy; exact 1-d integration for n = 2,
-    Monte Carlo with a 3-sigma error bound for n >= 3."""
-    pf = float(p)
-    if pf <= -1:
+def projection_power_moment(P: Polytope, p,
+                            dist: SectionDistribution | None = None) -> MeasureValue:
+    """(1/(p+1)) int_{P(K)} ell(y)^{p+1} dy by the layer-cake integral; exact
+    for integer p >= 0."""
+    if float(p) <= -1:
         raise ExponentOutOfRange("projection-power needs p > -1")
-    n = P.dim
-    if n == 2:
-        return _projection_power_2d(P, p)
-    return _projection_power_mc(P, p, seed)
-
-
-def _section_length(P: Polytope, y) -> Fraction:
-    seg = vertical_section(P, y)
-    return _ZERO if seg is None else seg.length
-
-
-def _projection_power_2d(P: Polytope, p) -> MeasureValue:
-    ys = sorted({v[0] for v in P.vertices})
-    exact = (isinstance(p, int) or float(p) == int(p)) and float(p) >= 0
-    total_exact = _ZERO
-    total_float = 0.0
-    for alpha, beta in zip(ys, ys[1:]):
-        width = beta - alpha
-        nodes = [alpha + width * Fraction(1, 3), alpha + width * Fraction(2, 3)]
-        va, vb = (_section_length(P, (t,)) for t in nodes)
-        slope = (vb - va) / (nodes[1] - nodes[0])
-        const = va - slope * nodes[0]
-        # ell(y) = const + slope*y on the panel; integrate ell^{p+1} directly
-        if exact:
-            q = int(p) + 1
-            if slope == 0:
-                total_exact += const**q * width
-            else:
-                e = q + 1
-                total_exact += ((const + slope * beta) ** e - (const + slope * alpha) ** e) / (
-                    slope * e
-                )
-        else:
-            qf = float(p) + 1.0
-            c0, c1, fa, fb = float(const), float(slope), float(alpha), float(beta)
-            if c1 == 0.0:
-                total_float += c0**qf * (fb - fa)
-            else:
-                e = qf + 1.0
-                la = max(c0 + c1 * fa, 0.0)
-                lb = max(c0 + c1 * fb, 0.0)
-                total_float += (lb**e - la**e) / (c1 * e)
-    if exact:
-        return MeasureValue.from_exact(total_exact / (int(p) + 1))
-    val = total_float / (float(p) + 1.0)
-    return MeasureValue.approx(val, 1e-12 * abs(val) + 1e-15)
+    q = p + 1
+    mv = section_power_integral(P, q, dist=dist)
+    if mv.exact is not None:
+        return MeasureValue.from_exact(mv.exact / int(q))
+    qf = float(q)
+    return MeasureValue.approx(mv.value / qf, mv.abs_error / qf)
 
 
 def mc_section_samples(P: Polytope, seed: int, nsamp: int = 1_000_000):
-    """(box volume, section lengths) at uniform box samples of the projection."""
+    """(box volume, section lengths) at uniform box samples of the projection.
+
+    No code in the package calls it.  It stays for two users: the Monte Carlo
+    oracle in ``tests/test_differential.py``, and ``FUNCTIONS`` in
+    ``perfbench/tracer.py``, whose ``install()`` raises AttributeError without it.
+    """
     n = P.dim
     uppers = []
     lowers = []
@@ -558,21 +526,6 @@ def mc_section_samples(P: Polytope, seed: int, nsamp: int = 1_000_000):
     return boxvol, ell
 
 
-def projection_power_from_samples(samples, p) -> MeasureValue:
-    boxvol, ell = samples
-    pf = float(p)
-    vals = np.where(ell > 0.0, ell ** (pf + 1.0), 0.0)
-    mean = float(vals.mean())
-    std = float(vals.std(ddof=1))
-    est = boxvol * mean / (pf + 1.0)
-    err = 3.0 * boxvol * std / math.sqrt(len(ell)) / abs(pf + 1.0)
-    return MeasureValue.approx(est, err)
-
-
-def _projection_power_mc(P: Polytope, p, seed: int) -> MeasureValue:
-    return projection_power_from_samples(mc_section_samples(P, seed), p)
-
-
 def continuous_ray_moment(req: MomentRequest) -> MeasureValue:
     """The common value of the three ray-moment expressions, by the chosen route."""
     P, theta, p = req.body, req.direction, req.exponent
@@ -581,7 +534,7 @@ def continuous_ray_moment(req: MomentRequest) -> MeasureValue:
     if req.route == "symmetral-slab":
         return slab_moment(P, p)
     if req.route == "projection-power":
-        return projection_power_moment(P, p, req.seed)
+        return projection_power_moment(P, p)
     if req.route == "discrete-exact":
         return discrete_moment(P, theta, p, open_cube=False)
     if req.route == "discrete-open-exact":
@@ -647,9 +600,6 @@ def section_power_integral(P: Polytope, q, symmetral: Polytope | None = None,
     qf = float(q)
     if qf <= -1 or qf == 0:
         raise ExponentOutOfRange("section powers need q > -1, q != 0")
-    n = P.dim
-    if n == 2 and qf > 0 and dist is None:
-        return _projection_power_scaled_2d(P, q)
     if dist is None:
         dist = section_distribution(P, symmetral)
     projvol = dist.projvol
@@ -678,13 +628,6 @@ def section_power_integral(P: Polytope, q, symmetral: Polytope | None = None,
     if exact:
         return MeasureValue.from_exact(total_exact)
     return MeasureValue.approx(total_float, 1e-11 * abs(total_float) + 1e-15)
-
-
-def _projection_power_scaled_2d(P: Polytope, q) -> MeasureValue:
-    mv = _projection_power_2d(P, q - 1 if isinstance(q, int) else float(q) - 1.0)
-    if mv.exact is not None:
-        return MeasureValue.from_exact(mv.exact * int(q))
-    return MeasureValue.approx(mv.value * float(q), mv.abs_error * float(q))
 
 
 # ---------------------------------------------------------------------------
@@ -1013,92 +956,25 @@ def facet_angles(P: Polytope) -> list[float]:
 # ---------------------------------------------------------------------------
 
 def radial_Rp(P: Polytope, theta: Direction, p) -> MeasureValue:
-    """Radial of the p-th chord-mean body via the projection-power form,
-    rotated so the direction is the last axis (rotation in binary64)."""
+    """Radial of the p-th radial mean body R_p K via the projection-power form.
+
+    R_p commutes with linear maps, so an off-axis direction is moved to e_n by
+    the rational T with T theta.raw = e_n: rho(theta) = |theta.raw| rho_{TK}(e_n).
+    """
     pf = float(p)
     if pf == 0 or pf <= -1:
         raise ExponentOutOfRange("the chord-mean radial needs p in (-1, inf), p != 0")
     if not P.is_full_dimensional:
         raise DegenerateBody("chord-mean radials need a full-dimensional body")
-    voln = float(P.volume_fraction())
-    if _is_last_axis(theta):
-        mom = projection_power_moment(P, p)
-        val = (mom.value / voln) ** (1.0 / pf)
-        rel = mom.abs_error / mom.value if mom.value > 0 else 0.0
-        return MeasureValue.approx(val, abs(val) * rel / abs(pf) + 1e-14)
-    u = np.array(theta.unit)
     n = P.dim
-    e = np.zeros(n)
-    e[-1] = 1.0
-    v = u - e
-    if np.linalg.norm(v) < 1e-14:
-        R = np.eye(n)
-    else:
-        v = v / np.linalg.norm(v)
-        R = np.eye(n) - 2.0 * np.outer(v, v)  # Householder: maps u -> e_n
-    V = np.array([[float(c) for c in vert] for vert in P.vertices]) @ R.T
-    A = np.array([[float(c) for c in a] for a, _ in P.halfspaces]) @ R.T
-    b = np.array([float(bb) for _a, bb in P.halfspaces])
-    val, err = _projection_power_float(V, A, b, pf)
-    rho = (val / voln) ** (1.0 / pf)
-    rel = err / val if val > 0 else 0.0
-    return MeasureValue.approx(rho, abs(rho) * (rel / abs(pf) + 1e-12))
-
-
-def _cluster_sorted(values, tol: float):
-    out: list[float] = []
-    for v in sorted(values):
-        if not out or v - out[-1] > tol * max(1.0, abs(v)):
-            out.append(v)
-    return out
-
-
-def _projection_power_float(V: np.ndarray, A: np.ndarray, b: np.ndarray, pf: float):
-    """(1/(p+1)) int ell^{p+1} over the projection of a float H/V-polytope."""
-    n = V.shape[1]
-    if n == 2:
-        ys = _cluster_sorted(V[:, 0].tolist(), 1e-12)
-        up = A[:, 1] > 1e-13
-        dn = A[:, 1] < -1e-13
-        total = 0.0
-        for alpha, beta in zip(ys, ys[1:]):
-            nodes = [alpha + (beta - alpha) / 3.0, alpha + 2.0 * (beta - alpha) / 3.0]
-            vals = []
-            for y in nodes:
-                hi = np.min((b[up] - A[up, 0] * y) / A[up, 1]) if up.any() else np.inf
-                lo = np.max((b[dn] - A[dn, 0] * y) / A[dn, 1]) if dn.any() else -np.inf
-                vals.append(max(hi - lo, 0.0))
-            slope = (vals[1] - vals[0]) / (nodes[1] - nodes[0])
-            const = vals[0] - slope * nodes[0]
-            q = pf + 1.0
-            if abs(slope) < 1e-15:
-                total += max(const, 0.0) ** q * (beta - alpha)
-            else:
-                la = max(const + slope * alpha, 0.0)
-                lb = max(const + slope * beta, 0.0)
-                total += (lb ** (q + 1.0) - la ** (q + 1.0)) / (slope * (q + 1.0))
-        return total / (pf + 1.0), 1e-11 * abs(total)
-    # n == 3: Monte Carlo over the projected bounding box
-    rng = np.random.default_rng(987654321)
-    lo = V[:, :-1].min(axis=0)
-    hi = V[:, :-1].max(axis=0)
-    boxvol = float(np.prod(hi - lo))
-    nsamp = 1_000_000
-    y = rng.uniform(lo, hi, size=(nsamp, n - 1))
-    an = A[:, -1]
-    up = an > 1e-13
-    dn = an < -1e-13
-    vert = ~(up | dn)
-    umin = np.full(nsamp, np.inf)
-    for i in np.where(up)[0]:
-        np.minimum(umin, (b[i] - y @ A[i, :-1]) / an[i], out=umin)
-    lmax = np.full(nsamp, -np.inf)
-    for i in np.where(dn)[0]:
-        np.maximum(lmax, (b[i] - y @ A[i, :-1]) / an[i], out=lmax)
-    ell = np.clip(umin - lmax, 0.0, None)
-    for i in np.where(vert)[0]:
-        ell[y @ A[i, :-1] > b[i]] = 0.0
-    vals = np.where(ell > 0.0, ell ** (pf + 1.0), 0.0)
-    est = boxvol * float(vals.mean()) / (pf + 1.0)
-    err = 3.0 * boxvol * float(vals.std(ddof=1)) / math.sqrt(nsamp) / abs(pf + 1.0)
-    return est, err
+    if not _is_last_axis(theta):
+        k = max(i for i, x in enumerate(theta.raw) if x != 0)
+        cols = [axis_direction(n, i).raw for i in range(n) if i != k] + [theta.raw]
+        T = mat_inv([[c[i] for c in cols] for i in range(n)])
+        inner = radial_Rp(transform(P, T, [0] * n), axis_direction(n), p)
+        nrm = math.sqrt(float(theta.norm_sq))
+        return MeasureValue.approx(nrm * inner.value, nrm * inner.abs_error)
+    mom = projection_power_moment(P, p)
+    val = (mom.value / float(P.volume_fraction())) ** (1.0 / pf)
+    rel = mom.abs_error / mom.value if mom.value > 0 else 0.0
+    return MeasureValue.approx(val, abs(val) * rel / abs(pf) + 1e-14)

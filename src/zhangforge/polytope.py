@@ -27,7 +27,6 @@ from .linalg import (
     mat_inv,
     nullspace,
     primitive,
-    rref,
     vec,
     vsub,
 )

@@ -15,7 +15,13 @@ from zhangforge import (
     translate,
     volume,
 )
-from zhangforge.moments import RayMomentEngine, covariogram_on_ray, ray_support
+from zhangforge.moments import (
+    RayMomentEngine,
+    covariogram_on_ray,
+    mc_section_samples,
+    projection_power_moment,
+    ray_support,
+)
 from zhangforge.steiner import steiner_symmetrize
 
 F = Fraction
@@ -105,3 +111,18 @@ def test_engine_exactness_in_the_plane():
             mv = engine.moment(2)
             if Direction(raw).exact_norm() is not None:
                 assert mv.exact is not None  # certified exact rational
+
+
+def test_projection_power_against_monte_carlo():
+    # the exact layer-cake value against a Monte Carlo estimate built here
+    # from sampled section lengths over the projection's bounding box
+    rng = np.random.default_rng(5150)
+    for i in range(4):
+        P = _random_body(rng, 3)
+        boxvol, ell = mc_section_samples(P, seed=600 + i, nsamp=200_000)
+        for p in (1, 2, 3):
+            exact = float(projection_power_moment(P, p).exact)
+            vals = ell ** (p + 1) / (p + 1)
+            est = boxvol * vals.mean()
+            sigma = boxvol * vals.std(ddof=1) / math.sqrt(len(ell))
+            assert abs(est - exact) <= 4 * sigma + 1e-12

@@ -116,13 +116,22 @@ class TestSectionPowers:
         with pytest.raises(ExponentOutOfRange):
             section_power_integral(triangle, 0)
 
-    def test_3d_matches_slab(self, simplex3):
-        # q * 2^{q-1} slab(q-1)  ==  E(q) only through the moment identity;
-        # here check E(q) against the projection-power form instead
-        for q in (1, 2, 3):
-            E = section_power_integral(simplex3, q)
-            ref = projection_power_moment(simplex3, q - 1)
-            assert abs(E.value / q - ref.value) <= ref.abs_error + 1e-12 * abs(E.value)
+    def test_projection_power_equals_slab(self, simplex3):
+        # the layer-cake and the symmetral slab integrate the same moment, so
+        # they agree as rationals in every dimension
+        rng = np.random.default_rng(1234)
+        bodies = [simplex3]
+        for dim in (2, 3):
+            for _ in range(3):
+                pts = [tuple(F(int(c), 3) for c in row)
+                       for row in rng.integers(-6, 7, size=(7, dim))]
+                P = make_polytope(pts, dim)
+                if P.is_full_dimensional:
+                    bodies.append(P)
+        assert len(bodies) >= 5
+        for P in bodies:
+            for p in (1, 2, 3):
+                assert projection_power_moment(P, p).exact == slab_moment(P, p).exact
 
 
 class TestRadials:
@@ -141,17 +150,18 @@ class TestRadials:
             radial_Rp(unit_square, E2, -1)
 
     def test_rotated_matches_ray_route(self, unit_square, simplex3):
-        for P, raw, p in [(unit_square, (1, 1), 1), (unit_square, (2, 1), 2)]:
+        cases = [(unit_square, raw, p) for raw, p in
+                 [((1, 1), 1), ((2, 1), 2), ((1, -2), 1), ((-1, 0), 2)]]
+        # 3-d directions off the last axis, with a zero last coordinate and
+        # with negative entries
+        cases += [(simplex3, raw, 2) for raw in
+                  [(1, 1, 1), (0, 1, 2), (1, 2, 0), (3, -1, 2), (-2, 1, -1)]]
+        for P, raw, p in cases:
             theta = Direction(raw)
             rho_rot = radial_Rp(P, theta, p).value
             mom = ray_moment_quadrature(P, theta, p)
             rho_ray = (mom.value / float(volume(P).exact)) ** (1.0 / p)
-            assert rho_rot == pytest.approx(rho_ray, rel=1e-9)
-        theta3 = Direction((1, 1, 1))
-        r_rot = radial_Rp(simplex3, theta3, 2)
-        mom3 = ray_moment_quadrature(simplex3, theta3, 2)
-        rho_ray3 = (mom3.value / float(volume(simplex3).exact)) ** 0.5
-        assert abs(r_rot.value - rho_ray3) < 3 * (r_rot.abs_error + 1e-4)
+            assert rho_rot == pytest.approx(rho_ray, rel=1e-9), raw
 
     def test_large_p_approaches_difference_body(self, unit_square):
         # rho_{K_p(g_K)} <= rho_{K-K} with the binomial-scaled sandwich
