@@ -3,15 +3,22 @@
 The same number  p * int r^(p-1) vol(K cap (r e_n + K)) dr  is computed as a
 ray quadrature over exact covariogram panels, as a slab integral over the
 symmetral, and as a section-power integral over the projection; the routes
-cross-validate each other.  Radial p-th means, Ball bodies of the discrete
-covariogram, and the polar projection body all reduce to these moments.
+cross-validate each other.  Radial p-th means and Ball bodies of the discrete
+covariogram reduce to these moments; the polar projection body is an exact
+polytope.
 """
 
 import math
 
 import numpy as np
 
-from zhangforge import Direction, axis_direction, make_polytope, volume
+from zhangforge import (
+    Direction,
+    axis_direction,
+    make_polytope,
+    polar_projection_body,
+    volume,
+)
 from zhangforge.moments import (
     MomentRequest,
     continuous_ray_moment,
@@ -53,10 +60,9 @@ print("  difference set (K cap Z^2) - K:",
 
 print("\npolar projection body and the simplex equality case:")
 print("  rho_polar([0,1]^2)(e2) =", polar_projection_radial(square, e2).exact)
-sv = star_volume(lambda dirs: radial_batch("polar-projection", T, dirs, None),
-                 2, extra_angles=facet_angles(T))
-print(f"  vol(polar body of T) = {sv.value:.6f}  (the bound")
-print(f"  C(4,2)/4 = 1.5 <= vol(T) * that = {0.5*sv.value:.6f} is tight for simplices)")
+polar_vol = volume(polar_projection_body(T)).exact
+print(f"  vol(polar body of T) = {polar_vol}  (exact; the bound")
+print(f"  C(4,2)/4 = 3/2 <= vol(T) * that = {volume(T).exact * polar_vol} is tight for simplices)")
 
 print("\nthe n-th Ball body of the covariogram has the body's volume:")
 sv2 = star_volume(lambda dirs: radial_batch("continuous", T, dirs, 2),

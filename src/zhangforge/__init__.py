@@ -11,6 +11,7 @@ from .polytope import (
     make_polytope,
     max_section_anchor,
     minkowski_sum,
+    polar_projection_body,
     project_drop_last,
     projection_volume,
     slice_at_height,
@@ -31,6 +32,7 @@ __all__ = [
     "make_polytope",
     "max_section_anchor",
     "minkowski_sum",
+    "polar_projection_body",
     "project_drop_last",
     "projection_volume",
     "slice_at_height",

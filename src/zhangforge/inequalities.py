@@ -50,6 +50,7 @@ from .polytope import (
     axis_direction,
     intersect,
     max_section_anchor,
+    polar_projection_body,
     project_drop_last,
     projection_volume,
     slice_at_height,
@@ -779,20 +780,10 @@ def _chk_completely_discrete_berwald(ws: BodyWorkspace, params: dict) -> Inequal
 
 def _chk_zhang_volume(ws: BodyWorkspace, params: dict) -> InequalityReport:
     n = ws.n
-    scale = ws.quad_scale
-    extras = facet_angles(ws.body) if n == 2 else ()
-    sv = star_volume(
-        lambda dirs: radial_batch("polar-projection", ws.body, dirs, None),
-        n,
-        extra_angles=extras,
-        n_circle=2048 * scale,
-        n_polar=48 * scale,
-        n_azimuth=96 * scale,
-    )
+    polar = polar_projection_body(ws.body).volume_fraction()
     lhs = MeasureValue.from_exact(Fraction(math.comb(2 * n, n), n**n))
-    rv = float(ws.vol) ** (n - 1) * sv.value
-    rhs = MeasureValue.approx(rv, float(ws.vol) ** (n - 1) * sv.abs_error)
-    return _report("zhang_volume", lhs, rhs, polar_volume=sv.value, nodes_scale=scale)
+    rhs = MeasureValue.from_exact(ws.vol ** (n - 1) * polar)
+    return _report("zhang_volume", lhs, rhs, polar_volume=str(polar))
 
 
 def _chk_different_inclusion(ws: BodyWorkspace, params: dict) -> InequalityReport:

@@ -1,6 +1,8 @@
 """Covariogram, ray moments along three independent routes, star radials of
-Ball bodies (continuous and lattice-counting sources), the polar projection
-body, and star-set volumes by sphere quadrature.
+Ball bodies (continuous and lattice-counting sources) and of the polar
+projection body, and planar star-set areas by circle quadrature (n = 2 only;
+the polar projection body itself is an exact polytope, see
+``polytope.polar_projection_body``).
 
 Exactness policy: moments in the last-axis direction with integer exponents
 are exact rationals (piecewise-polynomial interpolation at rational nodes);
@@ -593,7 +595,7 @@ def section_distribution(P: Polytope, symmetral: Polytope | None = None) -> Sect
     return SectionDistribution(pieces, projvol, R)
 
 
-def section_power_integral(P: Polytope, q, symmetral: Polytope | None = None,
+def section_power_integral(P: Polytope, q,
                            dist: SectionDistribution | None = None) -> MeasureValue:
     """int_{P(K)} ell(y)^q dy for q > -1, q != 0 (layer-cake over the
     section-length distribution).  Exact for integer q >= 1."""
@@ -601,7 +603,7 @@ def section_power_integral(P: Polytope, q, symmetral: Polytope | None = None,
     if qf <= -1 or qf == 0:
         raise ExponentOutOfRange("section powers need q > -1, q != 0")
     if dist is None:
-        dist = section_distribution(P, symmetral)
+        dist = section_distribution(P)
     projvol = dist.projvol
     exact = (isinstance(q, int) or qf == int(qf)) and qf >= 1
     total_exact = _ZERO
@@ -877,7 +879,7 @@ def polygon_ray_moment_batch(P: Polytope, dirs: np.ndarray, p) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# sphere quadrature
+# circle quadrature
 # ---------------------------------------------------------------------------
 
 def circle_nodes(n_nodes: int, extra_angles=()) -> np.ndarray:
@@ -899,46 +901,20 @@ def _circle_rule(evaluator, angles: np.ndarray) -> float:
     return float(0.5 * np.sum(rho**2 * w))
 
 
-def _sphere_rule(evaluator, n_polar: int, n_azimuth: int) -> float:
-    z, wz = _leggauss(n_polar)
-    phi = 2.0 * math.pi * np.arange(n_azimuth) / n_azimuth
-    sin_t = np.sqrt(1.0 - z**2)
-    dirs = np.empty((n_polar * n_azimuth, 3))
-    weights = np.empty(n_polar * n_azimuth)
-    idx = 0
-    for i in range(n_polar):
-        dirs[idx : idx + n_azimuth, 0] = sin_t[i] * np.cos(phi)
-        dirs[idx : idx + n_azimuth, 1] = sin_t[i] * np.sin(phi)
-        dirs[idx : idx + n_azimuth, 2] = z[i]
-        weights[idx : idx + n_azimuth] = wz[i] * (2.0 * math.pi / n_azimuth)
-        idx += n_azimuth
-    rho = evaluator(dirs)
-    return float(np.sum(rho**3 * weights) / 3.0)
+def star_volume(evaluator, dim: int, extra_angles=(), n_circle: int = 2048) -> MeasureValue:
+    """Area (1/2) int_{S^1} rho^2 of a planar star set, with a refinement-based
+    error estimate.
 
-
-def star_volume(
-    evaluator,
-    dim: int,
-    extra_angles=(),
-    n_circle: int = 2048,
-    n_polar: int = 48,
-    n_azimuth: int = 96,
-) -> MeasureValue:
-    """vol = (1/n) int_{S^{n-1}} rho^n, with a refinement-based error estimate.
-
-    ``evaluator`` maps an (m, dim) array of unit directions to radii.  For
-    dim = 2 a composite trapezoid rule over n_circle equal angles plus the
-    supplied extra angles; for dim = 3 a Gauss-Legendre x trapezoid product
-    rule with n_polar * n_azimuth >= 974 nodes.
+    ``evaluator`` maps an (m, 2) array of unit directions to radii.  The rule
+    is the composite trapezoid over n_circle equal angles plus the supplied
+    extra angles (kinks of rho).  Only dim = 2 is supported; the polar
+    projection body, in any dimension, is built exactly by
+    ``polytope.polar_projection_body``.
     """
-    if dim == 2:
-        fine = _circle_rule(evaluator, circle_nodes(n_circle, extra_angles))
-        coarse = _circle_rule(evaluator, circle_nodes(n_circle // 2, extra_angles))
-    elif dim == 3:
-        fine = _sphere_rule(evaluator, n_polar, n_azimuth)
-        coarse = _sphere_rule(evaluator, n_polar // 2, n_azimuth // 2)
-    else:
-        raise RouteUnsupported("star volumes are implemented for dimensions 2 and 3")
+    if dim != 2:
+        raise RouteUnsupported("star volumes by quadrature are implemented for dimension 2")
+    fine = _circle_rule(evaluator, circle_nodes(n_circle, extra_angles))
+    coarse = _circle_rule(evaluator, circle_nodes(n_circle // 2, extra_angles))
     err = abs(fine - coarse) + 1e-12 * abs(fine)
     return MeasureValue.approx(fine, err)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import DegenerateBody, DimensionMismatch, Unbounded
 from .hull import convex_hull
@@ -532,6 +533,26 @@ def difference_body(P: Polytope) -> Polytope:
         tuple(v[i] + w[i] for i in range(P.dim)) for v in P.vertices for w in neg
     ]
     return Polytope.from_points(sums, P.dim)
+
+
+def polar_projection_body(P: Polytope) -> Polytope:
+    """The polar Π*K of the projection body, exactly.
+
+    ΠK is the zonotope with generators g_F = w_F a_F / 2 (h_ΠK(u) = ½ Σ_F w_F
+    |<a_F, u>|), and its facet normals are the normals c of the rank-(n-1)
+    generator subsets, so the vertices of Π*K are ±c / h_ΠK(c).
+    """
+    gens = [tuple(w * x / 2 for x in a) for a, _b, w in P.facet_weights()]
+    pts = []
+    for sub in combinations(gens, P.dim - 1):
+        basis = nullspace([list(g) for g in sub], P.dim)
+        if len(basis) != 1:  # rank below n-1: no facet normal
+            continue
+        c = basis[0]
+        h = sum((abs(dot(g, c)) for g in gens), _ZERO)
+        pts.append(tuple(x / h for x in c))
+        pts.append(tuple(-x / h for x in c))
+    return Polytope.from_points(pts, P.dim)
 
 
 def max_section_anchor(P: Polytope) -> Vec:

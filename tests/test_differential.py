@@ -12,14 +12,17 @@ from zhangforge import (
     axis_direction,
     intersect,
     make_polytope,
+    polar_projection_body,
     translate,
     volume,
 )
+from zhangforge.harness import BodySpec, make_body
 from zhangforge.moments import (
     RayMomentEngine,
     covariogram_on_ray,
     mc_section_samples,
     projection_power_moment,
+    radial_batch,
     ray_support,
 )
 from zhangforge.steiner import steiner_symmetrize
@@ -126,3 +129,22 @@ def test_projection_power_against_monte_carlo():
             est = boxvol * vals.mean()
             sigma = boxvol * vals.std(ddof=1) / math.sqrt(len(ell))
             assert abs(est - exact) <= 4 * sigma + 1e-12
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_polar_projection_body_against_facet_weight_radial(dim):
+    # the exact polytope's radial min b/<a,u> against the float radial
+    # 1/h_PiK(u) that radial_batch computes from the facet weights
+    rng = np.random.default_rng(8080 + dim)
+    for seed in range(4):
+        P = make_body(BodySpec("random_hull", dim, {"count": 6, "radius": 2, "seed": seed}))
+        polar = polar_projection_body(P)
+        A = np.array([[float(x) for x in a] for a, _ in polar.halfspaces])
+        b = np.array([float(bb) for _, bb in polar.halfspaces])
+        dirs = rng.normal(size=(200, dim))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        s = dirs @ A.T
+        ratios = np.where(s > 0, b[None, :] / np.where(s > 0, s, 1.0), np.inf)
+        mine = ratios.min(axis=1)
+        ref = radial_batch("polar-projection", P, dirs, None)
+        assert mine == pytest.approx(ref, rel=1e-12)

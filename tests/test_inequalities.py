@@ -165,7 +165,14 @@ class TestVerify:
     def test_zhang_volume_equality_case(self, triangle):
         rep = verify("zhang_volume", triangle)
         assert rep.holds
-        assert abs(rep.rhs.value - 1.5) <= 2e-3 * 1.5
+        assert rep.lhs.exact == rep.rhs.exact == Fraction(3, 2)
+
+    def test_zhang_volume_in_dimension_four(self):
+        simplex4 = make_polytope(
+            [(0, 0, 0, 0)] + [tuple(int(i == j) for j in range(4)) for i in range(4)], 4
+        )
+        rep = verify("zhang_volume", simplex4)
+        assert rep.holds and rep.lhs.exact == rep.rhs.exact == Fraction(35, 128)
 
     def test_sandwich_tight(self, big_square):
         rep = verify("mu_gn_sandwich", big_square)

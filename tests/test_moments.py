@@ -7,6 +7,7 @@ import pytest
 from zhangforge import Direction, axis_direction, make_polytope, volume
 from zhangforge.errors import ExponentOutOfRange, RouteUnsupported
 from zhangforge.moments import (
+    SOURCES,
     MomentRequest,
     RayMomentEngine,
     continuous_ray_moment,
@@ -217,9 +218,9 @@ class TestStarVolume:
         mv = star_volume(lambda dirs: np.ones(len(dirs)), 2)
         assert mv.value == pytest.approx(math.pi, abs=1e-6)
 
-    def test_unit_ball_3d(self):
-        mv = star_volume(lambda dirs: np.ones(len(dirs)), 3)
-        assert mv.value == pytest.approx(4 * math.pi / 3, rel=1e-9)
+    def test_only_the_plane(self):
+        with pytest.raises(RouteUnsupported):
+            star_volume(lambda dirs: np.ones(len(dirs)), 3)
 
     def test_polar_body_of_triangle(self, triangle):
         ev = lambda dirs: radial_batch("polar-projection", triangle, dirs, None)
@@ -253,6 +254,15 @@ def _difference_radial(P, theta: Direction) -> float:
 
     rho_raw = _radial_raw(difference_body(P), theta.raw)
     return float(rho_raw) * math.sqrt(float(theta.norm_sq))
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_every_source_has_a_radial(source, unit_square):
+    # perfbench names one metric per entry of SOURCES
+    assert math.isfinite(radial_ball_body(source, unit_square, Direction((1, 0)), 1).value)
+    angles = np.linspace(0, 2 * math.pi, 12, endpoint=False)
+    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    assert np.all(np.isfinite(radial_batch(source, unit_square, dirs, 1)))
 
 
 class TestBatchConsistency:

@@ -15,6 +15,7 @@ from zhangforge import (
     make_polytope,
     max_section_anchor,
     minkowski_sum,
+    polar_projection_body,
     project_drop_last,
     projection_volume,
     slice_at_height,
@@ -98,6 +99,28 @@ class TestVolume:
             est = boxvol * inside.mean()
             sigma = boxvol * inside.std() / math.sqrt(len(pts))
             assert abs(est - float(volume(P).exact)) < 3 * sigma
+
+
+def _zhang_product(P):
+    n = P.dim
+    return volume(P).exact ** (n - 1) * volume(polar_projection_body(P)).exact
+
+
+class TestPolarProjectionBody:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_simplex_is_the_equality_case(self, n):
+        pts = [tuple(F(0) for _ in range(n))]
+        pts += [tuple(F(int(i == j)) for j in range(n)) for i in range(n)]
+        assert _zhang_product(make_polytope(pts, n)) == F(math.comb(2 * n, n), n**n)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_unit_cube(self, n):
+        pts = [tuple(F((i >> k) & 1) for k in range(n)) for i in range(2**n)]
+        assert _zhang_product(make_polytope(pts, n)) == F(2**n, math.factorial(n))
+
+    def test_cross_polytope_4d(self):
+        pts = [tuple(F(s if j == i else 0) for j in range(4)) for i in range(4) for s in (1, -1)]
+        assert _zhang_product(make_polytope(pts, 4)) == F(11, 12)
 
 
 class TestIntersection:
