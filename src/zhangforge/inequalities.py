@@ -2,6 +2,14 @@
 comparison-profile machinery behind the purely lattice-counting bound, and
 scaling-limit sweeps.
 
+The discrete bounds read the Steiner symmetral S of the anchored body fattened
+by the unit cube of e_n^perp.  Every such quantity comes from S and its
+memoized closed fattening ``lattice.fattening(S, n-1)``, with no LP and no
+per-height slice: the diamond extension is the upper end of a vertical
+section of the fattening, and the profiles f, f~, the top height M and the
+column counts behind the profile hypotheses are height and column counts of
+the lattice points of S and of its open fattening.
+
 Verdict policy: exact-vs-exact comparisons are strict rational.  When either
 side is approximate, `holds` means slack >= -(sum of error bounds); an
 apparent violation is retried once at doubled quadrature order before `fails`
@@ -12,6 +20,7 @@ never a silent pass.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -21,7 +30,6 @@ import numpy as np
 from .errors import (
     EmptyProjectionLattice,
     HypothesesViolated,
-    Infeasible,
     NoCrossing,
     NoRoot,
     UnknownChecker,
@@ -29,11 +37,12 @@ from .errors import (
 from .lattice import (
     column_lengths,
     count_lattice,
+    fattening,
     lattice_points,
     mu_measure,
 )
 from .linalg import dot, frac
-from .lp import lp_solve
+from .lp import lp_solve  # noqa: F401  (unused here; perfbench/tracer.py's REQUIRED_BINDINGS needs it)
 from .moments import (
     facet_angles,
     projection_power_moment,
@@ -53,7 +62,6 @@ from .polytope import (
     polar_projection_body,
     project_drop_last,
     projection_volume,
-    slice_at_height,
     translate,
     vertical_section,
 )
@@ -126,11 +134,9 @@ def h_func(x, p, n: int) -> float:
 class SectionProfiles:
     """Lattice counts of symmetral slices (plain f and open-fattened f~)."""
 
-    body: Polytope
     f: dict[int, int]
     f_tilde: dict[int, int]
     M: int
-    support_bound: Fraction
     symmetral: Polytope
 
     def f_at(self, k: int) -> int:
@@ -150,77 +156,50 @@ class HypothesesH:
         return self.max_at_zero_column and self.M >= 1
 
 
+def _height_counts(points) -> dict[int, int]:
+    """Number of points at each height x_n = k >= 0."""
+    return dict(Counter(x[-1] for x in points if x[-1] >= 0))
+
+
 def section_profiles(P: Polytope, symmetral: Polytope | None = None) -> SectionProfiles:
     """f(k)/f~(k): lattice counts of the symmetral slice at height k, plain and
-    fattened by the open unit cube of the slice's ambient space."""
+    fattened by the open unit cube of the slice's ambient space.
+
+    The slice of S + (-1,1)^{n-1} x {0} at an integer height is the slice of S
+    plus the open cube, so both profiles are height counts of one enumeration.
+    """
     n = P.dim
-    proj = project_drop_last(P)
-    if not proj.contains(tuple(_ZERO for _ in range(n - 1))):
-        raise EmptyProjectionLattice("profiles need 0 in the projection")
     S = symmetral if symmetral is not None else steiner_symmetrize(P)
-    R, _w = ray_support(P, axis_direction(n))
-    support = R / 2  # max section length / 2 = top height of the symmetral
-    f: dict[int, int] = {}
-    ft: dict[int, int] = {}
-    for k in range(math.floor(support) + 1):
-        sl = slice_at_height(S, k)
-        if sl is None:
-            continue
-        cf = count_lattice(sl)
-        cft = count_lattice(sl, n - 1)
-        if cf:
-            f[k] = cf
-        if cft:
-            ft[k] = cft
-    M = 0
-    for x in lattice_points(S):
-        M = max(M, x[-1])
-    return SectionProfiles(P, f, ft, M, support, S)
+    # S is symmetric in x_n, so (0, 0) is in S exactly when 0 is in P(K)
+    if not S.contains(tuple(_ZERO for _ in range(n))):
+        raise EmptyProjectionLattice("profiles need 0 in the projection")
+    f = _height_counts(lattice_points(S))
+    ft = _height_counts(lattice_points(S, n - 1))
+    return SectionProfiles(f, ft, max(f, default=0), S)
 
 
 def hypotheses_h(P: Polytope, profiles: SectionProfiles | None = None) -> HypothesesH:
     pr = profiles if profiles is not None else section_profiles(P)
-    S = pr.symmetral
-    best = -1
-    at_zero = 0
-    for y in lattice_points(project_drop_last(P)):
-        seg = vertical_section(S, y)
-        cnt = 0 if seg is None else 2 * math.floor(seg.hi) + 1
-        best = max(best, cnt)
-        if all(c == 0 for c in y):
-            at_zero = cnt
+    # the symmetral meets the column over y exactly when y is in P(K)
+    counts = Counter(x[:-1] for x in lattice_points(pr.symmetral))
+    at_zero = counts.get(tuple(0 for _ in range(P.dim - 1)), 0)
+    best = max(counts.values(), default=0)
     return HypothesesH(max_at_zero_column=(best == at_zero and at_zero > 0), M=pr.M)
 
 
-def diamond_extension(P: Polytope, x) -> MeasureValue:
-    """Largest half section length of P over the unit window around x.
+def diamond_extension(S: Polytope, x) -> MeasureValue:
+    """Largest half section length of S over the closed unit window around x.
 
-    LP max (t2-t1)/2 over (y,t1),(y,t2) in P with ||y-x||_inf <= 1; the
-    supremum over the open window equals this closed maximum by continuity.
-    Returns 0 when the window misses the projection.
+    S must be symmetric in x_n.  The section of S + [-1,1]^{n-1} x {0} over x
+    is then [-m, m] with m the largest half section length of S over the
+    window; the supremum over the open window equals this closed maximum by
+    continuity.  Returns 0 when the window misses the projection.
     """
-    n = P.dim
-    xv = [frac(c) for c in x]
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for a, b in P.halfspaces:  # variables y (n-1), t1, t2
-        rows.append(list(a[:-1]) + [a[-1], _ZERO])
-        rhs.append(b)
-        rows.append(list(a[:-1]) + [_ZERO, a[-1]])
-        rhs.append(b)
-    for j in range(n - 1):
-        e = [_ZERO] * (n + 1)
-        e[j] = _ONE
-        rows.append(list(e))
-        rhs.append(xv[j] + 1)
-        rows.append([-v for v in e])
-        rhs.append(1 - xv[j])
-    obj = [_ZERO] * (n - 1) + [-_ONE, _ONE]
-    try:
-        res = lp_solve(obj, rows, rhs)
-    except Infeasible:
-        return MeasureValue.from_exact(0)
-    return MeasureValue.from_exact(res.value / 2)
+    verts = set(S.vertices)
+    if any(v[:-1] + (-v[-1],) not in verts for v in verts):
+        raise ValueError("diamond extension needs a body symmetric in x_n")
+    seg = vertical_section(fattening(S, S.dim - 1), x)
+    return MeasureValue.from_exact(_ZERO if seg is None else seg.hi)
 
 
 def _profile_sum(profile: dict[int, int], p: int) -> Fraction:
@@ -513,7 +492,7 @@ class BodyWorkspace:
     def diamond_values(self) -> dict:
         out = {}
         for y in lattice_points(self.aproj, self.n - 1):
-            out[y] = diamond_extension(self.anchored, y).exact
+            out[y] = diamond_extension(self.asym, y).exact
         return out
 
     @cached_property
@@ -536,12 +515,39 @@ def _mu_fattened(ws: BodyWorkspace) -> Fraction:
 
 
 def _G_sym_fattened(ws: BodyWorkspace) -> int:
-    """G_n(S + C_{n-1}) by per-height slice counts of the open fattening."""
+    """G_n(S + C_{n-1}) from the height counts f~, which are even in k."""
+    ft = ws.profiles.f_tilde
+    return ft.get(0, 0) + 2 * sum(v for k, v in ft.items() if k)
+
+
+def _discrete_zhang_mu_sides(ws: BodyWorkspace) -> tuple[Fraction, Fraction, Fraction]:
+    """(lhs, rhs, mu(SK + C)) of the discrete Zhang inequality for the column measure."""
+    n = ws.n
+    const = Fraction(math.comb(2 * n, n), n**n)
+    lhs = const * _mu_moment_exact(ws.acolumn_lengths, n)
+    mu_fat = _mu_fattened(ws)
+    return lhs, mu_fat ** (n + 1) / Fraction(ws.G_aproj) ** n, mu_fat
+
+
+def _purely_discrete_zhang_sides(ws: BodyWorkspace) -> tuple[MeasureValue, Fraction, float | None]:
+    """(lhs, rhs, m0) of the purely discrete Zhang inequality.
+
+    The left side is exact when m0 is rational; m0 is None when M = 0, where
+    the left side is 0.
+    """
+    n = ws.n
     pr = ws.profiles
-    total = pr.f_tilde_at(0)
-    for k in range(1, math.floor(pr.support_bound) + 1):
-        total += 2 * pr.f_tilde_at(k)
-    return total
+    rhs = Fraction(_G_sym_fattened(ws) + pr.f_tilde_at(0)) ** (n + 1) / Fraction(ws.G_aproj) ** n
+    if pr.M == 0:
+        return MeasureValue.from_exact(0), rhs, None
+    root, exact_m0 = _solve_m0(ws.anchored, 1, pr)
+    sum_abs = sum((Fraction(k) ** n * v for k, v in pr.f.items() if k), _ZERO) * 2
+    if exact_m0 is not None:
+        factor = (n + 1) * _B_exact(exact_m0, 1, n) ** (n + 1) / _B_exact(exact_m0, n + 1, n)
+        return MeasureValue.from_exact(factor * 2**n * sum_abs), rhs, root
+    factor = (n + 1) * B_coeff(root, 1, n) ** (n + 1) / B_coeff(root, n + 1, n)
+    val = factor * 2.0**n * float(sum_abs)
+    return MeasureValue.approx(val, 1e-9 * abs(val)), rhs, root
 
 
 # ---------------------------------------------------------------------------
@@ -590,15 +596,11 @@ def _chk_zhang_directional(ws: BodyWorkspace, params: dict) -> InequalityReport:
 
 
 def _chk_discrete_zhang_mu(ws: BodyWorkspace, params: dict) -> InequalityReport:
-    n = ws.n
-    const = Fraction(math.comb(2 * n, n), n**n)
-    lhs = MeasureValue.from_exact(const * _mu_moment_exact(ws.acolumn_lengths, n))
-    mu_fat = _mu_fattened(ws)
-    rhs = MeasureValue.from_exact(mu_fat ** (n + 1) / Fraction(ws.G_aproj) ** n)
+    lhs, rhs, mu_fat = _discrete_zhang_mu_sides(ws)
     return _report(
         "discrete_zhang_mu",
-        lhs,
-        rhs,
+        MeasureValue.from_exact(lhs),
+        MeasureValue.from_exact(rhs),
         anchor=[str(c) for c in ws.anchor],
         mu_fattened=str(mu_fat),
     )
@@ -636,31 +638,17 @@ def _chk_lattice_zhang(ws: BodyWorkspace, params: dict) -> InequalityReport:
 
 
 def _chk_purely_discrete_zhang(ws: BodyWorkspace, params: dict) -> InequalityReport:
-    n = ws.n
+    lhs, rhs, m0 = _purely_discrete_zhang_sides(ws)
     pr = ws.profiles
-    G = ws.G_aproj
-    gsym = _G_sym_fattened(ws)
-    gproj_fat = pr.f_tilde_at(0)
-    rhs = MeasureValue.from_exact(Fraction(gsym + gproj_fat) ** (n + 1) / Fraction(G) ** n)
-    ctx = {"M": pr.M, "anchor": [str(c) for c in ws.anchor]}
-    if pr.M == 0:
-        lhs = MeasureValue.from_exact(0)
-        rep = _report("purely_discrete_zhang", lhs, rhs, trivial=True, m0=None, **ctx)
-        return rep
-    root, exact_m0 = _solve_m0(ws.anchored, 1, pr)
-    sum_abs = sum((Fraction(k) ** n * v for k, v in pr.f.items() if k), _ZERO) * 2
-    if exact_m0 is not None:
-        b1 = _B_exact(exact_m0, 1, n)
-        bn1 = _B_exact(exact_m0, n + 1, n)
-        factor = (n + 1) * b1 ** (n + 1) / bn1
-        lhs = MeasureValue.from_exact(factor * Fraction(2) ** n * sum_abs)
-    else:
-        b1 = B_coeff(root, 1, n)
-        bn1 = B_coeff(root, n + 1, n)
-        factor = (n + 1) * b1 ** (n + 1) / bn1
-        val = factor * 2.0**n * float(sum_abs)
-        lhs = MeasureValue.approx(val, 1e-9 * abs(val))
-    return _report("purely_discrete_zhang", lhs, rhs, trivial=False, m0=root, **ctx)
+    return _report(
+        "purely_discrete_zhang",
+        lhs,
+        MeasureValue.from_exact(rhs),
+        trivial=pr.M == 0,
+        m0=m0,
+        M=pr.M,
+        anchor=[str(c) for c in ws.anchor],
+    )
 
 
 _BERWALD_GRID = (Fraction(-1, 2), 1, 2)
@@ -859,7 +847,6 @@ def _chk_identity_triple_discrete(ws: BodyWorkspace, params: dict) -> Inequality
     ells = sorted({ell for ell in cols.values() if ell > 0})
     pieces = []
     prev = _ZERO
-    e_n = tuple(Fraction(0) for _ in range(n - 1)) + (Fraction(1),)
     for brk in ells:
         w = brk - prev
         nodes = (prev + w / 3, prev + 2 * w / 3)
@@ -1347,53 +1334,25 @@ def limit_sweep(P: Polytope, target: str, scales, params: dict | None = None) ->
             Q = _scaled(P, int(lam))
             rows.append(_row(lam, "mu/scale^n", mu_measure(Q).exact / int(lam) ** n, ws.vol))
         return rows
-    if target == "discrete_to_continuous_zhang":
+    if target in ("discrete_to_continuous_zhang", "purely_discrete_to_continuous"):
         const = Fraction(math.comb(2 * n, n), n**n)
-        anchored = ws.anchored
         ref_lhs = const * ws.slab(n).exact
         ref_rhs = ws.vol ** (n + 1) / ws.volp**n
         for lam in scales:
             lam = int(lam)
-            Q = _scaled(anchored, lam)
-            qws = BodyWorkspace(Q)
-            lhs = const * _mu_moment_exact(qws.acolumn_lengths, n) / lam ** (2 * n)
-            mu_fat = _mu_fattened(qws)
-            rhs = mu_fat ** (n + 1) / Fraction(qws.G_aproj) ** n / lam ** (2 * n)
-            mu_sym = mu_measure(qws.asym).exact
-            rhs_sym = mu_sym ** (n + 1) / Fraction(qws.G_aproj) ** n / lam ** (2 * n)
-            rows.append(_row(lam, "lhs", lhs, ref_lhs))
-            rows.append(_row(lam, "rhs", rhs, ref_rhs))
-            rows.append(_row(lam, "rhs_symmetral", rhs_sym, ref_rhs))
-        return rows
-    if target == "purely_discrete_to_continuous":
-        const = Fraction(math.comb(2 * n, n), n**n)
-        anchored = ws.anchored
-        ref_lhs = const * ws.slab(n).exact
-        ref_rhs = ws.vol ** (n + 1) / ws.volp**n
-        for lam in scales:
-            lam = int(lam)
-            Q = _scaled(anchored, lam)
-            qws = BodyWorkspace(Q)
-            pr = qws.profiles
-            if pr.M == 0:
-                lhs_val = 0.0
+            qws = BodyWorkspace(_scaled(ws.anchored, lam))
+            norm = lam ** (2 * n)
+            if target == "discrete_to_continuous_zhang":
+                lhs, rhs, _mu_fat = _discrete_zhang_mu_sides(qws)
+                mu_sym = mu_measure(qws.asym).exact
+                rows.append(_row(lam, "lhs", lhs / norm, ref_lhs))
+                rows.append(_row(lam, "rhs", rhs / norm, ref_rhs))
+                rows.append(_row(lam, "rhs_symmetral",
+                                 mu_sym ** (n + 1) / Fraction(qws.G_aproj) ** n / norm, ref_rhs))
             else:
-                root, exact_m0 = _solve_m0(Q, 1, pr)
-                m0 = exact_m0 if exact_m0 is not None else root
-                b1 = float(_B_exact(m0, 1, n)) if exact_m0 is not None else B_coeff(root, 1, n)
-                bn1 = (
-                    float(_B_exact(m0, n + 1, n))
-                    if exact_m0 is not None
-                    else B_coeff(root, n + 1, n)
-                )
-                sum_abs = 2 * sum(float(k) ** n * v for k, v in pr.f.items() if k)
-                lhs_val = (n + 1) * b1 ** (n + 1) / bn1 * 2.0**n * sum_abs / lam ** (2 * n)
-            gsym = _G_sym_fattened(qws)
-            gproj = pr.f_tilde_at(0)
-            rhs_val = Fraction(gsym + gproj) ** (n + 1) / Fraction(qws.G_aproj) ** n / lam ** (
-                2 * n
-            )
-            rows.append(_row(lam, "lhs", lhs_val, ref_lhs))
-            rows.append(_row(lam, "rhs", rhs_val, ref_rhs))
+                lhs, rhs, _m0 = _purely_discrete_zhang_sides(qws)
+                lhs_val = lhs.exact / norm if lhs.is_exact else lhs.value / norm
+                rows.append(_row(lam, "lhs", lhs_val, ref_lhs))
+                rows.append(_row(lam, "rhs", rhs / norm, ref_rhs))
         return rows
     raise ValueError(f"unknown sweep target {target!r}")

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -13,10 +14,16 @@ from zhangforge import (
     intersect,
     make_polytope,
     polar_projection_body,
+    project_drop_last,
+    slice_at_height,
     translate,
     volume,
 )
+from zhangforge.errors import Infeasible
 from zhangforge.harness import BodySpec, make_body
+from zhangforge.inequalities import diamond_extension, section_profiles
+from zhangforge.lattice import count_lattice
+from zhangforge.lp import lp_solve
 from zhangforge.moments import (
     RayMomentEngine,
     covariogram_on_ray,
@@ -148,3 +155,64 @@ def test_polar_projection_body_against_facet_weight_radial(dim):
         mine = ratios.min(axis=1)
         ref = radial_batch("polar-projection", P, dirs, None)
         assert mine == pytest.approx(ref, rel=1e-12)
+
+
+_HULLS = [BodySpec("random_hull", 2, {"count": 8, "radius": 2, "seed": s}) for s in range(4)] + [
+    BodySpec("random_hull", 3, {"count": 6, "radius": 2, "seed": s}) for s in range(3)
+]
+
+
+def _diamond_lp(P, x):
+    """max (t2 - t1)/2 over (y, t1), (y, t2) in P with ||y - x||_inf <= 1; None if infeasible."""
+    n = P.dim
+    rows, rhs = [], []
+    for a, b in P.halfspaces:  # variables y (n-1), t1, t2
+        rows.append(list(a[:-1]) + [a[-1], F(0)])
+        rhs.append(b)
+        rows.append(list(a[:-1]) + [F(0), a[-1]])
+        rhs.append(b)
+    for j in range(n - 1):
+        e = [F(0)] * (n + 1)
+        e[j] = F(1)
+        rows.append(e)
+        rhs.append(x[j] + 1)
+        rows.append([-v for v in e])
+        rhs.append(1 - x[j])
+    try:
+        res = lp_solve([F(0)] * (n - 1) + [F(-1), F(1)], rows, rhs)
+    except Infeasible:
+        return None
+    return res.value / 2
+
+
+def test_diamond_extension_against_lp():
+    # the fattened symmetral's section against the two-copy LP on the body
+    missed = 0
+    for spec in _HULLS:
+        P = make_body(spec)
+        S = steiner_symmetrize(P)
+        box = project_drop_last(P).bounding_box()
+        for x in product(*(range(math.floor(lo) - 1, math.ceil(hi) + 2) for lo, hi in box)):
+            ref = _diamond_lp(P, x)
+            missed += ref is None
+            assert diamond_extension(S, x).exact == (F(0) if ref is None else ref)
+    assert missed  # some windows miss the projection
+
+
+def test_section_profiles_against_slices():
+    # height counts of one enumeration against per-height slice polytopes
+    for spec in _HULLS:
+        anchored = make_body(BodySpec(spec.family, spec.dim, spec.params, anchor=True))
+        for Q in (anchored, make_polytope([tuple(3 * c for c in v) for v in anchored.vertices],
+                                          spec.dim)):
+            S = steiner_symmetrize(Q)
+            pr = section_profiles(Q, S)
+            top = math.floor(max(v[-1] for v in S.vertices))
+            f, ft = {}, {}
+            for k in range(top + 1):
+                sl = slice_at_height(S, k)
+                f[k] = count_lattice(sl) if sl is not None else 0
+                ft[k] = count_lattice(sl, Q.dim - 1) if sl is not None else 0
+            assert {k: v for k, v in f.items() if v} == pr.f
+            assert {k: v for k, v in ft.items() if v} == pr.f_tilde
+            assert pr.M == max(pr.f, default=0)

@@ -24,6 +24,7 @@ from zhangforge.inequalities import (
     verify,
     _solve_m0,
 )
+from zhangforge.steiner import steiner_symmetrize
 
 F = Fraction
 
@@ -56,7 +57,6 @@ class TestProfiles:
         assert pr.f == {0: 3, 1: 3}
         assert pr.f_tilde == {0: 3, 1: 3}
         assert pr.M == 1
-        assert pr.support_bound == 1
 
     def test_unit_square_anchored(self, unit_square):
         ws = BodyWorkspace(unit_square)
@@ -80,10 +80,15 @@ class TestProfiles:
 
 class TestDiamond:
     def test_examples(self, triangle, sym_square):
-        assert diamond_extension(triangle, (-1,)).exact == F(1, 2)
-        assert diamond_extension(triangle, (2,)).exact == 0
-        assert diamond_extension(triangle, (3,)).exact == 0  # window misses the projection
+        S = steiner_symmetrize(triangle)
+        assert diamond_extension(S, (-1,)).exact == F(1, 2)
+        assert diamond_extension(S, (2,)).exact == 0
+        assert diamond_extension(S, (3,)).exact == 0  # window misses the projection
         assert diamond_extension(sym_square, (0,)).exact == 1
+
+    def test_needs_a_symmetric_body(self, triangle):
+        with pytest.raises(ValueError):
+            diamond_extension(triangle, (0,))
 
 
 class TestM0AndCrossing:
