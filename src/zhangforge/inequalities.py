@@ -44,9 +44,11 @@ from .lattice import (
 from .linalg import dot, frac
 from .lp import lp_solve  # noqa: F401  (unused here; perfbench/tracer.py's REQUIRED_BINDINGS needs it)
 from .moments import (
+    RayMomentEngine,
     facet_angles,
     projection_power_moment,
     radial_batch,
+    ray_moment,
     ray_support,
     section_power_integral,
     slab_moment,
@@ -61,7 +63,7 @@ from .polytope import (
     max_section_anchor,
     polar_projection_body,
     project_drop_last,
-    projection_volume,
+    projection_support,
     translate,
     vertical_section,
 )
@@ -476,15 +478,6 @@ class BodyWorkspace:
     def section_power(self, q) -> MeasureValue:
         return section_power_integral(self.body, q, dist=self.section_dist)
 
-    def ray_engine(self, theta: Direction):
-        from .moments import RayMomentEngine
-
-        key = theta.raw
-        cache = self.__dict__.setdefault("_engines", {})
-        if key not in cache:
-            cache[key] = RayMomentEngine(self.body, theta)
-        return cache[key]
-
     def projection_power(self, p) -> MeasureValue:
         return projection_power_moment(self.body, p, dist=self.section_dist)
 
@@ -557,10 +550,9 @@ def _purely_discrete_zhang_sides(ws: BodyWorkspace) -> tuple[MeasureValue, Fract
 def _chk_zhang_preintegration(ws: BodyWorkspace, params: dict) -> InequalityReport:
     n = ws.n
     const = Fraction(math.comb(2 * n, n), n**n)
-    mom = ws.ray_engine(axis_direction(n)).moment(n)
-    lhs = MeasureValue.approx(float(const) * mom.value, float(const) * mom.abs_error)
+    lhs = MeasureValue.from_exact(const * ws.projection_power(n).exact)
     rhs = MeasureValue.from_exact(ws.vol ** (n + 1) / ws.volp**n)
-    return _report("zhang_preintegration", lhs, rhs, route="ray-quadrature")
+    return _report("zhang_preintegration", lhs, rhs, route="projection-power")
 
 
 def _chk_zhang_preintegration_2(ws: BodyWorkspace, params: dict) -> InequalityReport:
@@ -581,17 +573,13 @@ def _chk_zhang_directional(ws: BodyWorkspace, params: dict) -> InequalityReport:
         # checker params apply across a mixed-dimension corpus; a direction of
         # the wrong length falls back to the all-ones default for this body
         theta = Direction(tuple(Fraction(1) for _ in range(n)))
+    # both sides divided by |theta.raw|^n: the moment in raw units on the
+    # left, h_PiK(theta.raw) = |theta.raw| vol(P_theta K) on the right
     const = Fraction(math.comb(2 * n, n), n**n)
-    mom = ws.ray_engine(theta).moment(n)
-    lhs = MeasureValue.approx(float(const) * mom.value, float(const) * mom.abs_error)
-    pv = projection_volume(ws.body, theta)
-    if pv.exact is not None:
-        rhs = MeasureValue.from_exact(ws.vol ** (n + 1) / pv.exact**n)
-    else:
-        val = float(ws.vol) ** (n + 1) / pv.value**n
-        rhs = MeasureValue.approx(val, val * n * pv.abs_error / pv.value)
+    lhs = MeasureValue.from_exact(const * ray_moment(ws.body, theta, n).exact)
+    rhs = MeasureValue.from_exact(ws.vol ** (n + 1) / projection_support(ws.body, theta.raw) ** n)
     return _report(
-        "zhang_directional", lhs, rhs, theta=[str(c) for c in theta.raw], route="ray-quadrature"
+        "zhang_directional", lhs, rhs, theta=[str(c) for c in theta.raw], route="projection-power"
     )
 
 
@@ -819,7 +807,7 @@ def _chk_identity_triple_continuous(ws: BodyWorkspace, params: dict) -> Inequali
     ps = params.get("ps") or sorted({1, 2, n})
     worst = None
     per_p = []
-    engine = ws.ray_engine(axis_direction(n))
+    engine = RayMomentEngine(ws.body, axis_direction(n))
     for p in ps:
         ray = engine.moment(p)
         slab = ws.slab(int(p))
@@ -1134,7 +1122,7 @@ _register(
     _chk_zhang_directional,
     _always,
     "binom(2n,n)/n^n * n*int r^(n-1) vol(K cap (r theta + K)) dr"
-    " <= vol(K)^(n+1) / vol(P_theta K)^n",
+    " <= vol(K)^(n+1) / vol(P_theta K)^n, both sides divided by |theta.raw|^n",
 )
 _register(
     "discrete_zhang_mu",

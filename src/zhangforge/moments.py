@@ -4,12 +4,11 @@ projection body, and planar star-set areas by circle quadrature (n = 2 only;
 the polar projection body itself is an exact polytope, see
 ``polytope.polar_projection_body``).
 
-Exactness policy: moments in the last-axis direction with integer exponents
-are exact rationals (piecewise-polynomial interpolation at rational nodes);
-quadrature nodes, generic directions and fractional exponents run in binary64
-with abs_error populated.  Between the kink locations inherited from vertex
-differences, every integrand here is a polynomial of degree <= n (+ exponent),
-so fixed-order Gauss-Legendre panels are exact up to rounding.
+Exactness policy: ray moments with integer exponents are exact rationals in
+every rational direction and every dimension (``ray_moment`` maps the
+direction to e_n by a rational linear map and reads the layer-cake below).
+Fractional exponents, the float radial batches and the independent ray engine
+(exact only in the plane) run in binary64 with abs_error populated.
 
 Section-length powers int ell^q, and with them the projection-power route and
 the chord-mean radials, have one integrator in every dimension: the layer-cake
@@ -60,6 +59,7 @@ from .steiner import steiner_symmetrize
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_REFINE_DEPTH = 6  # bisections of a ray-engine panel before its mismatch is an error
 
 
 # ---------------------------------------------------------------------------
@@ -92,17 +92,15 @@ def ray_support(P: Polytope, theta: Direction) -> tuple[Fraction, Vec]:
     return res.value, res.x[:n]
 
 
-def _covariogram_at(P: Polytope, theta: Direction, r: Fraction, R: Fraction, witness: Vec):
-    """Exact K cap (r*raw + K) for 0 <= r < R, with a free interior point."""
+def _ray_overlap(P: Polytope, theta: Direction, r: Fraction, support):
+    """Rows of K cap (r*raw + K) for 0 <= r < R, and a point strictly inside it
+    (between the interior point and the ray_support witness)."""
+    R, witness = support
     t = tuple(r * x for x in theta.raw)
     rows = list(P.halfspaces) + [(a, b + dot(a, t)) for a, b in P.halfspaces]
-    if r < R:
-        lam = r / R
-        c = P.interior_point
-        hint = tuple((1 - lam) * c[i] + lam * witness[i] for i in range(P.dim))
-    else:
-        hint = None
-    return Polytope.from_halfspaces(rows, P.dim, interior=hint)
+    lam = r / R
+    c = P.interior_point
+    return rows, tuple((1 - lam) * c[i] + lam * witness[i] for i in range(P.dim))
 
 
 def _pyramid_volume(rows, dim: int, x0) -> Fraction:
@@ -162,14 +160,9 @@ def covariogram_on_ray(P: Polytope, theta: Direction, r, *, support=None) -> Fra
     r = frac(r)
     if support is None:
         support = ray_support(P, theta)
-    R, witness = support
-    if r >= R:
+    if r >= support[0]:
         return _ZERO
-    t = tuple(r * x for x in theta.raw)
-    rows = list(P.halfspaces) + [(a, b + dot(a, t)) for a, b in P.halfspaces]
-    lam = r / R
-    c = P.interior_point
-    hint = tuple((1 - lam) * c[i] + lam * witness[i] for i in range(P.dim))
+    rows, hint = _ray_overlap(P, theta, r, support)
     return _pyramid_volume(rows, P.dim, _simplify_interior(rows, hint))
 
 
@@ -309,12 +302,13 @@ class RayMomentEngine:
     at the depth cap the mismatch goes into the error bound.  The recovered
     panel polynomials are shared by every exponent; integer-exponent moments
     on certified panels are exact rationals in the plane.
+    Checkers read the exact ``ray_moment``; the engine is the independent
+    third route of ``identity_triple_continuous``.
     """
 
-    def __init__(self, P: Polytope, theta: Direction, refine: int = 6):
+    def __init__(self, P: Polytope, theta: Direction):
         self.P = P
         self.theta = theta
-        self.refine = refine
         self.support = ray_support(P, theta)
         R, _ = self.support
         self._breaks = ray_breakpoints(P, theta, R) if R > 0 else []
@@ -336,7 +330,7 @@ class RayMomentEngine:
         prev = _ZERO
         for b in self._breaks:
             if b > prev:
-                stack.append((prev, b, self.refine))
+                stack.append((prev, b, _REFINE_DEPTH))
             prev = b
         while stack:
             a, b, depth = stack.pop()
@@ -393,12 +387,9 @@ class RayMomentEngine:
         return MeasureValue.approx(total_f, err)
 
 
-def ray_moment_quadrature(P: Polytope, theta: Direction, p,
-                          engine: RayMomentEngine | None = None) -> MeasureValue:
+def ray_moment_quadrature(P: Polytope, theta: Direction, p) -> MeasureValue:
     """p * int_0^inf r^{p-1} vol(K cap (r theta + K)) dr (see RayMomentEngine)."""
-    if engine is None:
-        engine = RayMomentEngine(P, theta)
-    return engine.moment(p)
+    return RayMomentEngine(P, theta).moment(p)
 
 
 def _lagrange_coeffs(nodes: list[Fraction], values: list[Fraction]) -> list[Fraction]:
@@ -575,7 +566,7 @@ def section_distribution(P: Polytope, symmetral: Polytope | None = None) -> Sect
     n = P.dim
     e_n = axis_direction(n)
     support = ray_support(P, e_n)
-    R, witness = support
+    R = support[0]
     S = symmetral if symmetral is not None else steiner_symmetrize(P)
     heights = sorted({2 * v[-1] for v in S.vertices if v[-1] > 0})
     breaks = [h for h in heights if h < R]
@@ -588,8 +579,9 @@ def section_distribution(P: Polytope, symmetral: Polytope | None = None) -> Sect
         nodes = [prev + width * Fraction(j + 1, n + 1) for j in range(n)]
         vals = []
         for u in nodes:
-            Q = _covariogram_at(P, e_n, u, R, witness)
-            vals.append(_ZERO if Q is None else project_drop_last(Q).volume_fraction())
+            rows, hint = _ray_overlap(P, e_n, u, support)
+            Q = Polytope.from_halfspaces(rows, n, interior=hint)
+            vals.append(project_drop_last(Q).volume_fraction())
         pieces.append((prev, brk, _lagrange_coeffs(nodes, vals)))
         prev = brk
     return SectionDistribution(pieces, projvol, R)
@@ -665,13 +657,8 @@ def radial_ball_body(source: str, P: Polytope, theta: Direction, p) -> MeasureVa
     if pf <= 0:
         raise ExponentOutOfRange("Ball-body radials need p > 0")
     if source == "continuous":
-        g0 = P.volume_fraction()
-        if g0 == 0:
-            raise ZeroBase("covariogram vanishes at 0")
-        mom = ray_moment_quadrature(P, theta, p)
-        val = (mom.value / float(g0)) ** (1.0 / pf)
-        err = abs(val) * (mom.abs_error / mom.value / pf if mom.value > 0 else 0.0) + 1e-14
-        return MeasureValue.approx(val, err)
+        # int_K rho_{K-x}(u)^p dx = p int r^{p-1} g_K(r u) dr: the radial mean body
+        return radial_Rp(P, theta, p)
     if not P.contains(origin):
         raise OriginMissing("discrete Ball bodies require 0 in the body")
     gK = count_lattice(P)
@@ -931,23 +918,43 @@ def facet_angles(P: Polytope) -> list[float]:
 # radial mean bodies
 # ---------------------------------------------------------------------------
 
+def _along_last_axis(P: Polytope, theta: Direction) -> tuple[Polytope, Fraction]:
+    """(TK, |det T|), T the inverse of the matrix with columns e_i (i != k), then
+    theta.raw; k is the last nonzero coordinate of theta, so |det T| = 1/|theta_k|."""
+    n = P.dim
+    k = max(i for i, x in enumerate(theta.raw) if x != 0)
+    cols = [axis_direction(n, i).raw for i in range(n) if i != k] + [theta.raw]
+    T = mat_inv([[c[i] for c in cols] for i in range(n)])
+    return transform(P, T, [0] * n), 1 / abs(theta.raw[k])
+
+
+def ray_moment(P: Polytope, theta: Direction, p) -> MeasureValue:
+    """p int_0^inf r^{p-1} g_K(r theta.raw) dr in raw units; g_{TK}(Tx) = |det T| g_K(x)
+    makes it projection_power_moment(TK, p) / |det T|, exact for integer p."""
+    if float(p) <= 0:
+        raise ExponentOutOfRange("ray moments need p > 0")
+    if theta.dim != P.dim:
+        raise DimensionMismatch("direction and body dimensions differ")
+    TK, det_T = _along_last_axis(P, theta)
+    mom = projection_power_moment(TK, p)
+    if mom.exact is not None:
+        return MeasureValue.from_exact(mom.exact / det_T)
+    return MeasureValue.approx(mom.value / float(det_T), mom.abs_error / float(det_T))
+
+
 def radial_Rp(P: Polytope, theta: Direction, p) -> MeasureValue:
     """Radial of the p-th radial mean body R_p K via the projection-power form.
 
     R_p commutes with linear maps, so an off-axis direction is moved to e_n by
-    the rational T with T theta.raw = e_n: rho(theta) = |theta.raw| rho_{TK}(e_n).
+    the rational T of ``_along_last_axis``: rho(theta) = |theta.raw| rho_{TK}(e_n).
     """
     pf = float(p)
     if pf == 0 or pf <= -1:
         raise ExponentOutOfRange("the chord-mean radial needs p in (-1, inf), p != 0")
     if not P.is_full_dimensional:
         raise DegenerateBody("chord-mean radials need a full-dimensional body")
-    n = P.dim
     if not _is_last_axis(theta):
-        k = max(i for i, x in enumerate(theta.raw) if x != 0)
-        cols = [axis_direction(n, i).raw for i in range(n) if i != k] + [theta.raw]
-        T = mat_inv([[c[i] for c in cols] for i in range(n)])
-        inner = radial_Rp(transform(P, T, [0] * n), axis_direction(n), p)
+        inner = radial_Rp(_along_last_axis(P, theta)[0], axis_direction(P.dim), p)
         nrm = math.sqrt(float(theta.norm_sq))
         return MeasureValue.approx(nrm * inner.value, nrm * inner.abs_error)
     mom = projection_power_moment(P, p)

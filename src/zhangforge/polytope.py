@@ -509,16 +509,18 @@ def slice_at_height(P: Polytope, r) -> Polytope | None:
     return Polytope.from_halfspaces(rows, P.dim - 1)
 
 
+def projection_support(P: Polytope, u) -> Fraction:
+    """h_ΠK(u) = ½ Σ_F w_F |<a_F, u>| exactly, for any rational vector u."""
+    return sum((abs(dot(a, u)) * w for a, _b, w in P.facet_weights()), _ZERO) / 2
+
+
 def projection_volume(P: Polytope, theta: Direction) -> MeasureValue:
     """(n-1)-volume of the shadow of P along theta, by the facet-sum formula."""
     if not P.is_full_dimensional:
         raise DegenerateBody("projection volume needs a full-dimensional body")
     if theta.dim != P.dim:
         raise DimensionMismatch("direction has wrong length")
-    q = _ZERO
-    for a, _b, w in P.facet_weights():
-        q += abs(dot(a, theta.raw)) * w
-    q = q / 2
+    q = projection_support(P, theta.raw)
     nrm = theta.exact_norm()
     if nrm is not None:
         return MeasureValue.from_exact(q / nrm)
@@ -538,18 +540,18 @@ def difference_body(P: Polytope) -> Polytope:
 def polar_projection_body(P: Polytope) -> Polytope:
     """The polar Π*K of the projection body, exactly.
 
-    ΠK is the zonotope with generators g_F = w_F a_F / 2 (h_ΠK(u) = ½ Σ_F w_F
-    |<a_F, u>|), and its facet normals are the normals c of the rank-(n-1)
-    generator subsets, so the vertices of Π*K are ±c / h_ΠK(c).
+    ΠK is the zonotope with support function ``projection_support``; its facet
+    normals are the normals c of the rank-(n-1) subsets of the facet normals
+    a_F, so the vertices of Π*K are ±c / h_ΠK(c).
     """
-    gens = [tuple(w * x / 2 for x in a) for a, _b, w in P.facet_weights()]
+    normals = [a for a, _b, _w in P.facet_weights()]
     pts = []
-    for sub in combinations(gens, P.dim - 1):
-        basis = nullspace([list(g) for g in sub], P.dim)
+    for sub in combinations(normals, P.dim - 1):
+        basis = nullspace([list(a) for a in sub], P.dim)
         if len(basis) != 1:  # rank below n-1: no facet normal
             continue
         c = basis[0]
-        h = sum((abs(dot(g, c)) for g in gens), _ZERO)
+        h = projection_support(P, c)
         pts.append(tuple(x / h for x in c))
         pts.append(tuple(-x / h for x in c))
     return Polytope.from_points(pts, P.dim)

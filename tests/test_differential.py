@@ -30,6 +30,7 @@ from zhangforge.moments import (
     mc_section_samples,
     projection_power_moment,
     radial_batch,
+    ray_moment,
     ray_support,
 )
 from zhangforge.steiner import steiner_symmetrize
@@ -121,6 +122,28 @@ def test_engine_exactness_in_the_plane():
             mv = engine.moment(2)
             if Direction(raw).exact_norm() is not None:
                 assert mv.exact is not None  # certified exact rational
+
+
+@pytest.mark.parametrize("dim, raws", [
+    (2, [(1, 0), (0, 1), (3, 4), (-4, 3)]),
+    (3, [(1, 1, 1), (0, 0, 1), (1, -2, 3), (0, 1, -1)]),
+])
+def test_ray_moment_against_engine(dim, raws):
+    # the layer-cake of the linearly mapped body against the panel engine in
+    # the same direction; the engine's moment is per unit length of theta
+    for seed in range(4):
+        P = make_body(BodySpec("random_hull", dim, {"count": 6, "radius": 2, "seed": seed}))
+        for raw in raws:
+            theta = Direction(raw)
+            engine = RayMomentEngine(P, theta)
+            for p in range(1, dim + 1):
+                mine = ray_moment(P, theta, p)
+                ref = engine.moment(p)
+                if dim == 2:
+                    assert mine.exact * theta.exact_norm() ** p == ref.exact, (seed, raw, p)
+                else:
+                    scaled = float(mine.exact) * math.sqrt(float(theta.norm_sq)) ** p
+                    assert scaled == pytest.approx(ref.value, rel=1e-12), (seed, raw, p)
 
 
 def test_projection_power_against_monte_carlo():

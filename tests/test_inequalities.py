@@ -164,8 +164,28 @@ class TestVerify:
     def test_zhang_preintegration_example(self, unit_square):
         rep = verify("zhang_preintegration", unit_square)
         assert rep.holds
-        assert rep.lhs.value == pytest.approx(0.5, abs=1e-10)
+        assert rep.lhs.exact == F(1, 2)
         assert rep.rhs.exact == 1
+
+    def test_zhang_directional_equality_on_simplices(self, triangle, simplex3):
+        # simplices are the equality case of the directional inequality in
+        # every direction, so both exact sides agree
+        for P, raws in ((triangle, [(1, 1), (1, -2), (0, 1)]),
+                        (simplex3, [(1, 1, 1), (1, -2, 3), (0, 0, 1)])):
+            for raw in raws:
+                rep = verify("zhang_directional", P, {"theta": raw})
+                assert rep.lhs.exact is not None and rep.lhs.exact == rep.rhs.exact, raw
+
+    def test_zhang_directional_on_the_axis_is_preintegration(self, triangle, simplex3,
+                                                             slab_body):
+        cross3 = make_polytope([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+                                (0, 0, 1), (0, 0, -1)], 3)
+        for P in (triangle, slab_body, simplex3, cross3):
+            e_n = tuple(int(i == P.dim - 1) for i in range(P.dim))
+            on_axis = verify("zhang_directional", P, {"theta": e_n})
+            pre = verify("zhang_preintegration", P)
+            assert on_axis.lhs.exact == pre.lhs.exact
+            assert on_axis.rhs.exact == pre.rhs.exact
 
     def test_zhang_volume_equality_case(self, triangle):
         rep = verify("zhang_volume", triangle)
