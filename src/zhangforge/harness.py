@@ -156,7 +156,6 @@ class SuiteConfig:
     direction_samples: dict = field(default_factory=lambda: {2: 360, 3: 1000})
     sweeps: list[dict] = field(default_factory=list)
     seed: int = 20240
-    tolerances: dict = field(default_factory=dict)
     output_json: str = "report.json"
     output_csv: str = "report.csv"
 
@@ -179,7 +178,6 @@ class SuiteConfig:
             direction_samples=ds,
             sweeps=list(obj.get("sweeps", [])),
             seed=int(obj.get("seed", 20240)),
-            tolerances=dict(obj.get("tolerances", {})),
             output_json=out.get("json", "report.json"),
             output_csv=out.get("csv", "report.csv"),
         )
@@ -192,7 +190,6 @@ class SuiteConfig:
             "direction_samples": {str(k): v for k, v in self.direction_samples.items()},
             "sweeps": self.sweeps,
             "seed": self.seed,
-            "tolerances": self.tolerances,
             "output": {"json": self.output_json, "csv": self.output_csv},
         }
 

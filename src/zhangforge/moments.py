@@ -10,10 +10,14 @@ direction to e_n by a rational linear map and reads the layer-cake below).
 Fractional exponents, the float radial batches and the independent ray engine
 (exact only in the plane) run in binary64 with abs_error populated.
 
-Section-length powers int ell^q, and with them the projection-power route and
-the chord-mean radials, have one integrator in every dimension: the layer-cake
-over the section-length distribution.  No checker samples; Monte Carlo is left
-only as a test oracle (``mc_section_samples``).
+Section-length powers int ell^q, and with them the projection-power and
+symmetral-slab routes and the chord-mean radials, have one integrator in every
+dimension: the layer-cake over the section-length distribution u -> vol{ell >= u},
+which is the slice polynomial of the Steiner symmetral (its slice at height u/2
+is {ell >= u}).  The projected overlap K cap (K + u e_n) is the same function;
+it is left as a test oracle, and the ray engine, whose panels read K cap
+(K + r theta), stays the independent route.  No checker samples; Monte Carlo
+is left only as a test oracle (``mc_section_samples``).
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from .polytope import (
     Direction,
     MeasureValue,
     Polytope,
-    _points_volume,
+    _facet_weight,
     axis_direction,
     intersect,
     project_drop_last,
@@ -131,15 +135,7 @@ def _pyramid_volume(rows, dim: int, x0) -> Fraction:
         fv = [v for v in verts if dot(a, v) - dot(a, x0) == sigma]
         if len(fv) < dim:
             continue
-        j = max(range(dim), key=lambda i: abs(a[i]))
-        if dim == 2:
-            (k,) = [i for i in range(2) if i != j]
-            coords = [v[k] for v in fv]
-            area = max(coords) - min(coords)
-        else:
-            dropped = [tuple(v[k] for k in range(dim) if k != j) for v in fv]
-            area = _points_volume(dropped)
-        total += sigma * area / abs(a[j])
+        total += sigma * _facet_weight(a, fv)
     return total / dim
 
 
@@ -423,48 +419,13 @@ def _power_integral(coeffs, alpha: Fraction, beta: Fraction, p) -> Fraction | fl
     return total
 
 
-def slab_pieces(S: Polytope) -> list[tuple[Fraction, Fraction, list[Fraction]]]:
-    """Per-height-panel polynomials of the slice volume of the symmetral.
-
-    Slice combinatorics change only at vertex heights, so exact interpolation
-    at n interior rational nodes recovers each panel's polynomial exactly.
-    """
-    n = S.dim
-    heights = sorted({v[-1] for v in S.vertices if v[-1] >= 0} | {_ZERO})
-    pieces = []
-    for alpha, beta in zip(heights, heights[1:]):
-        width = beta - alpha
-        nodes = [alpha + width * Fraction(j + 1, n + 1) for j in range(n)]
-        vals = []
-        for t in nodes:
-            sl = slice_at_height(S, t)
-            vals.append(_ZERO if sl is None else sl.volume_fraction())
-        pieces.append((alpha, beta, _lagrange_coeffs(nodes, vals)))
-    return pieces
-
-
-def slab_moment(P: Polytope, p, symmetral: Polytope | None = None,
-                pieces: list | None = None) -> MeasureValue:
-    """2^p int_{S(K)} |x_n|^p dx with slice volumes exact per height panel."""
+def slab_moment(P: Polytope, p, dist: SectionDistribution | None = None) -> MeasureValue:
+    """2^p int_{S(K)} |x_n|^p dx.  The slice of S at height t has volume
+    vol{ell >= 2t}, so this is int_0^R u^p vol{ell >= u} du, the projection-power
+    moment."""
     if float(p) <= 0:
         raise ExponentOutOfRange("slab moments need p > 0")
-    if pieces is None:
-        S = symmetral if symmetral is not None else steiner_symmetrize(P)
-        pieces = slab_pieces(S)
-    exact = isinstance(p, int) or float(p) == int(p)
-    total_exact = _ZERO
-    total_float = 0.0
-    for alpha, beta, coeffs in pieces:
-        piece = _power_integral(coeffs, alpha, beta, p)
-        if exact:
-            total_exact += piece
-        else:
-            total_float += piece
-    if exact:
-        q = int(p)
-        return MeasureValue.from_exact(Fraction(2) ** (q + 1) * total_exact)
-    val = 2.0 ** (float(p) + 1.0) * total_float
-    return MeasureValue.approx(val, 1e-12 * abs(val) + 1e-15)
+    return projection_power_moment(P, p, dist=dist)
 
 
 def projection_power_moment(P: Polytope, p,
@@ -558,33 +519,24 @@ class SectionDistribution:
 def section_distribution(P: Polytope, symmetral: Polytope | None = None) -> SectionDistribution:
     """Distribution function of the section-length profile.
 
-    vol{ell >= u} equals the projected volume of K cap (u e_n + K); it is a
-    piecewise polynomial of degree <= n-1 whose kinks are the critical values
-    of the piecewise-linear profile ell, i.e. twice the symmetral's vertex
-    heights.  Exact interpolation per panel.
+    The slice of the Steiner symmetral S at height t is {y in P(K) : ell(y) >= 2t}
+    (Gardner-Zhang), so vol{ell >= u} is the volume of the slice of S at u/2:
+    a piecewise polynomial of degree <= n-1 whose kinks are twice the
+    symmetral's vertex heights.  Exact interpolation per panel.
     """
     n = P.dim
-    e_n = axis_direction(n)
-    support = ray_support(P, e_n)
-    R = support[0]
     S = symmetral if symmetral is not None else steiner_symmetrize(P)
-    heights = sorted({2 * v[-1] for v in S.vertices if v[-1] > 0})
-    breaks = [h for h in heights if h < R]
-    breaks.append(R)
-    projvol = project_drop_last(P).volume_fraction()
+    breaks = sorted({2 * v[-1] for v in S.vertices if v[-1] >= 0} | {_ZERO})
     pieces = []
-    prev = _ZERO
-    for brk in breaks:
+    for prev, brk in zip(breaks, breaks[1:]):
         width = brk - prev
         nodes = [prev + width * Fraction(j + 1, n + 1) for j in range(n)]
         vals = []
         for u in nodes:
-            rows, hint = _ray_overlap(P, e_n, u, support)
-            Q = Polytope.from_halfspaces(rows, n, interior=hint)
-            vals.append(project_drop_last(Q).volume_fraction())
+            sl = slice_at_height(S, u / 2)
+            vals.append(_ZERO if sl is None else sl.volume_fraction())
         pieces.append((prev, brk, _lagrange_coeffs(nodes, vals)))
-        prev = brk
-    return SectionDistribution(pieces, projvol, R)
+    return SectionDistribution(pieces, project_drop_last(P).volume_fraction(), breaks[-1])
 
 
 def section_power_integral(P: Polytope, q,

@@ -370,12 +370,7 @@ class Polytope:
             out = []
             for a, b in self.halfspaces:
                 fverts = [v for v in self.vertices if dot(a, v) == b]
-                if self.dim == 1:
-                    w = _ONE
-                else:
-                    j = max(range(self.dim), key=lambda i: abs(a[i]))
-                    dropped = [tuple(v[k] for k in range(self.dim) if k != j) for v in fverts]
-                    w = _points_volume(dropped) / abs(a[j])
+                w = _ONE if self.dim == 1 else _facet_weight(a, fverts)
                 out.append((a, b, w))
             self._fweights = tuple(out)
         return self._fweights
@@ -414,6 +409,17 @@ def _points_volume(points) -> Fraction:
         rows = [list(vsub(uniq[i], c)) for i in simplex]
         total += abs(det(rows))
     return total / math.factorial(d)
+
+
+def _facet_weight(a: Vec, fverts) -> Fraction:
+    """vol_{n-1}(F)/||a|| for the facet F = conv(fverts) on {<a, x> = b}, n >= 2.
+
+    Dropping the coordinate j of largest |a_j| scales vol_{n-1}(F) by
+    |a_j|/||a||, so the weight is the dropped set's volume over |a_j|.
+    """
+    dim = len(a)
+    j = max(range(dim), key=lambda i: abs(a[i]))
+    return _points_volume([tuple(v[k] for k in range(dim) if k != j) for v in fverts]) / abs(a[j])
 
 
 # ---------------------------------------------------------------------------

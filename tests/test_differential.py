@@ -32,6 +32,7 @@ from zhangforge.moments import (
     radial_batch,
     ray_moment,
     ray_support,
+    section_distribution,
 )
 from zhangforge.steiner import steiner_symmetrize
 
@@ -159,6 +160,29 @@ def test_projection_power_against_monte_carlo():
             est = boxvol * vals.mean()
             sigma = boxvol * vals.std(ddof=1) / math.sqrt(len(ell))
             assert abs(est - exact) <= 4 * sigma + 1e-12
+
+
+def _overlap_projection_volume(P, u):
+    """vol{ell >= u} from its definition: the projected volume of K cap (K + u e_n)."""
+    shift = tuple(F(0) for _ in range(P.dim - 1)) + (u,)
+    Q = intersect(P, translate(P, shift))
+    return F(0) if Q is None else project_drop_last(Q).volume_fraction()
+
+
+def test_section_distribution_against_overlap_projection():
+    # the symmetral's slice polynomial against the overlap projection, at the
+    # panel ends and at two points that are not interpolation nodes
+    bodies = [make_polytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)]
+    for dim in (2, 3):
+        bodies += [make_body(BodySpec("random_hull", dim, {"count": 6, "radius": 2, "seed": s}))
+                   for s in range(4)]
+    for P in bodies:
+        dist = section_distribution(P)
+        assert dist.reach == dist.pieces[-1][1]
+        for a, b, coeffs in dist.pieces:
+            for u in (a, a + (b - a) / 5, a + 5 * (b - a) / 7, b):
+                value = sum(c * u**k for k, c in enumerate(coeffs))
+                assert value == _overlap_projection_volume(P, u), (P, u)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

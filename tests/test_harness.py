@@ -82,6 +82,19 @@ class TestConfig:
         assert again.to_json() == doc
 
 
+    def test_config_with_tolerances_key_still_runs(self):
+        # older configs carry a "tolerances" map; it is ignored, not an error
+        cfg = SuiteConfig.from_json({
+            "bodies": [{"family": "simplex", "dim": 2, "name": "T"}],
+            "checkers": ["zhang_preintegration"],
+            "sweeps": [],
+            "tolerances": {"zhang_preintegration": 1e-9},
+        })
+        assert "tolerances" not in cfg.to_json()
+        doc = run_suite(cfg)
+        assert doc["summary"] == {"total": 1, "holds": 1, "fails": 0, "inconclusive": 0}
+
+
 class TestRunSuite:
     def test_empty_bodies_exit_zero(self):
         cfg = SuiteConfig(bodies=[], sweeps=[])

@@ -24,6 +24,7 @@ from zhangforge.inequalities import (
     verify,
     _solve_m0,
 )
+from zhangforge.polytope import MeasureValue
 from zhangforge.steiner import steiner_symmetrize
 
 F = Fraction
@@ -257,6 +258,21 @@ class TestVerify:
         assert rep.holds
         for row in rep.context["per_p"]:
             assert row["equal"]
+
+    def test_volume_identity_retries_at_doubled_circle_order(self, unit_square, monkeypatch):
+        assert "retried" not in verify("volume_identity_discrete", unit_square).context
+        # a quadrature that misses at 2048 nodes and lands at 4096: only the
+        # second decides the verdict, and the report says it was retried
+        orders = []
+
+        def fake_star_volume(evaluator, dim, extra_angles=(), n_circle=2048):
+            orders.append(n_circle)
+            return MeasureValue.approx(1.5 if n_circle == 2048 else 1.0, 0.0)
+
+        monkeypatch.setattr("zhangforge.inequalities.star_volume", fake_star_volume)
+        rep = verify("volume_identity_discrete", unit_square)
+        assert rep.holds and rep.context["retried"] is True
+        assert orders == [2048, 4096]
 
     def test_lattice_zhang_holds(self, sym_square, big_square):
         for P in (sym_square, big_square):

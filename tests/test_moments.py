@@ -117,23 +117,6 @@ class TestSectionPowers:
         with pytest.raises(ExponentOutOfRange):
             section_power_integral(triangle, 0)
 
-    def test_projection_power_equals_slab(self, simplex3):
-        # the layer-cake and the symmetral slab integrate the same moment, so
-        # they agree as rationals in every dimension
-        rng = np.random.default_rng(1234)
-        bodies = [simplex3]
-        for dim in (2, 3):
-            for _ in range(3):
-                pts = [tuple(F(int(c), 3) for c in row)
-                       for row in rng.integers(-6, 7, size=(7, dim))]
-                P = make_polytope(pts, dim)
-                if P.is_full_dimensional:
-                    bodies.append(P)
-        assert len(bodies) >= 5
-        for P in bodies:
-            for p in (1, 2, 3):
-                assert projection_power_moment(P, p).exact == slab_moment(P, p).exact
-
 
 class TestRadials:
     def test_chord_mean_examples(self, unit_square, triangle):
