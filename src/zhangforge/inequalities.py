@@ -42,7 +42,7 @@ from .lattice import (
     lattice_points,
     mu_measure,
 )
-from .linalg import dot, frac
+from .linalg import frac
 from .lp import lp_solve  # noqa: F401  (unused here; perfbench/tracer.py's REQUIRED_BINDINGS needs it)
 from .moments import (
     RayMomentEngine,
@@ -1011,7 +1011,8 @@ def _chk_one_point_collapse(ws: BodyWorkspace, params: dict) -> InequalityReport
     for raw in test_dirs:
         seg = ray_interval(ws.body, origin, raw)
         moment_root = _ZERO if seg is None else seg[1]  # (b^p)^(1/p) in raw units
-        rho = _radial_raw(neg, raw)  # independent route via the negated polytope
+        # independent route: the same clip against the negated polytope
+        rho = ray_interval(neg, origin, tuple(-c for c in raw))[1]
         eq = moment_root == rho
         all_eq = all_eq and eq
         details.append({"dir": [str(c) for c in raw], "ball": str(moment_root), "neg": str(rho)})
@@ -1024,17 +1025,6 @@ def _chk_one_point_collapse(ws: BodyWorkspace, params: dict) -> InequalityReport
         "holds" if all_eq else "fails",
         {"p": p, "directions": details},
     )
-
-
-def _radial_raw(P: Polytope, raw) -> Fraction:
-    """max{r >= 0 : r*raw in P} in raw-direction units (P a star-shaped polytope at 0)."""
-    hi = None
-    for a, b in P.halfspaces:
-        s = dot(a, raw)
-        if s > 0:
-            t = b / s
-            hi = t if hi is None else min(hi, t)
-    return _ZERO if hi is None else max(hi, _ZERO)
 
 
 # ---------------------------------------------------------------------------

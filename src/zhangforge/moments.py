@@ -7,8 +7,10 @@ the polar projection body itself is an exact polytope, see
 Exactness policy: ray moments with integer exponents are exact rationals in
 every rational direction and every dimension (``ray_moment`` maps the
 direction to e_n by a rational linear map and reads the layer-cake below).
-Fractional exponents, the float radial batches and the independent ray engine
-(exact only in the plane) run in binary64 with abs_error populated.
+The independent ray engine is exact too for integer exponents, in every
+dimension, when |theta.raw| is rational and every panel is certified.
+Fractional exponents, irrational norms and the float radial batches run in
+binary64 with abs_error populated.
 
 Section-length powers int ell^q, and with them the projection-power and
 symmetral-slab routes and the chord-mean radials, have one integrator in every
@@ -16,7 +18,8 @@ dimension: the layer-cake over the section-length distribution u -> vol{ell >= u
 which is the slice polynomial of the Steiner symmetral (its slice at height u/2
 is {ell >= u}).  The projected overlap K cap (K + u e_n) is the same function;
 it is left as a test oracle, and the ray engine, whose panels read K cap
-(K + r theta), stays the independent route.  No checker samples; Monte Carlo
+(K + r theta), stays the independent route.  Both read their panel
+polynomials off ``polytope.parametric_volume``.  No checker samples; Monte Carlo
 is left only as a test oracle (``mc_section_samples``).
 """
 
@@ -35,7 +38,6 @@ from .errors import (
     ExponentOutOfRange,
     OriginMissing,
     RouteUnsupported,
-    Unbounded,
     ZeroBase,
 )
 from .lattice import (
@@ -50,12 +52,11 @@ from .polytope import (
     Direction,
     MeasureValue,
     Polytope,
-    _facet_weight,
     axis_direction,
     intersect,
+    parametric_volume,
     project_drop_last,
     projection_volume,
-    slice_at_height,
     transform,
     translate,
 )
@@ -107,51 +108,6 @@ def _ray_overlap(P: Polytope, theta: Direction, r: Fraction, support):
     return rows, tuple((1 - lam) * c[i] + lam * witness[i] for i in range(P.dim))
 
 
-def _pyramid_volume(rows, dim: int, x0) -> Fraction:
-    """Volume of a full-dimensional {Ax <= b} with strictly interior x0.
-
-    One polar hull recovers the vertices; each facet's (n-1)-volume is read
-    off a coordinate projection, and the norms cancel in the pyramid formula
-    vol = (1/n) sum_i dist(x0, F_i) vol(F_i), keeping everything rational.
-    """
-    from .hull import convex_hull
-
-    canon: dict = {}
-    for a, b in rows:
-        sigma = b - dot(a, x0)
-        if a in canon:
-            canon[a] = min(canon[a], sigma)
-        else:
-            canon[a] = sigma
-    duals = [tuple(x / s for x in a) for a, s in canon.items()]
-    dual_hull = convex_hull(duals)
-    verts = []
-    for u, c in dual_hull.facets:
-        if c <= 0:
-            raise Unbounded("unbounded in pyramid volume")
-        verts.append(tuple(x0[i] + u[i] / c for i in range(dim)))
-    total = _ZERO
-    for a, sigma in canon.items():
-        fv = [v for v in verts if dot(a, v) - dot(a, x0) == sigma]
-        if len(fv) < dim:
-            continue
-        total += sigma * _facet_weight(a, fv)
-    return total / dim
-
-
-def _simplify_interior(rows, hint):
-    """A nearby low-denominator point strictly inside {Ax <= b}, if one exists.
-
-    The interior point only centers the polar transform; a simple one keeps
-    the rational arithmetic of the dual hull small.
-    """
-    for den in (16, 256):
-        cand = tuple(Fraction(float(x)).limit_denominator(den) for x in hint)
-        if all(dot(a, cand) < b for a, b in rows):
-            return cand
-    return hint
-
-
 def covariogram_on_ray(P: Polytope, theta: Direction, r, *, support=None) -> Fraction:
     r = frac(r)
     if support is None:
@@ -159,7 +115,7 @@ def covariogram_on_ray(P: Polytope, theta: Direction, r, *, support=None) -> Fra
     if r >= support[0]:
         return _ZERO
     rows, hint = _ray_overlap(P, theta, r, support)
-    return _pyramid_volume(rows, P.dim, _simplify_interior(rows, hint))
+    return Polytope.from_halfspaces(rows, P.dim, interior=hint).volume_fraction()
 
 
 def ray_breakpoints(P: Polytope, theta: Direction, R: Fraction) -> list[Fraction]:
@@ -291,15 +247,17 @@ def _is_last_axis(theta: Direction) -> bool:
 class RayMomentEngine:
     """Shared per-(body, direction) covariogram moments along a ray.
 
-    On a kink-free panel, r -> vol(K cap (r theta + K)) is a polynomial of
-    degree <= n, recovered exactly from n+1 covariogram values at rational
-    nodes and certified at one extra node.  A failed certificate (a kink the
-    breakpoint superset missed, possible only for n >= 3) bisects the panel;
-    at the depth cap the mismatch goes into the error bound.  The recovered
-    panel polynomials are shared by every exponent; integer-exponent moments
-    on certified panels are exact rationals in the plane.
-    Checkers read the exact ``ray_moment``; the engine is the independent
-    third route of ``identity_triple_continuous``.
+    On each panel between breakpoints, r -> vol(K cap (r theta + K)) is read
+    off one ``parametric_volume`` call: one hull at the panel midpoint, then a
+    polynomial of degree <= n along the vertex paths, certified exactly on
+    the whole panel.  An uncertified panel (a type change the breakpoint
+    superset missed, possible only for n >= 3) is bisected; at the depth cap its
+    mismatch against one covariogram at a check node goes into the error
+    bound.  The panel polynomials are shared by every exponent;
+    integer-exponent moments on certified panels are exact rationals in every
+    dimension when |theta.raw| is rational.  Checkers read the exact
+    ``ray_moment``; the engine is the independent third route of
+    ``identity_triple_continuous``.
     """
 
     def __init__(self, P: Polytope, theta: Direction):
@@ -309,18 +267,13 @@ class RayMomentEngine:
         R, _ = self.support
         self._breaks = ray_breakpoints(P, theta, R) if R > 0 else []
         self._panels: list | None = None  # (a, b, coeffs, mismatch_float)
-        self._g_cache: dict[Fraction, Fraction] = {}
         self.certified = True
 
-    def g(self, r: Fraction) -> Fraction:
-        v = self._g_cache.get(r)
-        if v is None:
-            v = covariogram_on_ray(self.P, self.theta, r, support=self.support)
-            self._g_cache[r] = v
-        return v
-
     def _build(self) -> list:
-        n = self.P.dim
+        P, theta = self.P, self.theta
+        n = P.dim
+        rows = list(P.halfspaces) * 2
+        shifts = [_ZERO] * len(P.halfspaces) + [dot(a, theta.raw) for a, _b in P.halfspaces]
         panels = []
         stack = []
         prev = _ZERO
@@ -330,23 +283,20 @@ class RayMomentEngine:
             prev = b
         while stack:
             a, b, depth = stack.pop()
-            width = b - a
-            nodes = [a + width * Fraction(j + 1, n + 3) for j in range(n + 1)]
-            vals = [self.g(r) for r in nodes]
-            coeffs = _lagrange_coeffs(nodes, vals)
-            check = a + width * Fraction(n + 2, n + 3)
-            predicted = sum((c * check**k for k, c in enumerate(coeffs)), _ZERO)
-            actual = self.g(check)
-            if predicted != actual:
-                if depth > 0:
-                    mid = (a + b) / 2
-                    stack.append((a, mid, depth - 1))
-                    stack.append((mid, b, depth - 1))
-                    continue
-                self.certified = False
-                panels.append((a, b, coeffs, abs(float(predicted - actual)) * float(width)))
-            else:
+            mid = (a + b) / 2
+            _rows, hint = _ray_overlap(P, theta, mid, self.support)
+            coeffs, certified = parametric_volume(rows, shifts, a, b, interior=hint)
+            if certified:
                 panels.append((a, b, coeffs, 0.0))
+            elif depth > 0:
+                stack.append((a, mid, depth - 1))
+                stack.append((mid, b, depth - 1))
+            else:
+                self.certified = False
+                check = a + (b - a) * Fraction(n + 2, n + 3)
+                predicted = sum((c * check**k for k, c in enumerate(coeffs)), _ZERO)
+                actual = covariogram_on_ray(P, theta, check, support=self.support)
+                panels.append((a, b, coeffs, abs(float(predicted - actual)) * float(b - a)))
         panels.sort(key=lambda t: t[0])
         return panels
 
@@ -368,7 +318,7 @@ class RayMomentEngine:
                 total += q * _power_integral(coeffs, a, b, q - 1)
                 err += mismatch
             total *= nrm**q
-            if err == 0.0 and self.certified and self.P.dim <= 2:
+            if err == 0.0 and self.certified:
                 return MeasureValue.from_exact(total)
             fl = float(total)
             return MeasureValue.approx(fl, err * float(nrm) ** q + 4e-16 * abs(fl))
@@ -386,17 +336,6 @@ class RayMomentEngine:
 def ray_moment_quadrature(P: Polytope, theta: Direction, p) -> MeasureValue:
     """p * int_0^inf r^{p-1} vol(K cap (r theta + K)) dr (see RayMomentEngine)."""
     return RayMomentEngine(P, theta).moment(p)
-
-
-def _lagrange_coeffs(nodes: list[Fraction], values: list[Fraction]) -> list[Fraction]:
-    """Exact coefficients (ascending powers) of the interpolating polynomial."""
-    from .linalg import solve_linear
-
-    k = len(nodes)
-    rows = [[nodes[i] ** j for j in range(k)] for i in range(k)]
-    sol = solve_linear(rows, values)
-    assert sol is not None
-    return list(sol)
 
 
 def _power_integral(coeffs, alpha: Fraction, beta: Fraction, p) -> Fraction | float:
@@ -520,22 +459,21 @@ def section_distribution(P: Polytope, symmetral: Polytope | None = None) -> Sect
     """Distribution function of the section-length profile.
 
     The slice of the Steiner symmetral S at height t is {y in P(K) : ell(y) >= 2t}
-    (Gardner-Zhang), so vol{ell >= u} is the volume of the slice of S at u/2:
-    a piecewise polynomial of degree <= n-1 whose kinks are twice the
-    symmetral's vertex heights.  Exact interpolation per panel.
+    (Gardner-Zhang), so vol{ell >= u} is the volume of {y : <a', y> <= b - a_n u/2}
+    over S's rows (a', a_n): one ``parametric_volume`` per panel between twice
+    the symmetral's vertex heights, where the slice keeps its type.
     """
-    n = P.dim
     S = symmetral if symmetral is not None else steiner_symmetrize(P)
     breaks = sorted({2 * v[-1] for v in S.vertices if v[-1] >= 0} | {_ZERO})
+    heads = [(a, b) for a, b in S.halfspaces if any(a[:-1])]
+    rows = [(a[:-1], b) for a, b in heads]
+    shifts = [-a[-1] / 2 for a, _b in heads]
     pieces = []
     for prev, brk in zip(breaks, breaks[1:]):
-        width = brk - prev
-        nodes = [prev + width * Fraction(j + 1, n + 1) for j in range(n)]
-        vals = []
-        for u in nodes:
-            sl = slice_at_height(S, u / 2)
-            vals.append(_ZERO if sl is None else sl.volume_fraction())
-        pieces.append((prev, brk, _lagrange_coeffs(nodes, vals)))
+        coeffs, certified = parametric_volume(rows, shifts, prev, brk)
+        if not certified:
+            raise ArithmeticError("a symmetral slice changes type inside a panel")
+        pieces.append((prev, brk, coeffs))
     return SectionDistribution(pieces, project_drop_last(P).volume_fraction(), breaks[-1])
 
 

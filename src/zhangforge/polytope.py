@@ -28,6 +28,7 @@ from .linalg import (
     mat_inv,
     nullspace,
     primitive,
+    solve_linear,
     vec,
     vsub,
 )
@@ -158,6 +159,7 @@ class Polytope:
         "_volume",
         "_fweights",
         "_fattenings",
+        "_projection",
     )
 
     def __init__(self, dim, affine_dim, vertices, halfspaces, interior, tri):
@@ -170,6 +172,7 @@ class Polytope:
         self._volume: Fraction | None = None
         self._fweights = None
         self._fattenings = None
+        self._projection: Polytope | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -468,10 +471,12 @@ def transform(P: Polytope, A, b) -> Polytope:
 
 
 def project_drop_last(P: Polytope) -> Polytope:
-    """Orthogonal projection onto the first n-1 coordinates."""
+    """Orthogonal projection onto the first n-1 coordinates, memoized on ``P``."""
     if P.dim < 2:
         raise DimensionMismatch("projection needs ambient dimension >= 2")
-    return Polytope.from_points([v[:-1] for v in P.vertices], P.dim - 1)
+    if P._projection is None:
+        P._projection = Polytope.from_points([v[:-1] for v in P.vertices], P.dim - 1)
+    return P._projection
 
 
 def vertical_section(P: Polytope, y) -> Interval | None:
@@ -513,6 +518,63 @@ def slice_at_height(P: Polytope, r) -> Polytope | None:
             continue
         rows.append((head, c))
     return Polytope.from_halfspaces(rows, P.dim - 1)
+
+
+def _lagrange_coeffs(nodes: list[Fraction], values: list[Fraction]) -> list[Fraction]:
+    """Exact coefficients (ascending powers) of the interpolating polynomial."""
+    k = len(nodes)
+    sol = solve_linear([[x**j for j in range(k)] for x in nodes], values)
+    assert sol is not None
+    return list(sol)
+
+
+def parametric_volume(rows, shifts, lo, hi, interior=None) -> tuple[list[Fraction], bool]:
+    """vol Q(t) on [lo, hi] for Q(t) = {x : <a_i, x> <= b_i + t c_i}, as ascending
+    coefficients of one polynomial, and whether it is certified on the panel.
+
+    One hull at the midpoint m fixes the combinatorial type.  Each vertex v
+    moves on the line v + (t - m) d with A_act d = c_act over its active rows,
+    so the volume over the midpoint's boundary triangulation is a polynomial
+    of degree <= dim (Lasserre, JOTA 1983), interpolated at dim + 1 nodes.
+    It is certified when every active system is consistent and every vertex
+    path satisfies every row at lo and at hi: row slack is affine in t, so the
+    type then holds on the whole panel.  ``interior`` is an optional hint
+    strictly inside Q(m).
+    """
+    lo, hi = frac(lo), frac(hi)
+    m = (lo + hi) / 2
+    rows = [(vec(a), frac(b), frac(c)) for (a, b), c in zip(rows, shifts)]
+    dim = len(rows[0][0])
+    Q = Polytope.from_halfspaces([(a, b + m * c) for a, b, c in rows], dim, interior)
+    if Q is None or not Q.is_full_dimensional:
+        raise DegenerateBody("parametric volume needs a full-dimensional body at the midpoint")
+    pts, simplices = Q._tri
+    certified = True
+    paths = []
+    for v in pts:
+        act = [(list(a), c) for a, b, c in rows if dot(a, v) == b + m * c]
+        A, rhs = [a for a, _c in act], [c for _a, c in act]
+        d = solve_linear(A, rhs)
+        if d is None:  # the vertex splits away from m: least-squares path, uncertified
+            certified = False
+            d = solve_linear([[dot(ci, cj) for cj in zip(*A)] for ci in zip(*A)],
+                             [dot(ci, rhs) for ci in zip(*A)])
+        paths.append((v, d))
+
+    def at(t):
+        return [tuple(v[i] + (t - m) * d[i] for i in range(dim)) for v, d in paths]
+
+    certified = certified and all(
+        dot(a, x) <= b + t * c for t in (lo, hi) for x in at(t) for a, b, c in rows
+    )
+    nodes = [lo + (hi - lo) * Fraction(j + 1, dim + 2) for j in range(dim + 1)]
+    vals = []
+    for t in nodes:
+        xs = at(t)
+        cen = tuple(sum(x[i] for x in xs) / len(xs) for i in range(dim))
+        total = sum(abs(det([list(vsub(xs[i], cen)) for i in s])) for s, _plane in simplices)
+        vals.append(total / math.factorial(dim))
+    return _lagrange_coeffs(nodes, vals), certified
 
 
 def projection_support(P: Polytope, u) -> Fraction:

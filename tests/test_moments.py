@@ -233,9 +233,10 @@ class TestStarVolume:
 
 def _difference_radial(P, theta: Direction) -> float:
     from zhangforge import difference_body
-    from zhangforge.inequalities import _radial_raw
+    from zhangforge.lattice import ray_interval
 
-    rho_raw = _radial_raw(difference_body(P), theta.raw)
+    origin = tuple(F(0) for _ in range(P.dim))
+    rho_raw = ray_interval(difference_body(P), origin, tuple(-c for c in theta.raw))[1]
     return float(rho_raw) * math.sqrt(float(theta.norm_sq))
 
 

@@ -25,7 +25,7 @@ from zhangforge import (
     volume,
 )
 from zhangforge.errors import DegenerateBody, DimensionMismatch
-from zhangforge.polytope import polytope_from_json, polytope_to_json
+from zhangforge.polytope import parametric_volume, polytope_from_json, polytope_to_json
 
 F = Fraction
 
@@ -163,6 +163,9 @@ class TestMinkowskiAndProjections:
         assert project_drop_last(unit_square).vertices == ((F(0),), (F(1),))
         assert project_drop_last(triangle).vertices == ((F(0),), (F(1),))
         assert project_drop_last(simplex3) == make_polytope([(0, 0), (1, 0), (0, 1)], 2)
+
+    def test_projection_is_built_once_per_body(self, simplex3):
+        assert project_drop_last(simplex3) is project_drop_last(simplex3)
 
     def test_projection_commutes_with_minkowski(self, triangle, unit_square, simplex3):
         pairs = [(triangle, unit_square), (simplex3, simplex3)]
@@ -341,3 +344,71 @@ def test_scipy_hull_cross_check():
             hull = ConvexHull(np.array(raw, dtype=float) / 2.0)
             assert abs(float(volume(P).exact) - hull.volume) < 1e-9
             assert len(P.vertices) == len(hull.vertices)
+
+
+def _symmetral_slice_family(P):
+    """Rows, shifts and panels of u -> {y : ell(y) >= u}, the symmetral's slice at u/2."""
+    from zhangforge.steiner import steiner_symmetrize
+
+    S = steiner_symmetrize(P)
+    heads = [(a, b) for a, b in S.halfspaces if any(a[:-1])]
+    breaks = sorted({2 * v[-1] for v in S.vertices if v[-1] >= 0} | {F(0)})
+    return ([(a[:-1], b) for a, b in heads], [-a[-1] / 2 for a, _b in heads],
+            list(zip(breaks, breaks[1:])))
+
+
+def _overlap_family(P, raw):
+    """Rows, shifts and panels of r -> K cap (K + r raw)."""
+    from zhangforge.moments import ray_breakpoints, ray_support
+
+    theta = Direction(raw)
+    R, _ = ray_support(P, theta)
+    breaks = [F(0)] + ray_breakpoints(P, theta, R)
+    shifts = [F(0)] * len(P.halfspaces) + [sum(x * y for x, y in zip(a, theta.raw))
+                                           for a, _b in P.halfspaces]
+    return list(P.halfspaces) * 2, shifts, list(zip(breaks, breaks[1:]))
+
+
+def _poly(coeffs, t):
+    return sum(c * t**k for k, c in enumerate(coeffs))
+
+
+@pytest.mark.parametrize("dim, raw", [(2, (1, 2)), (3, (1, 2, 2))])
+def test_parametric_volume_against_full_hulls(dim, raw):
+    # away from the interpolation nodes, each panel's polynomial equals the
+    # volume of the body built from scratch at that parameter
+    from zhangforge.harness import BodySpec, make_body
+
+    for seed in range(3):
+        P = make_body(BodySpec("random_hull", dim, {"count": 6, "radius": 2, "seed": seed}))
+        for rows, shifts, panels in (_symmetral_slice_family(P), _overlap_family(P, raw)):
+            for lo, hi in panels:
+                coeffs, certified = parametric_volume(rows, shifts, lo, hi)
+                assert certified, (seed, lo, hi)
+                for t in (lo + (hi - lo) / 5, lo + 5 * (hi - lo) / 7):
+                    Q = Polytope.from_halfspaces(
+                        [(a, b + t * c) for (a, b), c in zip(rows, shifts)], len(rows[0][0]))
+                    assert _poly(coeffs, t) == Q.volume_fraction(), (seed, t)
+
+
+def test_parametric_volume_rejects_a_kink_left_of_the_midpoint():
+    # merging two panels with different polynomials, the shared break left of
+    # the merged midpoint: the midpoint's polynomial is the right panel's, so
+    # a single check right of the midpoint agrees; the certificate must not.
+    # A panel centred on the break puts a splitting vertex at the midpoint.
+    from zhangforge.harness import BodySpec, make_body
+    from zhangforge.moments import section_distribution
+
+    merged = 0
+    for dim in (2, 3):
+        for seed in range(4):
+            P = make_body(BodySpec("random_hull", dim, {"count": 6, "radius": 2, "seed": seed}))
+            rows, shifts, _panels = _symmetral_slice_family(P)
+            pieces = section_distribution(P).pieces
+            for (a, b, left), (_b, c, right) in zip(pieces, pieces[1:]):
+                if left != right and b - a < c - b:
+                    coeffs, certified = parametric_volume(rows, shifts, a, c)
+                    assert coeffs == right and not certified, (dim, seed, b)
+                    assert not parametric_volume(rows, shifts, a, 2 * b - a)[1], (dim, seed, b)
+                    merged += 1
+    assert merged >= 3
