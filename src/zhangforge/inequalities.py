@@ -77,18 +77,21 @@ _ONE = Fraction(1)
 # comparison-profile machinery
 # ---------------------------------------------------------------------------
 
+def _power_sum(m: Fraction, p: int, n: int) -> tuple[int, int, int]:
+    """(S, a, b) with m = a/b in lowest terms and
+    S = sum_{k=0}^{floor(m)} (a - k b)^{n-1} k^{p-1} over Python ints
+    (``0 ** 0 == 1`` is the 0^0 = 1 convention at k = 0, p = 1)."""
+    a, b = m.numerator, m.denominator
+    S = 0
+    for k in range(a // b + 1):
+        S += (a - k * b) ** (n - 1) * k ** (p - 1)
+    return S, a, b
+
+
 def _B_exact(m: Fraction, p: int, n: int) -> Fraction:
-    """sum_{k=0}^{floor(m)} (p/m)(1-k/m)^{n-1}(k/m)^{p-1}, with 0^0 = 1."""
-    total = _ZERO
-    for k in range(math.floor(m) + 1):
-        t = Fraction(k) / m
-        base = (1 - t) ** (n - 1)
-        if k == 0:
-            pw = _ONE if p == 1 else _ZERO
-        else:
-            pw = t ** (p - 1)
-        total += Fraction(p) * base * pw / m
-    return total
+    """sum_{k=0}^{floor(m)} (p/m)(1-k/m)^{n-1}(k/m)^{p-1} = p b^p S / a^{n+p-1}."""
+    S, a, b = _power_sum(m, p, n)
+    return Fraction(p * b**p * S, a ** (n + p - 1))
 
 
 def B_coeff(m, p, n: int) -> float:
@@ -107,21 +110,15 @@ def B_coeff(m, p, n: int) -> float:
 
 
 def _h_exact(x: Fraction, p: int, n: int) -> Fraction:
-    total = _ZERO
-    for k in range(math.floor(x) + 1):
-        base = (1 - Fraction(k) / x) ** (n - 1)
-        if k == 0:
-            pw = _ONE if p == 1 else _ZERO
-        else:
-            pw = Fraction(k) ** (p - 1)
-        total += p * base * pw
-    return total
+    """sum_{k=0}^{floor(x)} p (1-k/x)^{n-1} k^{p-1} = p S / a^{n-1}."""
+    S, a, _ = _power_sum(x, p, n)
+    return Fraction(p * S, a ** (n - 1))
 
 
 def h_func(x, p, n: int) -> float:
     """x^p * B_x(p); continuous and nondecreasing in x."""
-    if x <= 0:
-        raise ValueError("need x > 0")
+    if x <= 0 or p < 1:
+        raise ValueError("need x > 0 and p >= 1")
     if float(p) == int(p):
         return float(_h_exact(frac(x), int(p), n))
     xf, pf = float(x), float(p)
@@ -802,20 +799,21 @@ def _chk_identity_triple_continuous(ws: BodyWorkspace, params: dict) -> Inequali
     per_p = []
     engine = RayMomentEngine(ws.body, axis_direction(n))
     for p in ps:
-        ray = engine.moment(p)
-        slab = ws.slab(int(p))
-        proj = ws.projection_power(int(p))
-        vals = [ray.value, slab.value, proj.value]
-        errs = ray.abs_error + slab.abs_error + proj.abs_error
-        spread = max(vals) - min(vals)
-        tol = max(1e-9 * max(abs(v) for v in vals), errs)
+        routes = (engine.moment(p), ws.slab(int(p)), ws.projection_power(int(p)))
+        if all(r.is_exact for r in routes):
+            # three rationals: they agree exactly or the identity fails
+            vals = [r.exact for r in routes]
+            spread, tol = max(vals) - min(vals), _ZERO
+            lhs, rhs = MeasureValue.from_exact(spread), MeasureValue.from_exact(tol)
+        else:
+            vals = [r.value for r in routes]
+            spread = max(vals) - min(vals)
+            tol = max(1e-9 * max(abs(v) for v in vals), sum(r.abs_error for r in routes))
+            lhs, rhs = MeasureValue.approx(spread, 0.0), MeasureValue.approx(tol, 0.0)
         per_p.append({"p": int(p), "values": vals, "spread": spread, "tol": tol})
-        key = tol - spread
-        if worst is None or key < worst[0]:
-            worst = (key, spread, tol)
-    _k, spread, tol = worst
-    lhs = MeasureValue.approx(spread, 0.0)
-    rhs = MeasureValue.approx(tol, 0.0)
+        if worst is None or tol - spread < worst[0]:
+            worst = (tol - spread, lhs, rhs)
+    _k, lhs, rhs = worst
     return _report("identity_triple_continuous", lhs, rhs, per_p=per_p)
 
 

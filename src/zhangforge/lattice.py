@@ -1,8 +1,11 @@
 """Counting measures on polytopes: G_k, the mixed column measure, discrete
 covariograms, and exact ray-interval decompositions behind discrete moments.
 
-Lattice enumeration is a bounding-box scan with exact integer membership
-tests.  One rule decides membership in the open fattening
+Lattice enumeration is column by column over integers: for each integer
+point y of the bounding box of the first n-1 coordinates, the integer
+halfspace rows of the body (``polytope.integer_rows``) bound x_n to an
+integer range by floor division, and the points (y, t) come out in
+lexicographic order.  One rule decides membership in the open fattening
 P + (-1,1)^k x {0}^{n-k} for every k: with F the closed sum
 P + [-1,1]^k x {0}^{n-k} (built once per body by :func:`fattening`), x is in
 the open fattening exactly when it satisfies every halfspace of F, strictly
@@ -16,6 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 from .errors import OriginMissing
 from .linalg import dot, vec
@@ -25,6 +29,7 @@ from .polytope import (
     Interval,
     MeasureValue,
     Polytope,
+    integer_rows,
     minkowski_sum,
     project_drop_last,
     translate,
@@ -67,38 +72,29 @@ def fattening(P: Polytope, k: int) -> Polytope:
     return P._fattenings[k]
 
 
-def _int_rows(P: Polytope, k: int) -> list[tuple[tuple[int, ...], int, int, bool]]:
-    """Halfspaces as integer rows (a, num, den, strict): sum a*x <= num/den,
-    strict where a has a nonzero entry among the first k coordinates."""
-    rows = []
-    for a, b in P.halfspaces:
-        rows.append((tuple(int(x) for x in a), b.numerator, b.denominator, any(a[:k])))
-    return rows
-
-
-def _int_box(P: Polytope) -> list[range]:
-    return [range(math.ceil(lo), math.floor(hi) + 1) for lo, hi in P.bounding_box()]
-
-
-def _contains_int(rows, x) -> bool:
-    for a, num, den, strict in rows:
-        s = 0
-        for ai, xi in zip(a, x):
-            if ai:
-                s += ai * xi
-        s *= den
-        if s > num or (strict and s == num):
-            return False
-    return True
-
-
 def lattice_points(P: Polytope, open_cube_k: int = 0) -> LatticePointSet:
     """Integer points of P (open_cube_k = 0) or of P + (-1,1)^k x {0}^{n-k}."""
     fat = fattening(P, open_cube_k)
-    rows = _int_rows(fat, open_cube_k)
-    # the product of ascending ranges is already in lexicographic order
-    pts = tuple(x for x in product(*_int_box(fat)) if _contains_int(rows, x))
-    return LatticePointSet(P.dim, pts)
+    box = fat.bounding_box()
+    # Over integers a strict row den*<a, x> < num is den*<a, x> <= num - 1, so
+    # every row reads den*a_n*t <= c - <h, y> with h = den*a', y the column.
+    up, down, flat = [], [], []
+    for a, num, den in integer_rows(fat):
+        row = (tuple(den * x for x in a[:-1]), num - any(a[:open_cube_k]), den * abs(a[-1]))
+        (up if a[-1] > 0 else down if a[-1] < 0 else flat).append(row)
+    t_lo, t_hi = math.ceil(box[-1][0]), math.floor(box[-1][1])
+    pts = []
+    # ascending columns, ascending t within each: lexicographic order
+    for y in product(*(range(math.ceil(lo), math.floor(hi) + 1) for lo, hi in box[:-1])):
+        if any(c < sum(map(mul, h, y)) for h, c, _ in flat):
+            continue
+        lo, hi = t_lo, t_hi
+        for h, c, q in up:
+            hi = min(hi, (c - sum(map(mul, h, y))) // q)
+        for h, c, q in down:
+            lo = max(lo, -((c - sum(map(mul, h, y))) // q))
+        pts.extend(y + (t,) for t in range(lo, hi + 1))
+    return LatticePointSet(P.dim, tuple(pts))
 
 
 def count_lattice(P: Polytope, open_cube_k: int = 0) -> int:

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 from .errors import DegenerateBody, DimensionMismatch, Unbounded
 from .hull import convex_hull
@@ -160,6 +161,7 @@ class Polytope:
         "_fweights",
         "_fattenings",
         "_projection",
+        "_int_rows",
     )
 
     def __init__(self, dim, affine_dim, vertices, halfspaces, interior, tri):
@@ -173,6 +175,7 @@ class Polytope:
         self._fweights = None
         self._fattenings = None
         self._projection: Polytope | None = None
+        self._int_rows = None
 
     # -- construction ------------------------------------------------------
 
@@ -479,30 +482,57 @@ def project_drop_last(P: Polytope) -> Polytope:
     return P._projection
 
 
+def integer_rows(P: Polytope) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+    """Halfspaces as integer rows (a, num, den), <a, x> <= num/den with den > 0,
+    memoized on ``P``; normals are primitive integer vectors already."""
+    if P._int_rows is None:
+        assert all(x.denominator == 1 for a, _ in P.halfspaces for x in a)
+        P._int_rows = tuple(
+            (tuple(int(x) for x in a), b.numerator, b.denominator) for a, b in P.halfspaces
+        )
+    return P._int_rows
+
+
+def _integer_anchor(y) -> tuple[list[int], int]:
+    """(z, D) with y = z / D over integers, D > 0 the common denominator."""
+    ys = [x if isinstance(x, int) else frac(x) for x in y]
+    D = 1
+    for x in ys:
+        if not isinstance(x, int):
+            D = math.lcm(D, x.denominator)
+    return [x * D if isinstance(x, int) else x.numerator * (D // x.denominator) for x in ys], D
+
+
 def vertical_section(P: Polytope, y) -> Interval | None:
-    """The set {t : (y, t) in P} as a closed interval; None when empty."""
-    y = vec(y)
-    if len(y) != P.dim - 1:
+    """The set {t : (y, t) in P} as a closed interval; None when empty.
+
+    Integer arithmetic throughout: with y = z/D, the row <a, x> <= num/den
+    bounds a_n t by c/(den D), c = num D - den <a', z>.  Bounds are compared
+    by cross-multiplying, and only the two end points become Fractions.
+    """
+    z, D = _integer_anchor(y)
+    if len(z) != P.dim - 1:
         raise DimensionMismatch("section anchor has wrong length")
-    lo: Fraction | None = None
-    hi: Fraction | None = None
-    for a, b in P.halfspaces:
+    lo_n = lo_d = hi_n = hi_d = None  # t >= lo_n/(lo_d D), t <= hi_n/(hi_d D)
+    for a, num, den in integer_rows(P):
         at = a[-1]
-        c = b - dot(a[:-1], y)
+        c = num * D - den * sum(map(mul, a, z))
         if at == 0:
             if c < 0:
                 return None
         elif at > 0:
-            t = c / at
-            hi = t if hi is None else min(hi, t)
+            q = den * at
+            if hi_n is None or c * hi_d < hi_n * q:
+                hi_n, hi_d = c, q
         else:
-            t = c / at
-            lo = t if lo is None else max(lo, t)
-    if lo is None or hi is None:
+            q = -den * at
+            if lo_n is None or -c * lo_d > lo_n * q:
+                lo_n, lo_d = -c, q
+    if lo_n is None or hi_n is None:
         raise Unbounded("vertical line section is unbounded")
-    if lo > hi:
+    if lo_n * hi_d > hi_n * lo_d:
         return None
-    return Interval(lo, hi)
+    return Interval(Fraction(lo_n, lo_d * D), Fraction(hi_n, hi_d * D))
 
 
 def slice_at_height(P: Polytope, r) -> Polytope | None:

@@ -17,12 +17,14 @@ from zhangforge import (
     project_drop_last,
     slice_at_height,
     translate,
+    vertical_section,
     volume,
 )
 from zhangforge.errors import Infeasible
 from zhangforge.harness import BodySpec, make_body
-from zhangforge.inequalities import diamond_extension, section_profiles
-from zhangforge.lattice import count_lattice
+from zhangforge.inequalities import _B_exact, _h_exact, diamond_extension, section_profiles
+from zhangforge.lattice import count_lattice, fattening, lattice_points
+from zhangforge.linalg import dot
 from zhangforge.lp import lp_solve
 from zhangforge.moments import (
     RayMomentEngine,
@@ -264,3 +266,96 @@ def test_section_profiles_against_slices():
             assert {k: v for k, v in f.items() if v} == pr.f
             assert {k: v for k, v in ft.items() if v} == pr.f_tilde
             assert pr.M == max(pr.f, default=0)
+
+
+# -- the fraction-free lattice layer against the routes it replaced ------------
+
+def _lattice_bodies():
+    bodies = [make_body(BodySpec("random_hull", dim, {"count": 6, "radius": 2, "seed": s}))
+              for dim in (2, 3) for s in range(4)]
+    bodies.append(make_polytope([(0, 0, 1), (F(5, 2), 0, 1), (F(1, 3), F(7, 3), 1)], 3))
+    return bodies
+
+
+def _box_scan(P, k):
+    """Every integer point of the fattening's bounding box that passes each row,
+    strictly on the rows whose normal sees the first k coordinates."""
+    fat = fattening(P, k)
+    rows = [(tuple(int(x) for x in a), b.numerator, b.denominator, any(a[:k]))
+            for a, b in fat.halfspaces]
+
+    def contains(x):
+        for a, num, den, strict in rows:
+            s = sum(ai * xi for ai, xi in zip(a, x)) * den
+            if s > num or (strict and s == num):
+                return False
+        return True
+
+    box = [range(math.ceil(lo), math.floor(hi) + 1) for lo, hi in fat.bounding_box()]
+    return tuple(x for x in product(*box) if contains(x))
+
+
+def test_lattice_points_against_box_scan():
+    for P in _lattice_bodies():
+        for k in range(P.dim + 1):
+            assert lattice_points(P, k).points == _box_scan(P, k), (P, k)
+
+
+def _B_terms(m, p, n):
+    """sum_k (p/m)(1 - k/m)^{n-1}(k/m)^{p-1} term by term, 0^0 = 1."""
+    total = F(0)
+    for k in range(math.floor(m) + 1):
+        t = F(k) / m
+        pw = (F(1) if p == 1 else F(0)) if k == 0 else t ** (p - 1)
+        total += F(p) * (1 - t) ** (n - 1) * pw / m
+    return total
+
+
+def _h_terms(x, p, n):
+    """sum_k p (1 - k/x)^{n-1} k^{p-1} term by term, 0^0 = 1."""
+    total = F(0)
+    for k in range(math.floor(x) + 1):
+        pw = (F(1) if p == 1 else F(0)) if k == 0 else F(k) ** (p - 1)
+        total += p * (1 - F(k) / x) ** (n - 1) * pw
+    return total
+
+
+def test_profile_weights_against_term_sums():
+    rng = np.random.default_rng(2024)
+    ms = [F(1, 3), F(2, 5), F(1), F(7, 2), F(12)]
+    ms += [F(int(a), int(b)) for a, b in zip(rng.integers(1, 90, 12), rng.integers(1, 9, 12))]
+    for m in ms:
+        for p in range(1, 6):
+            for n in range(2, 6):
+                assert _B_exact(m, p, n) == _B_terms(m, p, n), (m, p, n)
+                assert _h_exact(m, p, n) == _h_terms(m, p, n), (m, p, n)
+
+
+def _section_fraction(P, y):
+    """{t : (y, t) in P} from the rows in Fractions, or None."""
+    lo = hi = None
+    for a, b in P.halfspaces:
+        c = b - dot(a[:-1], y)
+        if a[-1] > 0:
+            hi = c / a[-1] if hi is None else min(hi, c / a[-1])
+        elif a[-1] < 0:
+            lo = c / a[-1] if lo is None else max(lo, c / a[-1])
+        elif c < 0:
+            return None
+    return None if lo > hi else (lo, hi)
+
+
+def test_vertical_section_against_fraction_rows():
+    kinds = {"empty": 0, "point": 0, "segment": 0}
+    for P in _lattice_bodies():
+        box = project_drop_last(P).bounding_box()
+        anchors = list(product(*(range(math.floor(lo) - 1, math.ceil(hi) + 2) for lo, hi in box)))
+        anchors += [v[:-1] for v in P.vertices]
+        anchors += list(product(*([lo + (hi - lo) * F(j, 7) for j in (1, 3, 6)] for lo, hi in box)))
+        for body in (P, fattening(P, P.dim - 1)):
+            for y in anchors:
+                ref = _section_fraction(body, tuple(F(c) for c in y))
+                seg = vertical_section(body, y)
+                assert (None if seg is None else (seg.lo, seg.hi)) == ref, (body, y)
+                kinds["empty" if ref is None else "point" if ref[0] == ref[1] else "segment"] += 1
+    assert all(kinds.values()), kinds

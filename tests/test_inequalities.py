@@ -47,6 +47,12 @@ class TestBCoeff:
         assert h_func(3, 1, 2) == 2.0
         assert h_func(F(7, 10), 2, 2) == 0.0
 
+    @pytest.mark.parametrize("p", [-1, 0, F(1, 2)])
+    def test_h_rejects_p_below_one(self, p):
+        # B_coeff rejects the same exponents; the sum would otherwise reach 0^(p-1)
+        with pytest.raises(ValueError, match="need x > 0 and p >= 1"):
+            h_func(2, p, 2)
+
     def test_h_nondecreasing(self):
         vals = [h_func(F(k, 7), 2, 3) for k in range(1, 80)]
         assert all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
