@@ -8,6 +8,13 @@ hyperplane is invisible to its facets, and simplicial facets sharing a
 hyperplane are merged when facets are reported.
 
 Dimension 2 uses the monotone chain for speed; dimension 1 is explicit.
+
+In dimensions >= 2 the points are cleared to integer numerators over one
+positive common denominator L, which changes neither their lexicographic
+order nor any orientation sign.  Facet normals are integer cofactor vectors
+made primitive, and every visibility and orientation test is an integer dot
+product (against (d+1) L times the interior point).  Only the returned planes
+(a, b / L) and the interior point are built as Fractions.
 """
 
 from __future__ import annotations
@@ -15,9 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Vec, dot, nullspace, primitive, rank, vsub
-
-_ZERO = Fraction(0)
+from .linalg import Vec, affine_basis, common_denominator, primitive_int, rank
 
 
 @dataclass
@@ -38,13 +43,38 @@ class HullResult:
     interior: Vec
 
 
-def _hyperplane(pts: list[Vec], base: list[Vec]) -> tuple[Vec, Fraction]:
-    rows = [list(vsub(p, base[0])) for p in base[1:]]
-    ns = nullspace(rows, len(base[0]))
-    if len(ns) != 1:
-        raise ValueError("degenerate facet points")
-    a = primitive(ns[0])
-    return a, dot(a, base[0])
+def _integer_points(points: list[Vec]) -> tuple[list[tuple[int, ...]], int]:
+    """The points as integer numerators over one positive common denominator L."""
+    den = common_denominator(x for p in points for x in p)
+    return [tuple(x.numerator * (den // x.denominator) for x in p) for p in points], den
+
+
+def _unique_sorted(ipts: list[tuple[int, ...]]) -> list[int]:
+    """Indices of the distinct points, in lexicographic order (first index wins)."""
+    uniq: list[int] = []
+    for i in sorted(range(len(ipts)), key=ipts.__getitem__):
+        if not uniq or ipts[i] != ipts[uniq[-1]]:
+            uniq.append(i)
+    return uniq
+
+
+def _det_int(m: list[list[int]]) -> int:
+    if len(m) == 1:
+        return m[0][0]
+    if len(m) == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    return sum(
+        (-1) ** k * m[0][k] * _det_int([row[:k] + row[k + 1:] for row in m[1:]])
+        for k in range(len(m))
+        if m[0][k]
+    )
+
+
+def _normal(edges: list[list[int]]) -> list[int]:
+    """Generalised cross product: the cofactor vector orthogonal to d - 1 edges."""
+    return [
+        (-1) ** k * _det_int([e[:k] + e[k + 1:] for e in edges]) for k in range(len(edges) + 1)
+    ]
 
 
 def _hull_1d(points: list[Vec]) -> HullResult:
@@ -65,21 +95,18 @@ def _hull_1d(points: list[Vec]) -> HullResult:
     )
 
 
-def _cross2(o: Vec, a: Vec, b: Vec) -> Fraction:
+def _cross2(o: tuple[int, ...], a: tuple[int, ...], b: tuple[int, ...]) -> int:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
 def _hull_2d(points: list[Vec]) -> HullResult:
-    order = sorted(range(len(points)), key=lambda i: points[i])
-    uniq: list[int] = []
-    for i in order:
-        if not uniq or points[i] != points[uniq[-1]]:
-            uniq.append(i)
+    ipts, den = _integer_points(points)
+    uniq = _unique_sorted(ipts)
 
     def chain(idx: list[int]) -> list[int]:
         out: list[int] = []
         for i in idx:
-            while len(out) >= 2 and _cross2(points[out[-2]], points[out[-1]], points[i]) <= 0:
+            while len(out) >= 2 and _cross2(ipts[out[-2]], ipts[out[-1]], ipts[i]) <= 0:
                 out.pop()
             out.append(i)
         return out
@@ -89,63 +116,46 @@ def _hull_2d(points: list[Vec]) -> HullResult:
     ring = lower[:-1] + upper[:-1]  # counterclockwise
     if len(ring) < 3:
         raise ValueError("2-d hull is not full-dimensional")
-    cx = sum((points[i][0] for i in ring), _ZERO) / len(ring)
-    cy = sum((points[i][1] for i in ring), _ZERO) / len(ring)
-    interior = (cx, cy)
+    scale = len(ring) * den
+    interior = tuple(Fraction(sum(ipts[i][k] for i in ring), scale) for k in range(2))
     facets: list[tuple[Vec, Fraction]] = []
     simplices: list[tuple[int, ...]] = []
-    planes: list[tuple[Vec, Fraction]] = []
     for k in range(len(ring)):
         i, j = ring[k], ring[(k + 1) % len(ring)]
-        d = vsub(points[j], points[i])
-        a = primitive((d[1], -d[0]))  # outward for ccw ring
-        b = dot(a, points[i])
-        facets.append((a, b))
+        (xi, yi), (xj, yj) = ipts[i], ipts[j]
+        a0, a1 = primitive_int((yj - yi, xi - xj))  # outward for ccw ring
+        facets.append(((Fraction(a0), Fraction(a1)), Fraction(a0 * xi + a1 * yi, den)))
         simplices.append((i, j))
-        planes.append((a, b))
-    return HullResult(facets, simplices, planes, sorted(ring), interior)
+    return HullResult(facets, simplices, list(facets), sorted(ring), interior)
 
 
 def _hull_nd(points: list[Vec], d: int) -> HullResult:
-    order = sorted(range(len(points)), key=lambda i: points[i])
-    uniq: list[int] = []
-    for i in order:
-        if not uniq or points[i] != points[uniq[-1]]:
-            uniq.append(i)
+    ipts, den = _integer_points(points)
+    uniq = _unique_sorted(ipts)
 
     # initial affinely independent d+1 points
-    init = [uniq[0]]
-    dirs: list[list[Fraction]] = []
-    for i in uniq[1:]:
-        row = list(vsub(points[i], points[init[0]]))
-        if rank(dirs + [row]) > len(dirs):
-            dirs.append(row)
-            init.append(i)
-        if len(init) == d + 1:
-            break
+    init = [uniq[k] for k in affine_basis([ipts[i] for i in uniq])]
     if len(init) != d + 1:
         raise ValueError("point set is not full-dimensional")
 
-    interior = tuple(
-        sum((points[i][k] for i in init), _ZERO) / (d + 1) for k in range(d)
-    )
-
-    facets: dict[int, tuple[tuple[int, ...], Vec, Fraction]] = {}
+    # (d+1) L times the centroid of the initial simplex, a strictly interior point
+    inner = [sum(ipts[i][k] for i in init) for k in range(d)]
+    facets: dict[int, tuple[tuple[int, ...], tuple[int, ...], int]] = {}
     ridge_map: dict[frozenset[int], list[int]] = {}
     next_id = 0
 
-    def orient(a: Vec, b: Fraction) -> tuple[Vec, Fraction]:
-        s = dot(a, interior)
-        if s > b:
-            return tuple(-x for x in a), -b
-        if s == b:
-            raise ValueError("interior point on facet hyperplane")
-        return a, b
-
     def add_facet(verts: tuple[int, ...]) -> None:
         nonlocal next_id
-        a, b = _hyperplane(points, [points[v] for v in verts])
-        a, b = orient(a, b)
+        base = ipts[verts[0]]
+        a = primitive_int(_normal([[x - y for x, y in zip(ipts[v], base)] for v in verts[1:]]))
+        if not any(a):
+            raise ValueError("degenerate facet points")
+        b = sum(x * y for x, y in zip(a, base))
+        s = sum(x * y for x, y in zip(a, inner)) - (d + 1) * b
+        if s > 0:
+            a, b = tuple(-x for x in a), -b
+        elif s == 0:
+            raise ValueError("interior point on facet hyperplane")
         fid = next_id
         next_id += 1
         facets[fid] = (verts, a, b)
@@ -160,8 +170,10 @@ def _hull_nd(points: list[Vec], d: int) -> HullResult:
     for i in uniq:
         if i in used:
             continue
-        p = points[i]
-        visible = [fid for fid, (_, a, b) in facets.items() if dot(a, p) > b]
+        p = ipts[i]
+        visible = [
+            fid for fid, (_, a, b) in facets.items() if sum(x * y for x, y in zip(a, p)) > b
+        ]
         if not visible:
             continue
         visible_set = set(visible)
@@ -185,21 +197,23 @@ def _hull_nd(points: list[Vec], d: int) -> HullResult:
         for ridge in horizon:
             add_facet(tuple(sorted(ridge | {i})))
 
-    plane_groups: dict[tuple[Vec, Fraction], None] = {}
+    # integer planes (a, L b) sort like the rational planes (a, b) since L > 0
+    plane_of: dict[tuple[tuple[int, ...], int], tuple[Vec, Fraction]] = {}
     simplices: list[tuple[int, ...]] = []
     planes: list[tuple[Vec, Fraction]] = []
-    incident: dict[int, set[tuple[Vec, Fraction]]] = {}
+    incident: dict[int, set[tuple[int, ...]]] = {}
     for verts, a, b in facets.values():
-        key = (a, b)
-        plane_groups.setdefault(key)
+        plane = plane_of.get((a, b))
+        if plane is None:
+            plane = plane_of[(a, b)] = (tuple(Fraction(x) for x in a), Fraction(b, den))
         simplices.append(verts)
-        planes.append(key)
+        planes.append(plane)
         for v in verts:
-            incident.setdefault(v, set()).add(key)
-    vertex_indices = sorted(
-        v for v, keys in incident.items() if rank([list(a) for a, _ in keys]) == d
-    )
-    return HullResult(sorted(plane_groups), simplices, planes, vertex_indices, interior)
+            incident.setdefault(v, set()).add(a)
+    vertex_indices = sorted(v for v, normals in incident.items() if rank(list(normals)) == d)
+    interior = tuple(Fraction(s, (d + 1) * den) for s in inner)
+    return HullResult([plane_of[k] for k in sorted(plane_of)], simplices, planes,
+                      vertex_indices, interior)
 
 
 def convex_hull(points: list[Vec]) -> HullResult:

@@ -202,15 +202,12 @@ def diamond_extension(S: Polytope, x) -> MeasureValue:
 
 
 def _profile_sum(profile: dict[int, int], p: int) -> Fraction:
-    """sum_k p k^{p-1} f(k) with the 0^0 = 1 convention at k = 0, p = 1."""
-    total = _ZERO
-    for k, v in profile.items():
-        if k == 0:
-            if p == 1:
-                total += v
-        else:
-            total += p * Fraction(k) ** (p - 1) * v
-    return total
+    """sum_k p k^{p-1} f(k) with the 0^0 = 1 convention at k = 0, p = 1.
+
+    An integer sum (Python's ``0 ** 0 == 1`` is the convention); one Fraction
+    is built for the result.
+    """
+    return Fraction(p * sum(k ** (p - 1) * v for k, v in profile.items() if k or p == 1))
 
 
 def solve_m0(P: Polytope, p, profiles: SectionProfiles | None = None) -> float:
@@ -283,12 +280,15 @@ def _solve_m0(P: Polytope, p, profiles: SectionProfiles | None = None):
 
 
 def _g_profile(k: int, m0, G: int, n: int):
-    """(1 - k/m0)^{n-1} G on [0, m0], else 0; exact when m0 is rational."""
+    """(1 - k/m0)^{n-1} G on [0, m0], else 0; exact when m0 is rational.
+
+    For m0 = a/b that is (a - k b)^{n-1} G / a^{n-1}, one Fraction.
+    """
     if isinstance(m0, Fraction):
-        kk = Fraction(k)
-        if kk > m0:
+        a, b = m0.numerator, m0.denominator
+        if k * b > a:
             return _ZERO
-        return (1 - kk / m0) ** (n - 1) * G
+        return Fraction((a - k * b) ** (n - 1) * G, a ** (n - 1))
     if k > m0:
         return 0.0
     return (1.0 - k / m0) ** (n - 1) * G

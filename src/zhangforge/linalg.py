@@ -1,9 +1,12 @@
 """Small dense linear algebra over exact rationals.
 
-Everything here operates on lists/tuples of ``fractions.Fraction`` and is
-written for the tiny systems (dimension <= 5 or so) that the polytope kernel
-produces.  No pivoting heuristics beyond exact nonzero selection are needed
-because arithmetic is exact.
+Inputs and outputs are ``fractions.Fraction`` (ints are accepted too), but the
+eliminations run over Python ints: each row is scaled by the least common
+multiple of its denominators, which leaves its solution set and the reduced row
+echelon form unchanged, and :func:`_bareiss` eliminates fraction-free (Bareiss,
+Math. Comp. 1968).  A ``Fraction`` is built only for each returned entry.  The
+systems are tiny (dimension <= 5 or so), so no pivoting heuristic beyond exact
+nonzero selection is needed.
 """
 
 from __future__ import annotations
@@ -43,48 +46,100 @@ def mat_vec(rows, x) -> Vec:
     return tuple(dot(r, x) for r in rows)
 
 
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rref rows, pivot column indices)."""
-    m = [list(r) for r in rows]
+def common_denominator(xs) -> int:
+    """Least common multiple of the denominators of the rationals ``xs``."""
+    den = 1
+    for x in xs:
+        q = x.denominator
+        if q != 1:
+            den = den * q // gcd(den, q)
+    return den
+
+
+def integer_row(xs) -> tuple[list[int], int]:
+    """(numerators over L, L) for L = :func:`common_denominator` of ``xs``."""
+    den = common_denominator(xs)
+    return [x.numerator * (den // x.denominator) for x in xs], den
+
+
+def integer_pivot(m: list[list[int]], r: int, c: int, prev: int) -> int:
+    """Integer-preserving pivot on m[r][c] = p, in place; returns p.
+
+    Every other row becomes (p * row - row[c] * m[r]) / prev, an exact division
+    when ``prev`` is the previous pivot (Bareiss; Edmonds), so ``m`` stays p
+    times the rational tableau with unit column c.
+    """
+    prow = m[r]
+    p = prow[c]
+    for i in range(len(m)):
+        if i == r:
+            continue
+        row = m[i]
+        f = row[c]
+        if f:
+            m[i] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
+        elif p != prev:
+            m[i] = [p * x // prev for x in row]
+    return p
+
+
+def _bareiss(m: list[list[int]]) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination of the integer matrix ``m`` in place.
+
+    Each step makes an :func:`integer_pivot` on the first nonzero entry of the
+    next column.  On return the pivot rows come first, each pivot column is D
+    times a unit column, and the remaining rows are zero, so ``m`` / D is the
+    reduced row echelon form.  Returns (pivot columns, D, sign of the row
+    permutation).
+    """
     nrow = len(m)
     ncol = len(m[0]) if nrow else 0
     pivots: list[int] = []
+    prev = 1
+    sign = 1
     r = 0
     for c in range(ncol):
-        piv = next((i for i in range(r, nrow) if m[i][c] != 0), None)
+        piv = next((i for i in range(r, nrow) if m[i][c]), None)
         if piv is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrow):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
+        prev = integer_pivot(m, r, c, prev)
         pivots.append(c)
         r += 1
         if r == nrow:
             break
-    return m, pivots
+    return pivots, prev, sign
+
+
+def _integer_matrix(rows) -> list[list[int]]:
+    return [integer_row(r)[0] for r in rows]
+
+
+def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; returns (rref rows, pivot column indices)."""
+    m = _integer_matrix(rows)
+    pivots, D, _ = _bareiss(m)
+    return [[Fraction(x, D) for x in row] for row in m], pivots
 
 
 def rank(rows) -> int:
     if not rows:
         return 0
-    _, pivots = rref([list(r) for r in rows])
-    return len(pivots)
+    return len(_bareiss(_integer_matrix(rows))[0])
 
 
 def solve_linear(rows, rhs) -> Vec | None:
     """One solution of A x = b, or None if inconsistent (underdetermined allowed)."""
     n = len(rows[0])
-    aug = [list(r) + [frac(v)] for r, v in zip(rows, rhs)]
-    red, pivots = rref(aug)
+    m = [integer_row(list(r) + [frac(v)])[0] for r, v in zip(rows, rhs)]
+    pivots, D, _ = _bareiss(m)
     if n in pivots:
         return None
     x = [Fraction(0)] * n
     for i, c in enumerate(pivots):
-        x[c] = red[i][-1]
+        x[c] = Fraction(m[i][-1], D)
     return tuple(x)
 
 
@@ -92,77 +147,94 @@ def nullspace(rows, n: int) -> list[Vec]:
     """Basis of {x : A x = 0} for A given as rows of length n."""
     if not rows:
         return [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
-    red, pivots = rref([list(r) for r in rows])
-    free = [c for c in range(n) if c not in pivots]
+    m = _integer_matrix(rows)
+    pivots, D, _ = _bareiss(m)
+    pivot_set = set(pivots)
     basis = []
-    for fc in free:
+    for fc in range(n):
+        if fc in pivot_set:
+            continue
         x = [Fraction(0)] * n
         x[fc] = Fraction(1)
         for i, pc in enumerate(pivots):
-            x[pc] = -red[i][fc]
+            x[pc] = Fraction(-m[i][fc], D)
         basis.append(tuple(x))
     return basis
 
 
 def det(rows) -> Fraction:
-    """Determinant by fraction-free-ish Gaussian elimination (exact)."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    sign = 1
-    d = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        d *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return sign * d
+    """Determinant: Bareiss elimination of the rows scaled to integers (exact)."""
+    n = len(rows)
+    m = []
+    scale = 1
+    for r in rows:
+        ints, den = integer_row(r)
+        m.append(ints)
+        scale *= den
+    pivots, D, sign = _bareiss(m)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(sign * D, scale)
 
 
 def mat_inv(rows) -> list[Vec] | None:
     """Inverse matrix, or None if singular."""
     n = len(rows)
-    aug = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
-    red, pivots = rref(aug)
+    m = []
+    for i, r in enumerate(rows):
+        ints, den = integer_row(r)
+        m.append(ints + [den if i == j else 0 for j in range(n)])
+    pivots, D, _ = _bareiss(m)
     if pivots != list(range(n)):
         return None
-    return [tuple(red[i][n:]) for i in range(n)]
+    return [tuple(Fraction(x, D) for x in m[i][n:]) for i in range(n)]
+
+
+def primitive_int(a) -> tuple[int, ...]:
+    """Divide an integer vector by the gcd of its entries; the sign is kept."""
+    g = 0
+    for v in a:
+        g = gcd(g, v)
+    if g <= 1:
+        return tuple(a)
+    return tuple(v // g for v in a)
 
 
 def primitive(a) -> Vec:
-    """Scale a rational vector to a primitive integer vector (positive leading gcd).
+    """Scale a rational vector by a positive factor to a primitive integer vector.
 
-    The direction is preserved; the common denominator is cleared and the
+    The direction and the sign of every entry are preserved (halfspace
+    orientation depends on it); the common denominator is cleared and the
     integer gcd divided out.  The zero vector is returned unchanged.
     """
-    denoms = 1
-    for x in a:
-        denoms = denoms * x.denominator // gcd(denoms, x.denominator)
-    ints = [int(x * denoms) for x in a]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g == 0:
-        return tuple(Fraction(0) for _ in a)
-    return tuple(Fraction(v // g) for v in ints)
+    return tuple(Fraction(v) for v in primitive_int(integer_row(a)[0]))
 
 
 def affine_basis(points: list[Vec]) -> list[int]:
-    """Indices of a maximal affinely independent subset (greedy, deterministic)."""
+    """Indices of a maximal affinely independent subset (greedy, deterministic).
+
+    One incremental fraction-free elimination of the integer differences
+    points[i] - points[0]: each is reduced against the rows kept so far, in
+    order, and kept when something is left.
+    """
     if not points:
         return []
+    den = common_denominator(x for p in points for x in p)
+    ints = [[x.numerator * (den // x.denominator) for x in p] for p in points]
+    origin = ints[0]
     idx = [0]
-    dirs: list[list[Fraction]] = []
+    rows: list[tuple[int, tuple[int, ...]]] = []  # (pivot column, row)
     for i in range(1, len(points)):
-        d = list(vsub(points[i], points[0]))
-        if rank(dirs + [d]) > len(dirs):
-            dirs.append(d)
+        if len(idx) > len(origin):
+            break
+        v = [x - y for x, y in zip(ints[i], origin)]
+        for c, row in rows:
+            f = v[c]
+            if f:
+                p = row[c]
+                v = [p * x - f * y for x, y in zip(v, row)]
+        c = next((j for j, x in enumerate(v) if x), None)
+        if c is not None:
+            rows.append((c, primitive_int(v)))
             idx.append(i)
     return idx

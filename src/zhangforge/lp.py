@@ -1,7 +1,14 @@
 """Exact rational simplex solver (two phases, Bland's rule).
 
-Solves   maximize c.x  subject to  A x <= b,  x free in R^n,
-entirely over ``fractions.Fraction``.  Bland's rule guarantees termination;
+Solves   maximize c.x  subject to  A x <= b,  x free in R^n.
+Inputs and outputs are ``fractions.Fraction``, but the tableau is kept over
+Python ints: each row of (A, b) is scaled by a positive integer to clear its
+denominators, and every pivot is integer-preserving (Edmonds, J. Res. NBS
+1967): the tableau is D times the rational one, D the last pivot, and the
+update T' = (p T - col row) / D divides exactly.  Positive row scaling only
+rescales the slack and artificial variables, so Bland's entering column (a
+sign) and the ratio test (compared by cross-multiplication) pick the same
+pivots as the rational tableau would.  Bland's rule guarantees termination;
 with exact arithmetic there is no tolerance tuning.  Problems here are tiny
 (a few dozen constraints, <= 10 variables), so a dense tableau is fine.
 """
@@ -10,12 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import Infeasible, Unbounded
-from .linalg import frac
+from .linalg import frac, integer_pivot, integer_row
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass
@@ -24,58 +31,66 @@ class LPResult:
     value: Fraction
 
 
-def _pivot(T: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
-    piv = T[row][col]
-    inv = 1 / piv
-    T[row] = [a * inv for a in T[row]]
-    prow = T[row]
-    for i in range(len(T)):
-        if i != row:
-            f = T[i][col]
-            if f != 0:
-                T[i] = [a - f * p for a, p in zip(T[i], prow)]
-    basis[row] = col
+class _Tableau:
+    """Integer simplex tableau: rows (constraint coefficients, rhs last) over D."""
 
+    __slots__ = ("rows", "basis", "D")
 
-def _simplex(T: list[list[Fraction]], basis: list[int], cost: list[Fraction]) -> Fraction:
-    """Run Bland-rule simplex on tableau T (rows: constraints, rhs last).
+    def __init__(self, rows: list[list[int]], basis: list[int]):
+        self.rows = rows
+        self.basis = basis
+        self.D = 1
 
-    ``cost`` is the objective coefficient vector (maximization) over all
-    columns.  Returns the optimal objective value; raises Unbounded.
-    """
-    ncols = len(T[0]) - 1
-    while True:
-        # reduced costs: cbar_j = cost_j - cost_B . column_j
-        cb = [cost[b] for b in basis]
-        enter = -1
-        for j in range(ncols):
-            if j in basis:
-                continue
-            red = cost[j]
+    def pivot(self, r: int, c: int) -> None:
+        T = self.rows
+        p = integer_pivot(T, r, c, self.D)
+        if p < 0:  # keep D > 0, so the signs of T are those of the rational tableau
             for i in range(len(T)):
-                if cb[i] != 0 and T[i][j] != 0:
-                    red -= cb[i] * T[i][j]
-            if red > 0:
-                enter = j
-                break
-        if enter < 0:
-            val = _ZERO
-            for i, b in enumerate(basis):
-                if cost[b] != 0:
-                    val += cost[b] * T[i][-1]
-            return val
-        leave = -1
-        best: Fraction | None = None
-        for i in range(len(T)):
-            a = T[i][enter]
-            if a > 0:
-                ratio = T[i][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
-        if leave < 0:
-            raise Unbounded("LP objective unbounded above")
-        _pivot(T, basis, leave, enter)
+                T[i] = [-x for x in T[i]]
+            p = -p
+        self.D = p
+        self.basis[r] = c
+
+    def simplex(self, cost: list[int]) -> int:
+        """Run Bland-rule simplex for the integer ``cost`` (maximization).
+
+        Returns D times the optimal objective value; raises Unbounded.
+        """
+        T = self.rows
+        basis = self.basis
+        ncols = len(cost)
+        while True:
+            # the sign of D * reduced cost_j = D cost_j - sum_i cost_B(i) T_ij
+            active = [(cost[b], T[i]) for i, b in enumerate(basis) if cost[b]]
+            in_basis = set(basis)
+            D = self.D
+            enter = -1
+            for j in range(ncols):
+                if j in in_basis:
+                    continue
+                red = D * cost[j]
+                for cb, row in active:
+                    red -= cb * row[j]
+                if red > 0:
+                    enter = j
+                    break
+            if enter < 0:
+                return sum(cb * row[-1] for cb, row in active)
+            leave = -1
+            for i in range(len(T)):
+                a = T[i][enter]
+                if a > 0:
+                    if leave < 0:
+                        leave = i
+                        continue
+                    # T_i,rhs / a < T_leave,rhs / a_leave, cross-multiplied
+                    lhs = T[i][-1] * T[leave][enter]
+                    rhs = T[leave][-1] * a
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                        leave = i
+            if leave < 0:
+                raise Unbounded("LP objective unbounded above")
+            self.pivot(leave, enter)
 
 
 def lp_solve(c, A, b) -> LPResult:
@@ -83,78 +98,65 @@ def lp_solve(c, A, b) -> LPResult:
     m = len(A)
     n = len(c)
     c = [frac(v) for v in c]
-    rows = [[frac(v) for v in r] for r in A]
-    rhs = [frac(v) for v in b]
+    if m == 0:
+        if any(c):
+            raise Unbounded("LP objective unbounded above")
+        return LPResult(x=(_ZERO,) * n, value=_ZERO)
 
-    # columns: x+ (n) | x- (n) | slack (m) | artificial (added as needed)
+    # columns: x+ (n) | x- (n) | slack (m) | artificial (one per negative rhs);
+    # row i is scaled by L_i > 0, so its slack (and artificial) is L_i times
+    # the unscaled one
     nx = 2 * n
     total = nx + m
-    T: list[list[Fraction]] = []
+    T: list[list[int]] = []
     basis: list[int] = []
-    art_cols: list[int] = []
+    scales: list[int] = []  # L_i of the rows with an artificial
     for i in range(m):
-        neg = rhs[i] < 0
-        row = [_ZERO] * total
-        for j in range(n):
-            a = rows[i][j]
-            if neg:
-                a = -a
-            row[j] = a
-            row[n + j] = -a
-        row[nx + i] = -_ONE if neg else _ONE
-        r = -rhs[i] if neg else rhs[i]
-        if neg:
-            art_cols.append(len(row))  # placeholder; column added below
-        T.append(row + [r])
-        basis.append(nx + i)
-
-    if art_cols:
-        # append artificial columns and make them basic in their rows
-        k = 0
-        for i in range(m):
-            if rhs[i] < 0:
-                for ii in range(m):
-                    T[ii].insert(-1, _ONE if ii == i else _ZERO)
-                basis[i] = total + k
-                k += 1
-        nart = k
-        ncols = total + nart
-        cost1 = [_ZERO] * ncols
-        for j in range(total, ncols):
-            cost1[j] = -_ONE
-        val = _simplex(T, basis, cost1)
-        if val < 0:
+        ints, den = integer_row([frac(v) for v in A[i]] + [frac(b[i])])
+        row = ints[:n] + [-v for v in ints[:n]] + [0] * m + ints[n:]
+        row[nx + i] = 1
+        if ints[-1] < 0:
+            row = [-v for v in row]
+            scales.append(den)
+            basis.append(total + len(scales) - 1)
+        else:
+            basis.append(nx + i)
+        T.append(row)
+    tab = _Tableau(T, basis)
+    nart = len(scales)
+    if nart:
+        for i, bv in enumerate(basis):
+            art = [0] * nart
+            if bv >= total:
+                art[bv - total] = 1
+            T[i] = T[i][:-1] + art + T[i][-1:]
+        # phase 1 maximizes -(sum of artificials) in the unscaled variables: the
+        # scaled artificial of row i costs -1/L_i, times C = lcm of those L_i
+        C = lcm(*scales)
+        cost1 = [0] * total + [-(C // s) for s in scales]
+        if tab.simplex(cost1) < 0:
             raise Infeasible("phase-1 optimum below zero")
-        # pivot any artificial still in the basis out (or drop redundant rows)
-        drop: list[int] = []
+        # pivot every artificial still in the basis out; its row has a nonzero
+        # entry among the first ``total`` columns, whose slack part has full rank
         for i in range(m):
             if basis[i] >= total:
-                piv = next((j for j in range(total) if T[i][j] != 0), None)
-                if piv is None:
-                    drop.append(i)
-                else:
-                    _pivot(T, basis, i, piv)
-        for i in reversed(drop):
-            del T[i]
-            del basis[i]
-        for i in range(len(T)):
+                tab.pivot(i, next(j for j in range(total) if T[i][j]))
+        for i in range(m):
             T[i] = T[i][:total] + [T[i][-1]]
 
-    cost2 = [_ZERO] * total
-    for j in range(n):
-        cost2[j] = c[j]
-        cost2[n + j] = -c[j]
-    value = _simplex(T, basis, cost2)
+    cint, C2 = integer_row(c)
+    value = tab.simplex(cint + [-v for v in cint] + [0] * m)
 
-    xplus = [_ZERO] * n
-    xminus = [_ZERO] * n
+    D = tab.D
+    xplus = [0] * n
+    xminus = [0] * n
     for i, bv in enumerate(basis):
         if bv < n:
             xplus[bv] = T[i][-1]
         elif bv < nx:
             xminus[bv - n] = T[i][-1]
-    x = tuple(xp - xm for xp, xm in zip(xplus, xminus))
-    return LPResult(x=x, value=value)
+    x = tuple(Fraction(xp - xm, D) for xp, xm in zip(xplus, xminus))
+    return LPResult(x=x, value=Fraction(value, C2 * D))
 
 
 def max_slack_point(A, b, cap: Fraction = Fraction(1)) -> tuple[Fraction, tuple[Fraction, ...]]:

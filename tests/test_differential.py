@@ -1,6 +1,7 @@
 """Differential tests: exact kernel against independent numeric oracles."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -20,12 +21,30 @@ from zhangforge import (
     vertical_section,
     volume,
 )
-from zhangforge.errors import Infeasible
+from zhangforge.errors import Infeasible, Unbounded
+from zhangforge.hull import HullResult, convex_hull
 from zhangforge.harness import BodySpec, make_body
-from zhangforge.inequalities import _B_exact, _h_exact, diamond_extension, section_profiles
+from zhangforge.inequalities import (
+    _B_exact,
+    _g_profile,
+    _h_exact,
+    _profile_sum,
+    diamond_extension,
+    section_profiles,
+)
 from zhangforge.lattice import count_lattice, fattening, lattice_points
-from zhangforge.linalg import dot
-from zhangforge.lp import lp_solve
+from zhangforge.linalg import (
+    affine_basis,
+    det,
+    dot,
+    mat_inv,
+    nullspace,
+    primitive,
+    rank,
+    rref,
+    solve_linear,
+)
+from zhangforge.lp import LPResult, lp_solve
 from zhangforge.moments import (
     RayMomentEngine,
     covariogram_on_ray,
@@ -324,11 +343,19 @@ def test_profile_weights_against_term_sums():
     rng = np.random.default_rng(2024)
     ms = [F(1, 3), F(2, 5), F(1), F(7, 2), F(12)]
     ms += [F(int(a), int(b)) for a, b in zip(rng.integers(1, 90, 12), rng.integers(1, 9, 12))]
+    profile = {k: int(v) for k, v in enumerate(rng.integers(0, 40, 9))}
     for m in ms:
         for p in range(1, 6):
             for n in range(2, 6):
                 assert _B_exact(m, p, n) == _B_terms(m, p, n), (m, p, n)
                 assert _h_exact(m, p, n) == _h_terms(m, p, n), (m, p, n)
+                for k in range(math.floor(m) + 2):
+                    g = (1 - F(k) / m) ** (n - 1) * 7 if k <= m else 0
+                    assert _g_profile(k, m, 7, n) == g, (k, m, n)
+    for p in range(1, 6):
+        terms = [(v if p == 1 else 0) if k == 0 else p * F(k) ** (p - 1) * v
+                 for k, v in profile.items()]
+        assert _profile_sum(profile, p) == sum(terms), p
 
 
 def _section_fraction(P, y):
@@ -359,3 +386,369 @@ def test_vertical_section_against_fraction_rows():
                 assert (None if seg is None else (seg.lo, seg.hi)) == ref, (body, y)
                 kinds["empty" if ref is None else "point" if ref[0] == ref[1] else "segment"] += 1
     assert all(kinds.values()), kinds
+
+
+# -- the fraction-free linalg, hull and lp kernels against their Fraction routes --
+#
+# The routines below are the Fraction implementations the integer kernels
+# replaced, kept here as oracles: the kernels must return the same values.
+
+def _rref_fraction(rows):
+    m = [[F(x) for x in r] for r in rows]
+    nrow, ncol = len(m), len(m[0]) if m else 0
+    pivots, r = [], 0
+    for c in range(ncol):
+        piv = next((i for i in range(r, nrow) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nrow):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrow:
+            break
+    return m, pivots
+
+
+def _rank_fraction(rows):
+    return len(_rref_fraction(rows)[1]) if rows else 0
+
+
+def _solve_fraction(rows, rhs):
+    n = len(rows[0])
+    red, pivots = _rref_fraction([list(r) + [v] for r, v in zip(rows, rhs)])
+    if n in pivots:
+        return None
+    x = [F(0)] * n
+    for i, c in enumerate(pivots):
+        x[c] = red[i][-1]
+    return tuple(x)
+
+
+def _nullspace_fraction(rows, n):
+    if not rows:
+        return [tuple(F(int(i == j)) for j in range(n)) for i in range(n)]
+    red, pivots = _rref_fraction(rows)
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        x = [F(0)] * n
+        x[fc] = F(1)
+        for i, pc in enumerate(pivots):
+            x[pc] = -red[i][fc]
+        basis.append(tuple(x))
+    return basis
+
+
+def _det_fraction(rows):
+    m = [[F(x) for x in r] for r in rows]
+    n, sign, d = len(m), 1, F(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if piv is None:
+            return F(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            sign = -sign
+        d *= m[c][c]
+        for i in range(c + 1, n):
+            f = m[i][c] / m[c][c]
+            m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return sign * d
+
+
+def _inv_fraction(rows):
+    n = len(rows)
+    red, pivots = _rref_fraction([list(r) + [F(int(i == j)) for j in range(n)]
+                                  for i, r in enumerate(rows)])
+    return [tuple(red[i][n:]) for i in range(n)] if pivots == list(range(n)) else None
+
+
+def _primitive_fraction(a):
+    den = math.lcm(*(F(x).denominator for x in a))
+    ints = [int(x * den) for x in a]
+    g = math.gcd(*ints)
+    return tuple(F(v // g) if g else F(0) for v in ints)
+
+
+def _affine_basis_fraction(points):
+    idx, dirs = [0], []
+    for i in range(1, len(points)):
+        d = [x - y for x, y in zip(points[i], points[0])]
+        if _rank_fraction(dirs + [d]) > len(dirs):
+            dirs.append(d)
+            idx.append(i)
+    return idx
+
+
+def _hull_fraction(points):
+    """Monotone chain (d = 2) or beneath-beyond (d >= 3) over Fractions."""
+    d = len(points[0])
+    dotf = lambda a, b: sum((x * y for x, y in zip(a, b)), F(0))  # noqa: E731
+    uniq = []
+    for i in sorted(range(len(points)), key=lambda i: points[i]):
+        if not uniq or points[i] != points[uniq[-1]]:
+            uniq.append(i)
+    if d == 2:
+        def cross(o, a, b):
+            return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+        def chain(idx):
+            out = []
+            for i in idx:
+                while len(out) >= 2 and cross(points[out[-2]], points[out[-1]], points[i]) <= 0:
+                    out.pop()
+                out.append(i)
+            return out
+
+        ring = chain(uniq)[:-1] + chain(uniq[::-1])[:-1]
+        interior = tuple(sum((points[i][k] for i in ring), F(0)) / len(ring) for k in range(2))
+        facets = []
+        for k in range(len(ring)):
+            i, j = ring[k], ring[(k + 1) % len(ring)]
+            a = _primitive_fraction((points[j][1] - points[i][1], points[i][0] - points[j][0]))
+            facets.append((a, dotf(a, points[i])))
+        simplices = [(ring[k], ring[(k + 1) % len(ring)]) for k in range(len(ring))]
+        return HullResult(facets, simplices, list(facets), sorted(ring), interior)
+
+    init, dirs = [uniq[0]], []
+    for i in uniq[1:]:
+        row = [x - y for x, y in zip(points[i], points[init[0]])]
+        if _rank_fraction(dirs + [row]) > len(dirs):
+            dirs.append(row)
+            init.append(i)
+        if len(init) == d + 1:
+            break
+    interior = tuple(sum((points[i][k] for i in init), F(0)) / (d + 1) for k in range(d))
+    facets, ridge_map, next_id = {}, {}, 0
+
+    def ridges(verts):
+        return [frozenset(verts[:s] + verts[s + 1:]) for s in range(len(verts))]
+
+    def add_facet(verts):
+        nonlocal next_id
+        base = [points[v] for v in verts]
+        (ns,) = _nullspace_fraction([[x - y for x, y in zip(p, base[0])] for p in base[1:]], d)
+        a = _primitive_fraction(ns)
+        b = dotf(a, base[0])
+        if dotf(a, interior) > b:
+            a, b = tuple(-x for x in a), -b
+        facets[next_id] = (verts, a, b)
+        for ridge in ridges(verts):
+            ridge_map.setdefault(ridge, []).append(next_id)
+        next_id += 1
+
+    for skip in range(d + 1):
+        add_facet(tuple(sorted(init[:skip] + init[skip + 1:])))
+    for i in uniq:
+        if i in init:
+            continue
+        visible = [fid for fid, (_, a, b) in facets.items() if dotf(a, points[i]) > b]
+        horizon = [ridge for fid in visible for ridge in ridges(facets[fid][0])
+                   if any(o not in visible for o in ridge_map[ridge])]
+        for fid in visible:
+            for ridge in ridges(facets.pop(fid)[0]):
+                ridge_map[ridge].remove(fid)
+                if not ridge_map[ridge]:
+                    del ridge_map[ridge]
+        for ridge in horizon:
+            add_facet(tuple(sorted(ridge | {i})))
+    incident = {}
+    for verts, a, b in facets.values():
+        for v in verts:
+            incident.setdefault(v, set()).add((a, b))
+    vertex_indices = sorted(v for v, keys in incident.items()
+                            if _rank_fraction([list(a) for a, _ in keys]) == d)
+    planes = [(a, b) for _, a, b in facets.values()]
+    return HullResult(sorted(set(planes)), [v for v, _, _ in facets.values()], planes,
+                      vertex_indices, interior)
+
+
+def _lp_fraction(c, A, b):
+    """Two-phase Bland simplex on a Fraction tableau; x = x+ - x-, slacks, artificials."""
+    m, n = len(A), len(c)
+
+    def pivot(T, basis, row, col):
+        T[row] = [x / T[row][col] for x in T[row]]
+        for i in range(len(T)):
+            if i != row and T[i][col] != 0:
+                f = T[i][col]
+                T[i] = [x - f * y for x, y in zip(T[i], T[row])]
+        basis[row] = col
+
+    def simplex(T, basis, cost):
+        while True:
+            enter = next((j for j in range(len(T[0]) - 1) if j not in basis and
+                          cost[j] - sum(cost[bv] * T[i][j] for i, bv in enumerate(basis)) > 0), -1)
+            if enter < 0:
+                return sum((cost[bv] * T[i][-1] for i, bv in enumerate(basis)), F(0))
+            leave, best = -1, None
+            for i in range(len(T)):
+                if T[i][enter] > 0:
+                    ratio = T[i][-1] / T[i][enter]
+                    if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                        leave, best = i, ratio
+            if leave < 0:
+                raise Unbounded("oracle")
+            pivot(T, basis, leave, enter)
+
+    neg = [F(b[i]) < 0 for i in range(m)]
+    nart, total = sum(neg), 2 * n + m
+    T, basis, k = [], [], 0
+    for i in range(m):
+        s = -1 if neg[i] else 1
+        row = [s * F(x) for x in A[i]] + [-s * F(x) for x in A[i]]
+        row += [F(s if j == i else 0) for j in range(m)] + [F(0)] * nart + [s * F(b[i])]
+        if neg[i]:
+            row[total + k] = F(1)
+            k += 1
+        basis.append(total + k - 1 if neg[i] else 2 * n + i)
+        T.append(row)
+    if nart:
+        if simplex(T, basis, [F(0)] * total + [F(-1)] * nart) < 0:
+            raise Infeasible("oracle")
+        for i in range(m):
+            if basis[i] >= total:
+                pivot(T, basis, i, next(j for j in range(total) if T[i][j] != 0))
+        T = [row[:total] + [row[-1]] for row in T]
+    cost = [F(x) for x in c] + [-F(x) for x in c] + [F(0)] * m
+    value = simplex(T, basis, cost)
+    x = [F(0)] * n
+    for i, bv in enumerate(basis):
+        if bv < 2 * n:
+            x[bv % n] += T[i][-1] if bv < n else -T[i][-1]
+    return LPResult(tuple(x), value)
+
+
+def _random_matrix(rng, rows, cols, den):
+    big = 10**12
+    m = []
+    for _ in range(rows):
+        m.append([F(int(rng.integers(-4, 5)) * int(rng.choice([0, 1, 1, big // 997])),
+                    int(rng.choice([1, den]))) for _ in range(cols)])
+    if rows > 2 and rng.random() < 0.4:  # a dependent row
+        m[-1] = [2 * x - 3 * y for x, y in zip(m[0], m[1])]
+    return m
+
+
+def test_linalg_against_fraction_elimination():
+    rng = np.random.default_rng(1968)
+    for trial in range(300):
+        r, c = int(rng.integers(1, 6)), int(rng.integers(1, 7))
+        M = _random_matrix(rng, r, c, int(rng.choice([1, 2, 997])))
+        rhs = [F(int(v), 997) for v in rng.integers(-5, 6, r)]
+        S = [row[:r] + [F(0)] * (r - len(row[:r])) for row in M]
+        assert rref(M) == _rref_fraction(M)
+        assert rank(M) == _rank_fraction(M)
+        assert nullspace(M, c) == _nullspace_fraction(M, c)
+        assert solve_linear(M, rhs) == _solve_fraction(M, rhs)
+        assert det(S) == _det_fraction(S)
+        assert mat_inv(S) == _inv_fraction(S)
+        assert primitive(M[0]) == _primitive_fraction(M[0])
+        assert affine_basis([tuple(x) for x in M]) == _affine_basis_fraction(M)
+
+
+def _sphere_points(d, params):
+    """Rational points of the unit sphere in R^d (inverse stereographic projection)."""
+    out = []
+    for t in params:
+        t = tuple(F(x) for x in t)
+        q = sum(x * x for x in t)
+        out.append(tuple(2 * x / (q + 1) for x in t) + ((q - 1) / (q + 1),))
+    return out
+
+
+def _hull_point_sets(d):
+    rng = np.random.default_rng(1997 + d)
+    sets = []
+    for _ in range(12):
+        count = int(rng.integers(d + 2, 14))
+        sets.append([tuple(F(int(v), 4) for v in row) for row in rng.integers(-8, 9, (count, d))])
+    big, tiny = 10**12, F(1, 997)
+    for _ in range(4):  # numerators near 10^12, denominators 997
+        raw = rng.integers(-5, 6, (d + 5, d))
+        sets.append([tuple(big + F(int(v), 997) for v in row) for row in raw])
+        sets.append([tuple(tiny * int(v) for v in row) for row in raw])
+    grid = [F(j, 2) for j in range(3 if d == 4 else 5)]  # coplanar clusters on faces of a cube
+    face_pts = [p for p in product(grid, repeat=d) if any(x in (0, grid[-1]) for x in p)]
+    sets.append(face_pts)
+    sets.append(face_pts[::-1] + [(grid[-1] / 2,) * d])
+    ts = [F(v, 2) for v in range(-3, 4)]
+    sets.append(_sphere_points(d, list(product(ts, repeat=d - 1))[::2 if d < 4 else 7]))
+    sets.append(_sphere_points(d, list(product([-1, 0, 1, F(1, 3)], repeat=d - 1))))
+    return sets
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_hull_against_fraction_beneath_beyond(dim):
+    merged = 0
+    for pts in _hull_point_sets(dim):
+        if _rank_fraction([[x - y for x, y in zip(p, pts[0])] for p in pts]) < dim:
+            continue
+        got = convex_hull(pts)
+        assert got == _hull_fraction(pts), pts
+        merged += len(got.simplices) > len(got.facets)
+    assert merged or dim == 2  # coplanar simplices shared a facet at least once
+
+
+def _lp_cases():
+    rng = np.random.default_rng(1967)
+    cases = []
+    for _ in range(150):
+        n, m = int(rng.integers(1, 4)), int(rng.integers(1, 8))
+        den = int(rng.choice([1, 3, 997]))
+        A = [[F(int(v), int(rng.choice([1, den]))) for v in row]
+             for row in rng.integers(-3, 4, (m, n))]
+        b = [F(int(v), int(rng.choice([1, den]))) for v in rng.integers(-3, 5, m)]
+        c = [F(int(v), int(rng.choice([1, den]))) for v in rng.integers(-2, 3, n)]
+        cases.append((c, A, b))
+    # degenerate vertices: many rows, some scaled copies, through one point
+    for _ in range(40):
+        n = int(rng.integers(2, 4))
+        v = [F(int(x), 5) for x in rng.integers(-3, 4, n)]
+        A = [[F(int(x)) for x in row] for row in rng.integers(-2, 3, (2 * n + 3, n))]
+        A += [[997 * x for x in A[0]], [x / 997 for x in A[1]]]
+        b = [sum((x * y for x, y in zip(row, v)), F(0)) for row in A]
+        cases.append(([F(int(x)) for x in rng.integers(-1, 2, n)], A, b))
+    # entries in {-1, 0, 1} inside a box: many ratio ties and non-unique optima,
+    # where the vertex returned depends on Bland's tie-break
+    for _ in range(300):
+        n = int(rng.integers(2, 4))
+        m = int(rng.integers(n + 1, 3 * n + 3))
+        A = [[F(int(x)) for x in row] for row in rng.integers(-1, 2, (m, n))]
+        A += [[F(s * int(j == i)) for j in range(n)] for s in (1, -1) for i in range(n)]
+        b = [F(int(x)) for x in rng.integers(-1, 2, m)] + [F(2)] * (2 * n)
+        cases.append(([F(int(x)) for x in rng.integers(-1, 2, n)], A, b))
+    # equality pairs with a negative right-hand side, some duplicated (redundant rows)
+    for _ in range(40):
+        n = int(rng.integers(1, 4))
+        rows = [[F(int(x), int(rng.choice([1, 997]))) for x in row]
+                for row in rng.integers(-2, 3, (n + 1, n))]
+        vals = [F(-int(x) - 1, 3) for x in rng.integers(0, 4, n + 1)]
+        A, b = [], []
+        for row, val in list(zip(rows, vals)) + [(rows[0], vals[0])]:
+            A += [row, [-x for x in row]]
+            b += [val, -val]
+        A += [[F(int(j == i)) for j in range(n)] for i in range(n)]
+        b += [F(9)] * n
+        cases.append(([F(int(x)) for x in rng.integers(-2, 3, n)], A, b))
+    return cases
+
+
+def test_lp_against_fraction_simplex():
+    kinds = Counter()
+    for c, A, b in _lp_cases():
+        try:
+            ref = _lp_fraction(c, A, b)
+        except (Infeasible, Unbounded) as exc:
+            with pytest.raises(type(exc)):
+                lp_solve(c, A, b)
+            kinds[type(exc).__name__] += 1
+            continue
+        assert lp_solve(c, A, b) == ref, (c, A, b)
+        kinds["optimal"] += 1
+    assert len(kinds) == 3, kinds

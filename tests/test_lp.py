@@ -79,3 +79,13 @@ def test_against_scipy(seed):
     )
     assert ref.success
     assert abs(float(mine.value) + ref.fun) < 1e-7
+
+
+def test_no_rows():
+    # with no constraint every x is feasible: unbounded unless c = 0
+    with pytest.raises(Unbounded):
+        lp_solve([1], [], [])
+    with pytest.raises(Unbounded):
+        lp_solve([0, Fraction(-1, 3)], [], [])
+    res = lp_solve([0, 0], [], [])
+    assert res.x == (0, 0) and res.value == 0
