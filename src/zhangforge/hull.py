@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Vec, affine_basis, common_denominator, primitive_int, rank
+from .linalg import Vec, affine_basis, det_int, integer_points, primitive_int, rank
 
 
 @dataclass
@@ -31,22 +31,15 @@ class HullResult:
 
     facets: unique supporting hyperplanes (a, b), a primitive integer, <a,x> <= b.
     simplices: boundary triangulation; tuples of point indices, each simplex
-        carried by exactly one facet hyperplane (parallel list ``simplex_planes``).
+        carried by exactly one facet hyperplane.
     vertex_indices: indices of the extreme points, ascending.
     interior: a strictly interior point.
     """
 
     facets: list[tuple[Vec, Fraction]]
     simplices: list[tuple[int, ...]]
-    simplex_planes: list[tuple[Vec, Fraction]]
     vertex_indices: list[int]
     interior: Vec
-
-
-def _integer_points(points: list[Vec]) -> tuple[list[tuple[int, ...]], int]:
-    """The points as integer numerators over one positive common denominator L."""
-    den = common_denominator(x for p in points for x in p)
-    return [tuple(x.numerator * (den // x.denominator) for x in p) for p in points], den
 
 
 def _unique_sorted(ipts: list[tuple[int, ...]]) -> list[int]:
@@ -58,22 +51,10 @@ def _unique_sorted(ipts: list[tuple[int, ...]]) -> list[int]:
     return uniq
 
 
-def _det_int(m: list[list[int]]) -> int:
-    if len(m) == 1:
-        return m[0][0]
-    if len(m) == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    return sum(
-        (-1) ** k * m[0][k] * _det_int([row[:k] + row[k + 1:] for row in m[1:]])
-        for k in range(len(m))
-        if m[0][k]
-    )
-
-
 def _normal(edges: list[list[int]]) -> list[int]:
     """Generalised cross product: the cofactor vector orthogonal to d - 1 edges."""
     return [
-        (-1) ** k * _det_int([e[:k] + e[k + 1:] for e in edges]) for k in range(len(edges) + 1)
+        (-1) ** k * det_int([e[:k] + e[k + 1:] for e in edges]) for k in range(len(edges) + 1)
     ]
 
 
@@ -82,14 +63,13 @@ def _hull_1d(points: list[Vec]) -> HullResult:
     lo = min(vals)
     hi = max(vals)
     one = Fraction(1)
-    facets = [((Fraction(-1),), -lo[0]), ((one,), hi[0])]
+    facets = [((Fraction(-1),), -Fraction(lo[0])), ((one,), Fraction(hi[0]))]
     if lo[0] == hi[0]:
         raise ValueError("1-d hull of a single point is not full-dimensional")
-    mid = ((lo[0] + hi[0]) / 2,)
+    mid = (Fraction(lo[0] + hi[0], 2),)
     return HullResult(
         facets=facets,
         simplices=[(lo[1],), (hi[1],)],
-        simplex_planes=[facets[0], facets[1]],
         vertex_indices=sorted({lo[1], hi[1]}),
         interior=mid,
     )
@@ -100,7 +80,7 @@ def _cross2(o: tuple[int, ...], a: tuple[int, ...], b: tuple[int, ...]) -> int:
 
 
 def _hull_2d(points: list[Vec]) -> HullResult:
-    ipts, den = _integer_points(points)
+    ipts, den = integer_points(points)
     uniq = _unique_sorted(ipts)
 
     def chain(idx: list[int]) -> list[int]:
@@ -126,11 +106,11 @@ def _hull_2d(points: list[Vec]) -> HullResult:
         a0, a1 = primitive_int((yj - yi, xi - xj))  # outward for ccw ring
         facets.append(((Fraction(a0), Fraction(a1)), Fraction(a0 * xi + a1 * yi, den)))
         simplices.append((i, j))
-    return HullResult(facets, simplices, list(facets), sorted(ring), interior)
+    return HullResult(facets, simplices, sorted(ring), interior)
 
 
 def _hull_nd(points: list[Vec], d: int) -> HullResult:
-    ipts, den = _integer_points(points)
+    ipts, den = integer_points(points)
     uniq = _unique_sorted(ipts)
 
     # initial affinely independent d+1 points
@@ -198,26 +178,23 @@ def _hull_nd(points: list[Vec], d: int) -> HullResult:
             add_facet(tuple(sorted(ridge | {i})))
 
     # integer planes (a, L b) sort like the rational planes (a, b) since L > 0
-    plane_of: dict[tuple[tuple[int, ...], int], tuple[Vec, Fraction]] = {}
+    planes: set[tuple[tuple[int, ...], int]] = set()
     simplices: list[tuple[int, ...]] = []
-    planes: list[tuple[Vec, Fraction]] = []
     incident: dict[int, set[tuple[int, ...]]] = {}
     for verts, a, b in facets.values():
-        plane = plane_of.get((a, b))
-        if plane is None:
-            plane = plane_of[(a, b)] = (tuple(Fraction(x) for x in a), Fraction(b, den))
+        planes.add((a, b))
         simplices.append(verts)
-        planes.append(plane)
         for v in verts:
             incident.setdefault(v, set()).add(a)
     vertex_indices = sorted(v for v, normals in incident.items() if rank(list(normals)) == d)
     interior = tuple(Fraction(s, (d + 1) * den) for s in inner)
-    return HullResult([plane_of[k] for k in sorted(plane_of)], simplices, planes,
-                      vertex_indices, interior)
+    facet_list = [(tuple(Fraction(x) for x in a), Fraction(b, den)) for a, b in sorted(planes)]
+    return HullResult(facet_list, simplices, vertex_indices, interior)
 
 
 def convex_hull(points: list[Vec]) -> HullResult:
-    """Hull of a full-dimensional rational point set (ambient dim = len(points[0]))."""
+    """Hull of a full-dimensional rational point set (Fractions or ints; ambient
+    dim = len(points[0]))."""
     if not points:
         raise ValueError("no points")
     d = len(points[0])

@@ -210,11 +210,6 @@ def _profile_sum(profile: dict[int, int], p: int) -> Fraction:
     return Fraction(p * sum(k ** (p - 1) * v for k, v in profile.items() if k or p == 1))
 
 
-def solve_m0(P: Polytope, p, profiles: SectionProfiles | None = None) -> float:
-    m, _exact = _solve_m0(P, p, profiles)
-    return m
-
-
 def _solve_m0(P: Polytope, p, profiles: SectionProfiles | None = None):
     """Root of h_p(m) * G_{n-1}(proj) = sum_k p k^{p-1} f~(k), as (float, exact|None).
 

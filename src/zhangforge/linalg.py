@@ -29,21 +29,8 @@ def dot(a, b) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
-def vadd(a, b) -> Vec:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vsub(a, b) -> Vec:
     return tuple(x - y for x, y in zip(a, b))
-
-
-def vscale(a, s) -> Vec:
-    s = frac(s)
-    return tuple(x * s for x in a)
-
-
-def mat_vec(rows, x) -> Vec:
-    return tuple(dot(r, x) for r in rows)
 
 
 def common_denominator(xs) -> int:
@@ -54,6 +41,12 @@ def common_denominator(xs) -> int:
         if q != 1:
             den = den * q // gcd(den, q)
     return den
+
+
+def integer_points(points) -> tuple[list[tuple[int, ...]], int]:
+    """The points as integer numerators over one positive common denominator L."""
+    den = common_denominator(x for p in points for x in p)
+    return [tuple(x.numerator * (den // x.denominator) for x in p) for p in points], den
 
 
 def integer_row(xs) -> tuple[list[int], int]:
@@ -162,6 +155,23 @@ def nullspace(rows, n: int) -> list[Vec]:
     return basis
 
 
+def det_int(m: list[list[int]]) -> int:
+    """Determinant of a small square integer matrix (cofactor expansion)."""
+    n = len(m)
+    if n == 1:
+        return m[0][0]
+    if n == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = m
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return sum(
+        (-1) ** k * m[0][k] * det_int([row[:k] + row[k + 1:] for row in m[1:]])
+        for k in range(n)
+        if m[0][k]
+    )
+
+
 def det(rows) -> Fraction:
     """Determinant: Bareiss elimination of the rows scaled to integers (exact)."""
     n = len(rows)
@@ -219,8 +229,7 @@ def affine_basis(points: list[Vec]) -> list[int]:
     """
     if not points:
         return []
-    den = common_denominator(x for p in points for x in p)
-    ints = [[x.numerator * (den // x.denominator) for x in p] for p in points]
+    ints, _den = integer_points(points)
     origin = ints[0]
     idx = [0]
     rows: list[tuple[int, tuple[int, ...]]] = []  # (pivot column, row)

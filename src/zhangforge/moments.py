@@ -122,10 +122,11 @@ def ray_breakpoints(P: Polytope, theta: Direction, R: Fraction) -> list[Fraction
     """Sorted kink superset for r -> vol(K cap (r theta + K)), clipped to (0, R].
 
     Contains all vertex height differences and all vertex-facet contact
-    parameters (a vertex of one copy meeting a facet plane of the other).
-    The latter make the set complete in the plane; in higher dimension
-    edge-edge contacts may remain inside panels, which the adaptive panel
-    rule absorbs into the reported error bound.
+    parameters (a vertex of one copy meeting a facet of the other).  These
+    make the set complete in the plane; for n = 3 the edge-edge contacts are
+    added too.  For n >= 4 contacts between faces of positive dimension (an
+    edge with a 2-face in n = 4) are not enumerated: a panel they split fails
+    its certificate in ``RayMomentEngine`` and is bisected.
     """
     nsq = theta.norm_sq
     vals = {R}
@@ -148,7 +149,7 @@ def ray_breakpoints(P: Polytope, theta: Direction, R: Fraction) -> list[Fraction
                     pt2 = tuple(v[i] + t * theta.raw[i] for i in range(P.dim))
                     if P.contains(pt) or P.contains(pt2):
                         vals.add(t)
-    if P.dim >= 3:
+    if P.dim == 3:
         vals |= _edge_edge_events(P, theta, R)
     return sorted(vals)
 
@@ -248,12 +249,14 @@ class RayMomentEngine:
     """Shared per-(body, direction) covariogram moments along a ray.
 
     On each panel between breakpoints, r -> vol(K cap (r theta + K)) is read
-    off one ``parametric_volume`` call: one hull at the panel midpoint, then a
-    polynomial of degree <= n along the vertex paths, certified exactly on
-    the whole panel.  An uncertified panel (a type change the breakpoint
-    superset missed, possible only for n >= 3) is bisected; at the depth cap its
-    mismatch against one covariogram at a check node goes into the error
-    bound.  The panel polynomials are shared by every exponent;
+    off one ``parametric_volume`` call over K's rows twice (the second copy
+    shifted by r <a, theta>): one dual hull at the panel midpoint, whose
+    incidences give each vertex its path, then a polynomial of degree <= n
+    along the paths, certified by an integer slack test on the whole panel.
+    An uncertified panel (a type change the breakpoint superset missed,
+    possible only for n >= 3, and for n >= 4 at every edge-2-face contact) is
+    bisected; at the depth cap its mismatch against one covariogram at a
+    check node goes into the error bound.  The panel polynomials are shared by every exponent;
     integer-exponent moments on certified panels are exact rationals in every
     dimension when |theta.raw| is rational.  Checkers read the exact
     ``ray_moment``; the engine is the independent third route of

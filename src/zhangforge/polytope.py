@@ -6,8 +6,16 @@ deduplicated, sorted).  Lower-dimensional sets are legal values (projections,
 slices, touching intersections): their halfspace list contains the affine-hull
 equalities as opposite halfspace pairs and their full-dimensional volume is 0.
 
-All construction funnels through the exact hull engine; redundant halfspaces
-are eliminated by the polar round trip rather than per-constraint LPs.
+Each full-dimensional construction is one run of the exact hull engine.
+``from_points`` hulls the points.  ``from_halfspaces`` hulls the polar dual
+of integer rows about an interior point: the dual hull's facets are the
+vertices, its extreme points the irredundant rows, and the dual points on
+each facet plane the rows tight at that vertex.  Those incidences give the
+boundary triangulation (pulling, no arithmetic) and ``parametric_volume``
+its vertex paths.  A halfspace set with empty interior is the exception: its
+implicit equalities are found by one LP per row, and its vertices re-hulled
+in the affine hull.  Volumes of boundary triangulations, from either
+construction and in ``parametric_volume``, are sums of integer determinants.
 """
 
 from __future__ import annotations
@@ -16,16 +24,21 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 from operator import mul
 
 from .errors import DegenerateBody, DimensionMismatch, Unbounded
 from .hull import convex_hull
 from .linalg import (
     Vec,
+    _bareiss,
     affine_basis,
-    det,
+    common_denominator,
+    det_int,
     dot,
     frac,
+    integer_points,
+    integer_row,
     mat_inv,
     nullspace,
     primitive,
@@ -162,6 +175,7 @@ class Polytope:
         "_fattenings",
         "_projection",
         "_int_rows",
+        "_incidence",
     )
 
     def __init__(self, dim, affine_dim, vertices, halfspaces, interior, tri):
@@ -176,6 +190,7 @@ class Polytope:
         self._fattenings = None
         self._projection: Polytope | None = None
         self._int_rows = None
+        self._incidence = None  # per vertex, the input rows of from_halfspaces tight there
 
     # -- construction ------------------------------------------------------
 
@@ -197,7 +212,7 @@ class Polytope:
         if r == dim:
             hull = convex_hull(uniq)
             verts = tuple(uniq[i] for i in hull.vertex_indices)
-            tri = (tuple(uniq), tuple(zip(hull.simplices, hull.simplex_planes)))
+            tri = (tuple(uniq), tuple(hull.simplices))
             return Polytope(dim, dim, verts, tuple(sorted(hull.facets)), hull.interior, tri)
         return Polytope._degenerate_from_points(uniq, dim, basis, r)
 
@@ -246,47 +261,92 @@ class Polytope:
 
     @staticmethod
     def from_halfspaces(halfspaces, dim: int, interior=None) -> "Polytope | None":
-        """Polytope from <a,x> <= b rows; None when infeasible; Unbounded if unbounded."""
-        canon: dict[Vec, Fraction] = {}
-        for a, b in halfspaces:
-            a = vec(a)
+        """Polytope from <a,x> <= b rows; None when infeasible; Unbounded if unbounded.
+
+        One hull, over integers.  Each row is made an integer row (a, num, den)
+        with a primitive, and rows with one normal keep the least offset.  With
+        x0 = z/D strictly inside, row i is <a_i, x - x0> <= s_i/(den_i D), so
+        the dual points a_i den_i / s_i, scaled by the lcm of their
+        denominators, are integer.  A dual facet (u, c) is the vertex
+        x0 + (lcm/D) u/c, and the dual points on its plane are the rows tight
+        there; the dual hull's extreme points are the facets.  The boundary
+        triangulation is the pulling triangulation of those incidences.
+        """
+        canon: dict[tuple[int, ...], list] = {}  # normal -> [num, den, input rows]
+        for i, (a, b) in enumerate(halfspaces):
+            ints, la = integer_row(vec(a))
             b = frac(b)
-            if all(x == 0 for x in a):
+            g = gcd(*ints)
+            if g == 0:
                 if b < 0:
                     return None
                 continue
-            a, b = _scale_pair(a, b)
-            if a in canon:
-                canon[a] = min(canon[a], b)
-            else:
-                canon[a] = b
-        rows = sorted(canon.items())
-        A = [list(a) for a, _ in rows]
-        bb = [b for _, b in rows]
+            key = tuple(x // g for x in ints)
+            num, den = b.numerator * la, b.denominator * g  # <key, x> <= num/den
+            row = canon.get(key)
+            if row is None or num * row[1] < row[0] * den:
+                canon[key] = [num, den, [i]]
+            elif num * row[1] == row[0] * den:
+                row[2].append(i)
+        keys = sorted(canon)
+        rows = []
+        for key in keys:
+            num, den, _ = canon[key]
+            g = gcd(num, den)
+            rows.append((key, num // g, den // g))
         if interior is not None:
-            x0 = vec(interior)
-            if not all(dot(a, x0) < b for (a, b) in rows):
+            z, D = integer_row(vec(interior))
+            if not all(den * sum(map(mul, a, z)) < num * D for a, num, den in rows):
                 interior = None
         if interior is None:
-            t, x0 = max_slack_point(A, bb)
+            t, x0 = max_slack_point([list(a) for a, _, _ in rows],
+                                    [Fraction(num, den) for _, num, den in rows])
             if t < 0:
                 return None
             if t == 0:
-                return Polytope._degenerate_from_halfspaces(rows, dim, x0)
+                frows = [(tuple(map(Fraction, a)), Fraction(num, den)) for a, num, den in rows]
+                return Polytope._degenerate_from_halfspaces(frows, dim, x0)
+            z, D = integer_row(x0)
         duals = []
-        for a, b in rows:
-            sigma = b - dot(a, x0)
-            duals.append(tuple(x / sigma for x in a))
+        lam = 1
+        for a, num, den in rows:
+            s = num * D - den * sum(map(mul, a, z))  # > 0
+            g = gcd(den, s)
+            duals.append((a, den // g, s // g))
+            lam = lcm(lam, s // g)
+        Y = [tuple(x * q * (lam // r) for x in a) for a, q, r in duals]
         try:
-            dual_hull = convex_hull(duals)
+            dual_hull = convex_hull(Y)
         except ValueError as exc:
             raise Unbounded("halfspace intersection is unbounded") from exc
         verts = []
+        tight = []
         for u, c in dual_hull.facets:
             if c <= 0:
                 raise Unbounded("halfspace intersection is unbounded")
-            verts.append(tuple(x0[i] + u[i] / c for i in range(dim)))
-        return Polytope.from_points(verts, dim)
+            U, C = [int(x) for x in u], int(c)
+            verts.append(tuple(Fraction(zk * C + lam * uk, D * C) for zk, uk in zip(z, U)))
+            tight.append([j for j, y in enumerate(Y) if sum(map(mul, U, y)) == C])
+        order = sorted(range(len(verts)), key=verts.__getitem__)
+        verts = tuple(verts[k] for k in order)
+        facet_rows = dual_hull.vertex_indices
+        masks = dict.fromkeys(facet_rows, 0)  # facet row -> bitmask of its vertices
+        incidence = []
+        for pos, k in enumerate(order):
+            for j in tight[k]:
+                if j in masks:
+                    masks[j] |= 1 << pos
+            incidence.append(tuple(i for j in tight[k] for i in canon[keys[j]][2]))
+        P = Polytope(
+            dim, dim, verts,
+            tuple((tuple(map(Fraction, rows[j][0])), Fraction(rows[j][1], rows[j][2]))
+                  for j in facet_rows),
+            _hull_interior(verts),
+            (verts, _pulling_triangulation(list(masks.values()), dim)),
+        )
+        P._int_rows = tuple(rows[j] for j in facet_rows)
+        P._incidence = tuple(incidence)
+        return P
 
     @staticmethod
     def _degenerate_from_halfspaces(rows, dim, x0) -> "Polytope | None":
@@ -356,16 +416,9 @@ class Polytope:
         if self._volume is None:
             if not self.is_full_dimensional:
                 self._volume = _ZERO
-            elif self._tri is None:
-                self._volume = Polytope.from_points(self.vertices, self.dim).volume_fraction()
             else:
                 pts, simplices = self._tri
-                c = self._interior
-                total = _ZERO
-                for simplex, _plane in simplices:
-                    rows = [list(vsub(pts[i], c)) for i in simplex]
-                    total += abs(det(rows))
-                self._volume = total / math.factorial(self.dim)
+                self._volume = _rational_cone_volume(pts, simplices, self._interior)
         return self._volume
 
     def facet_weights(self):
@@ -392,29 +445,82 @@ class Polytope:
         tri = None
         if self._tri is not None:
             pts, simplices = self._tri
-            tri = (
-                tuple(shift(p) for p in pts),
-                tuple((s, (a, b + dot(a, t))) for s, (a, b) in simplices),
-            )
+            tri = (tuple(shift(p) for p in pts), simplices)
         out = Polytope(self.dim, self.affine_dim, verts, hs, shift(self._interior), tri)
         out._volume = self._volume
         return out
 
 
+def _hull_interior(verts) -> Vec:
+    """The interior point ``convex_hull`` gives the sorted vertices of a body:
+    the midpoint (n = 1), the vertex centroid (n = 2), or the centroid of the
+    first affinely independent n + 1 vertices."""
+    d = len(verts[0])
+    if d == 1:
+        return (Fraction(verts[0][0] + verts[-1][0], 2),)
+    chosen = verts if d == 2 else [verts[i] for i in affine_basis(verts)]
+    return tuple(sum(v[k] for v in chosen) / len(chosen) for k in range(d))
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _pulling_triangulation(facets: list[int], dim: int) -> tuple[tuple[int, ...], ...]:
+    """Boundary triangulation from the facets' vertex sets (bitmasks over the
+    sorted vertices), with no arithmetic: the pulling triangulation (Lee,
+    Handbook of DCG).  A k-face with more than k + 1 vertices is coned from
+    its least vertex over its facets that miss it; the facets of a face F are
+    the maximal sets among F & G, G a facet of the body not containing F.
+    Each simplex lists its vertex indices in ascending order.
+    """
+    out = []
+
+    def pull(face: int, k: int, apex: tuple[int, ...]) -> None:
+        if face.bit_count() == k + 1:
+            out.append(apex + _bits(face))
+            return
+        low = face & -face
+        apex += (low.bit_length() - 1,)
+        subs = {face & g for g in facets} - {face}
+        for s in subs:
+            if not s & low and not any(s != t and s & t == s for t in subs):
+                pull(s, k - 1, apex)
+
+    for f in facets:
+        pull(f, dim - 1, ())
+    return tuple(out)
+
+
+def _cone_volume(points, simplices, center, den: int) -> Fraction:
+    """Volume of the cones from ``center`` over the boundary ``simplices``, for
+    integer ``points`` and ``center`` over the common denominator ``den``:
+    sum |det(p_i - center)| / (d! den^d)."""
+    total = 0
+    for s in simplices:
+        total += abs(det_int([[x - c for x, c in zip(points[i], center)] for i in s]))
+    d = len(center)
+    return Fraction(total, math.factorial(d) * den**d)
+
+
+def _rational_cone_volume(points, simplices, center) -> Fraction:
+    ipts, den = integer_points([*points, center])
+    return _cone_volume(ipts, simplices, ipts[-1], den)
+
+
 def _points_volume(points) -> Fraction:
     """Full-dimensional volume of the hull of a point set; 0 when the set is flat."""
-    d = len(points[0])
     uniq = sorted(set(points))
     try:
         hull = convex_hull(uniq)
     except ValueError:  # the hull engine rejects sets that are not full-dimensional
         return _ZERO
-    c = hull.interior
-    total = _ZERO
-    for simplex in hull.simplices:
-        rows = [list(vsub(uniq[i], c)) for i in simplex]
-        total += abs(det(rows))
-    return total / math.factorial(d)
+    return _rational_cone_volume(uniq, hull.simplices, hull.interior)
 
 
 def _facet_weight(a: Vec, fverts) -> Fraction:
@@ -563,13 +669,21 @@ def parametric_volume(rows, shifts, lo, hi, interior=None) -> tuple[list[Fractio
     coefficients of one polynomial, and whether it is certified on the panel.
 
     One hull at the midpoint m fixes the combinatorial type.  Each vertex v
-    moves on the line v + (t - m) d with A_act d = c_act over its active rows,
-    so the volume over the midpoint's boundary triangulation is a polynomial
-    of degree <= dim (Lasserre, JOTA 1983), interpolated at dim + 1 nodes.
-    It is certified when every active system is consistent and every vertex
-    path satisfies every row at lo and at hi: row slack is affine in t, so the
-    type then holds on the whole panel.  ``interior`` is an optional hint
+    moves on the line v + (t - m) d with A_act d = c_act over the rows tight
+    at v (read off the hull's incidences), so the volume over the midpoint's
+    boundary triangulation is a polynomial of degree <= dim (Lasserre, JOTA
+    1983), interpolated at dim + 1 nodes.  ``interior`` is an optional hint
     strictly inside Q(m).
+
+    Integer arithmetic throughout: rows are scaled to integers (A, B, C),
+    vertices are numerators over one denominator L, each path is one
+    fraction-free solve d = D/delta, and node volumes are integer
+    determinants over one denominator.  The panel is certified when every
+    active system is consistent and, for every vertex path and row, the slack
+    at m is at least the half-width times |rate|, rate = C - <A, d>: slack is
+    affine in t, so this is the test at lo and at hi, and the type then holds
+    on the whole panel.  Cleared of denominators (m = mu/2M, half-width
+    eta/2M) the test is delta (2ML B + L mu C - 2M <A, V>) >= L |eta| |delta C - <A, D>|.
     """
     lo, hi = frac(lo), frac(hi)
     m = (lo + hi) / 2
@@ -579,31 +693,52 @@ def parametric_volume(rows, shifts, lo, hi, interior=None) -> tuple[list[Fractio
     if Q is None or not Q.is_full_dimensional:
         raise DegenerateBody("parametric volume needs a full-dimensional body at the midpoint")
     pts, simplices = Q._tri
+    ints = [integer_row(a + (b, c))[0] for a, b, c in rows]  # (A, B, C), positively scaled
+    M = common_denominator((lo, hi))
+    lo2, hi2 = lo.numerator * (M // lo.denominator), hi.numerator * (M // hi.denominator)
+    mu, eta = lo2 + hi2, hi2 - lo2
+    V, L = integer_points(pts)
     certified = True
-    paths = []
-    for v in pts:
-        act = [(list(a), c) for a, b, c in rows if dot(a, v) == b + m * c]
-        A, rhs = [a for a, _c in act], [c for _a, c in act]
-        d = solve_linear(A, rhs)
-        if d is None:  # the vertex splits away from m: least-squares path, uncertified
+    paths = []  # (D, delta): d = D / delta, delta > 0
+    for act in Q._incidence:
+        mat = [ints[i][:dim] + [ints[i][-1]] for i in act]
+        pivots, delta, _ = _bareiss(mat)
+        if dim in pivots:  # the vertex splits away from m: least-squares path, uncertified
             certified = False
+            A = [rows[i][0] for i in act]
+            rhs = [rows[i][2] for i in act]
             d = solve_linear([[dot(ci, cj) for cj in zip(*A)] for ci in zip(*A)],
                              [dot(ci, rhs) for ci in zip(*A)])
-        paths.append((v, d))
-
-    def at(t):
-        return [tuple(v[i] + (t - m) * d[i] for i in range(dim)) for v, d in paths]
-
-    certified = certified and all(
-        dot(a, x) <= b + t * c for t in (lo, hi) for x in at(t) for a, b, c in rows
-    )
-    nodes = [lo + (hi - lo) * Fraction(j + 1, dim + 2) for j in range(dim + 1)]
+            D, delta = integer_row(d)
+        else:
+            D = [0] * dim
+            for r, c in enumerate(pivots):
+                D[c] = mat[r][-1]
+            if delta < 0:
+                D, delta = [-x for x in D], -delta
+        paths.append((D, delta))
+    if certified:
+        checks = [(r[:dim], 2 * M * L * r[dim] + L * mu * r[-1], r[-1]) for r in ints]
+        half = L * abs(eta)
+        certified = all(
+            delta * (s0 - 2 * M * sum(map(mul, A, v))) >= half * abs(delta * C - sum(map(mul, A, D)))
+            for v, (D, delta) in zip(V, paths)
+            for A, s0, C in checks
+        )
+    # x_k(t_j) = V_k / L + tau_j D_k / delta_k with tau_j = t_j - m = eta (2j - dim) / q,
+    # all over the one denominator E = L Delta q
+    q = 2 * M * (dim + 2)
+    Delta = lcm(*(delta for _D, delta in paths))
+    base = [[x * Delta * q for x in v] for v in V]
+    step = [[x * (L * Delta // delta) * eta for x in D] for D, delta in paths]
+    N, E = len(pts), L * Delta * q
     vals = []
-    for t in nodes:
-        xs = at(t)
-        cen = tuple(sum(x[i] for x in xs) / len(xs) for i in range(dim))
-        total = sum(abs(det([list(vsub(xs[i], cen)) for i in s])) for s, _plane in simplices)
-        vals.append(total / math.factorial(dim))
+    for j in range(dim + 1):
+        w = 2 * j - dim
+        X = [[b + w * s for b, s in zip(bv, sv)] for bv, sv in zip(base, step)]
+        cen = [sum(col) for col in zip(*X)]
+        vals.append(_cone_volume([[N * x for x in p] for p in X], simplices, cen, N * E))
+    nodes = [lo + (hi - lo) * Fraction(j + 1, dim + 2) for j in range(dim + 1)]
     return _lagrange_coeffs(nodes, vals), certified
 
 

@@ -21,7 +21,7 @@ from zhangforge import (
     vertical_section,
     volume,
 )
-from zhangforge.errors import Infeasible, Unbounded
+from zhangforge.errors import DegenerateBody, Infeasible, Unbounded
 from zhangforge.hull import HullResult, convex_hull
 from zhangforge.harness import BodySpec, make_body
 from zhangforge.inequalities import (
@@ -44,7 +44,7 @@ from zhangforge.linalg import (
     rref,
     solve_linear,
 )
-from zhangforge.lp import LPResult, lp_solve
+from zhangforge.lp import LPResult, lp_solve, max_slack_point
 from zhangforge.moments import (
     RayMomentEngine,
     covariogram_on_ray,
@@ -55,6 +55,7 @@ from zhangforge.moments import (
     ray_support,
     section_distribution,
 )
+from zhangforge.polytope import Polytope, _lagrange_coeffs, parametric_volume
 from zhangforge.steiner import steiner_symmetrize
 
 F = Fraction
@@ -513,7 +514,7 @@ def _hull_fraction(points):
             a = _primitive_fraction((points[j][1] - points[i][1], points[i][0] - points[j][0]))
             facets.append((a, dotf(a, points[i])))
         simplices = [(ring[k], ring[(k + 1) % len(ring)]) for k in range(len(ring))]
-        return HullResult(facets, simplices, list(facets), sorted(ring), interior)
+        return HullResult(facets, simplices, sorted(ring), interior)
 
     init, dirs = [uniq[0]], []
     for i in uniq[1:]:
@@ -563,9 +564,8 @@ def _hull_fraction(points):
             incident.setdefault(v, set()).add((a, b))
     vertex_indices = sorted(v for v, keys in incident.items()
                             if _rank_fraction([list(a) for a, _ in keys]) == d)
-    planes = [(a, b) for _, a, b in facets.values()]
-    return HullResult(sorted(set(planes)), [v for v, _, _ in facets.values()], planes,
-                      vertex_indices, interior)
+    planes = {(a, b) for _, a, b in facets.values()}
+    return HullResult(sorted(planes), [v for v, _, _ in facets.values()], vertex_indices, interior)
 
 
 def _lp_fraction(c, A, b):
@@ -752,3 +752,221 @@ def test_lp_against_fraction_simplex():
         assert lp_solve(c, A, b) == ref, (c, A, b)
         kinds["optimal"] += 1
     assert len(kinds) == 3, kinds
+
+
+# ---------------------------------------------------------------------------
+# the polytope layer: the two-hull from_halfspaces and the Fraction
+# parametric_volume, kept as oracles for the integer one-hull versions
+# ---------------------------------------------------------------------------
+
+def _from_halfspaces_two_hulls(halfspaces, dim, interior=None):
+    """Fraction rows, the polar dual hull for the vertices, then ``from_points``
+    re-hulls them for the facets and the triangulation."""
+    canon = {}
+    for a, b in halfspaces:
+        a, b = tuple(F(x) for x in a), F(b)
+        if not any(a):
+            if b < 0:
+                return None
+            continue
+        p = primitive(a)
+        j = next(i for i, x in enumerate(a) if x)
+        a, b = p, b * p[j] / a[j]
+        canon[a] = min(canon.get(a, b), b)
+    rows = sorted(canon.items())
+    if interior is not None:
+        x0 = tuple(F(x) for x in interior)
+        if not all(dot(a, x0) < b for a, b in rows):
+            interior = None
+    if interior is None:
+        t, x0 = max_slack_point([list(a) for a, _ in rows], [b for _, b in rows])
+        if t < 0:
+            return None
+        if t == 0:
+            return Polytope._degenerate_from_halfspaces(rows, dim, x0)
+    duals = [tuple(x / (b - dot(a, x0)) for x in a) for a, b in rows]
+    try:
+        dual_hull = convex_hull(duals)
+    except ValueError as exc:
+        raise Unbounded("halfspace intersection is unbounded") from exc
+    verts = []
+    for u, c in dual_hull.facets:
+        if c <= 0:
+            raise Unbounded("halfspace intersection is unbounded")
+        verts.append(tuple(x0[i] + u[i] / c for i in range(dim)))
+    return Polytope.from_points(verts, dim)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Unbounded:
+        return Unbounded
+
+
+def _halfspace_cases():
+    """(rows, dim, interior hint) in dims 1-4: plain, redundant, weakly redundant,
+    duplicate normals, hints valid/absent/invalid, empty, unbounded and flat."""
+    rng = np.random.default_rng(1983)
+    bodies = [make_polytope([(F(-1, 3),), (F(5, 2),)], 1)]
+    for dim in (2, 3, 4):
+        for seed in range(3 if dim < 4 else 2):
+            bodies.append(make_body(BodySpec(
+                "random_hull", dim, {"count": dim + 4, "radius": 2, "seed": seed})))
+    bodies.append(make_polytope([(1, 1, 0), (1, -1, 0), (-1, 1, 0), (-1, -1, 0), (0, 0, 1)], 3))
+    bodies.append(make_polytope([tuple(s * int(i == j) for j in range(3))
+                                 for i in range(3) for s in (1, -1)], 3))
+    cases = []
+    for P in bodies:
+        dim, rows = P.dim, list(P.halfspaces)
+        extra = []
+        for _ in range(4):
+            a = tuple(F(int(x)) for x in rng.integers(-3, 4, size=dim))
+            if any(a):
+                top = max(dot(a, v) for v in P.vertices)  # weakly redundant: tight at a face
+                extra.append((a, top))
+                extra.append((tuple(2 * x for x in a), 2 * top + F(1, 3)))
+        a, b = rows[0]
+        dup = [(tuple(3 * x for x in a), 3 * b), (a, b + 1), (a, b - F(1, 7))]
+        inside = P.interior_point
+        outside = tuple(x + 100 for x in inside)
+        for hint in (None, inside, P.vertices[0], outside):
+            cases.append((rows + extra + dup, dim, hint))
+        cases.append((extra + rows[::-1], dim, inside))
+        cases.append((rows + [(tuple(-x for x in a), -b - 1)], dim, None))  # empty
+        cases.append((rows + [(tuple(-x for x in a), -b)], dim, None))  # the facet only
+        cases.append((rows[1:] + [(tuple(-x for x in a), -b)], dim, inside))
+        cases.append(([r for r in rows if r[0][0] > 0], dim, None))  # unbounded
+        cases.append((rows + [((F(0),) * dim, F(-1))], dim, inside))  # 0 <= -1
+    cases.append(([], 2, None))
+    return cases
+
+
+def test_from_halfspaces_against_two_hulls():
+    full = flat = 0
+    seen = Counter()
+    for rows, dim, hint in _halfspace_cases():
+        got = _outcome(Polytope.from_halfspaces, rows, dim, hint)
+        want = _outcome(_from_halfspaces_two_hulls, rows, dim, hint)
+        if want is None or want is Unbounded:
+            assert got is want, (rows, hint)
+            seen[want] += 1
+            continue
+        assert got.vertices == want.vertices, (rows, hint)
+        assert got.halfspaces == want.halfspaces, (rows, hint)
+        assert got.affine_dim == want.affine_dim
+        assert got.interior_point == want.interior_point
+        assert got.volume_fraction() == want.volume_fraction()
+        if want.is_full_dimensional:
+            assert got.facet_weights() == want.facet_weights()
+            full += 1
+        else:
+            flat += 1
+    assert full >= 50 and flat >= 10 and seen[None] >= 10 and seen[Unbounded] >= 10
+
+
+def _parametric_volume_fraction(rows, shifts, lo, hi, interior=None):
+    """parametric_volume over Fractions: dot-scan active sets, Fraction paths,
+    the certificate at both panel ends and Fraction node determinants, on the
+    triangulation of the same midpoint body.  Returns (coeffs, certified,
+    whether some path fell back to least squares)."""
+    lo, hi = F(lo), F(hi)
+    m = (lo + hi) / 2
+    rows = [(tuple(F(x) for x in a), F(b), F(c)) for (a, b), c in zip(rows, shifts)]
+    dim = len(rows[0][0])
+    Q = Polytope.from_halfspaces([(a, b + m * c) for a, b, c in rows], dim, interior)
+    pts, simplices = Q._tri
+    certified, lsq, paths = True, False, []
+    for v in pts:
+        act = [(list(a), c) for a, b, c in rows if dot(a, v) == b + m * c]
+        A, rhs = [a for a, _c in act], [c for _a, c in act]
+        d = solve_linear(A, rhs)
+        if d is None:
+            certified, lsq = False, True
+            d = solve_linear([[dot(ci, cj) for cj in zip(*A)] for ci in zip(*A)],
+                             [dot(ci, rhs) for ci in zip(*A)])
+        paths.append((v, d))
+
+    def at(t):
+        return [tuple(v[i] + (t - m) * d[i] for i in range(dim)) for v, d in paths]
+
+    certified = certified and all(
+        dot(a, x) <= b + t * c for t in (lo, hi) for x in at(t) for a, b, c in rows
+    )
+    nodes = [lo + (hi - lo) * F(j + 1, dim + 2) for j in range(dim + 1)]
+    vals = []
+    for t in nodes:
+        xs = at(t)
+        cen = tuple(sum(x[i] for x in xs) / len(xs) for i in range(dim))
+        total = sum(abs(det([[x - c for x, c in zip(xs[i], cen)] for i in s])) for s in simplices)
+        vals.append(total / math.factorial(dim))
+    return _lagrange_coeffs(nodes, vals), certified, lsq
+
+
+def _parametric_cases():
+    """(rows, shifts, lo, hi, hint) families for the parametric oracle."""
+    rng = np.random.default_rng(1017)
+    cases = []
+    # seeded random panels, dims 1-3: random, homothetic and translating shifts
+    bodies = [make_polytope([(F(-1, 2),), (F(7, 4),)], 1)]
+    bodies += [make_body(BodySpec("random_hull", dim, {"count": 6, "radius": 2, "seed": s}))
+               for dim in (2, 3) for s in range(3)]
+    # more than dim rows tight at a vertex: square-pyramid apex, octahedron vertices
+    bodies.append(make_polytope([(1, 1, 0), (1, -1, 0), (-1, 1, 0), (-1, -1, 0), (0, 0, 1)], 3))
+    bodies.append(make_polytope([tuple(s * int(i == j) for j in range(3))
+                                 for i in range(3) for s in (1, -1)], 3))
+    for P in bodies:
+        P = P.translated(tuple(-x for x in P.interior_point))  # b > 0 on every row
+        rows = list(P.halfspaces)
+        w = tuple(F(int(x), 3) for x in rng.integers(-3, 4, size=P.dim))
+        families = [
+            [F(int(x), 4) for x in rng.integers(-2, 3, size=len(rows))],
+            [b for _a, b in rows],
+            [dot(a, w) for a, _b in rows],
+        ]
+        for shifts in families:
+            for lo, hi in ((F(0), F(1, 8)), (F(1, 16), F(1, 5))):
+                cases.append((rows, shifts, lo, hi, None))
+    # the ray engine: doubled rows, zero shifts on the first copy
+    from zhangforge.moments import _ray_overlap, ray_breakpoints
+
+    for dim, raw in ((2, (1, 2)), (3, (1, 2, 2)), (3, (0, 1, -1))):
+        P = make_body(BodySpec("random_hull", dim, {"count": 6, "radius": 2, "seed": 1}))
+        theta = Direction(raw)
+        support = ray_support(P, theta)
+        breaks = [F(0)] + ray_breakpoints(P, theta, support[0])
+        rows = list(P.halfspaces) * 2
+        shifts = [F(0)] * len(P.halfspaces) + [dot(a, theta.raw) for a, _b in P.halfspaces]
+        for lo, hi in zip(breaks, breaks[1:]):
+            hint = _ray_overlap(P, theta, (lo + hi) / 2, support)[1]
+            cases.append((rows, shifts, lo, hi, hint))
+    # panels whose type changes inside: merged across a symmetral break, and
+    # centred on it so that a vertex splits at the midpoint
+    for dim in (2, 3):
+        for seed in range(2):
+            P = make_body(BodySpec("random_hull", dim, {"count": 6, "radius": 2, "seed": seed}))
+            S = steiner_symmetrize(P)
+            heads = [(a, b) for a, b in S.halfspaces if any(a[:-1])]
+            rows = [(a[:-1], b) for a, b in heads]
+            shifts = [-a[-1] / 2 for a, _b in heads]
+            breaks = sorted({2 * v[-1] for v in S.vertices if v[-1] >= 0} | {F(0)})
+            for a, b, c in zip(breaks, breaks[1:], breaks[2:]):
+                cases.append((rows, shifts, a, c, None))
+                if 2 * b - a <= breaks[-1]:
+                    cases.append((rows, shifts, a, 2 * b - a, None))
+    return cases
+
+
+def test_parametric_volume_against_fraction_paths():
+    seen = Counter()
+    for rows, shifts, lo, hi, hint in _parametric_cases():
+        try:
+            got = parametric_volume(rows, shifts, lo, hi, interior=hint)
+        except DegenerateBody:
+            continue
+        coeffs, certified, lsq = _parametric_volume_fraction(rows, shifts, lo, hi, hint)
+        assert got == (coeffs, certified), (rows, shifts, lo, hi)
+        seen[certified, lsq] += 1
+    assert seen[True, False] >= 60
+    assert seen[False, True] >= 5  # a vertex split: the least-squares path ran
+    assert seen[False, False] >= 5  # consistent paths that leave the body

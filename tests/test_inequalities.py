@@ -20,7 +20,6 @@ from zhangforge.inequalities import (
     hypotheses_h,
     limit_sweep,
     section_profiles,
-    solve_m0,
     verify,
     _solve_m0,
 )
@@ -103,7 +102,6 @@ class TestM0AndCrossing:
         root, exact = _solve_m0(sym_square, 1)
         assert exact == 3
         assert abs(root - 3.0) <= 1e-12
-        assert solve_m0(sym_square, 1) == root
 
     def test_m0_exceeds_lattice_height(self, sym_square):
         pr = section_profiles(sym_square)

@@ -267,3 +267,38 @@ class TestBatchConsistency:
         got = discrete_moment_batch(big_square, dirs, 2, open_cube=False)
         ref = discrete_moment(big_square, Direction((1, 0)), 2).exact
         assert got[0] == pytest.approx(float(ref))
+
+
+def test_four_dimensional_breakpoints_have_no_edge_edge_events():
+    # the edge-edge contact system solves over three coordinates only, so for
+    # n = 4 its solutions are no contacts; every breakpoint is a vertex height
+    # difference or puts a vertex of one copy on a facet plane of the other
+    from zhangforge.harness import BodySpec, make_body
+    from zhangforge.linalg import dot
+    from zhangforge.moments import _edge_edge_events, ray_breakpoints
+
+    P = make_body(BodySpec("random_hull", 4, {"count": 9, "radius": 2, "seed": 0}))
+    theta = Direction((1, 2, -1, 3))
+    R, _ = ray_support(P, theta)
+    breaks = ray_breakpoints(P, theta, R)
+    assert _edge_edge_events(P, theta, R) - set(breaks)
+    nsq = theta.norm_sq
+    heights = {dot(theta.raw, v) / nsq for v in P.vertices}
+    for r in breaks[:-1]:
+        assert any(h + r in heights for h in heights) or any(
+            dot(a, v) + s * r * dot(a, theta.raw) == b
+            for a, b in P.halfspaces for v in P.vertices for s in (1, -1)
+        ), r
+    assert breaks[-1] == R
+
+
+@pytest.mark.parametrize("raw", [(1, 2, 2, 4), (2, -1, 2, 4), (0, 0, 0, 1)])
+def test_engine_on_the_four_simplex_matches_ray_moment(raw):
+    from zhangforge.moments import ray_moment
+
+    S = make_polytope([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], 4)
+    theta = Direction(raw)
+    engine = RayMomentEngine(S, theta)
+    for p in range(1, 5):
+        assert engine.moment(p).exact == ray_moment(S, theta, p).exact * theta.exact_norm() ** p
+    assert engine.certified

@@ -412,3 +412,51 @@ def test_parametric_volume_rejects_a_kink_left_of_the_midpoint():
                     assert not parametric_volume(rows, shifts, a, 2 * b - a)[1], (dim, seed, b)
                     merged += 1
     assert merged >= 3
+
+
+def _count_hulls(monkeypatch):
+    import zhangforge.polytope as poly
+
+    calls = []
+    real = poly.convex_hull
+
+    def counted(points):
+        calls.append(len(points))
+        return real(points)
+
+    monkeypatch.setattr(poly, "convex_hull", counted)
+    return calls
+
+
+def test_one_hull_per_full_dimensional_from_halfspaces(monkeypatch):
+    from zhangforge.harness import BodySpec, make_body
+
+    bodies = [make_polytope([(0,), (F(3, 2),)], 1)]
+    bodies += [make_body(BodySpec("random_hull", dim, {"count": dim + 4, "radius": 2, "seed": 7}))
+               for dim in (2, 3, 4)]
+    calls = _count_hulls(monkeypatch)
+    for P in bodies:
+        before = len(calls)
+        (a, b), *_ = P.halfspaces
+        Q = Polytope.from_halfspaces(list(P.halfspaces) + [(a, b + 1)], P.dim)
+        assert Q == P and len(calls) == before + 1
+
+
+def test_one_hull_per_ray_engine_panel(monkeypatch):
+    import zhangforge.moments as mom
+    from zhangforge.harness import BodySpec, make_body
+    from zhangforge.moments import RayMomentEngine
+
+    panels = []
+    real = mom.parametric_volume
+
+    def counted(*args, **kwargs):
+        panels.append(args[2:4])
+        return real(*args, **kwargs)
+
+    P = make_body(BodySpec("random_hull", 3, {"count": 6, "radius": 2, "seed": 0}))
+    calls = _count_hulls(monkeypatch)
+    monkeypatch.setattr(mom, "parametric_volume", counted)
+    engine = RayMomentEngine(P, Direction((1, 2, 2)))
+    engine.moment(1)
+    assert len(panels) >= 5 and len(calls) == len(panels)
