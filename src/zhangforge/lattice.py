@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from operator import mul
 
@@ -53,8 +54,9 @@ class LatticePointSet:
         return iter(self.points)
 
 
+@cache
 def closed_unit_cube(k: int, dim: int) -> Polytope:
-    """The closed cube [-1,1]^k x {0}^{dim-k}."""
+    """The closed cube [-1,1]^k x {0}^{dim-k}, built once per (k, dim)."""
     pts = []
     for signs in product((-1, 1), repeat=k):
         pts.append(tuple(Fraction(s) for s in signs) + tuple(Fraction(0) for _ in range(dim - k)))

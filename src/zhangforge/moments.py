@@ -8,9 +8,9 @@ Exactness policy: ray moments with integer exponents are exact rationals in
 every rational direction and every dimension (``ray_moment`` maps the
 direction to e_n by a rational linear map and reads the layer-cake below).
 The independent ray engine is exact too for integer exponents, in every
-dimension, when |theta.raw| is rational and every panel is certified.
-Fractional exponents, irrational norms and the float radial batches run in
-binary64 with abs_error populated.
+dimension, when |theta.raw| is rational: its panels are the exact maximal
+pieces of one sweep, with no bisection.  Fractional exponents, irrational
+norms and the float radial batches run in binary64 with abs_error populated.
 
 Section-length powers int ell^q, and with them the projection-power and
 symmetral-slab routes and the chord-mean radials, have one integrator in every
@@ -46,13 +46,14 @@ from .lattice import (
     lattice_points,
     ray_decomposition,
 )
-from .linalg import Vec, dot, frac, mat_inv, vsub
+from .linalg import Vec, dot, frac, mat_inv
 from .lp import lp_solve
 from .polytope import (
     Direction,
     MeasureValue,
     Polytope,
     axis_direction,
+    _panel_sweep,
     intersect,
     parametric_volume,
     project_drop_last,
@@ -64,7 +65,6 @@ from .steiner import steiner_symmetrize
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_REFINE_DEPTH = 6  # bisections of a ray-engine panel before its mismatch is an error
 
 
 # ---------------------------------------------------------------------------
@@ -97,15 +97,20 @@ def ray_support(P: Polytope, theta: Direction) -> tuple[Fraction, Vec]:
     return res.value, res.x[:n]
 
 
-def _ray_overlap(P: Polytope, theta: Direction, r: Fraction, support):
-    """Rows of K cap (r*raw + K) for 0 <= r < R, and a point strictly inside it
-    (between the interior point and the ray_support witness)."""
+def _overlap_rows(P: Polytope, theta: Direction):
+    """(rows, shifts) with K cap (r theta.raw + K) = {x : <a, x> <= b + r c}: K's
+    rows, then K's rows again shifted by r <a, theta.raw>."""
+    shifts = [_ZERO] * len(P.halfspaces) + [dot(a, theta.raw) for a, _b in P.halfspaces]
+    return list(P.halfspaces) * 2, shifts
+
+
+def _overlap_point(P: Polytope, r: Fraction, support) -> Vec:
+    """A point strictly inside K cap (r*raw + K) for 0 <= r < R, between the
+    interior point and the ray_support witness."""
     R, witness = support
-    t = tuple(r * x for x in theta.raw)
-    rows = list(P.halfspaces) + [(a, b + dot(a, t)) for a, b in P.halfspaces]
     lam = r / R
     c = P.interior_point
-    return rows, tuple((1 - lam) * c[i] + lam * witness[i] for i in range(P.dim))
+    return tuple((1 - lam) * c[i] + lam * witness[i] for i in range(P.dim))
 
 
 def covariogram_on_ray(P: Polytope, theta: Direction, r, *, support=None) -> Fraction:
@@ -114,90 +119,19 @@ def covariogram_on_ray(P: Polytope, theta: Direction, r, *, support=None) -> Fra
         support = ray_support(P, theta)
     if r >= support[0]:
         return _ZERO
-    rows, hint = _ray_overlap(P, theta, r, support)
-    return Polytope.from_halfspaces(rows, P.dim, interior=hint).volume_fraction()
+    rows, shifts = _overlap_rows(P, theta)
+    Q = Polytope.from_halfspaces([(a, b + r * c) for (a, b), c in zip(rows, shifts)], P.dim,
+                                 interior=_overlap_point(P, r, support))
+    return Q.volume_fraction()
 
 
 def ray_breakpoints(P: Polytope, theta: Direction, R: Fraction) -> list[Fraction]:
-    """Sorted kink superset for r -> vol(K cap (r theta + K)), clipped to (0, R].
-
-    Contains all vertex height differences and all vertex-facet contact
-    parameters (a vertex of one copy meeting a facet of the other).  These
-    make the set complete in the plane; for n = 3 the edge-edge contacts are
-    added too.  For n >= 4 contacts between faces of positive dimension (an
-    edge with a 2-face in n = 4) are not enumerated: a panel they split fails
-    its certificate in ``RayMomentEngine`` and is bisected.
-    """
-    nsq = theta.norm_sq
-    vals = {R}
-    for v in P.vertices:
-        for w in P.vertices:
-            t = dot(vsub(v, w), theta.raw) / nsq
-            if 0 < t < R:
-                vals.add(t)
-    for a, b in P.halfspaces:
-        s = dot(a, theta.raw)
-        if s == 0:
-            continue
-        for v in P.vertices:
-            gap = dot(a, v) - b
-            for t in (gap / s, -gap / s):
-                if 0 < t < R and t not in vals:
-                    # the contact parameter is a kink only if the contact
-                    # point lies in the facet, not merely its hyperplane
-                    pt = tuple(v[i] - t * theta.raw[i] for i in range(P.dim))
-                    pt2 = tuple(v[i] + t * theta.raw[i] for i in range(P.dim))
-                    if P.contains(pt) or P.contains(pt2):
-                        vals.add(t)
-    if P.dim == 3:
-        vals |= _edge_edge_events(P, theta, R)
-    return sorted(vals)
-
-
-def _edges(P: Polytope) -> list[tuple[Vec, Vec]]:
-    """Vertex pairs joined by an edge (sharing n-1 independent facets)."""
-    from .linalg import rank
-
-    out = []
-    verts = P.vertices
-    for i in range(len(verts)):
-        for j in range(i + 1, len(verts)):
-            common = [
-                a
-                for a, b in P.halfspaces
-                if dot(a, verts[i]) == b and dot(a, verts[j]) == b
-            ]
-            if len(common) >= P.dim - 1 and rank([list(a) for a in common]) >= P.dim - 1:
-                out.append((verts[i], verts[j]))
-    return out
-
-
-def _edge_edge_events(P: Polytope, theta: Direction, R: Fraction) -> set:
-    """Ray parameters where an edge of K meets an edge of K + r theta (n = 3)."""
-    from .linalg import det, solve_linear
-
-    edges = _edges(P)
-    vals: set = set()
-    for i in range(len(edges)):
-        p1, q1 = edges[i]
-        d1 = vsub(q1, p1)
-        for j in range(i + 1, len(edges)):
-            p2, q2 = edges[j]
-            d2 = vsub(q2, p2)
-            rows = [
-                [d1[k], -d2[k], -theta.raw[k]] for k in range(3)
-            ]
-            if det(rows) == 0:
-                continue
-            sol = solve_linear(rows, list(vsub(p2, p1)))
-            if sol is None:
-                continue
-            s, t, r = sol
-            if 0 <= s <= 1 and 0 <= t <= 1:
-                r = abs(r)
-                if 0 < r < R:
-                    vals.add(r)
-    return vals
+    """Sorted kinks of r -> vol(K cap (r theta + K)) in (0, R], R at most the
+    ``ray_support`` reach, and R itself: the right ends of the maximal pieces
+    on which the overlap keeps one combinatorial type (see ``RayMomentEngine``)."""
+    rows, shifts = _overlap_rows(P, theta)
+    pieces = _panel_sweep(lambda lo, hi: parametric_volume(rows, shifts, lo, hi), _ZERO, R)
+    return [b for _a, b, _c in pieces]
 
 
 @lru_cache(maxsize=32)
@@ -248,60 +182,34 @@ def _is_last_axis(theta: Direction) -> bool:
 class RayMomentEngine:
     """Shared per-(body, direction) covariogram moments along a ray.
 
-    On each panel between breakpoints, r -> vol(K cap (r theta + K)) is read
-    off one ``parametric_volume`` call over K's rows twice (the second copy
-    shifted by r <a, theta>): one dual hull at the panel midpoint, whose
-    incidences give each vertex its path, then a polynomial of degree <= n
-    along the paths, certified by an integer slack test on the whole panel.
-    An uncertified panel (a type change the breakpoint superset missed,
-    possible only for n >= 3, and for n >= 4 at every edge-2-face contact) is
-    bisected; at the depth cap its mismatch against one covariogram at a
-    check node goes into the error bound.  The panel polynomials are shared by every exponent;
-    integer-exponent moments on certified panels are exact rationals in every
-    dimension when |theta.raw| is rational.  Checkers read the exact
-    ``ray_moment``; the engine is the independent third route of
-    ``identity_triple_continuous``.
+    r -> vol(K cap (r theta + K)) is read off one sweep of [0, R] by
+    ``polytope.parametric_volume`` over K's rows twice (the second copy
+    shifted by r <a, theta>): each call hulls the overlap once at a gap
+    midpoint and returns the polynomial of degree <= n on the largest interval
+    where the overlap keeps that type, its ends exact rationals, and the
+    gaps left on either side are swept the same way.  Every panel is exact, in
+    every dimension, so ``certified`` is always True.  The panel polynomials
+    are shared by every exponent; integer-exponent moments are exact rationals
+    when |theta.raw| is rational.  Checkers read the exact ``ray_moment``;
+    the engine is the independent third route of ``identity_triple_continuous``.
     """
 
     def __init__(self, P: Polytope, theta: Direction):
         self.P = P
         self.theta = theta
         self.support = ray_support(P, theta)
-        R, _ = self.support
-        self._breaks = ray_breakpoints(P, theta, R) if R > 0 else []
-        self._panels: list | None = None  # (a, b, coeffs, mismatch_float)
+        self._panels: list | None = None  # (a, b, coeffs), built by the first moment
         self.certified = True
 
     def _build(self) -> list:
         P, theta = self.P, self.theta
-        n = P.dim
-        rows = list(P.halfspaces) * 2
-        shifts = [_ZERO] * len(P.halfspaces) + [dot(a, theta.raw) for a, _b in P.halfspaces]
-        panels = []
-        stack = []
-        prev = _ZERO
-        for b in self._breaks:
-            if b > prev:
-                stack.append((prev, b, _REFINE_DEPTH))
-            prev = b
-        while stack:
-            a, b, depth = stack.pop()
-            mid = (a + b) / 2
-            _rows, hint = _ray_overlap(P, theta, mid, self.support)
-            coeffs, certified = parametric_volume(rows, shifts, a, b, interior=hint)
-            if certified:
-                panels.append((a, b, coeffs, 0.0))
-            elif depth > 0:
-                stack.append((a, mid, depth - 1))
-                stack.append((mid, b, depth - 1))
-            else:
-                self.certified = False
-                check = a + (b - a) * Fraction(n + 2, n + 3)
-                predicted = sum((c * check**k for k, c in enumerate(coeffs)), _ZERO)
-                actual = covariogram_on_ray(P, theta, check, support=self.support)
-                panels.append((a, b, coeffs, abs(float(predicted - actual)) * float(b - a)))
-        panels.sort(key=lambda t: t[0])
-        return panels
+        rows, shifts = _overlap_rows(P, theta)
+
+        def piece(lo, hi):
+            hint = _overlap_point(P, (lo + hi) / 2, self.support)
+            return parametric_volume(rows, shifts, lo, hi, interior=hint)
+
+        return _panel_sweep(piece, _ZERO, self.support[0])
 
     def moment(self, p) -> MeasureValue:
         pf = float(p)
@@ -311,29 +219,14 @@ class RayMomentEngine:
             self._panels = self._build()
         if not self._panels:
             return MeasureValue.from_exact(0)
-        exact_p = pf == int(pf)
         nrm = self.theta.exact_norm()
-        if exact_p and nrm is not None:
+        if pf == int(pf) and nrm is not None:
             q = int(p)
-            total = _ZERO
-            err = 0.0
-            for a, b, coeffs, mismatch in self._panels:
-                total += q * _power_integral(coeffs, a, b, q - 1)
-                err += mismatch
-            total *= nrm**q
-            if err == 0.0 and self.certified:
-                return MeasureValue.from_exact(total)
-            fl = float(total)
-            return MeasureValue.approx(fl, err * float(nrm) ** q + 4e-16 * abs(fl))
-        total_f = 0.0
-        err = 0.0
-        for a, b, coeffs, mismatch in self._panels:
-            total_f += pf * float(_power_integral(coeffs, a, b, pf - 1.0))
-            err += mismatch
-        scale = math.sqrt(float(self.theta.norm_sq)) ** pf
-        total_f *= scale
-        err = err * scale + 1e-12 * abs(total_f)
-        return MeasureValue.approx(total_f, err)
+            total = sum((q * _power_integral(c, a, b, q - 1) for a, b, c in self._panels), _ZERO)
+            return MeasureValue.from_exact(total * nrm**q)
+        total_f = sum(pf * float(_power_integral(c, a, b, pf - 1.0)) for a, b, c in self._panels)
+        total_f *= math.sqrt(float(self.theta.norm_sq)) ** pf
+        return MeasureValue.approx(total_f, 1e-12 * abs(total_f))
 
 
 def ray_moment_quadrature(P: Polytope, theta: Direction, p) -> MeasureValue:
@@ -463,21 +356,16 @@ def section_distribution(P: Polytope, symmetral: Polytope | None = None) -> Sect
 
     The slice of the Steiner symmetral S at height t is {y in P(K) : ell(y) >= 2t}
     (Gardner-Zhang), so vol{ell >= u} is the volume of {y : <a', y> <= b - a_n u/2}
-    over S's rows (a', a_n): one ``parametric_volume`` per panel between twice
-    the symmetral's vertex heights, where the slice keeps its type.
+    over S's rows (a', a_n): one sweep of [0, 2 max height] by
+    ``parametric_volume``, one piece per maximal interval of one slice type.
     """
     S = symmetral if symmetral is not None else steiner_symmetrize(P)
-    breaks = sorted({2 * v[-1] for v in S.vertices if v[-1] >= 0} | {_ZERO})
+    reach = 2 * max(v[-1] for v in S.vertices)
     heads = [(a, b) for a, b in S.halfspaces if any(a[:-1])]
     rows = [(a[:-1], b) for a, b in heads]
     shifts = [-a[-1] / 2 for a, _b in heads]
-    pieces = []
-    for prev, brk in zip(breaks, breaks[1:]):
-        coeffs, certified = parametric_volume(rows, shifts, prev, brk)
-        if not certified:
-            raise ArithmeticError("a symmetral slice changes type inside a panel")
-        pieces.append((prev, brk, coeffs))
-    return SectionDistribution(pieces, project_drop_last(P).volume_fraction(), breaks[-1])
+    pieces = _panel_sweep(lambda lo, hi: parametric_volume(rows, shifts, lo, hi), _ZERO, reach)
+    return SectionDistribution(pieces, project_drop_last(P).volume_fraction(), reach)
 
 
 def section_power_integral(P: Polytope, q,

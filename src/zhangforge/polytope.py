@@ -15,7 +15,8 @@ boundary triangulation (pulling, no arithmetic) and ``parametric_volume``
 its vertex paths.  A halfspace set with empty interior is the exception: its
 implicit equalities are found by one LP per row, and its vertices re-hulled
 in the affine hull.  Volumes of boundary triangulations, from either
-construction and in ``parametric_volume``, are sums of integer determinants.
+construction and in ``parametric_volume``, are sums of integer determinants,
+and facet weights are sums of their simplices' integer cofactor normals.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .errors import DegenerateBody, DimensionMismatch, Unbounded
-from .hull import convex_hull
+from .hull import _normal, convex_hull
 from .linalg import (
     Vec,
     _bareiss,
@@ -422,16 +423,34 @@ class Polytope:
         return self._volume
 
     def facet_weights(self):
-        """Per-facet (normal a, offset b, vol_{n-1}(F)/||a||) with the weight exact."""
+        """Per-facet (normal a, offset b, vol_{n-1}(F)/||a||) with the weight exact.
+
+        Read off the boundary triangulation, over integers: with the points
+        over one denominator L, a boundary simplex's cofactor normal N has
+        length (n-1)! L^{n-1} vol_{n-1}, and N = g a for the outward primitive
+        normal a of its facet, so each facet weighs the sum of its simplices'
+        g over (n-1)! L^{n-1}.
+        """
         if self._fweights is None:
             if not self.is_full_dimensional:
                 raise DegenerateBody("facet weights need a full-dimensional polytope")
-            out = []
-            for a, b in self.halfspaces:
-                fverts = [v for v in self.vertices if dot(a, v) == b]
-                w = _ONE if self.dim == 1 else _facet_weight(a, fverts)
-                out.append((a, b, w))
-            self._fweights = tuple(out)
+            n = self.dim
+            pts, simplices = self._tri
+            ipts, L = integer_points([*pts, self._interior])
+            sums: dict[tuple[int, ...], int] = {}
+            for s in simplices:
+                base = ipts[s[0]]
+                edges = [[x - y for x, y in zip(ipts[i], base)] for i in s[1:]]
+                N = _normal(edges) if n > 1 else [1]
+                g = gcd(*N)
+                if sum(x * (y - c) for x, y, c in zip(N, base, ipts[-1])) < 0:
+                    g = -g
+                a = tuple(x // g for x in N)
+                sums[a] = sums.get(a, 0) + abs(g)
+            den = math.factorial(n - 1) * L ** (n - 1)
+            self._fweights = tuple(
+                (a, b, Fraction(sums[tuple(int(x) for x in a)], den)) for a, b in self.halfspaces
+            )
         return self._fweights
 
     def translated(self, t) -> "Polytope":
@@ -511,27 +530,6 @@ def _cone_volume(points, simplices, center, den: int) -> Fraction:
 def _rational_cone_volume(points, simplices, center) -> Fraction:
     ipts, den = integer_points([*points, center])
     return _cone_volume(ipts, simplices, ipts[-1], den)
-
-
-def _points_volume(points) -> Fraction:
-    """Full-dimensional volume of the hull of a point set; 0 when the set is flat."""
-    uniq = sorted(set(points))
-    try:
-        hull = convex_hull(uniq)
-    except ValueError:  # the hull engine rejects sets that are not full-dimensional
-        return _ZERO
-    return _rational_cone_volume(uniq, hull.simplices, hull.interior)
-
-
-def _facet_weight(a: Vec, fverts) -> Fraction:
-    """vol_{n-1}(F)/||a|| for the facet F = conv(fverts) on {<a, x> = b}, n >= 2.
-
-    Dropping the coordinate j of largest |a_j| scales vol_{n-1}(F) by
-    |a_j|/||a||, so the weight is the dropped set's volume over |a_j|.
-    """
-    dim = len(a)
-    j = max(range(dim), key=lambda i: abs(a[i]))
-    return _points_volume([tuple(v[k] for k in range(dim) if k != j) for v in fverts]) / abs(a[j])
 
 
 # ---------------------------------------------------------------------------
@@ -664,26 +662,28 @@ def _lagrange_coeffs(nodes: list[Fraction], values: list[Fraction]) -> list[Frac
     return list(sol)
 
 
-def parametric_volume(rows, shifts, lo, hi, interior=None) -> tuple[list[Fraction], bool]:
-    """vol Q(t) on [lo, hi] for Q(t) = {x : <a_i, x> <= b_i + t c_i}, as ascending
-    coefficients of one polynomial, and whether it is certified on the panel.
+def parametric_volume(rows, shifts, lo, hi, interior=None):
+    """vol Q(t) for Q(t) = {x : <a_i, x> <= b_i + t c_i} as (coeffs, a, b): ascending
+    coefficients of one polynomial, exact on the largest [a, b] inside [lo, hi]
+    around the midpoint m on which Q keeps the combinatorial type of Q(m).
 
-    One hull at the midpoint m fixes the combinatorial type.  Each vertex v
-    moves on the line v + (t - m) d with A_act d = c_act over the rows tight
-    at v (read off the hull's incidences), so the volume over the midpoint's
-    boundary triangulation is a polynomial of degree <= dim (Lasserre, JOTA
-    1983), interpolated at dim + 1 nodes.  ``interior`` is an optional hint
-    strictly inside Q(m).
+    One hull at m fixes the type.  Each vertex v moves on the line
+    v + (t - m) d with A_act d = c_act over the rows tight at v (read off the
+    hull's incidences), so the volume over the midpoint's boundary
+    triangulation is a polynomial of degree <= dim (Lasserre, JOTA 1983),
+    interpolated at dim + 1 nodes inside [a, b].  ``interior`` is an optional
+    hint strictly inside Q(m).  When a vertex splits at m (its tight rows have
+    no common path) the type holds at m alone and the result is (None, m, m).
 
     Integer arithmetic throughout: rows are scaled to integers (A, B, C),
     vertices are numerators over one denominator L, each path is one
     fraction-free solve d = D/delta, and node volumes are integer
-    determinants over one denominator.  The panel is certified when every
-    active system is consistent and, for every vertex path and row, the slack
-    at m is at least the half-width times |rate|, rate = C - <A, d>: slack is
-    affine in t, so this is the test at lo and at hi, and the type then holds
-    on the whole panel.  Cleared of denominators (m = mu/2M, half-width
-    eta/2M) the test is delta (2ML B + L mu C - 2M <A, V>) >= L |eta| |delta C - <A, D>|.
+    determinants over one denominator.  Every slack is affine in t and the
+    type holds while all are >= 0.  With m = mu/2M, the slack of a row at a
+    vertex is S/2ML and its rate P/delta, S = 2ML B + L mu C - 2M <A, V> and
+    P = delta C - <A, D>, so it stays >= 0 for |t - m| <= delta S / (2ML |P|)
+    on the side where it falls; a and b are the nearest such exits, compared
+    by cross-multiplying.
     """
     lo, hi = frac(lo), frac(hi)
     m = (lo + hi) / 2
@@ -694,52 +694,65 @@ def parametric_volume(rows, shifts, lo, hi, interior=None) -> tuple[list[Fractio
         raise DegenerateBody("parametric volume needs a full-dimensional body at the midpoint")
     pts, simplices = Q._tri
     ints = [integer_row(a + (b, c))[0] for a, b, c in rows]  # (A, B, C), positively scaled
-    M = common_denominator((lo, hi))
-    lo2, hi2 = lo.numerator * (M // lo.denominator), hi.numerator * (M // hi.denominator)
-    mu, eta = lo2 + hi2, hi2 - lo2
-    V, L = integer_points(pts)
-    certified = True
     paths = []  # (D, delta): d = D / delta, delta > 0
     for act in Q._incidence:
         mat = [ints[i][:dim] + [ints[i][-1]] for i in act]
         pivots, delta, _ = _bareiss(mat)
-        if dim in pivots:  # the vertex splits away from m: least-squares path, uncertified
-            certified = False
-            A = [rows[i][0] for i in act]
-            rhs = [rows[i][2] for i in act]
-            d = solve_linear([[dot(ci, cj) for cj in zip(*A)] for ci in zip(*A)],
-                             [dot(ci, rhs) for ci in zip(*A)])
-            D, delta = integer_row(d)
-        else:
-            D = [0] * dim
-            for r, c in enumerate(pivots):
-                D[c] = mat[r][-1]
-            if delta < 0:
-                D, delta = [-x for x in D], -delta
+        if dim in pivots:
+            return None, m, m
+        D = [0] * dim
+        for r, c in enumerate(pivots):
+            D[c] = mat[r][-1]
+        if delta < 0:
+            D, delta = [-x for x in D], -delta
         paths.append((D, delta))
-    if certified:
-        checks = [(r[:dim], 2 * M * L * r[dim] + L * mu * r[-1], r[-1]) for r in ints]
-        half = L * abs(eta)
-        certified = all(
-            delta * (s0 - 2 * M * sum(map(mul, A, v))) >= half * abs(delta * C - sum(map(mul, A, D)))
-            for v, (D, delta) in zip(V, paths)
-            for A, s0, C in checks
-        )
-    # x_k(t_j) = V_k / L + tau_j D_k / delta_k with tau_j = t_j - m = eta (2j - dim) / q,
+    M = common_denominator((lo, hi))
+    mu = lo.numerator * (M // lo.denominator) + hi.numerator * (M // hi.denominator)
+    V, L = integer_points(pts)
+    checks = [(r[:dim], 2 * M * L * r[dim] + L * mu * r[-1], r[-1]) for r in ints]
+    left = right = None  # (delta S, |P|) of the nearest exit on each side of m
+    for v, (D, delta) in zip(V, paths):
+        for A, s0, C in checks:
+            rate = delta * C - sum(map(mul, A, D))
+            if rate:
+                s = delta * (s0 - 2 * M * sum(map(mul, A, v)))
+                if rate > 0 and (left is None or s * left[1] < left[0] * rate):
+                    left = (s, rate)
+                elif rate < 0 and (right is None or s * right[1] < right[0] * -rate):
+                    right = (s, -rate)
+    a = lo if left is None else max(lo, m - Fraction(left[0], 2 * M * L * left[1]))
+    b = hi if right is None else min(hi, m + Fraction(right[0], 2 * M * L * right[1]))
+    # x_k(t_j) = V_k / L + tau_j D_k / delta_k with tau_j = t_j - m = T_j / q,
     # all over the one denominator E = L Delta q
-    q = 2 * M * (dim + 2)
+    nodes = [a + (b - a) * Fraction(j + 1, dim + 2) for j in range(dim + 1)]
+    T, q = integer_row([t - m for t in nodes])
     Delta = lcm(*(delta for _D, delta in paths))
     base = [[x * Delta * q for x in v] for v in V]
-    step = [[x * (L * Delta // delta) * eta for x in D] for D, delta in paths]
+    step = [[x * (L * Delta // delta) for x in D] for D, delta in paths]
     N, E = len(pts), L * Delta * q
     vals = []
-    for j in range(dim + 1):
-        w = 2 * j - dim
-        X = [[b + w * s for b, s in zip(bv, sv)] for bv, sv in zip(base, step)]
+    for w in T:
+        X = [[b0 + w * s for b0, s in zip(bv, sv)] for bv, sv in zip(base, step)]
         cen = [sum(col) for col in zip(*X)]
         vals.append(_cone_volume([[N * x for x in p] for p in X], simplices, cen, N * E))
-    nodes = [lo + (hi - lo) * Fraction(j + 1, dim + 2) for j in range(dim + 1)]
-    return _lagrange_coeffs(nodes, vals), certified
+    return _lagrange_coeffs(nodes, vals), a, b
+
+
+def _panel_sweep(piece, lo, hi) -> list[tuple[Fraction, Fraction, list]]:
+    """[lo, hi] as sorted pieces (a, b, coeffs), one per maximal interval of one
+    combinatorial type, for ``piece(g0, g1)`` a ``parametric_volume`` call on
+    the gap [g0, g1].  Each call covers the largest piece around the gap's
+    midpoint and leaves at most two smaller gaps, swept the same way.
+    """
+    pieces = []
+    gaps = [(frac(lo), frac(hi))] if lo < hi else []
+    while gaps:
+        g0, g1 = gaps.pop()
+        coeffs, a, b = piece(g0, g1)
+        if a < b:
+            pieces.append((a, b, coeffs))
+        gaps += [(x, y) for x, y in ((g0, a), (b, g1)) if x < y]
+    return sorted(pieces, key=lambda p: p[0])
 
 
 def projection_support(P: Polytope, u) -> Fraction:

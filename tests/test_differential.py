@@ -797,6 +797,18 @@ def _from_halfspaces_two_hulls(halfspaces, dim, interior=None):
     return Polytope.from_points(verts, dim)
 
 
+def _facet_weights_by_facet_hulls(P):
+    """vol_{n-1}(F)/||a|| per facet by one hull per facet: dropping the
+    coordinate j of largest |a_j| scales vol_{n-1}(F) by |a_j|/||a||."""
+    out = []
+    for a, b in P.halfspaces:
+        j = max(range(P.dim), key=lambda i: abs(a[i]))
+        pts = [v[:j] + v[j + 1:] for v in P.vertices if dot(a, v) == b]
+        w = F(1) if P.dim == 1 else make_polytope(pts, P.dim - 1).volume_fraction() / abs(a[j])
+        out.append((a, b, w))
+    return tuple(out)
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -859,6 +871,7 @@ def test_from_halfspaces_against_two_hulls():
         assert got.volume_fraction() == want.volume_fraction()
         if want.is_full_dimensional:
             assert got.facet_weights() == want.facet_weights()
+            assert want.facet_weights() == _facet_weights_by_facet_hulls(want)
             full += 1
         else:
             flat += 1
@@ -867,40 +880,42 @@ def test_from_halfspaces_against_two_hulls():
 
 def _parametric_volume_fraction(rows, shifts, lo, hi, interior=None):
     """parametric_volume over Fractions: dot-scan active sets, Fraction paths,
-    the certificate at both panel ends and Fraction node determinants, on the
-    triangulation of the same midpoint body.  Returns (coeffs, certified,
-    whether some path fell back to least squares)."""
+    the largest interval around m where every path keeps every slack >= 0, and
+    Fraction node determinants, on the triangulation of the same midpoint body.
+    Returns (coeffs, a, b); (None, m, m) when a vertex splits at m."""
     lo, hi = F(lo), F(hi)
     m = (lo + hi) / 2
     rows = [(tuple(F(x) for x in a), F(b), F(c)) for (a, b), c in zip(rows, shifts)]
     dim = len(rows[0][0])
     Q = Polytope.from_halfspaces([(a, b + m * c) for a, b, c in rows], dim, interior)
     pts, simplices = Q._tri
-    certified, lsq, paths = True, False, []
+    paths = []
     for v in pts:
         act = [(list(a), c) for a, b, c in rows if dot(a, v) == b + m * c]
-        A, rhs = [a for a, _c in act], [c for _a, c in act]
-        d = solve_linear(A, rhs)
+        d = solve_linear([a for a, _c in act], [c for _a, c in act])
         if d is None:
-            certified, lsq = False, True
-            d = solve_linear([[dot(ci, cj) for cj in zip(*A)] for ci in zip(*A)],
-                             [dot(ci, rhs) for ci in zip(*A)])
+            return None, m, m
         paths.append((v, d))
+    a, b = lo, hi
+    for v, d in paths:
+        for row, off, c in rows:
+            slack, rate = off + m * c - dot(row, v), c - dot(row, d)
+            if rate > 0:
+                a = max(a, m - slack / rate)
+            elif rate < 0:
+                b = min(b, m - slack / rate)
 
     def at(t):
         return [tuple(v[i] + (t - m) * d[i] for i in range(dim)) for v, d in paths]
 
-    certified = certified and all(
-        dot(a, x) <= b + t * c for t in (lo, hi) for x in at(t) for a, b, c in rows
-    )
-    nodes = [lo + (hi - lo) * F(j + 1, dim + 2) for j in range(dim + 1)]
+    nodes = [a + (b - a) * F(j + 1, dim + 2) for j in range(dim + 1)]
     vals = []
     for t in nodes:
         xs = at(t)
         cen = tuple(sum(x[i] for x in xs) / len(xs) for i in range(dim))
         total = sum(abs(det([[x - c for x, c in zip(xs[i], cen)] for i in s])) for s in simplices)
         vals.append(total / math.factorial(dim))
-    return _lagrange_coeffs(nodes, vals), certified, lsq
+    return _lagrange_coeffs(nodes, vals), a, b
 
 
 def _parametric_cases():
@@ -928,7 +943,7 @@ def _parametric_cases():
             for lo, hi in ((F(0), F(1, 8)), (F(1, 16), F(1, 5))):
                 cases.append((rows, shifts, lo, hi, None))
     # the ray engine: doubled rows, zero shifts on the first copy
-    from zhangforge.moments import _ray_overlap, ray_breakpoints
+    from zhangforge.moments import _overlap_point, ray_breakpoints
 
     for dim, raw in ((2, (1, 2)), (3, (1, 2, 2)), (3, (0, 1, -1))):
         P = make_body(BodySpec("random_hull", dim, {"count": 6, "radius": 2, "seed": 1}))
@@ -938,7 +953,7 @@ def _parametric_cases():
         rows = list(P.halfspaces) * 2
         shifts = [F(0)] * len(P.halfspaces) + [dot(a, theta.raw) for a, _b in P.halfspaces]
         for lo, hi in zip(breaks, breaks[1:]):
-            hint = _ray_overlap(P, theta, (lo + hi) / 2, support)[1]
+            hint = _overlap_point(P, (lo + hi) / 2, support)
             cases.append((rows, shifts, lo, hi, hint))
     # panels whose type changes inside: merged across a symmetral break, and
     # centred on it so that a vertex splits at the midpoint
@@ -964,9 +979,10 @@ def test_parametric_volume_against_fraction_paths():
             got = parametric_volume(rows, shifts, lo, hi, interior=hint)
         except DegenerateBody:
             continue
-        coeffs, certified, lsq = _parametric_volume_fraction(rows, shifts, lo, hi, hint)
-        assert got == (coeffs, certified), (rows, shifts, lo, hi)
-        seen[certified, lsq] += 1
-    assert seen[True, False] >= 60
-    assert seen[False, True] >= 5  # a vertex split: the least-squares path ran
-    assert seen[False, False] >= 5  # consistent paths that leave the body
+        want = _parametric_volume_fraction(rows, shifts, lo, hi, hint)
+        assert got == want, (rows, shifts, lo, hi)
+        _coeffs, a, b = want
+        seen["whole" if (a, b) == (lo, hi) else "split" if a == b else "cut"] += 1
+    assert seen["whole"] >= 60
+    assert seen["split"] >= 5  # a vertex splits at the midpoint
+    assert seen["cut"] >= 5  # consistent paths that leave the body inside the panel

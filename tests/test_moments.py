@@ -269,27 +269,43 @@ class TestBatchConsistency:
         assert got[0] == pytest.approx(float(ref))
 
 
-def test_four_dimensional_breakpoints_have_no_edge_edge_events():
-    # the edge-edge contact system solves over three coordinates only, so for
-    # n = 4 its solutions are no contacts; every breakpoint is a vertex height
-    # difference or puts a vertex of one copy on a facet plane of the other
+def test_every_ray_breakpoint_separates_two_polynomials():
+    # the breaks are the exact kinks of r -> vol(K cap (K + r theta)): the
+    # overlap keeps one type between two neighbours, and neighbouring panels
+    # carry different polynomials
     from zhangforge.harness import BodySpec, make_body
     from zhangforge.linalg import dot
-    from zhangforge.moments import _edge_edge_events, ray_breakpoints
+    from zhangforge.moments import ray_breakpoints
+    from zhangforge.polytope import parametric_volume
 
-    P = make_body(BodySpec("random_hull", 4, {"count": 9, "radius": 2, "seed": 0}))
-    theta = Direction((1, 2, -1, 3))
-    R, _ = ray_support(P, theta)
-    breaks = ray_breakpoints(P, theta, R)
-    assert _edge_edge_events(P, theta, R) - set(breaks)
-    nsq = theta.norm_sq
-    heights = {dot(theta.raw, v) / nsq for v in P.vertices}
-    for r in breaks[:-1]:
-        assert any(h + r in heights for h in heights) or any(
-            dot(a, v) + s * r * dot(a, theta.raw) == b
-            for a, b in P.halfspaces for v in P.vertices for s in (1, -1)
-        ), r
-    assert breaks[-1] == R
+    for dim, raw in ((2, (1, 2)), (3, (1, 2, 2)), (4, (1, 2, -1, 3))):
+        P = make_body(BodySpec("random_hull", dim, {"count": dim + 5, "radius": 2, "seed": 0}))
+        theta = Direction(raw)
+        R, _ = ray_support(P, theta)
+        breaks = ray_breakpoints(P, theta, R)
+        assert breaks[-1] == R and len(breaks) >= 3
+        rows = list(P.halfspaces) * 2
+        shifts = [0] * len(P.halfspaces) + [dot(a, theta.raw) for a, _b in P.halfspaces]
+        polys = []
+        for lo, hi in zip([0] + breaks, breaks):
+            coeffs, a, b = parametric_volume(rows, shifts, lo, hi)
+            assert (a, b) == (lo, hi), (dim, lo, hi)
+            polys.append(coeffs)
+        assert all(p != q for p, q in zip(polys, polys[1:])), dim
+
+
+def test_engine_is_exact_on_a_four_dimensional_hull():
+    # a hull whose kinks include edge-2-face contacts, which a breakpoint list
+    # of vertex differences and vertex-facet contacts misses
+    from zhangforge.harness import BodySpec, make_body
+    from zhangforge.moments import ray_moment
+
+    P = make_body(BodySpec("random_hull", 4, {"count": 7, "radius": 1, "seed": 0}))
+    theta = Direction((1, 2, 2, 4))
+    engine = RayMomentEngine(P, theta)
+    for p in range(1, 5):
+        assert engine.moment(p).exact == ray_moment(P, theta, p).exact * 5**p, p
+    assert engine.certified
 
 
 @pytest.mark.parametrize("raw", [(1, 2, 2, 4), (2, -1, 2, 4), (0, 0, 0, 1)])

@@ -383,8 +383,8 @@ def test_parametric_volume_against_full_hulls(dim, raw):
         P = make_body(BodySpec("random_hull", dim, {"count": 6, "radius": 2, "seed": seed}))
         for rows, shifts, panels in (_symmetral_slice_family(P), _overlap_family(P, raw)):
             for lo, hi in panels:
-                coeffs, certified = parametric_volume(rows, shifts, lo, hi)
-                assert certified, (seed, lo, hi)
+                coeffs, start, end = parametric_volume(rows, shifts, lo, hi)
+                assert (start, end) == (lo, hi), (seed, lo, hi)
                 for t in (lo + (hi - lo) / 5, lo + 5 * (hi - lo) / 7):
                     Q = Polytope.from_halfspaces(
                         [(a, b + t * c) for (a, b), c in zip(rows, shifts)], len(rows[0][0]))
@@ -393,9 +393,9 @@ def test_parametric_volume_against_full_hulls(dim, raw):
 
 def test_parametric_volume_rejects_a_kink_left_of_the_midpoint():
     # merging two panels with different polynomials, the shared break left of
-    # the merged midpoint: the midpoint's polynomial is the right panel's, so
-    # a single check right of the midpoint agrees; the certificate must not.
-    # A panel centred on the break puts a splitting vertex at the midpoint.
+    # the merged midpoint: the midpoint's polynomial is the right panel's, and
+    # its interval must stop exactly at the break.  A panel centred on the
+    # break puts a splitting vertex at the midpoint: the interval is that point.
     from zhangforge.harness import BodySpec, make_body
     from zhangforge.moments import section_distribution
 
@@ -407,9 +407,8 @@ def test_parametric_volume_rejects_a_kink_left_of_the_midpoint():
             pieces = section_distribution(P).pieces
             for (a, b, left), (_b, c, right) in zip(pieces, pieces[1:]):
                 if left != right and b - a < c - b:
-                    coeffs, certified = parametric_volume(rows, shifts, a, c)
-                    assert coeffs == right and not certified, (dim, seed, b)
-                    assert not parametric_volume(rows, shifts, a, 2 * b - a)[1], (dim, seed, b)
+                    assert parametric_volume(rows, shifts, a, c) == (right, b, c), (dim, seed, b)
+                    assert parametric_volume(rows, shifts, a, 2 * b - a)[1:] == (b, b), (dim, seed)
                     merged += 1
     assert merged >= 3
 
@@ -442,6 +441,27 @@ def test_one_hull_per_full_dimensional_from_halfspaces(monkeypatch):
         assert Q == P and len(calls) == before + 1
 
 
+def test_facet_weights_and_repeated_fattenings_build_no_hull(monkeypatch):
+    # facet weights are read off the boundary triangulation, and the cube a
+    # fattening adds is built once per (k, dim)
+    from zhangforge.harness import BodySpec, make_body
+    from zhangforge.lattice import fattening
+
+    specs = [BodySpec("random_hull", dim, {"count": dim + 4, "radius": 2, "seed": s})
+             for dim in (2, 3, 4) for s in (11, 12)]
+    bodies = [make_body(spec) for spec in specs]
+    calls = _count_hulls(monkeypatch)
+    for P in bodies:
+        P.facet_weights()
+    assert calls == []
+    for P, Q in zip(bodies[::2], bodies[1::2]):
+        for k in range(1, P.dim + 1):
+            fattening(P, k)
+            before = len(calls)
+            fattening(Q, k)
+            assert len(calls) == before + 1, (P.dim, k)  # the sum, no cube
+
+
 def test_one_hull_per_ray_engine_panel(monkeypatch):
     import zhangforge.moments as mom
     from zhangforge.harness import BodySpec, make_body
@@ -459,4 +479,5 @@ def test_one_hull_per_ray_engine_panel(monkeypatch):
     monkeypatch.setattr(mom, "parametric_volume", counted)
     engine = RayMomentEngine(P, Direction((1, 2, 2)))
     engine.moment(1)
-    assert len(panels) >= 5 and len(calls) == len(panels)
+    # the four pieces between the exact kinks, one call and one hull each
+    assert len(panels) == len(engine._panels) == 4 and len(calls) == len(panels)

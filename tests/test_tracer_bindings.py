@@ -27,3 +27,24 @@ def test_tracer_binds_every_listed_name():
     finally:
         tracer.restore()
     assert tracer.leftover_wrappers() == []
+
+
+def test_tracer_counts_one_certified_engine_build():
+    # the engine-moment wrapper reads the engine's ``_panels`` and
+    # ``certified``; binding checks alone do not see those attributes go
+    from zhangforge import axis_direction, make_polytope
+    from zhangforge.moments import RayMomentEngine
+
+    mod = _load_tracer()
+    tracer = mod.Tracer()
+    try:
+        tracer.install()
+        P = make_polytope([(0, 0), (2, 0), (0, 1)], 2)
+        RayMomentEngine(P, axis_direction(2)).moment(1)
+        metrics = [(name, "count") for name in
+                   ("moments.ray_engine.builds", "moments.ray_engine.uncertified")]
+        vals = mod.layer_values(tracer, metrics, 1.0, 0.0)
+    finally:
+        tracer.restore()
+    assert vals["moments.ray_engine.builds"] == 1
+    assert vals["moments.ray_engine.uncertified"] == 0
