@@ -20,14 +20,15 @@ from zhangforge import (
     volume,
 )
 from zhangforge.moments import (
-    MomentRequest,
-    continuous_ray_moment,
+    RayMomentEngine,
     covariogram,
     facet_angles,
     polar_projection_radial,
     radial_Rp,
     radial_ball_body,
+    projection_power_moment,
     radial_batch,
+    slab_moment,
     star_volume,
 )
 
@@ -41,11 +42,10 @@ for x in [(0, 0), (0.5, 0), (2, 0)]:
 
 print("\nthree routes for the p-th moments of [0,1]^2 along e2:")
 for p in (1, 2):
-    row = []
-    for route in ("ray-quadrature", "symmetral-slab", "projection-power"):
-        mv = continuous_ray_moment(MomentRequest(square, e2, p, route))
-        row.append(f"{route}: {mv.exact if mv.exact is not None else mv.value}")
-    print(f"  p={p}:  " + "   ".join(row))
+    routes = (("ray engine", RayMomentEngine(square, e2).moment(p)),
+              ("symmetral slab", slab_moment(square, p)),
+              ("projection power", projection_power_moment(square, p)))
+    print(f"  p={p}:  " + "   ".join(f"{name}: {mv.exact}" for name, mv in routes))
 
 print("\nchord-mean radials (projection-power form):")
 print("  rho_R1([0,1]^2)(e2) =", radial_Rp(square, e2, 1).value)

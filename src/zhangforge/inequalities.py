@@ -210,7 +210,7 @@ def _profile_sum(profile: dict[int, int], p: int) -> Fraction:
     return Fraction(p * sum(k ** (p - 1) * v for k, v in profile.items() if k or p == 1))
 
 
-def _solve_m0(P: Polytope, p, profiles: SectionProfiles | None = None):
+def _solve_m0(P: Polytope, p: int, profiles: SectionProfiles | None = None):
     """Root of h_p(m) * G_{n-1}(proj) = sum_k p k^{p-1} f~(k), as (float, exact|None).
 
     Bisection on the nondecreasing h_p; plateaus resolve to the leftmost
@@ -223,26 +223,6 @@ def _solve_m0(P: Polytope, p, profiles: SectionProfiles | None = None):
     if not hyp.satisfied:
         raise HypothesesViolated("comparison profile needs max column at 0 and M >= 1")
     G = count_lattice(project_drop_last(P))
-    if float(p) != int(p):
-        pf = float(p)
-        tgt = sum(pf * k ** (pf - 1.0) * v for k, v in pr.f_tilde.items() if k) / G
-        lo, hi = 1.0, float(max(pr.M, 2))
-        for _ in range(64):
-            if h_func(hi, pf, n) >= tgt:
-                break
-            hi *= 2.0
-        else:
-            raise NoRoot("no bracket for the profile scale equation")
-        for _ in range(80):
-            mid = (lo + hi) / 2.0
-            if h_func(mid, pf, n) >= tgt:
-                hi = mid
-            else:
-                lo = mid
-        if hi < pr.M - 1e-9:
-            raise NoRoot("profile scale landed below the top lattice height")
-        return hi, None
-    p = int(p)
     target = _profile_sum(pr.f_tilde, p) / G
     lo = _ONE
     hi = Fraction(max(pr.M, 2))
@@ -787,34 +767,41 @@ def _chk_mu_gn_sandwich(ws: BodyWorkspace, params: dict) -> InequalityReport:
     return _report("mu_gn_sandwich", lhs, rhs, mu=str(mu), G_n=gn, G_proj=gp)
 
 
+_FRACTIONAL_PS = "identity triples are exact identities at positive integer p only"
+
+
+def _identity_ps(params: dict, n: int) -> list[int] | None:
+    """The identity-triple exponents (default {1, 2, n}) as ints, or None
+    unless every one is a positive integer: only there are all routes exact."""
+    ps = params.get("ps") or sorted({1, 2, n})
+    if all(p == int(p) and p >= 1 for p in ps):
+        return [int(p) for p in ps]
+    return None
+
+
 def _chk_identity_triple_continuous(ws: BodyWorkspace, params: dict) -> InequalityReport:
     n = ws.n
-    ps = params.get("ps") or sorted({1, 2, n})
-    worst = None
+    ps = _identity_ps(params, n)
+    if ps is None:
+        return _inconclusive("identity_triple_continuous", _FRACTIONAL_PS,
+                             ps=[str(p) for p in params["ps"]])
     per_p = []
     engine = RayMomentEngine(ws.body, axis_direction(n))
     for p in ps:
-        routes = (engine.moment(p), ws.slab(int(p)), ws.projection_power(int(p)))
-        if all(r.is_exact for r in routes):
-            # three rationals: they agree exactly or the identity fails
-            vals = [r.exact for r in routes]
-            spread, tol = max(vals) - min(vals), _ZERO
-            lhs, rhs = MeasureValue.from_exact(spread), MeasureValue.from_exact(tol)
-        else:
-            vals = [r.value for r in routes]
-            spread = max(vals) - min(vals)
-            tol = max(1e-9 * max(abs(v) for v in vals), sum(r.abs_error for r in routes))
-            lhs, rhs = MeasureValue.approx(spread, 0.0), MeasureValue.approx(tol, 0.0)
-        per_p.append({"p": int(p), "values": vals, "spread": spread, "tol": tol})
-        if worst is None or tol - spread < worst[0]:
-            worst = (tol - spread, lhs, rhs)
-    _k, lhs, rhs = worst
-    return _report("identity_triple_continuous", lhs, rhs, per_p=per_p)
+        # three rationals: they agree exactly or the identity fails
+        vals = [engine.moment(p).exact, ws.slab(p).exact, ws.projection_power(p).exact]
+        per_p.append({"p": p, "values": vals, "spread": max(vals) - min(vals), "tol": _ZERO})
+    worst = max(row["spread"] for row in per_p)
+    return _report("identity_triple_continuous", MeasureValue.from_exact(worst),
+                   MeasureValue.from_exact(_ZERO), per_p=per_p)
 
 
 def _chk_identity_triple_discrete(ws: BodyWorkspace, params: dict) -> InequalityReport:
     n = ws.n
-    ps = params.get("ps") or sorted({1, 2, n})
+    ps = _identity_ps(params, n)
+    if ps is None:
+        return _inconclusive("identity_triple_discrete", _FRACTIONAL_PS,
+                             ps=[str(p) for p in params["ps"]])
     cols = ws.column_lengths
     # route B: exact piecewise-linear integration of the column measure of
     # K cap (r e_n + K); route C: column sums over the symmetral
@@ -837,7 +824,6 @@ def _chk_identity_triple_discrete(ws: BodyWorkspace, params: dict) -> Inequality
     all_equal = True
     per_p = []
     for p in ps:
-        p = int(p)
         a_val = _mu_moment_exact(cols, p)
         b_val = _ZERO
         for alpha, beta, c0, c1 in pieces:

@@ -1,8 +1,8 @@
-"""Covariogram, ray moments along three independent routes, star radials of
-Ball bodies (continuous and lattice-counting sources) and of the polar
-projection body, and planar star-set areas by circle quadrature (n = 2 only;
-the polar projection body itself is an exact polytope, see
-``polytope.polar_projection_body``).
+"""Covariogram, ray moments (the exact ray engine and the section-length
+layer-cake), star radials of Ball bodies (continuous and lattice-counting
+sources) and of the polar projection body, and planar star-set areas by circle
+quadrature (n = 2 only; the polar projection body itself is an exact polytope,
+see ``polytope.polar_projection_body``).
 
 Exactness policy: ray moments with integer exponents are exact rationals in
 every rational direction and every dimension (``ray_moment`` maps the
@@ -13,7 +13,7 @@ pieces of one sweep, with no bisection.  Fractional exponents, irrational
 norms and the float radial batches run in binary64 with abs_error populated.
 
 Section-length powers int ell^q, and with them the projection-power and
-symmetral-slab routes and the chord-mean radials, have one integrator in every
+symmetral-slab moments and the chord-mean radials, have one integrator in every
 dimension: the layer-cake over the section-length distribution u -> vol{ell >= u},
 which is the slice polynomial of the Steiner symmetral (its slice at height u/2
 is {ell >= u}).  The projected overlap K cap (K + u e_n) is the same function;
@@ -21,6 +21,12 @@ it is left as a test oracle, and the ray engine, whose panels read K cap
 (K + r theta), stays the independent route.  Both read their panel
 polynomials off ``polytope.parametric_volume``.  No checker samples; Monte Carlo
 is left only as a test oracle (``mc_section_samples``).
+
+The float radial batches clip rays against a body in one place,
+``_interval_batch``.  The continuous source (n = 2) uses the chord form
+p int r^{p-1} vol(K cap (r theta + K)) dr = (1/(p+1)) int ell_theta^{p+1}
+(Gardner-Zhang): it clips the chord through each vertex and integrates the
+piecewise linear ell_theta^{p+1} in closed form, exactly for every p.
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -134,50 +139,9 @@ def ray_breakpoints(P: Polytope, theta: Direction, R: Fraction) -> list[Fraction
     return [b for _a, b, _c in pieces]
 
 
-@lru_cache(maxsize=32)
-def _leggauss(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
-
-
 # ---------------------------------------------------------------------------
-# the three continuous routes
+# ray moments: the exact ray engine, and the slab and projection-power forms
 # ---------------------------------------------------------------------------
-
-ROUTES = (
-    "ray-quadrature",
-    "symmetral-slab",
-    "projection-power",
-    "discrete-exact",
-    "discrete-open-exact",
-)
-
-
-@dataclass(frozen=True)
-class MomentRequest:
-    body: Polytope
-    direction: Direction
-    exponent: float | Fraction
-    route: str
-
-    def __post_init__(self):
-        if self.route not in ROUTES:
-            raise RouteUnsupported(f"unknown route {self.route!r}")
-        p = float(self.exponent)
-        if self.route == "projection-power":
-            if p <= -1:
-                raise RouteUnsupported("projection-power needs exponent > -1")
-        elif p <= 0:
-            raise RouteUnsupported(f"route {self.route} needs exponent > 0")
-        if self.route in ("symmetral-slab", "projection-power") and not _is_last_axis(
-            self.direction
-        ):
-            raise RouteUnsupported(f"route {self.route} is defined for the last axis only")
-
-
-def _is_last_axis(theta: Direction) -> bool:
-    return all(x == 0 for x in theta.raw[:-1]) and theta.raw[-1] > 0
-
 
 class RayMomentEngine:
     """Shared per-(body, direction) covariogram moments along a ray.
@@ -227,11 +191,6 @@ class RayMomentEngine:
         total_f = sum(pf * float(_power_integral(c, a, b, pf - 1.0)) for a, b, c in self._panels)
         total_f *= math.sqrt(float(self.theta.norm_sq)) ** pf
         return MeasureValue.approx(total_f, 1e-12 * abs(total_f))
-
-
-def ray_moment_quadrature(P: Polytope, theta: Direction, p) -> MeasureValue:
-    """p * int_0^inf r^{p-1} vol(K cap (r theta + K)) dr (see RayMomentEngine)."""
-    return RayMomentEngine(P, theta).moment(p)
 
 
 def _power_integral(coeffs, alpha: Fraction, beta: Fraction, p) -> Fraction | float:
@@ -313,22 +272,6 @@ def mc_section_samples(P: Polytope, seed: int, nsamp: int = 1_000_000):
     for head, c in verts_rows:
         ell[y @ head > c] = 0.0
     return boxvol, ell
-
-
-def continuous_ray_moment(req: MomentRequest) -> MeasureValue:
-    """The common value of the three ray-moment expressions, by the chosen route."""
-    P, theta, p = req.body, req.direction, req.exponent
-    if req.route == "ray-quadrature":
-        return ray_moment_quadrature(P, theta, p)
-    if req.route == "symmetral-slab":
-        return slab_moment(P, p)
-    if req.route == "projection-power":
-        return projection_power_moment(P, p)
-    if req.route == "discrete-exact":
-        return discrete_moment(P, theta, p, open_cube=False)
-    if req.route == "discrete-open-exact":
-        return discrete_moment(P, theta, p, open_cube=True)
-    raise RouteUnsupported(req.route)
 
 
 def discrete_moment(P: Polytope, theta: Direction, p, open_cube: bool = False) -> MeasureValue:
@@ -471,7 +414,7 @@ def polar_projection_radial(P: Polytope, theta: Direction) -> MeasureValue:
 
 
 # ---------------------------------------------------------------------------
-# vectorized float radial evaluators (generic directions)
+# vectorized float radial evaluators (generic directions, one ray clip)
 # ---------------------------------------------------------------------------
 
 def _float_halfspaces(P: Polytope):
@@ -524,6 +467,38 @@ def discrete_moment_batch(P: Polytope, dirs: np.ndarray, p, open_cube: bool) -> 
     return contrib.sum(axis=0)
 
 
+def _chord_moment_batch(P: Polytope, dirs: np.ndarray, p) -> np.ndarray:
+    """p int r^{p-1} area(K cap (r theta + K)) dr = (1/(p+1)) int ell^{p+1} per
+    unit direction (n = 2), ell the chord length along theta over theta-perp.
+
+    ell is linear between neighbouring vertex shadows on theta-perp, and the
+    chord through a vertex v is hi(theta) + hi(-theta) of the ray clip at v, so
+    each piece of width w from ell = a to ell = b <= a adds, exactly for every p,
+    w (a^{p+2} - b^{p+2}) / ((p+1)(p+2)(a-b)).  The difference quotient is
+    evaluated as a^{p+1} expm1((p+2)L) / expm1(L), L = log(b/a), so that nearly
+    equal ends do not cancel.
+    """
+    if P.dim != 2:
+        raise RouteUnsupported("the chord-length form is 2-d only")
+    q = float(p) + 2.0
+    verts = np.array([[float(c) for c in v] for v in P.vertices])
+    _lo, fwd, _f = _interval_batch(P, verts, dirs, strict=False)
+    _lo, back, _f = _interval_batch(P, verts, -dirs, strict=False)
+    chord = np.maximum(fwd, 0.0) + np.maximum(back, 0.0)  # (V, D)
+    shadow = verts @ np.stack([-dirs[:, 1], dirs[:, 0]])  # (V, D)
+    order = np.argsort(shadow, axis=0)
+    shadow = np.take_along_axis(shadow, order, axis=0)
+    chord = np.take_along_axis(chord, order, axis=0)
+    w = np.diff(shadow, axis=0)
+    a = np.maximum(chord[:-1], chord[1:])
+    b = np.minimum(chord[:-1], chord[1:])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        L = np.log1p((b - a) / a)
+        ratio = np.where(L == 0.0, q, np.expm1(q * L) / np.expm1(L))
+        piece = np.where(a > 0.0, w * a ** (q - 1.0) * ratio, 0.0)
+    return piece.sum(axis=0) / ((q - 1.0) * q)
+
+
 def radial_batch(source: str, P: Polytope, dirs: np.ndarray, p) -> np.ndarray:
     """Vectorized radial of the star body over an array of unit directions."""
     if source == "polar-projection":
@@ -540,7 +515,7 @@ def radial_batch(source: str, P: Polytope, dirs: np.ndarray, p) -> np.ndarray:
         return hi.max(axis=0)
     pf = float(p)
     if source == "continuous":
-        mom = polygon_ray_moment_batch(P, dirs, p)
+        mom = _chord_moment_batch(P, dirs, p)
         return (mom / float(P.volume_fraction())) ** (1.0 / pf)
     gK = count_lattice(P)
     if source == "discrete":
@@ -555,95 +530,6 @@ def radial_batch(source: str, P: Polytope, dirs: np.ndarray, p) -> np.ndarray:
     else:
         raise RouteUnsupported(source)
     return (mom / base) ** (1.0 / pf)
-
-
-# ---------------------------------------------------------------------------
-# float polygon pipeline (n = 2 continuous radials at many angles)
-# ---------------------------------------------------------------------------
-
-def _clip_polygon(poly, ax, ay, b):
-    out = []
-    k = len(poly)
-    for i in range(k):
-        x1, y1 = poly[i]
-        x2, y2 = poly[(i + 1) % k]
-        d1 = ax * x1 + ay * y1 - b
-        d2 = ax * x2 + ay * y2 - b
-        if d1 <= 0:
-            out.append((x1, y1))
-            if d2 > 0:
-                t = d1 / (d1 - d2)
-                out.append((x1 + t * (x2 - x1), y1 + t * (y2 - y1)))
-        elif d2 < 0:
-            t = d1 / (d1 - d2)
-            out.append((x1 + t * (x2 - x1), y1 + t * (y2 - y1)))
-    return out
-
-
-def _poly_area(poly) -> float:
-    s = 0.0
-    k = len(poly)
-    for i in range(k):
-        x1, y1 = poly[i]
-        x2, y2 = poly[(i + 1) % k]
-        s += x1 * y2 - x2 * y1
-    return abs(s) / 2.0
-
-
-def _polygon_ring(P: Polytope):
-    # counterclockwise float ring from the exact vertices
-    vs = [(float(v[0]), float(v[1])) for v in P.vertices]
-    cx = sum(v[0] for v in vs) / len(vs)
-    cy = sum(v[1] for v in vs) / len(vs)
-    vs.sort(key=lambda v: math.atan2(v[1] - cy, v[0] - cx))
-    return vs
-
-
-def polygon_ray_moment_batch(P: Polytope, dirs: np.ndarray, p) -> np.ndarray:
-    """p * int r^{p-1} area(K cap (r theta + K)) dr per unit direction (n = 2)."""
-    if P.dim != 2:
-        raise RouteUnsupported("the polygon pipeline is 2-d only")
-    pf = float(p)
-    ring = _polygon_ring(P)
-    H = [(float(a[0]), float(a[1]), float(b)) for a, b in P.halfspaces]
-    verts = np.array([[float(v[0]), float(v[1])] for v in P.vertices])
-    diffs = (verts[:, None, :] - verts[None, :, :]).reshape(-1, 2)
-    A = np.array([[float(a[0]), float(a[1])] for a, _ in P.halfspaces])
-    gaps = verts @ A.T - np.array([float(b) for _, b in P.halfspaces])  # (V, F)
-    order = max(3, math.ceil((2 + pf) / 2) + 2)
-    xs, ws = _leggauss(order)
-    out = np.zeros(len(dirs))
-    for di, theta in enumerate(dirs):
-        proj = diffs @ theta
-        cand = set(proj.tolist())
-        s = A @ theta  # vertex-facet contact events complete the kink set
-        for f in np.nonzero(np.abs(s) > 1e-12)[0]:
-            for gval in gaps[:, f]:
-                cand.add(gval / s[f])
-                cand.add(-gval / s[f])
-        sup = max((t for t in proj.tolist()), default=0.0)
-        brks = sorted({t for t in cand if 1e-14 < t <= sup + 1e-14})
-        if not brks:
-            continue
-        total = 0.0
-        prev = 0.0
-        for brk in brks:
-            half = (brk - prev) / 2.0
-            mid = (brk + prev) / 2.0
-            for xi, wi in zip(xs, ws):
-                r = mid + half * xi
-                poly = ring
-                shift = (r * theta[0], r * theta[1])
-                for ax, ay, b in H:
-                    poly = _clip_polygon(poly, ax, ay, b + ax * shift[0] + ay * shift[1])
-                    if len(poly) < 3:
-                        poly = []
-                        break
-                g = _poly_area(poly) if poly else 0.0
-                total += wi * half * pf * r ** (pf - 1.0) * g
-            prev = brk
-        out[di] = total
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -698,6 +584,10 @@ def facet_angles(P: Polytope) -> list[float]:
 # ---------------------------------------------------------------------------
 # radial mean bodies
 # ---------------------------------------------------------------------------
+
+def _is_last_axis(theta: Direction) -> bool:
+    return all(x == 0 for x in theta.raw[:-1]) and theta.raw[-1] > 0
+
 
 def _along_last_axis(P: Polytope, theta: Direction) -> tuple[Polytope, Fraction]:
     """(TK, |det T|), T the inverse of the matrix with columns e_i (i != k), then

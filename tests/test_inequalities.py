@@ -263,6 +263,17 @@ class TestVerify:
         for row in rep.context["per_p"]:
             assert row["equal"]
 
+    @pytest.mark.parametrize("cid", ["identity_triple_continuous", "identity_triple_discrete"])
+    def test_identity_triples_need_integer_exponents(self, unit_square, cid):
+        # a fractional p has no exact triple; it must not be truncated to 1
+        # or compared against the p = 1 slab
+        for ps in ([1.5], [F(3, 2)], [1, F(5, 2)], [0]):
+            rep = verify(cid, unit_square, {"ps": ps})
+            assert rep.verdict == "inconclusive", ps
+            assert "integer" in rep.context["reason"]
+        rep = verify(cid, unit_square, {"ps": [1, 2.0, F(3)]})
+        assert rep.holds and [row["p"] for row in rep.context["per_p"]] == [1, 2, 3]
+
     def test_volume_identity_retries_at_doubled_circle_order(self, unit_square, monkeypatch):
         assert "retried" not in verify("volume_identity_discrete", unit_square).context
         # a quadrature that misses at 2048 nodes and lands at 4096: only the

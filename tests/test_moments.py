@@ -8,18 +8,16 @@ from zhangforge import Direction, axis_direction, make_polytope, volume
 from zhangforge.errors import ExponentOutOfRange, RouteUnsupported
 from zhangforge.moments import (
     SOURCES,
-    MomentRequest,
     RayMomentEngine,
-    continuous_ray_moment,
     covariogram,
+    discrete_moment,
     facet_angles,
     polar_projection_radial,
-    polygon_ray_moment_batch,
     projection_power_moment,
     radial_Rp,
     radial_ball_body,
     radial_batch,
-    ray_moment_quadrature,
+    ray_moment,
     ray_support,
     section_power_integral,
     slab_moment,
@@ -49,56 +47,44 @@ class TestCovariogram:
             assert covariogram(triangle, x).exact == 0
 
 
+def _three_routes(P, theta, p):
+    # the ray engine, the symmetral slab and the projection-power form
+    return (RayMomentEngine(P, theta).moment(p), slab_moment(P, p),
+            projection_power_moment(P, p))
+
+
 class TestRoutes:
     @pytest.mark.parametrize(
         "p,expected", [(1, F(1, 2)), (2, F(1, 3))]
     )
     def test_unit_square_routes(self, unit_square, p, expected):
-        for route in ("ray-quadrature", "symmetral-slab", "projection-power"):
-            mv = continuous_ray_moment(MomentRequest(unit_square, E2, p, route))
-            if mv.exact is not None:
-                assert mv.exact == expected
-            else:
-                assert abs(mv.value - float(expected)) <= max(1e-12, mv.abs_error)
+        for mv in _three_routes(unit_square, E2, p):
+            assert mv.exact == expected
 
     def test_simplex3_routes_agree(self, simplex3):
         e3 = axis_direction(3)
         for p in (1, 2, 3):
-            vals = []
-            errs = 0.0
-            for route in ("ray-quadrature", "symmetral-slab", "projection-power"):
-                mv = continuous_ray_moment(MomentRequest(simplex3, e3, p, route))
-                vals.append(mv.value)
-                errs += mv.abs_error
-            assert max(vals) - min(vals) <= max(1e-9 * max(vals), errs)
-
-    def test_route_constraints(self, unit_square):
-        with pytest.raises(RouteUnsupported):
-            MomentRequest(unit_square, Direction((1, 1)), 2, "symmetral-slab")
-        with pytest.raises(RouteUnsupported):
-            MomentRequest(unit_square, E2, -F(1, 2), "ray-quadrature")
-        MomentRequest(unit_square, E2, -F(1, 2), "projection-power")  # allowed
+            vals = {mv.exact for mv in _three_routes(simplex3, e3, p)}
+            assert len(vals) == 1 and None not in vals, p
 
     def test_vertex_facet_kink_body(self):
         # the covariogram of this triangle kinks at r = 3/2, which is not a
         # vertex height difference; all routes must still agree exactly
         K = make_polytope([(0, 0), (2, -1), (1, 1)], 2)
-        assert ray_moment_quadrature(K, E2, 2).value == pytest.approx(0.5625, abs=1e-12)
-        assert slab_moment(K, 2).exact == F(9, 16)
-        assert projection_power_moment(K, 2).exact == F(9, 16)
+        for mv in _three_routes(K, E2, 2):
+            assert mv.exact == F(9, 16)
 
     def test_exact_plane_ray_moments(self, unit_square, triangle):
         for P, p, expected in [(unit_square, 1, F(1, 2)), (unit_square, 2, F(1, 3)),
                                (triangle, 1, F(1, 6))]:
-            mv = ray_moment_quadrature(P, E2, p)
+            mv = RayMomentEngine(P, E2).moment(p)
             assert mv.exact == expected
 
     def test_discrete_routes(self, big_square):
         e1 = Direction((1, 0))
-        mv = continuous_ray_moment(MomentRequest(big_square, e1, 2, "discrete-exact"))
-        assert mv.exact == 15
-        mv = continuous_ray_moment(MomentRequest(big_square, e1, 1, "discrete-open-exact"))
-        assert mv.exact == 18  # columns 0,1,2 -> open reach 1,2,3 per 3 rows
+        assert discrete_moment(big_square, e1, 2).exact == 15
+        # columns 0,1,2 -> open reach 1,2,3 per 3 rows
+        assert discrete_moment(big_square, e1, 1, open_cube=True).exact == 18
 
 
 class TestSectionPowers:
@@ -143,7 +129,7 @@ class TestRadials:
         for P, raw, p in cases:
             theta = Direction(raw)
             rho_rot = radial_Rp(P, theta, p).value
-            mom = ray_moment_quadrature(P, theta, p)
+            mom = RayMomentEngine(P, theta).moment(p)
             rho_ray = (mom.value / float(volume(P).exact)) ** (1.0 / p)
             assert rho_rot == pytest.approx(rho_ray, rel=1e-9), raw
 
@@ -250,15 +236,38 @@ def test_every_source_has_a_radial(source, unit_square):
 
 
 class TestBatchConsistency:
-    def test_polygon_batch_matches_engine(self, triangle):
-        dirs = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
-        for p in (1, 2):
-            batch = polygon_ray_moment_batch(triangle, dirs, p)
-            for d, got in zip(dirs, batch):
-                theta = Direction((F(d[0]).limit_denominator(10**6),
-                                   F(d[1]).limit_denominator(10**6)))
-                ref = ray_moment_quadrature(triangle, theta, p).value
-                assert got == pytest.approx(ref, rel=1e-6)
+    def test_continuous_batch_matches_exact_ray_moments(self, triangle, unit_square):
+        # integer p: the chord form against the exact ray moment at rational
+        # directions, normalized
+        from zhangforge.harness import BodySpec, make_body
+
+        hull = make_body(BodySpec("random_hull", 2, {"count": 9, "radius": 3, "seed": 1}))
+        raws = [(1, 0), (0, 1), (1, 2), (3, -1), (-2, 5)]
+        for P in (triangle, unit_square, hull):
+            vol = float(volume(P).exact)
+            for raw in raws:
+                theta = Direction(raw)
+                nrm = math.sqrt(float(theta.norm_sq))
+                d = np.array([[raw[0] / nrm, raw[1] / nrm]])
+                for p in range(1, 5):
+                    ref = float(ray_moment(P, theta, p).exact) * nrm**p
+                    got = vol * radial_batch("continuous", P, d, p)[0] ** p
+                    assert got == pytest.approx(ref, rel=1e-12, abs=0), (raw, p)
+
+    def test_continuous_batch_at_fractional_p(self, triangle, unit_square):
+        # along e2 every chord of the unit square has length 1, so the moment
+        # is 1/(p+1) and rho = (1/(p+1))^{1/p}
+        for p in (F(1, 2), F(5, 2)):
+            got = radial_batch("continuous", unit_square, np.array([[0.0, 1.0]]), p)[0]
+            assert got == pytest.approx((1 / (1 + p)) ** (1 / p), rel=1e-12), p
+            for P in (triangle, unit_square):
+                for raw in [(1, 0), (1, 2), (3, -1)]:
+                    theta = Direction(raw)
+                    nrm = math.sqrt(float(theta.norm_sq))
+                    d = np.array([[raw[0] / nrm, raw[1] / nrm]])
+                    ref = radial_Rp(P, theta, p).value
+                    got = radial_batch("continuous", P, d, p)[0]
+                    assert got == pytest.approx(ref, rel=1e-9), (raw, p)
 
     def test_discrete_batch_matches_exact(self, big_square):
         from zhangforge.moments import discrete_moment, discrete_moment_batch
