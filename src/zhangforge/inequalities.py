@@ -115,20 +115,6 @@ def _h_exact(x: Fraction, p: int, n: int) -> Fraction:
     return Fraction(p * S, a ** (n - 1))
 
 
-def h_func(x, p, n: int) -> float:
-    """x^p * B_x(p); continuous and nondecreasing in x."""
-    if x <= 0 or p < 1:
-        raise ValueError("need x > 0 and p >= 1")
-    if float(p) == int(p):
-        return float(_h_exact(frac(x), int(p), n))
-    xf, pf = float(x), float(p)
-    total = 0.0
-    for k in range(math.floor(xf) + 1):
-        pw = 1.0 if (k == 0 and pf == 1.0) else (float(k) ** (pf - 1.0) if k else 0.0)
-        total += pf * (1.0 - k / xf) ** (n - 1) * pw
-    return total
-
-
 @dataclass(frozen=True)
 class SectionProfiles:
     """Lattice counts of symmetral slices (plain f and open-fattened f~)."""
@@ -351,6 +337,7 @@ class BodyWorkspace:
         ds = dir_samples or {}
         self.n_dirs_2d = ds.get(2, 360)
         self.n_dirs_3d = ds.get(3, 1000)
+        self._sample_radials: dict[tuple, np.ndarray] = {}
 
     @cached_property
     def n(self) -> int:
@@ -424,6 +411,22 @@ class BodyWorkspace:
         if extra:
             base = np.concatenate([base, np.array(extra)], axis=0)
         return base
+
+    def sample_radial(self, source: str, p) -> np.ndarray:
+        """``radial_batch(source, body, sample_dirs, p)``, computed once per (source, p).
+
+        The Ball-body checkers read their radials on the same ``sample_dirs``,
+        so each (source, p) costs one ray-clip pass per body (the
+        open-fattened source, shared by ``ball_inclusion_discrete`` and
+        ``difference_set_inclusion``, is the costliest).  Only these
+        D-length arrays are kept, read-only, never the m x D clip tables.
+        """
+        key = (source, p)
+        if key not in self._sample_radials:
+            rho = radial_batch(source, self.body, self.sample_dirs, p)
+            rho.flags.writeable = False
+            self._sample_radials[key] = rho
+        return self._sample_radials[key]
 
     @cached_property
     def sym(self) -> Polytope:
@@ -851,10 +854,8 @@ def _chk_ball_inclusion_discrete(ws: BodyWorkspace, params: dict) -> InequalityR
     p = int(params.get("p", 1))
     q = int(params.get("q", 2))
     dirs = ws.sample_dirs
-    lhs_arr = math.comb(n + q, n) ** (1.0 / q) * radial_batch("discrete", ws.body, dirs, q)
-    rhs_arr = math.comb(n + p, n) ** (1.0 / p) * radial_batch(
-        "discrete-open-tilde", ws.body, dirs, p
-    )
+    lhs_arr = math.comb(n + q, n) ** (1.0 / q) * ws.sample_radial("discrete", q)
+    rhs_arr = math.comb(n + p, n) ** (1.0 / p) * ws.sample_radial("discrete-open-tilde", p)
     slack = rhs_arr - lhs_arr
     i = int(np.argmin(slack))
     err = 1e-9 * (abs(lhs_arr[i]) + abs(rhs_arr[i])) + 1e-12
@@ -871,7 +872,7 @@ def _chk_convexhull_inclusion(ws: BodyWorkspace, params: dict) -> InequalityRepo
     p = int(params.get("p", 1))
     combos = int(params.get("combos", 200))
     dirs = ws.sample_dirs
-    rho = radial_batch("discrete", ws.body, dirs, p)
+    rho = ws.sample_radial("discrete", p)
     pts = rho[:, None] * dirs
     rng = np.random.default_rng(ws.seed ^ 0x5EED)
     idx_a = np.arange(len(pts))
@@ -904,10 +905,8 @@ def _chk_difference_set_inclusion(ws: BodyWorkspace, params: dict) -> Inequality
     n = ws.n
     p = int(params.get("p", 1))
     dirs = ws.sample_dirs
-    lhs_arr = radial_batch("difference-set", ws.body, dirs, None)
-    rhs_arr = math.comb(n + p, n) ** (1.0 / p) * radial_batch(
-        "discrete-open-tilde", ws.body, dirs, p
-    )
+    lhs_arr = ws.sample_radial("difference-set", None)
+    rhs_arr = math.comb(n + p, n) ** (1.0 / p) * ws.sample_radial("discrete-open-tilde", p)
     slack = rhs_arr - lhs_arr
     i = int(np.argmin(slack))
     err = 1e-9 * (abs(lhs_arr[i]) + abs(rhs_arr[i])) + 1e-12
@@ -1036,6 +1035,15 @@ def _needs_hypotheses(ws: BodyWorkspace):
         return r
     if not ws.hypotheses.satisfied:
         return "profile hypotheses (max column at 0, M >= 1) not satisfied"
+    return None
+
+
+def _ball_body_applicable(ws: BodyWorkspace):
+    r = _origin_checker(ws)
+    if r:
+        return r
+    if ws.n not in (2, 3):
+        return "Ball-body sample directions are wired for n = 2, 3"
     return None
 
 
@@ -1171,21 +1179,21 @@ _register(
 _register(
     "ball_inclusion_discrete",
     _chk_ball_inclusion_discrete,
-    _origin_checker,
+    _ball_body_applicable,
     "binom(n+q,n)^(1/q) rho_q(lattice covariogram body) <="
     " binom(n+p,n)^(1/p) (G(K+open cube)/G(K))^(1/p) rho_p(open-fattened body), p < q",
 )
 _register(
     "convexhull_inclusion",
     _chk_convexhull_inclusion,
-    _origin_checker,
+    _ball_body_applicable,
     "convex combinations of boundary points of the lattice-covariogram Ball body"
     " lie in the scaled open-fattened Ball body",
 )
 _register(
     "difference_set_inclusion",
     _chk_difference_set_inclusion,
-    _origin_checker,
+    _ball_body_applicable,
     "rho((K cap Z^n) - K) <= binom(n+p,n)^(1/p) (G(K+cube)/G(K))^(1/p)"
     " rho_p(open-fattened Ball body)",
 )

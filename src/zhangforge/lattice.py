@@ -96,11 +96,18 @@ def lattice_points(P: Polytope, open_cube_k: int = 0) -> LatticePointSet:
         for h, c, q in down:
             lo = max(lo, -((c - sum(map(mul, h, y))) // q))
         pts.extend(y + (t,) for t in range(lo, hi + 1))
+    if P._lattice_counts is None:
+        P._lattice_counts = {}
+    P._lattice_counts[open_cube_k] = len(pts)
     return LatticePointSet(P.dim, tuple(pts))
 
 
 def count_lattice(P: Polytope, open_cube_k: int = 0) -> int:
-    return len(lattice_points(P, open_cube_k))
+    """len(lattice_points(P, open_cube_k)), read off an earlier enumeration of
+    P when there was one (only the count is kept, never the points)."""
+    if P._lattice_counts is None or open_cube_k not in P._lattice_counts:
+        lattice_points(P, open_cube_k)
+    return P._lattice_counts[open_cube_k]
 
 
 def column_lengths(P: Polytope) -> dict[tuple[int, ...], Fraction]:

@@ -23,7 +23,8 @@ polynomials off ``polytope.parametric_volume``.  No checker samples; Monte Carlo
 is left only as a test oracle (``mc_section_samples``).
 
 The float radial batches clip rays against a body in one place,
-``_interval_batch``.  The continuous source (n = 2) uses the chord form
+``_interval_batch``, one fused pass over the facets.  The continuous source
+(n = 2) uses the chord form
 p int r^{p-1} vol(K cap (r theta + K)) dr = (1/(p+1)) int ell_theta^{p+1}
 (Gardner-Zhang): it clips the chord through each vertex and integrates the
 piecewise linear ell_theta^{p+1} in closed form, exactly for every p.
@@ -424,31 +425,44 @@ def _float_halfspaces(P: Polytope):
 
 
 def _interval_batch(body: Polytope, pts: np.ndarray, dirs: np.ndarray, strict: bool):
-    """lo/hi of {r >= 0 : y - r theta in body} for every point x direction pair."""
+    """lo/hi of {r >= 0 : y - r theta in body} for every point x direction pair.
+
+    Row (a, b) reads c <= r s with c = <a, y> - b and s = <a, theta>: a lower
+    bound c/s where s > 0, an upper bound c/s where s < 0, and, where
+    |s| <= 1e-12, a feasibility test of c alone.  The divisors are masked
+    once, S+ = S where S > tol and S- = S where S < -tol, NaN elsewhere, so a
+    facet's quotients are NaN exactly where it does not bound r, and
+    ``fmin``/``fmax``, which ignore NaN, apply each facet to the whole m x D
+    table in place, through one reused buffer.
+
+    The lower pass runs only on facets with some c > 0.  Elsewhere c <= 0 and
+    s > 0 give c/s <= 0, which cannot raise lo above its initial +0.0, so
+    skipping those facets is exact (callers read lo through max(lo, 0), so
+    not even the sign of a zero quotient matters).  For points of the body
+    (c <= 0 exactly) the pass fires only on boundary points that binary64
+    rounded outward.
+    """
     A, b = _float_halfspaces(body)
     S = A @ dirs.T  # (F, D)
     C = A @ pts.T - b[:, None]  # (F, m)
-    F, D = S.shape
-    m = pts.shape[0]
-    lo = np.zeros((m, D))
-    hi = np.full((m, D), np.inf)
-    feas = np.ones((m, D), dtype=bool)
     tol = 1e-12
-    for f in range(F):
-        s = S[f]
-        c = C[f]
-        zero = np.abs(s) <= tol
-        if zero.any():
-            bad = c > (-tol if strict else tol)
-            feas &= ~(np.outer(bad, zero))
-        pos = (~zero) & (s > 0)
-        if pos.any():
-            ratio = c[:, None] / s[None, pos]
-            lo[:, pos] = np.maximum(lo[:, pos], ratio)
-        neg = (~zero) & (s < 0)
-        if neg.any():
-            ratio = c[:, None] / s[None, neg]
-            hi[:, neg] = np.minimum(hi[:, neg], ratio)
+    m, D = pts.shape[0], S.shape[1]
+    feas = np.ones((m, D), dtype=bool)
+    zero = np.abs(S) <= tol
+    bad = C > (-tol if strict else tol)
+    for f in np.flatnonzero(zero.any(axis=1)):
+        feas &= ~np.outer(bad[f], zero[f])
+    s_neg = np.where(S < -tol, S, np.nan)
+    s_pos = np.where(S > tol, S, np.nan)
+    buf = np.empty((m, D))
+    hi = np.full((m, D), np.inf)
+    for c, s in zip(C, s_neg):
+        np.divide(c[:, None], s, out=buf)
+        np.fmin(hi, buf, out=hi)
+    lo = np.zeros((m, D))
+    for f in np.flatnonzero((C > 0).any(axis=1)):
+        np.divide(C[f][:, None], s_pos[f], out=buf)
+        np.fmax(lo, buf, out=lo)
     feas &= hi >= lo - 1e-12
     return lo, hi, feas
 
@@ -517,18 +531,13 @@ def radial_batch(source: str, P: Polytope, dirs: np.ndarray, p) -> np.ndarray:
     if source == "continuous":
         mom = _chord_moment_batch(P, dirs, p)
         return (mom / float(P.volume_fraction())) ** (1.0 / pf)
-    gK = count_lattice(P)
-    if source == "discrete":
-        mom = discrete_moment_batch(P, dirs, p, open_cube=False)
-        base = gK
-    elif source == "discrete-open":
-        mom = discrete_moment_batch(P, dirs, p, open_cube=True)
-        base = count_lattice(P, P.dim)
-    elif source == "discrete-open-tilde":
-        mom = discrete_moment_batch(P, dirs, p, open_cube=True)
-        base = gK
-    else:
+    if source not in ("discrete", "discrete-open", "discrete-open-tilde"):
         raise RouteUnsupported(source)
+    mom = discrete_moment_batch(P, dirs, p, open_cube=source != "discrete")
+    # count_lattice reads the size of discrete_moment_batch's own enumeration
+    # for "discrete" and "discrete-open"; the tilde source's G(K) is counted
+    # once per body
+    base = count_lattice(P, P.dim if source == "discrete-open" else 0)
     return (mom / base) ** (1.0 / pf)
 
 

@@ -174,6 +174,7 @@ class Polytope:
         "_volume",
         "_fweights",
         "_fattenings",
+        "_lattice_counts",
         "_projection",
         "_int_rows",
         "_incidence",
@@ -189,6 +190,7 @@ class Polytope:
         self._volume: Fraction | None = None
         self._fweights = None
         self._fattenings = None
+        self._lattice_counts = None  # per k, the size of the last lattice_points(P, k)
         self._projection: Polytope | None = None
         self._int_rows = None
         self._incidence = None  # per vertex, the input rows of from_halfspaces tight there

@@ -1,5 +1,5 @@
 """Dead-surface guard: every public top-level name of ``zhangforge.moments``
-is used outside the tests.
+and ``zhangforge.inequalities`` is used outside the tests.
 
 A name counts as used when it appears as a name, an attribute, an imported
 name or a string constant (``perfbench/tracer.py`` wraps functions by their
@@ -12,7 +12,6 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULE = ROOT / "src" / "zhangforge" / "moments.py"
 
 
 def _identifiers(node: ast.AST) -> set[str]:
@@ -42,22 +41,32 @@ def _public_names(tree: ast.Module) -> set[str]:
     return {name for stmt in tree.body for name in _defined(stmt) if not name.startswith("_")}
 
 
-def _uses_outside_tests() -> set[str]:
+def _uses_outside_tests(module: Path) -> set[str]:
     used = set()
-    tree = ast.parse(MODULE.read_text(), str(MODULE))
+    tree = ast.parse(module.read_text(), str(module))
     for stmt in tree.body:
         used |= _identifiers(stmt) - _defined(stmt)
     others = [p for d in ("src", "demos", "perfbench") for p in (ROOT / d).rglob("*.py")
-              if p != MODULE]
+              if p != module]
     for path in others:
         used |= _identifiers(ast.parse(path.read_text(), str(path)))
     return used
 
 
+def _dead_names(name: str) -> list[str]:
+    module = ROOT / "src" / "zhangforge" / f"{name}.py"
+    tree = ast.parse(module.read_text(), str(module))
+    return sorted(_public_names(tree) - _uses_outside_tests(module))
+
+
 def test_every_public_moments_name_is_used_outside_the_tests():
-    tree = ast.parse(MODULE.read_text(), str(MODULE))
-    dead = sorted(_public_names(tree) - _uses_outside_tests())
+    dead = _dead_names("moments")
     assert not dead, f"public names of zhangforge.moments used only by tests: {dead}"
+
+
+def test_every_public_inequalities_name_is_used_outside_the_tests():
+    dead = _dead_names("inequalities")
+    assert not dead, f"public names of zhangforge.inequalities used only by tests: {dead}"
 
 
 def test_the_guard_sees_a_name_used_only_by_tests():

@@ -47,6 +47,7 @@ from zhangforge.linalg import (
 from zhangforge.lp import LPResult, lp_solve, max_slack_point
 from zhangforge.moments import (
     RayMomentEngine,
+    _interval_batch,
     covariogram_on_ray,
     mc_section_samples,
     projection_power_moment,
@@ -225,6 +226,70 @@ def test_polar_projection_body_against_facet_weight_radial(dim):
         mine = ratios.min(axis=1)
         ref = radial_batch("polar-projection", P, dirs, None)
         assert mine == pytest.approx(ref, rel=1e-12)
+
+
+def _interval_batch_per_facet(body, pts, dirs, strict):
+    """The ray clip facet by facet, with index-masked column updates: the
+    reference for the fused clip of ``moments._interval_batch``."""
+    A = np.array([[float(x) for x in a] for a, _ in body.halfspaces])
+    b = np.array([float(bb) for _, bb in body.halfspaces])
+    S = A @ dirs.T
+    C = A @ pts.T - b[:, None]
+    m, D = pts.shape[0], S.shape[1]
+    lo = np.zeros((m, D))
+    hi = np.full((m, D), np.inf)
+    feas = np.ones((m, D), dtype=bool)
+    tol = 1e-12
+    for s, c in zip(S, C):
+        zero = np.abs(s) <= tol
+        if zero.any():
+            bad = c > (-tol if strict else tol)
+            feas &= ~(np.outer(bad, zero))
+        pos = (~zero) & (s > 0)
+        if pos.any():
+            lo[:, pos] = np.maximum(lo[:, pos], c[:, None] / s[None, pos])
+        neg = (~zero) & (s < 0)
+        if neg.any():
+            hi[:, neg] = np.minimum(hi[:, neg], c[:, None] / s[None, neg])
+    feas &= hi >= lo - 1e-12
+    return lo, hi, feas
+
+
+def _float_points(points):
+    return np.array([[float(c) for c in y] for y in points], dtype=float)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_interval_batch_against_per_facet_clip(dim):
+    # bitwise: the fused clip takes the same quotients c/s and the same
+    # reductions as the per-facet reference, so lo, hi and feas agree to the
+    # bit on lattice points of the body and of its open fattening, on points
+    # outside (where the lower pass runs) and, on cubes, along the axes
+    # (|s| <= 1e-12, where only feasibility is decided)
+    rng = np.random.default_rng(4242 + dim)
+    cube = make_polytope(list(product((0, 1), repeat=dim)), dim)
+    bodies = [cube] + [
+        make_body(BodySpec("random_hull", dim, {"count": 6, "radius": 2, "seed": s}))
+        for s in range(5)
+    ]
+    axes = np.concatenate([np.eye(dim), -np.eye(dim)])
+    lower_fired = zero_decided = 0
+    for P in bodies:
+        dirs = rng.normal(size=(120, dim))
+        dirs = np.concatenate([dirs / np.linalg.norm(dirs, axis=1)[:, None], axes])
+        for k in (0, dim):
+            body = fattening(P, k)
+            inside = _float_points(lattice_points(P, k))
+            outside = rng.integers(-5, 6, size=(25, dim)).astype(float)
+            for pts in (inside, outside, _float_points(body.vertices)):
+                for strict in (False, True):
+                    ref = _interval_batch_per_facet(body, pts, dirs, strict)
+                    got = _interval_batch(body, pts, dirs, strict)
+                    for name, r, g in zip(("lo", "hi", "feas"), ref, got):
+                        assert r.tobytes() == g.tobytes(), (P, k, strict, name)
+                    lower_fired += bool(ref[0].any())
+                    zero_decided += bool((~ref[2][:, -2 * dim:]).any())
+    assert lower_fired and zero_decided
 
 
 _HULLS = [BodySpec("random_hull", 2, {"count": 8, "radius": 2, "seed": s}) for s in range(4)] + [

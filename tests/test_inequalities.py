@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from zhangforge import make_polytope, transform
+from zhangforge import make_polytope, moments, transform
 from zhangforge.errors import HypothesesViolated, UnknownChecker
 from zhangforge.inequalities import (
     B_coeff,
@@ -16,17 +16,20 @@ from zhangforge.inequalities import (
     checker_statement,
     crossing_point,
     diamond_extension,
-    h_func,
     hypotheses_h,
     limit_sweep,
     section_profiles,
     verify,
+    _h_exact,
     _solve_m0,
 )
 from zhangforge.polytope import MeasureValue
 from zhangforge.steiner import steiner_symmetrize
 
 F = Fraction
+
+_BALL_BODY_CHECKERS = ("ball_inclusion_discrete", "convexhull_inclusion",
+                       "difference_set_inclusion")
 
 
 class TestBCoeff:
@@ -40,21 +43,24 @@ class TestBCoeff:
     def test_finite_sum(self):
         assert B_coeff(2, 1, 2) == 0.75  # (1/2)(1 + 1/2 + 0)
 
-    def test_h_examples(self):
-        assert h_func(F(7, 10), 1, 2) == 1.0
-        assert h_func(1, 1, 2) == 1.0
-        assert h_func(3, 1, 2) == 2.0
-        assert h_func(F(7, 10), 2, 2) == 0.0
-
     @pytest.mark.parametrize("p", [-1, 0, F(1, 2)])
-    def test_h_rejects_p_below_one(self, p):
-        # B_coeff rejects the same exponents; the sum would otherwise reach 0^(p-1)
-        with pytest.raises(ValueError, match="need x > 0 and p >= 1"):
-            h_func(2, p, 2)
+    def test_B_rejects_p_below_one(self, p):
+        # the sum would otherwise reach 0^(p-1)
+        with pytest.raises(ValueError, match="need m > 0 and p >= 1"):
+            B_coeff(2, p, 2)
+
+    def test_h_examples(self):
+        # h(x) = x^p B_x(p) = sum_{k <= x} p (1 - k/x)^(n-1) k^(p-1), exactly
+        assert _h_exact(F(7, 10), 1, 2) == 1
+        assert _h_exact(F(1), 1, 2) == 1
+        assert _h_exact(F(3), 1, 2) == 2
+        assert _h_exact(F(7, 10), 2, 2) == 0
+        assert _h_exact(F(5, 2), 2, 3) == F(22, 25)  # 2 (3/5)^2 + 2 (1/5)^2 2
 
     def test_h_nondecreasing(self):
-        vals = [h_func(F(k, 7), 2, 3) for k in range(1, 80)]
-        assert all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
+        vals = [_h_exact(F(k, 7), 2, 3) for k in range(1, 80)]
+        assert all(isinstance(v, Fraction) for v in vals)
+        assert all(a <= b for a, b in zip(vals, vals[1:]))
 
 
 class TestProfiles:
@@ -256,6 +262,36 @@ class TestVerify:
         assert applicability("zhang_preintegration", ws) is None
         ws2 = BodyWorkspace(unit_square)
         assert applicability("completely_discrete_berwald", ws2) is not None  # M = 0
+
+    @pytest.mark.parametrize("cid", _BALL_BODY_CHECKERS)
+    def test_ball_body_checkers_are_inconclusive_beyond_three_dimensions(self, cid):
+        # the sample directions are a circle (n = 2) or a sphere (n = 3); a
+        # 4-simplex containing 0 gets a reason, not a numpy shape error
+        simplex4 = make_polytope(
+            [(0, 0, 0, 0)] + [tuple(int(i == j) for j in range(4)) for i in range(4)], 4
+        )
+        rep = verify(cid, simplex4)
+        assert rep.verdict == "inconclusive"
+        assert "n = 2, 3" in rep.context["reason"]
+
+    def test_ball_body_checkers_share_the_sample_radials(self, simplex3, monkeypatch):
+        # one open-fattened pass over the sample directions, read by both
+        # ball_inclusion_discrete and difference_set_inclusion, and one over
+        # convexhull_inclusion's convex-combination directions
+        open_calls = []
+        real = moments.discrete_moment_batch
+
+        def counting(P, dirs, p, open_cube):
+            if open_cube:
+                open_calls.append(len(dirs))
+            return real(P, dirs, p, open_cube)
+
+        monkeypatch.setattr(moments, "discrete_moment_batch", counting)
+        ws = BodyWorkspace(simplex3)
+        for cid in _BALL_BODY_CHECKERS:
+            assert verify(cid, simplex3, ws=ws).holds, cid
+        assert len(open_calls) == 2
+        assert open_calls[0] == len(ws.sample_dirs)
 
     def test_identity_triples_exact(self, big_square):
         rep = verify("identity_triple_discrete", big_square)
