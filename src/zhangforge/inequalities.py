@@ -29,6 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    ConfigError,
     EmptyProjectionLattice,
     HypothesesViolated,
     NoCrossing,
@@ -64,6 +65,7 @@ from .polytope import (
     polar_projection_body,
     project_drop_last,
     projection_support,
+    transform,
     translate,
     vertical_section,
 )
@@ -180,11 +182,20 @@ def diamond_extension(S: Polytope, x) -> MeasureValue:
     window; the supremum over the open window equals this closed maximum by
     continuity.  Returns 0 when the window misses the projection.
     """
+    _require_x_n_symmetric(S)
+    return MeasureValue.from_exact(_diamond_column(fattening(S, S.dim - 1), x))
+
+
+def _require_x_n_symmetric(S: Polytope) -> None:
     verts = set(S.vertices)
     if any(v[:-1] + (-v[-1],) not in verts for v in verts):
         raise ValueError("diamond extension needs a body symmetric in x_n")
-    seg = vertical_section(fattening(S, S.dim - 1), x)
-    return MeasureValue.from_exact(_ZERO if seg is None else seg.hi)
+
+
+def _diamond_column(fat: Polytope, x) -> Fraction:
+    """Upper end of the section of the fattened symmetral over x; 0 when empty."""
+    seg = vertical_section(fat, x)
+    return _ZERO if seg is None else seg.hi
 
 
 def _profile_sum(profile: dict[int, int], p: int) -> Fraction:
@@ -450,10 +461,10 @@ class BodyWorkspace:
 
     @cached_property
     def diamond_values(self) -> dict:
-        out = {}
-        for y in lattice_points(self.aproj, self.n - 1):
-            out[y] = diamond_extension(self.asym, y).exact
-        return out
+        """``diamond_extension`` over each column, with one symmetry check."""
+        _require_x_n_symmetric(self.asym)
+        fat = fattening(self.asym, self.n - 1)
+        return {y: _diamond_column(fat, y) for y in lattice_points(self.aproj, self.n - 1)}
 
     @cached_property
     def column_lengths(self) -> dict[tuple, Fraction]:
@@ -963,7 +974,6 @@ def _chk_volume_identity_discrete(ws: BodyWorkspace, params: dict) -> Inequality
 
 def _chk_one_point_collapse(ws: BodyWorkspace, params: dict) -> InequalityReport:
     from .lattice import ray_interval
-    from .polytope import transform
 
     n = ws.n
     p = int(params.get("p", 1))
@@ -1251,7 +1261,8 @@ def verify(cid: str, body: Polytope, params: dict | None = None,
 # ---------------------------------------------------------------------------
 
 def _scaled(P: Polytope, lam: int) -> Polytope:
-    return Polytope.from_points([tuple(lam * c for c in v) for v in P.vertices], P.dim)
+    n = P.dim
+    return transform(P, [[lam * int(i == j) for j in range(n)] for i in range(n)], [0] * n)
 
 
 def _row(scale, quantity, value, reference):
@@ -1282,24 +1293,26 @@ def limit_sweep(P: Polytope, target: str, scales, params: dict | None = None) ->
         for x in scales:
             rows.append(_row(x, "B_x(p)", B_coeff(float(x), p, n), ref))
         return rows
+    bad = [lam for lam in scales if isinstance(lam, bool) or not isinstance(lam, int) or lam <= 0]
+    if bad:
+        raise ConfigError(f"lattice sweep scales must be positive integers, got {bad}")
     ws = BodyWorkspace(P)
     n = P.dim
     if target == "gn_volume":
         for lam in scales:
-            Q = _scaled(P, int(lam))
-            rows.append(_row(lam, "G_n/scale^n", Fraction(count_lattice(Q), int(lam) ** n), ws.vol))
+            Q = _scaled(P, lam)
+            rows.append(_row(lam, "G_n/scale^n", Fraction(count_lattice(Q), lam**n), ws.vol))
         return rows
     if target == "mu_volume":
         for lam in scales:
-            Q = _scaled(P, int(lam))
-            rows.append(_row(lam, "mu/scale^n", mu_measure(Q).exact / int(lam) ** n, ws.vol))
+            Q = _scaled(P, lam)
+            rows.append(_row(lam, "mu/scale^n", mu_measure(Q).exact / lam**n, ws.vol))
         return rows
     if target in ("discrete_to_continuous_zhang", "purely_discrete_to_continuous"):
         const = Fraction(math.comb(2 * n, n), n**n)
         ref_lhs = const * ws.slab(n).exact
         ref_rhs = ws.vol ** (n + 1) / ws.volp**n
         for lam in scales:
-            lam = int(lam)
             qws = BodyWorkspace(_scaled(ws.anchored, lam))
             norm = lam ** (2 * n)
             if target == "discrete_to_continuous_zhang":

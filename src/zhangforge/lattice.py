@@ -7,7 +7,8 @@ halfspace rows of the body (``polytope.integer_rows``) bound x_n to an
 integer range by floor division, and the points (y, t) come out in
 lexicographic order.  One rule decides membership in the open fattening
 P + (-1,1)^k x {0}^{n-k} for every k: with F the closed sum
-P + [-1,1]^k x {0}^{n-k} (built once per body by :func:`fattening`), x is in
+P + [-1,1]^k x {0}^{n-k} (built once per body and k by :func:`fattening`,
+with no hull for a full-dimensional P), x is in
 the open fattening exactly when it satisfies every halfspace of F, strictly
 on the rows whose normal has a nonzero entry among the first k coordinates.
 k = 0 is the body itself with no strict rows.
@@ -30,6 +31,7 @@ from .polytope import (
     Interval,
     MeasureValue,
     Polytope,
+    cube_sum,
     integer_rows,
     minkowski_sum,
     project_drop_last,
@@ -64,13 +66,19 @@ def closed_unit_cube(k: int, dim: int) -> Polytope:
 
 
 def fattening(P: Polytope, k: int) -> Polytope:
-    """The closed sum P + [-1,1]^k x {0}^{n-k}, memoized on ``P``; P itself for k = 0."""
+    """The closed sum P + [-1,1]^k x {0}^{n-k}, memoized on ``P``; P itself for k = 0.
+
+    A full-dimensional P is fattened with no hull, one segment [-e_i, e_i]
+    at a time (``polytope.cube_sum``); a lower-dimensional P hulls the
+    Minkowski sum with ``closed_unit_cube(k, n)``.
+    """
     if k == 0:
         return P
     if P._fattenings is None:
         P._fattenings = {}
     if k not in P._fattenings:
-        P._fattenings[k] = minkowski_sum(P, closed_unit_cube(k, P.dim))
+        P._fattenings[k] = (cube_sum(P, k) if P.is_full_dimensional
+                            else minkowski_sum(P, closed_unit_cube(k, P.dim)))
     return P._fattenings[k]
 
 

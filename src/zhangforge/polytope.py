@@ -6,17 +6,20 @@ deduplicated, sorted).  Lower-dimensional sets are legal values (projections,
 slices, touching intersections): their halfspace list contains the affine-hull
 equalities as opposite halfspace pairs and their full-dimensional volume is 0.
 
-Each full-dimensional construction is one run of the exact hull engine.
-``from_points`` hulls the points.  ``from_halfspaces`` hulls the polar dual
-of integer rows about an interior point: the dual hull's facets are the
-vertices, its extreme points the irredundant rows, and the dual points on
-each facet plane the rows tight at that vertex.  Those incidences give the
-boundary triangulation (pulling, no arithmetic) and ``parametric_volume``
-its vertex paths.  A halfspace set with empty interior is the exception: its
-implicit equalities are found by one LP per row, and its vertices re-hulled
-in the affine hull.  Volumes of boundary triangulations, from either
-construction and in ``parametric_volume``, are sums of integer determinants,
-and facet weights are sums of their simplices' integer cofactor normals.
+Each full-dimensional construction is one run of the exact hull engine, or
+none where the faces follow from a parent's: ``transform`` maps vertices,
+rows and triangulation through an invertible A, and ``cube_sum`` adds a cube
+one segment at a time.  ``from_points`` hulls the points.
+``from_halfspaces`` hulls the polar dual of integer rows about an interior
+point: the dual hull's facets are the vertices, its extreme points the
+irredundant rows, and the dual points on each facet plane the rows tight at
+that vertex.  Those incidences give the boundary triangulation (pulling, no
+arithmetic) and ``parametric_volume`` its vertex paths.  A halfspace set
+with empty interior is the exception: its implicit equalities are found by
+one LP per row, and its vertices re-hulled in the affine hull.  Volumes of
+boundary triangulations, from any construction and in ``parametric_volume``,
+are sums of integer determinants, and facet weights are sums of their
+simplices' integer cofactor normals.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from .linalg import (
     mat_inv,
     nullspace,
     primitive,
+    primitive_int,
     solve_linear,
     vec,
     vsub,
@@ -570,13 +574,125 @@ def minkowski_sum(P: Polytope, Q: Polytope) -> Polytope:
 
 
 def transform(P: Polytope, A, b) -> Polytope:
-    """Image polytope under x -> A x + b (A rational square)."""
+    """Image polytope under x -> A x + b (A rational square).
+
+    With A invertible and P full-dimensional no hull is built: vertices and
+    boundary triangulation map point by point, and the row <a, x> <= c maps
+    to <A^{-T} a, y> <= c + <A^{-T} a, b>, made primitive.  A singular A
+    (or a lower-dimensional P) hulls the image of the vertices.
+    """
     rows = [vec(r) for r in A]
-    if len(rows) != P.dim or any(len(r) != P.dim for r in rows):
+    n = P.dim
+    if len(rows) != n or any(len(r) != n for r in rows):
         raise DimensionMismatch("matrix shape does not match polytope dimension")
     shift = vec(b)
-    pts = [tuple(dot(rows[i], v) + shift[i] for i in range(P.dim)) for v in P.vertices]
-    return Polytope.from_points(pts, P.dim)
+    inv = mat_inv(rows) if P.is_full_dimensional else None
+    if inv is None:
+        return Polytope.from_points(_affine_image(rows, shift, P.vertices), n)
+    tri_pts, simplices = P._tri
+    nv = len(P.vertices)
+    images = _affine_image(rows, shift, [*P.vertices, *tri_pts])
+    verts = tuple(sorted(images[:nv]))
+    # A^{-T} = J^T / dJ and b = B / db over integers; a row (a, num/den) maps to
+    # the direction u = J^T a with offset (dJ num/den + <u, B>/db) / dJ
+    J, dJ = integer_points(inv)
+    B, db = integer_row(shift)
+    hs = []
+    for a, num, den in integer_rows(P):
+        u = [sum(J[i][j] * a[i] for i in range(n)) for j in range(n)]
+        g = gcd(*u)
+        off = Fraction(dJ * db * num + den * sum(map(mul, u, B)), g * den * db)
+        hs.append((tuple(Fraction(x // g) for x in u), off))
+    return Polytope(n, n, verts, tuple(sorted(hs)), _hull_interior(verts),
+                    (tuple(images[nv:]), simplices))
+
+
+def _affine_image(rows, shift, points) -> list[Vec]:
+    """The points under x -> A x + b, over integers: with A = M/dA, b = B/db
+    and x = X/L, A x + b = (db M X + dA L B) / (dA L db)."""
+    M, dA = integer_points(rows)
+    B, db = integer_row(shift)
+    X, L = integer_points(points)
+    den = dA * L * db
+    return [tuple(Fraction(db * sum(map(mul, r, x)) + dA * L * t, den) for r, t in zip(M, B))
+            for x in X]
+
+
+def cube_sum(P: Polytope, k: int) -> Polytope:
+    """P + [-1,1]^k x {0}^{n-k} for a full-dimensional P, with no hull.
+
+    The segments [-e_i, e_i], i < k, are added one at a time by
+    :func:`_add_segment` (Fukuda, J. Symbolic Comput. 38, 2004), over
+    integers with the vertices over one denominator L.  Each facet carries
+    its vertex set as a bitmask from step to step; the final masks give the
+    pulling triangulation, as in ``from_halfspaces``.
+    """
+    n = P.dim
+    V, L = integer_points(P.vertices)
+    rows = list(integer_rows(P))
+    masks = [sum(1 << j for j, v in enumerate(V) if den * sum(map(mul, a, v)) == num * L)
+             for a, num, den in rows]
+    for i in range(k):
+        V, rows, masks = _add_segment(V, rows, masks, i, L)
+    order = sorted(range(len(V)), key=V.__getitem__)
+    where = {j: pos for pos, j in enumerate(order)}
+    verts = tuple(tuple(Fraction(x, L) for x in V[j]) for j in order)
+    facets = sorted(zip(rows, masks))
+    Q = Polytope(
+        n, n, verts,
+        tuple((tuple(map(Fraction, a)), Fraction(num, den)) for (a, num, den), _m in facets),
+        _hull_interior(verts),
+        (verts, _pulling_triangulation(
+            [sum(1 << where[j] for j in _bits(m)) for _r, m in facets], n)),
+    )
+    Q._int_rows = tuple(r for r, _m in facets)
+    return Q
+
+
+def _add_segment(V, rows, masks, i: int, L: int):
+    """(vertices, integer rows, facet masks) of P + [-e_i, e_i] from those of P,
+    the vertices integer over L.
+
+    Each facet (a, b) moves to (a, b + |a_i|).  Each ridge between facets
+    a, a' with a_i > 0 > a'_i gives the facet with normal -a'_i a + a_i a',
+    made primitive, through the ridge; two facets meet in a ridge when their
+    common vertices lie in no third facet.  Vertex v gives v + e_i (v - e_i)
+    when a facet at v has a_i > 0 (< 0).  A facet with a_i > 0 (< 0) keeps the
+    images v + e_i (v - e_i) of its vertices, every other facet both images
+    that exist.
+    """
+    sign = [(a[i] > 0) - (a[i] < 0) for a, _num, _den in rows]
+    reach = {1: 0, -1: 0}  # the vertices on a facet with a_i > 0, < 0
+    for m, s in zip(masks, sign):
+        if s:
+            reach[s] |= m
+    image: dict[int, dict[int, int]] = {1: {}, -1: {}}  # vertex j -> index of v_j +- e_i
+    W = []
+    for j, v in enumerate(V):
+        for s in (1, -1):
+            if reach[s] >> j & 1:
+                image[s][j] = len(W)
+                W.append(v[:i] + (v[i] + s * L,) + v[i + 1:])
+
+    def lift(m: int, sides) -> int:
+        return sum(1 << image[s][j] for s in sides for j in _bits(m) if j in image[s])
+
+    out_rows, out_masks = [], []
+    for p in (p for p, s in enumerate(sign) if s > 0):
+        for q in (q for q, s in enumerate(sign) if s < 0):
+            m = masks[p] & masks[q]
+            if not m or any(t != p and t != q and mt & m == m for t, mt in enumerate(masks)):
+                continue
+            a, b = rows[p][0], rows[q][0]
+            c = primitive_int(tuple(-b[i] * x + a[i] * y for x, y in zip(a, b)))
+            h = sum(map(mul, c, V[_bits(m)[0]]))
+            g = gcd(h, L)
+            out_rows.append((c, h // g, L // g))
+            out_masks.append(lift(m, (1, -1)))
+    for (a, num, den), m, s in zip(rows, masks, sign):
+        out_rows.append((a, num + abs(a[i]) * den, den))
+        out_masks.append(lift(m, (s,) if s else (1, -1)))
+    return W, out_rows, out_masks
 
 
 def project_drop_last(P: Polytope) -> Polytope:

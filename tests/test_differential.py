@@ -14,9 +14,11 @@ from zhangforge import (
     axis_direction,
     intersect,
     make_polytope,
+    minkowski_sum,
     polar_projection_body,
     project_drop_last,
     slice_at_height,
+    transform,
     translate,
     vertical_section,
     volume,
@@ -32,7 +34,7 @@ from zhangforge.inequalities import (
     diamond_extension,
     section_profiles,
 )
-from zhangforge.lattice import count_lattice, fattening, lattice_points
+from zhangforge.lattice import closed_unit_cube, count_lattice, fattening, lattice_points
 from zhangforge.linalg import (
     affine_basis,
     det,
@@ -56,7 +58,7 @@ from zhangforge.moments import (
     ray_support,
     section_distribution,
 )
-from zhangforge.polytope import Polytope, _lagrange_coeffs, parametric_volume
+from zhangforge.polytope import Polytope, _lagrange_coeffs, integer_rows, parametric_volume
 from zhangforge.steiner import steiner_symmetrize
 
 F = Fraction
@@ -1051,3 +1053,64 @@ def test_parametric_volume_against_fraction_paths():
     assert seen["whole"] >= 60
     assert seen["split"] >= 5  # a vertex splits at the midpoint
     assert seen["cut"] >= 5  # consistent paths that leave the body inside the panel
+
+
+def _assert_same_body(got, want, label):
+    assert got.vertices == want.vertices, label
+    assert got.halfspaces == want.halfspaces, label
+    assert got.affine_dim == want.affine_dim, label
+    assert got.volume_fraction() == want.volume_fraction(), label
+    if want.is_full_dimensional:
+        assert integer_rows(got) == integer_rows(want), label
+        assert got.facet_weights() == want.facet_weights(), label
+        assert got.contains(got.interior_point, strict=True), label
+
+
+def _derived_body_cases():
+    """Seeded random hulls in dims 2-4, bodies with many facets parallel to
+    the axes, and lower-dimensional bodies."""
+    bodies = [make_polytope([(F(-1, 3),), (F(5, 2),)], 1)]
+    for dim in (2, 3, 4):
+        for seed in range(4 if dim < 4 else 2):
+            bodies.append(make_body(BodySpec(
+                "random_hull", dim, {"count": dim + 4, "radius": 2, "seed": 40 + seed})))
+        bodies.append(make_body(BodySpec("cube", dim, {"edge": [0, F(3, 2)]})))
+        bodies.append(make_body(BodySpec("cross", dim, {"scale": 2})))
+    bodies.append(make_polytope([(0, 0), (F(3, 2), F(1, 2))], 2))  # a segment
+    bodies.append(make_polytope([(0, 0, 0), (2, 0, 1), (0, 1, 1)], 3))  # a triangle
+    return bodies
+
+
+def test_fattening_against_cube_minkowski_sum():
+    flat = 0
+    for P in _derived_body_cases():
+        flat += not P.is_full_dimensional
+        for k in range(1, P.dim + 1):
+            want = minkowski_sum(P, closed_unit_cube(k, P.dim))
+            _assert_same_body(fattening(P, k), want, (P.vertices, k))
+    assert flat == 2
+
+
+def test_affine_images_against_hull_of_mapped_vertices():
+    seen = Counter()
+    for P in _derived_body_cases():
+        n = P.dim
+        eye = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+        shear = [row[:] for row in eye]
+        shear[0][-1] += 3
+        rational = [[F(i + 2 * j + 1, 3) if i != j else F(-2 + i, 2) - 1 for j in range(n)]
+                    for i in range(n)]
+        singular = [row[:] for row in eye]
+        singular[-1] = [F(0)] * n
+        maps = {"negation": [[-x for x in row] for row in eye], "shear": shear,
+                "scale": [[F(5, 2) * x for x in row] for row in eye], "rational": rational,
+                "singular": singular}
+        for name, A in maps.items():
+            b = [F(j - 1, 3) for j in range(n)]
+            image = [tuple(dot(A[i], v) + b[i] for i in range(n)) for v in P.vertices]
+            want = make_polytope(image, n)
+            got = transform(P, A, b)
+            _assert_same_body(got, want, (P.vertices, name))
+            assert got.interior_point == want.interior_point
+            seen[name, det(A) != 0] += 1
+    assert seen["rational", True] >= 10 and seen["singular", False] >= 10

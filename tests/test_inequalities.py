@@ -102,6 +102,16 @@ class TestDiamond:
         with pytest.raises(ValueError):
             diamond_extension(triangle, (0,))
 
+    def test_workspace_columns_match_the_guarded_extension(self):
+        # the workspace checks the symmetry once, then reads every column
+        from zhangforge.harness import default_corpus, make_body
+        from zhangforge.lattice import lattice_points
+
+        for spec in default_corpus():
+            ws = BodyWorkspace(make_body(spec))
+            cols = lattice_points(ws.aproj, ws.n - 1)
+            assert ws.diamond_values == {y: diamond_extension(ws.asym, y).exact for y in cols}
+
 
 class TestM0AndCrossing:
     def test_sym_square_m0(self, sym_square):
@@ -357,6 +367,23 @@ class TestSweeps:
     def test_unknown_target(self, triangle):
         with pytest.raises(ValueError):
             limit_sweep(triangle, "nope", [2])
+
+    @pytest.mark.parametrize("scale", [2.5, 0, -4])
+    def test_lattice_scales_are_positive_integers(self, scale):
+        # 2.5 was computed at 2 and reported as 2.5, -4 gave a negative
+        # G_n / scale^n in dimension 3, and 0 divided by zero
+        from zhangforge.errors import ConfigError
+        from zhangforge.harness import BodySpec, SuiteConfig, run_sweeps
+
+        cfg = SuiteConfig(bodies=[BodySpec("cube", 3, {"edge": [0, 1]}, name="c")],
+                          sweeps=[{"target": "gn_volume", "body": "c", "scales": [4, scale]}])
+        with pytest.raises(ConfigError):
+            run_sweeps(cfg)
+
+    def test_B_limit_keeps_real_scales(self):
+        rows = limit_sweep(None, "B_limit", [F(5, 2), 2.5], {"n": 2, "p": 1})
+        assert [r["scale"] for r in rows] == [2.5, 2.5]
+        assert rows[0]["value"] == rows[1]["value"]
 
 
 class TestFullRegistryOnSpotBodies:

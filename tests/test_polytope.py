@@ -25,6 +25,7 @@ from zhangforge import (
     volume,
 )
 from zhangforge.errors import DegenerateBody, DimensionMismatch
+from zhangforge.linalg import det
 from zhangforge.polytope import parametric_volume, polytope_from_json, polytope_to_json
 
 F = Fraction
@@ -442,8 +443,8 @@ def test_one_hull_per_full_dimensional_from_halfspaces(monkeypatch):
 
 
 def test_facet_weights_and_repeated_fattenings_build_no_hull(monkeypatch):
-    # facet weights are read off the boundary triangulation, and the cube a
-    # fattening adds is built once per (k, dim)
+    # facet weights are read off the boundary triangulation, and a
+    # full-dimensional body is fattened one segment at a time from its faces
     from zhangforge.harness import BodySpec, make_body
     from zhangforge.lattice import fattening
 
@@ -453,13 +454,23 @@ def test_facet_weights_and_repeated_fattenings_build_no_hull(monkeypatch):
     calls = _count_hulls(monkeypatch)
     for P in bodies:
         P.facet_weights()
-    assert calls == []
-    for P, Q in zip(bodies[::2], bodies[1::2]):
         for k in range(1, P.dim + 1):
-            fattening(P, k)
-            before = len(calls)
-            fattening(Q, k)
-            assert len(calls) == before + 1, (P.dim, k)  # the sum, no cube
+            fattening(P, k).facet_weights()
+    assert calls == []
+
+
+def test_invertible_affine_images_build_no_hull(monkeypatch):
+    from zhangforge.harness import BodySpec, make_body
+
+    bodies = [make_body(BodySpec("random_hull", dim, {"count": dim + 4, "radius": 2, "seed": 5}))
+              for dim in (1, 2, 3, 4)]
+    calls = _count_hulls(monkeypatch)
+    for P in bodies:
+        n = P.dim
+        A = [[F(i + 1, j + 2) if i != j else F(3) for j in range(n)] for i in range(n)]
+        Q = transform(P, A, [F(1, 3)] * n)
+        assert Q.volume_fraction() == abs(det(A)) * P.volume_fraction()
+    assert calls == []
 
 
 def test_one_hull_per_ray_engine_panel(monkeypatch):
