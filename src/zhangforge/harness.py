@@ -19,8 +19,10 @@ from fractions import Fraction
 
 from .errors import ConfigError, DegenerateSpec, NoCrossing, NoRoot
 from .inequalities import (
+    SWEEP_TARGETS,
     BodyWorkspace,
     applicability,
+    check_lattice_scales,
     checker_ids,
     checker_statement,
     limit_sweep,
@@ -38,6 +40,7 @@ from .polytope import (
 from .steiner import steiner_symmetrize
 
 SCHEMA = "zhang-forge/1"
+_SWEEP_SCALES = [4, 16, 64]  # a sweep entry's scales when it names none
 
 
 def parse_rational(v) -> Fraction:
@@ -305,22 +308,44 @@ def _run_body_task(args) -> list[dict]:
     return rows
 
 
+def check_sweeps(config: SuiteConfig) -> None:
+    """Raise ``ConfigError`` for a sweep entry with an unknown target, an
+    unknown body, or a lattice scale that is not a positive integer."""
+    names = {b.name for b in config.bodies}
+    for sw in config.sweeps:
+        target = sw.get("target")
+        if target not in SWEEP_TARGETS:
+            raise ConfigError(f"unknown sweep target {target!r}")
+        if target == "B_limit":
+            continue
+        name = sw.get("body")
+        if name not in names:
+            raise ConfigError(f"sweep references unknown body {name!r}")
+        check_lattice_scales(sw.get("scales", _SWEEP_SCALES))
+
+
 def run_sweeps(config: SuiteConfig) -> list[dict]:
+    """Every sweep of ``config``, in order, after one check of every entry.
+
+    Each swept body is built once, and its one workspace serves every target
+    that sweeps it.
+    """
+    check_sweeps(config)
+    specs = {b.name: b for b in config.bodies}
+    workspaces: dict[str, BodyWorkspace] = {}
     out = []
-    by_name = {b.name: b for b in config.bodies}
     for sw in config.sweeps:
         target = sw["target"]
-        scales = sw.get("scales", [4, 16, 64])
+        scales = sw.get("scales", _SWEEP_SCALES)
         params = dict(sw.get("params", {}))
         if target == "B_limit":
             rows = limit_sweep(None, target, scales, params)  # type: ignore[arg-type]
             out.append({"target": target, "body": None, "params": params, "rows": rows})
             continue
-        name = sw.get("body")
-        if name not in by_name:
-            raise ConfigError(f"sweep references unknown body {name!r}")
-        body = make_body(by_name[name])
-        rows = limit_sweep(body, target, scales, params)
+        name = sw["body"]
+        if name not in workspaces:
+            workspaces[name] = BodyWorkspace(make_body(specs[name]))
+        rows = limit_sweep(workspaces[name], target, scales, params)
         out.append({"target": target, "body": name, "params": params, "rows": rows})
     return out
 
@@ -337,6 +362,7 @@ def run_suite(config: SuiteConfig, out_dir: str | None = None, jobs: int = 1) ->
     bad = [c for c in config.checkers if c not in known]
     if bad:
         raise ConfigError(f"unknown checker ids: {bad}")
+    check_sweeps(config)
     tasks = [
         (
             b.to_json(),

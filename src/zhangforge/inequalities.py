@@ -349,6 +349,7 @@ class BodyWorkspace:
         self.n_dirs_2d = ds.get(2, 360)
         self.n_dirs_3d = ds.get(3, 1000)
         self._sample_radials: dict[tuple, np.ndarray] = {}
+        self._scaled_workspaces: dict[int, BodyWorkspace] = {}
 
     @cached_property
     def n(self) -> int:
@@ -372,7 +373,12 @@ class BodyWorkspace:
 
     @cached_property
     def anchored(self) -> Polytope:
+        """The body moved by (-anchor, 0).  The body's projection is built first
+        and ``translated`` carries it across, so one hull serves ``proj`` and
+        ``aproj``."""
         t = tuple(-c for c in self.anchor) + (_ZERO,)
+        if self.n > 1:
+            project_drop_last(self.body)
         return self.body.translated(t)
 
     @cached_property
@@ -382,6 +388,26 @@ class BodyWorkspace:
     @cached_property
     def asym(self) -> Polytope:
         return steiner_symmetrize(self.anchored)
+
+    def scaled(self, lam: int) -> "BodyWorkspace":
+        """The workspace of lam * ``anchored`` for an integer lam > 0, with no
+        hull and no LP, built once per lam.
+
+        x -> lam x commutes with the projection and the Steiner symmetrization
+        and maps the lex-min anchor of a longest section to lam times it, which
+        is 0 for the anchored body.  So ``anchor`` is 0, ``anchored`` is the
+        scaled body, and ``aproj`` and ``asym`` are lam times this workspace's
+        (``asym`` carrying ``aproj`` as its projection).
+        """
+        if lam not in self._scaled_workspaces:
+            body = _scaled(self.anchored, lam)  # carries lam * aproj
+            sym = _scaled(self.asym, lam)
+            sym._projection = body._projection
+            ws = BodyWorkspace(body, self.seed, {2: self.n_dirs_2d, 3: self.n_dirs_3d})
+            ws.__dict__.update(anchor=tuple(_ZERO for _ in range(self.n - 1)), anchored=body,
+                               aproj=body._projection, asym=sym)
+            self._scaled_workspaces[lam] = ws
+        return self._scaled_workspaces[lam]
 
     @cached_property
     def profiles(self) -> SectionProfiles:
@@ -1261,8 +1287,13 @@ def verify(cid: str, body: Polytope, params: dict | None = None,
 # ---------------------------------------------------------------------------
 
 def _scaled(P: Polytope, lam: int) -> Polytope:
+    """lam * P with no hull (``transform``); a projection already built for P is
+    carried across as lam times it."""
     n = P.dim
-    return transform(P, [[lam * int(i == j) for j in range(n)] for i in range(n)], [0] * n)
+    Q = transform(P, [[lam * int(i == j) for j in range(n)] for i in range(n)], [0] * n)
+    if P._projection is not None:
+        Q._projection = _scaled(P._projection, lam)
+    return Q
 
 
 def _row(scale, quantity, value, reference):
@@ -1278,11 +1309,29 @@ def _row(scale, quantity, value, reference):
     }
 
 
-def limit_sweep(P: Polytope, target: str, scales, params: dict | None = None) -> list[dict]:
+SWEEP_TARGETS = ("gn_volume", "mu_volume", "discrete_to_continuous_zhang",
+                 "purely_discrete_to_continuous", "B_limit")
+
+
+def check_lattice_scales(scales) -> None:
+    """Raise ``ConfigError`` unless every scale is a positive integer: the
+    lattice targets count the integer points of lam K."""
+    bad = [lam for lam in scales if isinstance(lam, bool) or not isinstance(lam, int) or lam <= 0]
+    if bad:
+        raise ConfigError(f"lattice sweep scales must be positive integers, got {bad}")
+
+
+def limit_sweep(body: Polytope | BodyWorkspace, target: str, scales,
+                params: dict | None = None) -> list[dict]:
     """Rescaled lattice quantities against their continuous limits.
 
-    Rows report per-scale values; only trends are produced here (assertions
-    over the final scale live with the callers/tests).
+    ``body`` is a polytope or its workspace; ``run_sweeps`` passes one
+    workspace to every target of a body, so its volume, slab moment, anchor,
+    projection and symmetral are computed once.  The two discrete Zhang
+    targets read each scale's workspace off it (``BodyWorkspace.scaled``),
+    with no hull and no LP per scale.  Rows report per-scale values; only
+    trends are produced here (assertions over the final scale live with the
+    callers/tests).
     """
     params = dict(params or {})
     rows: list[dict] = []
@@ -1293,10 +1342,9 @@ def limit_sweep(P: Polytope, target: str, scales, params: dict | None = None) ->
         for x in scales:
             rows.append(_row(x, "B_x(p)", B_coeff(float(x), p, n), ref))
         return rows
-    bad = [lam for lam in scales if isinstance(lam, bool) or not isinstance(lam, int) or lam <= 0]
-    if bad:
-        raise ConfigError(f"lattice sweep scales must be positive integers, got {bad}")
-    ws = BodyWorkspace(P)
+    check_lattice_scales(scales)
+    ws = body if isinstance(body, BodyWorkspace) else BodyWorkspace(body)
+    P = ws.body
     n = P.dim
     if target == "gn_volume":
         for lam in scales:
@@ -1313,7 +1361,7 @@ def limit_sweep(P: Polytope, target: str, scales, params: dict | None = None) ->
         ref_lhs = const * ws.slab(n).exact
         ref_rhs = ws.vol ** (n + 1) / ws.volp**n
         for lam in scales:
-            qws = BodyWorkspace(_scaled(ws.anchored, lam))
+            qws = ws.scaled(lam)
             norm = lam ** (2 * n)
             if target == "discrete_to_continuous_zhang":
                 lhs, rhs, _mu_fat = _discrete_zhang_mu_sides(qws)

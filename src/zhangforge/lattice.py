@@ -11,7 +11,9 @@ P + [-1,1]^k x {0}^{n-k} (built once per body and k by :func:`fattening`,
 with no hull for a full-dimensional P), x is in
 the open fattening exactly when it satisfies every halfspace of F, strictly
 on the rows whose normal has a nonzero entry among the first k coordinates.
-k = 0 is the body itself with no strict rows.
+k = 0 is the body itself with no strict rows.  The column measure walks the
+same columns over the same rows (:func:`column_lengths`): each column's
+section length is exact, and no projection of the body is built.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from functools import cache
 from itertools import product
 from operator import mul
 
-from .errors import OriginMissing
+from .errors import DimensionMismatch, OriginMissing, Unbounded
 from .linalg import dot, vec
 from .lp import lp_solve  # noqa: F401  (unused here; perfbench/tracer.py's REQUIRED_BINDINGS needs it)
 from .polytope import (
@@ -34,9 +36,7 @@ from .polytope import (
     cube_sum,
     integer_rows,
     minkowski_sum,
-    project_drop_last,
     translate,
-    vertical_section,
 )
 
 _ZERO = Fraction(0)
@@ -82,22 +82,38 @@ def fattening(P: Polytope, k: int) -> Polytope:
     return P._fattenings[k]
 
 
+def _column_rows(P: Polytope, k: int = 0):
+    """P's integer rows as bounds on x_n over an integer column y: (up, down, flat).
+
+    Over integers a strict row den*<a, x> < num is den*<a, x> <= num - 1, so
+    with k > 0 the rows of the open fattening read strictly on the first k
+    coordinates.  Every row then reads den*a_n*t <= c - <h, y> with
+    h = den*a'; each list holds (h, c, den*|a_n|), split by the sign of a_n.
+    """
+    up, down, flat = [], [], []
+    for a, num, den in integer_rows(P):
+        row = (tuple(den * x for x in a[:-1]), num - any(a[:k]), den * abs(a[-1]))
+        (up if a[-1] > 0 else down if a[-1] < 0 else flat).append(row)
+    return up, down, flat
+
+
+def _columns(box, flat):
+    """Integer points y of the box of the first n-1 coordinates that satisfy
+    every flat row, in lexicographic order."""
+    for y in product(*(range(math.ceil(lo), math.floor(hi) + 1) for lo, hi in box[:-1])):
+        if not any(c < sum(map(mul, h, y)) for h, c, _ in flat):
+            yield y
+
+
 def lattice_points(P: Polytope, open_cube_k: int = 0) -> LatticePointSet:
     """Integer points of P (open_cube_k = 0) or of P + (-1,1)^k x {0}^{n-k}."""
     fat = fattening(P, open_cube_k)
     box = fat.bounding_box()
-    # Over integers a strict row den*<a, x> < num is den*<a, x> <= num - 1, so
-    # every row reads den*a_n*t <= c - <h, y> with h = den*a', y the column.
-    up, down, flat = [], [], []
-    for a, num, den in integer_rows(fat):
-        row = (tuple(den * x for x in a[:-1]), num - any(a[:open_cube_k]), den * abs(a[-1]))
-        (up if a[-1] > 0 else down if a[-1] < 0 else flat).append(row)
+    up, down, flat = _column_rows(fat, open_cube_k)
     t_lo, t_hi = math.ceil(box[-1][0]), math.floor(box[-1][1])
     pts = []
     # ascending columns, ascending t within each: lexicographic order
-    for y in product(*(range(math.ceil(lo), math.floor(hi) + 1) for lo, hi in box[:-1])):
-        if any(c < sum(map(mul, h, y)) for h, c, _ in flat):
-            continue
+    for y in _columns(box, flat):
         lo, hi = t_lo, t_hi
         for h, c, q in up:
             hi = min(hi, (c - sum(map(mul, h, y))) // q)
@@ -119,12 +135,35 @@ def count_lattice(P: Polytope, open_cube_k: int = 0) -> int:
 
 
 def column_lengths(P: Polytope) -> dict[tuple[int, ...], Fraction]:
-    """Vertical-section length over each integer point of the projection that meets P."""
+    """Vertical-section length over each integer point y of the projection of P,
+    in lexicographic order, read off P's own integer rows with no projection.
+
+    The integer columns of P's bounding box are walked as in
+    :func:`lattice_points`.  Over a column y the section is
+    max_down (<h, y> - c)/q <= t <= min_up (c - <h, y>)/q; the ends are picked
+    by cross-multiplying, and one Fraction, hi - lo, is built per column.  A
+    column is kept exactly when its section is non-empty, that is when y lies
+    in the projection; a body with no upper or no lower row raises
+    ``Unbounded`` there, as ``vertical_section`` does.
+    """
+    if P.dim < 2:
+        raise DimensionMismatch("column lengths need ambient dimension >= 2")
+    up, down, flat = _column_rows(P)
     out = {}
-    for y in lattice_points(project_drop_last(P)):
-        seg = vertical_section(P, y)
-        if seg is not None:
-            out[y] = seg.length
+    for y in _columns(P.bounding_box(), flat):
+        if not up or not down:
+            raise Unbounded("vertical line section is unbounded")
+        hi_n = hi_d = lo_n = lo_d = None  # lo_n/lo_d <= t <= hi_n/hi_d
+        for h, c, q in up:
+            r = c - sum(map(mul, h, y))
+            if hi_n is None or r * hi_d < hi_n * q:
+                hi_n, hi_d = r, q
+        for h, c, q in down:
+            r = sum(map(mul, h, y)) - c
+            if lo_n is None or r * lo_d > lo_n * q:
+                lo_n, lo_d = r, q
+        if lo_n * hi_d <= hi_n * lo_d:
+            out[y] = Fraction(hi_n * lo_d - lo_n * hi_d, hi_d * lo_d)
     return out
 
 
@@ -225,20 +264,3 @@ def discrete_ray_moment(decomp: RayDecomposition, p) -> MeasureValue:
         total += float(iv.hi) ** pf - float(iv.lo) ** pf
     err = 1e-13 * max(1.0, abs(total)) * max(1, len(decomp.entries))
     return MeasureValue.approx(total, err)
-
-
-def lattice_points_to_json(pts: LatticePointSet) -> list:
-    return [list(p) for p in pts.points]
-
-
-def ray_decomposition_to_json(decomp: RayDecomposition) -> list:
-    return [
-        {
-            "point": list(y),
-            "lo": [iv.lo.numerator, iv.lo.denominator],
-            "hi": [iv.hi.numerator, iv.hi.denominator],
-            "lo_open": iv.lo_open,
-            "hi_open": iv.hi_open,
-        }
-        for y, iv in decomp.entries
-    ]

@@ -460,6 +460,8 @@ class Polytope:
         return self._fweights
 
     def translated(self, t) -> "Polytope":
+        """P + t, with no hull.  A projection already built for P
+        (``project_drop_last``) is carried across, shifted by t[:-1]."""
         t = vec(t)
 
         def shift(p):
@@ -473,6 +475,8 @@ class Polytope:
             tri = (tuple(shift(p) for p in pts), simplices)
         out = Polytope(self.dim, self.affine_dim, verts, hs, shift(self._interior), tri)
         out._volume = self._volume
+        if self._projection is not None:
+            out._projection = self._projection.translated(t[:-1])
         return out
 
 
@@ -960,8 +964,3 @@ def polytope_to_json(P: Polytope) -> dict:
             {"a": [_rat_json(x) for x in a], "b": _rat_json(b)} for a, b in P.halfspaces
         ],
     }
-
-
-def polytope_from_json(obj: dict) -> Polytope:
-    pts = [tuple(Fraction(n, d) for n, d in v) for v in obj["vertices"]]
-    return Polytope.from_points(pts, int(obj["dim"]))

@@ -1,5 +1,5 @@
-"""Dead-surface guard: every public top-level name of ``zhangforge.moments``
-and ``zhangforge.inequalities`` is used outside the tests.
+"""Dead-surface guard: every public top-level name of every module of
+``zhangforge`` is used outside the tests.
 
 A name counts as used when it appears as a name, an attribute, an imported
 name or a string constant (``perfbench/tracer.py`` wraps functions by their
@@ -11,7 +11,10 @@ parsed, never imported.
 import ast
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "zhangforge"
 
 
 def _identifiers(node: ast.AST) -> set[str]:
@@ -54,7 +57,7 @@ def _uses_outside_tests(module: Path) -> set[str]:
 
 
 def _dead_names(name: str) -> list[str]:
-    module = ROOT / "src" / "zhangforge" / f"{name}.py"
+    module = PACKAGE / f"{name}.py"
     tree = ast.parse(module.read_text(), str(module))
     return sorted(_public_names(tree) - _uses_outside_tests(module))
 
@@ -67,6 +70,14 @@ def test_every_public_moments_name_is_used_outside_the_tests():
 def test_every_public_inequalities_name_is_used_outside_the_tests():
     dead = _dead_names("inequalities")
     assert not dead, f"public names of zhangforge.inequalities used only by tests: {dead}"
+
+
+# moments and inequalities keep the named tests above
+@pytest.mark.parametrize("name", sorted(p.stem for p in PACKAGE.glob("*.py")
+                                        if p.stem not in ("moments", "inequalities")))
+def test_every_public_name_is_used_outside_the_tests(name):
+    dead = _dead_names(name)
+    assert not dead, f"public names of zhangforge.{name} used only by tests: {dead}"
 
 
 def test_the_guard_sees_a_name_used_only_by_tests():

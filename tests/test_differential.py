@@ -25,7 +25,7 @@ from zhangforge import (
 )
 from zhangforge.errors import DegenerateBody, Infeasible, Unbounded
 from zhangforge.hull import HullResult, convex_hull
-from zhangforge.harness import BodySpec, make_body
+from zhangforge.harness import BodySpec, default_corpus, make_body
 from zhangforge.inequalities import (
     _B_exact,
     _g_profile,
@@ -34,7 +34,13 @@ from zhangforge.inequalities import (
     diamond_extension,
     section_profiles,
 )
-from zhangforge.lattice import closed_unit_cube, count_lattice, fattening, lattice_points
+from zhangforge.lattice import (
+    closed_unit_cube,
+    column_lengths,
+    count_lattice,
+    fattening,
+    lattice_points,
+)
 from zhangforge.linalg import (
     affine_basis,
     det,
@@ -453,6 +459,40 @@ def test_vertical_section_against_fraction_rows():
                 seg = vertical_section(body, y)
                 assert (None if seg is None else (seg.lo, seg.hi)) == ref, (body, y)
                 kinds["empty" if ref is None else "point" if ref[0] == ref[1] else "segment"] += 1
+    assert all(kinds.values()), kinds
+
+
+def _column_lengths_via_projection(P):
+    """The route ``column_lengths`` replaced: the lattice points of the
+    projection, then one vertical section per column."""
+    out = {}
+    for y in lattice_points(project_drop_last(P)):
+        seg = vertical_section(P, y)
+        if seg is not None:
+            out[y] = seg.length
+    return out
+
+
+def test_column_lengths_against_projection_columns():
+    bodies = [make_body(spec) for spec in default_corpus()]
+    bodies += [make_body(BodySpec("random_hull", dim, {"count": dim + 5, "radius": 2, "seed": s}))
+               for dim in (2, 3, 4) for s in range(4)]
+    # vertical facets: a triangle with one, a prism over a triangle (whose
+    # slanted side cuts integer columns out of the bounding box) and a box
+    bodies.append(make_polytope([(0, 0), (2, 1), (0, 2)], 2))
+    bodies.append(make_polytope([(x, y, z) for x, y in ((0, 0), (F(5, 2), 0), (0, F(7, 3)))
+                                 for z in (F(-1, 2), F(3, 2))], 3))
+    bodies.append(make_polytope(list(product((F(-3, 2), 2), (0, F(9, 4)), (1, 3), (0, 1))), 4))
+    bodies += [P.translated(tuple(F(2 * i + 1, 3 + i) for i in range(P.dim))) for P in bodies]
+    kinds = {"point": 0, "segment": 0, "vertical facet": 0}
+    for P in bodies:
+        got = column_lengths(P)
+        want = _column_lengths_via_projection(P)
+        assert list(got.items()) == list(want.items()), P
+        assert all(type(v) is F for v in got.values())
+        kinds["point"] += sum(v == 0 for v in got.values())
+        kinds["segment"] += sum(v > 0 for v in got.values())
+        kinds["vertical facet"] += any(a[-1] == 0 for a, _b in P.halfspaces)
     assert all(kinds.values()), kinds
 
 

@@ -17,6 +17,7 @@ from zhangforge.harness import (
     report_csv,
     report_json,
     run_suite,
+    run_sweeps,
 )
 
 F = Fraction
@@ -93,6 +94,44 @@ class TestConfig:
         assert "tolerances" not in cfg.to_json()
         doc = run_suite(cfg)
         assert doc["summary"] == {"total": 1, "holds": 1, "fails": 0, "inconclusive": 0}
+
+
+# one bad entry of each kind: an unknown target, an unknown body, a scale
+# that is not a positive integer
+_BAD_SWEEPS = {
+    "target": {"target": "gn_volum", "body": "cube2", "scales": [4]},
+    "body": {"target": "gn_volume", "body": "no_such_body", "scales": [4]},
+    "scale": {"target": "gn_volume", "body": "cube2", "scales": [4, 2.5]},
+}
+
+
+class TestSweepConfig:
+    @pytest.mark.parametrize("kind", sorted(_BAD_SWEEPS))
+    def test_bad_sweep_entry_fails_before_any_body_task(self, kind, monkeypatch):
+        import zhangforge.harness as harness
+
+        ran = []
+        monkeypatch.setattr(harness, "_run_body_task", lambda task: ran.append(task) or [])
+        cfg = default_config()
+        cfg.sweeps = [*cfg.sweeps, _BAD_SWEEPS[kind]]
+        with pytest.raises(ConfigError):
+            run_suite(cfg)
+        assert ran == []
+        with pytest.raises(ConfigError):
+            run_sweeps(cfg)
+
+    def test_each_swept_body_is_built_once(self, monkeypatch):
+        import zhangforge.harness as harness
+
+        built = []
+        real = harness.make_body
+        monkeypatch.setattr(harness, "make_body", lambda spec: built.append(spec.name) or real(spec))
+        cfg = SuiteConfig(bodies=[BodySpec("simplex", 2, name="T")], sweeps=[
+            {"target": t, "body": "T", "scales": [2]}
+            for t in ("gn_volume", "mu_volume", "discrete_to_continuous_zhang",
+                      "purely_discrete_to_continuous")])
+        assert len(run_sweeps(cfg)) == 4
+        assert built == ["T"]
 
 
 class TestRunSuite:
@@ -186,6 +225,21 @@ class TestCli:
         bad.write_text(json.dumps({"checkers": ["nope"]}))
         res = self._run("verify", "--config", str(bad))
         assert res.returncode == 64
+
+    @pytest.mark.parametrize("kind", sorted(_BAD_SWEEPS))
+    def test_bad_sweep_entry_is_64_with_no_report(self, kind, tmp_path):
+        cfg = {"bodies": [{"family": "cube", "dim": 2, "params": {"edge": [0, 1]},
+                           "name": "cube2"}],
+               "checkers": ["mu_gn_sandwich"], "sweeps": [_BAD_SWEEPS[kind]]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        res = self._run("verify", "--config", str(path), "--out", str(out))
+        assert res.returncode == 64, res.stderr
+        assert res.stderr.startswith("configuration error")
+        assert not out.exists()
+        res = self._run("sweep", "--config", str(path))
+        assert res.returncode == 64 and res.stdout == ""
 
     def test_missing_file_is_64(self):
         res = self._run("verify", "--config", "/nonexistent.json")

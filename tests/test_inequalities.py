@@ -1,11 +1,13 @@
 import math
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from zhangforge import make_polytope, moments, transform
+from zhangforge import make_polytope, max_section_anchor, moments, project_drop_last, transform
 from zhangforge.errors import HypothesesViolated, UnknownChecker
+from zhangforge.harness import default_corpus, make_body
 from zhangforge.inequalities import (
     B_coeff,
     BodyWorkspace,
@@ -384,6 +386,54 @@ class TestSweeps:
         rows = limit_sweep(None, "B_limit", [F(5, 2), 2.5], {"n": 2, "p": 1})
         assert [r["scale"] for r in rows] == [2.5, 2.5]
         assert rows[0]["value"] == rows[1]["value"]
+
+
+def _count_hulls_and_lps(monkeypatch):
+    import zhangforge.lp as lp
+    import zhangforge.polytope as poly
+
+    calls = []
+    for mod, name in ((poly, "convex_hull"), (poly, "lp_solve"), (lp, "lp_solve")):
+        real = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda *a, _real=real, _name=name, **k:
+                            calls.append(_name) or _real(*a, **k))
+    return calls
+
+
+class TestScaledWorkspace:
+    @pytest.mark.parametrize("spec", default_corpus(), ids=lambda spec: spec.name)
+    def test_scaled_workspace_matches_the_hull_and_lp_path(self, spec):
+        ws = BodyWorkspace(make_body(spec))
+        n = ws.n
+        for lam in (2, 3, 7):
+            qws = ws.scaled(lam)
+            # a fresh hull of the scaled vertices, with nothing carried
+            Q = make_polytope([tuple(lam * c for c in v) for v in ws.anchored.vertices], n)
+            assert qws.anchored == Q and qws.body is qws.anchored
+            assert qws.anchor == max_section_anchor(Q) == (F(0),) * (n - 1)
+            proj = project_drop_last(Q)
+            assert qws.aproj == proj and qws.aproj.halfspaces == proj.halfspaces
+            S = steiner_symmetrize(Q)
+            assert qws.asym == S and qws.asym.halfspaces == S.halfspaces
+            assert project_drop_last(qws.asym) is qws.aproj
+
+    def test_more_scales_build_no_more_hulls_or_lps(self, monkeypatch):
+        from zhangforge.harness import BodySpec, SuiteConfig, run_sweeps
+
+        def config(scales):
+            return SuiteConfig(bodies=[BodySpec("random_hull", 2, {"count": 8, "radius": "1/2",
+                                                                   "seed": 3}, name="r")],
+                               sweeps=[{"target": t, "body": "r", "scales": scales}
+                                       for t in ("gn_volume", "mu_volume",
+                                                 "discrete_to_continuous_zhang",
+                                                 "purely_discrete_to_continuous")])
+
+        calls = _count_hulls_and_lps(monkeypatch)
+        run_sweeps(config([4]))
+        one = Counter(calls)
+        calls.clear()
+        run_sweeps(config([4, 16, 64]))
+        assert Counter(calls) == one and one["convex_hull"] > 0
 
 
 class TestFullRegistryOnSpotBodies:

@@ -1,19 +1,19 @@
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
-from zhangforge import Direction, make_polytope, translate, volume
-from zhangforge.errors import OriginMissing
+from zhangforge import Direction, Polytope, make_polytope, translate, vertical_section, volume
+from zhangforge.errors import OriginMissing, Unbounded
 from zhangforge.lattice import (
+    column_lengths,
     count_lattice,
     discrete_covariogram,
     discrete_ray_moment,
     lattice_points,
-    lattice_points_to_json,
     mu_measure,
     ray_decomposition,
-    ray_decomposition_to_json,
     ray_interval,
 )
 from zhangforge.steiner import steiner_symmetrize
@@ -102,7 +102,7 @@ class TestCounting:
     def test_sorted_and_json(self, unit_square):
         pts = lattice_points(unit_square)
         assert list(pts.points) == sorted(pts.points)
-        assert lattice_points_to_json(pts) == [[0, 0], [0, 1], [1, 0], [1, 1]]
+        assert [list(p) for p in pts] == [[0, 0], [0, 1], [1, 0], [1, 1]]
 
 
 class TestMu:
@@ -116,6 +116,21 @@ class TestMu:
 
     def test_triangle_columns(self, triangle):
         assert mu_measure(triangle).exact == 1
+
+    def test_column_lengths_keep_point_sections(self):
+        # the column over x = 2 meets the triangle in the one point (2, 1)
+        T = make_polytope([(0, 0), (2, 1), (0, 2)], 2)
+        assert column_lengths(T) == {(0,): 2, (1,): 1, (2,): 0}
+
+    def test_column_lengths_without_an_upper_row_are_unbounded(self):
+        # not a polytope: {x in [0, 1], y >= 0}, which only ``vertical_section``
+        # and ``column_lengths`` can be asked about
+        rows = (((F(-1), F(0)), F(0)), ((F(0), F(-1)), F(0)), ((F(1), F(0)), F(1)))
+        half_strip = Polytope(2, 2, ((F(0), F(0)), (F(1), F(0))), rows, (F(1, 2), F(1)), None)
+        with pytest.raises(Unbounded):
+            vertical_section(half_strip, (0,))
+        with pytest.raises(Unbounded):
+            column_lengths(half_strip)
 
     def test_symmetral_invariance(self, triangle, big_square, slab_body):
         for P in (triangle, big_square, slab_body):
@@ -186,8 +201,12 @@ class TestRayDecomposition:
 
     def test_json(self, unit_square):
         d = ray_decomposition(unit_square, E1)
-        rows = ray_decomposition_to_json(d)
-        assert rows[0].keys() == {"point", "lo", "hi", "lo_open", "hi_open"}
+        rows = [{"point": list(y), "lo": [iv.lo.numerator, iv.lo.denominator],
+                 "hi": [iv.hi.numerator, iv.hi.denominator],
+                 "lo_open": iv.lo_open, "hi_open": iv.hi_open} for y, iv in d.entries]
+        assert json.loads(json.dumps(rows)) == rows
+        assert rows[0] == {"point": [0, 0], "lo": [0, 1], "hi": [0, 1],
+                           "lo_open": False, "hi_open": False}
 
 
 class TestRayInterval:

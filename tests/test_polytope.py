@@ -26,7 +26,7 @@ from zhangforge import (
 )
 from zhangforge.errors import DegenerateBody, DimensionMismatch
 from zhangforge.linalg import det
-from zhangforge.polytope import parametric_volume, polytope_from_json, polytope_to_json
+from zhangforge.polytope import parametric_volume, polytope_to_json
 
 F = Fraction
 
@@ -248,7 +248,8 @@ class TestSerialization:
         for P in (triangle, simplex3):
             doc = polytope_to_json(P)
             assert set(doc) == {"dim", "vertices", "halfspaces"}
-            Q = polytope_from_json(doc)
+            pts = [tuple(F(n, d) for n, d in v) for v in doc["vertices"]]
+            Q = make_polytope(pts, doc["dim"])
             assert Q == P and Q.halfspaces == P.halfspaces
 
 
@@ -471,6 +472,21 @@ def test_invertible_affine_images_build_no_hull(monkeypatch):
         Q = transform(P, A, [F(1, 3)] * n)
         assert Q.volume_fraction() == abs(det(A)) * P.volume_fraction()
     assert calls == []
+
+
+def test_translation_carries_the_projection(monkeypatch):
+    from zhangforge.harness import BodySpec, default_corpus, make_body
+
+    specs = default_corpus() + [BodySpec("random_hull", 4, {"count": 8, "radius": 2, "seed": 5})]
+    bodies = [make_body(spec) for spec in specs]
+    for P in bodies:
+        project_drop_last(P)
+    calls = _count_hulls(monkeypatch)
+    moved = [P.translated(tuple(F(2 * i - 3, 3 + i) for i in range(P.dim))) for P in bodies]
+    assert calls == []
+    for Q in moved:
+        ref = make_polytope([v[:-1] for v in Q.vertices], Q.dim - 1)
+        assert Q._projection == ref and Q._projection.halfspaces == ref.halfspaces
 
 
 def test_one_hull_per_ray_engine_panel(monkeypatch):
