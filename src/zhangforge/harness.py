@@ -22,6 +22,7 @@ from .inequalities import (
     SWEEP_TARGETS,
     BodyWorkspace,
     applicability,
+    check_B_limit,
     check_lattice_scales,
     checker_ids,
     checker_statement,
@@ -310,13 +311,16 @@ def _run_body_task(args) -> list[dict]:
 
 def check_sweeps(config: SuiteConfig) -> None:
     """Raise ``ConfigError`` for a sweep entry with an unknown target, an
-    unknown body, or a lattice scale that is not a positive integer."""
+    unknown body, a lattice scale that is not a positive integer, or a
+    ``B_limit`` entry whose n or p is not a positive integer or whose scale is
+    not a positive real."""
     names = {b.name for b in config.bodies}
     for sw in config.sweeps:
         target = sw.get("target")
         if target not in SWEEP_TARGETS:
             raise ConfigError(f"unknown sweep target {target!r}")
         if target == "B_limit":
+            check_B_limit(sw.get("scales", _SWEEP_SCALES), sw.get("params", {}))
             continue
         name = sw.get("body")
         if name not in names:

@@ -3,12 +3,12 @@ comparison-profile machinery behind the purely lattice-counting bound, and
 scaling-limit sweeps.
 
 The discrete bounds read the Steiner symmetral S of the anchored body fattened
-by the unit cube of e_n^perp.  Every such quantity comes from S and its
-memoized closed fattening ``lattice.fattening(S, n-1)``, with no LP and no
-per-height slice: the diamond extension is the upper end of a vertical
-section of the fattening, and the profiles f, f~, the top height M and the
-column counts behind the profile hypotheses are height and column counts of
-the lattice points of S and of its open fattening.
+by the unit cube of e_n^perp.  Every such quantity reads the lattice layer's
+integer columns of S, of its open fattening and of its memoized closed
+fattening F = ``lattice.fattening(S, n-1)``, with no LP, no slice and no
+point set: the profiles f, f~, the top height M and the column counts are
+height counts and sizes of column ranges, G_{n-1}(P K) is the number of
+columns of S, and the diamond extension is half a column length of F.
 
 Verdict policy: exact-vs-exact comparisons are strict rational.  When either
 side is approximate, `holds` means slack >= -(sum of error bounds).  The one
@@ -38,6 +38,8 @@ from .errors import (
 )
 from .lattice import (
     column_lengths,
+    column_moment,
+    column_ranges,
     count_lattice,
     fattening,
     lattice_points,
@@ -97,18 +99,13 @@ def _B_exact(m: Fraction, p: int, n: int) -> Fraction:
 
 
 def B_coeff(m, p, n: int) -> float:
-    """Discrete analogue of the inverse binomial weight in reverse Hoelder means."""
+    """Discrete analogue of the inverse binomial weight in reverse Hoelder means,
+    for an integer p >= 1 (``_B_exact`` rounded once)."""
     if m <= 0 or p < 1:
         raise ValueError("need m > 0 and p >= 1")
-    if float(p) == int(p):
-        return float(_B_exact(frac(m), int(p), n))
-    mf, pf = float(m), float(p)
-    total = 0.0
-    for k in range(math.floor(mf) + 1):
-        t = k / mf
-        pw = 1.0 if (k == 0 and pf == 1.0) else (t ** (pf - 1.0) if k else 0.0)
-        total += pf / mf * (1.0 - t) ** (n - 1) * pw
-    return total
+    if p != int(p):
+        raise ValueError("B_m(p) needs an integer p")
+    return float(_B_exact(frac(m), int(p), n))
 
 
 def _h_exact(x: Fraction, p: int, n: int) -> Fraction:
@@ -119,12 +116,17 @@ def _h_exact(x: Fraction, p: int, n: int) -> Fraction:
 
 @dataclass(frozen=True)
 class SectionProfiles:
-    """Lattice counts of symmetral slices (plain f and open-fattened f~)."""
+    """Lattice counts of symmetral slices (plain f and open-fattened f~) and columns."""
 
     f: dict[int, int]
     f_tilde: dict[int, int]
     M: int
-    symmetral: Polytope
+    column_counts: dict[tuple[int, ...], int]
+
+    @property
+    def G_proj(self) -> int:
+        """G_{n-1}(P K): S is symmetric in x_n, so it meets each column of P K at 0."""
+        return len(self.column_counts)
 
     def f_at(self, k: int) -> int:
         return self.f.get(k, 0)
@@ -143,9 +145,9 @@ class HypothesesH:
         return self.max_at_zero_column and self.M >= 1
 
 
-def _height_counts(points) -> dict[int, int]:
-    """Number of points at each height x_n = k >= 0."""
-    return dict(Counter(x[-1] for x in points if x[-1] >= 0))
+def _height_counts(ranges) -> dict[int, int]:
+    """Number of lattice points at each height x_n = k >= 0 of columns (y, lo, hi)."""
+    return dict(Counter(k for _y, lo, hi in ranges for k in range(max(lo, 0), hi + 1)))
 
 
 def section_profiles(P: Polytope, symmetral: Polytope | None = None) -> SectionProfiles:
@@ -153,22 +155,22 @@ def section_profiles(P: Polytope, symmetral: Polytope | None = None) -> SectionP
     fattened by the open unit cube of the slice's ambient space.
 
     The slice of S + (-1,1)^{n-1} x {0} at an integer height is the slice of S
-    plus the open cube, so both profiles are height counts of one enumeration.
+    plus the open cube, so both profiles are height counts of column ranges.
     """
     n = P.dim
     S = symmetral if symmetral is not None else steiner_symmetrize(P)
     # S is symmetric in x_n, so (0, 0) is in S exactly when 0 is in P(K)
     if not S.contains(tuple(_ZERO for _ in range(n))):
         raise EmptyProjectionLattice("profiles need 0 in the projection")
-    f = _height_counts(lattice_points(S))
-    ft = _height_counts(lattice_points(S, n - 1))
-    return SectionProfiles(f, ft, max(f, default=0), S)
+    cols = list(column_ranges(S))
+    f = _height_counts(cols)
+    ft = _height_counts(column_ranges(S, n - 1))
+    return SectionProfiles(f, ft, max(f, default=0), {y: hi - lo + 1 for y, lo, hi in cols})
 
 
 def hypotheses_h(P: Polytope, profiles: SectionProfiles | None = None) -> HypothesesH:
     pr = profiles if profiles is not None else section_profiles(P)
-    # the symmetral meets the column over y exactly when y is in P(K)
-    counts = Counter(x[:-1] for x in lattice_points(pr.symmetral))
+    counts = pr.column_counts
     at_zero = counts.get(tuple(0 for _ in range(P.dim - 1)), 0)
     best = max(counts.values(), default=0)
     return HypothesesH(max_at_zero_column=(best == at_zero and at_zero > 0), M=pr.M)
@@ -183,19 +185,14 @@ def diamond_extension(S: Polytope, x) -> MeasureValue:
     continuity.  Returns 0 when the window misses the projection.
     """
     _require_x_n_symmetric(S)
-    return MeasureValue.from_exact(_diamond_column(fattening(S, S.dim - 1), x))
+    seg = vertical_section(fattening(S, S.dim - 1), x)
+    return MeasureValue.from_exact(_ZERO if seg is None else seg.hi)
 
 
 def _require_x_n_symmetric(S: Polytope) -> None:
     verts = set(S.vertices)
     if any(v[:-1] + (-v[-1],) not in verts for v in verts):
         raise ValueError("diamond extension needs a body symmetric in x_n")
-
-
-def _diamond_column(fat: Polytope, x) -> Fraction:
-    """Upper end of the section of the fattened symmetral over x; 0 when empty."""
-    seg = vertical_section(fat, x)
-    return _ZERO if seg is None else seg.hi
 
 
 def _profile_sum(profile: dict[int, int], p: int) -> Fraction:
@@ -219,7 +216,7 @@ def _solve_m0(P: Polytope, p: int, profiles: SectionProfiles | None = None):
     hyp = hypotheses_h(P, pr)
     if not hyp.satisfied:
         raise HypothesesViolated("comparison profile needs max column at 0 and M >= 1")
-    G = count_lattice(project_drop_last(P))
+    G = pr.G_proj
     target = _profile_sum(pr.f_tilde, p) / G
     lo = _ONE
     hi = Fraction(max(pr.M, 2))
@@ -272,7 +269,7 @@ def crossing_point(P: Polytope, p, profiles: SectionProfiles | None = None) -> i
     hyp = hypotheses_h(P, pr)
     if not hyp.satisfied:
         raise HypothesesViolated("crossing point needs the profile hypotheses")
-    G = count_lattice(project_drop_last(P))
+    G = pr.G_proj
     n = P.dim
     root, exact = _solve_m0(P, p, pr)
     m0 = exact if exact is not None else root
@@ -419,7 +416,7 @@ class BodyWorkspace:
 
     @cached_property
     def G_aproj(self) -> int:
-        return count_lattice(self.aproj)
+        return self.profiles.G_proj
 
     @cached_property
     def origin_inside(self) -> bool:
@@ -487,10 +484,12 @@ class BodyWorkspace:
 
     @cached_property
     def diamond_values(self) -> dict:
-        """``diamond_extension`` over each column, with one symmetry check."""
+        """``diamond_extension`` over each integer point y of P(K) + (-1,1)^{n-1}
+        (the columns of the open-fattened symmetral, which holds each (y, 0)),
+        with one symmetry check: half the symmetric fattening F's column length."""
         _require_x_n_symmetric(self.asym)
-        fat = fattening(self.asym, self.n - 1)
-        return {y: _diamond_column(fat, y) for y in lattice_points(self.aproj, self.n - 1)}
+        lengths = column_lengths(fattening(self.asym, self.n - 1))
+        return {y: lengths[y] / 2 for y, _lo, _hi in column_ranges(self.asym, self.n - 1)}
 
     @cached_property
     def column_lengths(self) -> dict[tuple, Fraction]:
@@ -599,19 +598,9 @@ def _chk_discrete_zhang_mu(ws: BodyWorkspace, params: dict) -> InequalityReport:
 
 
 def _chk_lattice_zhang(ws: BodyWorkspace, params: dict) -> InequalityReport:
-    from .lattice import ray_interval
-
     n = ws.n
-    body = ws.anchored
     const = Fraction(math.comb(2 * n, n), n**n)
-    e_n = tuple(Fraction(0) for _ in range(n - 1)) + (Fraction(1),)
-    mom = _ZERO
-    for y in lattice_points(body):
-        seg = ray_interval(body, y, e_n)
-        if seg is not None:
-            lo, hi = seg
-            mom += hi**n - lo**n
-    lhs = MeasureValue.from_exact(const * mom)
+    lhs = MeasureValue.from_exact(const * column_moment(ws.anchored, n))
     # the longest vertical section of the body, twice the symmetral's top height
     R = 2 * max(v[-1] for v in ws.asym.vertices)
     G = ws.G_aproj
@@ -1003,9 +992,6 @@ def _chk_one_point_collapse(ws: BodyWorkspace, params: dict) -> InequalityReport
 
     n = ws.n
     p = int(params.get("p", 1))
-    pts = lattice_points(ws.body)
-    if tuple(pts) != (tuple(0 for _ in range(n)),):
-        return _inconclusive("one_point_collapse", "lattice set is not exactly {0}")
     neg = transform(ws.body, [[-Fraction(int(i == j)) for j in range(n)] for i in range(n)],
                     [0] * n)
     test_dirs = []
@@ -1096,8 +1082,7 @@ def _one_point_applicable(ws: BodyWorkspace):
     r = _needs_full_dim(ws)
     if r:
         return r
-    pts = lattice_points(ws.body)
-    if tuple(pts) != (tuple(0 for _ in range(ws.n)),):
+    if not (ws.origin_inside and count_lattice(ws.body) == 1):
         return "the lattice set of the body is not exactly {0}"
     return None
 
@@ -1313,12 +1298,29 @@ SWEEP_TARGETS = ("gn_volume", "mu_volume", "discrete_to_continuous_zhang",
                  "purely_discrete_to_continuous", "B_limit")
 
 
+def _positive_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x > 0
+
+
 def check_lattice_scales(scales) -> None:
     """Raise ``ConfigError`` unless every scale is a positive integer: the
     lattice targets count the integer points of lam K."""
-    bad = [lam for lam in scales if isinstance(lam, bool) or not isinstance(lam, int) or lam <= 0]
+    bad = [lam for lam in scales if not _positive_int(lam)]
     if bad:
         raise ConfigError(f"lattice sweep scales must be positive integers, got {bad}")
+
+
+def check_B_limit(scales, params: dict) -> None:
+    """Raise ``ConfigError`` unless n and p are positive integers and every
+    scale is a positive real: B_x(p) and its limit 1/binom(n-1+p, n-1) need
+    an integer p."""
+    for key, default in (("n", 2), ("p", 1)):
+        if not _positive_int(params.get(key, default)):
+            raise ConfigError(f"B_limit {key} must be a positive integer, got {params[key]!r}")
+    bad = [x for x in scales if isinstance(x, bool) or not isinstance(x, (int, float, Fraction))
+           or not (0 < x < math.inf)]
+    if bad:
+        raise ConfigError(f"B_limit scales must be positive reals, got {bad}")
 
 
 def limit_sweep(body: Polytope | BodyWorkspace, target: str, scales,
@@ -1336,9 +1338,10 @@ def limit_sweep(body: Polytope | BodyWorkspace, target: str, scales,
     params = dict(params or {})
     rows: list[dict] = []
     if target == "B_limit":
-        n = int(params.get("n", 2))
+        check_B_limit(scales, params)
+        n = params.get("n", 2)
         p = params.get("p", 1)
-        ref = 1.0 / math.comb(n - 1 + int(p), n - 1)
+        ref = 1.0 / math.comb(n - 1 + p, n - 1)
         for x in scales:
             rows.append(_row(x, "B_x(p)", B_coeff(float(x), p, n), ref))
         return rows

@@ -1,19 +1,17 @@
 """Counting measures on polytopes: G_k, the mixed column measure, discrete
 covariograms, and exact ray-interval decompositions behind discrete moments.
 
-Lattice enumeration is column by column over integers: for each integer
-point y of the bounding box of the first n-1 coordinates, the integer
-halfspace rows of the body (``polytope.integer_rows``) bound x_n to an
-integer range by floor division, and the points (y, t) come out in
-lexicographic order.  One rule decides membership in the open fattening
+Every column read is one walk (:func:`_column_walk`): over each integer
+point y of the bounding box of the first n-1 coordinates,
+``polytope._column_ends`` picks the exact ends of the section from the
+body's integer rows.  Lattice points, their count (no point built), column
+lengths and the vertical ray moment read the walk, in lexicographic order,
+with no projection.  One rule decides membership in the open fattening
 P + (-1,1)^k x {0}^{n-k} for every k: with F the closed sum
 P + [-1,1]^k x {0}^{n-k} (built once per body and k by :func:`fattening`,
-with no hull for a full-dimensional P), x is in
-the open fattening exactly when it satisfies every halfspace of F, strictly
-on the rows whose normal has a nonzero entry among the first k coordinates.
-k = 0 is the body itself with no strict rows.  The column measure walks the
-same columns over the same rows (:func:`column_lengths`): each column's
-section length is exact, and no projection of the body is built.
+with no hull for a full-dimensional P), x is in the open fattening exactly
+when it satisfies every halfspace of F, strictly on the rows whose normal has
+a nonzero entry among the first k coordinates.  k = 0 is the body itself.
 """
 
 from __future__ import annotations
@@ -23,9 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from operator import mul
 
-from .errors import DimensionMismatch, OriginMissing, Unbounded
+from .errors import DimensionMismatch, OriginMissing
 from .linalg import dot, vec
 from .lp import lp_solve  # noqa: F401  (unused here; perfbench/tracer.py's REQUIRED_BINDINGS needs it)
 from .polytope import (
@@ -33,8 +30,9 @@ from .polytope import (
     Interval,
     MeasureValue,
     Polytope,
+    _column_ends,
+    _column_rows,
     cube_sum,
-    integer_rows,
     minkowski_sum,
     translate,
 )
@@ -82,89 +80,61 @@ def fattening(P: Polytope, k: int) -> Polytope:
     return P._fattenings[k]
 
 
-def _column_rows(P: Polytope, k: int = 0):
-    """P's integer rows as bounds on x_n over an integer column y: (up, down, flat).
-
-    Over integers a strict row den*<a, x> < num is den*<a, x> <= num - 1, so
-    with k > 0 the rows of the open fattening read strictly on the first k
-    coordinates.  Every row then reads den*a_n*t <= c - <h, y> with
-    h = den*a'; each list holds (h, c, den*|a_n|), split by the sign of a_n.
-    """
-    up, down, flat = [], [], []
-    for a, num, den in integer_rows(P):
-        row = (tuple(den * x for x in a[:-1]), num - any(a[:k]), den * abs(a[-1]))
-        (up if a[-1] > 0 else down if a[-1] < 0 else flat).append(row)
-    return up, down, flat
+def _column_walk(P: Polytope, k: int = 0):
+    """(y, ``_column_ends``) for each integer column y of the k-fattening's
+    bounding box with a non-empty section, in lexicographic order; with k > 0
+    the rows are strict and the ends bound only the column's integer points."""
+    fat = fattening(P, k)
+    rows = _column_rows(fat, k)
+    box = fat.bounding_box()[:-1]
+    for y in product(*(range(math.ceil(lo), math.floor(hi) + 1) for lo, hi in box)):
+        ends = _column_ends(rows, y)
+        if ends is not None:
+            yield y, ends
 
 
-def _columns(box, flat):
-    """Integer points y of the box of the first n-1 coordinates that satisfy
-    every flat row, in lexicographic order."""
-    for y in product(*(range(math.ceil(lo), math.floor(hi) + 1) for lo, hi in box[:-1])):
-        if not any(c < sum(map(mul, h, y)) for h, c, _ in flat):
-            yield y
+def column_ranges(P: Polytope, open_cube_k: int = 0):
+    """(y, lo, hi) for each integer column y holding the integer points
+    (y, lo), ..., (y, hi) of P (open_cube_k = 0) or of
+    P + (-1,1)^k x {0}^{n-k}, lo <= hi, in lexicographic order."""
+    for y, (lo_n, lo_d, hi_n, hi_d) in _column_walk(P, open_cube_k):
+        lo, hi = -(-lo_n // lo_d), hi_n // hi_d
+        if lo <= hi:
+            yield y, lo, hi
 
 
 def lattice_points(P: Polytope, open_cube_k: int = 0) -> LatticePointSet:
     """Integer points of P (open_cube_k = 0) or of P + (-1,1)^k x {0}^{n-k}."""
-    fat = fattening(P, open_cube_k)
-    box = fat.bounding_box()
-    up, down, flat = _column_rows(fat, open_cube_k)
-    t_lo, t_hi = math.ceil(box[-1][0]), math.floor(box[-1][1])
     pts = []
     # ascending columns, ascending t within each: lexicographic order
-    for y in _columns(box, flat):
-        lo, hi = t_lo, t_hi
-        for h, c, q in up:
-            hi = min(hi, (c - sum(map(mul, h, y))) // q)
-        for h, c, q in down:
-            lo = max(lo, -((c - sum(map(mul, h, y))) // q))
+    for y, lo, hi in column_ranges(P, open_cube_k):
         pts.extend(y + (t,) for t in range(lo, hi + 1))
-    if P._lattice_counts is None:
-        P._lattice_counts = {}
-    P._lattice_counts[open_cube_k] = len(pts)
     return LatticePointSet(P.dim, tuple(pts))
 
 
 def count_lattice(P: Polytope, open_cube_k: int = 0) -> int:
-    """len(lattice_points(P, open_cube_k)), read off an earlier enumeration of
-    P when there was one (only the count is kept, never the points)."""
-    if P._lattice_counts is None or open_cube_k not in P._lattice_counts:
-        lattice_points(P, open_cube_k)
-    return P._lattice_counts[open_cube_k]
+    """len(lattice_points(P, open_cube_k)), with no point built."""
+    return sum(hi - lo + 1 for _y, lo, hi in column_ranges(P, open_cube_k))
 
 
 def column_lengths(P: Polytope) -> dict[tuple[int, ...], Fraction]:
-    """Vertical-section length over each integer point y of the projection of P,
-    in lexicographic order, read off P's own integer rows with no projection.
-
-    The integer columns of P's bounding box are walked as in
-    :func:`lattice_points`.  Over a column y the section is
-    max_down (<h, y> - c)/q <= t <= min_up (c - <h, y>)/q; the ends are picked
-    by cross-multiplying, and one Fraction, hi - lo, is built per column.  A
-    column is kept exactly when its section is non-empty, that is when y lies
-    in the projection; a body with no upper or no lower row raises
-    ``Unbounded`` there, as ``vertical_section`` does.
-    """
+    """Vertical-section length over each integer point y of the projection of P
+    (length-0 columns kept), one Fraction per column of the walk."""
     if P.dim < 2:
         raise DimensionMismatch("column lengths need ambient dimension >= 2")
-    up, down, flat = _column_rows(P)
-    out = {}
-    for y in _columns(P.bounding_box(), flat):
-        if not up or not down:
-            raise Unbounded("vertical line section is unbounded")
-        hi_n = hi_d = lo_n = lo_d = None  # lo_n/lo_d <= t <= hi_n/hi_d
-        for h, c, q in up:
-            r = c - sum(map(mul, h, y))
-            if hi_n is None or r * hi_d < hi_n * q:
-                hi_n, hi_d = r, q
-        for h, c, q in down:
-            r = sum(map(mul, h, y)) - c
-            if lo_n is None or r * lo_d > lo_n * q:
-                lo_n, lo_d = r, q
-        if lo_n * hi_d <= hi_n * lo_d:
-            out[y] = Fraction(hi_n * lo_d - lo_n * hi_d, hi_d * lo_d)
-    return out
+    return {y: Fraction(hi_n * lo_d - lo_n * hi_d, hi_d * lo_d)
+            for y, (lo_n, lo_d, hi_n, hi_d) in _column_walk(P)}
+
+
+def column_moment(P: Polytope, p: int) -> Fraction:
+    """p * integral of r^{p-1} G_n(P cap (r e_n + P)) dr for an integer p >= 1:
+    the sum of (t - a_y)^p over the lattice points (y, t) of P, a_y = lo_n/lo_d
+    the lower end of the column (y - r e_n is in P for 0 <= r <= t - a_y)."""
+    total = _ZERO
+    for _y, (lo_n, lo_d, hi_n, hi_d) in _column_walk(P):
+        ts = range(-(-lo_n // lo_d), hi_n // hi_d + 1)
+        total += Fraction(sum((t * lo_d - lo_n) ** p for t in ts), lo_d**p)
+    return total
 
 
 def mu_measure(P: Polytope) -> MeasureValue:

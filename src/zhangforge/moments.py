@@ -534,9 +534,6 @@ def radial_batch(source: str, P: Polytope, dirs: np.ndarray, p) -> np.ndarray:
     if source not in ("discrete", "discrete-open", "discrete-open-tilde"):
         raise RouteUnsupported(source)
     mom = discrete_moment_batch(P, dirs, p, open_cube=source != "discrete")
-    # count_lattice reads the size of discrete_moment_batch's own enumeration
-    # for "discrete" and "discrete-open"; the tilde source's G(K) is counted
-    # once per body
     base = count_lattice(P, P.dim if source == "discrete-open" else 0)
     return (mom / base) ** (1.0 / pf)
 

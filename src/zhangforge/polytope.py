@@ -178,7 +178,6 @@ class Polytope:
         "_volume",
         "_fweights",
         "_fattenings",
-        "_lattice_counts",
         "_projection",
         "_int_rows",
         "_incidence",
@@ -194,7 +193,6 @@ class Polytope:
         self._volume: Fraction | None = None
         self._fweights = None
         self._fattenings = None
-        self._lattice_counts = None  # per k, the size of the last lattice_points(P, k)
         self._projection: Polytope | None = None
         self._int_rows = None
         self._incidence = None  # per vertex, the input rows of from_halfspaces tight there
@@ -719,46 +717,54 @@ def integer_rows(P: Polytope) -> tuple[tuple[tuple[int, ...], int, int], ...]:
     return P._int_rows
 
 
-def _integer_anchor(y) -> tuple[list[int], int]:
-    """(z, D) with y = z / D over integers, D > 0 the common denominator."""
-    ys = [x if isinstance(x, int) else frac(x) for x in y]
-    D = 1
-    for x in ys:
-        if not isinstance(x, int):
-            D = math.lcm(D, x.denominator)
-    return [x * D if isinstance(x, int) else x.numerator * (D // x.denominator) for x in ys], D
+def _column_rows(P: Polytope, k: int = 0):
+    """P's integer rows as bounds den*a_n*t <= c - <h, y> on x_n over a column y,
+    h = den*a': (up, down, flat) lists of (h, c, den*|a_n|) by the sign of a_n.
+    With k > 0, P is a closed fattening and the rows touching the first k
+    coordinates are strict, den*<a, x> <= num - 1, as over integers."""
+    up, down, flat = [], [], []
+    for a, num, den in integer_rows(P):
+        row = (tuple(den * x for x in a[:-1]), num - any(a[:k]), den * abs(a[-1]))
+        (up if a[-1] > 0 else down if a[-1] < 0 else flat).append(row)
+    return up, down, flat
+
+
+def _column_ends(rows, z, D: int = 1):
+    """The section {t : (z/D, t) meets :func:`_column_rows`' ``rows``} as integers
+    (lo_n, lo_d, hi_n, hi_d), lo_n/lo_d <= t <= hi_n/hi_d, or None when empty.
+    Each row bounds t by r/(q D), r = c D - <h, z>; the binding ends are picked
+    by cross-multiplying.  With no upper or no lower row it raises ``Unbounded``."""
+    up, down, flat = rows
+    for h, c, _q in flat:
+        if c * D < sum(map(mul, h, z)):
+            return None
+    if not up or not down:
+        raise Unbounded("vertical line section is unbounded")
+    hi_n = hi_d = lo_n = lo_d = None
+    for h, c, q in up:
+        r = c * D - sum(map(mul, h, z))
+        if hi_n is None or r * hi_d < hi_n * q:
+            hi_n, hi_d = r, q
+    for h, c, q in down:
+        r = sum(map(mul, h, z)) - c * D
+        if lo_n is None or r * lo_d > lo_n * q:
+            lo_n, lo_d = r, q
+    if lo_n * hi_d > hi_n * lo_d:
+        return None
+    return lo_n, lo_d * D, hi_n, hi_d * D
 
 
 def vertical_section(P: Polytope, y) -> Interval | None:
-    """The set {t : (y, t) in P} as a closed interval; None when empty.
-
-    Integer arithmetic throughout: with y = z/D, the row <a, x> <= num/den
-    bounds a_n t by c/(den D), c = num D - den <a', z>.  Bounds are compared
-    by cross-multiplying, and only the two end points become Fractions.
-    """
-    z, D = _integer_anchor(y)
+    """The set {t : (y, t) in P} as a closed interval; None when empty.  With
+    y = z/D over integers, :func:`_column_ends` picks the ends."""
+    z, D = integer_row(vec(y))
     if len(z) != P.dim - 1:
         raise DimensionMismatch("section anchor has wrong length")
-    lo_n = lo_d = hi_n = hi_d = None  # t >= lo_n/(lo_d D), t <= hi_n/(hi_d D)
-    for a, num, den in integer_rows(P):
-        at = a[-1]
-        c = num * D - den * sum(map(mul, a, z))
-        if at == 0:
-            if c < 0:
-                return None
-        elif at > 0:
-            q = den * at
-            if hi_n is None or c * hi_d < hi_n * q:
-                hi_n, hi_d = c, q
-        else:
-            q = -den * at
-            if lo_n is None or -c * lo_d > lo_n * q:
-                lo_n, lo_d = -c, q
-    if lo_n is None or hi_n is None:
-        raise Unbounded("vertical line section is unbounded")
-    if lo_n * hi_d > hi_n * lo_d:
+    ends = _column_ends(_column_rows(P), z, D)
+    if ends is None:
         return None
-    return Interval(Fraction(lo_n, lo_d * D), Fraction(hi_n, hi_d * D))
+    lo_n, lo_d, hi_n, hi_d = ends
+    return Interval(Fraction(lo_n, lo_d), Fraction(hi_n, hi_d))
 
 
 def slice_at_height(P: Polytope, r) -> Polytope | None:

@@ -27,6 +27,7 @@ from zhangforge.errors import DegenerateBody, Infeasible, Unbounded
 from zhangforge.hull import HullResult, convex_hull
 from zhangforge.harness import BodySpec, default_corpus, make_body
 from zhangforge.inequalities import (
+    BodyWorkspace,
     _B_exact,
     _g_profile,
     _h_exact,
@@ -37,9 +38,11 @@ from zhangforge.inequalities import (
 from zhangforge.lattice import (
     closed_unit_cube,
     column_lengths,
+    column_moment,
     count_lattice,
     fattening,
     lattice_points,
+    ray_interval,
 )
 from zhangforge.linalg import (
     affine_basis,
@@ -391,7 +394,9 @@ def _box_scan(P, k):
 def test_lattice_points_against_box_scan():
     for P in _lattice_bodies():
         for k in range(P.dim + 1):
-            assert lattice_points(P, k).points == _box_scan(P, k), (P, k)
+            want = _box_scan(P, k)
+            assert lattice_points(P, k).points == want, (P, k)
+            assert count_lattice(P, k) == len(want), (P, k)
 
 
 def _B_terms(m, p, n):
@@ -494,6 +499,68 @@ def test_column_lengths_against_projection_columns():
         kinds["segment"] += sum(v > 0 for v in got.values())
         kinds["vertical facet"] += any(a[-1] == 0 for a, _b in P.halfspaces)
     assert all(kinds.values()), kinds
+
+
+# -- column reads of the symmetral and the anchored body against the point routes --
+#
+# The profile layer reads column ranges and column lengths; the routes below
+# enumerate points or cut one section per column, as the profile layer did.
+
+def _workspace_cases():
+    """Workspaces of the corpus, of seeded hulls with n = 2, 3, 4, and of
+    some of them scaled by 2 and 3 (``BodyWorkspace.scaled``)."""
+    specs = list(default_corpus())
+    specs += [BodySpec("random_hull", dim, {"count": dim + 5, "radius": 2, "seed": s})
+              for dim in (2, 3, 4) for s in range(3)]
+    out = []
+    for spec in specs:
+        ws = BodyWorkspace(make_body(spec))
+        out.append(ws)
+        if spec.dim < 4:
+            out += [ws.scaled(2), ws.scaled(3)]
+    return out
+
+
+def _vertical_moment_by_ray_interval(body, p):
+    """The per-point route: sum of hi^p - lo^p over the lattice points y of
+    ``body``, [lo, hi] = {r >= 0 : y - r e_n in body}."""
+    e_n = tuple(F(0) for _ in range(body.dim - 1)) + (F(1),)
+    mom = F(0)
+    for y in lattice_points(body):
+        seg = ray_interval(body, y, e_n)
+        if seg is not None:
+            lo, hi = seg
+            mom += hi**p - lo**p
+    return mom
+
+
+def _diamond_values_by_sections(ws):
+    """The per-column route: the upper end of the fattened symmetral's vertical
+    section over each integer point of the projection's open fattening."""
+    fat = fattening(ws.asym, ws.n - 1)
+    out = {}
+    for y in lattice_points(ws.aproj, ws.n - 1):
+        seg = vertical_section(fat, y)
+        out[y] = F(0) if seg is None else seg.hi
+    return out
+
+
+def test_column_reads_against_point_routes():
+    cases = _workspace_cases()
+    assert {ws.n for ws in cases} == {2, 3, 4}
+    for ws in cases:
+        pr = ws.profiles
+        counts = Counter(x[:-1] for x in lattice_points(ws.asym))
+        assert list(pr.column_counts.items()) == list(counts.items()), ws.body
+        assert pr.G_proj == ws.G_aproj == count_lattice(project_drop_last(ws.anchored))
+        got = ws.diamond_values
+        want = _diamond_values_by_sections(ws)
+        assert list(got.items()) == list(want.items()), ws.body
+        assert tuple(got) == _box_scan(ws.aproj, ws.n - 1)  # the open rule, independently
+        assert all(type(v) is F for v in got.values())
+        for p in (1, ws.n):
+            assert column_moment(ws.anchored, p) == _vertical_moment_by_ray_interval(
+                ws.anchored, p), (ws.body, p)
 
 
 # -- the fraction-free linalg, hull and lp kernels against their Fraction routes --

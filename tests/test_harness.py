@@ -96,12 +96,18 @@ class TestConfig:
         assert doc["summary"] == {"total": 1, "holds": 1, "fails": 0, "inconclusive": 0}
 
 
-# one bad entry of each kind: an unknown target, an unknown body, a scale
-# that is not a positive integer
+# one bad entry of each kind: an unknown target, an unknown body, a lattice
+# scale that is not a positive integer, and a B_limit entry with one bad field
+# (n or p not a positive integer, a scale that is not a positive real)
 _BAD_SWEEPS = {
     "target": {"target": "gn_volum", "body": "cube2", "scales": [4]},
     "body": {"target": "gn_volume", "body": "no_such_body", "scales": [4]},
     "scale": {"target": "gn_volume", "body": "cube2", "scales": [4, 2.5]},
+    "B_limit-n": {"target": "B_limit", "scales": [100], "params": {"n": 0, "p": 1}},
+    "B_limit-p": {"target": "B_limit", "scales": [100], "params": {"n": 2, "p": "1/2"}},
+    "B_limit-fractional-p": {"target": "B_limit", "scales": [100], "params": {"n": 2, "p": 1.5}},
+    "B_limit-zero-scale": {"target": "B_limit", "scales": [100, 0], "params": {"n": 2, "p": 1}},
+    "B_limit-text-scale": {"target": "B_limit", "scales": [100, "x"], "params": {"n": 2, "p": 1}},
 }
 
 

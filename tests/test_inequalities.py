@@ -51,6 +51,11 @@ class TestBCoeff:
         with pytest.raises(ValueError, match="need m > 0 and p >= 1"):
             B_coeff(2, p, 2)
 
+    @pytest.mark.parametrize("p", [F(3, 2), 2.5])
+    def test_B_rejects_a_fractional_p(self, p):
+        with pytest.raises(ValueError, match="integer p"):
+            B_coeff(2, p, 2)
+
     def test_h_examples(self):
         # h(x) = x^p B_x(p) = sum_{k <= x} p (1 - k/x)^(n-1) k^(p-1), exactly
         assert _h_exact(F(7, 10), 1, 2) == 1
@@ -382,6 +387,15 @@ class TestSweeps:
         with pytest.raises(ConfigError):
             run_sweeps(cfg)
 
+    @pytest.mark.parametrize("params", [{"n": 2, "p": 1.5}, {"n": 2, "p": F(3, 2)},
+                                        {"n": 0, "p": 1}, {"n": 2, "p": 0}])
+    def test_B_limit_needs_positive_integer_n_and_p(self, params):
+        # p = 1.5 read its reference at p = 1 (0.5 against the limit 0.4 at n = 2)
+        from zhangforge.errors import ConfigError
+
+        with pytest.raises(ConfigError):
+            limit_sweep(None, "B_limit", [100], params)
+
     def test_B_limit_keeps_real_scales(self):
         rows = limit_sweep(None, "B_limit", [F(5, 2), 2.5], {"n": 2, "p": 1})
         assert [r["scale"] for r in rows] == [2.5, 2.5]
@@ -449,3 +463,66 @@ class TestFullRegistryOnSpotBodies:
             if applicability(cid, ws) is None:
                 rep = verify(cid, body, ws=ws)
                 assert rep.verdict == "holds", (cid, rep.context)
+
+
+def _load_workloads():
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+# the lattice-layer reads that go through the column walk, by code name
+_COLUMN_READERS = {"section_profiles", "hypotheses_h", "diamond_values", "count_lattice",
+                   "_chk_lattice_zhang"}
+
+
+def test_column_reads_build_no_points_and_cut_no_sections(monkeypatch):
+    """On the ``sweep`` benchmark config (seed 1) and the default corpus, the
+    profile, diamond, count and lattice-Zhang reads call none of
+    ``lattice_points``, ``vertical_section`` and ``ray_interval``."""
+    import importlib
+    import pkgutil
+    import sys
+
+    import zhangforge
+    from zhangforge.harness import default_config, run_suite, run_sweeps
+
+    seen = Counter()
+    inside = Counter()
+
+    def wrap(name, real):
+        def wrapper(*args, **kwargs):
+            seen[name] += 1
+            f = sys._getframe(1)
+            while f is not None:
+                if f.f_code.co_name in _COLUMN_READERS:
+                    inside[(f.f_code.co_name, name)] += 1
+                    break
+                f = f.f_back
+            return real(*args, **kwargs)
+        return wrapper
+
+    mods = [importlib.import_module(f"zhangforge.{m.name}")
+            for m in pkgutil.iter_modules(zhangforge.__path__) if m.name != "__main__"]
+    for name, owner in (("lattice_points", "lattice"), ("ray_interval", "lattice"),
+                        ("vertical_section", "polytope")):
+        real = getattr(importlib.import_module(f"zhangforge.{owner}"), name)
+        wrapper = wrap(name, real)
+        for mod in mods:
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, wrapper)
+
+    sweeps = run_sweeps(_load_workloads().build("sweep", 1))
+    doc = run_suite(default_config())
+    assert inside == Counter()
+    # the reads ran: every lattice target swept, every discrete Zhang row decided
+    assert len(sweeps) == 28
+    rows = [r for r in doc["reports"] if r["id"] in ("lattice_zhang", "discrete_zhang_mu",
+                                                      "purely_discrete_zhang")]
+    assert rows and all(r["verdict"] == "holds" for r in rows)
+    assert seen["lattice_points"]  # the wrappers were live (``sample_dirs`` enumerates)
