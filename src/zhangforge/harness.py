@@ -71,14 +71,17 @@ class BodySpec:
 
     @staticmethod
     def from_json(obj: dict) -> "BodySpec":
-        return BodySpec(
-            family=obj["family"],
-            dim=int(obj["dim"]),
-            params=dict(obj.get("params", {})),
-            affine=tuple(obj["affine"]) if obj.get("affine") else None,
-            anchor=bool(obj.get("anchor", False)),
-            name=obj.get("name", ""),
-        )
+        try:
+            return BodySpec(
+                family=obj["family"],
+                dim=int(obj["dim"]),
+                params=dict(obj.get("params", {})),
+                affine=tuple(obj["affine"]) if obj.get("affine") else None,
+                anchor=bool(obj.get("anchor", False)),
+                name=obj.get("name", ""),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"a body needs a family, an integer dim and params: {obj!r}") from exc
 
     def to_json(self) -> dict:
         out = {"family": self.family, "dim": self.dim, "params": self.params,
@@ -101,7 +104,10 @@ def make_body(spec: BodySpec) -> Polytope:
         pts = [tuple(Fraction(0) for _ in range(n))]
         pts += [tuple(scale * c for c in _unit_vec(n, i)) for i in range(n)]
     elif fam == "cube":
-        lo, hi = (parse_rational(c) for c in spec.params.get("edge", [0, 1]))
+        edge = spec.params.get("edge", [0, 1])
+        if not isinstance(edge, (list, tuple)) or len(edge) != 2:
+            raise ConfigError(f"a cube edge is a list [lo, hi], got {edge!r}")
+        lo, hi = (parse_rational(c) for c in edge)
         pts = []
         for mask in range(2**n):
             pts.append(tuple(hi if (mask >> i) & 1 else lo for i in range(n)))
@@ -175,6 +181,8 @@ class SuiteConfig:
             3: 1000,
         }
         out = obj.get("output", {})
+        if not isinstance(obj.get("sweeps", []), list):
+            raise ConfigError("sweeps must be a list of sweep entries")
         return SuiteConfig(
             bodies=[BodySpec.from_json(b) for b in obj.get("bodies", [])],
             checkers=ids,
@@ -310,12 +318,16 @@ def _run_body_task(args) -> list[dict]:
 
 
 def check_sweeps(config: SuiteConfig) -> None:
-    """Raise ``ConfigError`` for a sweep entry with an unknown target, an
+    """Raise ``ConfigError`` for a sweep entry that is not an object or whose
+    scales are not a list or params not an object, with an unknown target, an
     unknown body, a lattice scale that is not a positive integer, or a
     ``B_limit`` entry whose n or p is not a positive integer or whose scale is
     not a positive real."""
     names = {b.name for b in config.bodies}
     for sw in config.sweeps:
+        if not (isinstance(sw, dict) and isinstance(sw.get("scales", []), (list, tuple))
+                and isinstance(sw.get("params", {}), dict)):
+            raise ConfigError(f"a sweep entry needs list scales and object params: {sw!r}")
         target = sw.get("target")
         if target not in SWEEP_TARGETS:
             raise ConfigError(f"unknown sweep target {target!r}")

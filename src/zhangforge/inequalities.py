@@ -10,12 +10,18 @@ point set: the profiles f, f~, the top height M and the column counts are
 height counts and sizes of column ranges, G_{n-1}(P K) is the number of
 columns of S, and the diamond extension is half a column length of F.
 
-Verdict policy: exact-vs-exact comparisons are strict rational.  When either
-side is approximate, `holds` means slack >= -(sum of error bounds).  The one
-checker whose sides depend on a quadrature order, `volume_identity_discrete`,
-re-decides an apparent violation once at doubled circle order (and marks the
-report `retried`) before `fails` is reported.  Violated preconditions yield
-`inconclusive` with a reason, never a silent pass.
+Verdict policy: every checker hands ``_report`` the quantities it compares,
+and ``_verdict`` decides by one of three rules, named in ``decided_by``.
+*exact*: two rationals.  *enclosure*: rational bounds on both sides (exact is
+lo == hi); `holds` iff lhs.hi <= rhs.lo, `fails` iff lhs.lo > rhs.hi, else
+`inconclusive`.  *tolerance*: a binary64 side, `holds` iff slack >= -(sum of
+the asserted errors).  The slack is rhs - lhs at the midpoints, so its sign
+agrees with an exact or enclosure verdict.  m0 is one rational bracket, read
+through the monotonicity of h_q.  `volume_identity_discrete`, whose sides
+depend on a quadrature order, re-decides an apparent violation once at
+doubled circle order (and marks the report `retried`).  Violated
+preconditions and exponents outside a statement's range yield `inconclusive`
+with a reason, never a silent pass.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ import numpy as np
 from .errors import (
     ConfigError,
     EmptyProjectionLattice,
+    ExponentOutOfRange,
     HypothesesViolated,
     NoCrossing,
     NoRoot,
@@ -205,11 +212,11 @@ def _profile_sum(profile: dict[int, int], p: int) -> Fraction:
 
 
 def _solve_m0(P: Polytope, p: int, profiles: SectionProfiles | None = None):
-    """Root of h_p(m) * G_{n-1}(proj) = sum_k p k^{p-1} f~(k), as (float, exact|None).
+    """Rational bracket (lo, hi) of the root of h_p(m) * G_{n-1}(proj) = sum_k p k^{p-1} f~(k).
 
     Bisection on the nondecreasing h_p; plateaus resolve to the leftmost
-    point; the bracket doubles until it contains the target.  A rational
-    representative is returned when the root is exactly rational.
+    point; the bracket doubles until it contains the target.  lo == hi when
+    a rational probe near the bisection's end is the root exactly.
     """
     n = P.dim
     pr = profiles if profiles is not None else section_profiles(P)
@@ -234,56 +241,57 @@ def _solve_m0(P: Polytope, p: int, profiles: SectionProfiles | None = None):
             hi = mid
         else:
             lo = mid
-    root = float(hi)
-    exact = None
-    cand = Fraction(root).limit_denominator(10**9)
+    cand = Fraction(float(hi)).limit_denominator(10**9)
     if _h_exact(cand, p, n) == target:
         lo2 = cand - Fraction(1, 10**13)
         if lo2 <= 1 or _h_exact(lo2, p, n) < target:
-            exact = cand
-            root = float(cand)
-    m_val = exact if exact is not None else Fraction(root)
-    if m_val < pr.M:
+            lo = hi = cand
+    if hi < pr.M:
         raise NoRoot("profile scale landed below the top lattice height")
-    return root, exact
+    return lo, hi
 
 
-def _g_profile(k: int, m0, G: int, n: int):
-    """(1 - k/m0)^{n-1} G on [0, m0], else 0; exact when m0 is rational.
+def _over_h(num: Fraction, m0: tuple[Fraction, Fraction], p: int, n: int):
+    """Bounds of num / h_p(m0), num >= 0: num / h_p at the bracket's right and
+    left ends (h_p is nondecreasing), ``math.inf`` where h_p(lo) = 0."""
+    lo, hi = m0
+    h_hi = _h_exact(hi, p, n)
+    h_lo = h_hi if lo == hi else _h_exact(lo, p, n)
+    return num / h_hi, (num / h_lo if h_lo else math.inf)
+
+
+def _g_profile(k: int, m0: Fraction, G: int, n: int) -> Fraction:
+    """(1 - k/m0)^{n-1} G on [0, m0], else 0; nondecreasing in m0.
 
     For m0 = a/b that is (a - k b)^{n-1} G / a^{n-1}, one Fraction.
     """
-    if isinstance(m0, Fraction):
-        a, b = m0.numerator, m0.denominator
-        if k * b > a:
-            return _ZERO
-        return Fraction((a - k * b) ** (n - 1) * G, a ** (n - 1))
-    if k > m0:
-        return 0.0
-    return (1.0 - k / m0) ** (n - 1) * G
+    a, b = m0.numerator, m0.denominator
+    if k * b > a:
+        return _ZERO
+    return Fraction((a - k * b) ** (n - 1) * G, a ** (n - 1))
 
 
 def crossing_point(P: Polytope, p, profiles: SectionProfiles | None = None) -> int:
-    """Minimal integer threshold separating f~ >= g (below) from g >= f (above)."""
+    """Minimal integer threshold separating f~ >= g (below) from g >= f (above),
+    tested at m0's bracket ends: g is nondecreasing in m0."""
     pr = profiles if profiles is not None else section_profiles(P)
     hyp = hypotheses_h(P, pr)
     if not hyp.satisfied:
         raise HypothesesViolated("crossing point needs the profile hypotheses")
     G = pr.G_proj
     n = P.dim
-    root, exact = _solve_m0(P, p, pr)
-    m0 = exact if exact is not None else root
-    top = math.ceil(root) + 1
+    lo, hi = _solve_m0(P, p, pr)
+    top = math.ceil(hi) + 1
     upper = max(top, pr.M) + 1
     for kstar in range(0, top + 1):
         ok = True
         for k in range(0, kstar):
-            if not pr.f_tilde_at(k) >= _g_profile(k, m0, G, n):
+            if not pr.f_tilde_at(k) >= _g_profile(k, hi, G, n):
                 ok = False
                 break
         if ok:
             for k in range(kstar, upper + 1):
-                if not _g_profile(k, m0, G, n) >= pr.f_at(k):
+                if not _g_profile(k, lo, G, n) >= pr.f_at(k):
                     ok = False
                     break
         if ok:
@@ -309,18 +317,27 @@ class InequalityReport:
         return self.verdict == "holds"
 
 
-def _verdict(lhs: MeasureValue, rhs: MeasureValue) -> tuple[float, str]:
-    if lhs.exact is not None and rhs.exact is not None:
-        s = rhs.exact - lhs.exact
-        return float(s), ("holds" if s >= 0 else "fails")
+def _verdict(lhs: MeasureValue, rhs: MeasureValue) -> tuple[float, str, str]:
+    """(slack, verdict, decided_by) of lhs <= rhs; see the module's verdict policy."""
+    if lhs.lo is not None and rhs.lo is not None:
+        mid_l = lhs.exact if lhs.exact is not None else (lhs.lo + lhs.hi) / 2
+        mid_r = rhs.exact if rhs.exact is not None else (rhs.lo + rhs.hi) / 2
+        if lhs.hi <= rhs.lo:
+            verdict = "holds"
+        elif lhs.lo > rhs.hi:
+            verdict = "fails"
+        else:
+            verdict = "inconclusive"
+        exact = lhs.exact is not None and rhs.exact is not None
+        return float(mid_r - mid_l), verdict, "exact" if exact else "enclosure"
     err = lhs.abs_error + rhs.abs_error
     s = rhs.value - lhs.value
-    return s, ("holds" if s >= -err else "fails")
+    return s, ("holds" if s >= -err else "fails"), "tolerance"
 
 
 def _report(cid: str, lhs: MeasureValue, rhs: MeasureValue, **context) -> InequalityReport:
-    slack, verdict = _verdict(lhs, rhs)
-    return InequalityReport(cid, lhs, rhs, slack, verdict, context)
+    slack, verdict, decided_by = _verdict(lhs, rhs)
+    return InequalityReport(cid, lhs, rhs, slack, verdict, {**context, "decided_by": decided_by})
 
 
 def _inconclusive(cid: str, reason: str, **context) -> InequalityReport:
@@ -525,30 +542,59 @@ def _discrete_zhang_mu_sides(ws: BodyWorkspace) -> tuple[Fraction, Fraction, Fra
     return lhs, mu_fat ** (n + 1) / Fraction(ws.G_aproj) ** n, mu_fat
 
 
-def _purely_discrete_zhang_sides(ws: BodyWorkspace) -> tuple[MeasureValue, Fraction, float | None]:
-    """(lhs, rhs, m0) of the purely discrete Zhang inequality.
+def _purely_discrete_zhang_sides(ws: BodyWorkspace):
+    """(lhs, rhs, m0) of the purely discrete Zhang inequality, m0 a bracket.
 
-    The left side is exact when m0 is rational; m0 is None when M = 0, where
-    the left side is 0.
+    (n+1) B_m(1)^{n+1} / B_m(n+1) = (n+1) h_1(m)^{n+1} / h_{n+1}(m), and
+    h_1(m0) = sum_k f~(k) / G defines m0, so the left side is
+    top / h_{n+1}(m0), enclosed from m0's bracket (exact when m0 is rational).
+    m0 is None when M = 0, where the left side is 0.
     """
     n = ws.n
     pr = ws.profiles
-    rhs = Fraction(_G_sym_fattened(ws) + pr.f_tilde_at(0)) ** (n + 1) / Fraction(ws.G_aproj) ** n
+    G = ws.G_aproj
+    rhs = Fraction(_G_sym_fattened(ws) + pr.f_tilde_at(0)) ** (n + 1) / Fraction(G) ** n
     if pr.M == 0:
         return MeasureValue.from_exact(0), rhs, None
-    root, exact_m0 = _solve_m0(ws.anchored, 1, pr)
+    m0 = _solve_m0(ws.anchored, 1, pr)
     sum_abs = sum((Fraction(k) ** n * v for k, v in pr.f.items() if k), _ZERO) * 2
-    if exact_m0 is not None:
-        factor = (n + 1) * _B_exact(exact_m0, 1, n) ** (n + 1) / _B_exact(exact_m0, n + 1, n)
-        return MeasureValue.from_exact(factor * 2**n * sum_abs), rhs, root
-    factor = (n + 1) * B_coeff(root, 1, n) ** (n + 1) / B_coeff(root, n + 1, n)
-    val = factor * 2.0**n * float(sum_abs)
-    return MeasureValue.approx(val, 1e-9 * abs(val)), rhs, root
+    top = (n + 1) * (_profile_sum(pr.f_tilde, 1) / G) ** (n + 1) * 2**n * sum_abs
+    return MeasureValue.enclosed(*_over_h(top, m0, n + 1, n)), rhs, m0
 
 
 # ---------------------------------------------------------------------------
 # checkers
 # ---------------------------------------------------------------------------
+
+def _exponents(values, least: int = 1, increasing: bool = False) -> list[int]:
+    """``values`` as ints, each >= ``least`` and, where the statement orders
+    them, above the one before; else ``ExponentOutOfRange`` naming the bad
+    value, which ``verify`` reports as ``inconclusive``."""
+    out: list[int] = []
+    for v in values:
+        whole = isinstance(v, (int, Fraction)) or isinstance(v, float) and v.is_integer()
+        if isinstance(v, bool) or not whole or v != int(v) or v < least:
+            raise ExponentOutOfRange(f"exponent {v!r} is not an integer >= {least}")
+        if increasing and out and v <= out[-1]:
+            raise ExponentOutOfRange(f"exponent {v!r} does not exceed {out[-1]}")
+        out.append(int(v))
+    return out
+
+
+def _worst_pair_report(cid: str, pairs, **context) -> InequalityReport:
+    """Report the worst pair (p, q, lhs_pow, rhs_pow, lhs_root, rhs_root) of a
+    chain: a failing one first, then the largest gap of the rounded roots."""
+    details, worst = [], None
+    for p, q, lhs_pow, rhs_pow, lv, rv in pairs:
+        ok = lhs_pow <= rhs_pow
+        details.append({"p": p, "q": q, "lhs": lv, "rhs": rv, "holds": ok})
+        key = (not ok, lv - rv)
+        if worst is None or key > worst[0]:
+            worst = (key, lhs_pow, rhs_pow, [p, q])
+    _key, lhs_pow, rhs_pow, pair = worst
+    return _report(cid, MeasureValue.from_exact(lhs_pow), MeasureValue.from_exact(rhs_pow),
+                   pairs=details, worst_pair=pair, **context)
+
 
 def _chk_zhang_preintegration(ws: BodyWorkspace, params: dict) -> InequalityReport:
     n = ws.n
@@ -627,7 +673,7 @@ def _chk_purely_discrete_zhang(ws: BodyWorkspace, params: dict) -> InequalityRep
         lhs,
         MeasureValue.from_exact(rhs),
         trivial=pr.M == 0,
-        m0=m0,
+        m0=None if m0 is None else MeasureValue.enclosed(*m0).value,
         M=pr.M,
         anchor=[str(c) for c in ws.anchor],
     )
@@ -671,80 +717,49 @@ def _chk_berwald_continuous(ws: BodyWorkspace, params: dict) -> InequalityReport
 def _chk_berwald_discrete(ws: BodyWorkspace, params: dict) -> InequalityReport:
     n = ws.n
     nn = n - 1
-    pairs = params.get("pairs") or [(1, 2), (1, n + 1), (2, 5)]
+    pairs = [_exponents(pair, increasing=True)
+             for pair in params.get("pairs") or [(1, 2), (1, n + 1), (2, 5)]]
     G = ws.G_aproj
     halves = {y: ell / 2 for y, ell in ws.acolumn_lengths.items()}
     diam = ws.diamond_values
-    worst = None
-    details = []
+    rows = []
     for p, q in pairs:
-        sq = sum((v**q for v in halves.values()), _ZERO)
-        sp = sum((v**p for v in diam.values()), _ZERO)
-        lhs_pow = (Fraction(math.comb(nn + q, nn)) * sq / G) ** p
-        rhs_pow = (Fraction(math.comb(nn + p, nn)) * sp / G) ** q
-        lv = float(Fraction(math.comb(nn + q, nn)) * sq / G) ** (1.0 / q)
-        rv = float(Fraction(math.comb(nn + p, nn)) * sp / G) ** (1.0 / p)
-        ok = lhs_pow <= rhs_pow
-        details.append({"p": p, "q": q, "lhs": lv, "rhs": rv, "holds": bool(ok)})
-        key = (not ok, lv - rv)
-        if worst is None or key > worst[0]:
-            worst = (key, lv, rv, ok)
-    _k, lv, rv, ok = worst
-    rep = InequalityReport(
-        "berwald_discrete",
-        MeasureValue.approx(lv, 0.0),
-        MeasureValue.approx(rv, 0.0),
-        rv - lv,
-        "holds" if all(d["holds"] for d in details) else "fails",
-        {"pairs": details, "anchor": [str(c) for c in ws.anchor]},
-    )
-    return rep
+        # X_q^(1/q) <= X_p^(1/p), compared as X_q^p <= X_p^q
+        xq = Fraction(math.comb(nn + q, nn)) * sum((v**q for v in halves.values()), _ZERO) / G
+        xp = Fraction(math.comb(nn + p, nn)) * sum((v**p for v in diam.values()), _ZERO) / G
+        rows.append((p, q, xq**p, xp**q, float(xq) ** (1.0 / q), float(xp) ** (1.0 / p)))
+    return _worst_pair_report("berwald_discrete", rows, anchor=[str(c) for c in ws.anchor])
 
 
 def _chk_completely_discrete_berwald(ws: BodyWorkspace, params: dict) -> InequalityReport:
     n = ws.n
     pr = ws.profiles
-    if not ws.hypotheses.satisfied:
-        return _inconclusive(
-            "completely_discrete_berwald", "profile hypotheses not satisfied", M=pr.M
-        )
-    p = int(params.get("p", 1))
-    qs = params.get("qs") or [p + 1, n + 1]
+    (p,) = _exponents([params.get("p", 1)])
+    qs = _exponents([p, *(params.get("qs") or sorted({p + 1, max(p, n) + 1}))],
+                    increasing=True)[1:]
     G = ws.G_aproj
-    root, exact_m0 = _solve_m0(ws.anchored, p, pr)
-    rhs_val = (float(_profile_sum(pr.f_tilde, p)) / (B_coeff(root, p, n) * G)) ** (1.0 / p)
-    results = []
-    ok_all = True
-    worst = None
+    lo, hi = m0 = _solve_m0(ws.anchored, p, pr)
+    # the p-th right side is m0 (h_p(m0) G = sum p k^(p-1) f~(k) defines m0);
+    # with r_q = sum q k^(q-1) f(k) / (G h_q(m0)) the q-th left side is
+    # m0 r_q^(1/q), so every q holds exactly when m0 max_q r_q <= m0
+    rhs = MeasureValue.enclosed(lo, hi)
+    lows, highs, per_q = [], [], []
     for q in qs:
-        sum_f = _profile_sum(pr.f, q)
-        if exact_m0 is not None:
-            ok = sum_f <= G * _h_exact(exact_m0, q, n)
-            lv = float(sum_f / (G * _B_exact(exact_m0, q, n))) ** (1.0 / q)
-        else:
-            lv = (float(sum_f) / (G * B_coeff(root, q, n))) ** (1.0 / q)
-            ok = lv <= rhs_val * (1 + 1e-9)
-        ok_all = ok_all and ok
-        results.append({"q": q, "lhs": lv, "holds": bool(ok)})
-        if worst is None or lv > worst:
-            worst = lv
-    kstar = crossing_point(ws.anchored, p, pr)
-    lhs = MeasureValue.approx(worst, 1e-11 * abs(worst))
-    rhs = MeasureValue.approx(rhs_val, 1e-11 * abs(rhs_val))
-    return InequalityReport(
+        r_lo, r_hi = _over_h(_profile_sum(pr.f, q) / G, m0, q, n)
+        lows.append(lo * r_lo)
+        highs.append(hi * r_hi)
+        mid = (lo + hi) / 2  # the q-th left side at the midpoints of m0 and r_q
+        per_q.append({"q": q, "lhs": float(mid**q * (r_lo + r_hi) / 2) ** (1 / q)})
+    return _report(
         "completely_discrete_berwald",
-        lhs,
+        MeasureValue.enclosed(max(lows), max(highs)),
         rhs,
-        rhs_val - worst,
-        "holds" if ok_all else "fails",
-        {
-            "p": p,
-            "m0": root,
-            "m0_exact": str(exact_m0) if exact_m0 is not None else None,
-            "crossing_point": kstar,
-            "per_q": results,
-            "anchor": [str(c) for c in ws.anchor],
-        },
+        p=p,
+        m0=rhs.value,
+        m0_exact=str(lo) if lo == hi else None,
+        crossing_point=crossing_point(ws.anchored, p, pr),
+        per_q=per_q,
+        anchor=[str(c) for c in ws.anchor],
     )
 
 
@@ -758,33 +773,18 @@ def _chk_zhang_volume(ws: BodyWorkspace, params: dict) -> InequalityReport:
 
 def _chk_different_inclusion(ws: BodyWorkspace, params: dict) -> InequalityReport:
     n = ws.n
-    grid = params.get("grid") or sorted({0, 1, 2, 3, n})
+    grid = _exponents(params.get("grid") or sorted({0, 1, 2, 3, n}), least=0, increasing=True)
     xs = []
     for p in grid:
         if p == 0:
             xs.append((0, Fraction(n) * ws.vol / ws.volp))
         else:
-            mom = ws.slab(int(p))
-            xs.append((int(p), Fraction(n) * math.comb(n + int(p), n) * mom.exact / ws.volp))
-    ok_all = True
-    worst = None
-    for (p, xp), (q, xq) in zip(xs, xs[1:]):
-        ok = xq ** (p + 1) <= xp ** (q + 1)
-        ok_all = ok_all and ok
-        psi_p = float(xp) ** (1.0 / (p + 1))
-        psi_q = float(xq) ** (1.0 / (q + 1))
-        key = psi_p - psi_q
-        if worst is None or key < worst[0]:
-            worst = (key, psi_q, psi_p, p, q)
-    _k, lv, rv, p, q = worst
-    return InequalityReport(
-        "different_inclusion",
-        MeasureValue.approx(lv, 0.0),
-        MeasureValue.approx(rv, 0.0),
-        rv - lv,
-        "holds" if ok_all else "fails",
-        {"grid": [int(g) for g in grid], "worst_pair": [p, q]},
-    )
+            xs.append((p, Fraction(n) * math.comb(n + p, n) * ws.slab(p).exact / ws.volp))
+    # psi_q = X_q^(1/(q+1)) <= psi_p = X_p^(1/(p+1)), compared as X_q^(p+1) <= X_p^(q+1)
+    rows = [(p, q, xq ** (p + 1), xp ** (q + 1),
+             float(xq) ** (1.0 / (q + 1)), float(xp) ** (1.0 / (p + 1)))
+            for (p, xp), (q, xq) in zip(xs, xs[1:])]
+    return _worst_pair_report("different_inclusion", rows, grid=grid)
 
 
 def _chk_mu_gn_sandwich(ws: BodyWorkspace, params: dict) -> InequalityReport:
@@ -796,24 +796,9 @@ def _chk_mu_gn_sandwich(ws: BodyWorkspace, params: dict) -> InequalityReport:
     return _report("mu_gn_sandwich", lhs, rhs, mu=str(mu), G_n=gn, G_proj=gp)
 
 
-_FRACTIONAL_PS = "identity triples are exact identities at positive integer p only"
-
-
-def _identity_ps(params: dict, n: int) -> list[int] | None:
-    """The identity-triple exponents (default {1, 2, n}) as ints, or None
-    unless every one is a positive integer: only there are all routes exact."""
-    ps = params.get("ps") or sorted({1, 2, n})
-    if all(p == int(p) and p >= 1 for p in ps):
-        return [int(p) for p in ps]
-    return None
-
-
 def _chk_identity_triple_continuous(ws: BodyWorkspace, params: dict) -> InequalityReport:
     n = ws.n
-    ps = _identity_ps(params, n)
-    if ps is None:
-        return _inconclusive("identity_triple_continuous", _FRACTIONAL_PS,
-                             ps=[str(p) for p in params["ps"]])
+    ps = _exponents(params.get("ps") or sorted({1, 2, n}))
     per_p = []
     engine = RayMomentEngine(ws.body, axis_direction(n))
     for p in ps:
@@ -827,10 +812,7 @@ def _chk_identity_triple_continuous(ws: BodyWorkspace, params: dict) -> Inequali
 
 def _chk_identity_triple_discrete(ws: BodyWorkspace, params: dict) -> InequalityReport:
     n = ws.n
-    ps = _identity_ps(params, n)
-    if ps is None:
-        return _inconclusive("identity_triple_discrete", _FRACTIONAL_PS,
-                             ps=[str(p) for p in params["ps"]])
+    ps = _exponents(params.get("ps") or sorted({1, 2, n}))
     cols = ws.column_lengths
     # route B: exact piecewise-linear integration of the column measure of
     # K cap (r e_n + K); route C: column sums over the symmetral
@@ -850,8 +832,8 @@ def _chk_identity_triple_discrete(ws: BodyWorkspace, params: dict) -> Inequality
         prev = brk
     # the symmetral is centred, so each half length is its upper endpoint
     sym_halves = [ell / 2 for ell in column_lengths(ws.sym).values()]
-    all_equal = True
     per_p = []
+    worst = _ZERO
     for p in ps:
         a_val = _mu_moment_exact(cols, p)
         b_val = _ZERO
@@ -861,24 +843,17 @@ def _chk_identity_triple_discrete(ws: BodyWorkspace, params: dict) -> Inequality
         c_val = Fraction(2) ** (p + 1) * sum(
             (h ** (p + 1) for h in sym_halves), _ZERO
         ) / (p + 1)
-        eq = a_val == b_val == c_val
-        all_equal = all_equal and eq
-        per_p.append({"p": p, "values": [str(a_val), str(b_val), str(c_val)], "equal": bool(eq)})
-    zero = MeasureValue.from_exact(0)
-    return InequalityReport(
-        "identity_triple_discrete",
-        zero if all_equal else MeasureValue.from_exact(1),
-        zero,
-        0.0 if all_equal else -1.0,
-        "holds" if all_equal else "fails",
-        {"per_p": per_p},
-    )
+        vals = (a_val, b_val, c_val)
+        worst = max(worst, max(vals) - min(vals))
+        per_p.append({"p": p, "values": [str(v) for v in vals], "equal": a_val == b_val == c_val})
+    # three rationals: they agree exactly or the identity fails
+    return _report("identity_triple_discrete", MeasureValue.from_exact(worst),
+                   MeasureValue.from_exact(_ZERO), per_p=per_p)
 
 
 def _chk_ball_inclusion_discrete(ws: BodyWorkspace, params: dict) -> InequalityReport:
     n = ws.n
-    p = int(params.get("p", 1))
-    q = int(params.get("q", 2))
+    p, q = _exponents([params.get("p", 1), params.get("q", 2)], increasing=True)
     dirs = ws.sample_dirs
     lhs_arr = math.comb(n + q, n) ** (1.0 / q) * ws.sample_radial("discrete", q)
     rhs_arr = math.comb(n + p, n) ** (1.0 / p) * ws.sample_radial("discrete-open-tilde", p)
@@ -895,7 +870,7 @@ def _chk_ball_inclusion_discrete(ws: BodyWorkspace, params: dict) -> InequalityR
 
 def _chk_convexhull_inclusion(ws: BodyWorkspace, params: dict) -> InequalityReport:
     n = ws.n
-    p = int(params.get("p", 1))
+    (p,) = _exponents([params.get("p", 1)])
     combos = int(params.get("combos", 200))
     dirs = ws.sample_dirs
     rho = ws.sample_radial("discrete", p)
@@ -929,7 +904,7 @@ def _chk_convexhull_inclusion(ws: BodyWorkspace, params: dict) -> InequalityRepo
 
 def _chk_difference_set_inclusion(ws: BodyWorkspace, params: dict) -> InequalityReport:
     n = ws.n
-    p = int(params.get("p", 1))
+    (p,) = _exponents([params.get("p", 1)])
     dirs = ws.sample_dirs
     lhs_arr = ws.sample_radial("difference-set", None)
     rhs_arr = math.comb(n + p, n) ** (1.0 / p) * ws.sample_radial("discrete-open-tilde", p)
@@ -991,7 +966,7 @@ def _chk_one_point_collapse(ws: BodyWorkspace, params: dict) -> InequalityReport
     from .lattice import ray_interval
 
     n = ws.n
-    p = int(params.get("p", 1))
+    (p,) = _exponents([params.get("p", 1)])
     neg = transform(ws.body, [[-Fraction(int(i == j)) for j in range(n)] for i in range(n)],
                     [0] * n)
     test_dirs = []
@@ -1005,7 +980,7 @@ def _chk_one_point_collapse(ws: BodyWorkspace, params: dict) -> InequalityReport
         e2 = list(e)
         e2[i] = Fraction(-1)
         test_dirs.append(tuple(e2))
-    all_eq = True
+    worst = _ZERO
     details = []
     origin = tuple(Fraction(0) for _ in range(n))
     for raw in test_dirs:
@@ -1013,18 +988,10 @@ def _chk_one_point_collapse(ws: BodyWorkspace, params: dict) -> InequalityReport
         moment_root = _ZERO if seg is None else seg[1]  # (b^p)^(1/p) in raw units
         # independent route: the same clip against the negated polytope
         rho = ray_interval(neg, origin, tuple(-c for c in raw))[1]
-        eq = moment_root == rho
-        all_eq = all_eq and eq
+        worst = max(worst, abs(moment_root - rho))
         details.append({"dir": [str(c) for c in raw], "ball": str(moment_root), "neg": str(rho)})
-    zero = MeasureValue.from_exact(0)
-    return InequalityReport(
-        "one_point_collapse",
-        zero if all_eq else MeasureValue.from_exact(1),
-        zero,
-        0.0 if all_eq else -1.0,
-        "holds" if all_eq else "fails",
-        {"p": p, "directions": details},
-    )
+    return _report("one_point_collapse", MeasureValue.from_exact(worst),
+                   MeasureValue.from_exact(_ZERO), p=p, directions=details)
 
 
 # ---------------------------------------------------------------------------
@@ -1249,7 +1216,8 @@ def applicability(cid: str, ws: BodyWorkspace) -> str | None:
 
 def verify(cid: str, body: Polytope, params: dict | None = None,
            ws: BodyWorkspace | None = None) -> InequalityReport:
-    """Run one checker; violated preconditions yield an inconclusive report."""
+    """Run one checker; violated preconditions and exponents outside the
+    statement's range yield an inconclusive report."""
     if cid not in _REGISTRY:
         raise UnknownChecker(cid)
     entry = _REGISTRY[cid]
@@ -1258,11 +1226,13 @@ def verify(cid: str, body: Polytope, params: dict | None = None,
         ws = BodyWorkspace(body, seed=params.pop("seed", 20240),
                            dir_samples=params.pop("dir_samples", None))
     reason = entry.applicable(ws)
+    if reason is None:
+        try:
+            rep = entry.run(ws, params)
+        except ExponentOutOfRange as exc:
+            reason = str(exc)
     if reason is not None:
         rep = _inconclusive(cid, reason)
-        rep.context["statement"] = entry.statement
-        return rep
-    rep = entry.run(ws, params)
     rep.context.setdefault("statement", entry.statement)
     return rep
 

@@ -27,11 +27,13 @@ from zhangforge.errors import DegenerateBody, Infeasible, Unbounded
 from zhangforge.hull import HullResult, convex_hull
 from zhangforge.harness import BodySpec, default_corpus, make_body
 from zhangforge.inequalities import (
+    B_coeff,
     BodyWorkspace,
     _B_exact,
     _g_profile,
     _h_exact,
     _profile_sum,
+    _purely_discrete_zhang_sides,
     diamond_extension,
     section_profiles,
 )
@@ -561,6 +563,36 @@ def test_column_reads_against_point_routes():
         for p in (1, ws.n):
             assert column_moment(ws.anchored, p) == _vertical_moment_by_ray_interval(
                 ws.anchored, p), (ws.body, p)
+
+
+def _purely_discrete_lhs_B_form(ws, m0):
+    """The left side of the purely discrete Zhang inequality in its stated form,
+    (n+1) B_m0(1)^(n+1) / B_m0(n+1) * 2^n sum_{x in S K} |x_n|^n: a Fraction for
+    a rational m0, and for a float m0 the binary64 value of the B weights."""
+    n = ws.n
+    sum_abs = 2 * sum((F(k) ** n * v for k, v in ws.profiles.f.items() if k), F(0))
+    if isinstance(m0, F):
+        return (n + 1) * _B_exact(m0, 1, n) ** (n + 1) / _B_exact(m0, n + 1, n) * 2**n * sum_abs
+    return (n + 1) * B_coeff(m0, 1, n) ** (n + 1) / B_coeff(m0, n + 1, n) * 2.0**n * float(sum_abs)
+
+
+def test_purely_discrete_lhs_against_the_B_form():
+    # the h-form top / h_(n+1)(m0) equals the B form exactly when m0 is
+    # rational; for an irrational m0 the B form at the bracket's right end,
+    # given its binary64 error of 1e-9 |v|, lies in the enclosure
+    kinds = Counter()
+    for ws in _workspace_cases():
+        if ws.n == 4 or ws.profiles.M == 0:
+            continue
+        lhs, _rhs, (lo, hi) = _purely_discrete_zhang_sides(ws)
+        if lo == hi:
+            assert lhs.exact == _purely_discrete_lhs_B_form(ws, lo), ws.body
+            kinds["rational"] += 1
+        else:
+            v = _purely_discrete_lhs_B_form(ws, float(hi))
+            assert lhs.lo - F(1e-9 * abs(v)) <= F(v) <= lhs.hi + F(1e-9 * abs(v)), ws.body
+            kinds["irrational"] += 1
+    assert kinds["rational"] >= 12 and kinds["irrational"] >= 2, kinds
 
 
 # -- the fraction-free linalg, hull and lp kernels against their Fraction routes --

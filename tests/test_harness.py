@@ -97,9 +97,15 @@ class TestConfig:
 
 
 # one bad entry of each kind: an unknown target, an unknown body, a lattice
-# scale that is not a positive integer, and a B_limit entry with one bad field
-# (n or p not a positive integer, a scale that is not a positive real)
+# scale that is not a positive integer, a B_limit entry with one bad field
+# (n or p not a positive integer, a scale that is not a positive real), and
+# an entry of the wrong shape (not an object, scales not a list, params not
+# an object)
 _BAD_SWEEPS = {
+    "shape-entry": "gn_volume",
+    "shape-lattice-scales": {"target": "gn_volume", "body": "cube2", "scales": 100},
+    "shape-B_limit-scales": {"target": "B_limit", "scales": 100, "params": {"n": 2, "p": 1}},
+    "shape-B_limit-params": {"target": "B_limit", "scales": [100], "params": [2]},
     "target": {"target": "gn_volum", "body": "cube2", "scales": [4]},
     "body": {"target": "gn_volume", "body": "no_such_body", "scales": [4]},
     "scale": {"target": "gn_volume", "body": "cube2", "scales": [4, 2.5]},
@@ -108,6 +114,18 @@ _BAD_SWEEPS = {
     "B_limit-fractional-p": {"target": "B_limit", "scales": [100], "params": {"n": 2, "p": 1.5}},
     "B_limit-zero-scale": {"target": "B_limit", "scales": [100, 0], "params": {"n": 2, "p": 1}},
     "B_limit-text-scale": {"target": "B_limit", "scales": [100, "x"], "params": {"n": 2, "p": 1}},
+}
+
+
+# whole configurations of the wrong shape: sweeps that are not a list, a body
+# with no dim or with params that are not an object, a cube edge of one number
+_BAD_CONFIGS = {
+    "sweeps-object": {"bodies": [], "sweeps": {"target": "B_limit", "scales": [100]}},
+    "body-without-dim": {"bodies": [{"family": "cube", "name": "c"}], "sweeps": []},
+    "body-params-list": {"bodies": [{"family": "cube", "dim": 2, "params": [2], "name": "c"}],
+                         "sweeps": []},
+    "cube-edge-of-one": {"bodies": [{"family": "cube", "dim": 2, "params": {"edge": [1]},
+                                     "name": "c"}], "sweeps": []},
 }
 
 
@@ -246,6 +264,31 @@ class TestCli:
         assert not out.exists()
         res = self._run("sweep", "--config", str(path))
         assert res.returncode == 64 and res.stdout == ""
+
+    @pytest.mark.parametrize("kind", sorted(_BAD_CONFIGS))
+    def test_bad_config_shape_is_64_with_no_report(self, kind, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_BAD_CONFIGS[kind]))
+        out = tmp_path / "out"
+        res = self._run("verify", "--config", str(path), "--out", str(out))
+        assert res.returncode == 64, res.stderr
+        assert res.stderr.startswith("configuration error")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("pair,bad", [([1, 2.5], "2.5"), ([0, 1], "0")])
+    def test_bad_exponent_is_an_inconclusive_row(self, pair, bad, tmp_path):
+        # a fractional or zero exponent is reported, not a crash of the run
+        cfg = {"bodies": [{"family": "cube", "dim": 2, "params": {"edge": [-1, 1]},
+                           "name": "sym"}],
+               "checkers": ["berwald_discrete", "mu_gn_sandwich"],
+               "checker_params": {"berwald_discrete": {"pairs": [pair]}}, "sweeps": []}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        res = self._run("verify", "--config", str(path), "--out", str(tmp_path))
+        assert res.returncode == 2, res.stderr
+        rows = json.loads((tmp_path / "report.json").read_text())["reports"]
+        assert [r["verdict"] for r in rows] == ["inconclusive", "holds"]
+        assert f"exponent {bad} " in rows[0]["context"]["reason"]
 
     def test_missing_file_is_64(self):
         res = self._run("verify", "--config", "/nonexistent.json")

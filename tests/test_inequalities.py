@@ -25,6 +25,7 @@ from zhangforge.inequalities import (
     _h_exact,
     _solve_m0,
 )
+from zhangforge.lattice import count_lattice
 from zhangforge.polytope import MeasureValue
 from zhangforge.steiner import steiner_symmetrize
 
@@ -122,49 +123,79 @@ class TestDiamond:
 
 class TestM0AndCrossing:
     def test_sym_square_m0(self, sym_square):
-        root, exact = _solve_m0(sym_square, 1)
-        assert exact == 3
-        assert abs(root - 3.0) <= 1e-12
+        assert _solve_m0(sym_square, 1) == (3, 3)  # a rational root: lo == hi
 
     def test_m0_exceeds_lattice_height(self, sym_square):
         pr = section_profiles(sym_square)
-        root, _ = _solve_m0(sym_square, 1)
-        assert root >= pr.M and root > 1
+        lo, hi = _solve_m0(sym_square, 1)
+        assert lo >= pr.M and lo > 1
 
     def test_scaled_square_m0(self):
         big = make_polytope([(-2, -2), (2, -2), (-2, 2), (2, 2)], 2)
         pr = section_profiles(big)
         assert pr.M == 2
-        root, _ = _solve_m0(big, 1, pr)
-        assert root >= 2
+        lo, hi = _solve_m0(big, 1, pr)
+        assert 2 <= lo <= hi
+
+    def test_irrational_m0_is_a_tight_bracket(self):
+        # [-1,1]^3 has an irrational m0: h_1 straddles the target across a
+        # bracket of width below 1e-12, and both ends are rationals
+        sym_cube3 = make_polytope([(x, y, z) for x in (-1, 1) for y in (-1, 1)
+                                   for z in (-1, 1)], 3)
+        ws = BodyWorkspace(sym_cube3)
+        pr = ws.profiles
+        lo, hi = _solve_m0(ws.anchored, 1, pr)
+        target = sum(pr.f_tilde.values()) / F(pr.G_proj)
+        assert type(lo) is F and type(hi) is F
+        assert _h_exact(lo, 1, 3) < target <= _h_exact(hi, 1, 3)
+        assert 0 < hi - lo < F(1, 10**12)
 
     def test_crossing_sym_square(self, sym_square):
         assert crossing_point(sym_square, 1) == 2
 
     def test_crossing_postconditions(self):
-        for pts in [[(-2, -2), (2, -2), (-2, 2), (2, 2)], [(0, 0), (4, 0), (0, 4)]]:
-            P = make_polytope(pts, 2)
+        from zhangforge.inequalities import _g_profile
+
+        for pts in [[(-2, -2), (2, -2), (-2, 2), (2, 2)], [(0, 0), (4, 0), (0, 4)],
+                    [(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]]:
+            P = make_polytope(pts, len(pts[0]))
             ws = BodyWorkspace(P)
             pr = ws.profiles
             body = ws.anchored
             kstar = crossing_point(body, 1, pr)
-            from zhangforge.inequalities import _g_profile, _solve_m0 as sm
-            from zhangforge.lattice import count_lattice
-            from zhangforge import project_drop_last
-
-            root, exact = sm(body, 1, pr)
-            m0 = exact if exact is not None else root
+            lo, hi = _solve_m0(body, 1, pr)
             G = count_lattice(project_drop_last(body))
+            # g is nondecreasing in m0, so each side holds across the bracket
             for k in range(0, kstar):
-                assert pr.f_tilde_at(k) >= _g_profile(k, m0, G, 2)
-            for k in range(kstar, math.ceil(float(m0)) + 3):
-                assert _g_profile(k, m0, G, 2) >= pr.f_at(k)
+                assert pr.f_tilde_at(k) >= _g_profile(k, hi, G, P.dim)
+            for k in range(kstar, math.ceil(hi) + 3):
+                assert _g_profile(k, lo, G, P.dim) >= pr.f_at(k)
 
     def test_hypotheses_violated(self, unit_square):
         with pytest.raises(HypothesesViolated):
             # anchored unit square has M = 0
             ws = BodyWorkspace(unit_square)
             _solve_m0(ws.anchored, 1, ws.profiles)
+
+
+# (checker, params, the value the reason must name) on [-1,1]^2: exponents
+# are positive integers and grid points nonnegative integers, increasing
+# wherever the statement orders them
+_BAD_EXPONENTS = [
+    ("completely_discrete_berwald", {"p": 1.5}, "1.5"),
+    ("completely_discrete_berwald", {"qs": [1.5]}, "1.5"),
+    ("completely_discrete_berwald", {"qs": [1]}, "1"),
+    ("berwald_discrete", {"pairs": [[2, 1]]}, "1"),
+    ("berwald_discrete", {"pairs": [[1, 2.5]]}, "2.5"),
+    ("berwald_discrete", {"pairs": [[0, 1]]}, "0"),
+    ("different_inclusion", {"grid": [0, 1.5]}, "1.5"),
+    ("different_inclusion", {"grid": [3, 1]}, "1"),
+    ("ball_inclusion_discrete", {"p": 2.5}, "2.5"),
+    ("ball_inclusion_discrete", {"p": 3, "q": 2}, "2"),
+    ("convexhull_inclusion", {"p": 2.5}, "2.5"),
+    ("difference_set_inclusion", {"p": 2.5}, "2.5"),
+    ("one_point_collapse", {"p": 2.5}, "2.5"),
+]
 
 
 class TestVerify:
@@ -326,6 +357,21 @@ class TestVerify:
             assert "integer" in rep.context["reason"]
         rep = verify(cid, unit_square, {"ps": [1, 2.0, F(3)]})
         assert rep.holds and [row["p"] for row in rep.context["per_p"]] == [1, 2, 3]
+
+    @pytest.mark.parametrize("cid,params,bad", _BAD_EXPONENTS,
+                             ids=[f"{c}-{p}".replace(" ", "").replace("'", "")
+                                  for c, p, _b in _BAD_EXPONENTS])
+    def test_exponents_outside_the_statement_are_inconclusive(self, sym_square, cid, params,
+                                                               bad):
+        # each was truncated, reversed or crashed: p = 1.5 was checked as 1, a
+        # pair (2, 1) reported fails for a pair the statement does not claim,
+        # q = p held trivially, 2.5 raised TypeError and 0 ZeroDivisionError
+        body = sym_square
+        if cid == "one_point_collapse":  # applies only when K cap Z^n = {0}
+            body = make_polytope([(0, 0), (F(1, 2), 1), (F(1, 2), -1)], 2)
+        rep = verify(cid, body, params)
+        assert rep.verdict == "inconclusive", rep.context
+        assert f"exponent {bad} " in rep.context["reason"]
 
     def test_volume_identity_retries_at_doubled_circle_order(self, unit_square, monkeypatch):
         assert "retried" not in verify("volume_identity_discrete", unit_square).context
