@@ -5,7 +5,14 @@ Equivalent CLI:  zhangforge verify --out reports/  and  zhangforge sweep
 
 from zhangforge import make_polytope
 from zhangforge.harness import BodySpec, SuiteConfig, run_suite
-from zhangforge.inequalities import checker_ids, checker_statement, limit_sweep, verify
+from zhangforge.inequalities import (
+    checker_ids,
+    checker_statement,
+    crossing_point,
+    limit_sweep,
+    section_profiles,
+    verify,
+)
 
 sym = make_polytope([(-1, -1), (1, -1), (-1, 1), (1, 1)], 2)
 
@@ -18,6 +25,11 @@ for cid in ("discrete_zhang_mu", "purely_discrete_zhang", "mu_gn_sandwich"):
     rep = verify(cid, sym)
     print(f"  {cid}: {rep.lhs.value:g} <= {rep.rhs.value:g}  [{rep.verdict}]")
     print(f"      {checker_statement(cid)}")
+
+print("\nslice lattice profiles of [-1,1]^2 and the crossing point of the comparison profile g:")
+pr = section_profiles(sym)
+print(f"  f = {dict(sorted(pr.f.items()))}  f~ = {dict(sorted(pr.f_tilde.items()))}")
+print(f"  f~ >= g below k* and g >= f from k* on, k* = {crossing_point(sym, 1, pr)}")
 
 print("\nscaling sweep: the rescaled lattice bound approaches the continuous one:")
 square = make_polytope([(0, 0), (1, 0), (0, 1), (1, 1)], 2)

@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ConfigError, DegenerateSpec, NoCrossing, NoRoot
+from .errors import ConfigError, DegenerateSpec, NoCrossing, NoRoot, SingularMap
 from .inequalities import (
     SWEEP_TARGETS,
     BodyWorkspace,
@@ -30,6 +30,7 @@ from .inequalities import (
     verify,
 )
 from .lattice import count_lattice, lattice_points, mu_measure
+from .linalg import det
 from .polytope import (
     MeasureValue,
     Polytope,
@@ -96,39 +97,40 @@ def _unit_vec(n: int, i: int, s=1) -> tuple:
 
 
 def make_body(spec: BodySpec) -> Polytope:
-    """Deterministic polytope from a body specification."""
+    """Deterministic polytope from a body specification; params that do not
+    parse (a missing key or vector, text where a number belongs) raise
+    ``ConfigError``."""
     n = spec.dim
     fam = spec.family
-    if fam == "simplex":
-        scale = parse_rational(spec.params.get("scale", 1))
-        pts = [tuple(Fraction(0) for _ in range(n))]
-        pts += [tuple(scale * c for c in _unit_vec(n, i)) for i in range(n)]
-    elif fam == "cube":
-        edge = spec.params.get("edge", [0, 1])
-        if not isinstance(edge, (list, tuple)) or len(edge) != 2:
-            raise ConfigError(f"a cube edge is a list [lo, hi], got {edge!r}")
-        lo, hi = (parse_rational(c) for c in edge)
-        pts = []
-        for mask in range(2**n):
-            pts.append(tuple(hi if (mask >> i) & 1 else lo for i in range(n)))
-    elif fam == "cross":
-        scale = parse_rational(spec.params.get("scale", 1))
-        pts = [tuple(scale * c for c in _unit_vec(n, i, s)) for i in range(n) for s in (1, -1)]
-    elif fam == "random_hull":
-        pts = _random_hull_points(spec)
-    elif fam == "custom":
-        pts = [tuple(parse_rational(c) for c in p) for p in spec.params["points"]]
-    else:
-        raise ConfigError(f"unknown body family {spec.family!r}")
+    try:
+        if fam == "simplex":
+            scale = parse_rational(spec.params.get("scale", 1))
+            pts = [tuple(Fraction(0) for _ in range(n))]
+            pts += [tuple(scale * c for c in _unit_vec(n, i)) for i in range(n)]
+        elif fam == "cube":
+            edge = spec.params.get("edge", [0, 1])
+            if not isinstance(edge, (list, tuple)) or len(edge) != 2:
+                raise ConfigError(f"a cube edge is a list [lo, hi], got {edge!r}")
+            lo, hi = (parse_rational(c) for c in edge)
+            pts = [tuple(hi if (mask >> i) & 1 else lo for i in range(n)) for mask in range(2**n)]
+        elif fam == "cross":
+            scale = parse_rational(spec.params.get("scale", 1))
+            pts = [tuple(scale * c for c in _unit_vec(n, i, s)) for i in range(n) for s in (1, -1)]
+        elif fam == "random_hull":
+            pts = _random_hull_points(spec)
+        elif fam == "custom":
+            pts = [tuple(parse_rational(c) for c in p) for p in spec.params["points"]]
+        else:
+            raise ConfigError(f"unknown body family {spec.family!r}")
+        if spec.affine:
+            A = [[parse_rational(c) for c in row] for row in spec.affine[0]]
+            b = [parse_rational(c) for c in spec.affine[1]]
+    except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"body {spec.name!r}: bad params ({type(exc).__name__}: {exc})") from exc
     P = Polytope.from_points(pts, n)
     if fam == "random_hull" and not P.is_full_dimensional:
         raise DegenerateSpec("random hull did not reach full dimension")
     if spec.affine:
-        A = [[parse_rational(c) for c in row] for row in spec.affine[0]]
-        b = [parse_rational(c) for c in spec.affine[1]]
-        from .errors import SingularMap
-        from .linalg import det
-
         if det(A) == 0:
             raise SingularMap("corpus bodies need an invertible affine map")
         P = transform(P, A, b)

@@ -17,11 +17,11 @@ lo == hi); `holds` iff lhs.hi <= rhs.lo, `fails` iff lhs.lo > rhs.hi, else
 `inconclusive`.  *tolerance*: a binary64 side, `holds` iff slack >= -(sum of
 the asserted errors).  The slack is rhs - lhs at the midpoints, so its sign
 agrees with an exact or enclosure verdict.  m0 is one rational bracket, read
-through the monotonicity of h_q.  `volume_identity_discrete`, whose sides
-depend on a quadrature order, re-decides an apparent violation once at
-doubled circle order (and marks the report `retried`).  Violated
-preconditions and exponents outside a statement's range yield `inconclusive`
-with a reason, never a silent pass.
+through the monotonicity of h_q.  No checker retries: `volume_identity_discrete`
+compares two rationals, the star volume summed over the cones from each
+lattice point to the facets and vol(K).  Violated preconditions and
+exponents outside a statement's range yield `inconclusive` with a reason,
+never a silent pass.
 """
 
 from __future__ import annotations
@@ -52,17 +52,15 @@ from .lattice import (
     lattice_points,
     mu_measure,
 )
-from .linalg import frac
+from .linalg import dot, frac
 from .lp import lp_solve  # noqa: F401  (unused here; perfbench/tracer.py's REQUIRED_BINDINGS needs it)
 from .moments import (
     RayMomentEngine,
-    facet_angles,
     projection_power_moment,
     radial_batch,
     ray_moment,
     section_power_integral,
     slab_moment,
-    star_volume,
 )
 from .polytope import (
     Direction,
@@ -278,9 +276,14 @@ def crossing_point(P: Polytope, p, profiles: SectionProfiles | None = None) -> i
     hyp = hypotheses_h(P, pr)
     if not hyp.satisfied:
         raise HypothesesViolated("crossing point needs the profile hypotheses")
+    return _crossing_in_bracket(pr, _solve_m0(P, p, pr), P.dim)
+
+
+def _crossing_in_bracket(pr: SectionProfiles, m0: tuple[Fraction, Fraction], n: int) -> int:
+    """``crossing_point`` for the profiles of a body that meets the hypotheses,
+    given m0's bracket."""
+    lo, hi = m0
     G = pr.G_proj
-    n = P.dim
-    lo, hi = _solve_m0(P, p, pr)
     top = math.ceil(hi) + 1
     upper = max(top, pr.M) + 1
     for kstar in range(0, top + 1):
@@ -679,12 +682,23 @@ def _chk_purely_discrete_zhang(ws: BodyWorkspace, params: dict) -> InequalityRep
     )
 
 
-_BERWALD_GRID = (Fraction(-1, 2), 1, 2)
+def _berwald_grid(values) -> list:
+    """``values`` if each is a rational > -1 and != 0 and each exceeds the one
+    before; else ``ExponentOutOfRange`` naming the bad value."""
+    out: list = []
+    for v in values:
+        rational = isinstance(v, (int, Fraction)) or isinstance(v, float) and math.isfinite(v)
+        if isinstance(v, bool) or not rational or v <= -1 or v == 0:
+            raise ExponentOutOfRange(f"exponent {v!r} is not a rational > -1 and != 0")
+        if out and v <= out[-1]:
+            raise ExponentOutOfRange(f"exponent {v!r} does not exceed {out[-1]}")
+        out.append(v)
+    return out
 
 
 def _chk_berwald_continuous(ws: BodyWorkspace, params: dict) -> InequalityReport:
     n = ws.n
-    grid = list(params.get("grid") or list(_BERWALD_GRID) + [n, n + 1])
+    grid = _berwald_grid(params.get("grid") or sorted({Fraction(-1, 2), 1, 2, n, n + 1}))
     vals = []
     for p in grid:
         E = ws.section_power(p)
@@ -757,7 +771,7 @@ def _chk_completely_discrete_berwald(ws: BodyWorkspace, params: dict) -> Inequal
         p=p,
         m0=rhs.value,
         m0_exact=str(lo) if lo == hi else None,
-        crossing_point=crossing_point(ws.anchored, p, pr),
+        crossing_point=_crossing_in_bracket(pr, m0, n),
         per_q=per_q,
         anchor=[str(c) for c in ws.anchor],
     )
@@ -919,47 +933,27 @@ def _chk_difference_set_inclusion(ws: BodyWorkspace, params: dict) -> Inequality
     )
 
 
-def _jump_angles(P: Polytope) -> list[float]:
-    """Angles of lattice-point-to-vertex directions, straddled by +-1e-7 nodes.
+def _discrete_star_volume(P: Polytope) -> Fraction:
+    """(1/n) int rho^n of the n-th Ball body of the lattice covariogram, exact.
 
-    The radial of a lattice-covariogram star body jumps exactly when the exit
-    ray grazes a vertex; putting rule nodes on both sides of each jump keeps
-    the circle rule's error at the smooth-piece level.
+    rho(u)^n = (1/G) sum_y b_y(u)^n over the G lattice points y of P, and
+    from y the directions whose ray leaves P through facet F sweep the cone
+    conv(y, F) of volume (b_F - <a_F, y>) w_F / n, w_F read off
+    ``facet_weights``.  Summed over y that is one facet sum against sum_y y.
     """
-    out = []
-    for y in lattice_points(P):
-        for v in P.vertices:
-            d0 = float(y[0]) - float(v[0])
-            d1 = float(y[1]) - float(v[1])
-            if abs(d0) + abs(d1) > 1e-12:
-                a = math.atan2(d1, d0)
-                out.extend(((a - 1e-7) % (2 * math.pi), a % (2 * math.pi),
-                            (a + 1e-7) % (2 * math.pi)))
-    return out
-
-
-def _volume_identity_report(ws: BodyWorkspace, n_circle: int) -> InequalityReport:
-    sv = star_volume(
-        lambda dirs: radial_batch("discrete", ws.body, dirs, ws.n),
-        ws.n,
-        extra_angles=facet_angles(ws.body) + _jump_angles(ws.body),
-        n_circle=n_circle,
-    )
-    vol = float(ws.vol)
-    lhs = MeasureValue.approx(abs(sv.value - vol), sv.abs_error)
-    rhs = MeasureValue.approx(1e-3 * vol, 0.0)
-    return _report(
-        "volume_identity_discrete", lhs, rhs, star_volume=sv.value, volume=vol
-    )
+    pts = lattice_points(P)
+    G = len(pts)
+    ysum = tuple(sum(c) for c in zip(*pts))
+    return sum(((G * b - dot(a, ysum)) * w for a, b, w in P.facet_weights()),
+               _ZERO) / (P.dim * G)
 
 
 def _chk_volume_identity_discrete(ws: BodyWorkspace, params: dict) -> InequalityReport:
-    rep = _volume_identity_report(ws, 2048)
-    if rep.verdict == "fails":
-        # an apparent violation may be quadrature error: re-decide at doubled order
-        rep = _volume_identity_report(ws, 4096)
-        rep.context["retried"] = True
-    return rep
+    # every y gives vol(K) by Minkowski's relation sum_F a_F w_F = 0, so the
+    # row cross-checks the facet weights against the triangulated volume
+    star = _discrete_star_volume(ws.body)
+    return _report("volume_identity_discrete", MeasureValue.from_exact(abs(star - ws.vol)),
+                   MeasureValue.from_exact(_ZERO), star_volume=str(star), volume=str(ws.vol))
 
 
 def _chk_one_point_collapse(ws: BodyWorkspace, params: dict) -> InequalityReport:
@@ -1041,7 +1035,8 @@ def _vol_identity_applicable(ws: BodyWorkspace):
     if r:
         return r
     if ws.n != 2:
-        return "discrete volume identity quadrature is wired for n = 2"
+        return ("discrete volume identity kept to n = 2: criterion 6 pairs it with a 2-d"
+                " chord-radial quadrature, and perfbench/reference.json fixes its rows")
     return None
 
 

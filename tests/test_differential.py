@@ -30,10 +30,12 @@ from zhangforge.inequalities import (
     B_coeff,
     BodyWorkspace,
     _B_exact,
+    _discrete_star_volume,
     _g_profile,
     _h_exact,
     _profile_sum,
     _purely_discrete_zhang_sides,
+    applicability,
     diamond_extension,
     section_profiles,
 )
@@ -62,12 +64,14 @@ from zhangforge.moments import (
     RayMomentEngine,
     _interval_batch,
     covariogram_on_ray,
+    facet_angles,
     mc_section_samples,
     projection_power_moment,
     radial_batch,
     ray_moment,
     ray_support,
     section_distribution,
+    star_volume,
 )
 from zhangforge.polytope import Polytope, _lagrange_coeffs, integer_rows, parametric_volume
 from zhangforge.steiner import steiner_symmetrize
@@ -239,6 +243,43 @@ def test_polar_projection_body_against_facet_weight_radial(dim):
         mine = ratios.min(axis=1)
         ref = radial_batch("polar-projection", P, dirs, None)
         assert mine == pytest.approx(ref, rel=1e-12)
+
+
+def _jump_angles(P):
+    """Angles of lattice-point-to-vertex directions, straddled by +-1e-7 nodes.
+
+    The radial of a lattice-covariogram star body jumps exactly when the exit
+    ray grazes a vertex; putting rule nodes on both sides of each jump keeps
+    the circle rule's error at the smooth-piece level.
+    """
+    out = []
+    for y in lattice_points(P):
+        for v in P.vertices:
+            d0 = float(y[0]) - float(v[0])
+            d1 = float(y[1]) - float(v[1])
+            if abs(d0) + abs(d1) > 1e-12:
+                a = math.atan2(d1, d0)
+                out.extend(((a - 1e-7) % (2 * math.pi), a % (2 * math.pi),
+                            (a + 1e-7) % (2 * math.pi)))
+    return out
+
+
+def test_discrete_radial_quadrature_against_exact_star_volume():
+    # the float radial of the n-th lattice-covariogram Ball body, integrated
+    # by the circle rule over jump and facet-normal nodes, against the exact
+    # cone sum that volume_identity_discrete reads off the facet weights
+    checked = 0
+    for spec in default_corpus():
+        P = make_body(spec)
+        ws = BodyWorkspace(P)
+        if applicability("volume_identity_discrete", ws) is not None:
+            continue
+        sv = star_volume(lambda dirs: radial_batch("discrete", P, dirs, 2), 2,
+                         extra_angles=facet_angles(P) + _jump_angles(P))
+        vol = float(ws.vol)
+        assert abs(sv.value - float(_discrete_star_volume(P))) <= 1e-3 * vol, spec.name
+        checked += 1
+    assert checked == 7
 
 
 def _interval_batch_per_facet(body, pts, dirs, strict):

@@ -118,7 +118,9 @@ _BAD_SWEEPS = {
 
 
 # whole configurations of the wrong shape: sweeps that are not a list, a body
-# with no dim or with params that are not an object, a cube edge of one number
+# with no dim or with params that are not an object, a cube edge of one number,
+# body params that do not parse (text for a number, an affine map without its
+# vector, a custom body without points)
 _BAD_CONFIGS = {
     "sweeps-object": {"bodies": [], "sweeps": {"target": "B_limit", "scales": [100]}},
     "body-without-dim": {"bodies": [{"family": "cube", "name": "c"}], "sweeps": []},
@@ -126,6 +128,16 @@ _BAD_CONFIGS = {
                          "sweeps": []},
     "cube-edge-of-one": {"bodies": [{"family": "cube", "dim": 2, "params": {"edge": [1]},
                                      "name": "c"}], "sweeps": []},
+    "cube-edge-text": {"bodies": [{"family": "cube", "dim": 2, "params": {"edge": ["a", 1]},
+                                   "name": "c"}], "sweeps": []},
+    "affine-without-vector": {"bodies": [{"family": "cube", "dim": 2,
+                                          "affine": [[[1, 0], [0, 1]]], "name": "c"}],
+                              "sweeps": []},
+    "random-hull-count-text": {"bodies": [{"family": "random_hull", "dim": 2,
+                                           "params": {"count": "x"}, "name": "c"}],
+                               "sweeps": []},
+    "custom-without-points": {"bodies": [{"family": "custom", "dim": 2, "name": "c"}],
+                              "sweeps": []},
 }
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from zhangforge import make_polytope, max_section_anchor, moments, project_drop_last, transform
 from zhangforge.errors import HypothesesViolated, UnknownChecker
-from zhangforge.harness import default_corpus, make_body
+from zhangforge.harness import BodySpec, default_corpus, make_body
 from zhangforge.inequalities import (
     B_coeff,
     BodyWorkspace,
@@ -22,11 +22,12 @@ from zhangforge.inequalities import (
     limit_sweep,
     section_profiles,
     verify,
+    _discrete_star_volume,
     _h_exact,
     _solve_m0,
 )
 from zhangforge.lattice import count_lattice
-from zhangforge.polytope import MeasureValue
+from zhangforge.polytope import Polytope
 from zhangforge.steiner import steiner_symmetrize
 
 F = Fraction
@@ -179,8 +180,9 @@ class TestM0AndCrossing:
 
 
 # (checker, params, the value the reason must name) on [-1,1]^2: exponents
-# are positive integers and grid points nonnegative integers, increasing
-# wherever the statement orders them
+# are positive integers and grid points nonnegative integers (rationals > -1
+# and != 0 on the continuous Berwald grid), increasing wherever the
+# statement orders them
 _BAD_EXPONENTS = [
     ("completely_discrete_berwald", {"p": 1.5}, "1.5"),
     ("completely_discrete_berwald", {"qs": [1.5]}, "1.5"),
@@ -188,6 +190,12 @@ _BAD_EXPONENTS = [
     ("berwald_discrete", {"pairs": [[2, 1]]}, "1"),
     ("berwald_discrete", {"pairs": [[1, 2.5]]}, "2.5"),
     ("berwald_discrete", {"pairs": [[0, 1]]}, "0"),
+    ("berwald_continuous", {"grid": [2, 1]}, "1"),
+    ("berwald_continuous", {"grid": [1, 0.5]}, "0.5"),
+    ("berwald_continuous", {"grid": [-0.5, -0.5, 1]}, "-0.5"),
+    ("berwald_continuous", {"grid": [-1, 1]}, "-1"),
+    ("berwald_continuous", {"grid": [0, 1]}, "0"),
+    ("berwald_continuous", {"grid": ["x", 1]}, "'x'"),
     ("different_inclusion", {"grid": [0, 1.5]}, "1.5"),
     ("different_inclusion", {"grid": [3, 1]}, "1"),
     ("ball_inclusion_discrete", {"p": 2.5}, "2.5"),
@@ -268,6 +276,34 @@ class TestVerify:
         assert abs(rep.rhs.value - rep.context["m0"]) <= 1e-10
         assert rep.rhs.value == pytest.approx(3.0, abs=1e-10)
         assert rep.context["crossing_point"] == 2
+
+    def test_completely_discrete_berwald_solves_m0_once(self, monkeypatch):
+        import zhangforge.inequalities as ineq
+
+        calls = []
+
+        def counted(P, p, profiles=None):
+            calls.append(p)
+            return _solve_m0(P, p, profiles)
+
+        monkeypatch.setattr(ineq, "_solve_m0", counted)
+        for spec in default_corpus():
+            body = make_body(spec)
+            ws = BodyWorkspace(body)
+            if applicability("completely_discrete_berwald", ws) is None:
+                calls.clear()
+                rep = verify("completely_discrete_berwald", body, ws=ws)
+                assert calls == [1], spec.name
+                # the public crossing point (its own m0) agrees with the row's
+                assert rep.context["crossing_point"] == crossing_point(ws.anchored, 1, ws.profiles)
+
+    def test_berwald_continuous_default_grid_has_no_repeat(self, sym_square):
+        # for n = 2 the grid {-1/2, 1, 2, n, n+1} held 2 twice, and the
+        # trivial pair (2, 2) was reported as the worst
+        rep = verify("berwald_continuous", sym_square)
+        assert rep.holds
+        assert rep.context["grid"] == ["-1/2", "1", "2", "3"]
+        assert rep.context["worst_pair"] != [2.0, 2.0]
 
     def test_berwald_discrete_closed_form(self, sym_square):
         rep = verify("berwald_discrete", sym_square)
@@ -373,24 +409,58 @@ class TestVerify:
         assert rep.verdict == "inconclusive", rep.context
         assert f"exponent {bad} " in rep.context["reason"]
 
-    def test_volume_identity_retries_at_doubled_circle_order(self, unit_square, monkeypatch):
-        assert "retried" not in verify("volume_identity_discrete", unit_square).context
-        # a quadrature that misses at 2048 nodes and lands at 4096: only the
-        # second decides the verdict, and the report says it was retried
-        orders = []
-
-        def fake_star_volume(evaluator, dim, extra_angles=(), n_circle=2048):
-            orders.append(n_circle)
-            return MeasureValue.approx(1.5 if n_circle == 2048 else 1.0, 0.0)
-
-        monkeypatch.setattr("zhangforge.inequalities.star_volume", fake_star_volume)
-        rep = verify("volume_identity_discrete", unit_square)
-        assert rep.holds and rep.context["retried"] is True
-        assert orders == [2048, 4096]
-
     def test_lattice_zhang_holds(self, sym_square, big_square):
         for P in (sym_square, big_square):
             assert verify("lattice_zhang", P).holds
+
+
+class TestVolumeIdentity:
+    def test_exact_on_every_origin_body_of_the_corpus(self):
+        n2 = 0
+        for spec in default_corpus():
+            body = make_body(spec)
+            ws = BodyWorkspace(body)
+            if not ws.origin_inside:
+                continue
+            # the identity is exact in every n; the checker runs at n = 2
+            assert _discrete_star_volume(body) == ws.vol, spec.name
+            if applicability("volume_identity_discrete", ws) is None:
+                rep = verify("volume_identity_discrete", body, ws=ws)
+                assert rep.holds and rep.context["decided_by"] == "exact"
+                assert rep.lhs.exact == 0 and rep.rhs.exact == 0
+                assert rep.context["star_volume"] == rep.context["volume"] == str(ws.vol)
+                n2 += 1
+        assert n2 == 7
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_exact_on_seeded_random_hulls(self, dim):
+        checked = 0
+        for seed in range(10):
+            body = make_body(BodySpec("random_hull", dim, {"count": 7, "radius": 2, "seed": seed}))
+            if count_lattice(body):  # every lattice point of K gives vol(K)
+                assert _discrete_star_volume(body) == body.volume_fraction(), seed
+                checked += 1
+        assert checked >= 8
+
+    def test_exact_on_a_scaled_workspace(self):
+        for spec in default_corpus():
+            qws = BodyWorkspace(make_body(spec)).scaled(2)
+            assert _discrete_star_volume(qws.body) == qws.vol, spec.name
+
+    def test_a_wrong_facet_weight_fails(self, unit_square, monkeypatch):
+        # the lattice points of [0,1]^2 average to (1/2, 1/2), at height 1/2
+        # from every facet line, so a change to any one weight moves the star
+        # volume
+        real = Polytope.facet_weights
+
+        def skewed(self):
+            (a, b, w), *rest = real(self)
+            return ((a, b, w + F(1, 7)), *rest)
+
+        monkeypatch.setattr(Polytope, "facet_weights", skewed)
+        rep = verify("volume_identity_discrete", unit_square)
+        assert rep.verdict == "fails" and rep.context["decided_by"] == "exact"
+        assert rep.lhs.exact == F(1, 2) * F(1, 7) / 2  # height x weight change / n
 
 
 class TestSweeps:
