@@ -32,8 +32,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-import numpy as np
-
 from .errors import (
     ConfigError,
     EmptyProjectionLattice,
@@ -349,6 +347,8 @@ def _inconclusive(cid: str, reason: str, **context) -> InequalityReport:
 
 
 def _fib_sphere(count: int) -> np.ndarray:
+    import numpy as np
+
     i = np.arange(count) + 0.5
     phi = math.pi * (3.0 - math.sqrt(5.0)) * i
     z = 1.0 - 2.0 * i / count
@@ -417,8 +417,8 @@ class BodyWorkspace:
         (``asym`` carrying ``aproj`` as its projection).
         """
         if lam not in self._scaled_workspaces:
-            body = _scaled(self.anchored, lam)  # carries lam * aproj
-            sym = _scaled(self.asym, lam)
+            body = self.anchored.scaled(lam)  # carries lam * aproj
+            sym = self.asym.scaled(lam)
             sym._projection = body._projection
             ws = BodyWorkspace(body, self.seed, {2: self.n_dirs_2d, 3: self.n_dirs_3d})
             ws.__dict__.update(anchor=tuple(_ZERO for _ in range(self.n - 1)), anchored=body,
@@ -444,6 +444,8 @@ class BodyWorkspace:
 
     @cached_property
     def sample_dirs(self) -> np.ndarray:
+        import numpy as np
+
         extra = []
         for v in self.body.vertices:
             fv = np.array([float(c) for c in v])
@@ -866,6 +868,8 @@ def _chk_identity_triple_discrete(ws: BodyWorkspace, params: dict) -> Inequality
 
 
 def _chk_ball_inclusion_discrete(ws: BodyWorkspace, params: dict) -> InequalityReport:
+    import numpy as np
+
     n = ws.n
     p, q = _exponents([params.get("p", 1), params.get("q", 2)], increasing=True)
     dirs = ws.sample_dirs
@@ -883,6 +887,8 @@ def _chk_ball_inclusion_discrete(ws: BodyWorkspace, params: dict) -> InequalityR
 
 
 def _chk_convexhull_inclusion(ws: BodyWorkspace, params: dict) -> InequalityReport:
+    import numpy as np
+
     n = ws.n
     (p,) = _exponents([params.get("p", 1)])
     combos = int(params.get("combos", 200))
@@ -917,6 +923,8 @@ def _chk_convexhull_inclusion(ws: BodyWorkspace, params: dict) -> InequalityRepo
 
 
 def _chk_difference_set_inclusion(ws: BodyWorkspace, params: dict) -> InequalityReport:
+    import numpy as np
+
     n = ws.n
     (p,) = _exponents([params.get("p", 1)])
     dirs = ws.sample_dirs
@@ -1236,16 +1244,6 @@ def verify(cid: str, body: Polytope, params: dict | None = None,
 # scaling-limit sweeps
 # ---------------------------------------------------------------------------
 
-def _scaled(P: Polytope, lam: int) -> Polytope:
-    """lam * P with no hull (``transform``); a projection already built for P is
-    carried across as lam times it."""
-    n = P.dim
-    Q = transform(P, [[lam * int(i == j) for j in range(n)] for i in range(n)], [0] * n)
-    if P._projection is not None:
-        Q._projection = _scaled(P._projection, lam)
-    return Q
-
-
 def _row(scale, quantity, value, reference):
     ref = float(reference)
     val = float(value)
@@ -1316,12 +1314,12 @@ def limit_sweep(body: Polytope | BodyWorkspace, target: str, scales,
     n = P.dim
     if target == "gn_volume":
         for lam in scales:
-            Q = _scaled(P, lam)
+            Q = P.scaled(lam)
             rows.append(_row(lam, "G_n/scale^n", Fraction(count_lattice(Q), lam**n), ws.vol))
         return rows
     if target == "mu_volume":
         for lam in scales:
-            Q = _scaled(P, lam)
+            Q = P.scaled(lam)
             rows.append(_row(lam, "mu/scale^n", mu_measure(Q).exact / lam**n, ws.vol))
         return rows
     if target in ("discrete_to_continuous_zhang", "purely_discrete_to_continuous"):

@@ -36,8 +36,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import (
     DegenerateBody,
     DimensionMismatch,
@@ -244,6 +242,8 @@ def mc_section_samples(P: Polytope, seed: int, nsamp: int = 1_000_000):
     oracle in ``tests/test_differential.py``, and ``FUNCTIONS`` in
     ``perfbench/tracer.py``, whose ``install()`` raises AttributeError without it.
     """
+    import numpy as np
+
     n = P.dim
     uppers = []
     lowers = []
@@ -418,12 +418,6 @@ def polar_projection_radial(P: Polytope, theta: Direction) -> MeasureValue:
 # vectorized float radial evaluators (generic directions, one ray clip)
 # ---------------------------------------------------------------------------
 
-def _float_halfspaces(P: Polytope):
-    A = np.array([[float(x) for x in a] for a, _ in P.halfspaces])
-    b = np.array([float(b) for _, b in P.halfspaces])
-    return A, b
-
-
 def _interval_batch(body: Polytope, pts: np.ndarray, dirs: np.ndarray, strict: bool):
     """lo/hi of {r >= 0 : y - r theta in body} for every point x direction pair.
 
@@ -442,7 +436,10 @@ def _interval_batch(body: Polytope, pts: np.ndarray, dirs: np.ndarray, strict: b
     (c <= 0 exactly) the pass fires only on boundary points that binary64
     rounded outward.
     """
-    A, b = _float_halfspaces(body)
+    import numpy as np
+
+    A = np.array([[float(x) for x in a] for a, _ in body.halfspaces])
+    b = np.array([float(c) for _, c in body.halfspaces])
     S = A @ dirs.T  # (F, D)
     C = A @ pts.T - b[:, None]  # (F, m)
     tol = 1e-12
@@ -469,6 +466,8 @@ def _interval_batch(body: Polytope, pts: np.ndarray, dirs: np.ndarray, strict: b
 
 def discrete_moment_batch(P: Polytope, dirs: np.ndarray, p, open_cube: bool) -> np.ndarray:
     """sum_y (b_y^p - a_y^p) per unit direction (binary64)."""
+    import numpy as np
+
     k = P.dim if open_cube else 0
     body = fattening(P, k)
     pts = lattice_points(P, k)
@@ -492,6 +491,8 @@ def _chord_moment_batch(P: Polytope, dirs: np.ndarray, p) -> np.ndarray:
     evaluated as a^{p+1} expm1((p+2)L) / expm1(L), L = log(b/a), so that nearly
     equal ends do not cancel.
     """
+    import numpy as np
+
     if P.dim != 2:
         raise RouteUnsupported("the chord-length form is 2-d only")
     q = float(p) + 2.0
@@ -515,6 +516,8 @@ def _chord_moment_batch(P: Polytope, dirs: np.ndarray, p) -> np.ndarray:
 
 def radial_batch(source: str, P: Polytope, dirs: np.ndarray, p) -> np.ndarray:
     """Vectorized radial of the star body over an array of unit directions."""
+    import numpy as np
+
     if source == "polar-projection":
         total = np.zeros(len(dirs))
         for a, _b, w in P.facet_weights():
@@ -543,12 +546,16 @@ def radial_batch(source: str, P: Polytope, dirs: np.ndarray, p) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def circle_nodes(n_nodes: int, extra_angles=()) -> np.ndarray:
+    import numpy as np
+
     base = [2.0 * math.pi * k / n_nodes for k in range(n_nodes)]
     angles = sorted(set(base) | {a % (2.0 * math.pi) for a in extra_angles})
     return np.array(angles)
 
 
 def _circle_rule(evaluator, angles: np.ndarray) -> float:
+    import numpy as np
+
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     rho = evaluator(dirs)
     k = len(angles)

@@ -8,8 +8,9 @@ equalities as opposite halfspace pairs and their full-dimensional volume is 0.
 
 Each full-dimensional construction is one run of the exact hull engine, or
 none where the faces follow from a parent's: ``transform`` maps vertices,
-rows and triangulation through an invertible A, and ``cube_sum`` adds a cube
-one segment at a time.  ``from_points`` hulls the points.
+rows and triangulation through an invertible A (``Polytope.translated`` and
+``Polytope.scaled`` without inverting it), and ``cube_sum`` adds a cube one
+segment at a time.  ``from_points`` hulls the points.
 ``from_halfspaces`` hulls the polar dual of integer rows about an interior
 point: the dual hull's facets are the vertices, its extreme points the
 irredundant rows, and the dual points on each facet plane the rows tight at
@@ -492,6 +493,32 @@ class Polytope:
         out._volume = self._volume
         if self._projection is not None:
             out._projection = self._projection.translated(t[:-1])
+        return out
+
+    def scaled(self, lam: int) -> "Polytope":
+        """lam P for an integer lam > 0, with no hull: each row keeps its
+        normal and takes lam times its offset, and the interior point is the
+        one ``transform`` gives.  The volume, the integer rows and a
+        projection already built for P (``project_drop_last``) are carried
+        across, scaled."""
+
+        def scale(p):
+            return tuple(lam * x for x in p)
+
+        verts = tuple(scale(v) for v in self.vertices)
+        hs = tuple((a, lam * b) for a, b in self.halfspaces)
+        tri = None
+        if self._tri is not None:
+            pts, simplices = self._tri
+            tri = (tuple(scale(p) for p in pts), simplices)
+        out = Polytope(self.dim, self.affine_dim, verts, hs, _hull_interior(verts), tri)
+        if self._volume is not None:
+            out._volume = lam**self.dim * self._volume
+        if self._int_rows is not None:
+            out._int_rows = tuple((a, lam * num // g, den // g) for a, num, den in self._int_rows
+                                  for g in (gcd(lam * num, den),))
+        if self._projection is not None:
+            out._projection = self._projection.scaled(lam)
         return out
 
 

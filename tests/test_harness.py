@@ -1,11 +1,13 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from zhangforge.errors import ConfigError
+from zhangforge.errors import ConfigError, DegenerateSpec
 from zhangforge.harness import (
     BodySpec,
     SuiteConfig,
@@ -64,6 +66,20 @@ class TestMakeBody:
         with pytest.raises(ConfigError):
             make_body(BodySpec("blob", 2, name="b"))
 
+    @pytest.mark.parametrize("params", [
+        {"seed": -1},  # the seed must be a non-negative integer
+        {"radius": 2**62},  # -radius * denominator is below the int64 range
+        {"radius": -1},  # an empty range of draws
+    ])
+    def test_random_hull_bad_draw_is_a_config_error(self, params):
+        with pytest.raises(ConfigError) as info:
+            make_body(BodySpec("random_hull", 2, params, name="r"))
+        assert isinstance(info.value.__cause__, ValueError)
+
+    def test_random_hull_of_radius_zero_is_degenerate(self):
+        with pytest.raises(DegenerateSpec):
+            make_body(BodySpec("random_hull", 2, {"radius": 0}, name="r"))
+
 
 class TestConfig:
     def test_default_has_enough_bodies(self):
@@ -120,7 +136,8 @@ _BAD_SWEEPS = {
 # whole configurations of the wrong shape: sweeps that are not a list, a body
 # with no dim or with params that are not an object, a cube edge of one number,
 # body params that do not parse (text for a number, an affine map without its
-# vector, a custom body without points)
+# vector, a custom body without points), random-hull draws that cannot be made
+# (a negative seed, a range beyond int64)
 _BAD_CONFIGS = {
     "sweeps-object": {"bodies": [], "sweeps": {"target": "B_limit", "scales": [100]}},
     "body-without-dim": {"bodies": [{"family": "cube", "name": "c"}], "sweeps": []},
@@ -138,6 +155,12 @@ _BAD_CONFIGS = {
                                "sweeps": []},
     "custom-without-points": {"bodies": [{"family": "custom", "dim": 2, "name": "c"}],
                               "sweeps": []},
+    "random-hull-negative-seed": {"bodies": [{"family": "random_hull", "dim": 2,
+                                              "params": {"seed": -3}, "name": "c"}],
+                                  "sweeps": []},
+    "random-hull-beyond-int64": {"bodies": [{"family": "random_hull", "dim": 2,
+                                             "params": {"radius": 2**62}, "name": "c"}],
+                                 "sweeps": []},
 }
 
 
@@ -209,6 +232,28 @@ class TestRunSuite:
         doc1 = run_suite(cfg, jobs=1)
         doc8 = run_suite(cfg, jobs=8)
         assert report_json(doc1) == report_json(doc8)
+
+    def test_corpus_contexts_are_json_native(self):
+        # every context value reaches the report as a JSON type, never a numpy scalar
+        native = (str, int, float, bool, type(None))
+
+        def walk(obj):
+            if isinstance(obj, dict):
+                assert all(type(k) is str for k in obj)
+                for v in obj.values():
+                    walk(v)
+            elif type(obj) is list:
+                for v in obj:
+                    walk(v)
+            else:
+                assert type(obj) in native, repr(obj)
+
+        cfg = default_config()
+        cfg.sweeps = []
+        rows = run_suite(cfg)["reports"]
+        assert len(rows) > 200
+        for row in rows:
+            walk(row["context"])
 
     def test_duplicate_names_rejected(self):
         cfg = SuiteConfig(bodies=[BodySpec("simplex", 2, name="a"),
@@ -336,3 +381,35 @@ class TestCli:
         assert res.returncode == 0
         rows = json.loads(res.stdout)
         assert rows[0]["rows"][0]["reference"] == 0.5
+
+
+_IMPORT_GUARD = """
+import contextlib, io, sys
+import zhangforge.cli
+from zhangforge.harness import BodySpec, SuiteConfig, default_config, run_sweeps
+default_config()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert zhangforge.cli.main(["list-checkers"]) == 0
+bodies = [BodySpec("cube", 2, {"edge": [0, 1]}, name="square"),
+          BodySpec("cube", 3, {"edge": [0, 1]}, name="cube3")]
+bodies += [BodySpec("random_hull", 2, {"count": 8, "radius": "1/2", "seed": s}, name=f"r{s}")
+           for s in (3, 41)]
+targets = ("gn_volume", "mu_volume", "discrete_to_continuous_zhang",
+           "purely_discrete_to_continuous")
+run_sweeps(SuiteConfig(bodies=bodies, sweeps=[
+    {"target": t, "body": b.name, "scales": [4, 16]} for b in bodies for t in targets]))
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "concurrent")))
+"""
+
+
+def test_exact_paths_load_neither_numpy_nor_the_process_pool():
+    # numpy is loaded only by the binary64 Ball-body radials, the process pool
+    # only by run_suite with jobs > 1
+    import zhangforge
+
+    src = str(Path(zhangforge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    res = subprocess.run([sys.executable, "-c", _IMPORT_GUARD], capture_output=True, text=True,
+                         env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

@@ -236,6 +236,30 @@ class TestTransform:
         assert set(N.vertices) == {(F(0), F(0)), (F(-1), F(0)), (F(0), F(-1))}
 
 
+@pytest.mark.parametrize("lam", [2, 3, 7])
+def test_scaled_equals_transform_by_lam_identity(lam):
+    from zhangforge.harness import default_corpus, make_body
+    from zhangforge.polytope import integer_rows
+
+    for spec in default_corpus():
+        P = make_body(spec)
+        n = P.dim
+        vol = P.volume_fraction()  # these three are carried across, scaled
+        integer_rows(P)
+        project_drop_last(P)
+        Q = P.scaled(lam)
+        T = transform(P, [[lam * int(i == j) for j in range(n)] for i in range(n)], [0] * n)
+        assert Q.vertices == T.vertices, spec.name
+        assert Q.halfspaces == T.halfspaces, spec.name
+        assert Q._int_rows == integer_rows(T), spec.name
+        assert Q._tri == T._tri, spec.name
+        assert Q.interior_point == T.interior_point, spec.name
+        assert Q._volume == T.volume_fraction() == lam**n * vol, spec.name
+        R, S = Q._projection, project_drop_last(T)
+        assert (R.vertices, R.halfspaces, R.interior_point) == (
+            S.vertices, S.halfspaces, S.interior_point), spec.name
+
+
 class TestAnchor:
     def test_examples(self, unit_square, triangle):
         assert max_section_anchor(unit_square) == (F(0),)
