@@ -140,132 +140,21 @@ def make_body(spec: BodySpec) -> Polytope:
 
 
 def _random_hull_points(spec: BodySpec):
+    import numpy as np
+
     n = spec.dim
     count = int(spec.params.get("count", 8))
     radius = parse_rational(spec.params.get("radius", 1))
     seed = int(spec.params.get("seed", 0))
     den = int(spec.params.get("denominator", 4))
     top = int(radius * den)
-    if count < 0:
-        raise ValueError(f"a random hull needs a non-negative count, got {count}")
-    rng = _Pcg64(seed)
+    rng = np.random.default_rng(seed)
     for _round in range(100):
-        raw = rng.integers(-top, top + 1, count * n)
-        pts = [tuple(Fraction(v, den) for v in raw[i * n:(i + 1) * n]) for i in range(count)]
+        raw = rng.integers(-top, top + 1, size=(count, n))
+        pts = [tuple(Fraction(int(v), den) for v in row) for row in raw]
         if len(affine_basis(sorted(set(pts)))) == n + 1:
             return pts
     raise DegenerateSpec("no full-dimensional hull after 100 rejection rounds")
-
-
-_MASK32 = (1 << 32) - 1
-_MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _seed_words(seed: int) -> list[int]:
-    """numpy's ``SeedSequence(seed).generate_state(8)``: the seed's 32-bit
-    words, least significant first, hashed into a pool of four words and
-    hashed out again to eight."""
-    if seed < 0:
-        raise ValueError("expected non-negative integer")
-    entropy = [seed & _MASK32]
-    while seed >> 32:
-        seed >>= 32
-        entropy.append(seed & _MASK32)
-    mult = 0x43B0D7E5
-
-    def hashmix(v: int) -> int:
-        nonlocal mult
-        v ^= mult
-        mult = mult * 0x931E8875 & _MASK32
-        v = v * mult & _MASK32
-        return v ^ v >> 16
-
-    def mix(x: int, y: int) -> int:
-        r = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
-        return r ^ r >> 16
-
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    out = []
-    mult = 0x8B51F9DD
-    for i in range(8):
-        v = pool[i % 4] ^ mult
-        mult = mult * 0x58F38DED & _MASK32
-        v = v * mult & _MASK32
-        out.append(v ^ v >> 16)
-    return out
-
-
-class _Pcg64:
-    """numpy's ``default_rng(seed)`` for ``integers`` with int64 output, in
-    integer Python and bit for bit: PCG64 (O'Neill, HMC-CS-2014-0905),
-    seeded through ``SeedSequence``, its 64-bit XSL-RR outputs read as two
-    32-bit halves, low half first, where a draw takes 32 bits; the high half
-    waits for the next such draw, across calls.  Ranges are drawn by Lemire's
-    rejection (ACM TOMACS 29, 2019)."""
-
-    def __init__(self, seed: int):
-        w = _seed_words(seed)
-        s = [w[2 * i] | w[2 * i + 1] << 32 for i in range(4)]
-        self.inc = ((s[2] << 64 | s[3]) << 1 | 1) & _MASK128
-        self.state = 0
-        self.next64()
-        self.state = (self.state + (s[0] << 64 | s[1])) & _MASK128
-        self.next64()
-        self.half: int | None = None
-
-    def next64(self) -> int:
-        self.state = s = (self.state * _PCG_MULT + self.inc) & _MASK128
-        x = (s >> 64 ^ s) & _MASK64
-        r = s >> 122
-        return (x >> r | x << (64 - r)) & _MASK64
-
-    def next32(self) -> int:
-        if self.half is not None:
-            out, self.half = self.half, None
-            return out
-        x = self.next64()
-        self.half = x >> 32
-        return x & _MASK32
-
-    def integers(self, low: int, high: int, count: int) -> list[int]:
-        """``count`` draws from [low, high), as ``Generator.integers`` gives
-        them in C order."""
-        high -= 1
-        if low < -(1 << 63):
-            raise ValueError("low is out of bounds for int64")
-        if high >= 1 << 63:
-            raise ValueError("high is out of bounds for int64")
-        if low > high:
-            raise ValueError("low >= high")
-        span = high - low
-        if span == 0:
-            return [low] * count
-        if span == _MASK32:
-            draw = self.next32
-        elif span == _MASK64:
-            draw = self.next64
-        else:
-            bits, word = (32, self.next32) if span < _MASK32 else (64, self.next64)
-            excl = span + 1
-            mask = (1 << bits) - 1
-            threshold = (1 << bits) % excl
-
-            def draw() -> int:
-                m = word() * excl
-                while m & mask < threshold:
-                    m = word() * excl
-                return m >> bits
-
-        return [low + draw() for _ in range(count)]
 
 
 @dataclass

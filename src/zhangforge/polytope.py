@@ -496,24 +496,29 @@ class Polytope:
         return out
 
     def scaled(self, lam: int) -> "Polytope":
-        """lam P for an integer lam > 0, with no hull: each row keeps its
-        normal and takes lam times its offset, and the interior point is the
-        one ``transform`` gives.  The volume, the integer rows and a
-        projection already built for P (``project_drop_last``) are carried
-        across, scaled."""
+        """lam P for an integer lam > 0.  A full-dimensional P needs no hull:
+        each row keeps its normal and takes lam times its offset, and the
+        interior point is the one ``transform`` gives; a lower-dimensional P
+        goes through ``transform``, which hulls its image.  The volume, the
+        integer rows and a projection already built for P
+        (``project_drop_last``) are carried across, scaled."""
+        n = self.dim
+        if not self.is_full_dimensional:
+            out = transform(self, [[lam * int(i == j) for j in range(n)] for i in range(n)], [0] * n)
+            if self._projection is not None:
+                out._projection = self._projection.scaled(lam)
+            return out
 
         def scale(p):
             return tuple(lam * x for x in p)
 
         verts = tuple(scale(v) for v in self.vertices)
         hs = tuple((a, lam * b) for a, b in self.halfspaces)
-        tri = None
-        if self._tri is not None:
-            pts, simplices = self._tri
-            tri = (tuple(scale(p) for p in pts), simplices)
-        out = Polytope(self.dim, self.affine_dim, verts, hs, _hull_interior(verts), tri)
+        pts, simplices = self._tri
+        out = Polytope(n, n, verts, hs, _hull_interior(verts),
+                       (tuple(scale(p) for p in pts), simplices))
         if self._volume is not None:
-            out._volume = lam**self.dim * self._volume
+            out._volume = lam**n * self._volume
         if self._int_rows is not None:
             out._int_rows = tuple((a, lam * num // g, den // g) for a, num, den in self._int_rows
                                   for g in (gcd(lam * num, den),))

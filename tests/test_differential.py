@@ -1294,66 +1294,3 @@ def test_affine_images_against_hull_of_mapped_vertices():
             assert got.interior_point == want.interior_point
             seen[name, det(A) != 0] += 1
     assert seen["rational", True] >= 10 and seen["singular", False] >= 10
-
-
-def _numpy_hull_points(spec):
-    """``random_hull``'s points drawn through numpy's generator, and the
-    number of rejection rounds that took."""
-    n, count, den = spec.dim, spec.params.get("count", 8), spec.params.get("denominator", 4)
-    top = int(F(spec.params.get("radius", 1)) * den)
-    rng = np.random.default_rng(spec.params.get("seed", 0))
-    for rounds in range(1, 101):
-        raw = rng.integers(-top, top + 1, size=(count, n))
-        pts = [tuple(F(int(v), den) for v in row) for row in raw]
-        if len(affine_basis(sorted(set(pts)))) == n + 1:
-            return pts, rounds
-    return None, 100
-
-
-def _random_hull_specs():
-    """Every random_hull the package, its tests and its benchmark build."""
-    specs = [b for b in default_corpus() if b.family == "random_hull"]
-    specs += [BodySpec("random_hull", 2, {"count": 8, "radius": 2, "seed": s}) for s in range(100)]
-    specs += [BodySpec("random_hull", 3, {"count": 6, "radius": 2, "seed": s})
-              for s in range(100, 200)]
-    specs += [BodySpec("random_hull", 2, {"count": 8, "radius": "1/2", "seed": s})
-              for s in range(64)]
-    specs += [BodySpec("random_hull", 2, {"count": 7, "seed": 5}),
-              BodySpec("random_hull", 3, {"count": 6, "seed": 6})]
-    specs += [BodySpec("random_hull", d, {"count": c, "radius": 2, "seed": s})
-              for d in (2, 3) for c in (6, d + 4, d + 5) for s in range(8)]
-    return specs
-
-
-def test_random_hull_points_against_numpy():
-    from zhangforge.harness import _random_hull_points
-
-    for spec in _random_hull_specs():
-        want, _rounds = _numpy_hull_points(spec)
-        assert _random_hull_points(spec) == want, spec.params
-
-
-def test_random_hull_rejection_rounds_against_numpy():
-    # 5 x 3 = 15 draws a round, so a round ends inside a 64-bit word and the
-    # next round begins with its high half
-    from zhangforge.harness import _random_hull_points
-
-    spec = BodySpec("random_hull", 3, {"count": 5, "radius": "1/4", "seed": 27})
-    want, rounds = _numpy_hull_points(spec)
-    assert rounds == 3
-    assert _random_hull_points(spec) == want
-
-
-@pytest.mark.parametrize("seed", [0, 7, 11, 2**32, 2**64 + 3, 2**70])
-def test_pure_draws_against_numpy(seed):
-    # widths 1, just below, at and above 2^32 (the 32-bit draw, the bare
-    # 32-bit word, the 128-bit product), up to 2^63 and the whole int64 range
-    from zhangforge.harness import _Pcg64
-
-    widths = [1, 2, 17, 2**32 - 1, 2**32, 2**32 + 1, 2**33 + 7, 2**62 + 5, 2**63, 2**64]
-    cases = [(lo, lo + w) for w in widths for lo in (-(2**63), -(w // 2), 0) if lo + w <= 2**63]
-    ours, theirs = _Pcg64(seed), np.random.default_rng(seed)
-    for lo, hi in cases:
-        for size in (1, 7, 16):
-            want = [int(v) for v in theirs.integers(lo, hi, size=size)]
-            assert ours.integers(lo, hi, size) == want, (seed, lo, hi, size)

@@ -392,8 +392,9 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert zhangforge.cli.main(["list-checkers"]) == 0
 bodies = [BodySpec("cube", 2, {"edge": [0, 1]}, name="square"),
           BodySpec("cube", 3, {"edge": [0, 1]}, name="cube3")]
-bodies += [BodySpec("random_hull", 2, {"count": 8, "radius": "1/2", "seed": s}, name=f"r{s}")
-           for s in (3, 41)]
+bodies += [BodySpec("cross", 2, {"scale": 2}, name="diamond"),
+           BodySpec("custom", 2, {"points": [[0, 0], [3, 1], ["5/2", 2], [0, "3/2"]]},
+                    name="quad")]
 targets = ("gn_volume", "mu_volume", "discrete_to_continuous_zhang",
            "purely_discrete_to_continuous")
 run_sweeps(SuiteConfig(bodies=bodies, sweeps=[
@@ -403,8 +404,8 @@ print(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "concurrent"
 
 
 def test_exact_paths_load_neither_numpy_nor_the_process_pool():
-    # numpy is loaded only by the binary64 Ball-body radials, the process pool
-    # only by run_suite with jobs > 1
+    # numpy is loaded only by the binary64 Ball-body radials and by drawing a
+    # random_hull body, the process pool only by run_suite with jobs > 1
     import zhangforge
 
     src = str(Path(zhangforge.__file__).resolve().parents[1])

@@ -236,28 +236,42 @@ class TestTransform:
         assert set(N.vertices) == {(F(0), F(0)), (F(-1), F(0)), (F(0), F(-1))}
 
 
+# lower-dimensional bodies next to the corpus: a segment and a point in the
+# plane, a segment, a triangle and a flat square in space
+_FLAT_BODIES = [
+    ([(0, 0), (1, Fraction(1, 2))], 2),
+    ([(Fraction(1, 3), 1)], 2),
+    ([(0, 0, 0), (1, 2, 3)], 3),
+    ([(0, 0, 0), (1, 0, 0), (0, 1, 1)], 3),
+    ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)], 3),
+]
+
+
 @pytest.mark.parametrize("lam", [2, 3, 7])
 def test_scaled_equals_transform_by_lam_identity(lam):
     from zhangforge.harness import default_corpus, make_body
     from zhangforge.polytope import integer_rows
 
-    for spec in default_corpus():
-        P = make_body(spec)
+    bodies = [(spec.name, make_body(spec)) for spec in default_corpus()]
+    bodies += [(f"flat{k}", Polytope.from_points(pts, n)) for k, (pts, n) in enumerate(_FLAT_BODIES)]
+    assert sum(not P.is_full_dimensional for _name, P in bodies) == len(_FLAT_BODIES)
+    for name, P in bodies:
         n = P.dim
         vol = P.volume_fraction()  # these three are carried across, scaled
         integer_rows(P)
         project_drop_last(P)
         Q = P.scaled(lam)
         T = transform(P, [[lam * int(i == j) for j in range(n)] for i in range(n)], [0] * n)
-        assert Q.vertices == T.vertices, spec.name
-        assert Q.halfspaces == T.halfspaces, spec.name
-        assert Q._int_rows == integer_rows(T), spec.name
-        assert Q._tri == T._tri, spec.name
-        assert Q.interior_point == T.interior_point, spec.name
-        assert Q._volume == T.volume_fraction() == lam**n * vol, spec.name
+        assert Q.affine_dim == T.affine_dim == P.affine_dim, name
+        assert Q.vertices == T.vertices, name
+        assert Q.halfspaces == T.halfspaces, name
+        assert integer_rows(Q) == integer_rows(T), name
+        assert Q._tri == T._tri, name
+        assert Q.interior_point == T.interior_point, name
+        assert Q.volume_fraction() == T.volume_fraction() == lam**n * vol, name
         R, S = Q._projection, project_drop_last(T)
         assert (R.vertices, R.halfspaces, R.interior_point) == (
-            S.vertices, S.halfspaces, S.interior_point), spec.name
+            S.vertices, S.halfspaces, S.interior_point), name
 
 
 class TestAnchor:
