@@ -27,10 +27,10 @@ never a silent pass.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 
 from .errors import (
     ConfigError,
@@ -42,6 +42,7 @@ from .errors import (
     UnknownChecker,
 )
 from .lattice import (
+    column_length_sum,
     column_lengths,
     column_moment,
     column_ranges,
@@ -149,8 +150,15 @@ class HypothesesH:
 
 
 def _height_counts(ranges) -> dict[int, int]:
-    """Number of lattice points at each height x_n = k >= 0 of columns (y, lo, hi)."""
-    return dict(Counter(k for _y, lo, hi in ranges for k in range(max(lo, 0), hi + 1)))
+    """Number of lattice points at each height x_n = k >= 0 of columns (y, lo, hi),
+    lo <= hi, heights ascending, by a difference array over the ranges."""
+    diff: dict[int, int] = {}
+    for _y, lo, hi in ranges:
+        if hi >= 0:
+            diff[max(lo, 0)] = diff.get(max(lo, 0), 0) + 1
+            diff[hi + 1] = diff.get(hi + 1, 0) - 1
+    counts = accumulate(diff.get(k, 0) for k in range(max(diff, default=0)))
+    return {k: c for k, c in enumerate(counts) if c}
 
 
 def section_profiles(P: Polytope, symmetral: Polytope | None = None) -> SectionProfiles:
@@ -367,6 +375,7 @@ class BodyWorkspace:
         self.n_dirs_3d = ds.get(3, 1000)
         self._sample_radials: dict[tuple, np.ndarray] = {}
         self._scaled_workspaces: dict[int, BodyWorkspace] = {}
+        self._scaled_bodies: dict[int, Polytope] = {}
 
     @cached_property
     def n(self) -> int:
@@ -513,23 +522,26 @@ class BodyWorkspace:
         lengths = column_lengths(fattening(self.asym, self.n - 1))
         return {y: lengths[y] / 2 for y, _lo, _hi in column_ranges(self.asym, self.n - 1)}
 
-    @cached_property
-    def column_lengths(self) -> dict[tuple, Fraction]:
-        return column_lengths(self.body)
+    def scaled_body(self, lam: int) -> Polytope:
+        """lam * ``body`` for an integer lam > 0, built once per lam, so the
+        lattice targets of one scale read one memoized column table."""
+        if lam not in self._scaled_bodies:
+            self._scaled_bodies[lam] = self.body.scaled(lam)
+        return self._scaled_bodies[lam]
 
-    @cached_property
-    def acolumn_lengths(self) -> dict[tuple, Fraction]:
-        return column_lengths(self.anchored)
 
-
-def _mu_moment_exact(cols: dict, p: int) -> Fraction:
-    return sum(((ell ** (p + 1)) for ell in cols.values()), _ZERO) / (p + 1)
+def _mu_moment_exact(P: Polytope, p: int) -> Fraction:
+    """p * integral of r^{p-1} mu(P cap (r e_n + P)) dr = sum of ell_y^{p+1} / (p+1)."""
+    return column_length_sum(P, p + 1) / (p + 1)
 
 
 def _mu_fattened(ws: BodyWorkspace) -> Fraction:
-    """Column measure of the symmetral fattened by the open base cube:
-    sum over integer columns of 2 * (diamond-extended half section length)."""
-    return 2 * sum(ws.diamond_values.values(), _ZERO)
+    """Column measure of the symmetral fattened by the open base cube: twice
+    the sum of ``diamond_values``, the closed fattening's section length over
+    each integer column of the open one."""
+    _require_x_n_symmetric(ws.asym)
+    cols = {y for y, _lo, _hi in column_ranges(ws.asym, ws.n - 1)}
+    return column_length_sum(fattening(ws.asym, ws.n - 1), 1, cols)
 
 
 def _G_sym_fattened(ws: BodyWorkspace) -> int:
@@ -542,7 +554,7 @@ def _discrete_zhang_mu_sides(ws: BodyWorkspace) -> tuple[Fraction, Fraction, Fra
     """(lhs, rhs, mu(SK + C)) of the discrete Zhang inequality for the column measure."""
     n = ws.n
     const = Fraction(math.comb(2 * n, n), n**n)
-    lhs = const * _mu_moment_exact(ws.acolumn_lengths, n)
+    lhs = const * _mu_moment_exact(ws.anchored, n)
     mu_fat = _mu_fattened(ws)
     return lhs, mu_fat ** (n + 1) / Fraction(ws.G_aproj) ** n, mu_fat
 
@@ -736,12 +748,12 @@ def _chk_berwald_discrete(ws: BodyWorkspace, params: dict) -> InequalityReport:
     pairs = [_exponents(pair, increasing=True)
              for pair in params.get("pairs") or [(1, 2), (1, n + 1), (2, 5)]]
     G = ws.G_aproj
-    halves = {y: ell / 2 for y, ell in ws.acolumn_lengths.items()}
     diam = ws.diamond_values
     rows = []
     for p, q in pairs:
-        # X_q^(1/q) <= X_p^(1/p), compared as X_q^p <= X_p^q
-        xq = Fraction(math.comb(nn + q, nn)) * sum((v**q for v in halves.values()), _ZERO) / G
+        # X_q^(1/q) <= X_p^(1/p), compared as X_q^p <= X_p^q; the half lengths
+        # of the body's columns to the q-th power sum to its q-th length sum / 2^q
+        xq = Fraction(math.comb(nn + q, nn), 2**q) * column_length_sum(ws.anchored, q) / G
         xp = Fraction(math.comb(nn + p, nn)) * sum((v**p for v in diam.values()), _ZERO) / G
         rows.append((p, q, xq**p, xp**q, float(xq) ** (1.0 / q), float(xp) ** (1.0 / p)))
     return _worst_pair_report("berwald_discrete", rows, anchor=[str(c) for c in ws.anchor])
@@ -829,7 +841,7 @@ def _chk_identity_triple_continuous(ws: BodyWorkspace, params: dict) -> Inequali
 def _chk_identity_triple_discrete(ws: BodyWorkspace, params: dict) -> InequalityReport:
     n = ws.n
     ps = _exponents(params.get("ps") or sorted({1, 2, n}))
-    cols = ws.column_lengths
+    cols = column_lengths(ws.body)
     # route B: exact piecewise-linear integration of the column measure of
     # K cap (r e_n + K); route C: column sums over the symmetral
     ells = sorted({ell for ell in cols.values() if ell > 0})
@@ -846,19 +858,16 @@ def _chk_identity_triple_discrete(ws: BodyWorkspace, params: dict) -> Inequality
         const = vals[0] - slope * nodes[0]
         pieces.append((prev, brk, const, slope))
         prev = brk
-    # the symmetral is centred, so each half length is its upper endpoint
-    sym_halves = [ell / 2 for ell in column_lengths(ws.sym).values()]
     per_p = []
     worst = _ZERO
     for p in ps:
-        a_val = _mu_moment_exact(cols, p)
+        a_val = _mu_moment_exact(ws.body, p)
         b_val = _ZERO
         for alpha, beta, c0, c1 in pieces:
             b_val += c0 * (beta**p - alpha**p)
             b_val += c1 * Fraction(p, p + 1) * (beta ** (p + 1) - alpha ** (p + 1))
-        c_val = Fraction(2) ** (p + 1) * sum(
-            (h ** (p + 1) for h in sym_halves), _ZERO
-        ) / (p + 1)
+        # route C: 2^{p+1} sum h^{p+1} / (p+1) over the symmetral's half lengths h
+        c_val = _mu_moment_exact(ws.sym, p)
         vals = (a_val, b_val, c_val)
         worst = max(worst, max(vals) - min(vals))
         per_p.append({"p": p, "values": [str(v) for v in vals], "equal": a_val == b_val == c_val})
@@ -1310,16 +1319,15 @@ def limit_sweep(body: Polytope | BodyWorkspace, target: str, scales,
         return rows
     check_lattice_scales(scales)
     ws = body if isinstance(body, BodyWorkspace) else BodyWorkspace(body)
-    P = ws.body
-    n = P.dim
+    n = ws.n
     if target == "gn_volume":
         for lam in scales:
-            Q = P.scaled(lam)
+            Q = ws.scaled_body(lam)
             rows.append(_row(lam, "G_n/scale^n", Fraction(count_lattice(Q), lam**n), ws.vol))
         return rows
     if target == "mu_volume":
         for lam in scales:
-            Q = P.scaled(lam)
+            Q = ws.scaled_body(lam)
             rows.append(_row(lam, "mu/scale^n", mu_measure(Q).exact / lam**n, ws.vol))
         return rows
     if target in ("discrete_to_continuous_zhang", "purely_discrete_to_continuous"):

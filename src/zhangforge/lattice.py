@@ -1,17 +1,22 @@
 """Counting measures on polytopes: G_k, the mixed column measure, discrete
 covariograms, and exact ray-interval decompositions behind discrete moments.
 
-Every column read is one walk (:func:`_column_walk`): over each integer
-point y of the bounding box of the first n-1 coordinates,
-``polytope._column_ends`` picks the exact ends of the section from the
-body's integer rows.  Lattice points, their count (no point built), column
-lengths and the vertical ray moment read the walk, in lexicographic order,
-with no projection.  One rule decides membership in the open fattening
-P + (-1,1)^k x {0}^{n-k} for every k: with F the closed sum
-P + [-1,1]^k x {0}^{n-k} (built once per body and k by :func:`fattening`,
-with no hull for a full-dimensional P), x is in the open fattening exactly
-when it satisfies every halfspace of F, strictly on the rows whose normal has
-a nonzero entry among the first k coordinates.  k = 0 is the body itself.
+Every column read is one table (:func:`_column_walk`), built once per body
+and k and memoized on the body: over each integer point y of the bounding
+box of the first n-1 coordinates, ``polytope._line_ends`` picks the exact
+ends of the section from the residuals of the body's integer rows.  A line
+of the box in the last coordinate takes one dot product per row at its
+first column; from there each residual steps by the row's last coefficient.
+Lattice points, their count (no point built), column lengths, the column
+measure and the vertical ray moment read the table, in lexicographic order,
+with no projection; the sums add integer numerators per distinct
+denominator and build one Fraction per denominator.  One rule decides
+membership in the open fattening P + (-1,1)^k x {0}^{n-k} for every k: with
+F the closed sum P + [-1,1]^k x {0}^{n-k} (built once per body and k by
+:func:`fattening`, with no hull for a full-dimensional P), x is in the open
+fattening exactly when it satisfies every halfspace of F, strictly on the
+rows whose normal has a nonzero entry among the first k coordinates.  k = 0
+is the body itself.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 
-from .errors import DimensionMismatch, OriginMissing
+from .errors import DimensionMismatch, ExponentOutOfRange, OriginMissing
 from .linalg import dot, vec
 from .lp import lp_solve  # noqa: F401  (unused here; perfbench/tracer.py's REQUIRED_BINDINGS needs it)
 from .polytope import (
@@ -30,8 +35,8 @@ from .polytope import (
     Interval,
     MeasureValue,
     Polytope,
-    _column_ends,
     _column_rows,
+    _line_ends,
     cube_sum,
     minkowski_sum,
     translate,
@@ -81,16 +86,40 @@ def fattening(P: Polytope, k: int) -> Polytope:
 
 
 def _column_walk(P: Polytope, k: int = 0):
-    """(y, ``_column_ends``) for each integer column y of the k-fattening's
-    bounding box with a non-empty section, in lexicographic order; with k > 0
-    the rows are strict and the ends bound only the column's integer points."""
+    """:func:`_column_table` of (P, k), built once and memoized on ``P``."""
+    if P._column_tables is None:
+        P._column_tables = {}
+    if k not in P._column_tables:
+        P._column_tables[k] = _column_table(P, k)
+    return P._column_tables[k]
+
+
+def _column_table(P: Polytope, k: int):
+    """(y, ends) for each integer column y of the k-fattening's bounding box
+    with a non-empty section, in lexicographic order, ends as
+    ``polytope._line_ends`` gives them, one line of the box in the last
+    coordinate at a time; with k > 0 the rows are strict and the ends bound
+    only the column's integer points."""
     fat = fattening(P, k)
     rows = _column_rows(fat, k)
-    box = fat.bounding_box()[:-1]
-    for y in product(*(range(math.ceil(lo), math.floor(hi) + 1) for lo, hi in box)):
-        ends = _column_ends(rows, y)
-        if ends is not None:
-            yield y, ends
+    box = [range(math.ceil(lo), math.floor(hi) + 1) for lo, hi in fat.bounding_box()[:-1]]
+    if not box:  # n = 1: the one column y = ()
+        return tuple(((), e) for e in _line_ends(rows, ()) if e is not None)
+    line = box.pop()
+    table = []
+    for head in product(*box):
+        ends = _line_ends(rows, head + (line.start,), 1, len(line))
+        table += [(head + (t,), e) for t, e in zip(line, ends) if e is not None]
+    return tuple(table)
+
+
+def _per_denominator(pairs) -> Fraction:
+    """Sum of num/den over integer pairs, den > 0: the numerators are added
+    per distinct den, one Fraction each."""
+    acc: dict[int, int] = {}
+    for num, den in pairs:
+        acc[den] = acc.get(den, 0) + num
+    return sum((Fraction(num, den) for den, num in acc.items()), _ZERO)
 
 
 def column_ranges(P: Polytope, open_cube_k: int = 0):
@@ -126,22 +155,28 @@ def column_lengths(P: Polytope) -> dict[tuple[int, ...], Fraction]:
             for y, (lo_n, lo_d, hi_n, hi_d) in _column_walk(P)}
 
 
+def column_length_sum(P: Polytope, e: int = 1, over=None) -> Fraction:
+    """Sum of ell_y^e over the integer columns y of P (those in ``over`` when
+    given), ell_y the vertical-section length, summed per denominator."""
+    if P.dim < 2:
+        raise DimensionMismatch("column measure needs ambient dimension >= 2")
+    return _per_denominator(((hi_n * lo_d - lo_n * hi_d) ** e, (hi_d * lo_d) ** e)
+                            for y, (lo_n, lo_d, hi_n, hi_d) in _column_walk(P)
+                            if over is None or y in over)
+
+
 def column_moment(P: Polytope, p: int) -> Fraction:
     """p * integral of r^{p-1} G_n(P cap (r e_n + P)) dr for an integer p >= 1:
     the sum of (t - a_y)^p over the lattice points (y, t) of P, a_y = lo_n/lo_d
     the lower end of the column (y - r e_n is in P for 0 <= r <= t - a_y)."""
-    total = _ZERO
-    for _y, (lo_n, lo_d, hi_n, hi_d) in _column_walk(P):
-        ts = range(-(-lo_n // lo_d), hi_n // hi_d + 1)
-        total += Fraction(sum((t * lo_d - lo_n) ** p for t in ts), lo_d**p)
-    return total
+    return _per_denominator(
+        (sum((t * lo_d - lo_n) ** p for t in range(-(-lo_n // lo_d), hi_n // hi_d + 1)), lo_d**p)
+        for _y, (lo_n, lo_d, hi_n, hi_d) in _column_walk(P))
 
 
 def mu_measure(P: Polytope) -> MeasureValue:
     """Sum of vertical-section lengths over the integer columns of the projection."""
-    if P.dim < 2:
-        raise ValueError("column measure needs ambient dimension >= 2")
-    return MeasureValue.from_exact(sum(column_lengths(P).values(), _ZERO))
+    return MeasureValue.from_exact(column_length_sum(P))
 
 
 def discrete_covariogram(P: Polytope, x) -> int:
@@ -222,13 +257,13 @@ def discrete_ray_moment(decomp: RayDecomposition, p) -> MeasureValue:
     if isinstance(p, int) or (isinstance(p, Fraction) and p.denominator == 1):
         q = int(p)
         if q <= 0:
-            raise ValueError("moment exponent must be positive")
+            raise ExponentOutOfRange("moment exponent must be positive")
         if decomp.exact:
             total = sum((iv.hi**q - iv.lo**q for _, iv in decomp.entries), _ZERO)
             return MeasureValue.from_exact(total)
     pf = float(p)
     if pf <= 0:
-        raise ValueError("moment exponent must be positive")
+        raise ExponentOutOfRange("moment exponent must be positive")
     total = 0.0
     for _, iv in decomp.entries:
         total += float(iv.hi) ** pf - float(iv.lo) ** pf

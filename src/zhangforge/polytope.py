@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 from math import gcd, lcm
 from operator import mul
 
@@ -199,6 +199,7 @@ class Polytope:
         "_projection",
         "_int_rows",
         "_incidence",
+        "_column_tables",
     )
 
     def __init__(self, dim, affine_dim, vertices, halfspaces, interior, tri):
@@ -214,6 +215,7 @@ class Polytope:
         self._projection: Polytope | None = None
         self._int_rows = None
         self._incidence = None  # per vertex, the input rows of from_halfspaces tight there
+        self._column_tables = None  # k -> the integer column walk (``lattice._column_walk``)
 
     # -- construction ------------------------------------------------------
 
@@ -778,38 +780,49 @@ def _column_rows(P: Polytope, k: int = 0):
     return up, down, flat
 
 
-def _column_ends(rows, z, D: int = 1):
-    """The section {t : (z/D, t) meets :func:`_column_rows`' ``rows``} as integers
-    (lo_n, lo_d, hi_n, hi_d), lo_n/lo_d <= t <= hi_n/hi_d, or None when empty.
-    Each row bounds t by r/(q D), r = c D - <h, z>; the binding ends are picked
-    by cross-multiplying.  With no upper or no lower row it raises ``Unbounded``."""
-    up, down, flat = rows
-    for h, c, _q in flat:
-        if c * D < sum(map(mul, h, z)):
-            return None
-    if not up or not down:
-        raise Unbounded("vertical line section is unbounded")
-    hi_n = hi_d = lo_n = lo_d = None
-    for h, c, q in up:
-        r = c * D - sum(map(mul, h, z))
-        if hi_n is None or r * hi_d < hi_n * q:
-            hi_n, hi_d = r, q
-    for h, c, q in down:
-        r = sum(map(mul, h, z)) - c * D
-        if lo_n is None or r * lo_d > lo_n * q:
-            lo_n, lo_d = r, q
-    if lo_n * hi_d > hi_n * lo_d:
-        return None
-    return lo_n, lo_d * D, hi_n, hi_d * D
+def _line_ends(rows, z, D: int = 1, length: int = 1) -> list:
+    """The sections {t : (y, t) meets :func:`_column_rows`' ``rows``} over the
+    columns y = (z + j e)/D, j < ``length``, e the last unit vector, each as
+    integers (lo_n, lo_d, hi_n, hi_d), lo_n/lo_d <= t <= hi_n/hi_d, or None
+    when empty.
+
+    A row (h, c, q) has the residual r = c D - <h, z> at the line's first
+    column, and r steps by -h[-1] along the line: an up row bounds
+    t <= r/(q D), a down row t >= -r/(q D), and a flat row (q = 0) holds when
+    r >= 0.  Over the common denominator Q = lcm(q) of the up (down) rows
+    each bound is the progression r Q/q, and the binding end is its least
+    term.  A column that the flat rows admit, with no up or no down row,
+    raises ``Unbounded`` naming the column."""
+
+    def least(part):  # (Q, the least r Q/q over each column), None with no rows
+        Q = lcm(*(q for _h, _c, q in part))
+        terms = []
+        for h, c, q in part:
+            m = Q // q if q else 1
+            r = (c * D - sum(map(mul, h, z))) * m
+            s = -h[-1] * m if length > 1 else 0
+            terms.append(range(r, r + s * length, s) if s else repeat(r, length))
+        return Q, map(min, zip(*terms)) if terms else None
+
+    (Qu, his), (Qd, los), (_Q, flats) = map(least, rows)
+    admitted = repeat(True, length) if flats is None else map((0).__le__, flats)
+    if his is None or los is None:
+        for j, ok in enumerate(admitted):
+            if ok:
+                y = tuple(z[:-1]) + (z[-1] + j,) if z else ()
+                raise Unbounded(f"vertical line section over {y}/{D} is unbounded")
+        return [None] * length
+    return [(-lo, Qd * D, hi, Qu * D) if ok and -lo * Qu <= hi * Qd else None
+            for lo, hi, ok in zip(los, his, admitted)]
 
 
 def vertical_section(P: Polytope, y) -> Interval | None:
     """The set {t : (y, t) in P} as a closed interval; None when empty.  With
-    y = z/D over integers, :func:`_column_ends` picks the ends."""
+    y = z/D over integers, :func:`_line_ends` picks the ends."""
     z, D = integer_row(vec(y))
     if len(z) != P.dim - 1:
         raise DimensionMismatch("section anchor has wrong length")
-    ends = _column_ends(_column_rows(P), z, D)
+    ends = _line_ends(_column_rows(P), z, D)[0]
     if ends is None:
         return None
     lo_n, lo_d, hi_n, hi_d = ends

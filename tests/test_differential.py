@@ -33,6 +33,8 @@ from zhangforge.inequalities import (
     _discrete_star_volume,
     _g_profile,
     _h_exact,
+    _height_counts,
+    _mu_fattened,
     _profile_sum,
     _purely_discrete_zhang_sides,
     applicability,
@@ -40,12 +42,16 @@ from zhangforge.inequalities import (
     section_profiles,
 )
 from zhangforge.lattice import (
+    _column_walk,
     closed_unit_cube,
+    column_length_sum,
     column_lengths,
     column_moment,
+    column_ranges,
     count_lattice,
     fattening,
     lattice_points,
+    mu_measure,
     ray_interval,
 )
 from zhangforge.linalg import (
@@ -73,7 +79,14 @@ from zhangforge.moments import (
     section_distribution,
     star_volume,
 )
-from zhangforge.polytope import Polytope, _lagrange_coeffs, integer_rows, parametric_volume
+from zhangforge.polytope import (
+    Polytope,
+    _column_rows,
+    _lagrange_coeffs,
+    _line_ends,
+    integer_rows,
+    parametric_volume,
+)
 from zhangforge.steiner import steiner_symmetrize
 
 F = Fraction
@@ -544,6 +557,92 @@ def test_column_lengths_against_projection_columns():
     assert all(kinds.values()), kinds
 
 
+# -- the memoized, stepped column table against ``_line_ends`` per column --
+
+def _column_table_by_box_scan(P, k):
+    """``_line_ends`` on each integer column of the k-fattening's bounding box
+    alone, each row's residual from its own dot product."""
+    fat = fattening(P, k)
+    rows = _column_rows(fat, k)
+    box = [range(math.ceil(lo), math.floor(hi) + 1) for lo, hi in fat.bounding_box()[:-1]]
+    return tuple((y, ends) for y in product(*box)
+                 for ends in _line_ends(rows, y) if ends is not None)
+
+
+def _column_table_cases():
+    """(body, ks): the corpus and its symmetrals with k = 0..n, the corpus
+    with n < 4 scaled by 4 and 16, a prism whose slanted vertical facet cuts
+    columns out of the box, and 1-d bodies (an empty prefix box): two
+    segments and the projections of the planar corpus bodies."""
+    corpus = [make_body(spec) for spec in default_corpus()]
+    cases = [(P, range(P.dim + 1)) for P in corpus]
+    cases += [(steiner_symmetrize(P), range(P.dim + 1)) for P in corpus]
+    cases += [(P.scaled(lam), (0, P.dim - 1)) for P in corpus if P.dim < 4 for lam in (4, 16)]
+    cases.append((make_polytope([(x, y, z) for x, y in ((0, 0), (F(5, 2), 0), (0, F(7, 3)))
+                                 for z in (F(-1, 2), F(3, 2))], 3), range(4)))
+    cases += [(make_polytope([(F(-3, 2),), (F(5, 2),)], 1), (0, 1)),
+              (make_polytope([(F(1, 3),), (F(1, 2),)], 1), (0, 1))]
+    cases += [(project_drop_last(P), (0, 1)) for P in corpus if P.dim == 2]
+    return cases
+
+
+def _height_counts_per_point(ranges):
+    """The route ``_height_counts`` replaced: one Counter step per lattice point."""
+    return dict(Counter(k for _y, lo, hi in ranges for k in range(max(lo, 0), hi + 1)))
+
+
+def _column_moment_per_column(P, p):
+    """The route ``column_moment`` replaced: one Fraction per column."""
+    total = F(0)
+    for _y, (lo_n, lo_d, hi_n, hi_d) in _column_walk(P):
+        ts = range(-(-lo_n // lo_d), hi_n // hi_d + 1)
+        total += F(sum((t * lo_d - lo_n) ** p for t in ts), lo_d**p)
+    return total
+
+
+def test_column_table_against_box_scan_of_single_columns():
+    kinds = Counter()
+    for P, ks in _column_table_cases():
+        for k in ks:
+            table = _column_walk(P, k)
+            assert table == _column_table_by_box_scan(P, k), (P, k)
+            assert _column_walk(P, k) is table  # built once per (P, k)
+            if k == 0 and P.dim > 1:  # the ends against the rows in Fractions
+                for y, (lo_n, lo_d, hi_n, hi_d) in table:
+                    assert (F(lo_n, lo_d), F(hi_n, hi_d)) == _section_fraction(P, y), (P, y)
+            got = _height_counts(column_ranges(P, k))
+            assert got == _height_counts_per_point(column_ranges(P, k)), (P, k)
+            assert list(got) == sorted(got)
+        kinds["1-d"] += P.dim == 1
+        # a vertical facet whose residual steps along the box's lines
+        kinds["stepped flat row"] += any(a[-1] == 0 and a[-2] != 0 for a, _b in P.halfspaces)
+        if P.dim < 2:
+            continue
+        lengths = column_lengths(P)
+        assert mu_measure(P).exact == sum(lengths.values(), F(0))
+        for e in (1, 2, 3):
+            assert column_length_sum(P, e) == sum((v**e for v in lengths.values()), F(0))
+        half = set(list(lengths)[::2])
+        assert column_length_sum(P, 2, half) == sum((lengths[y] ** 2 for y in half), F(0))
+        for p in (1, P.dim):
+            assert column_moment(P, p) == _column_moment_per_column(P, p), (P, p)
+    assert kinds["1-d"] and kinds["stepped flat row"], kinds
+
+
+def test_column_table_raises_unbounded_at_the_box_scans_column():
+    # not a polytope: {2 <= x <= 3, y >= 0} over the box 0 <= x <= 3; the
+    # vertical rows leave out the columns x = 0, 1 and x = 2 has no upper row
+    rows = (((F(-1), F(0)), F(-2)), ((F(0), F(-1)), F(0)), ((F(1), F(0)), F(3)))
+    strip = Polytope(2, 2, ((F(0), F(0)), (F(3), F(0))), rows, (F(5, 2), F(1)), None)
+    crows = _column_rows(strip)
+    assert [_line_ends(crows, (x,)) for x in (0, 1)] == [[None], [None]]
+    with pytest.raises(Unbounded) as want:
+        _line_ends(crows, (2,))
+    with pytest.raises(Unbounded) as got:
+        column_lengths(strip)
+    assert str(got.value) == str(want.value) == "vertical line section over (2,)/1 is unbounded"
+
+
 # -- column reads of the symmetral and the anchored body against the point routes --
 #
 # The profile layer reads column ranges and column lengths; the routes below
@@ -601,6 +700,7 @@ def test_column_reads_against_point_routes():
         assert list(got.items()) == list(want.items()), ws.body
         assert tuple(got) == _box_scan(ws.aproj, ws.n - 1)  # the open rule, independently
         assert all(type(v) is F for v in got.values())
+        assert _mu_fattened(ws) == 2 * sum(got.values(), F(0)), ws.body  # summed per denominator
         for p in (1, ws.n):
             assert column_moment(ws.anchored, p) == _vertical_moment_by_ray_interval(
                 ws.anchored, p), (ws.body, p)

@@ -99,6 +99,29 @@ class TestProfiles:
             assert all(k <= pr.M for k in pr.f)
 
 
+def test_sweep_builds_each_column_table_once(monkeypatch):
+    """On the ``sweep`` benchmark config (seed 1) no (polytope, k) column table
+    is built twice: the readers of one body share its memoized walk, and the
+    two lattice targets of one scale share lam K (90 tables; 144 walks over
+    108 bodies before)."""
+    import zhangforge.lattice as lattice
+    from zhangforge.harness import run_sweeps
+
+    built = Counter()
+    keep = []  # the polytopes stay alive, so no id is reused
+    real = lattice._column_table
+
+    def counting(P, k):
+        keep.append(P)
+        built[id(P), k] += 1
+        return real(P, k)
+
+    monkeypatch.setattr(lattice, "_column_table", counting)
+    run_sweeps(_load_workloads().build("sweep", 1))
+    assert max(built.values()) == 1
+    assert sum(built.values()) == 90
+
+
 class TestDiamond:
     def test_examples(self, triangle, sym_square):
         S = steiner_symmetrize(triangle)

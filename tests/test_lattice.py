@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from zhangforge import Direction, Polytope, make_polytope, translate, vertical_section, volume
-from zhangforge.errors import OriginMissing, Unbounded
+from zhangforge.errors import DimensionMismatch, ExponentOutOfRange, OriginMissing, Unbounded
 from zhangforge.lattice import (
     column_lengths,
     count_lattice,
@@ -132,6 +132,10 @@ class TestMu:
         with pytest.raises(Unbounded):
             column_lengths(half_strip)
 
+    def test_column_measure_needs_two_dimensions(self):
+        with pytest.raises(DimensionMismatch):
+            mu_measure(make_polytope([(0,), (2,)], 1))
+
     def test_symmetral_invariance(self, triangle, big_square, slab_body):
         for P in (triangle, big_square, slab_body):
             assert mu_measure(steiner_symmetrize(P)).exact == mu_measure(P).exact
@@ -182,6 +186,12 @@ class TestRayDecomposition:
         assert discrete_ray_moment(ray_decomposition(big_square, E1), 2).exact == 15
         d = ray_decomposition(unit_square, E1, open_cube=True)
         assert discrete_ray_moment(d, 1).exact == 6
+
+    def test_moment_exponent_must_be_positive(self, big_square):
+        d = ray_decomposition(big_square, E1)
+        for p in (0, -1, F(0), -0.5):
+            with pytest.raises(ExponentOutOfRange):
+                discrete_ray_moment(d, p)
 
     def test_max_reach_is_difference_set_radial(self, unit_square):
         d = ray_decomposition(unit_square, E1)
