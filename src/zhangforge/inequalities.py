@@ -16,8 +16,9 @@ and ``_verdict`` decides by one of three rules, named in ``decided_by``.
 lo == hi); `holds` iff lhs.hi <= rhs.lo, `fails` iff lhs.lo > rhs.hi, else
 `inconclusive`.  *tolerance*: a binary64 side, `holds` iff slack >= -(sum of
 the asserted errors).  The slack is rhs - lhs at the midpoints, so its sign
-agrees with an exact or enclosure verdict.  m0 is one rational bracket, read
-through the monotonicity of h_q.  No checker retries: `volume_identity_discrete`
+agrees with an exact or enclosure verdict.  m0 is the root of one integer
+polynomial on an integer segment: exact when rational, else a rational
+bracket, read through the monotonicity of h_q.  No checker retries: `volume_identity_discrete`
 compares two rationals, the star volume summed over the cones from each
 lattice point to the facets and vol(K).  Violated preconditions and
 exponents outside a statement's range yield `inconclusive` with a reason,
@@ -27,6 +28,7 @@ never a silent pass.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -85,21 +87,32 @@ _ONE = Fraction(1)
 # comparison-profile machinery
 # ---------------------------------------------------------------------------
 
-def _power_sum(m: Fraction, p: int, n: int) -> tuple[int, int, int]:
-    """(S, a, b) with m = a/b in lowest terms and
-    S = sum_{k=0}^{floor(m)} (a - k b)^{n-1} k^{p-1} over Python ints
-    (``0 ** 0 == 1`` is the 0^0 = 1 convention at k = 0, p = 1)."""
-    a, b = m.numerator, m.denominator
-    S = 0
-    for k in range(a // b + 1):
-        S += (a - k * b) ** (n - 1) * k ** (p - 1)
-    return S, a, b
+def _h_segment(j: int, p: int, n: int) -> list[int]:
+    """Coefficients c_0..c_{n-1} of x^{n-1} h_p(x) = p sum_{k<=j} (x - k)^{n-1} k^{p-1}
+    on [j, j+1) (on [j, j+1] for n >= 2), from power sums with 0^0 = 1."""
+    return [p * math.comb(n - 1, i) * (-1) ** (n - 1 - i)
+            * sum(k ** (n + p - 2 - i) for k in range(j + 1)) for i in range(n)]
+
+
+def _poly_at(c: list[int], a: int, b: int) -> int:
+    """b^d c(a/b) = sum_i c_i a^i b^{d-i}, d = len(c) - 1, over Python ints."""
+    acc, bp = 0, 1
+    for ci in reversed(c):
+        acc = acc * a + ci * bp
+        bp *= b
+    return acc
+
+
+def _h_exact(x: Fraction | int, p: int, n: int) -> Fraction:
+    """sum_{k=0}^{floor(x)} p (1-k/x)^{n-1} k^{p-1} = sum_i c_i a^i b^{n-1-i} / a^{n-1}
+    for x = a/b (an int or a Fraction), c = ``_h_segment(floor(x))``."""
+    a, b = x.numerator, x.denominator
+    return Fraction(_poly_at(_h_segment(a // b, p, n), a, b), a ** (n - 1))
 
 
 def _B_exact(m: Fraction, p: int, n: int) -> Fraction:
-    """sum_{k=0}^{floor(m)} (p/m)(1-k/m)^{n-1}(k/m)^{p-1} = p b^p S / a^{n+p-1}."""
-    S, a, b = _power_sum(m, p, n)
-    return Fraction(p * b**p * S, a ** (n + p - 1))
+    """sum_{k=0}^{floor(m)} (p/m)(1-k/m)^{n-1}(k/m)^{p-1} = h_p(m) / m^p."""
+    return _h_exact(m, p, n) / m**p
 
 
 def B_coeff(m, p, n: int) -> float:
@@ -110,12 +123,6 @@ def B_coeff(m, p, n: int) -> float:
     if p != int(p):
         raise ValueError("B_m(p) needs an integer p")
     return float(_B_exact(frac(m), int(p), n))
-
-
-def _h_exact(x: Fraction, p: int, n: int) -> Fraction:
-    """sum_{k=0}^{floor(x)} p (1-k/x)^{n-1} k^{p-1} = p S / a^{n-1}."""
-    S, a, _ = _power_sum(x, p, n)
-    return Fraction(p * S, a ** (n - 1))
 
 
 @dataclass(frozen=True)
@@ -218,38 +225,42 @@ def _profile_sum(profile: dict[int, int], p: int) -> Fraction:
 def _solve_m0(P: Polytope, p: int, profiles: SectionProfiles | None = None):
     """Rational bracket (lo, hi) of the root of h_p(m) * G_{n-1}(proj) = sum_k p k^{p-1} f~(k).
 
-    Bisection on the nondecreasing h_p; plateaus resolve to the leftmost
-    point; the bracket doubles until it contains the target.  lo == hi when
-    a rational probe near the bisection's end is the root exactly.
+    An integer search on the nondecreasing h_p finds the least integer J with
+    h_p(J) >= target = N/d; on [J-1, J] the root is the zero of the integer
+    polynomial q = d x^{n-1} (h_p(x) - N/d).  Bisecting q's sign narrows the
+    bracket below 2^-60 and 1/(2 V^2), V q's leading nonzero coefficient.  A
+    rational root has a denominator dividing V (rational root theorem), so it
+    is the bracket's midpoint rounded to a denominator <= |V|, and lo == hi
+    when q vanishes there.
     """
     n = P.dim
     pr = profiles if profiles is not None else section_profiles(P)
-    hyp = hypotheses_h(P, pr)
-    if not hyp.satisfied:
+    if not hypotheses_h(P, pr).satisfied:
         raise HypothesesViolated("comparison profile needs max column at 0 and M >= 1")
-    G = pr.G_proj
-    target = _profile_sum(pr.f_tilde, p) / G
-    lo = _ONE
-    hi = Fraction(max(pr.M, 2))
-    for _ in range(64):
-        if _h_exact(hi, p, n) >= target:
-            break
-        hi *= 2
-    else:
-        raise NoRoot("no bracket for the profile scale equation")
-    if _h_exact(lo, p, n) > target:
+    target = _profile_sum(pr.f_tilde, p) / pr.G_proj
+    if _h_exact(_ONE, p, n) > target:
         raise NoRoot("target below the left end of the bracket")
-    for _ in range(60):  # 2^-60 < 1e-12 absolute on the final bracket
-        mid = (lo + hi) / 2
-        if _h_exact(mid, p, n) >= target:
-            hi = mid
-        else:
-            lo = mid
-    cand = Fraction(float(hi)).limit_denominator(10**9)
-    if _h_exact(cand, p, n) == target:
-        lo2 = cand - Fraction(1, 10**13)
-        if lo2 <= 1 or _h_exact(lo2, p, n) < target:
-            lo = hi = cand
+    i, J = 0, max(pr.M, 1)  # the root lies in (i, J] once h_p(J) >= target
+    while _h_exact(J, p, n) < target:
+        i, J = J, 2 * J
+    J = i + 1 + bisect_left(range(i + 1, J), target, key=lambda x: _h_exact(x, p, n))
+    q = [target.denominator * c for c in _h_segment(J - 1, p, n)]
+    q[-1] -= target.numerator
+    if _poly_at(q, J, 1) == 0:
+        lo = hi = Fraction(J)
+    else:
+        V = abs(next(c for c in reversed(q) if c))
+        steps = max(60, 2 * V.bit_length() + 1)
+        a = J - 1  # the bracket [a, a + 1] / 2^s: q < 0 at its left end, q >= 0 at its right
+        for s in range(1, steps + 1):
+            a = 2 * a + 1
+            if _poly_at(q, a, 1 << s) >= 0:
+                a -= 1
+        lo, hi = Fraction(a, 1 << steps), Fraction(a + 1, 1 << steps)
+        root = ((lo + hi) / 2).limit_denominator(V)
+        # the rounding stays in [J - 1, J] (an end is nearer), where q's one zero is m0
+        if _poly_at(q, root.numerator, root.denominator) == 0:
+            lo = hi = root
     if hi < pr.M:
         raise NoRoot("profile scale landed below the top lattice height")
     return lo, hi
@@ -279,33 +290,20 @@ def crossing_point(P: Polytope, p, profiles: SectionProfiles | None = None) -> i
     """Minimal integer threshold separating f~ >= g (below) from g >= f (above),
     tested at m0's bracket ends: g is nondecreasing in m0."""
     pr = profiles if profiles is not None else section_profiles(P)
-    hyp = hypotheses_h(P, pr)
-    if not hyp.satisfied:
-        raise HypothesesViolated("crossing point needs the profile hypotheses")
     return _crossing_in_bracket(pr, _solve_m0(P, p, pr), P.dim)
 
 
 def _crossing_in_bracket(pr: SectionProfiles, m0: tuple[Fraction, Fraction], n: int) -> int:
     """``crossing_point`` for the profiles of a body that meets the hypotheses,
-    given m0's bracket."""
+    given m0's bracket: one more than the last k where g < f, if f~ >= g below it."""
     lo, hi = m0
     G = pr.G_proj
     top = math.ceil(hi) + 1
     upper = max(top, pr.M) + 1
-    for kstar in range(0, top + 1):
-        ok = True
-        for k in range(0, kstar):
-            if not pr.f_tilde_at(k) >= _g_profile(k, hi, G, n):
-                ok = False
-                break
-        if ok:
-            for k in range(kstar, upper + 1):
-                if not _g_profile(k, lo, G, n) >= pr.f_at(k):
-                    ok = False
-                    break
-        if ok:
-            return kstar
-    raise NoCrossing("no integer crossing point in range")
+    kstar = next((k + 1 for k in range(upper, -1, -1) if _g_profile(k, lo, G, n) < pr.f_at(k)), 0)
+    if kstar > top or any(pr.f_tilde_at(k) < _g_profile(k, hi, G, n) for k in range(kstar)):
+        raise NoCrossing("no integer crossing point in range")
+    return kstar
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from zhangforge.inequalities import (
     _mu_fattened,
     _profile_sum,
     _purely_discrete_zhang_sides,
+    _solve_m0,
     applicability,
     diamond_extension,
     section_profiles,
@@ -491,6 +492,33 @@ def test_profile_weights_against_term_sums():
         terms = [(v if p == 1 else 0) if k == 0 else p * F(k) ** (p - 1) * v
                  for k, v in profile.items()]
         assert _profile_sum(profile, p) == sum(terms), p
+
+
+def test_m0_against_term_sums():
+    # m0 solves h_p(m0) G = sum_k p k^(p-1) f~(k): a rational root comes back
+    # exact (every n = 2 root is rational), an irrational one as a bracket of
+    # width < 1e-12 inside one integer segment, straddling the target
+    solved = Counter()
+    for dim in (2, 3, 4):
+        for s in range(300, 308 if dim < 4 else 306):
+            ws = BodyWorkspace(make_body(
+                BodySpec("random_hull", dim, {"count": 6, "radius": 2, "seed": s})))
+            if applicability("completely_discrete_berwald", ws) is not None:
+                continue
+            pr = ws.profiles
+            for p in (1, 2, 3):
+                target = sum(((v if p == 1 else 0) if k == 0 else p * F(k) ** (p - 1) * v
+                              for k, v in pr.f_tilde.items()), F(0)) / pr.G_proj
+                lo, hi = _solve_m0(ws.anchored, p, pr)
+                if lo == hi:
+                    assert _h_terms(lo, p, dim) == target, (dim, s, p)
+                else:
+                    assert dim > 2, (s, p, lo, hi)
+                    assert _h_terms(lo, p, dim) < target <= _h_terms(hi, p, dim), (dim, s, p)
+                    assert 0 < hi - lo < F(1, 10**12)
+                    assert hi <= math.floor(lo) + 1
+                solved[dim, lo == hi] += 1
+    assert solved[2, True] >= 6 and solved[3, False] >= 6 and solved[4, False] >= 3, solved
 
 
 def _section_fraction(P, y):

@@ -149,6 +149,18 @@ class TestM0AndCrossing:
     def test_sym_square_m0(self, sym_square):
         assert _solve_m0(sym_square, 1) == (3, 3)  # a rational root: lo == hi
 
+    def test_rational_m0_is_exact(self):
+        # a rational root comes back as lo == hi whatever its denominator:
+        # on [-1,1]^3 at p = 2 h_2 meets the target at 18/5, and on
+        # [-64,64]^2 at p = 3 at 27594009/269515
+        cube3 = make_polytope([(x, y, z) for x in (-1, 1) for y in (-1, 1)
+                               for z in (-1, 1)], 3)
+        assert _solve_m0(cube3, 2) == (F(18, 5), F(18, 5))
+        square = make_polytope([(x, y) for x in (-64, 64) for y in (-64, 64)], 2)
+        rep = verify("completely_discrete_berwald", square, {"p": 3})
+        assert rep.context["decided_by"] == "exact"
+        assert rep.context["m0_exact"] == "27594009/269515"
+
     def test_m0_exceeds_lattice_height(self, sym_square):
         pr = section_profiles(sym_square)
         lo, hi = _solve_m0(sym_square, 1)
@@ -186,14 +198,21 @@ class TestM0AndCrossing:
             ws = BodyWorkspace(P)
             pr = ws.profiles
             body = ws.anchored
-            kstar = crossing_point(body, 1, pr)
-            lo, hi = _solve_m0(body, 1, pr)
-            G = count_lattice(project_drop_last(body))
-            # g is nondecreasing in m0, so each side holds across the bracket
-            for k in range(0, kstar):
-                assert pr.f_tilde_at(k) >= _g_profile(k, hi, G, P.dim)
-            for k in range(kstar, math.ceil(hi) + 3):
-                assert _g_profile(k, lo, G, P.dim) >= pr.f_at(k)
+            for p in (1, 2):
+                kstar = crossing_point(body, p, pr)
+                lo, hi = _solve_m0(body, p, pr)
+                G = count_lattice(project_drop_last(body))
+
+                def separates(t):
+                    # g is nondecreasing in m0, so each side holds across the bracket
+                    return (all(pr.f_tilde_at(k) >= _g_profile(k, hi, G, P.dim)
+                                for k in range(0, t))
+                            and all(_g_profile(k, lo, G, P.dim) >= pr.f_at(k)
+                                    for k in range(t, math.ceil(hi) + 3)))
+
+                # k* is the least threshold at which both sides hold
+                assert separates(kstar)
+                assert kstar == 0 or not separates(kstar - 1), (pts, p, kstar)
 
     def test_hypotheses_violated(self, unit_square):
         with pytest.raises(HypothesesViolated):
