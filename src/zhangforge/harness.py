@@ -72,7 +72,7 @@ class BodySpec:
     @staticmethod
     def from_json(obj: dict) -> "BodySpec":
         try:
-            return BodySpec(
+            spec = BodySpec(
                 family=obj["family"],
                 dim=int(obj["dim"]),
                 params=dict(obj.get("params", {})),
@@ -82,6 +82,9 @@ class BodySpec:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"a body needs a family, an integer dim and params: {obj!r}") from exc
+        if not isinstance(spec.name, str):
+            raise ConfigError(f"a body name is a string, got {spec.name!r}")
+        return spec
 
     def to_json(self) -> dict:
         out = {"family": self.family, "dim": self.dim, "params": self.params,
@@ -157,12 +160,17 @@ def _random_hull_points(spec: BodySpec):
     raise DegenerateSpec("no full-dimensional hull after 100 rejection rounds")
 
 
+# the type of each top-level field of a suite config; a bool is no int here
+_CONFIG_FIELDS = {"bodies": list, "checkers": list, "checker_params": dict, "sweeps": list,
+                  "seed": int, "output": dict}
+_KIND_NAMES = {list: "a list", dict: "an object", int: "an integer"}
+
+
 @dataclass
 class SuiteConfig:
     bodies: list[BodySpec]
     checkers: list[str] = field(default_factory=checker_ids)
     checker_params: dict = field(default_factory=dict)
-    direction_samples: dict = field(default_factory=lambda: {2: 360, 3: 1000})
     sweeps: list[dict] = field(default_factory=list)
     seed: int = 20240
     output_json: str = "report.json"
@@ -170,25 +178,31 @@ class SuiteConfig:
 
     @staticmethod
     def from_json(obj: dict) -> "SuiteConfig":
+        """The config a JSON object describes; ``ConfigError`` for a document
+        that is not an object or a field of the wrong type.  Unknown keys,
+        such as those of older configs, are ignored."""
+        if not isinstance(obj, dict):
+            raise ConfigError(f"a suite config is a JSON object, got {obj!r}")
+        for key, kind in _CONFIG_FIELDS.items():
+            if key in obj and not (isinstance(obj[key], kind) and not isinstance(obj[key], bool)):
+                raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {obj[key]!r}")
+        params = obj.get("checker_params", {})
+        out = obj.get("output", {})
+        if not all(isinstance(v, dict) for v in params.values()):
+            raise ConfigError(f"checker_params maps checker ids to objects, got {params!r}")
+        if not all(isinstance(out.get(k, ""), str) for k in ("json", "csv")):
+            raise ConfigError(f"output file names must be strings, got {out!r}")
         known = set(checker_ids())
         ids = list(obj.get("checkers", checker_ids()))
         bad = [c for c in ids if c not in known]
         if bad:
             raise ConfigError(f"unknown checker ids: {bad}")
-        ds = {int(k): int(v) for k, v in obj.get("direction_samples", {}).items()} or {
-            2: 360,
-            3: 1000,
-        }
-        out = obj.get("output", {})
-        if not isinstance(obj.get("sweeps", []), list):
-            raise ConfigError("sweeps must be a list of sweep entries")
         return SuiteConfig(
             bodies=[BodySpec.from_json(b) for b in obj.get("bodies", [])],
             checkers=ids,
-            checker_params=dict(obj.get("checker_params", {})),
-            direction_samples=ds,
+            checker_params=dict(params),
             sweeps=list(obj.get("sweeps", [])),
-            seed=int(obj.get("seed", 20240)),
+            seed=obj.get("seed", 20240),
             output_json=out.get("json", "report.json"),
             output_csv=out.get("csv", "report.csv"),
         )
@@ -198,7 +212,6 @@ class SuiteConfig:
             "bodies": [b.to_json() for b in self.bodies],
             "checkers": list(self.checkers),
             "checker_params": self.checker_params,
-            "direction_samples": {str(k): v for k, v in self.direction_samples.items()},
             "sweeps": self.sweeps,
             "seed": self.seed,
             "output": {"json": self.output_json, "csv": self.output_csv},
@@ -274,12 +287,10 @@ def _json_safe(obj):
 
 
 def _run_body_task(args) -> list[dict]:
-    spec_json, ids, checker_params, seed, dir_samples = args
+    spec_json, ids, checker_params, seed = args
     spec = BodySpec.from_json(spec_json)
     body = make_body(spec)
-    ws = BodyWorkspace(
-        body, seed=_body_seed(seed, spec.name), dir_samples={int(k): v for k, v in dir_samples.items()}
-    )
+    ws = BodyWorkspace(body, seed=_body_seed(seed, spec.name))
     rows = []
     for cid in ids:
         if applicability(cid, ws) is not None:
@@ -376,16 +387,8 @@ def run_suite(config: SuiteConfig, out_dir: str | None = None, jobs: int = 1) ->
     if bad:
         raise ConfigError(f"unknown checker ids: {bad}")
     check_sweeps(config)
-    tasks = [
-        (
-            b.to_json(),
-            list(config.checkers),
-            config.checker_params,
-            config.seed,
-            {str(k): v for k, v in config.direction_samples.items()},
-        )
-        for b in config.bodies
-    ]
+    tasks = [(b.to_json(), list(config.checkers), config.checker_params, config.seed)
+             for b in config.bodies]
     if jobs > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
 

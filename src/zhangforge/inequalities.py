@@ -71,7 +71,6 @@ from .polytope import (
     intersect,
     max_section_anchor,
     polar_projection_body,
-    project_drop_last,
     projection_support,
     transform,
     translate,
@@ -223,7 +222,7 @@ def _profile_sum(profile: dict[int, int], p: int) -> Fraction:
 
 
 def _solve_m0(P: Polytope, p: int, profiles: SectionProfiles | None = None):
-    """Rational bracket (lo, hi) of the root of h_p(m) * G_{n-1}(proj) = sum_k p k^{p-1} f~(k).
+    """Rational bracket (lo, hi) of the root of h_p(m) * G_{n-1}(PK) = sum_k p k^{p-1} f~(k).
 
     An integer search on the nondecreasing h_p finds the least integer J with
     h_p(J) >= target = N/d; on [J-1, J] the root is the zero of the integer
@@ -352,6 +351,12 @@ def _inconclusive(cid: str, reason: str, **context) -> InequalityReport:
     return InequalityReport(cid, zero, zero, 0.0, "inconclusive", {"reason": reason, **context})
 
 
+# the Ball-body checkers' base directions: equally spaced angles (n = 2) and
+# a Fibonacci sphere (n = 3), plus the body's vertex and lattice directions
+_DIRS_2D = 360
+_DIRS_3D = 1000
+
+
 def _fib_sphere(count: int) -> np.ndarray:
     import numpy as np
 
@@ -365,12 +370,9 @@ def _fib_sphere(count: int) -> np.ndarray:
 class BodyWorkspace:
     """Per-body cache shared by the checkers (anchor, symmetral, profiles...)."""
 
-    def __init__(self, body: Polytope, seed: int = 20240, dir_samples: dict | None = None):
+    def __init__(self, body: Polytope, seed: int = 20240):
         self.body = body
         self.seed = seed
-        ds = dir_samples or {}
-        self.n_dirs_2d = ds.get(2, 360)
-        self.n_dirs_3d = ds.get(3, 1000)
         self._sample_radials: dict[tuple, np.ndarray] = {}
         self._scaled_workspaces: dict[int, BodyWorkspace] = {}
         self._scaled_bodies: dict[int, Polytope] = {}
@@ -384,12 +386,9 @@ class BodyWorkspace:
         return self.body.volume_fraction()
 
     @cached_property
-    def proj(self) -> Polytope:
-        return project_drop_last(self.body)
-
-    @cached_property
     def volp(self) -> Fraction:
-        return self.proj.volume_fraction()
+        """vol_{n-1}(P K) by Cauchy's formula, from the facet weights."""
+        return projection_support(self.body, axis_direction(self.n).raw)
 
     @cached_property
     def anchor(self):
@@ -397,17 +396,8 @@ class BodyWorkspace:
 
     @cached_property
     def anchored(self) -> Polytope:
-        """The body moved by (-anchor, 0).  The body's projection is built first
-        and ``translated`` carries it across, so one hull serves ``proj`` and
-        ``aproj``."""
-        t = tuple(-c for c in self.anchor) + (_ZERO,)
-        if self.n > 1:
-            project_drop_last(self.body)
-        return self.body.translated(t)
-
-    @cached_property
-    def aproj(self) -> Polytope:
-        return project_drop_last(self.anchored)
+        """The body moved by (-anchor, 0), with no hull."""
+        return self.body.translated(tuple(-c for c in self.anchor) + (_ZERO,))
 
     @cached_property
     def asym(self) -> Polytope:
@@ -417,19 +407,16 @@ class BodyWorkspace:
         """The workspace of lam * ``anchored`` for an integer lam > 0, with no
         hull and no LP, built once per lam.
 
-        x -> lam x commutes with the projection and the Steiner symmetrization
-        and maps the lex-min anchor of a longest section to lam times it, which
-        is 0 for the anchored body.  So ``anchor`` is 0, ``anchored`` is the
-        scaled body, and ``aproj`` and ``asym`` are lam times this workspace's
-        (``asym`` carrying ``aproj`` as its projection).
+        x -> lam x commutes with the Steiner symmetrization and maps the
+        lex-min anchor of a longest section to lam times it, which is 0 for
+        the anchored body.  So ``anchor`` is 0, ``anchored`` is the scaled
+        body, and ``asym`` is lam times this workspace's.
         """
         if lam not in self._scaled_workspaces:
-            body = self.anchored.scaled(lam)  # carries lam * aproj
-            sym = self.asym.scaled(lam)
-            sym._projection = body._projection
-            ws = BodyWorkspace(body, self.seed, {2: self.n_dirs_2d, 3: self.n_dirs_3d})
+            body = self.anchored.scaled(lam)
+            ws = BodyWorkspace(body, self.seed)
             ws.__dict__.update(anchor=tuple(_ZERO for _ in range(self.n - 1)), anchored=body,
-                               aproj=body._projection, asym=sym)
+                               asym=self.asym.scaled(lam))
             self._scaled_workspaces[lam] = ws
         return self._scaled_workspaces[lam]
 
@@ -442,7 +429,7 @@ class BodyWorkspace:
         return hypotheses_h(self.anchored, self.profiles)
 
     @cached_property
-    def G_aproj(self) -> int:
+    def G_proj(self) -> int:
         return self.profiles.G_proj
 
     @cached_property
@@ -467,10 +454,10 @@ class BodyWorkspace:
                 if nn > 1e-12:
                     extra.append(d / nn)
         if self.n == 2:
-            ang = 2.0 * math.pi * np.arange(self.n_dirs_2d) / self.n_dirs_2d
+            ang = 2.0 * math.pi * np.arange(_DIRS_2D) / _DIRS_2D
             base = np.stack([np.cos(ang), np.sin(ang)], axis=1)
         else:
-            base = _fib_sphere(self.n_dirs_3d)
+            base = _fib_sphere(_DIRS_3D)
         if extra:
             base = np.concatenate([base, np.array(extra)], axis=0)
         return base
@@ -554,7 +541,7 @@ def _discrete_zhang_mu_sides(ws: BodyWorkspace) -> tuple[Fraction, Fraction, Fra
     const = Fraction(math.comb(2 * n, n), n**n)
     lhs = const * _mu_moment_exact(ws.anchored, n)
     mu_fat = _mu_fattened(ws)
-    return lhs, mu_fat ** (n + 1) / Fraction(ws.G_aproj) ** n, mu_fat
+    return lhs, mu_fat ** (n + 1) / Fraction(ws.G_proj) ** n, mu_fat
 
 
 def _purely_discrete_zhang_sides(ws: BodyWorkspace):
@@ -567,7 +554,7 @@ def _purely_discrete_zhang_sides(ws: BodyWorkspace):
     """
     n = ws.n
     pr = ws.profiles
-    G = ws.G_aproj
+    G = ws.G_proj
     rhs = Fraction(_G_sym_fattened(ws) + pr.f_tilde_at(0)) ** (n + 1) / Fraction(G) ** n
     if pr.M == 0:
         return MeasureValue.from_exact(0), rhs, None
@@ -664,7 +651,7 @@ def _chk_lattice_zhang(ws: BodyWorkspace, params: dict) -> InequalityReport:
     lhs = MeasureValue.from_exact(const * column_moment(ws.anchored, n))
     # the longest vertical section of the body, twice the symmetral's top height
     R = 2 * max(v[-1] for v in ws.asym.vertices)
-    G = ws.G_aproj
+    G = ws.G_proj
     pr = ws.profiles
     gsym = _G_sym_fattened(ws)
     gproj_fat = pr.f_tilde_at(0)
@@ -745,7 +732,7 @@ def _chk_berwald_discrete(ws: BodyWorkspace, params: dict) -> InequalityReport:
     nn = n - 1
     pairs = [_exponents(pair, increasing=True)
              for pair in params.get("pairs") or [(1, 2), (1, n + 1), (2, 5)]]
-    G = ws.G_aproj
+    G = ws.G_proj
     diam = ws.diamond_values
     rows = []
     for p, q in pairs:
@@ -763,7 +750,7 @@ def _chk_completely_discrete_berwald(ws: BodyWorkspace, params: dict) -> Inequal
     (p,) = _exponents([params.get("p", 1)])
     qs = _exponents([p, *(params.get("qs") or sorted({p + 1, max(p, n) + 1}))],
                     increasing=True)[1:]
-    G = ws.G_aproj
+    G = ws.G_proj
     lo, hi = m0 = _solve_m0(ws.anchored, p, pr)
     # the p-th right side is m0 (h_p(m0) G = sum p k^(p-1) f~(k) defines m0);
     # with r_q = sum q k^(q-1) f(k) / (G h_q(m0)) the q-th left side is
@@ -816,7 +803,7 @@ def _chk_different_inclusion(ws: BodyWorkspace, params: dict) -> InequalityRepor
 def _chk_mu_gn_sandwich(ws: BodyWorkspace, params: dict) -> InequalityReport:
     mu = mu_measure(ws.body).exact
     gn = count_lattice(ws.body)
-    gp = count_lattice(ws.proj)
+    gp = len(column_lengths(ws.body))
     lhs = MeasureValue.from_exact(abs(mu - gn))
     rhs = MeasureValue.from_exact(gp)
     return _report("mu_gn_sandwich", lhs, rhs, mu=str(mu), G_n=gn, G_proj=gp)
@@ -1233,8 +1220,7 @@ def verify(cid: str, body: Polytope, params: dict | None = None,
     entry = _REGISTRY[cid]
     params = dict(params or {})
     if ws is None or ws.body is not body:
-        ws = BodyWorkspace(body, seed=params.pop("seed", 20240),
-                           dir_samples=params.pop("dir_samples", None))
+        ws = BodyWorkspace(body)
     reason = entry.applicable(ws)
     if reason is None:
         try:
@@ -1243,7 +1229,6 @@ def verify(cid: str, body: Polytope, params: dict | None = None,
             reason = str(exc)
     if reason is not None:
         rep = _inconclusive(cid, reason)
-    rep.context.setdefault("statement", entry.statement)
     return rep
 
 
@@ -1298,8 +1283,8 @@ def limit_sweep(body: Polytope | BodyWorkspace, target: str, scales,
     """Rescaled lattice quantities against their continuous limits.
 
     ``body`` is a polytope or its workspace; ``run_sweeps`` passes one
-    workspace to every target of a body, so its volume, slab moment, anchor,
-    projection and symmetral are computed once.  The two discrete Zhang
+    workspace to every target of a body, so its volume, projection volume,
+    slab moment, anchor and symmetral are computed once.  The two discrete Zhang
     targets read each scale's workspace off it (``BodyWorkspace.scaled``),
     with no hull and no LP per scale.  Rows report per-scale values; only
     trends are produced here (assertions over the final scale live with the
@@ -1341,7 +1326,7 @@ def limit_sweep(body: Polytope | BodyWorkspace, target: str, scales,
                 rows.append(_row(lam, "lhs", lhs / norm, ref_lhs))
                 rows.append(_row(lam, "rhs", rhs / norm, ref_rhs))
                 rows.append(_row(lam, "rhs_symmetral",
-                                 mu_sym ** (n + 1) / Fraction(qws.G_aproj) ** n / norm, ref_rhs))
+                                 mu_sym ** (n + 1) / Fraction(qws.G_proj) ** n / norm, ref_rhs))
             else:
                 lhs, rhs, _m0 = _purely_discrete_zhang_sides(qws)
                 lhs_val = lhs.exact / norm if lhs.is_exact else lhs.value / norm

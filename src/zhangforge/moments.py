@@ -60,7 +60,7 @@ from .polytope import (
     _panel_sweep,
     intersect,
     parametric_volume,
-    project_drop_last,
+    projection_support,
     projection_volume,
     transform,
     translate,
@@ -309,7 +309,7 @@ def section_distribution(P: Polytope, symmetral: Polytope | None = None) -> Sect
     rows = [(a[:-1], b) for a, b in heads]
     shifts = [-a[-1] / 2 for a, _b in heads]
     pieces = _panel_sweep(lambda lo, hi: parametric_volume(rows, shifts, lo, hi), _ZERO, reach)
-    return SectionDistribution(pieces, project_drop_last(P).volume_fraction(), reach)
+    return SectionDistribution(pieces, projection_support(P, axis_direction(P.dim).raw), reach)
 
 
 def section_power_integral(P: Polytope, q,

@@ -26,7 +26,7 @@ simplices' integer cofactor normals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, repeat
 from math import gcd, lcm
@@ -96,18 +96,15 @@ class Interval:
 
 @dataclass(frozen=True)
 class Direction:
-    """A nonzero rational direction and its binary64 unit normalization."""
+    """A nonzero rational direction."""
 
     raw: Vec
-    unit: tuple[float, ...] = field(compare=False, default=())
 
     def __post_init__(self):
         raw = vec(self.raw)
         if all(x == 0 for x in raw):
             raise ValueError("zero direction")
         object.__setattr__(self, "raw", raw)
-        norm = math.sqrt(float(sum(float(x) * float(x) for x in raw)))
-        object.__setattr__(self, "unit", tuple(float(x) / norm for x in raw))
 
     @property
     def dim(self) -> int:
@@ -196,7 +193,6 @@ class Polytope:
         "_volume",
         "_fweights",
         "_fattenings",
-        "_projection",
         "_int_rows",
         "_incidence",
         "_column_tables",
@@ -212,7 +208,6 @@ class Polytope:
         self._volume: Fraction | None = None
         self._fweights = None
         self._fattenings = None
-        self._projection: Polytope | None = None
         self._int_rows = None
         self._incidence = None  # per vertex, the input rows of from_halfspaces tight there
         self._column_tables = None  # k -> the integer column walk (``lattice._column_walk``)
@@ -478,8 +473,7 @@ class Polytope:
         return self._fweights
 
     def translated(self, t) -> "Polytope":
-        """P + t, with no hull.  A projection already built for P
-        (``project_drop_last``) is carried across, shifted by t[:-1]."""
+        """P + t, with no hull; a volume already computed for P is carried across."""
         t = vec(t)
 
         def shift(p):
@@ -493,23 +487,18 @@ class Polytope:
             tri = (tuple(shift(p) for p in pts), simplices)
         out = Polytope(self.dim, self.affine_dim, verts, hs, shift(self._interior), tri)
         out._volume = self._volume
-        if self._projection is not None:
-            out._projection = self._projection.translated(t[:-1])
         return out
 
     def scaled(self, lam: int) -> "Polytope":
         """lam P for an integer lam > 0.  A full-dimensional P needs no hull:
         each row keeps its normal and takes lam times its offset, and the
         interior point is the one ``transform`` gives; a lower-dimensional P
-        goes through ``transform``, which hulls its image.  The volume, the
-        integer rows and a projection already built for P
-        (``project_drop_last``) are carried across, scaled."""
+        goes through ``transform``, which hulls its image.  The volume and the
+        integer rows already computed for P are carried across, scaled."""
         n = self.dim
         if not self.is_full_dimensional:
-            out = transform(self, [[lam * int(i == j) for j in range(n)] for i in range(n)], [0] * n)
-            if self._projection is not None:
-                out._projection = self._projection.scaled(lam)
-            return out
+            diag = [[lam * int(i == j) for j in range(n)] for i in range(n)]
+            return transform(self, diag, [0] * n)
 
         def scale(p):
             return tuple(lam * x for x in p)
@@ -524,8 +513,6 @@ class Polytope:
         if self._int_rows is not None:
             out._int_rows = tuple((a, lam * num // g, den // g) for a, num, den in self._int_rows
                                   for g in (gcd(lam * num, den),))
-        if self._projection is not None:
-            out._projection = self._projection.scaled(lam)
         return out
 
 
@@ -749,12 +736,13 @@ def _add_segment(V, rows, masks, i: int, L: int):
 
 
 def project_drop_last(P: Polytope) -> Polytope:
-    """Orthogonal projection onto the first n-1 coordinates, memoized on ``P``."""
+    """Orthogonal projection onto the first n-1 coordinates: the hull of the
+    vertices with the last coordinate dropped, built on each call.  The
+    checkers need only its volume (``projection_support(P, e_n)``) and its
+    integer points (the columns of ``lattice.column_lengths``)."""
     if P.dim < 2:
         raise DimensionMismatch("projection needs ambient dimension >= 2")
-    if P._projection is None:
-        P._projection = Polytope.from_points([v[:-1] for v in P.vertices], P.dim - 1)
-    return P._projection
+    return Polytope.from_points([v[:-1] for v in P.vertices], P.dim - 1)
 
 
 def integer_rows(P: Polytope) -> tuple[tuple[tuple[int, ...], int, int], ...]:

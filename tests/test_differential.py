@@ -1,6 +1,7 @@
 """Differential tests: exact kernel against independent numeric oracles."""
 
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -25,7 +26,14 @@ from zhangforge import (
 )
 from zhangforge.errors import DegenerateBody, Infeasible, Unbounded
 from zhangforge.hull import HullResult, convex_hull
-from zhangforge.harness import BodySpec, default_corpus, make_body
+from zhangforge.harness import (
+    BodySpec,
+    default_config,
+    default_corpus,
+    make_body,
+    report_json,
+    run_suite,
+)
 from zhangforge.inequalities import (
     B_coeff,
     BodyWorkspace,
@@ -87,6 +95,7 @@ from zhangforge.polytope import (
     _line_ends,
     integer_rows,
     parametric_volume,
+    projection_support,
 )
 from zhangforge.steiner import steiner_symmetrize
 
@@ -585,6 +594,38 @@ def test_column_lengths_against_projection_columns():
     assert all(kinds.values()), kinds
 
 
+def test_projection_reads_against_the_projection_hull():
+    # the route the workspace replaced becomes the oracle: vol_{n-1}(PK) by
+    # Cauchy's formula and G_{n-1}(PK) as the number of integer columns,
+    # against the hull of the vertices with the last coordinate dropped
+    bodies = [make_body(spec) for spec in default_corpus()]
+    bodies += [make_body(BodySpec("random_hull", dim, {"count": dim + 5, "radius": 2, "seed": s}))
+               for dim in (2, 3, 4) for s in range(6)]
+    bodies += [P.translated(tuple(F(2 * i + 1, 3 + i) for i in range(P.dim))) for P in bodies]
+    assert {P.dim for P in bodies} == {2, 3, 4}
+    for P in bodies:
+        proj = project_drop_last(P)
+        assert projection_support(P, axis_direction(P.dim).raw) == proj.volume_fraction(), P
+        assert len(column_lengths(P)) == count_lattice(proj), P
+
+
+def test_suite_builds_no_projection_hull(monkeypatch):
+    # with ``project_drop_last`` raising in every module that binds it, the
+    # default report is byte-identical to an unstubbed run
+    want = report_json(run_suite(default_config()))
+
+    def stub(P):
+        raise AssertionError("a projection hull was built")
+
+    patched = set()
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "zhangforge" and hasattr(mod, "project_drop_last"):
+            monkeypatch.setattr(mod, "project_drop_last", stub)
+            patched.add(name)
+    assert {"zhangforge", "zhangforge.polytope"} <= patched
+    assert report_json(run_suite(default_config())) == want
+
+
 # -- the memoized, stepped column table against ``_line_ends`` per column --
 
 def _column_table_by_box_scan(P, k):
@@ -704,12 +745,12 @@ def _vertical_moment_by_ray_interval(body, p):
     return mom
 
 
-def _diamond_values_by_sections(ws):
+def _diamond_values_by_sections(ws, proj):
     """The per-column route: the upper end of the fattened symmetral's vertical
     section over each integer point of the projection's open fattening."""
     fat = fattening(ws.asym, ws.n - 1)
     out = {}
-    for y in lattice_points(ws.aproj, ws.n - 1):
+    for y in lattice_points(proj, ws.n - 1):
         seg = vertical_section(fat, y)
         out[y] = F(0) if seg is None else seg.hi
     return out
@@ -722,11 +763,12 @@ def test_column_reads_against_point_routes():
         pr = ws.profiles
         counts = Counter(x[:-1] for x in lattice_points(ws.asym))
         assert list(pr.column_counts.items()) == list(counts.items()), ws.body
-        assert pr.G_proj == ws.G_aproj == count_lattice(project_drop_last(ws.anchored))
+        proj = project_drop_last(ws.anchored)
+        assert pr.G_proj == ws.G_proj == count_lattice(proj)
         got = ws.diamond_values
-        want = _diamond_values_by_sections(ws)
+        want = _diamond_values_by_sections(ws, proj)
         assert list(got.items()) == list(want.items()), ws.body
-        assert tuple(got) == _box_scan(ws.aproj, ws.n - 1)  # the open rule, independently
+        assert tuple(got) == _box_scan(proj, ws.n - 1)  # the open rule, independently
         assert all(type(v) is F for v in got.values())
         assert _mu_fattened(ws) == 2 * sum(got.values(), F(0)), ws.body  # summed per denominator
         for p in (1, ws.n):

@@ -100,16 +100,45 @@ class TestConfig:
 
 
     def test_config_with_tolerances_key_still_runs(self):
-        # older configs carry a "tolerances" map; it is ignored, not an error
+        # older configs carry "tolerances" and "direction_samples" maps; they
+        # are ignored, not an error
         cfg = SuiteConfig.from_json({
             "bodies": [{"family": "simplex", "dim": 2, "name": "T"}],
             "checkers": ["zhang_preintegration"],
             "sweeps": [],
             "tolerances": {"zhang_preintegration": 1e-9},
+            "direction_samples": {"2": 90, "3": 200},
         })
         assert "tolerances" not in cfg.to_json()
+        assert "direction_samples" not in cfg.to_json()
         doc = run_suite(cfg)
         assert doc["summary"] == {"total": 1, "holds": 1, "fails": 0, "inconclusive": 0}
+
+
+# a top-level field of the wrong type, and a document that is no object
+_BAD_FIELDS = {
+    "seed-text": {"seed": "abc"},
+    "seed-bool": {"seed": True},
+    "checkers-number": {"checkers": 5},
+    "checker-params-list": {"checker_params": [1]},
+    "checker-params-entry": {"checker_params": {"berwald_discrete": 3}},
+    "output-text": {"output": "x"},
+    "output-name-number": {"output": {"json": 5}},
+    "bodies-object": {"bodies": {"family": "cube", "dim": 2}},
+    "top-level-list": [1, 2],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BAD_FIELDS))
+def test_bad_field_type_is_64_with_no_report(kind, tmp_path, capsys):
+    from zhangforge.cli import main
+
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_BAD_FIELDS[kind]))
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(path), "--out", str(out)]) == 64
+    assert capsys.readouterr().err.startswith("configuration error")
+    assert not out.exists()
 
 
 # one bad entry of each kind: an unknown target, an unknown body, a lattice
@@ -141,6 +170,7 @@ _BAD_SWEEPS = {
 _BAD_CONFIGS = {
     "sweeps-object": {"bodies": [], "sweeps": {"target": "B_limit", "scales": [100]}},
     "body-without-dim": {"bodies": [{"family": "cube", "name": "c"}], "sweeps": []},
+    "body-name-number": {"bodies": [{"family": "cube", "dim": 2, "name": 5}], "sweeps": []},
     "body-params-list": {"bodies": [{"family": "cube", "dim": 2, "params": [2], "name": "c"}],
                          "sweeps": []},
     "cube-edge-of-one": {"bodies": [{"family": "cube", "dim": 2, "params": {"edge": [1]},

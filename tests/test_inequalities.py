@@ -141,7 +141,7 @@ class TestDiamond:
 
         for spec in default_corpus():
             ws = BodyWorkspace(make_body(spec))
-            cols = lattice_points(ws.aproj, ws.n - 1)
+            cols = lattice_points(project_drop_last(ws.anchored), ws.n - 1)
             assert ws.diamond_values == {y: diamond_extension(ws.asym, y).exact for y in cols}
 
 
@@ -583,11 +583,9 @@ class TestScaledWorkspace:
             Q = make_polytope([tuple(lam * c for c in v) for v in ws.anchored.vertices], n)
             assert qws.anchored == Q and qws.body is qws.anchored
             assert qws.anchor == max_section_anchor(Q) == (F(0),) * (n - 1)
-            proj = project_drop_last(Q)
-            assert qws.aproj == proj and qws.aproj.halfspaces == proj.halfspaces
             S = steiner_symmetrize(Q)
             assert qws.asym == S and qws.asym.halfspaces == S.halfspaces
-            assert project_drop_last(qws.asym) is qws.aproj
+            assert qws.volp == project_drop_last(Q).volume_fraction() == lam ** (n - 1) * ws.volp
 
     def test_more_scales_build_no_more_hulls_or_lps(self, monkeypatch):
         from zhangforge.harness import BodySpec, SuiteConfig, run_sweeps

@@ -165,9 +165,6 @@ class TestMinkowskiAndProjections:
         assert project_drop_last(triangle).vertices == ((F(0),), (F(1),))
         assert project_drop_last(simplex3) == make_polytope([(0, 0), (1, 0), (0, 1)], 2)
 
-    def test_projection_is_built_once_per_body(self, simplex3):
-        assert project_drop_last(simplex3) is project_drop_last(simplex3)
-
     def test_projection_commutes_with_minkowski(self, triangle, unit_square, simplex3):
         pairs = [(triangle, unit_square), (simplex3, simplex3)]
         for P, Q in pairs:
@@ -257,9 +254,8 @@ def test_scaled_equals_transform_by_lam_identity(lam):
     assert sum(not P.is_full_dimensional for _name, P in bodies) == len(_FLAT_BODIES)
     for name, P in bodies:
         n = P.dim
-        vol = P.volume_fraction()  # these three are carried across, scaled
+        vol = P.volume_fraction()  # these two are carried across, scaled
         integer_rows(P)
-        project_drop_last(P)
         Q = P.scaled(lam)
         T = transform(P, [[lam * int(i == j) for j in range(n)] for i in range(n)], [0] * n)
         assert Q.affine_dim == T.affine_dim == P.affine_dim, name
@@ -269,9 +265,6 @@ def test_scaled_equals_transform_by_lam_identity(lam):
         assert Q._tri == T._tri, name
         assert Q.interior_point == T.interior_point, name
         assert Q.volume_fraction() == T.volume_fraction() == lam**n * vol, name
-        R, S = Q._projection, project_drop_last(T)
-        assert (R.vertices, R.halfspaces, R.interior_point) == (
-            S.vertices, S.halfspaces, S.interior_point), name
 
 
 class TestAnchor:
@@ -510,21 +503,6 @@ def test_invertible_affine_images_build_no_hull(monkeypatch):
         Q = transform(P, A, [F(1, 3)] * n)
         assert Q.volume_fraction() == abs(det(A)) * P.volume_fraction()
     assert calls == []
-
-
-def test_translation_carries_the_projection(monkeypatch):
-    from zhangforge.harness import BodySpec, default_corpus, make_body
-
-    specs = default_corpus() + [BodySpec("random_hull", 4, {"count": 8, "radius": 2, "seed": 5})]
-    bodies = [make_body(spec) for spec in specs]
-    for P in bodies:
-        project_drop_last(P)
-    calls = _count_hulls(monkeypatch)
-    moved = [P.translated(tuple(F(2 * i - 3, 3 + i) for i in range(P.dim))) for P in bodies]
-    assert calls == []
-    for Q in moved:
-        ref = make_polytope([v[:-1] for v in Q.vertices], Q.dim - 1)
-        assert Q._projection == ref and Q._projection.halfspaces == ref.halfspaces
 
 
 def test_one_hull_per_ray_engine_panel(monkeypatch):
