@@ -74,16 +74,20 @@ class BodySpec:
         try:
             spec = BodySpec(
                 family=obj["family"],
-                dim=int(obj["dim"]),
+                dim=obj["dim"],
                 params=dict(obj.get("params", {})),
                 affine=tuple(obj["affine"]) if obj.get("affine") else None,
-                anchor=bool(obj.get("anchor", False)),
+                anchor=obj.get("anchor", False),
                 name=obj.get("name", ""),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"a body needs a family, an integer dim and params: {obj!r}") from exc
         if not isinstance(spec.name, str):
             raise ConfigError(f"a body name is a string, got {spec.name!r}")
+        if not isinstance(spec.dim, int) or isinstance(spec.dim, bool):
+            raise ConfigError(f"a body dim is an integer, got {spec.dim!r}")
+        if not isinstance(spec.anchor, bool):
+            raise ConfigError(f"a body anchor is true or false, got {spec.anchor!r}")
         return spec
 
     def to_json(self) -> dict:
@@ -160,6 +164,16 @@ def _random_hull_points(spec: BodySpec):
     raise DegenerateSpec("no full-dimensional hull after 100 rejection rounds")
 
 
+def check_checker_ids(checkers, checker_params) -> None:
+    """Raise ``ConfigError`` for an entry of ``checkers`` or a key of
+    ``checker_params`` that is not a checker id (a misspelt key would
+    otherwise be dropped in silence)."""
+    known = set(checker_ids())
+    bad = [c for c in [*checkers, *checker_params] if c not in known]
+    if bad:
+        raise ConfigError(f"unknown checker ids: {bad}")
+
+
 # the type of each top-level field of a suite config; a bool is no int here
 _CONFIG_FIELDS = {"bodies": list, "checkers": list, "checker_params": dict, "sweeps": list,
                   "seed": int, "output": dict}
@@ -192,11 +206,8 @@ class SuiteConfig:
             raise ConfigError(f"checker_params maps checker ids to objects, got {params!r}")
         if not all(isinstance(out.get(k, ""), str) for k in ("json", "csv")):
             raise ConfigError(f"output file names must be strings, got {out!r}")
-        known = set(checker_ids())
         ids = list(obj.get("checkers", checker_ids()))
-        bad = [c for c in ids if c not in known]
-        if bad:
-            raise ConfigError(f"unknown checker ids: {bad}")
+        check_checker_ids(ids, params)
         return SuiteConfig(
             bodies=[BodySpec.from_json(b) for b in obj.get("bodies", [])],
             checkers=ids,
@@ -382,10 +393,7 @@ def run_suite(config: SuiteConfig, out_dir: str | None = None, jobs: int = 1) ->
     names = [b.name for b in config.bodies]
     if len(set(names)) != len(names):
         raise ConfigError("body names must be unique")
-    known = set(checker_ids())
-    bad = [c for c in config.checkers if c not in known]
-    if bad:
-        raise ConfigError(f"unknown checker ids: {bad}")
+    check_checker_ids(config.checkers, config.checker_params)
     check_sweeps(config)
     tasks = [(b.to_json(), list(config.checkers), config.checker_params, config.seed)
              for b in config.bodies]

@@ -54,9 +54,10 @@ from .lattice import (
     mu_measure,
 )
 from .linalg import dot, frac
-from .lp import lp_solve  # noqa: F401  (unused here; perfbench/tracer.py's REQUIRED_BINDINGS needs it)
+from .lp import lp_solve
 from .moments import (
     RayMomentEngine,
+    discrete_moment,
     projection_power_moment,
     radial_batch,
     ray_moment,
@@ -72,7 +73,6 @@ from .polytope import (
     max_section_anchor,
     polar_projection_body,
     projection_support,
-    transform,
     translate,
     vertical_section,
 )
@@ -86,11 +86,22 @@ _ONE = Fraction(1)
 # comparison-profile machinery
 # ---------------------------------------------------------------------------
 
+def _power_sums(j: int, top: int) -> list[int]:
+    """[S_0, ..., S_top], S_e = sum_{k=0}^{j} k^e with 0^0 = 1, in O(top^2)
+    integer steps whatever j: telescoping sum_k ((k+1)^{e+1} - k^{e+1}) gives
+    (e+1) S_e = (j+1)^{e+1} - sum_{i<e} C(e+1, i) S_i."""
+    S: list[int] = []
+    for e in range(top + 1):
+        S.append(((j + 1) ** (e + 1) - sum(math.comb(e + 1, i) * s for i, s in enumerate(S)))
+                 // (e + 1))
+    return S
+
+
 def _h_segment(j: int, p: int, n: int) -> list[int]:
     """Coefficients c_0..c_{n-1} of x^{n-1} h_p(x) = p sum_{k<=j} (x - k)^{n-1} k^{p-1}
     on [j, j+1) (on [j, j+1] for n >= 2), from power sums with 0^0 = 1."""
-    return [p * math.comb(n - 1, i) * (-1) ** (n - 1 - i)
-            * sum(k ** (n + p - 2 - i) for k in range(j + 1)) for i in range(n)]
+    S = _power_sums(j, n + p - 2)
+    return [p * math.comb(n - 1, i) * (-1) ** (n - 1 - i) * S[n + p - 2 - i] for i in range(n)]
 
 
 def _poly_at(c: list[int], a: int, b: int) -> int:
@@ -958,13 +969,28 @@ def _chk_volume_identity_discrete(ws: BodyWorkspace, params: dict) -> Inequality
                    MeasureValue.from_exact(_ZERO), star_volume=str(star), volume=str(ws.vol))
 
 
-def _chk_one_point_collapse(ws: BodyWorkspace, params: dict) -> InequalityReport:
-    from .lattice import ray_interval
+def _neg_radial(vertices, raw) -> Fraction:
+    """rho_{-K}(raw) = max{t : -t raw in conv(vertices)}, by one exact LP over
+    the convex weights lambda_v of the vertices and t:
+    lambda >= 0, sum lambda = 1, sum lambda_v v + t raw = 0."""
+    m = len(vertices)
+    rows = [[-_ONE if k == j else _ZERO for k in range(m + 1)] for j in range(m)]
+    rhs = [_ZERO] * m
+    equalities = [([_ONE] * m + [_ZERO], _ONE)]
+    equalities += [([v[i] for v in vertices] + [raw[i]], _ZERO) for i in range(len(raw))]
+    for a, b in equalities:
+        rows += [a, [-x for x in a]]
+        rhs += [b, -b]
+    return lp_solve([_ZERO] * m + [_ONE], rows, rhs).value
 
+
+def _chk_one_point_collapse(ws: BodyWorkspace, params: dict) -> InequalityReport:
+    # both sides as p-th powers, so both stay rational: the lattice-covariogram
+    # Ball body (1/G) sum_y (b_y^p - a_y^p) over G = 1 point, and rho_{-K}^p
+    # read off K's vertices
     n = ws.n
     (p,) = _exponents([params.get("p", 1)])
-    neg = transform(ws.body, [[-Fraction(int(i == j)) for j in range(n)] for i in range(n)],
-                    [0] * n)
+    G = count_lattice(ws.body)
     test_dirs = []
     for v in ws.body.vertices:
         if any(c != 0 for c in v):
@@ -978,14 +1004,11 @@ def _chk_one_point_collapse(ws: BodyWorkspace, params: dict) -> InequalityReport
         test_dirs.append(tuple(e2))
     worst = _ZERO
     details = []
-    origin = tuple(Fraction(0) for _ in range(n))
     for raw in test_dirs:
-        seg = ray_interval(ws.body, origin, raw)
-        moment_root = _ZERO if seg is None else seg[1]  # (b^p)^(1/p) in raw units
-        # independent route: the same clip against the negated polytope
-        rho = ray_interval(neg, origin, tuple(-c for c in raw))[1]
-        worst = max(worst, abs(moment_root - rho))
-        details.append({"dir": [str(c) for c in raw], "ball": str(moment_root), "neg": str(rho)})
+        ball = discrete_moment(ws.body, Direction(raw), p).exact / G
+        neg = _neg_radial(ws.body.vertices, raw) ** p
+        worst = max(worst, abs(ball - neg))
+        details.append({"dir": [str(c) for c in raw], "ball": str(ball), "neg": str(neg)})
     return _report("one_point_collapse", MeasureValue.from_exact(worst),
                    MeasureValue.from_exact(_ZERO), p=p, directions=details)
 

@@ -191,18 +191,18 @@ def discrete_covariogram(P: Polytope, x) -> int:
 
 @dataclass(frozen=True)
 class RayDecomposition:
-    """Per-lattice-point parameter intervals {r >= 0 : y - r theta in K}.
+    """Per-lattice-point parameter intervals {r >= 0 : y - r theta.raw in K}.
 
-    Intervals are stated for the unit-normalized direction.  They are exact
-    rationals whenever the direction's Euclidean norm is rational (all axis
-    directions); otherwise endpoints are binary64-rounded and ``exact`` is
-    False.
+    r is in units of ``theta.raw``, not of a unit vector, so every endpoint
+    is an exact rational for every rational direction: the radials built
+    from these intervals are homogeneous of degree -1 in theta, and the
+    moments sum (b^p - a^p) of degree p, so a raw direction needs no
+    normalization.
     """
 
     direction: Direction
     entries: tuple[tuple[tuple[int, ...], Interval], ...]
     open_cube: bool
-    exact: bool
 
     def max_reach(self) -> Fraction:
         """Largest upper endpoint; the radial of (K cap Z^n) - K for closed decompositions."""
@@ -238,32 +238,23 @@ def ray_decomposition(P: Polytope, theta: Direction, open_cube: bool = False) ->
         raise OriginMissing("ray decompositions require 0 in the body")
     k = P.dim if open_cube else 0
     body = fattening(P, k)
-    pts = lattice_points(P, k)
-    nrm = theta.exact_norm()
-    exact = nrm is not None
-    scale = nrm if exact else Fraction(math.sqrt(float(theta.norm_sq)))
     entries = []
-    for y in pts:
+    for y in lattice_points(P, k):
         seg = ray_interval(body, y, theta.raw, open_cube)
-        if seg is None:
-            continue
-        lo, hi = seg
-        entries.append((y, Interval(lo * scale, hi * scale, False, open_cube)))
-    return RayDecomposition(theta, tuple(entries), open_cube, exact)
+        if seg is not None:
+            entries.append((y, Interval(*seg, False, open_cube)))
+    return RayDecomposition(theta, tuple(entries), open_cube)
 
 
 def discrete_ray_moment(decomp: RayDecomposition, p) -> MeasureValue:
-    """p * integral of r^{p-1} G_n(K cap (r theta + K)) dr = sum (b^p - a^p)."""
-    if isinstance(p, int) or (isinstance(p, Fraction) and p.denominator == 1):
-        q = int(p)
-        if q <= 0:
-            raise ExponentOutOfRange("moment exponent must be positive")
-        if decomp.exact:
-            total = sum((iv.hi**q - iv.lo**q for _, iv in decomp.entries), _ZERO)
-            return MeasureValue.from_exact(total)
+    """p * integral of r^{p-1} G_n(K cap (r theta + K)) dr = sum (b^p - a^p),
+    exact for an integer p, binary64 for a fractional one."""
     pf = float(p)
     if pf <= 0:
         raise ExponentOutOfRange("moment exponent must be positive")
+    if pf == int(pf):
+        q = int(pf)
+        return MeasureValue.from_exact(sum((iv.hi**q - iv.lo**q for _, iv in decomp.entries), _ZERO))
     total = 0.0
     for _, iv in decomp.entries:
         total += float(iv.hi) ** pf - float(iv.lo) ** pf

@@ -4,13 +4,19 @@ sources) and of the polar projection body, and planar star-set areas by circle
 quadrature (n = 2 only; the polar projection body itself is an exact polytope,
 see ``polytope.polar_projection_body``).
 
+Units: every quantity at a ``Direction`` theta (ray moments, the ray engine,
+lattice ray decompositions, star radials) is in units of ``theta.raw``.  The
+Ball-body radials are homogeneous of degree -1 in theta and the ray moments of
+degree p, so a raw rational direction needs no normalization and no square
+root; only ``polytope.projection_volume`` normalizes.
+
 Exactness policy: ray moments with integer exponents are exact rationals in
 every rational direction and every dimension (``ray_moment`` maps the
 direction to e_n by a rational linear map and reads the layer-cake below).
 The independent ray engine is exact too for integer exponents, in every
-dimension, when |theta.raw| is rational: its panels are the exact maximal
-pieces of one sweep, with no bisection.  Fractional exponents, irrational
-norms and the float radial batches run in binary64 with abs_error populated.
+dimension: its panels are the exact maximal pieces of one sweep, with no
+bisection.  Fractional exponents and the float radial batches (over unit
+float directions) run in binary64 with abs_error populated.
 
 Section-length powers int ell^q, and with them the projection-power and
 symmetral-slab moments and the chord-mean radials, have one integrator in every
@@ -46,6 +52,7 @@ from .errors import (
 )
 from .lattice import (
     count_lattice,
+    discrete_ray_moment,
     fattening,
     lattice_points,
     ray_decomposition,
@@ -61,7 +68,6 @@ from .polytope import (
     intersect,
     parametric_volume,
     projection_support,
-    projection_volume,
     transform,
     translate,
 )
@@ -153,7 +159,7 @@ class RayMomentEngine:
     gaps left on either side are swept the same way.  Every panel is exact, in
     every dimension, so ``certified`` is always True.  The panel polynomials
     are shared by every exponent; integer-exponent moments are exact rationals
-    when |theta.raw| is rational.  Checkers read the exact ``ray_moment``;
+    and equal ``ray_moment``.  Checkers read the exact ``ray_moment``;
     the engine is the independent third route of ``identity_triple_continuous``.
     """
 
@@ -182,13 +188,11 @@ class RayMomentEngine:
             self._panels = self._build()
         if not self._panels:
             return MeasureValue.from_exact(0)
-        nrm = self.theta.exact_norm()
-        if pf == int(pf) and nrm is not None:
+        if pf == int(pf):
             q = int(p)
-            total = sum((q * _power_integral(c, a, b, q - 1) for a, b, c in self._panels), _ZERO)
-            return MeasureValue.from_exact(total * nrm**q)
+            return MeasureValue.from_exact(
+                sum((q * _power_integral(c, a, b, q - 1) for a, b, c in self._panels), _ZERO))
         total_f = sum(pf * float(_power_integral(c, a, b, pf - 1.0)) for a, b, c in self._panels)
-        total_f *= math.sqrt(float(self.theta.norm_sq)) ** pf
         return MeasureValue.approx(total_f, 1e-12 * abs(total_f))
 
 
@@ -276,10 +280,9 @@ def mc_section_samples(P: Polytope, seed: int, nsamp: int = 1_000_000):
 
 
 def discrete_moment(P: Polytope, theta: Direction, p, open_cube: bool = False) -> MeasureValue:
-    from .lattice import discrete_ray_moment
-
-    decomp = ray_decomposition(P, theta, open_cube=open_cube)
-    return discrete_ray_moment(decomp, p)
+    """sum_y (b_y^p - a_y^p) over the ray decomposition of P (or of its open
+    fattening) along theta.raw; exact for an integer p."""
+    return discrete_ray_moment(ray_decomposition(P, theta, open_cube=open_cube), p)
 
 
 # ---------------------------------------------------------------------------
@@ -373,11 +376,7 @@ def radial_ball_body(source: str, P: Polytope, theta: Direction, p) -> MeasureVa
     if source == "difference-set":
         if not P.contains(origin):
             raise OriginMissing("the difference set needs 0 in the body")
-        decomp = ray_decomposition(P, theta, open_cube=False)
-        reach = decomp.max_reach()
-        if decomp.exact:
-            return MeasureValue.from_exact(reach)
-        return MeasureValue.approx(float(reach), 1e-12 * float(reach))
+        return MeasureValue.from_exact(ray_decomposition(P, theta).max_reach())
     pf = float(p)
     if pf <= 0:
         raise ExponentOutOfRange("Ball-body radials need p > 0")
@@ -407,11 +406,12 @@ def radial_ball_body(source: str, P: Polytope, theta: Direction, p) -> MeasureVa
 
 
 def polar_projection_radial(P: Polytope, theta: Direction) -> MeasureValue:
-    pv = projection_volume(P, theta)
-    if pv.exact is not None:
-        return MeasureValue.from_exact(1 / pv.exact)
-    val = 1.0 / pv.value
-    return MeasureValue.approx(val, pv.abs_error * val / pv.value)
+    """rho_{Pi*K}(theta.raw) = 1 / h_{Pi K}(theta.raw), exactly."""
+    if not P.is_full_dimensional:
+        raise DegenerateBody("the polar projection body needs a full-dimensional body")
+    if theta.dim != P.dim:
+        raise DimensionMismatch("direction and body dimensions differ")
+    return MeasureValue.from_exact(1 / projection_support(P, theta.raw))
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +599,7 @@ def facet_angles(P: Polytope) -> list[float]:
 # ---------------------------------------------------------------------------
 
 def _is_last_axis(theta: Direction) -> bool:
-    return all(x == 0 for x in theta.raw[:-1]) and theta.raw[-1] > 0
+    return all(x == 0 for x in theta.raw[:-1]) and theta.raw[-1] == 1
 
 
 def _along_last_axis(P: Polytope, theta: Direction) -> tuple[Polytope, Fraction]:
@@ -629,8 +629,9 @@ def ray_moment(P: Polytope, theta: Direction, p) -> MeasureValue:
 def radial_Rp(P: Polytope, theta: Direction, p) -> MeasureValue:
     """Radial of the p-th radial mean body R_p K via the projection-power form.
 
-    R_p commutes with linear maps, so an off-axis direction is moved to e_n by
-    the rational T of ``_along_last_axis``: rho(theta) = |theta.raw| rho_{TK}(e_n).
+    R_p commutes with linear maps, so any direction other than e_n is moved
+    to e_n by the rational T of ``_along_last_axis``: T theta.raw = e_n, so
+    rho(theta.raw) = rho_{TK}(e_n).
     """
     pf = float(p)
     if pf == 0 or pf <= -1:
@@ -638,9 +639,7 @@ def radial_Rp(P: Polytope, theta: Direction, p) -> MeasureValue:
     if not P.is_full_dimensional:
         raise DegenerateBody("chord-mean radials need a full-dimensional body")
     if not _is_last_axis(theta):
-        inner = radial_Rp(_along_last_axis(P, theta)[0], axis_direction(P.dim), p)
-        nrm = math.sqrt(float(theta.norm_sq))
-        return MeasureValue.approx(nrm * inner.value, nrm * inner.abs_error)
+        return radial_Rp(_along_last_axis(P, theta)[0], axis_direction(P.dim), p)
     mom = projection_power_moment(P, p)
     val = (mom.value / float(P.volume_fraction())) ** (1.0 / pf)
     rel = mom.abs_error / mom.value if mom.value > 0 else 0.0

@@ -43,6 +43,7 @@ from zhangforge.inequalities import (
     _h_exact,
     _height_counts,
     _mu_fattened,
+    _power_sums,
     _profile_sum,
     _purely_discrete_zhang_sides,
     _solve_m0,
@@ -178,14 +179,12 @@ def test_ray_moment_engine_against_dense_trapezoid(dim):
 
 
 def test_engine_exactness_in_the_plane():
+    # exact in every rational direction, |theta| rational or not
     rng = np.random.default_rng(999)
     for _ in range(6):
         P = _random_body(rng, 2, count=6)
-        for raw in [(1, 0), (0, 1), (2, 1)]:
-            engine = RayMomentEngine(P, Direction(raw))
-            mv = engine.moment(2)
-            if Direction(raw).exact_norm() is not None:
-                assert mv.exact is not None  # certified exact rational
+        for raw in [(1, 0), (0, 1), (2, 1), (1, 1), (-3, 2)]:
+            assert RayMomentEngine(P, Direction(raw)).moment(2).exact is not None, raw
 
 
 @pytest.mark.parametrize("dim, raws", [
@@ -194,21 +193,16 @@ def test_engine_exactness_in_the_plane():
 ])
 def test_ray_moment_against_engine(dim, raws):
     # the layer-cake of the linearly mapped body against the panel engine in
-    # the same direction; the engine's moment is per unit length of theta,
-    # exact whenever |theta| is rational
+    # the same direction, both in units of theta.raw: equal rationals for
+    # every direction, |theta| rational or not
     for seed in range(4):
         P = make_body(BodySpec("random_hull", dim, {"count": 6, "radius": 2, "seed": seed}))
         for raw in raws:
             theta = Direction(raw)
             engine = RayMomentEngine(P, theta)
             for p in range(1, dim + 1):
-                mine = ray_moment(P, theta, p)
-                ref = engine.moment(p)
-                if theta.exact_norm() is not None:
-                    assert mine.exact * theta.exact_norm() ** p == ref.exact, (seed, raw, p)
-                else:
-                    scaled = float(mine.exact) * math.sqrt(float(theta.norm_sq)) ** p
-                    assert scaled == pytest.approx(ref.value, rel=1e-12), (seed, raw, p)
+                mine = ray_moment(P, theta, p).exact
+                assert mine is not None and engine.moment(p).exact == mine, (seed, raw, p)
 
 
 def test_projection_power_against_monte_carlo():
@@ -501,6 +495,13 @@ def test_profile_weights_against_term_sums():
         terms = [(v if p == 1 else 0) if k == 0 else p * F(k) ** (p - 1) * v
                  for k, v in profile.items()]
         assert _profile_sum(profile, p) == sum(terms), p
+
+
+def test_power_sums_against_direct_sums():
+    # the recurrence (e+1) S_e = (j+1)^(e+1) - sum_{i<e} C(e+1, i) S_i against
+    # sum_{k<=j} k^e, with 0^0 = 1
+    for j in range(101):
+        assert _power_sums(j, 8) == [sum(k**e for k in range(j + 1)) for e in range(9)], j
 
 
 def test_m0_against_term_sums():

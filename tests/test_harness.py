@@ -166,8 +166,18 @@ _BAD_SWEEPS = {
 # with no dim or with params that are not an object, a cube edge of one number,
 # body params that do not parse (text for a number, an affine map without its
 # vector, a custom body without points), random-hull draws that cannot be made
-# (a negative seed, a range beyond int64)
+# (a negative seed, a range beyond int64), a body dim or anchor of the wrong
+# type (no coercion: 2.7 is not truncated, "false" is not truthy), and a
+# misspelt checker_params key
 _BAD_CONFIGS = {
+    "body-dim-fractional": {"bodies": [{"family": "cube", "dim": 2.7, "name": "c"}],
+                            "sweeps": []},
+    "body-dim-bool": {"bodies": [{"family": "cube", "dim": True, "name": "c"}], "sweeps": []},
+    "body-anchor-text": {"bodies": [{"family": "cube", "dim": 2, "anchor": "false",
+                                     "name": "c"}], "sweeps": []},
+    "checker-params-misspelt": {"bodies": [{"family": "cube", "dim": 2, "name": "c"}],
+                                "checker_params": {"berwald_discret": {"pairs": [[0, 1]]}},
+                                "sweeps": []},
     "sweeps-object": {"bodies": [], "sweeps": {"target": "B_limit", "scales": [100]}},
     "body-without-dim": {"bodies": [{"family": "cube", "name": "c"}], "sweeps": []},
     "body-name-number": {"bodies": [{"family": "cube", "dim": 2, "name": 5}], "sweeps": []},
@@ -224,6 +234,12 @@ class TestSweepConfig:
 
 
 class TestRunSuite:
+    def test_misspelt_checker_params_key_is_a_config_error(self):
+        cfg = SuiteConfig(bodies=[], sweeps=[],
+                          checker_params={"berwald_discret": {"pairs": [[0, 1]]}})
+        with pytest.raises(ConfigError, match="berwald_discret"):
+            run_suite(cfg)
+
     def test_empty_bodies_exit_zero(self):
         cfg = SuiteConfig(bodies=[], sweeps=[])
         doc = run_suite(cfg)

@@ -377,6 +377,37 @@ class TestVerify:
         row = [d for d in rep.context["directions"] if d["dir"] == ["-1", "0"]]
         assert row and row[0]["ball"] == "1/2" and row[0]["neg"] == "1/2"
 
+    def test_one_point_collapse_compares_pth_powers(self):
+        # both sides are p-th powers of the same rational, so both stay exact
+        K = make_polytope([(0, 0), (F(1, 2), 1), (F(1, 2), -1)], 2)
+        for p in (2, 3):
+            rep = verify("one_point_collapse", K, params={"p": p})
+            assert rep.holds and rep.lhs.exact == 0, p
+            row = [d for d in rep.context["directions"] if d["dir"] == ["-1", "0"]]
+            assert row[0]["ball"] == row[0]["neg"] == str(F(1, 2) ** p), p
+
+    @pytest.mark.parametrize("route", ["discrete_moment", "lp_solve"])
+    def test_one_point_collapse_reaches_both_routes(self, route, monkeypatch):
+        # the lattice-covariogram Ball body on one side, the vertex LP for
+        # rho_{-K} on the other: with either route stubbed out the remark
+        # body no longer gets `holds`
+        import zhangforge.inequalities as ineq
+
+        class Stubbed(Exception):
+            pass
+
+        def stub(*args, **kwargs):
+            raise Stubbed(route)
+
+        monkeypatch.setattr(ineq, route, stub)
+        K = make_polytope([(0, 0), (F(1, 2), 1), (F(1, 2), -1)], 2)
+        for p in (1, 2, 3):
+            try:
+                holds = verify("one_point_collapse", K, params={"p": p}).holds
+            except Stubbed:
+                holds = False
+            assert not holds, p
+
     def test_inconclusive_on_precondition(self, slab_body):
         rep = verify("ball_inclusion_discrete", slab_body)
         assert rep.verdict == "inconclusive"

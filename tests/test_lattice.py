@@ -184,6 +184,9 @@ class TestRayDecomposition:
     def test_moments(self, big_square, unit_square):
         assert discrete_ray_moment(ray_decomposition(big_square, E1), 1).exact == 9
         assert discrete_ray_moment(ray_decomposition(big_square, E1), 2).exact == 15
+        # an integer exponent given as a float or a Fraction is exact too
+        for p in (2.0, F(2)):
+            assert discrete_ray_moment(ray_decomposition(big_square, E1), p).exact == 15
         d = ray_decomposition(unit_square, E1, open_cube=True)
         assert discrete_ray_moment(d, 1).exact == 6
 

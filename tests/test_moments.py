@@ -174,8 +174,30 @@ class TestRadials:
     def test_polar_projection(self, unit_square, big_square, triangle):
         assert polar_projection_radial(unit_square, E2).exact == 1
         assert polar_projection_radial(big_square, E2).exact == F(1, 2)
-        mv = polar_projection_radial(triangle, Direction((1, 1)))
-        assert mv.value == pytest.approx(1 / math.sqrt(2), rel=1e-12)
+        # in units of theta.raw: 1/h_{Pi K}(1, 1) = 1/2, and degree -1 in theta
+        assert polar_projection_radial(triangle, Direction((1, 1))).exact == F(1, 2)
+        assert polar_projection_radial(triangle, Direction((2, 2))).exact == F(1, 4)
+
+    def test_per_direction_routes_are_exact_in_raw_units(self, triangle, unit_square):
+        # exact rationals at every rational direction, |theta| rational or
+        # not; doubling theta.raw halves a radial (degree -1) and divides a
+        # p-th moment by 2^p (degree p)
+        for P in (triangle, unit_square):
+            for raw in [(1, 1), (2, 1), (-1, 3), (0, 1)]:
+                theta, twice = Direction(raw), Direction(tuple(2 * c for c in raw))
+                for p in (1, 2, 3):
+                    for open_cube in (False, True):
+                        m = discrete_moment(P, theta, p, open_cube=open_cube).exact
+                        assert m is not None, (raw, p)
+                        assert discrete_moment(P, twice, p, open_cube=open_cube).exact == m / 2**p
+                    assert RayMomentEngine(P, twice).moment(p).exact == \
+                        ray_moment(P, theta, p).exact / 2**p
+                for source in ("difference-set", "polar-projection", "discrete"):
+                    rho = radial_ball_body(source, P, theta, 1).exact
+                    assert rho is not None, (source, raw)
+                    assert radial_ball_body(source, P, twice, 1).exact == rho / 2, (source, raw)
+                half = radial_Rp(P, twice, 2).value
+                assert half == pytest.approx(radial_Rp(P, theta, 2).value / 2, rel=1e-12), raw
 
     def test_difference_set_radial(self, unit_square):
         mv = radial_ball_body("difference-set", unit_square, Direction((1, 0)), None)
@@ -217,13 +239,13 @@ class TestStarVolume:
             prev = scaled
 
 
-def _difference_radial(P, theta: Direction) -> float:
+def _difference_radial(P, theta: Direction) -> F:
+    """rho_{K-K}(theta.raw), exactly."""
     from zhangforge import difference_body
     from zhangforge.lattice import ray_interval
 
     origin = tuple(F(0) for _ in range(P.dim))
-    rho_raw = ray_interval(difference_body(P), origin, tuple(-c for c in theta.raw))[1]
-    return float(rho_raw) * math.sqrt(float(theta.norm_sq))
+    return ray_interval(difference_body(P), origin, tuple(-c for c in theta.raw))[1]
 
 
 @pytest.mark.parametrize("source", SOURCES)
@@ -265,7 +287,8 @@ class TestBatchConsistency:
                     theta = Direction(raw)
                     nrm = math.sqrt(float(theta.norm_sq))
                     d = np.array([[raw[0] / nrm, raw[1] / nrm]])
-                    ref = radial_Rp(P, theta, p).value
+                    # the batch reads the unit direction: |theta| rho(theta.raw)
+                    ref = nrm * radial_Rp(P, theta, p).value
                     got = radial_batch("continuous", P, d, p)[0]
                     assert got == pytest.approx(ref, rel=1e-9), (raw, p)
 
@@ -313,7 +336,7 @@ def test_engine_is_exact_on_a_four_dimensional_hull():
     theta = Direction((1, 2, 2, 4))
     engine = RayMomentEngine(P, theta)
     for p in range(1, 5):
-        assert engine.moment(p).exact == ray_moment(P, theta, p).exact * 5**p, p
+        assert engine.moment(p).exact == ray_moment(P, theta, p).exact, p
     assert engine.certified
 
 
@@ -325,5 +348,5 @@ def test_engine_on_the_four_simplex_matches_ray_moment(raw):
     theta = Direction(raw)
     engine = RayMomentEngine(S, theta)
     for p in range(1, 5):
-        assert engine.moment(p).exact == ray_moment(S, theta, p).exact * theta.exact_norm() ** p
+        assert engine.moment(p).exact == ray_moment(S, theta, p).exact
     assert engine.certified

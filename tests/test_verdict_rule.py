@@ -119,6 +119,22 @@ def _callers(name: str) -> set[str]:
     return out
 
 
+def _readers(attr: str) -> set[str]:
+    """The top-level definitions of ``zhangforge`` that read ``.attr``."""
+    out = set()
+    for path in PACKAGE.glob("*.py"):
+        for stmt in ast.parse(path.read_text(), str(path)).body:
+            if any(isinstance(sub, ast.Attribute) and sub.attr == attr for sub in ast.walk(stmt)):
+                out.add(getattr(stmt, "name", "<module>"))
+    return out
+
+
+def test_only_the_shadow_volume_normalizes_a_direction():
+    # every other per-direction route works in units of theta.raw
+    for attr in ("exact_norm", "norm_sq"):
+        assert _readers(attr) <= {"projection_volume", "Direction"}, attr
+
+
 def test_reports_are_built_only_by_the_verdict_rule():
     assert _callers("InequalityReport") == {"_report", "_inconclusive"}
     assert _callers("B_coeff") == {"limit_sweep"}
