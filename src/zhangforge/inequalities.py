@@ -70,9 +70,9 @@ from .polytope import (
     Polytope,
     axis_direction,
     intersect,
-    max_section_anchor,
     polar_projection_body,
     projection_support,
+    top_face_anchor,
     translate,
     vertical_section,
 )
@@ -402,8 +402,15 @@ class BodyWorkspace:
         return projection_support(self.body, axis_direction(self.n).raw)
 
     @cached_property
+    def sym(self) -> Polytope:
+        """The body's Steiner symmetral, one hull; ``anchor``, ``asym`` and
+        ``section_dist`` are read off it."""
+        return steiner_symmetrize(self.body)
+
+    @cached_property
     def anchor(self):
-        return max_section_anchor(self.body)
+        """The lex-min anchor of a longest section, read off ``sym``'s top face."""
+        return top_face_anchor(self.sym)
 
     @cached_property
     def anchored(self) -> Polytope:
@@ -412,7 +419,9 @@ class BodyWorkspace:
 
     @cached_property
     def asym(self) -> Polytope:
-        return steiner_symmetrize(self.anchored)
+        """The symmetral of ``anchored``: ``sym`` moved by (-anchor, 0), with no
+        hull, since a horizontal translation commutes with the symmetrization."""
+        return self.sym.translated(tuple(-c for c in self.anchor) + (_ZERO,))
 
     def scaled(self, lam: int) -> "BodyWorkspace":
         """The workspace of lam * ``anchored`` for an integer lam > 0, with no
@@ -421,13 +430,14 @@ class BodyWorkspace:
         x -> lam x commutes with the Steiner symmetrization and maps the
         lex-min anchor of a longest section to lam times it, which is 0 for
         the anchored body.  So ``anchor`` is 0, ``anchored`` is the scaled
-        body, and ``asym`` is lam times this workspace's.
+        body, and ``asym`` and ``sym`` are lam times this workspace's ``asym``.
         """
         if lam not in self._scaled_workspaces:
             body = self.anchored.scaled(lam)
             ws = BodyWorkspace(body, self.seed)
+            asym = self.asym.scaled(lam)
             ws.__dict__.update(anchor=tuple(_ZERO for _ in range(self.n - 1)), anchored=body,
-                               asym=self.asym.scaled(lam))
+                               asym=asym, sym=asym)
             self._scaled_workspaces[lam] = ws
         return self._scaled_workspaces[lam]
 
@@ -488,11 +498,6 @@ class BodyWorkspace:
             rho.flags.writeable = False
             self._sample_radials[key] = rho
         return self._sample_radials[key]
-
-    @cached_property
-    def sym(self) -> Polytope:
-        # symmetral of the original body (translation of the anchored one)
-        return translate(self.asym, self.anchor + (_ZERO,))
 
     def slab(self, p) -> MeasureValue:
         return slab_moment(self.body, p, dist=self.section_dist)

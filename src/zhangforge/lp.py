@@ -173,34 +173,3 @@ def max_slack_point(A, b, cap: Fraction = Fraction(1)) -> tuple[Fraction, tuple[
     c = [Fraction(0)] * n + [Fraction(1)]
     res = lp_solve(c, rows, rhs)
     return res.value, res.x[:n]
-
-
-def lex_min_over(A, b, coords: int, fixed: list[tuple[list[Fraction], Fraction]] | None = None):
-    """Lexicographically smallest point of {x : A x <= b} in its first ``coords`` coordinates.
-
-    ``fixed`` holds extra equality rows (row, value) appended as constraint pairs,
-    used to pin an optimal objective level before breaking ties.
-    """
-    rows = [list(r) for r in A]
-    rhs = list(b)
-    if fixed:
-        for row, val in fixed:
-            rows.append(list(row))
-            rhs.append(val)
-            rows.append([-v for v in row])
-            rhs.append(-val)
-    n = len(rows[0])
-    point: list[Fraction] = []
-    for j in range(coords):
-        c = [Fraction(0)] * n
-        c[j] = Fraction(-1)
-        res = lp_solve(c, rows, rhs)
-        vj = res.x[j]
-        point.append(vj)
-        row = [Fraction(0)] * n
-        row[j] = Fraction(1)
-        rows.append(list(row))
-        rhs.append(vj)
-        rows.append([-v for v in row])
-        rhs.append(-vj)
-    return tuple(point)

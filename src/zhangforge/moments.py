@@ -21,12 +21,13 @@ float directions) run in binary64 with abs_error populated.
 Section-length powers int ell^q, and with them the projection-power and
 symmetral-slab moments and the chord-mean radials, have one integrator in every
 dimension: the layer-cake over the section-length distribution u -> vol{ell >= u},
-which is the slice polynomial of the Steiner symmetral (its slice at height u/2
-is {ell >= u}).  The projected overlap K cap (K + u e_n) is the same function;
-it is left as a test oracle, and the ray engine, whose panels read K cap
-(K + r theta), stays the independent route.  Both read their panel
-polynomials off ``polytope.parametric_volume``.  No checker samples; Monte Carlo
-is left only as a test oracle (``mc_section_samples``).
+which is the slice volume of the Steiner symmetral (its slice at height u/2
+is {ell >= u}).  ``section_distribution`` reads it off the symmetral's upper
+boundary simplices by divided differences, with no hull and no LP.  The
+projected overlap K cap (K + u e_n) is the same function; it is left as a
+test oracle, and the ray engine, whose panels read K cap (K + r theta) off
+``polytope.parametric_volume``, stays the independent route.  No checker
+samples; Monte Carlo is left only as a test oracle (``mc_section_samples``).
 
 The float radial batches clip rays against a body in one place,
 ``_interval_batch``, one fused pass over the facets.  The continuous source
@@ -41,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     DegenerateBody,
@@ -57,7 +59,7 @@ from .lattice import (
     lattice_points,
     ray_decomposition,
 )
-from .linalg import Vec, dot, frac, mat_inv
+from .linalg import Vec, det_int, dot, frac, integer_points, mat_inv
 from .lp import lp_solve
 from .polytope import (
     Direction,
@@ -298,21 +300,94 @@ class SectionDistribution:
     reach: Fraction
 
 
-def section_distribution(P: Polytope, symmetral: Polytope | None = None) -> SectionDistribution:
-    """Distribution function of the section-length profile.
+def _upper_difference(W: list[int], k: int, d: int) -> tuple[list[int], int]:
+    """[W_0, ..., W_d] f for f(x) = (x - v)^d on the nodes W_k, ..., W_d and
+    f = 0 on the nodes below, for sorted integer nodes with W_{k-1} < W_k: the
+    ascending coefficients in v of one integer polynomial, and its denominator.
 
-    The slice of the Steiner symmetral S at height t is {y in P(K) : ell(y) >= 2t}
-    (Gardner-Zhang), so vol{ell >= u} is the volume of {y : <a', y> <= b - a_n u/2}
-    over S's rows (a', a_n): one sweep of [0, 2 max height] by
-    ``parametric_volume``, one piece per maximal interval of one slice type.
+    Each table entry is such a pair.  Equal nodes are confluent: the entry
+    over r + 1 equal nodes is f's r-th derivative there over r!, that is
+    C(d, r) (W - v)^{d-r} or 0 (a tie never straddles W_k).
     """
+    def node(w: int, r: int, upper: bool) -> tuple[list[int], int]:
+        e, c = d - r, math.comb(d, r)
+        return [c * math.comb(e, j) * (-1) ** j * w ** (e - j) if upper and j <= e else 0
+                for j in range(d + 1)], 1
+
+    table = [node(w, 0, i >= k) for i, w in enumerate(W)]
+    for r in range(1, d + 1):
+        nxt = []
+        for i, ((b, db), (a, da)) in enumerate(zip(table, table[1:])):
+            gap = W[i + r] - W[i]
+            if gap:
+                m = lcm(da, db)
+                nxt.append(([x * (m // da) - y * (m // db) for x, y in zip(a, b)], m * gap))
+            else:
+                nxt.append(node(W[i], r, i >= k))
+        table = nxt
+    return table[0]
+
+
+def section_distribution(P: Polytope, symmetral: Polytope | None = None) -> SectionDistribution:
+    """Distribution function of the section-length profile, read off the
+    boundary simplices of the Steiner symmetral S, with no hull and no LP.
+
+    The slice of S at height t is {y in P(K) : ell(y) >= 2t} (Gardner-Zhang),
+    so ell is twice the height of S's upper boundary: the boundary simplices
+    whose projection has nonzero determinant and whose top height is above 0
+    tile P(K), and ell is affine on each.  An affine h on a d-simplex D with
+    vertex values w_i has vol{h >= u} = vol(D) [w_0, ..., w_d](. - u)_+^d
+    (Curry-Schoenberg), a polynomial in u between consecutive distinct w_i.
+    Over S's vertices as integers V/L, with w = W/L and u = v/L, the divided
+    difference over the W in v is the same number, so each simplex adds
+    integer polynomials in v (``_upper_difference``) on the gaps between its
+    nodes.  Pieces run between consecutive distinct vertex section lengths,
+    and adjacent pieces with one polynomial are merged.
+    """
+    if P.dim < 2:
+        raise DimensionMismatch("section lengths need ambient dimension >= 2")
     S = symmetral if symmetral is not None else steiner_symmetrize(P)
-    reach = 2 * max(v[-1] for v in S.vertices)
-    heads = [(a, b) for a, b in S.halfspaces if any(a[:-1])]
-    rows = [(a[:-1], b) for a, b in heads]
-    shifts = [-a[-1] / 2 for a, _b in heads]
-    pieces = _panel_sweep(lambda lo, hi: parametric_volume(rows, shifts, lo, hi), _ZERO, reach)
-    return SectionDistribution(pieces, projection_support(P, axis_direction(P.dim).raw), reach)
+    d = P.dim - 1
+    pts, simplices = S._tri
+    V, L = integer_points(pts)
+    terms = []  # (lower node, upper node, |det| times the coefficients, den)
+    for s in simplices:
+        W = sorted(2 * V[i][-1] for i in s)
+        if W[-1] <= 0:
+            continue
+        base = V[s[0]]
+        vol = abs(det_int([[x - y for x, y in zip(V[i][:-1], base)] for i in s[1:]]))
+        if not vol:
+            continue
+        if W[0] > 0:
+            terms.append((0, W[0], [vol] + [0] * d, 1))
+        for k in range(1, d + 1):
+            if W[k - 1] < W[k]:
+                coeffs, den = _upper_difference(W, k, d)
+                terms.append((W[k - 1], W[k], [vol * c for c in coeffs], den))
+    nodes = sorted({0} | {w for lo, hi, _c, _d in terms for w in (lo, hi)})
+    where = {w: i for i, w in enumerate(nodes)}
+    D = lcm(*(den for *_r, den in terms))
+    diff = [[0] * (d + 1) for _ in nodes]
+    for lo, hi, coeffs, den in terms:
+        m = D // den
+        for row, sign in ((diff[where[lo]], m), (diff[where[hi]], -m)):
+            for j, c in enumerate(coeffs):
+                row[j] += sign * c
+    # coefficient j of u^j is L^j times that of v^j, over D d! L^d
+    scale = D * math.factorial(d) * L**d
+    pieces = []
+    acc = [0] * (d + 1)
+    for lo, hi, step in zip(nodes, nodes[1:], diff):
+        acc = [x + y for x, y in zip(acc, step)]
+        if pieces and pieces[-1][2] == acc:
+            pieces[-1][1] = hi
+        else:
+            pieces.append([lo, hi, acc])
+    return SectionDistribution(
+        [(Fraction(lo, L), Fraction(hi, L), [Fraction(c * L**j, scale) for j, c in enumerate(acc)])
+         for lo, hi, acc in pieces],
+        projection_support(P, axis_direction(P.dim).raw), Fraction(nodes[-1], L))
 
 
 def section_power_integral(P: Polytope, q,

@@ -15,12 +15,16 @@ segment at a time.  ``from_points`` hulls the points.
 point: the dual hull's facets are the vertices, its extreme points the
 irredundant rows, and the dual points on each facet plane the rows tight at
 that vertex.  Those incidences give the boundary triangulation (pulling, no
-arithmetic) and ``parametric_volume`` its vertex paths.  A halfspace set
-with empty interior is the exception: its implicit equalities are found by
-one LP per row, and its vertices re-hulled in the affine hull.  Volumes of
-boundary triangulations, from any construction and in ``parametric_volume``,
-are sums of integer determinants, and facet weights are sums of their
-simplices' integer cofactor normals.
+arithmetic) and ``parametric_volume`` its vertex paths; only the ray engine
+of ``moments`` sweeps a parameter with it.  A halfspace set with empty
+interior is the exception: its implicit equalities are found by one LP per
+row, and its vertices re-hulled in the affine hull.  Volumes of boundary
+triangulations, from any construction and in ``parametric_volume``, are
+sums of integer determinants, and facet weights are sums of their
+simplices' integer cofactor normals, so Cauchy's formula
+(``projection_support``) is one integer sum.  The longest-section anchor is
+read off the top face of the Steiner symmetral (``top_face_anchor``), with
+no LP.
 """
 
 from __future__ import annotations
@@ -52,10 +56,9 @@ from .linalg import (
     vec,
     vsub,
 )
-from .lp import lex_min_over, lp_solve, max_slack_point
+from .lp import lp_solve, max_slack_point
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +195,7 @@ class Polytope:
         "_tri",
         "_volume",
         "_fweights",
+        "_int_weights",
         "_fattenings",
         "_int_rows",
         "_incidence",
@@ -207,6 +211,7 @@ class Polytope:
         self._tri = tri
         self._volume: Fraction | None = None
         self._fweights = None
+        self._int_weights = None  # ((normal, g) per facet, den), see ``_integer_weights``
         self._fattenings = None
         self._int_rows = None
         self._incidence = None  # per vertex, the input rows of from_halfspaces tight there
@@ -442,34 +447,12 @@ class Polytope:
         return self._volume
 
     def facet_weights(self):
-        """Per-facet (normal a, offset b, vol_{n-1}(F)/||a||) with the weight exact.
-
-        Read off the boundary triangulation, over integers: with the points
-        over one denominator L, a boundary simplex's cofactor normal N has
-        length (n-1)! L^{n-1} vol_{n-1}, and N = g a for the outward primitive
-        normal a of its facet, so each facet weighs the sum of its simplices'
-        g over (n-1)! L^{n-1}.
-        """
+        """Per-facet (normal a, offset b, vol_{n-1}(F)/||a||) with the weight exact,
+        one ``Fraction`` per facet from :func:`_integer_weights`."""
         if self._fweights is None:
-            if not self.is_full_dimensional:
-                raise DegenerateBody("facet weights need a full-dimensional polytope")
-            n = self.dim
-            pts, simplices = self._tri
-            ipts, L = integer_points([*pts, self._interior])
-            sums: dict[tuple[int, ...], int] = {}
-            for s in simplices:
-                base = ipts[s[0]]
-                edges = [[x - y for x, y in zip(ipts[i], base)] for i in s[1:]]
-                N = _normal(edges) if n > 1 else [1]
-                g = gcd(*N)
-                if sum(x * (y - c) for x, y, c in zip(N, base, ipts[-1])) < 0:
-                    g = -g
-                a = tuple(x // g for x in N)
-                sums[a] = sums.get(a, 0) + abs(g)
-            den = math.factorial(n - 1) * L ** (n - 1)
-            self._fweights = tuple(
-                (a, b, Fraction(sums[tuple(int(x) for x in a)], den)) for a, b in self.halfspaces
-            )
+            sums, den = _integer_weights(self)
+            self._fweights = tuple((a, b, Fraction(g, den))
+                                   for (a, b), (_a, g) in zip(self.halfspaces, sums))
         return self._fweights
 
     def translated(self, t) -> "Polytope":
@@ -525,6 +508,37 @@ def _hull_interior(verts) -> Vec:
         return (Fraction(verts[0][0] + verts[-1][0], 2),)
     chosen = verts if d == 2 else [verts[i] for i in affine_basis(verts)]
     return tuple(sum(v[k] for v in chosen) / len(chosen) for k in range(d))
+
+
+def _integer_weights(P: Polytope):
+    """((a, g) per halfspace, den), memoized on ``P``: the facet with primitive
+    integer normal a weighs g / den.
+
+    Read off the boundary triangulation, over integers: with the points over
+    one denominator L, a boundary simplex's cofactor normal N has length
+    (n-1)! L^{n-1} vol_{n-1}, and N = g a for the outward primitive normal a
+    of its facet, so each facet's g is the sum of its simplices' g, and
+    den = (n-1)! L^{n-1}.
+    """
+    if P._int_weights is None:
+        if not P.is_full_dimensional:
+            raise DegenerateBody("facet weights need a full-dimensional polytope")
+        n = P.dim
+        pts, simplices = P._tri
+        ipts, L = integer_points([*pts, P._interior])
+        sums: dict[tuple[int, ...], int] = {}
+        for s in simplices:
+            base = ipts[s[0]]
+            edges = [[x - y for x, y in zip(ipts[i], base)] for i in s[1:]]
+            N = _normal(edges) if n > 1 else [1]
+            g = gcd(*N)
+            if sum(x * (y - c) for x, y, c in zip(N, base, ipts[-1])) < 0:
+                g = -g
+            a = tuple(x // g for x in N)
+            sums[a] = sums.get(a, 0) + abs(g)
+        keys = [tuple(int(x) for x in a) for a, _b in P.halfspaces]
+        P._int_weights = (tuple((a, sums[a]) for a in keys), math.factorial(n - 1) * L ** (n - 1))
+    return P._int_weights
 
 
 def _bits(mask: int) -> tuple[int, ...]:
@@ -934,8 +948,12 @@ def _panel_sweep(piece, lo, hi) -> list[tuple[Fraction, Fraction, list]]:
 
 
 def projection_support(P: Polytope, u) -> Fraction:
-    """h_ΠK(u) = ½ Σ_F w_F |<a_F, u>| exactly, for any rational vector u."""
-    return sum((abs(dot(a, u)) * w for a, _b, w in P.facet_weights()), _ZERO) / 2
+    """h_ΠK(u) = ½ Σ_F w_F |<a_F, u>| exactly, for any rational vector u: one
+    integer sum over the integer facet weights, and one ``Fraction``."""
+    sums, den = _integer_weights(P)
+    U, L = integer_row(vec(u))
+    total = sum(g * abs(sum(map(mul, a, U))) for a, g in sums)
+    return Fraction(total, 2 * den * L)
 
 
 def projection_volume(P: Polytope, theta: Direction) -> MeasureValue:
@@ -982,26 +1000,23 @@ def polar_projection_body(P: Polytope) -> Polytope:
 
 
 def max_section_anchor(P: Polytope) -> Vec:
-    """Anchor y* of a longest vertical section, lexicographically smallest.
+    """Anchor y* of a longest vertical section, lexicographically smallest:
+    :func:`top_face_anchor` of P's Steiner symmetral."""
+    from .steiner import steiner_symmetrize
 
-    Solved as the exact LP  max (t2 - t1)  over (y, t1), (y, t2) in P, then
-    successive lexicographic minimization of y over the optimal face.
+    return top_face_anchor(steiner_symmetrize(P))
+
+
+def top_face_anchor(S: Polytope) -> Vec:
+    """The lexicographically least y' among the vertices (y', z) of the Steiner
+    symmetral S at its top height, with no LP.
+
+    The slice of S at height t is {y : ell(y) >= 2t}, so S's top face is the
+    set of longest sections' anchors at the top height; its lex-min point is
+    one of its vertices, which are S's vertices at that height.
     """
-    if not P.is_full_dimensional:
-        raise DegenerateBody("section anchor needs a full-dimensional body")
-    n = P.dim
-    nv = (n - 1) + 2  # y, t1, t2
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for a, b in P.halfspaces:
-        rows.append(list(a[:-1]) + [a[-1], _ZERO])
-        rhs.append(b)
-        rows.append(list(a[:-1]) + [_ZERO, a[-1]])
-        rhs.append(b)
-    obj = [_ZERO] * (n - 1) + [-_ONE, _ONE]
-    best = lp_solve(obj, rows, rhs)
-    anchor = lex_min_over(rows, rhs, n - 1, fixed=[(obj, best.value)])
-    return anchor
+    top = max(v[-1] for v in S.vertices)
+    return min(v[:-1] for v in S.vertices if v[-1] == top)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from zhangforge import (
     axis_direction,
     intersect,
     make_polytope,
+    max_section_anchor,
     minkowski_sum,
     polar_projection_body,
     project_drop_last,
@@ -1465,3 +1466,66 @@ def test_affine_images_against_hull_of_mapped_vertices():
             assert got.interior_point == want.interior_point
             seen[name, det(A) != 0] += 1
     assert seen["rational", True] >= 10 and seen["singular", False] >= 10
+
+
+# -- the longest-section anchor read off the symmetral's top face, against the
+# two-copy LP it replaced --
+
+def _lex_min_over(A, b, coords, fixed=None):
+    """Lexicographically smallest point of {x : A x <= b} in its first ``coords``
+    coordinates, each fixed by one LP; ``fixed`` holds extra equality rows
+    (row, value), used to pin an optimal objective level before breaking ties."""
+    rows = [list(r) for r in A]
+    rhs = list(b)
+    for row, val in fixed or ():
+        rows += [list(row), [-v for v in row]]
+        rhs += [val, -val]
+    n = len(rows[0])
+    point = []
+    for j in range(coords):
+        c = [F(0)] * n
+        c[j] = F(-1)
+        vj = lp_solve(c, rows, rhs).x[j]
+        point.append(vj)
+        e = [F(int(i == j)) for i in range(n)]
+        rows += [e, [-v for v in e]]
+        rhs += [vj, -vj]
+    return tuple(point)
+
+
+def _lp_section_anchor(P):
+    """max (t2 - t1) over (y, t1), (y, t2) in P, then the lex-min y over the
+    optimal face."""
+    n = P.dim
+    rows, rhs = [], []
+    for a, b in P.halfspaces:
+        rows += [list(a[:-1]) + [a[-1], F(0)], list(a[:-1]) + [F(0), a[-1]]]
+        rhs += [b, b]
+    obj = [F(0)] * (n - 1) + [F(-1), F(1)]
+    best = lp_solve(obj, rows, rhs)
+    return _lex_min_over(rows, rhs, n - 1, fixed=[(obj, best.value)])
+
+
+def test_lex_tie_break():
+    # maximize x+y on the square has the whole edge optimal; lex-min is (0,...)
+    A = [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1]]
+    b = [1, 0, 1, 0, 1]
+    res = lp_solve([1, 1], A, b)
+    assert res.value == 1
+    pt = _lex_min_over(A, b, 2, fixed=[([F(1), F(1)], F(1))])
+    assert pt == (F(0), F(1))
+
+
+def test_max_section_anchor_against_lp():
+    # random hulls, and the cube, simplex and cross families, whose longest
+    # sections fill a whole face (lex-min ties), moved off the origin
+    specs = [BodySpec("random_hull", n, {"count": n + 4, "radius": 2, "seed": s})
+             for n, seeds in ((2, 10), (3, 8), (4, 4)) for s in range(seeds)]
+    specs += [BodySpec("cube", n, {"edge": edge}) for n in (2, 3, 4)
+              for edge in ([0, 1], ["-1/2", "3/2"])]
+    specs += [BodySpec(fam, n, {"scale": scale}) for fam in ("simplex", "cross")
+              for n in (2, 3, 4) for scale in (1, "5/3")]
+    bodies = [make_body(spec) for spec in specs]
+    bodies += [P.translated(tuple(F(i + 1, 3) for i in range(P.dim))) for P in bodies]
+    for P in bodies:
+        assert max_section_anchor(P) == _lp_section_anchor(P), P

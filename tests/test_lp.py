@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import linprog
 
 from zhangforge.errors import Infeasible, Unbounded
-from zhangforge.lp import lex_min_over, lp_solve, max_slack_point
+from zhangforge.lp import lp_solve, max_slack_point
 
 
 def test_simple_max():
@@ -48,16 +48,6 @@ def test_max_slack_classifies():
     # empty
     t, _ = max_slack_point([[1], [-1]], [0, -1])
     assert t < 0
-
-
-def test_lex_tie_break():
-    # maximize x+y on the square has the whole edge optimal; lex-min is (0,...)
-    A = [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1]]
-    b = [1, 0, 1, 0, 1]
-    res = lp_solve([1, 1], A, b)
-    assert res.value == 1
-    pt = lex_min_over(A, b, 2, fixed=[([Fraction(1), Fraction(1)], Fraction(1))])
-    assert pt == (Fraction(0), Fraction(1))
 
 
 @pytest.mark.parametrize("seed", range(12))

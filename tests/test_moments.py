@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from zhangforge import Direction, axis_direction, make_polytope, volume
-from zhangforge.errors import ExponentOutOfRange, RouteUnsupported
+from zhangforge.errors import DimensionMismatch, ExponentOutOfRange, RouteUnsupported
+from zhangforge.lattice import lattice_points
 from zhangforge.moments import (
     SOURCES,
     RayMomentEngine,
@@ -19,6 +20,7 @@ from zhangforge.moments import (
     radial_batch,
     ray_moment,
     ray_support,
+    section_distribution,
     section_power_integral,
     slab_moment,
     star_volume,
@@ -150,18 +152,18 @@ class TestRadials:
                 prev = gap
             assert prev <= 1.15  # ~ (n ln p)/p envelope at p = 64
 
-    def test_ball_body_collapse_for_characteristic_source(self, unit_square):
-        # with g = chi_K the p-th Ball body is K itself: check via the exact
-        # ray interval of the body against the p-th root of the ray moment
-        from zhangforge.lattice import ray_interval
-
-        for raw in [(1, 0), (1, 1), (1, 2)]:
-            mom = 0.0
-            p = 3
-            seg = ray_interval(unit_square, (0, 0), tuple(-F(c) for c in raw))
-            rho_K = float(seg[1]) * math.sqrt(sum(c * c for c in raw))
-            # p * int_0^rho r^{p-1} dr = rho^p exactly
-            assert (rho_K**p) ** (1.0 / p) == pytest.approx(rho_K)
+    def test_ball_body_collapse_on_a_one_point_lattice_set(self):
+        # K cap Z^2 = {0}: the discrete Ball body's moment is one term, the
+        # ray from 0 through -K, so it is rho_{-K}(theta)^p exactly, in raw
+        # units; rho_{-K}(theta) = 1 / max_F <a_F, -theta> / b_F by the gauge
+        K = make_polytope([(F(-1, 2), F(-1, 3)), (F(2, 3), F(-1, 2)), (F(1, 3), F(3, 4))], 2)
+        assert list(lattice_points(K)) == [(0, 0)]
+        for raw in [(1, 0), (1, 1), (1, 2), (-2, 3), (0, -1)]:
+            theta = Direction(raw)
+            rho = 1 / max(-sum(x * y for x, y in zip(a, theta.raw)) / b for a, b in K.halfspaces)
+            assert radial_ball_body("discrete", K, theta, 1).exact == rho, raw
+            for p in (1, 2, 3):
+                assert discrete_moment(K, theta, p).exact == rho**p, (raw, p)
 
     def test_discrete_sources(self, big_square, unit_square):
         e1 = Direction((1, 0))
@@ -350,3 +352,14 @@ def test_engine_on_the_four_simplex_matches_ray_moment(raw):
     for p in range(1, 5):
         assert engine.moment(p).exact == ray_moment(S, theta, p).exact
     assert engine.certified
+
+
+def test_section_length_layer_needs_two_dimensions():
+    # a segment has no projection to read section lengths over: a typed
+    # error, as column_lengths raises, not an IndexError
+    seg = make_polytope([(0,), (1,)], 1)
+    for route in (section_distribution, lambda P: slab_moment(P, 1),
+                  lambda P: projection_power_moment(P, 1),
+                  lambda P: section_power_integral(P, 2)):
+        with pytest.raises(DimensionMismatch):
+            route(seg)

@@ -26,7 +26,7 @@ from zhangforge import (
 )
 from zhangforge.errors import DegenerateBody, DimensionMismatch
 from zhangforge.linalg import det
-from zhangforge.polytope import parametric_volume, polytope_to_json
+from zhangforge.polytope import _panel_sweep, parametric_volume, polytope_to_json
 
 F = Fraction
 
@@ -390,6 +390,14 @@ def _symmetral_slice_family(P):
             list(zip(breaks, breaks[1:])))
 
 
+def _slice_sweep(P):
+    """u -> vol{ell >= u} by one ``parametric_volume`` sweep of the symmetral's
+    slices: one piece per maximal interval of one slice type."""
+    rows, shifts, panels = _symmetral_slice_family(P)
+    return _panel_sweep(lambda lo, hi: parametric_volume(rows, shifts, lo, hi),
+                        F(0), panels[-1][1])
+
+
 def _overlap_family(P, raw):
     """Rows, shifts and panels of r -> K cap (K + r raw)."""
     from zhangforge.moments import ray_breakpoints, ray_support
@@ -430,14 +438,13 @@ def test_parametric_volume_rejects_a_kink_left_of_the_midpoint():
     # its interval must stop exactly at the break.  A panel centred on the
     # break puts a splitting vertex at the midpoint: the interval is that point.
     from zhangforge.harness import BodySpec, make_body
-    from zhangforge.moments import section_distribution
 
     merged = 0
     for dim in (2, 3):
         for seed in range(4):
             P = make_body(BodySpec("random_hull", dim, {"count": 6, "radius": 2, "seed": seed}))
             rows, shifts, _panels = _symmetral_slice_family(P)
-            pieces = section_distribution(P).pieces
+            pieces = _slice_sweep(P)
             for (a, b, left), (_b, c, right) in zip(pieces, pieces[1:]):
                 if left != right and b - a < c - b:
                     assert parametric_volume(rows, shifts, a, c) == (right, b, c), (dim, seed, b)
@@ -524,3 +531,97 @@ def test_one_hull_per_ray_engine_panel(monkeypatch):
     engine.moment(1)
     # the four pieces between the exact kinks, one call and one hull each
     assert len(panels) == len(engine._panels) == 4 and len(calls) == len(panels)
+
+
+def _count_lps(monkeypatch):
+    """Count ``lp_solve`` calls through every module that binds it."""
+    import sys
+
+    import zhangforge.lp as lp
+
+    calls = []
+    real = lp.lp_solve
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "zhangforge" and getattr(mod, "lp_solve", None) is real:
+            monkeypatch.setattr(mod, "lp_solve", counted)
+    return calls
+
+
+def _distribution_bodies():
+    """Random hulls n = 2, 3, 4, one whose slice sweep splits a polynomial at
+    1/4, a sheared image (x_n + <s, x'> keeps every section length) and the
+    corpus."""
+    from zhangforge.harness import BodySpec, default_corpus, make_body
+
+    bodies = [make_body(BodySpec("random_hull", n, {"count": n + 4, "radius": 2, "seed": s}))
+              for n in (2, 3, 4) for s in range(4)]
+    split = make_body(BodySpec("random_hull", 3, {"count": 9, "radius": F(1, 3), "seed": 20}))
+    bodies.append(split)
+    P = make_body(BodySpec("random_hull", 3, {"count": 7, "radius": 2, "seed": 1}))
+    bodies.append(transform(P, [[1, 0, 0], [0, 1, 0], [F(1, 2), F(-2, 3), 1]], [0, 0, F(1, 5)]))
+    bodies += [make_body(spec) for spec in default_corpus()]
+    return bodies, split
+
+
+def test_section_distribution_against_the_slice_sweep():
+    # the distribution read off the symmetral's boundary simplices against the
+    # sweep of its slices: each swept piece lies in one read piece with the
+    # same polynomial, adjacent read pieces differ, and the integer moments agree
+    from zhangforge.moments import SectionDistribution, section_distribution, section_power_integral
+
+    bodies, split = _distribution_bodies()
+    for P in bodies:
+        dist = section_distribution(P)
+        swept = _slice_sweep(P)
+        assert dist.reach == swept[-1][1] and dist.pieces[0][0] == swept[0][0] == 0, P
+        for a, b, coeffs in swept:
+            (_lo, _hi, read), = [p for p in dist.pieces if p[0] <= a and b <= p[1]]
+            assert read == coeffs, (P, a, b)
+        assert all(p[2] != q[2] for p, q in zip(dist.pieces, dist.pieces[1:])), P
+        old = SectionDistribution(swept, dist.projvol, dist.reach)
+        for q in range(1, 6):
+            want = section_power_integral(P, q, dist=old).exact
+            assert section_power_integral(P, q, dist=dist).exact == want, (P, q)
+    # the sweep splits one polynomial at 1/4, where the slice changes type;
+    # the read gives one piece there
+    swept_breaks = {b for _a, b, _c in _slice_sweep(split)}
+    read_breaks = {b for _a, b, _c in section_distribution(split).pieces}
+    assert F(1, 4) in swept_breaks - read_breaks
+
+
+def test_section_distribution_builds_no_hull_and_solves_no_lp(monkeypatch):
+    from zhangforge.moments import section_distribution
+    from zhangforge.steiner import steiner_symmetrize
+
+    bodies = _distribution_bodies()[0][:14]
+    symmetrals = [steiner_symmetrize(P) for P in bodies]
+    hulls, lps = _count_hulls(monkeypatch), _count_lps(monkeypatch)
+    for P, S in zip(bodies, symmetrals):
+        section_distribution(P, symmetral=S)
+    assert hulls == [] and lps == []
+
+
+def test_workspace_section_layer_is_one_hull_and_no_lp(monkeypatch):
+    # the anchor, both symmetrals and the distribution come from the one
+    # Steiner hull of the body; the anchor agrees with the two-copy LP's
+    # (tests/test_differential.py)
+    from zhangforge.harness import default_corpus, make_body
+    from zhangforge.inequalities import BodyWorkspace
+
+    bodies = [make_body(spec) for spec in default_corpus()]
+    anchors = [max_section_anchor(P) for P in bodies]
+    hulls, lps = _count_hulls(monkeypatch), _count_lps(monkeypatch)
+    for P, want in zip(bodies, anchors):
+        before = len(hulls)
+        ws = BodyWorkspace(P)
+        assert ws.anchor == want
+        assert ws.asym.vertices == tuple(tuple(x - c for x, c in zip(v, want + (F(0),)))
+                                         for v in ws.sym.vertices)
+        ws.section_dist
+        assert len(hulls) == before + 1, P
+    assert lps == []
