@@ -28,9 +28,11 @@ from zhangforge.moments import (
     radial_ball_body,
     projection_power_moment,
     radial_batch,
+    section_distribution,
     slab_moment,
     star_volume,
 )
+from zhangforge.steiner import steiner_symmetrize
 
 square = make_polytope([(0, 0), (1, 0), (0, 1), (1, 1)], 2)
 T = make_polytope([(0, 0), (1, 0), (0, 1)], 2)
@@ -41,10 +43,11 @@ for x in [(0, 0), (0.5, 0), (2, 0)]:
     print(f"  g({x}) = {covariogram(square, x).exact}")
 
 print("\nthree routes for the p-th moments of [0,1]^2 along e2:")
+dist = section_distribution(steiner_symmetrize(square))
 for p in (1, 2):
     routes = (("ray engine", RayMomentEngine(square, e2).moment(p)),
-              ("symmetral slab", slab_moment(square, p)),
-              ("projection power", projection_power_moment(square, p)))
+              ("symmetral slab", slab_moment(dist, p)),
+              ("projection power", projection_power_moment(dist, p)))
     print(f"  p={p}:  " + "   ".join(f"{name}: {mv.exact}" for name, mv in routes))
 
 print("\nchord-mean radials (projection-power form):")

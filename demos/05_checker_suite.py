@@ -29,7 +29,7 @@ for cid in ("discrete_zhang_mu", "purely_discrete_zhang", "mu_gn_sandwich"):
 print("\nslice lattice profiles of [-1,1]^2 and the crossing point of the comparison profile g:")
 pr = section_profiles(sym)
 print(f"  f = {dict(sorted(pr.f.items()))}  f~ = {dict(sorted(pr.f_tilde.items()))}")
-print(f"  f~ >= g below k* and g >= f from k* on, k* = {crossing_point(sym, 1, pr)}")
+print(f"  f~ >= g below k* and g >= f from k* on, k* = {crossing_point(pr, 1)}")
 
 print("\nscaling sweep: the rescaled lattice bound approaches the continuous one:")
 square = make_polytope([(0, 0), (1, 0), (0, 1), (1, 1)], 2)

@@ -17,10 +17,6 @@ class Infeasible(ZhangForgeError):
     """A linear program has no feasible point."""
 
 
-class SingularMap(ZhangForgeError):
-    """An affine map required to be invertible is singular."""
-
-
 class DegenerateBody(ZhangForgeError):
     """A full-dimensional convex body was required but the input is lower-dimensional."""
 
@@ -67,9 +63,13 @@ class EmptyProjectionLattice(ZhangForgeError):
     """The projection of the body contains no lattice point."""
 
 
-class DegenerateSpec(ZhangForgeError):
-    """A body specification could not be realized as a full-dimensional polytope."""
-
-
 class ConfigError(ZhangForgeError):
     """Invalid suite configuration."""
+
+
+class SingularMap(ConfigError):
+    """An affine map required to be invertible is singular."""
+
+
+class DegenerateSpec(ConfigError):
+    """A body specification could not be realized as a full-dimensional polytope."""

@@ -49,6 +49,7 @@ from .lattice import (
     column_moment,
     column_ranges,
     count_lattice,
+    fattened_mu,
     fattening,
     lattice_points,
     mu_measure,
@@ -61,6 +62,7 @@ from .moments import (
     projection_power_moment,
     radial_batch,
     ray_moment,
+    section_distribution,
     section_power_integral,
     slab_moment,
 )
@@ -76,7 +78,7 @@ from .polytope import (
     translate,
     vertical_section,
 )
-from .steiner import steiner_symmetrize
+from .steiner import require_x_n_symmetric, steiner_symmetrize
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -125,20 +127,12 @@ def _B_exact(m: Fraction, p: int, n: int) -> Fraction:
     return _h_exact(m, p, n) / m**p
 
 
-def B_coeff(m, p, n: int) -> float:
-    """Discrete analogue of the inverse binomial weight in reverse Hoelder means,
-    for an integer p >= 1 (``_B_exact`` rounded once)."""
-    if m <= 0 or p < 1:
-        raise ValueError("need m > 0 and p >= 1")
-    if p != int(p):
-        raise ValueError("B_m(p) needs an integer p")
-    return float(_B_exact(frac(m), int(p), n))
-
-
 @dataclass(frozen=True)
 class SectionProfiles:
-    """Lattice counts of symmetral slices (plain f and open-fattened f~) and columns."""
+    """Lattice counts of symmetral slices (plain f and open-fattened f~) and
+    columns of an n-dimensional body."""
 
+    n: int
     f: dict[int, int]
     f_tilde: dict[int, int]
     M: int
@@ -155,15 +149,11 @@ class SectionProfiles:
     def f_tilde_at(self, k: int) -> int:
         return self.f_tilde.get(k, 0)
 
-
-@dataclass(frozen=True)
-class HypothesesH:
-    max_at_zero_column: bool
-    M: int
-
     @property
-    def satisfied(self) -> bool:
-        return self.max_at_zero_column and self.M >= 1
+    def satisfies_h(self) -> bool:
+        """The hypotheses (H): the column at 0 is a longest one, and M >= 1."""
+        at_zero = self.column_counts.get((0,) * (self.n - 1), 0)
+        return at_zero > 0 and at_zero == max(self.column_counts.values()) and self.M >= 1
 
 
 def _height_counts(ranges) -> dict[int, int]:
@@ -178,30 +168,23 @@ def _height_counts(ranges) -> dict[int, int]:
     return {k: c for k, c in enumerate(counts) if c}
 
 
-def section_profiles(P: Polytope, symmetral: Polytope | None = None) -> SectionProfiles:
-    """f(k)/f~(k): lattice counts of the symmetral slice at height k, plain and
-    fattened by the open unit cube of the slice's ambient space.
+def section_profiles(S: Polytope) -> SectionProfiles:
+    """f(k)/f~(k): lattice counts of the symmetral S's slice at height k, plain
+    and fattened by the open unit cube of the slice's ambient space.  S must be
+    symmetric in x_n (such a body is its own symmetral).
 
     The slice of S + (-1,1)^{n-1} x {0} at an integer height is the slice of S
     plus the open cube, so both profiles are height counts of column ranges.
     """
-    n = P.dim
-    S = symmetral if symmetral is not None else steiner_symmetrize(P)
+    n = S.dim
+    require_x_n_symmetric(S)
     # S is symmetric in x_n, so (0, 0) is in S exactly when 0 is in P(K)
     if not S.contains(tuple(_ZERO for _ in range(n))):
         raise EmptyProjectionLattice("profiles need 0 in the projection")
     cols = list(column_ranges(S))
     f = _height_counts(cols)
     ft = _height_counts(column_ranges(S, n - 1))
-    return SectionProfiles(f, ft, max(f, default=0), {y: hi - lo + 1 for y, lo, hi in cols})
-
-
-def hypotheses_h(P: Polytope, profiles: SectionProfiles | None = None) -> HypothesesH:
-    pr = profiles if profiles is not None else section_profiles(P)
-    counts = pr.column_counts
-    at_zero = counts.get(tuple(0 for _ in range(P.dim - 1)), 0)
-    best = max(counts.values(), default=0)
-    return HypothesesH(max_at_zero_column=(best == at_zero and at_zero > 0), M=pr.M)
+    return SectionProfiles(n, f, ft, max(f, default=0), {y: hi - lo + 1 for y, lo, hi in cols})
 
 
 def diamond_extension(S: Polytope, x) -> MeasureValue:
@@ -212,15 +195,9 @@ def diamond_extension(S: Polytope, x) -> MeasureValue:
     window; the supremum over the open window equals this closed maximum by
     continuity.  Returns 0 when the window misses the projection.
     """
-    _require_x_n_symmetric(S)
+    require_x_n_symmetric(S)
     seg = vertical_section(fattening(S, S.dim - 1), x)
     return MeasureValue.from_exact(_ZERO if seg is None else seg.hi)
-
-
-def _require_x_n_symmetric(S: Polytope) -> None:
-    verts = set(S.vertices)
-    if any(v[:-1] + (-v[-1],) not in verts for v in verts):
-        raise ValueError("diamond extension needs a body symmetric in x_n")
 
 
 def _profile_sum(profile: dict[int, int], p: int) -> Fraction:
@@ -232,7 +209,7 @@ def _profile_sum(profile: dict[int, int], p: int) -> Fraction:
     return Fraction(p * sum(k ** (p - 1) * v for k, v in profile.items() if k or p == 1))
 
 
-def _solve_m0(P: Polytope, p: int, profiles: SectionProfiles | None = None):
+def _solve_m0(pr: SectionProfiles, p: int):
     """Rational bracket (lo, hi) of the root of h_p(m) * G_{n-1}(PK) = sum_k p k^{p-1} f~(k).
 
     An integer search on the nondecreasing h_p finds the least integer J with
@@ -243,9 +220,8 @@ def _solve_m0(P: Polytope, p: int, profiles: SectionProfiles | None = None):
     is the bracket's midpoint rounded to a denominator <= |V|, and lo == hi
     when q vanishes there.
     """
-    n = P.dim
-    pr = profiles if profiles is not None else section_profiles(P)
-    if not hypotheses_h(P, pr).satisfied:
+    n = pr.n
+    if not pr.satisfies_h:
         raise HypothesesViolated("comparison profile needs max column at 0 and M >= 1")
     target = _profile_sum(pr.f_tilde, p) / pr.G_proj
     if _h_exact(_ONE, p, n) > target:
@@ -296,18 +272,17 @@ def _g_profile(k: int, m0: Fraction, G: int, n: int) -> Fraction:
     return Fraction((a - k * b) ** (n - 1) * G, a ** (n - 1))
 
 
-def crossing_point(P: Polytope, p, profiles: SectionProfiles | None = None) -> int:
+def crossing_point(pr: SectionProfiles, p) -> int:
     """Minimal integer threshold separating f~ >= g (below) from g >= f (above),
     tested at m0's bracket ends: g is nondecreasing in m0."""
-    pr = profiles if profiles is not None else section_profiles(P)
-    return _crossing_in_bracket(pr, _solve_m0(P, p, pr), P.dim)
+    return _crossing_in_bracket(pr, _solve_m0(pr, p))
 
 
-def _crossing_in_bracket(pr: SectionProfiles, m0: tuple[Fraction, Fraction], n: int) -> int:
+def _crossing_in_bracket(pr: SectionProfiles, m0: tuple[Fraction, Fraction]) -> int:
     """``crossing_point`` for the profiles of a body that meets the hypotheses,
     given m0's bracket: one more than the last k where g < f, if f~ >= g below it."""
     lo, hi = m0
-    G = pr.G_proj
+    n, G = pr.n, pr.G_proj
     top = math.ceil(hi) + 1
     upper = max(top, pr.M) + 1
     kstar = next((k + 1 for k in range(upper, -1, -1) if _g_profile(k, lo, G, n) < pr.f_at(k)), 0)
@@ -443,11 +418,7 @@ class BodyWorkspace:
 
     @cached_property
     def profiles(self) -> SectionProfiles:
-        return section_profiles(self.anchored, self.asym)
-
-    @cached_property
-    def hypotheses(self) -> HypothesesH:
-        return hypotheses_h(self.anchored, self.profiles)
+        return section_profiles(self.asym)
 
     @cached_property
     def G_proj(self) -> int:
@@ -499,27 +470,16 @@ class BodyWorkspace:
             self._sample_radials[key] = rho
         return self._sample_radials[key]
 
-    def slab(self, p) -> MeasureValue:
-        return slab_moment(self.body, p, dist=self.section_dist)
-
     @cached_property
     def section_dist(self):
-        from .moments import section_distribution
-
-        return section_distribution(self.body, symmetral=self.sym)
-
-    def section_power(self, q) -> MeasureValue:
-        return section_power_integral(self.body, q, dist=self.section_dist)
-
-    def projection_power(self, p) -> MeasureValue:
-        return projection_power_moment(self.body, p, dist=self.section_dist)
+        return section_distribution(self.sym)
 
     @cached_property
     def diamond_values(self) -> dict:
         """``diamond_extension`` over each integer point y of P(K) + (-1,1)^{n-1}
         (the columns of the open-fattened symmetral, which holds each (y, 0)),
         with one symmetry check: half the symmetric fattening F's column length."""
-        _require_x_n_symmetric(self.asym)
+        require_x_n_symmetric(self.asym)
         lengths = column_lengths(fattening(self.asym, self.n - 1))
         return {y: lengths[y] / 2 for y, _lo, _hi in column_ranges(self.asym, self.n - 1)}
 
@@ -536,15 +496,6 @@ def _mu_moment_exact(P: Polytope, p: int) -> Fraction:
     return column_length_sum(P, p + 1) / (p + 1)
 
 
-def _mu_fattened(ws: BodyWorkspace) -> Fraction:
-    """Column measure of the symmetral fattened by the open base cube: twice
-    the sum of ``diamond_values``, the closed fattening's section length over
-    each integer column of the open one."""
-    _require_x_n_symmetric(ws.asym)
-    cols = {y for y, _lo, _hi in column_ranges(ws.asym, ws.n - 1)}
-    return column_length_sum(fattening(ws.asym, ws.n - 1), 1, cols)
-
-
 def _G_sym_fattened(ws: BodyWorkspace) -> int:
     """G_n(S + C_{n-1}) from the height counts f~, which are even in k."""
     ft = ws.profiles.f_tilde
@@ -556,7 +507,7 @@ def _discrete_zhang_mu_sides(ws: BodyWorkspace) -> tuple[Fraction, Fraction, Fra
     n = ws.n
     const = Fraction(math.comb(2 * n, n), n**n)
     lhs = const * _mu_moment_exact(ws.anchored, n)
-    mu_fat = _mu_fattened(ws)
+    mu_fat = fattened_mu(ws.asym)
     return lhs, mu_fat ** (n + 1) / Fraction(ws.G_proj) ** n, mu_fat
 
 
@@ -574,7 +525,7 @@ def _purely_discrete_zhang_sides(ws: BodyWorkspace):
     rhs = Fraction(_G_sym_fattened(ws) + pr.f_tilde_at(0)) ** (n + 1) / Fraction(G) ** n
     if pr.M == 0:
         return MeasureValue.from_exact(0), rhs, None
-    m0 = _solve_m0(ws.anchored, 1, pr)
+    m0 = _solve_m0(pr, 1)
     sum_abs = sum((Fraction(k) ** n * v for k, v in pr.f.items() if k), _ZERO) * 2
     top = (n + 1) * (_profile_sum(pr.f_tilde, 1) / G) ** (n + 1) * 2**n * sum_abs
     return MeasureValue.enclosed(*_over_h(top, m0, n + 1, n)), rhs, m0
@@ -599,6 +550,15 @@ def _exponents(values, least: int = 1, increasing: bool = False) -> list[int]:
     return out
 
 
+def _param_list(params: dict, key: str, default) -> list:
+    """``params[key]`` when it is a nonempty list, else ``default``; a value
+    that is not a list is ``ConfigError``."""
+    value = params.get(key)
+    if value is not None and not isinstance(value, (list, tuple)):
+        raise ConfigError(f"checker param {key!r} must be a list, got {value!r}")
+    return value or default
+
+
 def _worst_pair_report(cid: str, pairs, **context) -> InequalityReport:
     """Report the worst pair (p, q, lhs_pow, rhs_pow, lhs_root, rhs_root) of a
     chain: a failing one first, then the largest gap of the rounded roots."""
@@ -617,7 +577,7 @@ def _worst_pair_report(cid: str, pairs, **context) -> InequalityReport:
 def _chk_zhang_preintegration(ws: BodyWorkspace, params: dict) -> InequalityReport:
     n = ws.n
     const = Fraction(math.comb(2 * n, n), n**n)
-    lhs = MeasureValue.from_exact(const * ws.projection_power(n).exact)
+    lhs = MeasureValue.from_exact(const * projection_power_moment(ws.section_dist, n).exact)
     rhs = MeasureValue.from_exact(ws.vol ** (n + 1) / ws.volp**n)
     return _report("zhang_preintegration", lhs, rhs, route="projection-power")
 
@@ -625,7 +585,7 @@ def _chk_zhang_preintegration(ws: BodyWorkspace, params: dict) -> InequalityRepo
 def _chk_zhang_preintegration_2(ws: BodyWorkspace, params: dict) -> InequalityReport:
     n = ws.n
     const = Fraction(math.comb(2 * n, n), n**n)
-    mom = ws.slab(n)
+    mom = slab_moment(ws.section_dist, n)
     lhs = MeasureValue.from_exact(const * mom.exact)
     rhs = MeasureValue.from_exact(ws.vol ** (n + 1) / ws.volp**n)
     return _report("zhang_preintegration_2", lhs, rhs, route="symmetral-slab")
@@ -635,7 +595,10 @@ def _chk_zhang_directional(ws: BodyWorkspace, params: dict) -> InequalityReport:
     n = ws.n
     theta = params.get("theta")
     if theta is not None and not isinstance(theta, Direction):
-        theta = Direction(tuple(frac(c) for c in theta))
+        try:
+            theta = Direction(tuple(frac(c) for c in _param_list(params, "theta", ())))
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"theta must be a nonzero list of rationals, got {theta!r}") from exc
     if theta is None or theta.dim != n:
         # checker params apply across a mixed-dimension corpus; a direction of
         # the wrong length falls back to the all-ones default for this body
@@ -713,10 +676,10 @@ def _berwald_grid(values) -> list:
 
 def _chk_berwald_continuous(ws: BodyWorkspace, params: dict) -> InequalityReport:
     n = ws.n
-    grid = _berwald_grid(params.get("grid") or sorted({Fraction(-1, 2), 1, 2, n, n + 1}))
+    grid = _berwald_grid(_param_list(params, "grid", sorted({Fraction(-1, 2), 1, 2, n, n + 1})))
     vals = []
     for p in grid:
-        E = ws.section_power(p)
+        E = section_power_integral(ws.section_dist, p)
         pf = float(p)
         c = math.gamma(n + pf) / (math.gamma(n) * math.gamma(1.0 + pf))
         base = c * E.value / float(ws.volp)
@@ -746,8 +709,10 @@ def _chk_berwald_continuous(ws: BodyWorkspace, params: dict) -> InequalityReport
 def _chk_berwald_discrete(ws: BodyWorkspace, params: dict) -> InequalityReport:
     n = ws.n
     nn = n - 1
-    pairs = [_exponents(pair, increasing=True)
-             for pair in params.get("pairs") or [(1, 2), (1, n + 1), (2, 5)]]
+    pairs = _param_list(params, "pairs", [(1, 2), (1, n + 1), (2, 5)])
+    if not all(isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in pairs):
+        raise ConfigError(f"berwald_discrete pairs are [p, q] lists, got {pairs!r}")
+    pairs = [_exponents(pair, increasing=True) for pair in pairs]
     G = ws.G_proj
     diam = ws.diamond_values
     rows = []
@@ -764,10 +729,10 @@ def _chk_completely_discrete_berwald(ws: BodyWorkspace, params: dict) -> Inequal
     n = ws.n
     pr = ws.profiles
     (p,) = _exponents([params.get("p", 1)])
-    qs = _exponents([p, *(params.get("qs") or sorted({p + 1, max(p, n) + 1}))],
+    qs = _exponents([p, *_param_list(params, "qs", sorted({p + 1, max(p, n) + 1}))],
                     increasing=True)[1:]
     G = ws.G_proj
-    lo, hi = m0 = _solve_m0(ws.anchored, p, pr)
+    lo, hi = m0 = _solve_m0(pr, p)
     # the p-th right side is m0 (h_p(m0) G = sum p k^(p-1) f~(k) defines m0);
     # with r_q = sum q k^(q-1) f(k) / (G h_q(m0)) the q-th left side is
     # m0 r_q^(1/q), so every q holds exactly when m0 max_q r_q <= m0
@@ -786,7 +751,7 @@ def _chk_completely_discrete_berwald(ws: BodyWorkspace, params: dict) -> Inequal
         p=p,
         m0=rhs.value,
         m0_exact=str(lo) if lo == hi else None,
-        crossing_point=_crossing_in_bracket(pr, m0, n),
+        crossing_point=_crossing_in_bracket(pr, m0),
         per_q=per_q,
         anchor=[str(c) for c in ws.anchor],
     )
@@ -802,13 +767,15 @@ def _chk_zhang_volume(ws: BodyWorkspace, params: dict) -> InequalityReport:
 
 def _chk_different_inclusion(ws: BodyWorkspace, params: dict) -> InequalityReport:
     n = ws.n
-    grid = _exponents(params.get("grid") or sorted({0, 1, 2, 3, n}), least=0, increasing=True)
+    grid = _exponents(_param_list(params, "grid", sorted({0, 1, 2, 3, n})), least=0,
+                      increasing=True)
     xs = []
     for p in grid:
         if p == 0:
             xs.append((0, Fraction(n) * ws.vol / ws.volp))
         else:
-            xs.append((p, Fraction(n) * math.comb(n + p, n) * ws.slab(p).exact / ws.volp))
+            mom = slab_moment(ws.section_dist, p).exact
+            xs.append((p, Fraction(n) * math.comb(n + p, n) * mom / ws.volp))
     # psi_q = X_q^(1/(q+1)) <= psi_p = X_p^(1/(p+1)), compared as X_q^(p+1) <= X_p^(q+1)
     rows = [(p, q, xq ** (p + 1), xp ** (q + 1),
              float(xq) ** (1.0 / (q + 1)), float(xp) ** (1.0 / (p + 1)))
@@ -827,12 +794,13 @@ def _chk_mu_gn_sandwich(ws: BodyWorkspace, params: dict) -> InequalityReport:
 
 def _chk_identity_triple_continuous(ws: BodyWorkspace, params: dict) -> InequalityReport:
     n = ws.n
-    ps = _exponents(params.get("ps") or sorted({1, 2, n}))
+    ps = _exponents(_param_list(params, "ps", sorted({1, 2, n})))
     per_p = []
     engine = RayMomentEngine(ws.body, axis_direction(n))
     for p in ps:
         # three rationals: they agree exactly or the identity fails
-        vals = [engine.moment(p).exact, ws.slab(p).exact, ws.projection_power(p).exact]
+        vals = [engine.moment(p).exact, slab_moment(ws.section_dist, p).exact,
+                projection_power_moment(ws.section_dist, p).exact]
         per_p.append({"p": p, "values": vals, "spread": max(vals) - min(vals), "tol": _ZERO})
     worst = max(row["spread"] for row in per_p)
     return _report("identity_triple_continuous", MeasureValue.from_exact(worst),
@@ -841,7 +809,7 @@ def _chk_identity_triple_continuous(ws: BodyWorkspace, params: dict) -> Inequali
 
 def _chk_identity_triple_discrete(ws: BodyWorkspace, params: dict) -> InequalityReport:
     n = ws.n
-    ps = _exponents(params.get("ps") or sorted({1, 2, n}))
+    ps = _exponents(_param_list(params, "ps", sorted({1, 2, n})))
     cols = column_lengths(ws.body)
     # route B: exact piecewise-linear integration of the column measure of
     # K cap (r e_n + K); route C: column sums over the symmetral
@@ -901,7 +869,9 @@ def _chk_convexhull_inclusion(ws: BodyWorkspace, params: dict) -> InequalityRepo
 
     n = ws.n
     (p,) = _exponents([params.get("p", 1)])
-    combos = int(params.get("combos", 200))
+    combos = params.get("combos", 200)
+    if isinstance(combos, bool) or not isinstance(combos, int) or combos < 0:
+        raise ConfigError(f"convexhull_inclusion combos must be an integer >= 0, got {combos!r}")
     dirs = ws.sample_dirs
     rho = ws.sample_radial("discrete", p)
     pts = rho[:, None] * dirs
@@ -1046,7 +1016,7 @@ def _needs_hypotheses(ws: BodyWorkspace):
     r = _needs_full_dim(ws)
     if r:
         return r
-    if not ws.hypotheses.satisfied:
+    if not ws.profiles.satisfies_h:
         return "profile hypotheses (max column at 0, M >= 1) not satisfied"
     return None
 
@@ -1242,7 +1212,8 @@ def applicability(cid: str, ws: BodyWorkspace) -> str | None:
 def verify(cid: str, body: Polytope, params: dict | None = None,
            ws: BodyWorkspace | None = None) -> InequalityReport:
     """Run one checker; violated preconditions and exponents outside the
-    statement's range yield an inconclusive report."""
+    statement's range yield an inconclusive report, and a param of the wrong
+    type or shape raises ``ConfigError``."""
     if cid not in _REGISTRY:
         raise UnknownChecker(cid)
     entry = _REGISTRY[cid]
@@ -1326,7 +1297,7 @@ def limit_sweep(body: Polytope | BodyWorkspace, target: str, scales,
         p = params.get("p", 1)
         ref = 1.0 / math.comb(n - 1 + p, n - 1)
         for x in scales:
-            rows.append(_row(x, "B_x(p)", B_coeff(float(x), p, n), ref))
+            rows.append(_row(x, "B_x(p)", _B_exact(frac(x), p, n), ref))
         return rows
     check_lattice_scales(scales)
     ws = body if isinstance(body, BodyWorkspace) else BodyWorkspace(body)
@@ -1343,7 +1314,7 @@ def limit_sweep(body: Polytope | BodyWorkspace, target: str, scales,
         return rows
     if target in ("discrete_to_continuous_zhang", "purely_discrete_to_continuous"):
         const = Fraction(math.comb(2 * n, n), n**n)
-        ref_lhs = const * ws.slab(n).exact
+        ref_lhs = const * slab_moment(ws.section_dist, n).exact
         ref_rhs = ws.vol ** (n + 1) / ws.volp**n
         for lam in scales:
             qws = ws.scaled(lam)

@@ -155,14 +155,23 @@ def column_lengths(P: Polytope) -> dict[tuple[int, ...], Fraction]:
             for y, (lo_n, lo_d, hi_n, hi_d) in _column_walk(P)}
 
 
-def column_length_sum(P: Polytope, e: int = 1, over=None) -> Fraction:
-    """Sum of ell_y^e over the integer columns y of P (those in ``over`` when
-    given), ell_y the vertical-section length, summed per denominator."""
+def column_length_sum(P: Polytope, e: int) -> Fraction:
+    """Sum of ell_y^e over the integer columns y of P, ell_y the vertical-section
+    length, summed per denominator."""
     if P.dim < 2:
         raise DimensionMismatch("column measure needs ambient dimension >= 2")
     return _per_denominator(((hi_n * lo_d - lo_n * hi_d) ** e, (hi_d * lo_d) ** e)
-                            for y, (lo_n, lo_d, hi_n, hi_d) in _column_walk(P)
-                            if over is None or y in over)
+                            for _y, (lo_n, lo_d, hi_n, hi_d) in _column_walk(P))
+
+
+def fattened_mu(P: Polytope) -> Fraction:
+    """mu(P + (-1,1)^{n-1} x {0}): over each integer column of the open
+    fattening, the section length of the closed one there (its supremum over
+    the open window), summed per denominator."""
+    cols = {y for y, _lo, _hi in column_ranges(P, P.dim - 1)}
+    return _per_denominator((hi_n * lo_d - lo_n * hi_d, hi_d * lo_d)
+                            for y, (lo_n, lo_d, hi_n, hi_d) in _column_walk(fattening(P, P.dim - 1))
+                            if y in cols)
 
 
 def column_moment(P: Polytope, p: int) -> Fraction:
@@ -176,7 +185,7 @@ def column_moment(P: Polytope, p: int) -> Fraction:
 
 def mu_measure(P: Polytope) -> MeasureValue:
     """Sum of vertical-section lengths over the integer columns of the projection."""
-    return MeasureValue.from_exact(column_length_sum(P))
+    return MeasureValue.from_exact(column_length_sum(P, 1))
 
 
 def discrete_covariogram(P: Polytope, x) -> int:

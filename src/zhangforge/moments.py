@@ -73,7 +73,7 @@ from .polytope import (
     transform,
     translate,
 )
-from .steiner import steiner_symmetrize
+from .steiner import require_x_n_symmetric, steiner_symmetrize
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -218,23 +218,22 @@ def _power_integral(coeffs, alpha: Fraction, beta: Fraction, p) -> Fraction | fl
     return total
 
 
-def slab_moment(P: Polytope, p, dist: SectionDistribution | None = None) -> MeasureValue:
+def slab_moment(dist: SectionDistribution, p) -> MeasureValue:
     """2^p int_{S(K)} |x_n|^p dx.  The slice of S at height t has volume
     vol{ell >= 2t}, so this is int_0^R u^p vol{ell >= u} du, the projection-power
     moment."""
     if float(p) <= 0:
         raise ExponentOutOfRange("slab moments need p > 0")
-    return projection_power_moment(P, p, dist=dist)
+    return projection_power_moment(dist, p)
 
 
-def projection_power_moment(P: Polytope, p,
-                            dist: SectionDistribution | None = None) -> MeasureValue:
+def projection_power_moment(dist: SectionDistribution, p) -> MeasureValue:
     """(1/(p+1)) int_{P(K)} ell(y)^{p+1} dy by the layer-cake integral; exact
     for integer p >= 0."""
     if float(p) <= -1:
         raise ExponentOutOfRange("projection-power needs p > -1")
     q = p + 1
-    mv = section_power_integral(P, q, dist=dist)
+    mv = section_power_integral(dist, q)
     if mv.exact is not None:
         return MeasureValue.from_exact(mv.exact / int(q))
     qf = float(q)
@@ -293,7 +292,8 @@ def discrete_moment(P: Polytope, theta: Direction, p, open_cube: bool = False) -
 
 @dataclass
 class SectionDistribution:
-    """Piecewise polynomials of u -> vol{y : ell(y) >= u} on [0, max ell]."""
+    """Piecewise polynomials of u -> vol{y : ell(y) >= u} on [0, max ell], with
+    vol_{n-1}(P K) read off the symmetral's facet weights."""
 
     pieces: list[tuple[Fraction, Fraction, list[Fraction]]]
     projvol: Fraction
@@ -328,9 +328,10 @@ def _upper_difference(W: list[int], k: int, d: int) -> tuple[list[int], int]:
     return table[0]
 
 
-def section_distribution(P: Polytope, symmetral: Polytope | None = None) -> SectionDistribution:
-    """Distribution function of the section-length profile, read off the
-    boundary simplices of the Steiner symmetral S, with no hull and no LP.
+def section_distribution(S: Polytope) -> SectionDistribution:
+    """Distribution function of the section-length profile of K, read off the
+    boundary simplices of its Steiner symmetral S, with no hull and no LP.
+    S must be symmetric in x_n (such a body is its own symmetral).
 
     The slice of S at height t is {y in P(K) : ell(y) >= 2t} (Gardner-Zhang),
     so ell is twice the height of S's upper boundary: the boundary simplices
@@ -344,10 +345,10 @@ def section_distribution(P: Polytope, symmetral: Polytope | None = None) -> Sect
     nodes.  Pieces run between consecutive distinct vertex section lengths,
     and adjacent pieces with one polynomial are merged.
     """
-    if P.dim < 2:
+    if S.dim < 2:
         raise DimensionMismatch("section lengths need ambient dimension >= 2")
-    S = symmetral if symmetral is not None else steiner_symmetrize(P)
-    d = P.dim - 1
+    require_x_n_symmetric(S)
+    d = S.dim - 1
     pts, simplices = S._tri
     V, L = integer_points(pts)
     terms = []  # (lower node, upper node, |det| times the coefficients, den)
@@ -387,18 +388,15 @@ def section_distribution(P: Polytope, symmetral: Polytope | None = None) -> Sect
     return SectionDistribution(
         [(Fraction(lo, L), Fraction(hi, L), [Fraction(c * L**j, scale) for j, c in enumerate(acc)])
          for lo, hi, acc in pieces],
-        projection_support(P, axis_direction(P.dim).raw), Fraction(nodes[-1], L))
+        projection_support(S, axis_direction(S.dim).raw), Fraction(nodes[-1], L))
 
 
-def section_power_integral(P: Polytope, q,
-                           dist: SectionDistribution | None = None) -> MeasureValue:
+def section_power_integral(dist: SectionDistribution, q) -> MeasureValue:
     """int_{P(K)} ell(y)^q dy for q > -1, q != 0 (layer-cake over the
     section-length distribution).  Exact for integer q >= 1."""
     qf = float(q)
     if qf <= -1 or qf == 0:
         raise ExponentOutOfRange("section powers need q > -1, q != 0")
-    if dist is None:
-        dist = section_distribution(P)
     projvol = dist.projvol
     exact = (isinstance(q, int) or qf == int(qf)) and qf >= 1
     total_exact = _ZERO
@@ -689,13 +687,13 @@ def _along_last_axis(P: Polytope, theta: Direction) -> tuple[Polytope, Fraction]
 
 def ray_moment(P: Polytope, theta: Direction, p) -> MeasureValue:
     """p int_0^inf r^{p-1} g_K(r theta.raw) dr in raw units; g_{TK}(Tx) = |det T| g_K(x)
-    makes it projection_power_moment(TK, p) / |det T|, exact for integer p."""
+    makes it the projection-power moment of TK over |det T|, exact for integer p."""
     if float(p) <= 0:
         raise ExponentOutOfRange("ray moments need p > 0")
     if theta.dim != P.dim:
         raise DimensionMismatch("direction and body dimensions differ")
     TK, det_T = _along_last_axis(P, theta)
-    mom = projection_power_moment(TK, p)
+    mom = projection_power_moment(section_distribution(steiner_symmetrize(TK)), p)
     if mom.exact is not None:
         return MeasureValue.from_exact(mom.exact / det_T)
     return MeasureValue.approx(mom.value / float(det_T), mom.abs_error / float(det_T))
@@ -715,7 +713,7 @@ def radial_Rp(P: Polytope, theta: Direction, p) -> MeasureValue:
         raise DegenerateBody("chord-mean radials need a full-dimensional body")
     if not _is_last_axis(theta):
         return radial_Rp(_along_last_axis(P, theta)[0], axis_direction(P.dim), p)
-    mom = projection_power_moment(P, p)
+    mom = projection_power_moment(section_distribution(steiner_symmetrize(P)), p)
     val = (mom.value / float(P.volume_fraction())) ** (1.0 / pf)
     rel = mom.abs_error / mom.value if mom.value > 0 else 0.0
     return MeasureValue.approx(val, abs(val) * rel / abs(pf) + 1e-14)

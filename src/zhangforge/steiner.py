@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DegenerateBody
+from .linalg import integer_points
 from .polytope import Polytope
 
 _ZERO = Fraction(0)
@@ -46,3 +47,11 @@ def steiner_symmetrize(P: Polytope) -> Polytope:
     S = Polytope.from_halfspaces(rows, n, interior=hint)
     assert S is not None
     return S
+
+
+def require_x_n_symmetric(S: Polytope) -> None:
+    """Raise ``ValueError`` unless S is symmetric in x_n, that is, unless S is
+    its own Steiner symmetral."""
+    verts = set(integer_points(S.vertices)[0])
+    if any(v[:-1] + (-v[-1],) not in verts for v in verts):
+        raise ValueError("needs a body symmetric in x_n")

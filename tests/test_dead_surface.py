@@ -130,6 +130,24 @@ def test_every_public_name_is_used_outside_the_tests(name):
     assert not dead, f"public names of zhangforge.{name} used only by tests: {dead}"
 
 
+# the section-length and profile layers take the one object each reads
+_NO_DEFAULTS = {"lattice": {"column_length_sum"},
+                "moments": {"section_distribution", "section_power_integral",
+                            "projection_power_moment", "slab_moment"},
+                "inequalities": {"section_profiles", "_solve_m0", "crossing_point"}}
+
+
+def test_section_length_and_profile_routes_have_no_optional_parameters():
+    found = {}
+    for name, wanted in _NO_DEFAULTS.items():
+        module = PACKAGE / f"{name}.py"
+        for stmt in ast.parse(module.read_text(), str(module)).body:
+            if isinstance(stmt, ast.FunctionDef) and stmt.name in wanted:
+                args = stmt.args
+                found[stmt.name] = len(args.defaults) + sum(d is not None for d in args.kw_defaults)
+    assert found == {f: 0 for names in _NO_DEFAULTS.values() for f in names}
+
+
 def test_the_guard_sees_a_name_used_only_by_tests():
     # a public def referenced nowhere in the program is reported, and a use
     # inside its own body does not keep it alive

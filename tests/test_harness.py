@@ -167,8 +167,10 @@ _BAD_SWEEPS = {
 # body params that do not parse (text for a number, an affine map without its
 # vector, a custom body without points), random-hull draws that cannot be made
 # (a negative seed, a range beyond int64), a body dim or anchor of the wrong
-# type (no coercion: 2.7 is not truncated, "false" is not truthy), and a
-# misspelt checker_params key
+# type (no coercion: 2.7 is not truncated, "false" is not truthy), a singular
+# affine map, a random hull that cannot reach full dimension, a misspelt
+# checker_params key, and checker params of the wrong type or shape
+_SYM_SQUARE = {"family": "cube", "dim": 2, "params": {"edge": [-1, 1]}, "name": "c"}
 _BAD_CONFIGS = {
     "body-dim-fractional": {"bodies": [{"family": "cube", "dim": 2.7, "name": "c"}],
                             "sweeps": []},
@@ -201,6 +203,22 @@ _BAD_CONFIGS = {
     "random-hull-beyond-int64": {"bodies": [{"family": "random_hull", "dim": 2,
                                              "params": {"radius": 2**62}, "name": "c"}],
                                  "sweeps": []},
+    "affine-singular": {"bodies": [{"family": "cube", "dim": 2,
+                                    "affine": [[[1, 2], [2, 4]], [0, 0]], "name": "c"}],
+                        "sweeps": []},
+    "random-hull-two-points": {"bodies": [{"family": "random_hull", "dim": 2,
+                                           "params": {"count": 2}, "name": "c"}],
+                               "sweeps": []},
+    **{f"checker-params-{name}": {"bodies": [_SYM_SQUARE], "checker_params": {cid: params},
+                                  "sweeps": []}
+       for name, cid, params in [
+           ("combos-text", "convexhull_inclusion", {"combos": "abc"}),
+           ("combos-negative", "convexhull_inclusion", {"combos": -5}),
+           ("pairs-flat", "berwald_discrete", {"pairs": [1, 2]}),
+           ("theta-text", "zhang_directional", {"theta": "ab"}),
+           ("theta-zero", "zhang_directional", {"theta": [0, 0]}),
+           ("qs-number", "completely_discrete_berwald", {"qs": 3}),
+       ]},
 }
 
 

@@ -9,7 +9,6 @@ from zhangforge import make_polytope, max_section_anchor, moments, project_drop_
 from zhangforge.errors import HypothesesViolated, UnknownChecker
 from zhangforge.harness import BodySpec, default_corpus, make_body
 from zhangforge.inequalities import (
-    B_coeff,
     BodyWorkspace,
     InequalityReport,
     SectionProfiles,
@@ -18,10 +17,10 @@ from zhangforge.inequalities import (
     checker_statement,
     crossing_point,
     diamond_extension,
-    hypotheses_h,
     limit_sweep,
     section_profiles,
     verify,
+    _B_exact,
     _discrete_star_volume,
     _h_exact,
     _solve_m0,
@@ -36,27 +35,16 @@ _BALL_BODY_CHECKERS = ("ball_inclusion_discrete", "convexhull_inclusion",
                        "difference_set_inclusion")
 
 
-class TestBCoeff:
+class TestBExact:
     def test_small_m_p1(self):
-        assert B_coeff(F(1, 2), 1, 2) == 2.0  # 1/m on (0,1)
+        assert _B_exact(F(1, 2), 1, 2) == 2  # 1/m on (0,1)
 
     def test_small_m_p_large_is_zero(self):
-        assert B_coeff(F(1, 2), 2, 2) == 0.0
-        assert B_coeff(F(1, 2), 2, 5) == 0.0
+        assert _B_exact(F(1, 2), 2, 2) == 0
+        assert _B_exact(F(1, 2), 2, 5) == 0
 
     def test_finite_sum(self):
-        assert B_coeff(2, 1, 2) == 0.75  # (1/2)(1 + 1/2 + 0)
-
-    @pytest.mark.parametrize("p", [-1, 0, F(1, 2)])
-    def test_B_rejects_p_below_one(self, p):
-        # the sum would otherwise reach 0^(p-1)
-        with pytest.raises(ValueError, match="need m > 0 and p >= 1"):
-            B_coeff(2, p, 2)
-
-    @pytest.mark.parametrize("p", [F(3, 2), 2.5])
-    def test_B_rejects_a_fractional_p(self, p):
-        with pytest.raises(ValueError, match="integer p"):
-            B_coeff(2, p, 2)
+        assert _B_exact(F(2), 1, 2) == F(3, 4)  # (1/2)(1 + 1/2 + 0)
 
     def test_h_examples(self):
         # h(x) = x^p B_x(p) = sum_{k <= x} p (1 - k/x)^(n-1) k^(p-1), exactly
@@ -78,6 +66,15 @@ class TestProfiles:
         assert pr.f == {0: 3, 1: 3}
         assert pr.f_tilde == {0: 3, 1: 3}
         assert pr.M == 1
+
+    def test_layer_reads_only_a_symmetral(self, triangle, slab_body):
+        # a body not symmetric in x_n is not its own symmetral: the
+        # section-length and profile layers refuse it, and take its symmetral
+        for P in (triangle, slab_body):
+            for read in (moments.section_distribution, section_profiles):
+                with pytest.raises(ValueError, match="symmetric in x_n"):
+                    read(P)
+                read(steiner_symmetrize(P))
 
     def test_unit_square_anchored(self, unit_square):
         ws = BodyWorkspace(unit_square)
@@ -147,7 +144,7 @@ class TestDiamond:
 
 class TestM0AndCrossing:
     def test_sym_square_m0(self, sym_square):
-        assert _solve_m0(sym_square, 1) == (3, 3)  # a rational root: lo == hi
+        assert _solve_m0(section_profiles(sym_square), 1) == (3, 3)  # a rational root: lo == hi
 
     def test_rational_m0_is_exact(self):
         # a rational root comes back as lo == hi whatever its denominator:
@@ -155,7 +152,7 @@ class TestM0AndCrossing:
         # [-64,64]^2 at p = 3 at 27594009/269515
         cube3 = make_polytope([(x, y, z) for x in (-1, 1) for y in (-1, 1)
                                for z in (-1, 1)], 3)
-        assert _solve_m0(cube3, 2) == (F(18, 5), F(18, 5))
+        assert _solve_m0(section_profiles(cube3), 2) == (F(18, 5), F(18, 5))
         square = make_polytope([(x, y) for x in (-64, 64) for y in (-64, 64)], 2)
         rep = verify("completely_discrete_berwald", square, {"p": 3})
         assert rep.context["decided_by"] == "exact"
@@ -163,14 +160,14 @@ class TestM0AndCrossing:
 
     def test_m0_exceeds_lattice_height(self, sym_square):
         pr = section_profiles(sym_square)
-        lo, hi = _solve_m0(sym_square, 1)
+        lo, hi = _solve_m0(pr, 1)
         assert lo >= pr.M and lo > 1
 
     def test_scaled_square_m0(self):
         big = make_polytope([(-2, -2), (2, -2), (-2, 2), (2, 2)], 2)
         pr = section_profiles(big)
         assert pr.M == 2
-        lo, hi = _solve_m0(big, 1, pr)
+        lo, hi = _solve_m0(pr, 1)
         assert 2 <= lo <= hi
 
     def test_irrational_m0_is_a_tight_bracket(self):
@@ -180,14 +177,14 @@ class TestM0AndCrossing:
                                    for z in (-1, 1)], 3)
         ws = BodyWorkspace(sym_cube3)
         pr = ws.profiles
-        lo, hi = _solve_m0(ws.anchored, 1, pr)
+        lo, hi = _solve_m0(pr, 1)
         target = sum(pr.f_tilde.values()) / F(pr.G_proj)
         assert type(lo) is F and type(hi) is F
         assert _h_exact(lo, 1, 3) < target <= _h_exact(hi, 1, 3)
         assert 0 < hi - lo < F(1, 10**12)
 
     def test_crossing_sym_square(self, sym_square):
-        assert crossing_point(sym_square, 1) == 2
+        assert crossing_point(section_profiles(sym_square), 1) == 2
 
     def test_crossing_postconditions(self):
         from zhangforge.inequalities import _g_profile
@@ -199,8 +196,8 @@ class TestM0AndCrossing:
             pr = ws.profiles
             body = ws.anchored
             for p in (1, 2):
-                kstar = crossing_point(body, p, pr)
-                lo, hi = _solve_m0(body, p, pr)
+                kstar = crossing_point(pr, p)
+                lo, hi = _solve_m0(pr, p)
                 G = count_lattice(project_drop_last(body))
 
                 def separates(t):
@@ -218,7 +215,7 @@ class TestM0AndCrossing:
         with pytest.raises(HypothesesViolated):
             # anchored unit square has M = 0
             ws = BodyWorkspace(unit_square)
-            _solve_m0(ws.anchored, 1, ws.profiles)
+            _solve_m0(ws.profiles, 1)
 
 
 # (checker, params, the value the reason must name) on [-1,1]^2: exponents
@@ -324,9 +321,9 @@ class TestVerify:
 
         calls = []
 
-        def counted(P, p, profiles=None):
+        def counted(pr, p):
             calls.append(p)
-            return _solve_m0(P, p, profiles)
+            return _solve_m0(pr, p)
 
         monkeypatch.setattr(ineq, "_solve_m0", counted)
         for spec in default_corpus():
@@ -337,7 +334,7 @@ class TestVerify:
                 rep = verify("completely_discrete_berwald", body, ws=ws)
                 assert calls == [1], spec.name
                 # the public crossing point (its own m0) agrees with the row's
-                assert rep.context["crossing_point"] == crossing_point(ws.anchored, 1, ws.profiles)
+                assert rep.context["crossing_point"] == crossing_point(ws.profiles, 1)
 
     def test_berwald_continuous_default_grid_has_no_repeat(self, sym_square):
         # for n = 2 the grid {-1/2, 1, 2, n, n+1} held 2 twice, and the
@@ -664,13 +661,13 @@ def _load_workloads():
 
 
 # the lattice-layer reads that go through the column walk, by code name
-_COLUMN_READERS = {"section_profiles", "hypotheses_h", "diamond_values", "count_lattice",
-                   "_chk_lattice_zhang"}
+_COLUMN_READERS = {"section_profiles", "satisfies_h", "diamond_values", "fattened_mu",
+                   "count_lattice", "_chk_lattice_zhang"}
 
 
 def test_column_reads_build_no_points_and_cut_no_sections(monkeypatch):
     """On the ``sweep`` benchmark config (seed 1) and the default corpus, the
-    profile, diamond, count and lattice-Zhang reads call none of
+    profile, diamond, fattened-mu, count and lattice-Zhang reads call none of
     ``lattice_points``, ``vertical_section`` and ``ray_interval``."""
     import importlib
     import pkgutil

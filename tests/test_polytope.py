@@ -573,10 +573,11 @@ def test_section_distribution_against_the_slice_sweep():
     # sweep of its slices: each swept piece lies in one read piece with the
     # same polynomial, adjacent read pieces differ, and the integer moments agree
     from zhangforge.moments import SectionDistribution, section_distribution, section_power_integral
+    from zhangforge.steiner import steiner_symmetrize
 
     bodies, split = _distribution_bodies()
     for P in bodies:
-        dist = section_distribution(P)
+        dist = section_distribution(steiner_symmetrize(P))
         swept = _slice_sweep(P)
         assert dist.reach == swept[-1][1] and dist.pieces[0][0] == swept[0][0] == 0, P
         for a, b, coeffs in swept:
@@ -585,12 +586,12 @@ def test_section_distribution_against_the_slice_sweep():
         assert all(p[2] != q[2] for p, q in zip(dist.pieces, dist.pieces[1:])), P
         old = SectionDistribution(swept, dist.projvol, dist.reach)
         for q in range(1, 6):
-            want = section_power_integral(P, q, dist=old).exact
-            assert section_power_integral(P, q, dist=dist).exact == want, (P, q)
+            want = section_power_integral(old, q).exact
+            assert section_power_integral(dist, q).exact == want, (P, q)
     # the sweep splits one polynomial at 1/4, where the slice changes type;
     # the read gives one piece there
     swept_breaks = {b for _a, b, _c in _slice_sweep(split)}
-    read_breaks = {b for _a, b, _c in section_distribution(split).pieces}
+    read_breaks = {b for _a, b, _c in section_distribution(steiner_symmetrize(split)).pieces}
     assert F(1, 4) in swept_breaks - read_breaks
 
 
@@ -601,8 +602,8 @@ def test_section_distribution_builds_no_hull_and_solves_no_lp(monkeypatch):
     bodies = _distribution_bodies()[0][:14]
     symmetrals = [steiner_symmetrize(P) for P in bodies]
     hulls, lps = _count_hulls(monkeypatch), _count_lps(monkeypatch)
-    for P, S in zip(bodies, symmetrals):
-        section_distribution(P, symmetral=S)
+    for S in symmetrals:
+        section_distribution(S)
     assert hulls == [] and lps == []
 
 

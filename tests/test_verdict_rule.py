@@ -72,8 +72,8 @@ def test_a_bracket_that_straddles_the_right_side_is_inconclusive(cid, monkeypatc
     real = ineq._solve_m0
     verdicts = []
     for shift in (0, 1, 2, 4, 8, None):
-        def widened(P, p, profiles=None, shift=shift):
-            lo, hi = real(P, p, profiles)
+        def widened(pr, p, shift=shift):
+            lo, hi = real(pr, p)
             return (F(1) if shift is None else 1 + (lo - 1) / 2**shift), hi
 
         monkeypatch.setattr(ineq, "_solve_m0", widened)
@@ -137,7 +137,7 @@ def test_only_the_shadow_volume_normalizes_a_direction():
 
 def test_reports_are_built_only_by_the_verdict_rule():
     assert _callers("InequalityReport") == {"_report", "_inconclusive"}
-    assert _callers("B_coeff") == {"limit_sweep"}
+    assert _callers("B_coeff") == set()
 
 
 def test_no_quadrature_or_retry_in_the_verdict_path():
