@@ -3,7 +3,6 @@
 from .polytope import (
     Direction,
     Interval,
-    MeasureValue,
     Polytope,
     axis_direction,
     difference_body,
@@ -20,6 +19,7 @@ from .polytope import (
     vertical_section,
     volume,
 )
+from .verdict import MeasureValue
 
 __all__ = [
     "Direction",

@@ -16,12 +16,13 @@ import zlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ConfigError, DegenerateSpec, NoCrossing, NoRoot, SingularMap
+from .errors import ConfigError, DegenerateSpec, SingularMap
 from .inequalities import (
     SWEEP_TARGETS,
     BodyWorkspace,
     applicability,
     check_B_limit,
+    check_checker_params,
     check_lattice_scales,
     checker_ids,
     checker_statement,
@@ -31,7 +32,6 @@ from .inequalities import (
 from .lattice import count_lattice, lattice_points, mu_measure
 from .linalg import affine_basis, det
 from .polytope import (
-    MeasureValue,
     Polytope,
     max_section_anchor,
     polytope_to_json,
@@ -39,6 +39,7 @@ from .polytope import (
     volume,
 )
 from .steiner import steiner_symmetrize
+from .verdict import MeasureValue
 
 SCHEMA = "zhang-forge/1"
 _SWEEP_SCALES = [4, 16, 64]  # a sweep entry's scales when it names none
@@ -164,14 +165,15 @@ def _random_hull_points(spec: BodySpec):
     raise DegenerateSpec("no full-dimensional hull after 100 rejection rounds")
 
 
-def check_checker_ids(checkers, checker_params) -> None:
+def check_checkers(checkers, checker_params) -> None:
     """Raise ``ConfigError`` for an entry of ``checkers`` or a key of
     ``checker_params`` that is not a checker id (a misspelt key would
-    otherwise be dropped in silence)."""
+    otherwise be dropped in silence), or a checker param of the wrong shape."""
     known = set(checker_ids())
     bad = [c for c in [*checkers, *checker_params] if c not in known]
     if bad:
         raise ConfigError(f"unknown checker ids: {bad}")
+    check_checker_params(checker_params)
 
 
 # the type of each top-level field of a suite config; a bool is no int here
@@ -207,7 +209,7 @@ class SuiteConfig:
         if not all(isinstance(out.get(k, ""), str) for k in ("json", "csv")):
             raise ConfigError(f"output file names must be strings, got {out!r}")
         ids = list(obj.get("checkers", checker_ids()))
-        check_checker_ids(ids, params)
+        check_checkers(ids, params)
         return SuiteConfig(
             bodies=[BodySpec.from_json(b) for b in obj.get("bodies", [])],
             checkers=ids,
@@ -306,33 +308,10 @@ def _run_body_task(args) -> list[dict]:
     for cid in ids:
         if applicability(cid, ws) is not None:
             continue  # precondition fails: the pair is skipped, not reported
-        try:
-            rep = verify(cid, body, params=dict(checker_params.get(cid, {})), ws=ws)
-            rows.append(
-                {
-                    "id": cid,
-                    "body": spec.name,
-                    "lhs": _mv_json(rep.lhs),
-                    "rhs": _mv_json(rep.rhs),
-                    "slack": rep.slack,
-                    "verdict": rep.verdict,
-                    "statement": checker_statement(cid),
-                    "context": _json_safe(rep.context),
-                }
-            )
-        except (NoRoot, NoCrossing) as exc:
-            rows.append(
-                {
-                    "id": cid,
-                    "body": spec.name,
-                    "lhs": _mv_json(MeasureValue.approx(0.0, 0.0)),
-                    "rhs": _mv_json(MeasureValue.approx(0.0, 0.0)),
-                    "slack": 0.0,
-                    "verdict": "fails",
-                    "statement": checker_statement(cid),
-                    "context": {"hard_failure": type(exc).__name__, "message": str(exc)},
-                }
-            )
+        rep = verify(cid, body, params=dict(checker_params.get(cid, {})), ws=ws)
+        rows.append({"id": cid, "body": spec.name, "lhs": _mv_json(rep.lhs),
+                     "rhs": _mv_json(rep.rhs), "slack": rep.slack, "verdict": rep.verdict,
+                     "statement": checker_statement(cid), "context": _json_safe(rep.context)})
     return rows
 
 
@@ -393,7 +372,7 @@ def run_suite(config: SuiteConfig, out_dir: str | None = None, jobs: int = 1) ->
     names = [b.name for b in config.bodies]
     if len(set(names)) != len(names):
         raise ConfigError("body names must be unique")
-    check_checker_ids(config.checkers, config.checker_params)
+    check_checkers(config.checkers, config.checker_params)
     check_sweeps(config)
     tasks = [(b.to_json(), list(config.checkers), config.checker_params, config.seed)
              for b in config.bodies]

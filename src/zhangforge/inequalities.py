@@ -10,26 +10,22 @@ point set: the profiles f, f~, the top height M and the column counts are
 height counts and sizes of column ranges, G_{n-1}(P K) is the number of
 columns of S, and the diamond extension is half a column length of F.
 
-Verdict policy: every checker hands ``_report`` the quantities it compares,
-and ``_verdict`` decides by one of three rules, named in ``decided_by``.
-*exact*: two rationals.  *enclosure*: rational bounds on both sides (exact is
-lo == hi); `holds` iff lhs.hi <= rhs.lo, `fails` iff lhs.lo > rhs.hi, else
-`inconclusive`.  *tolerance*: a binary64 side, `holds` iff slack >= -(sum of
-the asserted errors).  The slack is rhs - lhs at the midpoints, so its sign
-agrees with an exact or enclosure verdict.  m0 is the root of one integer
-polynomial on an integer segment: exact when rational, else a rational
-bracket, read through the monotonicity of h_q.  No checker retries: `volume_identity_discrete`
+Each checker hands ``verdict.report`` the two quantities it compares (see
+``verdict`` for the decision rule); a chain of comparisons goes through
+``verdict.chain_report``.  m0 is the root of one integer polynomial on an
+integer segment: exact when rational, else a rational bracket, read through
+the monotonicity of h_q.  No checker retries: `volume_identity_discrete`
 compares two rationals, the star volume summed over the cones from each
-lattice point to the facets and vol(K).  Violated preconditions and
-exponents outside a statement's range yield `inconclusive` with a reason,
-never a silent pass.
+lattice point to the facets and vol(K).  Violated preconditions and exponents
+outside a statement's range yield `inconclusive` with a reason, never a
+silent pass; a param of the wrong type or shape is a ``ConfigError``.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -68,7 +64,6 @@ from .moments import (
 )
 from .polytope import (
     Direction,
-    MeasureValue,
     Polytope,
     axis_direction,
     intersect,
@@ -79,6 +74,15 @@ from .polytope import (
     vertical_section,
 )
 from .steiner import require_x_n_symmetric, steiner_symmetrize
+from .verdict import (
+    HARD_FAILURES,
+    InequalityReport,
+    MeasureValue,
+    chain_report,
+    hard_failure,
+    inconclusive,
+    report,
+)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -292,50 +296,8 @@ def _crossing_in_bracket(pr: SectionProfiles, m0: tuple[Fraction, Fraction]) -> 
 
 
 # ---------------------------------------------------------------------------
-# reports and workspace
+# workspace
 # ---------------------------------------------------------------------------
-
-@dataclass
-class InequalityReport:
-    id: str
-    lhs: MeasureValue
-    rhs: MeasureValue
-    slack: float
-    verdict: str
-    context: dict = field(default_factory=dict)
-
-    @property
-    def holds(self) -> bool:
-        return self.verdict == "holds"
-
-
-def _verdict(lhs: MeasureValue, rhs: MeasureValue) -> tuple[float, str, str]:
-    """(slack, verdict, decided_by) of lhs <= rhs; see the module's verdict policy."""
-    if lhs.lo is not None and rhs.lo is not None:
-        mid_l = lhs.exact if lhs.exact is not None else (lhs.lo + lhs.hi) / 2
-        mid_r = rhs.exact if rhs.exact is not None else (rhs.lo + rhs.hi) / 2
-        if lhs.hi <= rhs.lo:
-            verdict = "holds"
-        elif lhs.lo > rhs.hi:
-            verdict = "fails"
-        else:
-            verdict = "inconclusive"
-        exact = lhs.exact is not None and rhs.exact is not None
-        return float(mid_r - mid_l), verdict, "exact" if exact else "enclosure"
-    err = lhs.abs_error + rhs.abs_error
-    s = rhs.value - lhs.value
-    return s, ("holds" if s >= -err else "fails"), "tolerance"
-
-
-def _report(cid: str, lhs: MeasureValue, rhs: MeasureValue, **context) -> InequalityReport:
-    slack, verdict, decided_by = _verdict(lhs, rhs)
-    return InequalityReport(cid, lhs, rhs, slack, verdict, {**context, "decided_by": decided_by})
-
-
-def _inconclusive(cid: str, reason: str, **context) -> InequalityReport:
-    zero = MeasureValue.approx(0.0, 0.0)
-    return InequalityReport(cid, zero, zero, 0.0, "inconclusive", {"reason": reason, **context})
-
 
 # the Ball-body checkers' base directions: equally spaced angles (n = 2) and
 # a Fibonacci sphere (n = 3), plus the body's vertex and lattice directions
@@ -550,28 +512,45 @@ def _exponents(values, least: int = 1, increasing: bool = False) -> list[int]:
     return out
 
 
-def _param_list(params: dict, key: str, default) -> list:
-    """``params[key]`` when it is a nonempty list, else ``default``; a value
-    that is not a list is ``ConfigError``."""
-    value = params.get(key)
-    if value is not None and not isinstance(value, (list, tuple)):
-        raise ConfigError(f"checker param {key!r} must be a list, got {value!r}")
-    return value or default
+def _theta(params: dict) -> Direction | None:
+    """``params["theta"]`` as a ``Direction``, None when it is unset."""
+    theta = params.get("theta")
+    if theta is None or isinstance(theta, Direction):
+        return theta
+    try:
+        return Direction(tuple(frac(c) for c in theta))
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"theta must be a nonzero list of rationals, got {theta!r}") from exc
 
 
-def _worst_pair_report(cid: str, pairs, **context) -> InequalityReport:
-    """Report the worst pair (p, q, lhs_pow, rhs_pow, lhs_root, rhs_root) of a
-    chain: a failing one first, then the largest gap of the rounded roots."""
-    details, worst = [], None
-    for p, q, lhs_pow, rhs_pow, lv, rv in pairs:
-        ok = lhs_pow <= rhs_pow
-        details.append({"p": p, "q": q, "lhs": lv, "rhs": rv, "holds": ok})
-        key = (not ok, lv - rv)
-        if worst is None or key > worst[0]:
-            worst = (key, lhs_pow, rhs_pow, [p, q])
-    _key, lhs_pow, rhs_pow, pair = worst
-    return _report(cid, MeasureValue.from_exact(lhs_pow), MeasureValue.from_exact(rhs_pow),
-                   pairs=details, worst_pair=pair, **context)
+def check_checker_params(checker_params: dict) -> None:
+    """Raise ``ConfigError`` for a checker param of the wrong type or shape,
+    whether or not its checker applies to a body (``verify`` checks before a
+    checker reads its params); a value of the right shape outside the
+    statement's range is the checker's inconclusive row."""
+    for params in checker_params.values():
+        for key in ("theta", "grid", "pairs", "qs", "ps"):
+            value = params.get(key)
+            if value is not None and not isinstance(value, (list, tuple, Direction)):
+                raise ConfigError(f"checker param {key!r} must be a list, got {value!r}")
+        _theta(params)
+        if not all(isinstance(pair, (list, tuple)) and len(pair) == 2
+                   for pair in params.get("pairs") or ()):
+            raise ConfigError(f"pairs are [p, q] lists, got {params['pairs']!r}")
+        combos = params.get("combos", 0)
+        if isinstance(combos, bool) or not isinstance(combos, int) or combos < 0:
+            raise ConfigError(f"combos must be an integer >= 0, got {combos!r}")
+
+
+def _least_slack_sample(lhs_arr, rhs_arr) -> tuple[int, MeasureValue, MeasureValue]:
+    """The sample of least slack rhs - lhs of a comparison sampled in binary64:
+    its index and its two sides, each asserted to 1e-9 of both plus 1e-12."""
+    import numpy as np
+
+    i = int(np.argmin(rhs_arr - lhs_arr))
+    lhs, rhs = float(lhs_arr[i]), float(rhs_arr[i])
+    err = 1e-9 * (abs(lhs) + abs(rhs)) + 1e-12
+    return i, MeasureValue.approx(lhs, err), MeasureValue.approx(rhs, err)
 
 
 def _chk_zhang_preintegration(ws: BodyWorkspace, params: dict) -> InequalityReport:
@@ -579,7 +558,7 @@ def _chk_zhang_preintegration(ws: BodyWorkspace, params: dict) -> InequalityRepo
     const = Fraction(math.comb(2 * n, n), n**n)
     lhs = MeasureValue.from_exact(const * projection_power_moment(ws.section_dist, n).exact)
     rhs = MeasureValue.from_exact(ws.vol ** (n + 1) / ws.volp**n)
-    return _report("zhang_preintegration", lhs, rhs, route="projection-power")
+    return report("zhang_preintegration", lhs, rhs, route="projection-power")
 
 
 def _chk_zhang_preintegration_2(ws: BodyWorkspace, params: dict) -> InequalityReport:
@@ -588,17 +567,12 @@ def _chk_zhang_preintegration_2(ws: BodyWorkspace, params: dict) -> InequalityRe
     mom = slab_moment(ws.section_dist, n)
     lhs = MeasureValue.from_exact(const * mom.exact)
     rhs = MeasureValue.from_exact(ws.vol ** (n + 1) / ws.volp**n)
-    return _report("zhang_preintegration_2", lhs, rhs, route="symmetral-slab")
+    return report("zhang_preintegration_2", lhs, rhs, route="symmetral-slab")
 
 
 def _chk_zhang_directional(ws: BodyWorkspace, params: dict) -> InequalityReport:
     n = ws.n
-    theta = params.get("theta")
-    if theta is not None and not isinstance(theta, Direction):
-        try:
-            theta = Direction(tuple(frac(c) for c in _param_list(params, "theta", ())))
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"theta must be a nonzero list of rationals, got {theta!r}") from exc
+    theta = _theta(params)
     if theta is None or theta.dim != n:
         # checker params apply across a mixed-dimension corpus; a direction of
         # the wrong length falls back to the all-ones default for this body
@@ -608,14 +582,14 @@ def _chk_zhang_directional(ws: BodyWorkspace, params: dict) -> InequalityReport:
     const = Fraction(math.comb(2 * n, n), n**n)
     lhs = MeasureValue.from_exact(const * ray_moment(ws.body, theta, n).exact)
     rhs = MeasureValue.from_exact(ws.vol ** (n + 1) / projection_support(ws.body, theta.raw) ** n)
-    return _report(
+    return report(
         "zhang_directional", lhs, rhs, theta=[str(c) for c in theta.raw], route="projection-power"
     )
 
 
 def _chk_discrete_zhang_mu(ws: BodyWorkspace, params: dict) -> InequalityReport:
     lhs, rhs, mu_fat = _discrete_zhang_mu_sides(ws)
-    return _report(
+    return report(
         "discrete_zhang_mu",
         MeasureValue.from_exact(lhs),
         MeasureValue.from_exact(rhs),
@@ -636,7 +610,7 @@ def _chk_lattice_zhang(ws: BodyWorkspace, params: dict) -> InequalityReport:
     gproj_fat = pr.f_tilde_at(0)
     rhs_val = const * R**n * G + Fraction(gsym + gproj_fat) ** (n + 1) / Fraction(G) ** n
     rhs = MeasureValue.from_exact(rhs_val)
-    return _report(
+    return report(
         "lattice_zhang",
         lhs,
         rhs,
@@ -649,7 +623,7 @@ def _chk_lattice_zhang(ws: BodyWorkspace, params: dict) -> InequalityReport:
 def _chk_purely_discrete_zhang(ws: BodyWorkspace, params: dict) -> InequalityReport:
     lhs, rhs, m0 = _purely_discrete_zhang_sides(ws)
     pr = ws.profiles
-    return _report(
+    return report(
         "purely_discrete_zhang",
         lhs,
         MeasureValue.from_exact(rhs),
@@ -676,7 +650,7 @@ def _berwald_grid(values) -> list:
 
 def _chk_berwald_continuous(ws: BodyWorkspace, params: dict) -> InequalityReport:
     n = ws.n
-    grid = _berwald_grid(_param_list(params, "grid", sorted({Fraction(-1, 2), 1, 2, n, n + 1})))
+    grid = _berwald_grid(params.get("grid") or sorted({Fraction(-1, 2), 1, 2, n, n + 1}))
     vals = []
     for p in grid:
         E = section_power_integral(ws.section_dist, p)
@@ -686,33 +660,18 @@ def _chk_berwald_continuous(ws: BodyWorkspace, params: dict) -> InequalityReport
         val = base ** (1.0 / pf)
         err = abs(val) * (E.abs_error / E.value if E.value else 0.0) / abs(pf)
         vals.append((pf, val, err))
-    worst = None
-    for (p1, v1, e1), (p2, v2, e2) in zip(vals, vals[1:]):
-        slack = v1 - v2
-        tol = e1 + e2 + 1e-9 * abs(v1)
-        key = slack + tol
-        if worst is None or key < worst[0]:
-            worst = (key, p1, p2, v1, v2, e1, e2)
-    _key, p1, p2, v1, v2, e1, e2 = worst
-    lhs = MeasureValue.approx(v2, e2 + 1e-9 * abs(v2))
-    rhs = MeasureValue.approx(v1, e1)
-    return _report(
-        "berwald_continuous",
-        lhs,
-        rhs,
-        grid=[str(g) for g in grid],
-        chain=[v for _p, v, _e in vals],
-        worst_pair=[p1, p2],
-    )
+    # each pair p1 < p2 compares v2 <= v1, with a slop of 1e-9 |v2| on the left
+    pairs = [([p1, p2], MeasureValue.approx(v2, e2 + 1e-9 * abs(v2)), MeasureValue.approx(v1, e1),
+              v2, v1) for (p1, v1, e1), (p2, v2, e2) in zip(vals, vals[1:])]
+    return chain_report("berwald_continuous", pairs, False, grid=[str(g) for g in grid],
+                        chain=[v for _p, v, _e in vals])
 
 
 def _chk_berwald_discrete(ws: BodyWorkspace, params: dict) -> InequalityReport:
     n = ws.n
     nn = n - 1
-    pairs = _param_list(params, "pairs", [(1, 2), (1, n + 1), (2, 5)])
-    if not all(isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in pairs):
-        raise ConfigError(f"berwald_discrete pairs are [p, q] lists, got {pairs!r}")
-    pairs = [_exponents(pair, increasing=True) for pair in pairs]
+    pairs = [_exponents(pair, increasing=True)
+             for pair in params.get("pairs") or [(1, 2), (1, n + 1), (2, 5)]]
     G = ws.G_proj
     diam = ws.diamond_values
     rows = []
@@ -721,15 +680,16 @@ def _chk_berwald_discrete(ws: BodyWorkspace, params: dict) -> InequalityReport:
         # of the body's columns to the q-th power sum to its q-th length sum / 2^q
         xq = Fraction(math.comb(nn + q, nn), 2**q) * column_length_sum(ws.anchored, q) / G
         xp = Fraction(math.comb(nn + p, nn)) * sum((v**p for v in diam.values()), _ZERO) / G
-        rows.append((p, q, xq**p, xp**q, float(xq) ** (1.0 / q), float(xp) ** (1.0 / p)))
-    return _worst_pair_report("berwald_discrete", rows, anchor=[str(c) for c in ws.anchor])
+        rows.append(([p, q], MeasureValue.from_exact(xq**p), MeasureValue.from_exact(xp**q),
+                     float(xq) ** (1.0 / q), float(xp) ** (1.0 / p)))
+    return chain_report("berwald_discrete", rows, True, anchor=[str(c) for c in ws.anchor])
 
 
 def _chk_completely_discrete_berwald(ws: BodyWorkspace, params: dict) -> InequalityReport:
     n = ws.n
     pr = ws.profiles
     (p,) = _exponents([params.get("p", 1)])
-    qs = _exponents([p, *_param_list(params, "qs", sorted({p + 1, max(p, n) + 1}))],
+    qs = _exponents([p, *(params.get("qs") or sorted({p + 1, max(p, n) + 1}))],
                     increasing=True)[1:]
     G = ws.G_proj
     lo, hi = m0 = _solve_m0(pr, p)
@@ -744,7 +704,7 @@ def _chk_completely_discrete_berwald(ws: BodyWorkspace, params: dict) -> Inequal
         highs.append(hi * r_hi)
         mid = (lo + hi) / 2  # the q-th left side at the midpoints of m0 and r_q
         per_q.append({"q": q, "lhs": float(mid**q * (r_lo + r_hi) / 2) ** (1 / q)})
-    return _report(
+    return report(
         "completely_discrete_berwald",
         MeasureValue.enclosed(max(lows), max(highs)),
         rhs,
@@ -762,13 +722,12 @@ def _chk_zhang_volume(ws: BodyWorkspace, params: dict) -> InequalityReport:
     polar = polar_projection_body(ws.body).volume_fraction()
     lhs = MeasureValue.from_exact(Fraction(math.comb(2 * n, n), n**n))
     rhs = MeasureValue.from_exact(ws.vol ** (n - 1) * polar)
-    return _report("zhang_volume", lhs, rhs, polar_volume=str(polar))
+    return report("zhang_volume", lhs, rhs, polar_volume=str(polar))
 
 
 def _chk_different_inclusion(ws: BodyWorkspace, params: dict) -> InequalityReport:
     n = ws.n
-    grid = _exponents(_param_list(params, "grid", sorted({0, 1, 2, 3, n})), least=0,
-                      increasing=True)
+    grid = _exponents(params.get("grid") or sorted({0, 1, 2, 3, n}), least=0, increasing=True)
     xs = []
     for p in grid:
         if p == 0:
@@ -777,10 +736,11 @@ def _chk_different_inclusion(ws: BodyWorkspace, params: dict) -> InequalityRepor
             mom = slab_moment(ws.section_dist, p).exact
             xs.append((p, Fraction(n) * math.comb(n + p, n) * mom / ws.volp))
     # psi_q = X_q^(1/(q+1)) <= psi_p = X_p^(1/(p+1)), compared as X_q^(p+1) <= X_p^(q+1)
-    rows = [(p, q, xq ** (p + 1), xp ** (q + 1),
+    rows = [([p, q], MeasureValue.from_exact(xq ** (p + 1)),
+             MeasureValue.from_exact(xp ** (q + 1)),
              float(xq) ** (1.0 / (q + 1)), float(xp) ** (1.0 / (p + 1)))
             for (p, xp), (q, xq) in zip(xs, xs[1:])]
-    return _worst_pair_report("different_inclusion", rows, grid=grid)
+    return chain_report("different_inclusion", rows, True, grid=grid)
 
 
 def _chk_mu_gn_sandwich(ws: BodyWorkspace, params: dict) -> InequalityReport:
@@ -789,12 +749,12 @@ def _chk_mu_gn_sandwich(ws: BodyWorkspace, params: dict) -> InequalityReport:
     gp = len(column_lengths(ws.body))
     lhs = MeasureValue.from_exact(abs(mu - gn))
     rhs = MeasureValue.from_exact(gp)
-    return _report("mu_gn_sandwich", lhs, rhs, mu=str(mu), G_n=gn, G_proj=gp)
+    return report("mu_gn_sandwich", lhs, rhs, mu=str(mu), G_n=gn, G_proj=gp)
 
 
 def _chk_identity_triple_continuous(ws: BodyWorkspace, params: dict) -> InequalityReport:
     n = ws.n
-    ps = _exponents(_param_list(params, "ps", sorted({1, 2, n})))
+    ps = _exponents(params.get("ps") or sorted({1, 2, n}))
     per_p = []
     engine = RayMomentEngine(ws.body, axis_direction(n))
     for p in ps:
@@ -803,13 +763,13 @@ def _chk_identity_triple_continuous(ws: BodyWorkspace, params: dict) -> Inequali
                 projection_power_moment(ws.section_dist, p).exact]
         per_p.append({"p": p, "values": vals, "spread": max(vals) - min(vals), "tol": _ZERO})
     worst = max(row["spread"] for row in per_p)
-    return _report("identity_triple_continuous", MeasureValue.from_exact(worst),
-                   MeasureValue.from_exact(_ZERO), per_p=per_p)
+    return report("identity_triple_continuous", MeasureValue.from_exact(worst),
+                  MeasureValue.from_exact(_ZERO), per_p=per_p)
 
 
 def _chk_identity_triple_discrete(ws: BodyWorkspace, params: dict) -> InequalityReport:
     n = ws.n
-    ps = _exponents(_param_list(params, "ps", sorted({1, 2, n})))
+    ps = _exponents(params.get("ps") or sorted({1, 2, n}))
     cols = column_lengths(ws.body)
     # route B: exact piecewise-linear integration of the column measure of
     # K cap (r e_n + K); route C: column sums over the symmetral
@@ -841,24 +801,18 @@ def _chk_identity_triple_discrete(ws: BodyWorkspace, params: dict) -> Inequality
         worst = max(worst, max(vals) - min(vals))
         per_p.append({"p": p, "values": [str(v) for v in vals], "equal": a_val == b_val == c_val})
     # three rationals: they agree exactly or the identity fails
-    return _report("identity_triple_discrete", MeasureValue.from_exact(worst),
-                   MeasureValue.from_exact(_ZERO), per_p=per_p)
+    return report("identity_triple_discrete", MeasureValue.from_exact(worst),
+                  MeasureValue.from_exact(_ZERO), per_p=per_p)
 
 
 def _chk_ball_inclusion_discrete(ws: BodyWorkspace, params: dict) -> InequalityReport:
-    import numpy as np
-
     n = ws.n
     p, q = _exponents([params.get("p", 1), params.get("q", 2)], increasing=True)
     dirs = ws.sample_dirs
     lhs_arr = math.comb(n + q, n) ** (1.0 / q) * ws.sample_radial("discrete", q)
     rhs_arr = math.comb(n + p, n) ** (1.0 / p) * ws.sample_radial("discrete-open-tilde", p)
-    slack = rhs_arr - lhs_arr
-    i = int(np.argmin(slack))
-    err = 1e-9 * (abs(lhs_arr[i]) + abs(rhs_arr[i])) + 1e-12
-    lhs = MeasureValue.approx(float(lhs_arr[i]), err)
-    rhs = MeasureValue.approx(float(rhs_arr[i]), err)
-    return _report(
+    i, lhs, rhs = _least_slack_sample(lhs_arr, rhs_arr)
+    return report(
         "ball_inclusion_discrete", lhs, rhs, p=p, q=q, directions=len(dirs),
         worst_direction=[float(c) for c in dirs[i]],
     )
@@ -870,8 +824,6 @@ def _chk_convexhull_inclusion(ws: BodyWorkspace, params: dict) -> InequalityRepo
     n = ws.n
     (p,) = _exponents([params.get("p", 1)])
     combos = params.get("combos", 200)
-    if isinstance(combos, bool) or not isinstance(combos, int) or combos < 0:
-        raise ConfigError(f"convexhull_inclusion combos must be an integer >= 0, got {combos!r}")
     dirs = ws.sample_dirs
     rho = ws.sample_radial("discrete", p)
     pts = rho[:, None] * dirs
@@ -892,30 +844,20 @@ def _chk_convexhull_inclusion(ws: BodyWorkspace, params: dict) -> InequalityRepo
     norms = norms[keep]
     zdirs = z / norms[:, None]
     rho_t = radial_batch("discrete-open-tilde", ws.body, zdirs, p)
-    slack = rho_t - norms
-    i = int(np.argmin(slack))
-    err = 1e-9 * (abs(norms[i]) + abs(rho_t[i])) + 1e-12
-    lhs = MeasureValue.approx(float(norms[i]), err)
-    rhs = MeasureValue.approx(float(rho_t[i]), err)
-    return _report(
+    _i, lhs, rhs = _least_slack_sample(norms, rho_t)
+    return report(
         "convexhull_inclusion", lhs, rhs, p=p, combos=int(len(z)), directions=len(dirs)
     )
 
 
 def _chk_difference_set_inclusion(ws: BodyWorkspace, params: dict) -> InequalityReport:
-    import numpy as np
-
     n = ws.n
     (p,) = _exponents([params.get("p", 1)])
     dirs = ws.sample_dirs
     lhs_arr = ws.sample_radial("difference-set", None)
     rhs_arr = math.comb(n + p, n) ** (1.0 / p) * ws.sample_radial("discrete-open-tilde", p)
-    slack = rhs_arr - lhs_arr
-    i = int(np.argmin(slack))
-    err = 1e-9 * (abs(lhs_arr[i]) + abs(rhs_arr[i])) + 1e-12
-    lhs = MeasureValue.approx(float(lhs_arr[i]), err)
-    rhs = MeasureValue.approx(float(rhs_arr[i]), err)
-    return _report(
+    i, lhs, rhs = _least_slack_sample(lhs_arr, rhs_arr)
+    return report(
         "difference_set_inclusion", lhs, rhs, p=p, directions=len(dirs),
         worst_direction=[float(c) for c in dirs[i]],
     )
@@ -940,8 +882,8 @@ def _chk_volume_identity_discrete(ws: BodyWorkspace, params: dict) -> Inequality
     # every y gives vol(K) by Minkowski's relation sum_F a_F w_F = 0, so the
     # row cross-checks the facet weights against the triangulated volume
     star = _discrete_star_volume(ws.body)
-    return _report("volume_identity_discrete", MeasureValue.from_exact(abs(star - ws.vol)),
-                   MeasureValue.from_exact(_ZERO), star_volume=str(star), volume=str(ws.vol))
+    return report("volume_identity_discrete", MeasureValue.from_exact(abs(star - ws.vol)),
+                  MeasureValue.from_exact(_ZERO), star_volume=str(star), volume=str(ws.vol))
 
 
 def _neg_radial(vertices, raw) -> Fraction:
@@ -984,69 +926,47 @@ def _chk_one_point_collapse(ws: BodyWorkspace, params: dict) -> InequalityReport
         neg = _neg_radial(ws.body.vertices, raw) ** p
         worst = max(worst, abs(ball - neg))
         details.append({"dir": [str(c) for c in raw], "ball": str(ball), "neg": str(neg)})
-    return _report("one_point_collapse", MeasureValue.from_exact(worst),
-                   MeasureValue.from_exact(_ZERO), p=p, directions=details)
+    return report("one_point_collapse", MeasureValue.from_exact(worst),
+                  MeasureValue.from_exact(_ZERO), p=p, directions=details)
 
 
 # ---------------------------------------------------------------------------
 # registry
 # ---------------------------------------------------------------------------
 
-def _needs_origin(ws: BodyWorkspace):
-    if not ws.origin_inside:
-        return "the body does not contain 0"
-    return None
+def _unless(ok: bool, reason: str):
+    """None when a checker's precondition holds, else the reason it does not."""
+    return None if ok else reason
 
 
 def _needs_full_dim(ws: BodyWorkspace):
-    if not ws.body.is_full_dimensional:
-        return "the body is not full-dimensional"
-    return None
+    return _unless(ws.body.is_full_dimensional, "the body is not full-dimensional")
 
 
-def _always(ws: BodyWorkspace):
-    return _needs_full_dim(ws)
-
-
-def _origin_checker(ws: BodyWorkspace):
-    return _needs_full_dim(ws) or _needs_origin(ws)
+def _needs_origin(ws: BodyWorkspace):
+    return _needs_full_dim(ws) or _unless(ws.origin_inside, "the body does not contain 0")
 
 
 def _needs_hypotheses(ws: BodyWorkspace):
-    r = _needs_full_dim(ws)
-    if r:
-        return r
-    if not ws.profiles.satisfies_h:
-        return "profile hypotheses (max column at 0, M >= 1) not satisfied"
-    return None
+    return _needs_full_dim(ws) or _unless(
+        ws.profiles.satisfies_h, "profile hypotheses (max column at 0, M >= 1) not satisfied")
 
 
 def _ball_body_applicable(ws: BodyWorkspace):
-    r = _origin_checker(ws)
-    if r:
-        return r
-    if ws.n not in (2, 3):
-        return "Ball-body sample directions are wired for n = 2, 3"
-    return None
+    return _needs_origin(ws) or _unless(
+        ws.n in (2, 3), "Ball-body sample directions are wired for n = 2, 3")
 
 
 def _vol_identity_applicable(ws: BodyWorkspace):
-    r = _origin_checker(ws)
-    if r:
-        return r
-    if ws.n != 2:
-        return ("discrete volume identity kept to n = 2: criterion 6 pairs it with a 2-d"
-                " chord-radial quadrature, and perfbench/reference.json fixes its rows")
-    return None
+    return _needs_origin(ws) or _unless(
+        ws.n == 2, "discrete volume identity kept to n = 2: criterion 6 pairs it with a 2-d"
+        " chord-radial quadrature, and perfbench/reference.json fixes its rows")
 
 
 def _one_point_applicable(ws: BodyWorkspace):
-    r = _needs_full_dim(ws)
-    if r:
-        return r
-    if not (ws.origin_inside and count_lattice(ws.body) == 1):
-        return "the lattice set of the body is not exactly {0}"
-    return None
+    return _needs_full_dim(ws) or _unless(
+        ws.origin_inside and count_lattice(ws.body) == 1,
+        "the lattice set of the body is not exactly {0}")
 
 
 @dataclass(frozen=True)
@@ -1067,34 +987,34 @@ def _register(cid, run, applicable, statement):
 _register(
     "zhang_preintegration",
     _chk_zhang_preintegration,
-    _always,
+    _needs_full_dim,
     "binom(2n,n)/n^n * n*int_0^inf r^(n-1) vol(K cap (r e_n + K)) dr"
     " <= vol(K)^(n+1) / vol(P K)^n",
 )
 _register(
     "zhang_preintegration_2",
     _chk_zhang_preintegration_2,
-    _always,
+    _needs_full_dim,
     "binom(2n,n)/n^n * 2^n int_{S K} |x_n|^n dx <= vol(K)^(n+1) / vol(P K)^n",
 )
 _register(
     "zhang_directional",
     _chk_zhang_directional,
-    _always,
+    _needs_full_dim,
     "binom(2n,n)/n^n * n*int r^(n-1) vol(K cap (r theta + K)) dr"
     " <= vol(K)^(n+1) / vol(P_theta K)^n, both sides divided by |theta.raw|^n",
 )
 _register(
     "discrete_zhang_mu",
     _chk_discrete_zhang_mu,
-    _always,
+    _needs_full_dim,
     "binom(2n,n)/n^n * n*int r^(n-1) mu(K cap (r e_n + K)) dr"
     " <= mu(S K + open base cube)^(n+1) / G_(n-1)(P K)^n   (column measure mu)",
 )
 _register(
     "lattice_zhang",
     _chk_lattice_zhang,
-    _always,
+    _needs_full_dim,
     "binom(2n,n)/n^n * n*int r^(n-1) G_n(K cap (r e_n + K)) dr <= binom(2n,n)/n^n *"
     " rho_(K-K)(e_n)^n G_(n-1)(P K) + (G_n(S K + base cube) + G_(n-1)(P K + base cube))^(n+1)"
     " / G_(n-1)(P K)^n",
@@ -1102,21 +1022,21 @@ _register(
 _register(
     "purely_discrete_zhang",
     _chk_purely_discrete_zhang,
-    _always,
+    _needs_full_dim,
     "(n+1) B_m0(n+1)^-1 / B_m0(1)^-(n+1) * 2^n sum_{x in S K cap Z^n} |x_n|^n"
     " <= (G_n(S K + base cube) + G_(n-1)(P K + base cube))^(n+1) / G_(n-1)(P K)^n",
 )
 _register(
     "berwald_continuous",
     _chk_berwald_continuous,
-    _always,
+    _needs_full_dim,
     "p -> (binom(n-1+p,n-1)/vol(P K) * int ell^p)^(1/p) is nonincreasing"
     " for the concave section-length profile ell",
 )
 _register(
     "berwald_discrete",
     _chk_berwald_discrete,
-    _always,
+    _needs_full_dim,
     "(binom(n-1+q,n-1)/G sum f^q)^(1/q) <= (binom(n-1+p,n-1)/G sum fattened-f^p)^(1/p),"
     " lattice sums of the half-section profile, 0 < p < q",
 )
@@ -1130,33 +1050,33 @@ _register(
 _register(
     "zhang_volume",
     _chk_zhang_volume,
-    _always,
+    _needs_full_dim,
     "binom(2n,n)/n^n <= vol(K)^(n-1) * vol(polar projection body of K)",
 )
 _register(
     "different_inclusion",
     _chk_different_inclusion,
-    _always,
+    _needs_full_dim,
     "p -> (n binom(n+p,n) M_p / vol(P K))^(1/(p+1)) is nonincreasing on p >= 0,"
     " M_p the p-th ray moment of the covariogram",
 )
 _register(
     "mu_gn_sandwich",
     _chk_mu_gn_sandwich,
-    _always,
+    _needs_full_dim,
     "|mu(K) - G_n(K)| <= G_(n-1)(P K)",
 )
 _register(
     "identity_triple_continuous",
     _chk_identity_triple_continuous,
-    _always,
+    _needs_full_dim,
     "agreement of the projection-power, ray-moment and symmetral-slab forms of"
     " the continuous moment (p in {1,2,n})",
 )
 _register(
     "identity_triple_discrete",
     _chk_identity_triple_discrete,
-    _always,
+    _needs_full_dim,
     "exact agreement of the three column-measure moment forms (p in {1,2,n})",
 )
 _register(
@@ -1211,24 +1131,22 @@ def applicability(cid: str, ws: BodyWorkspace) -> str | None:
 
 def verify(cid: str, body: Polytope, params: dict | None = None,
            ws: BodyWorkspace | None = None) -> InequalityReport:
-    """Run one checker; violated preconditions and exponents outside the
-    statement's range yield an inconclusive report, and a param of the wrong
-    type or shape raises ``ConfigError``."""
-    if cid not in _REGISTRY:
-        raise UnknownChecker(cid)
-    entry = _REGISTRY[cid]
+    """Run one checker; a violated precondition or an exponent outside the
+    statement's range yields an inconclusive report, one of ``HARD_FAILURES``
+    a `fails` report, and a param of the wrong shape raises ``ConfigError``."""
     params = dict(params or {})
+    check_checker_params({cid: params})
     if ws is None or ws.body is not body:
         ws = BodyWorkspace(body)
-    reason = entry.applicable(ws)
+    reason = applicability(cid, ws)
     if reason is None:
         try:
-            rep = entry.run(ws, params)
+            return _REGISTRY[cid].run(ws, params)
         except ExponentOutOfRange as exc:
             reason = str(exc)
-    if reason is not None:
-        rep = _inconclusive(cid, reason)
-    return rep
+        except HARD_FAILURES as exc:
+            return hard_failure(cid, exc)
+    return inconclusive(cid, reason)
 
 
 # ---------------------------------------------------------------------------
@@ -1328,8 +1246,8 @@ def limit_sweep(body: Polytope | BodyWorkspace, target: str, scales,
                                  mu_sym ** (n + 1) / Fraction(qws.G_proj) ** n / norm, ref_rhs))
             else:
                 lhs, rhs, _m0 = _purely_discrete_zhang_sides(qws)
-                lhs_val = lhs.exact / norm if lhs.is_exact else lhs.value / norm
-                rows.append(_row(lam, "lhs", lhs_val, ref_lhs))
+                rows.append(_row(lam, "lhs", (lhs.value if lhs.exact is None else lhs.exact) / norm,
+                                 ref_lhs))
                 rows.append(_row(lam, "rhs", rhs / norm, ref_rhs))
         return rows
     raise ValueError(f"unknown sweep target {target!r}")

@@ -33,7 +33,6 @@ from .lp import lp_solve  # noqa: F401  (unused here; perfbench/tracer.py's REQU
 from .polytope import (
     Direction,
     Interval,
-    MeasureValue,
     Polytope,
     _column_rows,
     _line_ends,
@@ -41,6 +40,7 @@ from .polytope import (
     minkowski_sum,
     translate,
 )
+from .verdict import MeasureValue
 
 _ZERO = Fraction(0)
 

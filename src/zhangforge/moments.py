@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .errors import (
@@ -63,7 +64,6 @@ from .linalg import Vec, det_int, dot, frac, integer_points, mat_inv
 from .lp import lp_solve
 from .polytope import (
     Direction,
-    MeasureValue,
     Polytope,
     axis_direction,
     _panel_sweep,
@@ -74,6 +74,7 @@ from .polytope import (
     translate,
 )
 from .steiner import require_x_n_symmetric, steiner_symmetrize
+from .verdict import MeasureValue
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -292,12 +293,18 @@ def discrete_moment(P: Polytope, theta: Direction, p, open_cube: bool = False) -
 
 @dataclass
 class SectionDistribution:
-    """Piecewise polynomials of u -> vol{y : ell(y) >= u} on [0, max ell], with
-    vol_{n-1}(P K) read off the symmetral's facet weights."""
+    """Piecewise polynomials of u -> vol{y : ell(y) >= u} on [0, max ell] of
+    the symmetral S they were read off."""
 
     pieces: list[tuple[Fraction, Fraction, list[Fraction]]]
-    projvol: Fraction
+    symmetral: Polytope
     reach: Fraction
+
+    @cached_property
+    def projvol(self) -> Fraction:
+        """vol_{n-1}(P K), read off S's facet weights when a negative
+        exponent first needs it."""
+        return projection_support(self.symmetral, axis_direction(self.symmetral.dim).raw)
 
 
 def _upper_difference(W: list[int], k: int, d: int) -> tuple[list[int], int]:
@@ -388,7 +395,7 @@ def section_distribution(S: Polytope) -> SectionDistribution:
     return SectionDistribution(
         [(Fraction(lo, L), Fraction(hi, L), [Fraction(c * L**j, scale) for j, c in enumerate(acc)])
          for lo, hi, acc in pieces],
-        projection_support(S, axis_direction(S.dim).raw), Fraction(nodes[-1], L))
+        S, Fraction(nodes[-1], L))
 
 
 def section_power_integral(dist: SectionDistribution, q) -> MeasureValue:
@@ -397,7 +404,6 @@ def section_power_integral(dist: SectionDistribution, q) -> MeasureValue:
     qf = float(q)
     if qf <= -1 or qf == 0:
         raise ExponentOutOfRange("section powers need q > -1, q != 0")
-    projvol = dist.projvol
     exact = (isinstance(q, int) or qf == int(qf)) and qf >= 1
     total_exact = _ZERO
     total_float = 0.0
@@ -411,14 +417,14 @@ def section_power_integral(dist: SectionDistribution, q) -> MeasureValue:
         else:
             # -q * int u^{q-1} (A - B(u)) du; the constant term of A - B(u)
             # vanishes exactly on the first panel
-            comp = [projvol - coeffs[0]] + [-c for c in coeffs[1:]]
+            comp = [dist.projvol - coeffs[0]] + [-c for c in coeffs[1:]]
             if prev == 0 and comp[0] != 0:
                 raise ArithmeticError(
                     "distribution function does not start at the projection volume"
                 )
             total_float += -qf * float(_power_integral(comp, prev, brk, qf - 1.0))
     if qf < 0:
-        total_float += float(projvol) * float(dist.reach) ** qf
+        total_float += float(dist.projvol) * float(dist.reach) ** qf
         return MeasureValue.approx(total_float, 1e-11 * abs(total_float) + 1e-15)
     if exact:
         return MeasureValue.from_exact(total_exact)

@@ -57,6 +57,7 @@ from .linalg import (
     vsub,
 )
 from .lp import lp_solve, max_slack_point
+from .verdict import MeasureValue
 
 _ZERO = Fraction(0)
 
@@ -131,45 +132,6 @@ def axis_direction(dim: int, axis: int = -1) -> Direction:
     raw = [Fraction(0)] * dim
     raw[axis] = Fraction(1)
     return Direction(tuple(raw))
-
-
-@dataclass(frozen=True)
-class MeasureValue:
-    """A scalar measurement with exactness provenance and an error bound.
-
-    ``lo``/``hi`` bound the true value rationally (both ``exact`` when it is
-    known; ``hi`` may be ``math.inf``); ``approx`` values have no bounds.
-    """
-
-    value: float
-    exact: Fraction | None = None
-    abs_error: float = 0.0
-    lo: Fraction | None = None
-    hi: Fraction | float | None = None
-
-    @staticmethod
-    def from_exact(q) -> "MeasureValue":
-        q = frac(q)
-        return MeasureValue(value=float(q), exact=q, abs_error=0.0, lo=q, hi=q)
-
-    @staticmethod
-    def enclosed(lo: Fraction, hi: Fraction | float) -> "MeasureValue":
-        """A value known to lie in [lo, hi]: the midpoint, with the half-width
-        rounded up as its error; exact when lo == hi."""
-        if lo == hi:
-            return MeasureValue.from_exact(lo)
-        half = (hi - lo) / 2
-        err = float(half)
-        err = err if err >= half else math.nextafter(err, math.inf)
-        return MeasureValue(value=float(lo + half), exact=None, abs_error=err, lo=lo, hi=hi)
-
-    @staticmethod
-    def approx(value: float, abs_error: float) -> "MeasureValue":
-        return MeasureValue(value=float(value), exact=None, abs_error=float(abs_error))
-
-    @property
-    def is_exact(self) -> bool:
-        return self.exact is not None
 
 
 # ---------------------------------------------------------------------------

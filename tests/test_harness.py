@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from zhangforge.errors import ConfigError, DegenerateSpec
+from zhangforge.errors import ConfigError, DegenerateSpec, NoCrossing, NoRoot
 from zhangforge.harness import (
     BodySpec,
     SuiteConfig,
@@ -171,6 +171,7 @@ _BAD_SWEEPS = {
 # affine map, a random hull that cannot reach full dimension, a misspelt
 # checker_params key, and checker params of the wrong type or shape
 _SYM_SQUARE = {"family": "cube", "dim": 2, "params": {"edge": [-1, 1]}, "name": "c"}
+_OFF_ORIGIN_SQUARE = {"family": "cube", "dim": 2, "params": {"edge": [1, 2]}, "name": "c"}
 _BAD_CONFIGS = {
     "body-dim-fractional": {"bodies": [{"family": "cube", "dim": 2.7, "name": "c"}],
                             "sweeps": []},
@@ -219,7 +220,67 @@ _BAD_CONFIGS = {
            ("theta-zero", "zhang_directional", {"theta": [0, 0]}),
            ("qs-number", "completely_discrete_berwald", {"qs": 3}),
        ]},
+    # the same params on [1,2]^2, to which neither checker applies (no origin, M = 0)
+    **{f"checker-params-{name}-inapplicable": {"bodies": [_OFF_ORIGIN_SQUARE],
+                                               "checkers": [cid, "mu_gn_sandwich"],
+                                               "checker_params": {cid: params}, "sweeps": []}
+       for name, cid, params in [
+           ("combos-text", "convexhull_inclusion", {"combos": "abc"}),
+           ("combos-negative", "convexhull_inclusion", {"combos": -5}),
+           ("qs-number", "completely_discrete_berwald", {"qs": 3}),
+       ]},
 }
+_CHECKER_PARAM_CONFIGS = sorted(k for k in _BAD_CONFIGS if k.startswith("checker-params-")
+                                and k != "checker-params-misspelt")
+
+
+@pytest.mark.parametrize("kind", _CHECKER_PARAM_CONFIGS)
+def test_bad_checker_params_fail_before_any_body_task(kind, monkeypatch):
+    # checked once, up front, whether or not the checker applies to a body
+    import zhangforge.harness as harness
+
+    ran = []
+    monkeypatch.setattr(harness, "_run_body_task", lambda task: ran.append(task) or [])
+    obj = _BAD_CONFIGS[kind]
+    with pytest.raises(ConfigError):
+        SuiteConfig.from_json(obj)
+    cfg = SuiteConfig(bodies=[BodySpec.from_json(b) for b in obj["bodies"]],
+                      checker_params=obj["checker_params"], sweeps=[])
+    cfg.checkers = obj.get("checkers", cfg.checkers)
+    with pytest.raises(ConfigError):
+        run_suite(cfg)
+    assert ran == []
+
+
+@pytest.mark.parametrize("name,error", [("_solve_m0", NoRoot),
+                                        ("_crossing_in_bracket", NoCrossing)])
+def test_a_lemma_failure_is_a_fails_row(name, error, monkeypatch, tmp_path, capsys):
+    # no root of the profile scale, or no crossing point, would falsify a
+    # lemma of the discrete proof: a fails row with both sides 0, not a crash
+    import zhangforge.inequalities as ineq
+    from zhangforge.cli import main
+
+    def broken(*args):
+        raise error("forced for the test")
+
+    monkeypatch.setattr(ineq, name, broken)
+    cfg = {"bodies": [{"family": "cube", "dim": 3, "params": {"edge": [-1, 1]},
+                       "name": "sym_cube3"}],
+           "checkers": ["completely_discrete_berwald", "mu_gn_sandwich"], "sweeps": []}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(path), "--out", str(out)]) == 1
+    capsys.readouterr()
+    doc = json.loads((out / "report.json").read_text())
+    row, other = doc["reports"]
+    assert (row["id"], row["verdict"], other["verdict"]) == ("completely_discrete_berwald",
+                                                             "fails", "holds")
+    assert row["context"] == {"hard_failure": error.__name__, "message": "forced for the test"}
+    for side in (row["lhs"], row["rhs"]):
+        assert side["value"] == 0.0 and side["exact"] is None
+    assert row["slack"] == 0.0
+    assert doc["summary"] == {"total": 2, "holds": 1, "fails": 1, "inconclusive": 0}
 
 
 class TestSweepConfig:

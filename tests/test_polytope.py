@@ -584,7 +584,7 @@ def test_section_distribution_against_the_slice_sweep():
             (_lo, _hi, read), = [p for p in dist.pieces if p[0] <= a and b <= p[1]]
             assert read == coeffs, (P, a, b)
         assert all(p[2] != q[2] for p, q in zip(dist.pieces, dist.pieces[1:])), P
-        old = SectionDistribution(swept, dist.projvol, dist.reach)
+        old = SectionDistribution(swept, dist.symmetral, dist.reach)
         for q in range(1, 6):
             want = section_power_integral(old, q).exact
             assert section_power_integral(dist, q).exact == want, (P, q)

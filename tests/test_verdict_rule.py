@@ -1,4 +1,4 @@
-"""One verdict rule: ``_verdict`` decides every checker's verdict and slack,
+"""One verdict rule: ``verdict.decide`` decides every checker's verdict and slack,
 over exact values, rational enclosures or asserted binary64 errors, and the
 comparison-profile scale m0 is one rational bracket."""
 
@@ -12,8 +12,8 @@ import pytest
 import zhangforge.inequalities as ineq
 from zhangforge import make_polytope
 from zhangforge.harness import SuiteConfig, default_corpus, run_suite
-from zhangforge.inequalities import _verdict, verify
-from zhangforge.polytope import MeasureValue
+from zhangforge.inequalities import verify
+from zhangforge.verdict import MeasureValue, chain_report, decide
 
 F = Fraction
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "zhangforge"
@@ -44,7 +44,7 @@ enclosed = MeasureValue.enclosed
     (MeasureValue.approx(1.0, 0.3), MeasureValue.approx(0.8, 0.0), (-0.2, "holds", "tolerance")),
 ])
 def test_verdict_table(lhs, rhs, want):
-    slack, verdict, decided_by = _verdict(lhs, rhs)
+    slack, verdict, decided_by = decide(lhs, rhs)
     assert (verdict, decided_by) == want[1:]
     assert slack == pytest.approx(want[0])
 
@@ -108,14 +108,14 @@ def test_only_the_listed_checkers_decide_by_tolerance(corpus_rows):
 
 
 def _callers(name: str) -> set[str]:
-    """The top-level definitions of ``zhangforge`` that call ``name``
-    (module-level code counts as "<module>")."""
+    """The top-level definitions of ``zhangforge`` that call ``name``, as
+    "module.definition" (module-level code counts as "module.<module>")."""
     out = set()
     for path in PACKAGE.glob("*.py"):
         for stmt in ast.parse(path.read_text(), str(path)).body:
             if any(isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
                    and sub.func.id == name for sub in ast.walk(stmt)):
-                out.add(getattr(stmt, "name", "<module>"))
+                out.add(f"{path.stem}.{getattr(stmt, 'name', '<module>')}")
     return out
 
 
@@ -135,9 +135,67 @@ def test_only_the_shadow_volume_normalizes_a_direction():
         assert _readers(attr) <= {"projection_volume", "Direction"}, attr
 
 
-def test_reports_are_built_only_by_the_verdict_rule():
-    assert _callers("InequalityReport") == {"_report", "_inconclusive"}
+def test_reports_are_built_only_inside_the_verdict_module():
+    # every row is the rule's, or one of the two outcomes that skip it
+    assert _callers("InequalityReport") == {"verdict.report", "verdict.inconclusive",
+                                            "verdict.hard_failure"}
     assert _callers("B_coeff") == set()
+
+
+def test_the_verdict_module_imports_only_errors_and_no_numpy():
+    # the kernel that decides a row reads no geometry: items that re-decide a
+    # row from its two sides import it alone
+    tree = ast.parse((PACKAGE / "verdict.py").read_text())
+    package, absolute = set(), set()
+    for sub in ast.walk(tree):
+        if isinstance(sub, ast.ImportFrom):
+            if sub.level:
+                package.add(sub.module)
+            else:
+                absolute.add(sub.module)
+        elif isinstance(sub, ast.Import):
+            absolute |= {alias.name for alias in sub.names}
+    assert package == {"errors"}
+    assert not {m for m in absolute if m.split(".")[0] in ("numpy", "zhangforge")}
+
+
+def _pair(label, lhs, rhs, roots=None):
+    lhs_root, rhs_root = roots if roots else (lhs.value, rhs.value)
+    return (label, lhs, rhs, lhs_root, rhs_root)
+
+
+def test_a_chain_reports_a_failing_pair_before_a_holding_one_of_larger_gap():
+    # the failing pair's roots show a gap of 1/2 in its favour, the holding
+    # pair's a gap of 1/10: a pick by the gap alone would report the pair that holds
+    holding = _pair([1, 2], exact(F(1)), exact(F(2)), (2.0, 2.1))
+    failing = _pair([2, 3], exact(F(3)), exact(F(2)), (1.0, 1.5))
+    rep = chain_report("chain", [holding, failing], True)
+    assert rep.verdict == "fails" and rep.context["worst_pair"] == [2, 3]
+    assert (rep.lhs, rep.rhs) == (exact(F(3)), exact(F(2)))
+    assert [row["holds"] for row in rep.context["pairs"]] == [True, False]
+    # among pairs that all hold, the least gap of the roots is reported
+    rep = chain_report("chain", [holding, _pair([2, 3], exact(F(1)), exact(F(2)), (1.0, 1.5))],
+                       False)
+    assert rep.holds and rep.context["worst_pair"] == [1, 2] and "pairs" not in rep.context
+
+
+def test_a_binary64_chain_reports_the_pair_the_rule_decides_worst():
+    # berwald_continuous asserts a slop of 1e-9 |v2| on the left side v2 of
+    # each pair p1 < p2.  Both pairs fail; by the rule's margin
+    # v1 - v2 + 1e-9 |v2| the second is worse (-0.49999999925 against
+    # -0.4999999985), though a pick weighing the slop by |v1| ranks the
+    # first worse (-0.5 against -0.49999999975)
+    def pair(label, v1, v2):
+        return _pair(label, MeasureValue.approx(v2, 1e-9 * abs(v2)), MeasureValue.approx(v1, 0.0))
+
+    first, second = pair([1.0, 2.0], 1e9, 1e9 + 1.5), pair([2.0, 3.0], 1.0, 1.50000000075)
+    assert min([first, second], key=lambda p: p[4] - p[3] + 1e-9 * abs(p[4])) is first
+    rep = chain_report("chain", [first, second], False)
+    assert rep.verdict == "fails" and rep.context["decided_by"] == "tolerance"
+    assert rep.context["worst_pair"] == [2.0, 3.0] and rep.lhs.value == 1.50000000075
+    margins = [rhs.value - lhs.value + lhs.abs_error + rhs.abs_error
+               for _l, lhs, rhs, _a, _b in (first, second)]
+    assert margins[1] < margins[0] < 0
 
 
 def test_no_quadrature_or_retry_in_the_verdict_path():
