@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .linalg import Vec, affine_basis, det_int, integer_points, primitive_int, rank
 
@@ -53,6 +54,9 @@ def _unique_sorted(ipts: list[tuple[int, ...]]) -> list[int]:
 
 def _normal(edges: list[list[int]]) -> list[int]:
     """Generalised cross product: the cofactor vector orthogonal to d - 1 edges."""
+    if len(edges) == 2:
+        (a, b, c), (d, e, f) = edges
+        return [b * f - c * e, c * d - a * f, a * e - b * d]
     return [
         (-1) ** k * det_int([e[:k] + e[k + 1:] for e in edges]) for k in range(len(edges) + 1)
     ]
@@ -121,8 +125,13 @@ def _hull_nd(points: list[Vec], d: int) -> HullResult:
     # (d+1) L times the centroid of the initial simplex, a strictly interior point
     inner = [sum(ipts[i][k] for i in init) for k in range(d)]
     facets: dict[int, tuple[tuple[int, ...], tuple[int, ...], int]] = {}
-    ridge_map: dict[frozenset[int], list[int]] = {}
+    # a facet's vertices are sorted, so each ridge (a facet minus one vertex)
+    # is a sorted tuple and needs no set to be a key
+    ridge_map: dict[tuple[int, ...], list[int]] = {}
     next_id = 0
+
+    def ridges(verts: tuple[int, ...]):
+        return (verts[:skip] + verts[skip + 1:] for skip in range(len(verts)))
 
     def add_facet(verts: tuple[int, ...]) -> None:
         nonlocal next_id
@@ -130,8 +139,8 @@ def _hull_nd(points: list[Vec], d: int) -> HullResult:
         a = primitive_int(_normal([[x - y for x, y in zip(ipts[v], base)] for v in verts[1:]]))
         if not any(a):
             raise ValueError("degenerate facet points")
-        b = sum(x * y for x, y in zip(a, base))
-        s = sum(x * y for x, y in zip(a, inner)) - (d + 1) * b
+        b = sum(map(mul, a, base))
+        s = sum(map(mul, a, inner)) - (d + 1) * b
         if s > 0:
             a, b = tuple(-x for x in a), -b
         elif s == 0:
@@ -139,8 +148,7 @@ def _hull_nd(points: list[Vec], d: int) -> HullResult:
         fid = next_id
         next_id += 1
         facets[fid] = (verts, a, b)
-        for skip in range(len(verts)):
-            ridge = frozenset(verts[:skip] + verts[skip + 1:])
+        for ridge in ridges(verts):
             ridge_map.setdefault(ridge, []).append(fid)
 
     for skip in range(d + 1):
@@ -151,31 +159,26 @@ def _hull_nd(points: list[Vec], d: int) -> HullResult:
         if i in used:
             continue
         p = ipts[i]
-        visible = [
-            fid for fid, (_, a, b) in facets.items() if sum(x * y for x, y in zip(a, p)) > b
-        ]
+        visible = [fid for fid, (_, a, b) in facets.items() if sum(map(mul, a, p)) > b]
         if not visible:
             continue
         visible_set = set(visible)
         # every ridge of the closed boundary complex has exactly two owner
         # facets; a horizon ridge has exactly one visible owner
-        horizon: list[frozenset[int]] = []
+        horizon: list[tuple[int, ...]] = []
         for fid in visible:
-            verts = facets[fid][0]
-            for skip in range(len(verts)):
-                ridge = frozenset(verts[:skip] + verts[skip + 1:])
+            for ridge in ridges(facets[fid][0]):
                 if any(o not in visible_set for o in ridge_map[ridge]):
                     horizon.append(ridge)
         # remove visible facets
         for fid in visible:
-            verts = facets.pop(fid)[0]
-            for skip in range(len(verts)):
-                ridge = frozenset(verts[:skip] + verts[skip + 1:])
-                ridge_map[ridge].remove(fid)
-                if not ridge_map[ridge]:
+            for ridge in ridges(facets.pop(fid)[0]):
+                owners = ridge_map[ridge]
+                owners.remove(fid)
+                if not owners:
                     del ridge_map[ridge]
         for ridge in horizon:
-            add_facet(tuple(sorted(ridge | {i})))
+            add_facet(tuple(sorted(ridge + (i,))))
 
     # integer planes (a, L b) sort like the rational planes (a, b) since L > 0
     planes: set[tuple[tuple[int, ...], int]] = set()

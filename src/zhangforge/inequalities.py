@@ -55,6 +55,7 @@ from .lp import lp_solve
 from .moments import (
     RayMomentEngine,
     discrete_moment,
+    overlap,
     projection_power_moment,
     radial_batch,
     ray_moment,
@@ -66,11 +67,9 @@ from .polytope import (
     Direction,
     Polytope,
     axis_direction,
-    intersect,
     polar_projection_body,
     projection_support,
     top_face_anchor,
-    translate,
     vertical_section,
 )
 from .steiner import require_x_n_symmetric, steiner_symmetrize
@@ -316,7 +315,10 @@ def _fib_sphere(count: int) -> np.ndarray:
 
 
 class BodyWorkspace:
-    """Per-body cache shared by the checkers (anchor, symmetral, profiles...)."""
+    """Per-body cache shared by the checkers: the symmetral and the anchor
+    read off it, the section-length distribution, the profiles, the sample
+    radials, the scaled workspaces of the sweeps, and the one e_n ray engine
+    whose ``ray_support`` LP is solved once per body."""
 
     def __init__(self, body: Polytope, seed: int = 20240):
         self.body = body
@@ -324,6 +326,7 @@ class BodyWorkspace:
         self._sample_radials: dict[tuple, np.ndarray] = {}
         self._scaled_workspaces: dict[int, BodyWorkspace] = {}
         self._scaled_bodies: dict[int, Polytope] = {}
+        self._applicability: dict[str, str | None] = {}  # cid -> ``applicability``
 
     @cached_property
     def n(self) -> int:
@@ -435,6 +438,13 @@ class BodyWorkspace:
     @cached_property
     def section_dist(self):
         return section_distribution(self.sym)
+
+    @cached_property
+    def en_engine(self) -> RayMomentEngine:
+        """The body's one e_n ``RayMomentEngine``: its moments are the third
+        route of ``identity_triple_continuous``, and its ``support`` (one LP
+        per body) hints the overlaps of ``identity_triple_discrete``."""
+        return RayMomentEngine(self.body, axis_direction(self.n))
 
     @cached_property
     def diamond_values(self) -> dict:
@@ -756,7 +766,7 @@ def _chk_identity_triple_continuous(ws: BodyWorkspace, params: dict) -> Inequali
     n = ws.n
     ps = _exponents(params.get("ps") or sorted({1, 2, n}))
     per_p = []
-    engine = RayMomentEngine(ws.body, axis_direction(n))
+    engine = ws.en_engine
     for p in ps:
         # three rationals: they agree exactly or the identity fails
         vals = [engine.moment(p).exact, slab_moment(ws.section_dist, p).exact,
@@ -772,7 +782,9 @@ def _chk_identity_triple_discrete(ws: BodyWorkspace, params: dict) -> Inequality
     ps = _exponents(params.get("ps") or sorted({1, 2, n}))
     cols = column_lengths(ws.body)
     # route B: exact piecewise-linear integration of the column measure of
-    # K cap (r e_n + K); route C: column sums over the symmetral
+    # K cap (r e_n + K), each overlap hulled on its own and hinted by the
+    # e_n engine's support; route C: column sums over the symmetral
+    e_n, support = ws.en_engine.theta, ws.en_engine.support
     ells = sorted({ell for ell in cols.values() if ell > 0})
     pieces = []
     prev = _ZERO
@@ -781,7 +793,7 @@ def _chk_identity_triple_discrete(ws: BodyWorkspace, params: dict) -> Inequality
         nodes = (prev + w / 3, prev + 2 * w / 3)
         vals = []
         for r in nodes:
-            Q = intersect(ws.body, translate(ws.body, tuple(Fraction(0) for _ in range(n - 1)) + (r,)))
+            Q = overlap(ws.body, e_n, r, support)
             vals.append(_ZERO if Q is None else mu_measure(Q).exact)
         slope = (vals[1] - vals[0]) / (nodes[1] - nodes[0])
         const = vals[0] - slope * nodes[0]
@@ -971,7 +983,6 @@ def _one_point_applicable(ws: BodyWorkspace):
 
 @dataclass(frozen=True)
 class CheckerEntry:
-    id: str
     run: object
     applicable: object
     statement: str
@@ -981,7 +992,7 @@ _REGISTRY: dict[str, CheckerEntry] = {}
 
 
 def _register(cid, run, applicable, statement):
-    _REGISTRY[cid] = CheckerEntry(cid, run, applicable, statement)
+    _REGISTRY[cid] = CheckerEntry(run, applicable, statement)
 
 
 _register(
@@ -1123,10 +1134,17 @@ def checker_statement(cid: str) -> str:
 
 
 def applicability(cid: str, ws: BodyWorkspace) -> str | None:
-    """None when the checker's preconditions hold; otherwise the reason."""
+    """None when the checker's preconditions hold; otherwise the reason.
+
+    The decision is made once per checker and workspace and kept there, so
+    the suite's skip of a pair and ``verify``'s guard read one evaluation.
+    """
     if cid not in _REGISTRY:
         raise UnknownChecker(cid)
-    return _REGISTRY[cid].applicable(ws)
+    decided = ws._applicability
+    if cid not in decided:
+        decided[cid] = _REGISTRY[cid].applicable(ws)
+    return decided[cid]
 
 
 def verify(cid: str, body: Polytope, params: dict | None = None,

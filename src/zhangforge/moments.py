@@ -126,16 +126,26 @@ def _overlap_point(P: Polytope, r: Fraction, support) -> Vec:
     return tuple((1 - lam) * c[i] + lam * witness[i] for i in range(P.dim))
 
 
+def overlap(P: Polytope, theta: Direction, r, support) -> Polytope | None:
+    """K cap (r theta.raw + K), equal to ``intersect(P, translate(P, r theta.raw))``
+    but with no translate and, for 0 <= r < R, no LP: one hull of the
+    ``_overlap_rows`` at r, hinted by ``_overlap_point``.  ``support`` is
+    ``ray_support(P, theta)``; from r = R on the overlap has no interior and
+    ``Polytope.from_halfspaces`` finds its affine hull unhinted."""
+    r = frac(r)
+    rows, shifts = _overlap_rows(P, theta)
+    hint = _overlap_point(P, r, support) if 0 <= r < support[0] else None
+    return Polytope.from_halfspaces([(a, b + r * c) for (a, b), c in zip(rows, shifts)], P.dim,
+                                    interior=hint)
+
+
 def covariogram_on_ray(P: Polytope, theta: Direction, r, *, support=None) -> Fraction:
     r = frac(r)
     if support is None:
         support = ray_support(P, theta)
     if r >= support[0]:
         return _ZERO
-    rows, shifts = _overlap_rows(P, theta)
-    Q = Polytope.from_halfspaces([(a, b + r * c) for (a, b), c in zip(rows, shifts)], P.dim,
-                                 interior=_overlap_point(P, r, support))
-    return Q.volume_fraction()
+    return overlap(P, theta, r, support).volume_fraction()
 
 
 def ray_breakpoints(P: Polytope, theta: Direction, R: Fraction) -> list[Fraction]:
@@ -164,6 +174,11 @@ class RayMomentEngine:
     are shared by every exponent; integer-exponent moments are exact rationals
     and equal ``ray_moment``.  Checkers read the exact ``ray_moment``;
     the engine is the independent third route of ``identity_triple_continuous``.
+
+    ``support`` (the ``ray_support`` LP, solved once at construction) also
+    hints every ``overlap`` of K along theta, so a body's one e_n engine
+    (``inequalities.BodyWorkspace.en_engine``) serves the overlaps of
+    ``identity_triple_discrete`` with no further LP.
     """
 
     def __init__(self, P: Polytope, theta: Direction):
@@ -200,15 +215,27 @@ class RayMomentEngine:
 
 
 def _power_integral(coeffs, alpha: Fraction, beta: Fraction, p) -> Fraction | float:
-    """int_alpha^beta t^p * sum_k c_k t^k dt, exact for integer p."""
+    """int_alpha^beta t^p * sum_k c_k t^k dt, exact for integer p.
+
+    For integer p the sum of c_k (beta^e - alpha^e) / e, e = p + k + 1, is
+    one integer numerator over M (alpha_d beta_d)^E, M the lcm of the
+    denominators of the c_k / e and E the largest e, and one ``Fraction``.
+    """
     if isinstance(p, int) or float(p) == int(p):
         q = int(p)
-        total = _ZERO
-        for k, c in enumerate(coeffs):
-            if c:
-                e = q + k + 1
-                total += c * (beta**e - alpha**e) / e
-        return total
+        terms = [(q + k + 1, c) for k, c in enumerate(coeffs) if c]
+        if not terms:
+            return _ZERO
+        an, ad = alpha.numerator, alpha.denominator
+        bn, bd = beta.numerator, beta.denominator
+        top = terms[-1][0]
+        M = lcm(*(c.denominator * e for e, c in terms))
+        adt, bdt = ad**top, bd**top
+        num = 0
+        for e, c in terms:
+            num += c.numerator * (M // (c.denominator * e)) * (
+                bn**e * adt * bd ** (top - e) - an**e * bdt * ad ** (top - e))
+        return Fraction(num, M * (ad * bd) ** top)
     pf = float(p)
     total = 0.0
     fa, fb = float(alpha), float(beta)
@@ -632,11 +659,10 @@ def circle_nodes(n_nodes: int, extra_angles=()) -> np.ndarray:
     return np.array(angles)
 
 
-def _circle_rule(evaluator, angles: np.ndarray) -> float:
+def _circle_rule(rho: np.ndarray, angles: np.ndarray) -> float:
+    """The trapezoid rule for (1/2) int rho^2 over the sorted angles."""
     import numpy as np
 
-    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    rho = evaluator(dirs)
     k = len(angles)
     gaps = np.empty(k)
     gaps[:-1] = angles[1:] - angles[:-1]
@@ -656,11 +682,22 @@ def star_volume(evaluator, dim: int, extra_angles=(), n_circle: int = 2048) -> M
     extra angles (kinks of rho).  Only dim = 2 is supported; the polar
     projection body, in any dimension, is built exactly by
     ``polytope.polar_projection_body``.
+
+    The evaluator runs once, on the union of the fine and the coarse nodes
+    (n_circle / 2 equal angles plus the extras).  For an even n_circle that
+    union is the fine nodes, bit for bit, since 2 pi (2k) / n_circle rounds
+    like 2 pi k / (n_circle / 2).
     """
+    import numpy as np
+
     if dim != 2:
         raise RouteUnsupported("star volumes by quadrature are implemented for dimension 2")
-    fine = _circle_rule(evaluator, circle_nodes(n_circle, extra_angles))
-    coarse = _circle_rule(evaluator, circle_nodes(n_circle // 2, extra_angles))
+    fine_angles = circle_nodes(n_circle, extra_angles)
+    coarse_angles = circle_nodes(n_circle // 2, extra_angles)
+    angles = np.union1d(fine_angles, coarse_angles)
+    rho = evaluator(np.stack([np.cos(angles), np.sin(angles)], axis=1))
+    fine = _circle_rule(rho[np.searchsorted(angles, fine_angles)], fine_angles)
+    coarse = _circle_rule(rho[np.searchsorted(angles, coarse_angles)], coarse_angles)
     err = abs(fine - coarse) + 1e-12 * abs(fine)
     return MeasureValue.approx(fine, err)
 

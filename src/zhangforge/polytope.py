@@ -162,6 +162,7 @@ class Polytope:
         "_int_rows",
         "_incidence",
         "_column_tables",
+        "_symmetral",
     )
 
     def __init__(self, dim, affine_dim, vertices, halfspaces, interior, tri):
@@ -178,6 +179,7 @@ class Polytope:
         self._int_rows = None
         self._incidence = None  # per vertex, the input rows of from_halfspaces tight there
         self._column_tables = None  # k -> the integer column walk (``lattice._column_walk``)
+        self._symmetral = None  # the Steiner symmetral, kept by ``steiner_symmetrize``
 
     # -- construction ------------------------------------------------------
 
@@ -418,7 +420,9 @@ class Polytope:
         return self._fweights
 
     def translated(self, t) -> "Polytope":
-        """P + t, with no hull; a volume already computed for P is carried across."""
+        """P + t, with no hull; a volume already computed for P is carried across,
+        and so is P's Steiner symmetral when t is horizontal (t_n = 0), since
+        a horizontal translation commutes with the symmetrization."""
         t = vec(t)
 
         def shift(p):
@@ -432,6 +436,8 @@ class Polytope:
             tri = (tuple(shift(p) for p in pts), simplices)
         out = Polytope(self.dim, self.affine_dim, verts, hs, shift(self._interior), tri)
         out._volume = self._volume
+        if self._symmetral is not None and t[-1] == 0:
+            out._symmetral = self._symmetral.translated(t)
         return out
 
     def scaled(self, lam: int) -> "Polytope":
@@ -946,15 +952,22 @@ def polar_projection_body(P: Polytope) -> Polytope:
 
     ΠK is the zonotope with support function ``projection_support``; its facet
     normals are the normals c of the rank-(n-1) subsets of the facet normals
-    a_F, so the vertices of Π*K are ±c / h_ΠK(c).
+    a_F, so the vertices of Π*K are ±c / h_ΠK(c).  Each c is the integer
+    cofactor vector of n - 1 integer rows (zero exactly when their rank is
+    below n - 1), made primitive and of the sign that is lexicographically
+    larger, so each normal is met once up to sign.  ±c / h_ΠK(c) does not depend on the
+    scale or sign of c, so the points are those of any basis of the rows'
+    nullspace.
     """
-    normals = [a for a, _b, _w in P.facet_weights()]
-    pts = []
-    for sub in combinations(normals, P.dim - 1):
-        basis = nullspace([list(a) for a in sub], P.dim)
-        if len(basis) != 1:  # rank below n-1: no facet normal
+    rows = [integer_row(a)[0] for a, _b in P.halfspaces]
+    normals = set()
+    for sub in combinations(rows, P.dim - 1):
+        c = primitive_int(_normal(list(sub)) if sub else [1])
+        if not any(c):  # rank below n-1: no facet normal
             continue
-        c = basis[0]
+        normals.add(max(c, tuple(-x for x in c)))
+    pts = []
+    for c in normals:
         h = projection_support(P, c)
         pts.append(tuple(x / h for x in c))
         pts.append(tuple(-x / h for x in c))

@@ -19,6 +19,12 @@ _ZERO = Fraction(0)
 
 
 def steiner_symmetrize(P: Polytope) -> Polytope:
+    """P's Steiner symmetral, one hull.  It is kept on P, and
+    ``Polytope.translated`` carries it across a horizontal translate, so the
+    body anchored by ``polytope.max_section_anchor`` reuses the symmetral the
+    anchor was read off."""
+    if P._symmetral is not None:
+        return P._symmetral
     if not P.is_full_dimensional:
         raise DegenerateBody("Steiner symmetrization needs a full-dimensional body")
     n = P.dim
@@ -46,6 +52,7 @@ def steiner_symmetrize(P: Polytope) -> Polytope:
     hint = y0 + (_ZERO,)
     S = Polytope.from_halfspaces(rows, n, interior=hint)
     assert S is not None
+    P._symmetral = S
     return S
 
 

@@ -1532,3 +1532,118 @@ def test_max_section_anchor_against_lp():
     bodies += [P.translated(tuple(F(i + 1, 3) for i in range(P.dim))) for P in bodies]
     for P in bodies:
         assert max_section_anchor(P) == _lp_section_anchor(P), P
+
+
+def _route_b_nodes(P):
+    """The radii at which ``identity_triple_discrete``'s route B reads
+    mu(K cap (r e_n + K)): two nodes inside each gap between consecutive
+    distinct positive column lengths."""
+    ells = sorted({ell for ell in column_lengths(P).values() if ell > 0})
+    nodes = []
+    for lo, hi in zip([F(0)] + ells, ells):
+        nodes += [lo + (hi - lo) / 3, lo + 2 * (hi - lo) / 3]
+    return nodes
+
+
+def _fuzz_specs(count_per_dim):
+    """Criterion 8's bodies: the first seeds of its n = 2 and n = 3 families."""
+    return ([BodySpec("random_hull", 2, {"count": 8, "radius": 2, "seed": s})
+             for s in range(count_per_dim)]
+            + [BodySpec("random_hull", 3, {"count": 6, "radius": 2, "seed": 100 + s})
+               for s in range(count_per_dim)])
+
+
+def test_overlap_against_intersect_of_a_translate(monkeypatch):
+    # the hinted overlap of route B against K cap (K + r e_n) built from a
+    # translate, on the corpus and on 20 criterion-8 hulls; the overlaps take
+    # no LP once the e_n support is known
+    import zhangforge.polytope as poly
+    from zhangforge.moments import overlap
+
+    real = poly.max_slack_point
+    lps = []
+    checked = 0
+    for spec in default_corpus() + _fuzz_specs(10):
+        P = make_body(spec)
+        e_n = axis_direction(P.dim)
+        support = ray_support(P, e_n)
+        monkeypatch.setattr(poly, "max_slack_point", lambda *a: lps.append(a) or real(*a))
+        for r in _route_b_nodes(P):
+            Q = overlap(P, e_n, r, support)
+            ref = intersect(P, translate(P, (F(0),) * (P.dim - 1) + (r,)))
+            assert Q.vertices == ref.vertices and Q.halfspaces == ref.halfspaces, (spec, r)
+            assert Q._tri == ref._tri, (spec, r)
+            assert Q.volume_fraction() == ref.volume_fraction(), (spec, r)
+            assert mu_measure(Q).exact == mu_measure(ref).exact, (spec, r)
+            checked += 1
+        monkeypatch.setattr(poly, "max_slack_point", real)
+    # the intersects took one LP each, the overlaps none
+    assert len(lps) == checked and checked > 100
+    # at and beyond the reach the overlap is the intersect too, unhinted
+    P = make_body(default_corpus()[0])
+    e_n = axis_direction(P.dim)
+    support = ray_support(P, e_n)
+    for r in (support[0], support[0] + 1):
+        ref = intersect(P, translate(P, (F(0),) * (P.dim - 1) + (r,)))
+        assert overlap(P, e_n, r, support) == ref
+
+
+def test_power_integral_against_fraction_sum():
+    # one Fraction over one integer numerator against the term-by-term
+    # Fraction sum, on seeded rational coefficients and ends
+    from zhangforge.moments import _power_integral
+
+    rng = np.random.default_rng(2029)
+
+    def rational():
+        return F(int(rng.integers(-40, 41)), int(rng.choice([1, 2, 3, 7, 12, 997])))
+
+    for _ in range(400):
+        coeffs = [rational() if rng.random() < 0.8 else F(0)
+                  for _ in range(int(rng.integers(1, 6)))]
+        alpha, beta = sorted((abs(rational()), abs(rational())))
+        q = int(rng.integers(0, 6))
+        oracle = sum((c * (beta ** (q + k + 1) - alpha ** (q + k + 1)) / (q + k + 1)
+                      for k, c in enumerate(coeffs) if c), F(0))
+        assert _power_integral(coeffs, alpha, beta, q) == oracle
+        assert _power_integral(coeffs, alpha, beta, float(q)) == oracle
+    assert _power_integral([F(0), F(0)], F(0), F(1), 2) == 0
+
+
+def _polar_projection_body_by_nullspace(P):
+    """Π*K from the Fraction nullspace of each (n-1)-subset of facet normals."""
+    from itertools import combinations
+
+    pts = []
+    for sub in combinations([a for a, _b, _w in P.facet_weights()], P.dim - 1):
+        basis = nullspace([list(a) for a in sub], P.dim)
+        if len(basis) == 1:
+            c = basis[0]
+            h = projection_support(P, c)
+            pts += [tuple(x / h for x in c), tuple(-x / h for x in c)]
+    return Polytope.from_points(pts, P.dim)
+
+
+def test_polar_projection_body_against_nullspace_normals():
+    # n = 4 on the small families only: a random 4-d hull's zonotope takes seconds
+    specs = default_corpus() + _fuzz_specs(6)
+    specs += [BodySpec(fam, n) for fam in ("cube", "cross", "simplex") for n in (2, 3, 4)]
+    for spec in specs:
+        P = make_body(spec)
+        got, ref = polar_projection_body(P), _polar_projection_body_by_nullspace(P)
+        assert got.vertices == ref.vertices and got.halfspaces == ref.halfspaces, spec
+        assert got._tri == ref._tri and got.volume_fraction() == ref.volume_fraction(), spec
+
+
+def test_carried_symmetral_equals_a_fresh_one():
+    # the symmetral read off by the anchor and moved with the body, against
+    # the symmetral of a copy of the anchored body that carries nothing
+    for spec in _fuzz_specs(8):
+        spec = BodySpec(spec.family, spec.dim, spec.params, anchor=True)
+        body = make_body(spec)
+        carried = steiner_symmetrize(body)
+        fresh = steiner_symmetrize(make_polytope(body.vertices, body.dim))
+        assert carried.vertices == fresh.vertices, spec
+        assert carried.halfspaces == fresh.halfspaces, spec
+        assert carried._tri == fresh._tri and carried.interior_point == fresh.interior_point
+        assert max_section_anchor(body) == (F(0),) * (body.dim - 1)

@@ -25,6 +25,27 @@ from zhangforge.harness import (
 F = Fraction
 
 
+def _count_calls(monkeypatch, *names):
+    """Count the calls of each named function through every module of the
+    package that binds it; returns the list of the names called."""
+    import importlib
+    import pkgutil
+
+    import zhangforge
+
+    calls = []
+    for info in pkgutil.iter_modules(zhangforge.__path__):
+        if info.name.startswith("__"):
+            continue
+        mod = importlib.import_module(f"zhangforge.{info.name}")
+        for name in names:
+            real = getattr(mod, name, None)
+            if real is not None:
+                monkeypatch.setattr(mod, name, lambda *a, _real=real, _name=name, **k:
+                                    calls.append(_name) or _real(*a, **k))
+    return calls
+
+
 class TestMakeBody:
     def test_simplex(self):
         T = make_body(BodySpec("simplex", 2, name="T"))
@@ -56,6 +77,22 @@ class TestMakeBody:
         P = make_body(spec)
         # translated to x in [3,4] then re-anchored so the longest column is at 0
         assert P.bounding_box()[0] == (0, 1)
+
+    def test_anchored_body_and_its_workspace_build_one_symmetral(self, monkeypatch):
+        # one hull of the points and one of the symmetral: the anchor is read
+        # off the symmetral, which the horizontal translate carries to the
+        # workspace of the anchored body
+        import zhangforge.polytope as poly
+        from zhangforge.inequalities import BodyWorkspace
+
+        calls = _count_calls(monkeypatch, "convex_hull")
+        spec = BodySpec("random_hull", 3, {"count": 6, "radius": 2, "seed": 101}, anchor=True)
+        body = make_body(spec)
+        assert len(calls) == 2
+        ws = BodyWorkspace(body)
+        ws.section_dist, ws.asym, ws.profiles
+        assert len(calls) == 2
+        assert ws.anchor == (F(0), F(0)) and poly.max_section_anchor(body) == ws.anchor
 
     def test_custom(self):
         spec = BodySpec("custom", 2, {"points": [[0, 0], ["1/2", 1], ["1/2", -1]]}, name="c")
@@ -398,6 +435,19 @@ class TestRunSuite:
         assert doc["summary"]["fails"] == 0
         thetas = {r["body"]: r["context"]["theta"] for r in doc["reports"]}
         assert thetas == {"T2": ["2", "1"], "T3": ["1", "1", "1"]}
+
+
+def test_default_corpus_run_takes_at_most_14_lps_and_123_hulls(monkeypatch):
+    # a work-count guard: one LP per body (the e_n ray support), none per
+    # overlap, and no more hulls than the corpus needs today
+    from collections import Counter
+
+    calls = _count_calls(monkeypatch, "lp_solve", "convex_hull")
+    doc = run_suite(default_config(), jobs=1)
+    assert doc["summary"]["fails"] == 0
+    counts = Counter(calls)
+    assert 0 < counts["lp_solve"] <= 14
+    assert 0 < counts["convex_hull"] <= 123
 
 
 class TestBodyOperation:

@@ -212,6 +212,42 @@ class TestRadials:
 
 
 class TestStarVolume:
+    def test_one_evaluation_matches_the_two_rule_evaluations(self):
+        # criterion 6's continuous companion: the star volume of the
+        # covariogram Ball body, against the fine and the coarse rule each
+        # evaluated on its own nodes
+        from zhangforge.harness import default_corpus, make_body
+        from zhangforge.inequalities import BodyWorkspace, applicability
+        from zhangforge.moments import circle_nodes
+        from zhangforge.verdict import MeasureValue
+
+        def rule(evaluator, angles):
+            rho = evaluator(np.stack([np.cos(angles), np.sin(angles)], axis=1))
+            gaps = np.append(np.diff(angles), 2.0 * math.pi - angles[-1] + angles[0])
+            w = (np.roll(gaps, 1) + gaps) / 2.0
+            return float(0.5 * np.sum(rho**2 * w))
+
+        seen = 0
+        for spec in default_corpus():
+            body = make_body(spec)
+            if applicability("volume_identity_discrete", BodyWorkspace(body)) is not None:
+                continue
+            calls = []
+
+            def ev(dirs, body=body, calls=calls):
+                calls.append(len(dirs))
+                return radial_batch("continuous", body, dirs, body.dim)
+
+            extra = facet_angles(body)
+            got = star_volume(ev, 2, extra_angles=extra)
+            fine = rule(ev, circle_nodes(2048, extra))
+            coarse = rule(ev, circle_nodes(1024, extra))
+            want = MeasureValue.approx(fine, abs(fine - coarse) + 1e-12 * abs(fine))
+            assert (got.value, got.abs_error) == (want.value, want.abs_error), spec.name
+            assert len(calls) == 3 and calls[0] == calls[1]
+            seen += 1
+        assert seen >= 3
+
     def test_unit_disc(self):
         mv = star_volume(lambda dirs: np.ones(len(dirs)), 2)
         assert mv.value == pytest.approx(math.pi, abs=1e-6)

@@ -615,7 +615,9 @@ def test_workspace_section_layer_is_one_hull_and_no_lp(monkeypatch):
     from zhangforge.inequalities import BodyWorkspace
 
     bodies = [make_body(spec) for spec in default_corpus()]
-    anchors = [max_section_anchor(P) for P in bodies]
+    # the reference anchors read fresh copies: a body keeps the symmetral
+    # its anchor was read off, and the workspace would reuse it
+    anchors = [max_section_anchor(make_body(spec)) for spec in default_corpus()]
     hulls, lps = _count_hulls(monkeypatch), _count_lps(monkeypatch)
     for P, want in zip(bodies, anchors):
         before = len(hulls)
