@@ -2,7 +2,8 @@
 
 The column measure mu sums vertical-section lengths over integer columns;
 it is sandwiched between G_n -+ G_(n-1) and is invariant under Steiner
-symmetrization.  Ray decompositions give exact lattice covariogram moments.
+symmetrization.  The reach of each lattice point along a ray gives exact
+lattice covariogram moments.
 """
 
 from fractions import Fraction as F
@@ -45,14 +46,14 @@ for x in [(0, 0), (1, 0), (2, 2), (3, 0)]:
 
 print("\nray decomposition along e1 (interval of r with y - r e1 in K):")
 d = ray_decomposition(big, Direction((1, 0)))
-for y, iv in d.entries:
-    print(f"  y={y}: [{iv.lo}, {iv.hi}]")
+for y, rho in d.entries:
+    print(f"  y={y}: [0, {rho}]")
 print("p=1 moment (sum of lengths):", discrete_ray_moment(d, 1).exact)
-print("p=2 moment (sum of b^2 - a^2):", discrete_ray_moment(d, 2).exact)
+print("p=2 moment (sum of reach^2):", discrete_ray_moment(d, 2).exact)
 print("max reach = radial of (K cap Z^n) - K:", d.max_reach())
 
 square = make_polytope([(0, 0), (1, 0), (0, 1), (1, 1)], 2)
 d_open = ray_decomposition(square, Direction((1, 0)), open_cube=True)
 print("\nopen-cube decomposition of [0,1]^2 (half-open intervals):")
-for y, iv in d_open.entries:
-    print(f"  y={y}: [{iv.lo}, {iv.hi}{')' if iv.hi_open else ']'}")
+for y, rho in d_open.entries:
+    print(f"  y={y}: [0, {rho}{')' if d_open.open_cube else ']'}")

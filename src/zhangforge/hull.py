@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
+from .errors import DegenerateBody
 from .linalg import Vec, affine_basis, det_int, integer_points, primitive_int, rank
 
 
@@ -69,7 +70,7 @@ def _hull_1d(points: list[Vec]) -> HullResult:
     one = Fraction(1)
     facets = [((Fraction(-1),), -Fraction(lo[0])), ((one,), Fraction(hi[0]))]
     if lo[0] == hi[0]:
-        raise ValueError("1-d hull of a single point is not full-dimensional")
+        raise DegenerateBody("1-d hull of a single point is not full-dimensional")
     mid = (Fraction(lo[0] + hi[0], 2),)
     return HullResult(
         facets=facets,
@@ -99,7 +100,7 @@ def _hull_2d(points: list[Vec]) -> HullResult:
     upper = chain(list(reversed(uniq)))
     ring = lower[:-1] + upper[:-1]  # counterclockwise
     if len(ring) < 3:
-        raise ValueError("2-d hull is not full-dimensional")
+        raise DegenerateBody("2-d hull is not full-dimensional")
     scale = len(ring) * den
     interior = tuple(Fraction(sum(ipts[i][k] for i in ring), scale) for k in range(2))
     facets: list[tuple[Vec, Fraction]] = []
@@ -120,7 +121,7 @@ def _hull_nd(points: list[Vec], d: int) -> HullResult:
     # initial affinely independent d+1 points
     init = [uniq[k] for k in affine_basis([ipts[i] for i in uniq])]
     if len(init) != d + 1:
-        raise ValueError("point set is not full-dimensional")
+        raise DegenerateBody("point set is not full-dimensional")
 
     # (d+1) L times the centroid of the initial simplex, a strictly interior point
     inner = [sum(ipts[i][k] for i in init) for k in range(d)]
@@ -197,9 +198,10 @@ def _hull_nd(points: list[Vec], d: int) -> HullResult:
 
 def convex_hull(points: list[Vec]) -> HullResult:
     """Hull of a full-dimensional rational point set (Fractions or ints; ambient
-    dim = len(points[0]))."""
+    dim = len(points[0])); ``DegenerateBody`` when the points are not
+    full-dimensional.  A ``ValueError`` is a fault of the kernel itself."""
     if not points:
-        raise ValueError("no points")
+        raise DegenerateBody("no points")
     d = len(points[0])
     if d == 1:
         return _hull_1d(points)

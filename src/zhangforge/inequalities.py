@@ -360,25 +360,15 @@ class BodyWorkspace:
     @cached_property
     def asym(self) -> Polytope:
         """The symmetral of ``anchored``: ``sym`` moved by (-anchor, 0), with no
-        hull, since a horizontal translation commutes with the symmetrization."""
-        return self.sym.translated(tuple(-c for c in self.anchor) + (_ZERO,))
+        hull, since ``anchored`` carries it across the horizontal translate."""
+        return steiner_symmetrize(self.anchored)
 
     def scaled(self, lam: int) -> "BodyWorkspace":
-        """The workspace of lam * ``anchored`` for an integer lam > 0, with no
-        hull and no LP, built once per lam.
-
-        x -> lam x commutes with the Steiner symmetrization and maps the
-        lex-min anchor of a longest section to lam times it, which is 0 for
-        the anchored body.  So ``anchor`` is 0, ``anchored`` is the scaled
-        body, and ``asym`` and ``sym`` are lam times this workspace's ``asym``.
-        """
+        """The workspace of lam * ``anchored`` for an integer lam > 0, built
+        once per lam.  The scaled body carries lam * ``asym`` as its
+        symmetral, so the new workspace builds no hull and solves no LP."""
         if lam not in self._scaled_workspaces:
-            body = self.anchored.scaled(lam)
-            ws = BodyWorkspace(body, self.seed)
-            asym = self.asym.scaled(lam)
-            ws.__dict__.update(anchor=tuple(_ZERO for _ in range(self.n - 1)), anchored=body,
-                               asym=asym, sym=asym)
-            self._scaled_workspaces[lam] = ws
+            self._scaled_workspaces[lam] = BodyWorkspace(self.anchored.scaled(lam), self.seed)
         return self._scaled_workspaces[lam]
 
     @cached_property
@@ -915,7 +905,7 @@ def _neg_radial(vertices, raw) -> Fraction:
 
 def _chk_one_point_collapse(ws: BodyWorkspace, params: dict) -> InequalityReport:
     # both sides as p-th powers, so both stay rational: the lattice-covariogram
-    # Ball body (1/G) sum_y (b_y^p - a_y^p) over G = 1 point, and rho_{-K}^p
+    # Ball body (1/G) sum_y rho_y^p over G = 1 point, and rho_{-K}^p
     # read off K's vertices
     n = ws.n
     (p,) = _exponents([params.get("p", 1)])

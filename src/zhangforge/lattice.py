@@ -1,5 +1,5 @@
 """Counting measures on polytopes: G_k, the mixed column measure, discrete
-covariograms, and exact ray-interval decompositions behind discrete moments.
+covariograms, and the exact lattice ray reaches behind discrete moments.
 
 Every column read is one table (:func:`_column_walk`), built once per body
 and k and memoized on the body: over each integer point y of the bounding
@@ -17,6 +17,11 @@ F the closed sum P + [-1,1]^k x {0}^{n-k} (built once per body and k by
 fattening exactly when it satisfies every halfspace of F, strictly on the
 rows whose normal has a nonzero entry among the first k coordinates.  k = 0
 is the body itself.
+
+Along a direction theta, every lattice point y of K (or of its open
+fattening) lies in K (strictly inside F), so its ray {y - r theta.raw}
+starts inside and meets the body in [0, rho_y] (or [0, rho_y)): one reach
+per point, read off the integer rows by :func:`ray_decomposition`.
 """
 
 from __future__ import annotations
@@ -26,37 +31,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
+from operator import mul
 
 from .errors import DimensionMismatch, ExponentOutOfRange, OriginMissing
-from .linalg import dot, vec
+from .linalg import integer_row
 from .lp import lp_solve  # noqa: F401  (unused here; perfbench/tracer.py's REQUIRED_BINDINGS needs it)
 from .polytope import (
     Direction,
-    Interval,
     Polytope,
     _column_rows,
     _line_ends,
     cube_sum,
+    integer_rows,
     minkowski_sum,
     translate,
 )
 from .verdict import MeasureValue
 
 _ZERO = Fraction(0)
-
-
-@dataclass(frozen=True)
-class LatticePointSet:
-    """Sorted, duplicate-free integer points of a polytope (or its fattening)."""
-
-    dim: int
-    points: tuple[tuple[int, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
 
 
 @cache
@@ -132,13 +124,14 @@ def column_ranges(P: Polytope, open_cube_k: int = 0):
             yield y, lo, hi
 
 
-def lattice_points(P: Polytope, open_cube_k: int = 0) -> LatticePointSet:
-    """Integer points of P (open_cube_k = 0) or of P + (-1,1)^k x {0}^{n-k}."""
+def lattice_points(P: Polytope, open_cube_k: int = 0) -> tuple[tuple[int, ...], ...]:
+    """Integer points of P (open_cube_k = 0) or of P + (-1,1)^k x {0}^{n-k},
+    sorted."""
     pts = []
     # ascending columns, ascending t within each: lexicographic order
     for y, lo, hi in column_ranges(P, open_cube_k):
         pts.extend(y + (t,) for t in range(lo, hi + 1))
-    return LatticePointSet(P.dim, tuple(pts))
+    return tuple(pts)
 
 
 def count_lattice(P: Polytope, open_cube_k: int = 0) -> int:
@@ -200,72 +193,63 @@ def discrete_covariogram(P: Polytope, x) -> int:
 
 @dataclass(frozen=True)
 class RayDecomposition:
-    """Per-lattice-point parameter intervals {r >= 0 : y - r theta.raw in K}.
+    """The reach rho_y of each lattice point y of K (or of its open
+    fattening): y - r theta.raw is in K for r in [0, rho_y], and in the open
+    fattening for r in [0, rho_y) when ``open_cube`` is set.
 
-    r is in units of ``theta.raw``, not of a unit vector, so every endpoint
-    is an exact rational for every rational direction: the radials built
-    from these intervals are homogeneous of degree -1 in theta, and the
-    moments sum (b^p - a^p) of degree p, so a raw direction needs no
-    normalization.
+    r is in units of ``theta.raw``, not of a unit vector, so every reach is
+    an exact rational for every rational direction: the radials built from
+    the reaches are homogeneous of degree -1 in theta, and the moments sum
+    rho^p of degree p, so a raw direction needs no normalization.
     """
 
-    direction: Direction
-    entries: tuple[tuple[tuple[int, ...], Interval], ...]
+    entries: tuple[tuple[tuple[int, ...], Fraction], ...]
     open_cube: bool
 
     def max_reach(self) -> Fraction:
-        """Largest upper endpoint; the radial of (K cap Z^n) - K for closed decompositions."""
-        return max((iv.hi for _, iv in self.entries), default=_ZERO)
-
-
-def ray_interval(body: Polytope, point, raw, strict: bool = False):
-    """(lo, hi) of {r >= 0 : point - r*raw in body} in raw-direction units, or None.
-
-    ``strict`` asks for the open interior of ``body`` (endpoints then open).
-    """
-    yv = vec(point)
-    lo = _ZERO
-    hi: Fraction | None = None
-    for a, b in body.halfspaces:
-        s = dot(a, raw)
-        c = dot(a, yv) - b
-        if s == 0:
-            if c > 0 or (strict and c == 0):
-                return None
-        elif s > 0:
-            lo = max(lo, c / s)
-        else:
-            t = c / s
-            hi = t if hi is None else min(hi, t)
-    if hi is None or lo > hi or (strict and lo == hi):
-        return None
-    return lo, hi
+        """Largest reach; the radial of (K cap Z^n) - K for closed decompositions."""
+        return max((rho for _, rho in self.entries), default=_ZERO)
 
 
 def ray_decomposition(P: Polytope, theta: Direction, open_cube: bool = False) -> RayDecomposition:
-    if not P.contains(tuple(Fraction(0) for _ in range(P.dim))):
+    """The reach of each lattice point y of P (``open_cube`` false) or of
+    P + (-1,1)^n, read off the integer rows (a, num, den) of P or of the closed
+    fattening F.  Each y lies in P (strictly inside F), so its ray starts
+    inside; with theta.raw = W/L, it leaves through a row with
+    s = den <a, W> < 0 at r = L (num - den <a, y>) / (-s).  The least such r
+    is picked by cross-multiplying, over integers, and built as one Fraction.
+    """
+    if not P.contains(tuple(_ZERO for _ in range(P.dim))):
         raise OriginMissing("ray decompositions require 0 in the body")
     k = P.dim if open_cube else 0
-    body = fattening(P, k)
+    W, L = integer_row(theta.raw)
+    exits = []  # (den a, num, -s) over the rows the ray leaves through
+    for a, num, den in integer_rows(fattening(P, k)):
+        s = den * sum(map(mul, a, W))
+        if s < 0:
+            exits.append((tuple(den * x for x in a), num, -s))
     entries = []
     for y in lattice_points(P, k):
-        seg = ray_interval(body, y, theta.raw, open_cube)
-        if seg is not None:
-            entries.append((y, Interval(*seg, False, open_cube)))
-    return RayDecomposition(theta, tuple(entries), open_cube)
+        c, q = None, 1  # the least (num - <den a, y>) / -s so far, as c / q
+        for h, num, s in exits:
+            r = num - sum(map(mul, h, y))
+            if c is None or r * q < c * s:
+                c, q = r, s
+        entries.append((y, Fraction(L * c, q)))
+    return RayDecomposition(tuple(entries), open_cube)
 
 
 def discrete_ray_moment(decomp: RayDecomposition, p) -> MeasureValue:
-    """p * integral of r^{p-1} G_n(K cap (r theta + K)) dr = sum (b^p - a^p),
+    """p * integral of r^{p-1} G_n(K cap (r theta + K)) dr = sum rho_y^p,
     exact for an integer p, binary64 for a fractional one."""
     pf = float(p)
     if pf <= 0:
         raise ExponentOutOfRange("moment exponent must be positive")
     if pf == int(pf):
         q = int(pf)
-        return MeasureValue.from_exact(sum((iv.hi**q - iv.lo**q for _, iv in decomp.entries), _ZERO))
+        return MeasureValue.from_exact(sum((rho**q for _, rho in decomp.entries), _ZERO))
     total = 0.0
-    for _, iv in decomp.entries:
-        total += float(iv.hi) ** pf - float(iv.lo) ** pf
+    for _, rho in decomp.entries:
+        total += float(rho) ** pf
     err = 1e-13 * max(1.0, abs(total)) * max(1, len(decomp.entries))
     return MeasureValue.approx(total, err)

@@ -159,8 +159,8 @@ def lp_solve(c, A, b) -> LPResult:
     return LPResult(x=x, value=Fraction(value, C2 * D))
 
 
-def max_slack_point(A, b, cap: Fraction = Fraction(1)) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """Maximize the uniform slack t with A x + t <= b, t <= cap.
+def max_slack_point(A, b) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """Maximize the uniform slack t with A x + t <= b, t <= 1.
 
     Always feasible.  The sign of the optimum classifies {x : A x <= b}:
     t* > 0 gives an interior point, t* == 0 a boundary-only (degenerate) set,
@@ -169,7 +169,7 @@ def max_slack_point(A, b, cap: Fraction = Fraction(1)) -> tuple[Fraction, tuple[
     n = len(A[0]) if A else 0
     rows = [list(r) + [Fraction(1)] for r in A]
     rows.append([Fraction(0)] * n + [Fraction(1)])
-    rhs = list(b) + [cap]
+    rhs = list(b) + [Fraction(1)]
     c = [Fraction(0)] * n + [Fraction(1)]
     res = lp_solve(c, rows, rhs)
     return res.value, res.x[:n]

@@ -309,8 +309,8 @@ def mc_section_samples(P: Polytope, seed: int, nsamp: int = 1_000_000):
 
 
 def discrete_moment(P: Polytope, theta: Direction, p, open_cube: bool = False) -> MeasureValue:
-    """sum_y (b_y^p - a_y^p) over the ray decomposition of P (or of its open
-    fattening) along theta.raw; exact for an integer p."""
+    """sum_y rho_y^p over the reaches of the lattice points of P (or of its
+    open fattening) along theta.raw; exact for an integer p."""
     return discrete_ray_moment(ray_decomposition(P, theta, open_cube=open_cube), p)
 
 
@@ -673,27 +673,31 @@ def _circle_rule(rho: np.ndarray, angles: np.ndarray) -> float:
     return float(0.5 * np.sum(rho**2 * w))
 
 
-def star_volume(evaluator, dim: int, extra_angles=(), n_circle: int = 2048) -> MeasureValue:
+# the equal angles of ``star_volume``'s fine rule; the coarse rule takes half
+_N_CIRCLE = 2048
+
+
+def star_volume(evaluator, dim: int, extra_angles=()) -> MeasureValue:
     """Area (1/2) int_{S^1} rho^2 of a planar star set, with a refinement-based
     error estimate.
 
     ``evaluator`` maps an (m, 2) array of unit directions to radii.  The rule
-    is the composite trapezoid over n_circle equal angles plus the supplied
+    is the composite trapezoid over _N_CIRCLE equal angles plus the supplied
     extra angles (kinks of rho).  Only dim = 2 is supported; the polar
     projection body, in any dimension, is built exactly by
     ``polytope.polar_projection_body``.
 
     The evaluator runs once, on the union of the fine and the coarse nodes
-    (n_circle / 2 equal angles plus the extras).  For an even n_circle that
-    union is the fine nodes, bit for bit, since 2 pi (2k) / n_circle rounds
-    like 2 pi k / (n_circle / 2).
+    (_N_CIRCLE / 2 equal angles plus the extras).  _N_CIRCLE is even, so that
+    union is the fine nodes, bit for bit, since 2 pi (2k) / _N_CIRCLE rounds
+    like 2 pi k / (_N_CIRCLE / 2).
     """
     import numpy as np
 
     if dim != 2:
         raise RouteUnsupported("star volumes by quadrature are implemented for dimension 2")
-    fine_angles = circle_nodes(n_circle, extra_angles)
-    coarse_angles = circle_nodes(n_circle // 2, extra_angles)
+    fine_angles = circle_nodes(_N_CIRCLE, extra_angles)
+    coarse_angles = circle_nodes(_N_CIRCLE // 2, extra_angles)
     angles = np.union1d(fine_angles, coarse_angles)
     rho = evaluator(np.stack([np.cos(angles), np.sin(angles)], axis=1))
     fine = _circle_rule(rho[np.searchsorted(angles, fine_angles)], fine_angles)

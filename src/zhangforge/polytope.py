@@ -68,12 +68,10 @@ _ZERO = Fraction(0)
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed/half-open rational segment of a ray or section parameter."""
+    """Closed rational segment [lo, hi] of a section parameter."""
 
     lo: Fraction
     hi: Fraction
-    lo_open: bool = False
-    hi_open: bool = False
 
     def __post_init__(self):
         if self.lo > self.hi:
@@ -82,20 +80,6 @@ class Interval:
     @property
     def length(self) -> Fraction:
         return self.hi - self.lo
-
-    @property
-    def is_empty(self) -> bool:
-        return self.lo == self.hi and (self.lo_open or self.hi_open)
-
-    def contains(self, t) -> bool:
-        t = frac(t)
-        if t < self.lo or t > self.hi:
-            return False
-        if t == self.lo and self.lo_open:
-            return False
-        if t == self.hi and self.hi_open:
-            return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -306,7 +290,7 @@ class Polytope:
         Y = [tuple(x * q * (lam // r) for x in a) for a, q, r in duals]
         try:
             dual_hull = convex_hull(Y)
-        except ValueError as exc:
+        except DegenerateBody as exc:
             raise Unbounded("halfspace intersection is unbounded") from exc
         verts = []
         tight = []
@@ -420,10 +404,13 @@ class Polytope:
         return self._fweights
 
     def translated(self, t) -> "Polytope":
-        """P + t, with no hull; a volume already computed for P is carried across,
-        and so is P's Steiner symmetral when t is horizontal (t_n = 0), since
-        a horizontal translation commutes with the symmetrization."""
+        """P + t, with no hull, and P itself for t = 0; a volume already
+        computed for P is carried across, and so is P's Steiner symmetral
+        when t is horizontal (t_n = 0), since a horizontal translation
+        commutes with the symmetrization."""
         t = vec(t)
+        if not any(t):
+            return self
 
         def shift(p):
             return tuple(p[i] + t[i] for i in range(self.dim))
@@ -444,8 +431,10 @@ class Polytope:
         """lam P for an integer lam > 0.  A full-dimensional P needs no hull:
         each row keeps its normal and takes lam times its offset, and the
         interior point is the one ``transform`` gives; a lower-dimensional P
-        goes through ``transform``, which hulls its image.  The volume and the
-        integer rows already computed for P are carried across, scaled."""
+        goes through ``transform``, which hulls its image.  The volume, the
+        integer rows and the Steiner symmetral already computed for P are
+        carried across, scaled, since x -> lam x commutes with the
+        symmetrization."""
         n = self.dim
         if not self.is_full_dimensional:
             diag = [[lam * int(i == j) for j in range(n)] for i in range(n)]
@@ -464,6 +453,8 @@ class Polytope:
         if self._int_rows is not None:
             out._int_rows = tuple((a, lam * num // g, den // g) for a, num, den in self._int_rows
                                   for g in (gcd(lam * num, den),))
+        if self._symmetral is not None:
+            out._symmetral = self._symmetral.scaled(lam)
         return out
 
 

@@ -6,7 +6,8 @@ name or a string constant (``perfbench/tracer.py`` wraps functions by their
 string names) in any file under ``src/``, ``demos/`` or ``perfbench/``.  A
 use inside the name's own definition does not count.  The files are only
 parsed, never imported.  The same rule holds for the public members of
-``BodyWorkspace``, the checkers' per-body cache.
+``BodyWorkspace``, the checkers' per-body cache, and of the value types
+``Interval`` and ``RayDecomposition``.
 """
 
 import ast
@@ -100,6 +101,15 @@ def test_every_public_workspace_member_is_used_outside_the_tests():
     dead = _dead_members(ast.parse(module.read_text(), str(module)), "BodyWorkspace",
                          _uses_in_other_files(module))
     assert not dead, f"public BodyWorkspace members used only by tests: {dead}"
+
+
+@pytest.mark.parametrize("name, class_name", [("polytope", "Interval"),
+                                              ("lattice", "RayDecomposition")])
+def test_every_public_value_type_member_is_used_outside_the_tests(name, class_name):
+    module = PACKAGE / f"{name}.py"
+    dead = _dead_members(ast.parse(module.read_text(), str(module)), class_name,
+                         _uses_in_other_files(module))
+    assert not dead, f"public {class_name} members used only by tests: {dead}"
 
 
 def test_the_guard_sees_a_member_used_only_by_tests():

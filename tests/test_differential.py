@@ -62,7 +62,7 @@ from zhangforge.lattice import (
     fattening,
     lattice_points,
     mu_measure,
-    ray_interval,
+    ray_decomposition,
 )
 from zhangforge.linalg import (
     affine_basis,
@@ -459,7 +459,7 @@ def test_lattice_points_against_box_scan():
     for P in _lattice_bodies():
         for k in range(P.dim + 1):
             want = _box_scan(P, k)
-            assert lattice_points(P, k).points == want, (P, k)
+            assert lattice_points(P, k) == want, (P, k)
             assert count_lattice(P, k) == len(want), (P, k)
 
 
@@ -1209,7 +1209,7 @@ def _from_halfspaces_two_hulls(halfspaces, dim, interior=None):
     duals = [tuple(x / (b - dot(a, x0)) for x in a) for a, b in rows]
     try:
         dual_hull = convex_hull(duals)
-    except ValueError as exc:
+    except DegenerateBody as exc:
         raise Unbounded("halfspace intersection is unbounded") from exc
     verts = []
     for u, c in dual_hull.facets:
@@ -1469,6 +1469,97 @@ def test_affine_images_against_hull_of_mapped_vertices():
             assert got.interior_point == want.interior_point
             seen[name, det(A) != 0] += 1
     assert seen["rational", True] >= 10 and seen["singular", False] >= 10
+
+
+# -- the lattice reach against the two-sided Fraction clip it replaced --
+
+def ray_interval(body, point, raw, strict=False):
+    """(lo, hi) of {r >= 0 : point - r*raw in body} in raw-direction units, or
+    None: the two-sided clip against every halfspace, one Fraction per row.
+    ``strict`` asks for the open interior of ``body`` (endpoints then open).
+    With raw = W/L and point = Y/D over integers, the body's primitive
+    integer normals a and b = num/den, the row <a, point - r raw> <= b reads
+    r <a, W> D den >= (<a, Y> den - num D) L."""
+    L = math.lcm(*(F(x).denominator for x in raw))
+    D = math.lcm(*(F(x).denominator for x in point))
+    W = [int(F(x) * L) for x in raw]
+    Y = [int(F(x) * D) for x in point]
+    lo, hi = F(0), None
+    for a, b in body.halfspaces:
+        a = [x.numerator for x in a]
+        s = sum(x * w for x, w in zip(a, W))
+        c = sum(x * y for x, y in zip(a, Y)) * b.denominator - b.numerator * D
+        if s == 0:
+            if c > 0 or (strict and c == 0):
+                return None
+        elif s > 0:
+            lo = max(lo, F(c * L, s * D * b.denominator))
+        else:
+            t = F(c * L, s * D * b.denominator)
+            hi = t if hi is None else min(hi, t)
+    if hi is None or lo > hi or (strict and lo == hi):
+        return None
+    return lo, hi
+
+
+def _reach_bodies():
+    """The origin-containing corpus bodies and criterion-8 hulls (15 with
+    n = 2, 5 with n = 3), the 4-simplex and a triangle in the plane x_3 = 0
+    around 0."""
+    fuzz = _fuzz_specs(40)
+    bodies = [make_body(spec) for spec in [*default_corpus(), BodySpec("simplex", 4)]]
+    for family, count in ((fuzz[:40], 15), (fuzz[40:], 5)):
+        bodies += [P for P in map(make_body, family) if P.contains((F(0),) * P.dim)][:count]
+    bodies.append(make_polytope([(-1, -1, 0), (2, 0, 0), (0, F(5, 2), 0)], 3))
+    return [P for P in bodies if P.contains((F(0),) * P.dim)]
+
+
+def _reach_directions(P, count, rng):
+    """The axes both ways, directions parallel to facets (a row with
+    <a, W> = 0), then random rational ones, ``count`` in all."""
+    n = P.dim
+    dirs = [tuple(s * int(i == j) for j in range(n)) for i in range(n) for s in (1, -1)]
+    for a, _b in P.halfspaces:
+        a = [int(x) for x in a]
+        j = next(i for i, x in enumerate(a) if x)
+        k = (j + 1) % n
+        w = [0] * n
+        w[j], w[k] = -a[k], a[j]  # <a, w> = 0
+        if any(w):
+            dirs.append(tuple(w))
+        if len(dirs) >= count // 2:
+            break
+    while len(dirs) < count:
+        w = tuple(F(int(x), int(d)) for x, d in zip(rng.integers(-7, 8, size=n),
+                                                      rng.integers(1, 6, size=n)))
+        if any(w):
+            dirs.append(w)
+    return dirs
+
+
+def test_ray_reach_against_the_fraction_clip():
+    # every lattice point of K (or of its open fattening) starts inside: the
+    # clip's lower end is 0 and its upper end is the reach
+    rng = np.random.default_rng(2718)
+    bodies = _reach_bodies()
+    dims = Counter(P.dim for P in bodies)
+    assert len(bodies) == 33 and dims == {2: 22, 3: 10, 4: 1}
+    flat = parallel = 0
+    for P in bodies:
+        flat += not P.is_full_dimensional
+        for w in _reach_directions(P, 60, rng):
+            raw = tuple(F(x) for x in w)
+            parallel += any(dot(a, raw) == 0 for a, _b in P.halfspaces)
+            for open_cube in (False, True):
+                d = ray_decomposition(P, Direction(raw), open_cube=open_cube)
+                k = P.dim if open_cube else 0
+                assert d.open_cube is open_cube
+                assert [y for y, _rho in d.entries] == list(lattice_points(P, k))
+                body = fattening(P, k)
+                for y, rho in d.entries:
+                    assert type(rho) is F
+                    assert ray_interval(body, y, raw, open_cube) == (0, rho), (P, w, y)
+    assert flat == 1 and parallel >= 100
 
 
 # -- the longest-section anchor read off the symmetral's top face, against the

@@ -668,7 +668,7 @@ _COLUMN_READERS = {"section_profiles", "satisfies_h", "diamond_values", "fattene
 def test_column_reads_build_no_points_and_cut_no_sections(monkeypatch):
     """On the ``sweep`` benchmark config (seed 1) and the default corpus, the
     profile, diamond, fattened-mu, count and lattice-Zhang reads call none of
-    ``lattice_points``, ``vertical_section`` and ``ray_interval``."""
+    ``lattice_points``, ``vertical_section`` and ``ray_decomposition``."""
     import importlib
     import pkgutil
     import sys
@@ -693,7 +693,7 @@ def test_column_reads_build_no_points_and_cut_no_sections(monkeypatch):
 
     mods = [importlib.import_module(f"zhangforge.{m.name}")
             for m in pkgutil.iter_modules(zhangforge.__path__) if m.name != "__main__"]
-    for name, owner in (("lattice_points", "lattice"), ("ray_interval", "lattice"),
+    for name, owner in (("lattice_points", "lattice"), ("ray_decomposition", "lattice"),
                         ("vertical_section", "polytope")):
         real = getattr(importlib.import_module(f"zhangforge.{owner}"), name)
         wrapper = wrap(name, real)

@@ -14,9 +14,9 @@ from zhangforge.lattice import (
     lattice_points,
     mu_measure,
     ray_decomposition,
-    ray_interval,
 )
 from zhangforge.steiner import steiner_symmetrize
+from test_differential import ray_interval
 
 F = Fraction
 E1 = Direction((1, 0))
@@ -50,9 +50,9 @@ class TestCounting:
 
     def test_open_superset_of_closed(self, triangle, big_square):
         for P in (triangle, big_square):
-            closed = set(lattice_points(P).points)
+            closed = set(lattice_points(P))
             for k in range(1, P.dim + 1):
-                assert closed <= set(lattice_points(P, k).points)
+                assert closed <= set(lattice_points(P, k))
 
     def test_lp_route_matches_strict_closure_route(self):
         # independent oracle: x is in P + (-1,1)^k x {0}^{n-k} exactly when the
@@ -95,13 +95,13 @@ class TestCounting:
             # every point of the open fattening lies within distance 1 of P's box
             box = [range(math.floor(lo) - 1, math.ceil(hi) + 2) for lo, hi in body.bounding_box()]
             for k in range(1, body.dim + 1):
-                got = set(lattice_points(body, k).points)
+                got = set(lattice_points(body, k))
                 want = {x for x in product(*box) if member(body, x, k)}
                 assert got == want, (body, k)
 
     def test_sorted_and_json(self, unit_square):
         pts = lattice_points(unit_square)
-        assert list(pts.points) == sorted(pts.points)
+        assert type(pts) is tuple and list(pts) == sorted(pts)
         assert [list(p) for p in pts] == [[0, 0], [0, 1], [1, 0], [1, 1]]
 
 
@@ -161,21 +161,21 @@ class TestDiscreteCovariogram:
 class TestRayDecomposition:
     def test_closed_slabs(self, big_square):
         d = ray_decomposition(big_square, E1)
-        by_point = {y: iv for y, iv in d.entries}
-        for (a, b), iv in by_point.items():
-            assert iv.lo == 0 and iv.hi == a
+        assert not d.open_cube
+        for (a, b), rho in d.entries:
+            assert rho == a
 
     def test_unit_square(self, unit_square):
         d = ray_decomposition(unit_square, E1)
-        by_point = {y: (iv.lo, iv.hi) for y, iv in d.entries}
-        assert by_point[(0, 0)] == (0, 0)
-        assert by_point[(1, 1)] == (0, 1)
+        by_point = dict(d.entries)
+        assert by_point[(0, 0)] == 0
+        assert by_point[(1, 1)] == 1
 
     def test_open_intervals(self, unit_square):
         d = ray_decomposition(unit_square, E1, open_cube=True)
-        by_point = {y: iv for y, iv in d.entries}
-        assert (by_point[(0, 0)].hi, by_point[(0, 0)].hi_open) == (1, True)
-        assert (by_point[(1, 0)].hi, by_point[(1, 0)].hi_open) == (2, True)
+        by_point = dict(d.entries)
+        assert d.open_cube  # each reach is excluded: [0, rho)
+        assert (by_point[(0, 0)], by_point[(1, 0)]) == (1, 2)
 
     def test_origin_required(self, unit_square):
         with pytest.raises(OriginMissing):
@@ -214,12 +214,10 @@ class TestRayDecomposition:
 
     def test_json(self, unit_square):
         d = ray_decomposition(unit_square, E1)
-        rows = [{"point": list(y), "lo": [iv.lo.numerator, iv.lo.denominator],
-                 "hi": [iv.hi.numerator, iv.hi.denominator],
-                 "lo_open": iv.lo_open, "hi_open": iv.hi_open} for y, iv in d.entries]
+        rows = [{"point": list(y), "reach": [rho.numerator, rho.denominator]}
+                for y, rho in d.entries]
         assert json.loads(json.dumps(rows)) == rows
-        assert rows[0] == {"point": [0, 0], "lo": [0, 1], "hi": [0, 1],
-                           "lo_open": False, "hi_open": False}
+        assert rows[0] == {"point": [0, 0], "reach": [0, 1]}
 
 
 class TestRayInterval:

@@ -24,7 +24,7 @@ from zhangforge import (
     vertical_section,
     volume,
 )
-from zhangforge.errors import DegenerateBody, DimensionMismatch
+from zhangforge.errors import DegenerateBody, DimensionMismatch, Unbounded
 from zhangforge.linalg import det
 from zhangforge.polytope import _panel_sweep, parametric_volume, polytope_to_json
 
@@ -361,6 +361,23 @@ class TestDegenerateHalfspacePaths:
     def test_infeasible_from_halfspaces(self):
         rows = [((F(1),), F(0)), ((F(-1),), F(-1))]
         assert Polytope.from_halfspaces(rows, 1) is None
+
+    def test_unbounded_rows_have_a_flat_dual(self):
+        # the dual points of x >= 0, y >= 0 span no plane
+        rows = [((F(-1), F(0)), F(0)), ((F(0), F(-1)), F(0))]
+        with pytest.raises(Unbounded) as info:
+            Polytope.from_halfspaces(rows, 2, interior=(F(1), F(1)))
+        assert isinstance(info.value.__cause__, DegenerateBody)
+
+    def test_a_hull_fault_is_not_reported_as_unbounded(self, monkeypatch):
+        # a kernel check that fires inside the dual hull surfaces as itself
+        import zhangforge.hull as hull
+
+        monkeypatch.setattr(hull, "_normal", lambda edges: [0] * (len(edges) + 1))
+        cube = [(tuple(F(s * int(i == j)) for j in range(3)), F(1))
+                for i in range(3) for s in (1, -1)]
+        with pytest.raises(ValueError, match="degenerate facet points"):
+            Polytope.from_halfspaces(cube, 3)
 
 
 def test_scipy_hull_cross_check():

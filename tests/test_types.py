@@ -10,16 +10,6 @@ class TestInterval:
         with pytest.raises(ValueError):
             Interval(Fraction(1), Fraction(0))
 
-    def test_empty_iff_degenerate_open(self):
-        assert Interval(Fraction(1), Fraction(1), lo_open=True).is_empty
-        assert Interval(Fraction(1), Fraction(1), hi_open=True).is_empty
-        assert not Interval(Fraction(1), Fraction(1)).is_empty
-        assert not Interval(Fraction(0), Fraction(1), True, True).is_empty
-
-    def test_contains_respects_openness(self):
-        iv = Interval(Fraction(0), Fraction(1), lo_open=False, hi_open=True)
-        assert iv.contains(0) and iv.contains(Fraction(1, 2)) and not iv.contains(1)
-
     def test_length(self):
         assert Interval(Fraction(-1, 2), Fraction(3, 2)).length == 2
 
