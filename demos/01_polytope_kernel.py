@@ -15,7 +15,6 @@ from zhangforge import (
     intersect,
     make_polytope,
     max_section_anchor,
-    minkowski_sum,
     project_drop_last,
     projection_volume,
     slice_at_height,

@@ -27,11 +27,19 @@ from .inequalities import checker_ids, checker_statement
 EX_CONFIG = 64
 
 
+def _read_json(path: str):
+    """The JSON document in ``path``; ``ConfigError`` when it does not parse."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+
+
 def _load_config(path: str | None) -> SuiteConfig:
     if path is None:
         return default_config()
-    with open(path) as fh:
-        return SuiteConfig.from_json(json.load(fh))
+    return SuiteConfig.from_json(_read_json(path))
 
 
 def main(argv=None) -> int:
@@ -71,8 +79,7 @@ def main(argv=None) -> int:
                 )
             return exit_code(doc["summary"])
         if args.verb == "body":
-            with open(args.spec) as fh:
-                spec = BodySpec.from_json(json.load(fh))
+            spec = BodySpec.from_json(_read_json(args.spec))
             out = body_operation(spec, args.op)
             json.dump(out, sys.stdout, sort_keys=True, indent=1)
             sys.stdout.write("\n")

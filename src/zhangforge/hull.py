@@ -9,39 +9,69 @@ hyperplane are merged when facets are reported.
 
 Dimension 2 uses the monotone chain for speed; dimension 1 is explicit.
 
-In dimensions >= 2 the points are cleared to integer numerators over one
-positive common denominator L, which changes neither their lexicographic
-order nor any orientation sign.  Facet normals are integer cofactor vectors
-made primitive, and every visibility and orientation test is an integer dot
-product (against (d+1) L times the interior point).  Only the returned planes
-(a, b / L) and the interior point are built as Fractions.
+Every dimension clears the points to integer numerators over one positive
+common denominator L, which changes neither their lexicographic order nor
+any orientation sign.  Facet normals are integer cofactor vectors made
+primitive, and every visibility and orientation test is an integer dot
+product (against (d+1) L times the interior point).  The planes are returned
+over integers, (a, L b); the rational facets (a, b) are built only when read,
+and only the interior point is built as Fractions.  A point is extreme when
+the normals of its incident facets have rank d: in d = 3, when some triple
+product of them is nonzero.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
 from .errors import DegenerateBody
 from .linalg import Vec, affine_basis, det_int, integer_points, primitive_int, rank
 
+Plane = tuple[tuple[int, ...], int]
 
-@dataclass
+
 class HullResult:
     """Convex hull of a full-dimensional point set.
 
-    facets: unique supporting hyperplanes (a, b), a primitive integer, <a,x> <= b.
+    planes: unique supporting hyperplanes over integers (a, B), a primitive,
+        <a, x> <= B / den.
+    den: the positive common denominator L the points were cleared to.
+    facets: the same planes as rationals (a, B / den), built on first read.
     simplices: boundary triangulation; tuples of point indices, each simplex
         carried by exactly one facet hyperplane.
     vertex_indices: indices of the extreme points, ascending.
     interior: a strictly interior point.
+
+    The hull builders pass facets=None with their planes; facets passed in
+    are kept as given.  Two results are equal when their facets,
+    simplices, vertex indices and interior points are.
     """
 
-    facets: list[tuple[Vec, Fraction]]
-    simplices: list[tuple[int, ...]]
-    vertex_indices: list[int]
-    interior: Vec
+    __slots__ = ("planes", "den", "simplices", "vertex_indices", "interior", "_facets")
+
+    def __init__(self, facets, simplices, vertex_indices, interior, planes=None, den=1):
+        self._facets: list[tuple[Vec, Fraction]] | None = facets
+        self.simplices: list[tuple[int, ...]] = simplices
+        self.vertex_indices: list[int] = vertex_indices
+        self.interior: Vec = interior
+        self.planes: list[Plane] | None = planes
+        self.den = den
+
+    @property
+    def facets(self) -> list[tuple[Vec, Fraction]]:
+        if self._facets is None:
+            self._facets = [(tuple(map(Fraction, a)), Fraction(b, self.den))
+                            for a, b in self.planes]
+        return self._facets
+
+    def __eq__(self, other):
+        if not isinstance(other, HullResult):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f)
+                   for f in ("facets", "simplices", "vertex_indices", "interior"))
+
+    __hash__ = None
 
 
 def _unique_sorted(ipts: list[tuple[int, ...]]) -> list[int]:
@@ -63,20 +93,43 @@ def _normal(edges: list[list[int]]) -> list[int]:
     ]
 
 
+def _spans(normals, d: int) -> bool:
+    """rank(normals) == d for a nonempty set of nonzero integer normals.
+
+    In d = 3 the normals span when some triple product is nonzero: with c the
+    cross product of the first normal and the first one not parallel to it,
+    every normal before that one is parallel to the first, so the normals
+    span exactly when some later one leaves c's orthogonal plane.  Other d
+    keep ``rank``."""
+    if d != 3:
+        return rank(list(normals)) == d
+    (a0, a1, a2), *rest = normals
+    c = None
+    for b0, b1, b2 in rest:
+        if c is not None:
+            if c[0] * b0 + c[1] * b1 + c[2] * b2:
+                return True
+        else:
+            c = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+            if not any(c):
+                c = None
+    return False
+
+
 def _hull_1d(points: list[Vec]) -> HullResult:
-    vals = [(p[0], i) for i, p in enumerate(points)]
+    ipts, den = integer_points(points)
+    vals = [(p[0], i) for i, p in enumerate(ipts)]
     lo = min(vals)
     hi = max(vals)
-    one = Fraction(1)
-    facets = [((Fraction(-1),), -Fraction(lo[0])), ((one,), Fraction(hi[0]))]
     if lo[0] == hi[0]:
         raise DegenerateBody("1-d hull of a single point is not full-dimensional")
-    mid = (Fraction(lo[0] + hi[0], 2),)
     return HullResult(
-        facets=facets,
+        None,
         simplices=[(lo[1],), (hi[1],)],
         vertex_indices=sorted({lo[1], hi[1]}),
-        interior=mid,
+        interior=(Fraction(lo[0] + hi[0], 2 * den),),
+        planes=[((-1,), -lo[0]), ((1,), hi[0])],
+        den=den,
     )
 
 
@@ -103,15 +156,15 @@ def _hull_2d(points: list[Vec]) -> HullResult:
         raise DegenerateBody("2-d hull is not full-dimensional")
     scale = len(ring) * den
     interior = tuple(Fraction(sum(ipts[i][k] for i in ring), scale) for k in range(2))
-    facets: list[tuple[Vec, Fraction]] = []
+    planes: list[Plane] = []
     simplices: list[tuple[int, ...]] = []
     for k in range(len(ring)):
         i, j = ring[k], ring[(k + 1) % len(ring)]
         (xi, yi), (xj, yj) = ipts[i], ipts[j]
         a0, a1 = primitive_int((yj - yi, xi - xj))  # outward for ccw ring
-        facets.append(((Fraction(a0), Fraction(a1)), Fraction(a0 * xi + a1 * yi, den)))
+        planes.append(((a0, a1), a0 * xi + a1 * yi))
         simplices.append((i, j))
-    return HullResult(facets, simplices, sorted(ring), interior)
+    return HullResult(None, simplices, sorted(ring), interior, planes, den)
 
 
 def _hull_nd(points: list[Vec], d: int) -> HullResult:
@@ -165,24 +218,24 @@ def _hull_nd(points: list[Vec], d: int) -> HullResult:
             continue
         visible_set = set(visible)
         # every ridge of the closed boundary complex has exactly two owner
-        # facets; a horizon ridge has exactly one visible owner
+        # facets; a horizon ridge has exactly one visible owner.  Removing
+        # the visible facets in order, a ridge left with no owner had two
+        # visible ones, and a ridge whose other owner is not visible is on
+        # the horizon.
         horizon: list[tuple[int, ...]] = []
-        for fid in visible:
-            for ridge in ridges(facets[fid][0]):
-                if any(o not in visible_set for o in ridge_map[ridge]):
-                    horizon.append(ridge)
-        # remove visible facets
         for fid in visible:
             for ridge in ridges(facets.pop(fid)[0]):
                 owners = ridge_map[ridge]
                 owners.remove(fid)
                 if not owners:
                     del ridge_map[ridge]
+                elif owners[0] not in visible_set:
+                    horizon.append(ridge)
         for ridge in horizon:
             add_facet(tuple(sorted(ridge + (i,))))
 
     # integer planes (a, L b) sort like the rational planes (a, b) since L > 0
-    planes: set[tuple[tuple[int, ...], int]] = set()
+    planes: set[Plane] = set()
     simplices: list[tuple[int, ...]] = []
     incident: dict[int, set[tuple[int, ...]]] = {}
     for verts, a, b in facets.values():
@@ -190,10 +243,9 @@ def _hull_nd(points: list[Vec], d: int) -> HullResult:
         simplices.append(verts)
         for v in verts:
             incident.setdefault(v, set()).add(a)
-    vertex_indices = sorted(v for v, normals in incident.items() if rank(list(normals)) == d)
+    vertex_indices = sorted(v for v, normals in incident.items() if _spans(normals, d))
     interior = tuple(Fraction(s, (d + 1) * den) for s in inner)
-    facet_list = [(tuple(Fraction(x) for x in a), Fraction(b, den)) for a, b in sorted(planes)]
-    return HullResult(facet_list, simplices, vertex_indices, interior)
+    return HullResult(None, simplices, vertex_indices, interior, sorted(planes), den)
 
 
 def convex_hull(points: list[Vec]) -> HullResult:

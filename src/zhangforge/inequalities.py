@@ -54,7 +54,10 @@ from .linalg import dot, frac
 from .lp import lp_solve
 from .moments import (
     RayMomentEngine,
+    _float_points,
+    clip_radial,
     discrete_moment,
+    lattice_clip,
     overlap,
     projection_power_moment,
     radial_batch,
@@ -314,6 +317,19 @@ def _fib_sphere(count: int) -> np.ndarray:
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
 
 
+def _unit_rows(X: np.ndarray) -> np.ndarray:
+    """The rows of X with norm above 1e-12, each divided by its norm.  Each
+    squared norm is the row's own dot product (a stacked matmul), as
+    ``np.linalg.norm`` takes it for one vector, so a row comes out bit for
+    bit as ``x / np.linalg.norm(x)``; a plain sum of squares may round
+    differently."""
+    import numpy as np
+
+    nn = np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0])
+    keep = nn > 1e-12
+    return X[keep] / nn[keep, None]
+
+
 class BodyWorkspace:
     """Per-body cache shared by the checkers: the symmetral and the anchor
     read off it, the section-length distribution, the profiles, the sample
@@ -384,43 +400,52 @@ class BodyWorkspace:
         return self.body.contains(tuple(_ZERO for _ in range(self.n)))
 
     @cached_property
+    def lattice(self) -> tuple[tuple[int, ...], ...]:
+        """The body's lattice points, enumerated once for the sample radials."""
+        return lattice_points(self.body)
+
+    @cached_property
     def sample_dirs(self) -> np.ndarray:
+        """The base directions, then +-v/|v| per vertex v and (y - v)/|y - v| per
+        lattice point y and vertex v, in that order, nonzero ones only."""
         import numpy as np
 
-        extra = []
-        for v in self.body.vertices:
-            fv = np.array([float(c) for c in v])
-            nn = np.linalg.norm(fv)
-            if nn > 1e-12:
-                extra.append(fv / nn)
-                extra.append(-fv / nn)
-        for y in lattice_points(self.body):
-            for v in self.body.vertices:
-                d = np.array([float(c) for c in y]) - np.array([float(c) for c in v])
-                nn = np.linalg.norm(d)
-                if nn > 1e-12:
-                    extra.append(d / nn)
-        if self.n == 2:
+        n = self.n
+        V = np.array([[float(c) for c in v] for v in self.body.vertices])
+        diffs = (_float_points(self.lattice, n)[:, None, :] - V[None, :, :]).reshape(-1, n)
+        if n == 2:
             ang = 2.0 * math.pi * np.arange(_DIRS_2D) / _DIRS_2D
             base = np.stack([np.cos(ang), np.sin(ang)], axis=1)
         else:
             base = _fib_sphere(_DIRS_3D)
-        if extra:
-            base = np.concatenate([base, np.array(extra)], axis=0)
-        return base
+        U = _unit_rows(V)
+        return np.concatenate([base, np.stack([U, -U], axis=1).reshape(-1, n), _unit_rows(diffs)])
+
+    @cached_property
+    def closed_clip(self):
+        """The closed clip table (lo, hi, feas) of ``lattice`` against the body
+        on ``sample_dirs``, m x D each: every ``discrete`` radial and the
+        ``difference-set`` radial are reduced from it, and it lives as long as
+        the workspace."""
+        return lattice_clip(self.body, self.sample_dirs, self.lattice)
 
     def sample_radial(self, source: str, p) -> np.ndarray:
         """``radial_batch(source, body, sample_dirs, p)``, computed once per (source, p).
 
-        The Ball-body checkers read their radials on the same ``sample_dirs``,
-        so each (source, p) costs one ray-clip pass per body (the
-        open-fattened source, shared by ``ball_inclusion_discrete`` and
-        ``difference_set_inclusion``, is the costliest).  Only these
-        D-length arrays are kept, read-only, never the m x D clip tables.
+        The Ball-body checkers read their radials on the same ``sample_dirs``.
+        The ``discrete`` radials (any p) and the ``difference-set`` radial
+        reduce the one ``closed_clip`` table; each open-fattened source costs
+        one ray-clip pass per p (the ``discrete-open-tilde`` pass, shared by
+        ``ball_inclusion_discrete`` and ``difference_set_inclusion``, is the
+        costliest), and its table is dropped once reduced.  The D-length
+        radials are kept read-only.
         """
         key = (source, p)
         if key not in self._sample_radials:
-            rho = radial_batch(source, self.body, self.sample_dirs, p)
+            if source in ("discrete", "difference-set"):
+                rho = clip_radial(source, self.closed_clip, p)
+            else:
+                rho = radial_batch(source, self.body, self.sample_dirs, p)
             rho.flags.writeable = False
             self._sample_radials[key] = rho
         return self._sample_radials[key]

@@ -202,9 +202,7 @@ def mat_inv(rows) -> list[Vec] | None:
 
 def primitive_int(a) -> tuple[int, ...]:
     """Divide an integer vector by the gcd of its entries; the sign is kept."""
-    g = 0
-    for v in a:
-        g = gcd(g, v)
+    g = gcd(*a)
     if g <= 1:
         return tuple(a)
     return tuple(v // g for v in a)

@@ -30,7 +30,11 @@ test oracle, and the ray engine, whose panels read K cap (K + r theta) off
 samples; Monte Carlo is left only as a test oracle (``mc_section_samples``).
 
 The float radial batches clip rays against a body in one place,
-``_interval_batch``, one fused pass over the facets.  The continuous source
+``_interval_batch``, one fused pass over the facets.  The closed clip of a
+body's lattice points (``lattice_clip``) does not depend on the exponent:
+the ``discrete`` radials of every p and the ``difference-set`` radial are
+reductions of that one table (``clip_radial``), which
+``inequalities.BodyWorkspace`` builds once per body.  The continuous source
 (n = 2) uses the chord form
 p int r^{p-1} vol(K cap (r theta + K)) dr = (1/(p+1)) int ell_theta^{p+1}
 (Gardner-Zhang): it clips the chord through each vertex and integrates the
@@ -566,24 +570,62 @@ def _interval_batch(body: Polytope, pts: np.ndarray, dirs: np.ndarray, strict: b
     for f in np.flatnonzero((C > 0).any(axis=1)):
         np.divide(C[f][:, None], s_pos[f], out=buf)
         np.fmax(lo, buf, out=lo)
-    feas &= hi >= lo - 1e-12
+    np.subtract(lo, 1e-12, out=buf)
+    feas &= hi >= buf
     return lo, hi, feas
+
+
+def _float_points(pts, dim: int) -> np.ndarray:
+    """Integer points as an (m, dim) binary64 array (exact below 2^53)."""
+    import numpy as np
+
+    return np.array(pts, dtype=float).reshape(len(pts), dim)
+
+
+def _clip_moment(clip, p, keep: bool = True) -> np.ndarray:
+    """sum_y (b_y^p - a_y^p) per direction over a clip table's feasible pairs,
+    b = max(hi, 0) and a = max(lo, 0).  With keep=False the table's lo and hi
+    are overwritten, so the sum needs no m x D temporary."""
+    import numpy as np
+
+    lo, hi, feas = clip
+    pf = float(p)
+    top = np.maximum(hi, 0.0, out=None if keep else hi)
+    top **= pf
+    low = np.maximum(lo, 0.0, out=None if keep else lo)
+    low **= pf
+    top -= low
+    top[~feas] = 0.0
+    return top.sum(axis=0)
 
 
 def discrete_moment_batch(P: Polytope, dirs: np.ndarray, p, open_cube: bool) -> np.ndarray:
     """sum_y (b_y^p - a_y^p) per unit direction (binary64)."""
+    k = P.dim if open_cube else 0
+    Y = _float_points(lattice_points(P, k), P.dim)
+    return _clip_moment(_interval_batch(fattening(P, k), Y, dirs, open_cube), p, keep=False)
+
+
+def lattice_clip(P: Polytope, dirs: np.ndarray, pts=None):
+    """The closed clip table (lo, hi, feas) of P's lattice points ``pts``
+    (enumerated when not given) against P on ``dirs``: the one table that the
+    ``discrete`` radials of every p and the ``difference-set`` radial reduce
+    (``clip_radial``)."""
+    if pts is None:
+        pts = lattice_points(P)
+    return _interval_batch(P, _float_points(pts, P.dim), dirs, strict=False)
+
+
+def clip_radial(source: str, clip, p) -> np.ndarray:
+    """The ``discrete`` (exponent p) or ``difference-set`` radial per direction,
+    reduced from a closed ``lattice_clip`` table, whose m rows are the G(K)
+    lattice points."""
     import numpy as np
 
-    k = P.dim if open_cube else 0
-    body = fattening(P, k)
-    pts = lattice_points(P, k)
-    if len(pts) == 0:
-        return np.zeros(len(dirs))
-    Y = np.array([[float(c) for c in y] for y in pts])
-    lo, hi, feas = _interval_batch(body, Y, dirs, open_cube)
-    pf = float(p)
-    contrib = np.where(feas, np.maximum(hi, 0.0) ** pf - np.maximum(lo, 0.0) ** pf, 0.0)
-    return contrib.sum(axis=0)
+    if source == "difference-set":
+        _lo, hi, feas = clip
+        return np.where(feas, hi, 0.0).max(axis=0)
+    return (_clip_moment(clip, p) / len(clip[0])) ** (1.0 / float(p))
 
 
 def _chord_moment_batch(P: Polytope, dirs: np.ndarray, p) -> np.ndarray:
@@ -630,19 +672,15 @@ def radial_batch(source: str, P: Polytope, dirs: np.ndarray, p) -> np.ndarray:
             af = np.array([float(x) for x in a])
             total += np.abs(dirs @ af) * float(w)
         return 1.0 / (0.5 * total)
-    if source == "difference-set":
-        pts = lattice_points(P)
-        Y = np.array([[float(c) for c in y] for y in pts])
-        _lo, hi, feas = _interval_batch(P, Y, dirs, strict=False)
-        hi = np.where(feas, hi, 0.0)
-        return hi.max(axis=0)
+    if source in ("discrete", "difference-set"):
+        return clip_radial(source, lattice_clip(P, dirs), p)
     pf = float(p)
     if source == "continuous":
         mom = _chord_moment_batch(P, dirs, p)
         return (mom / float(P.volume_fraction())) ** (1.0 / pf)
-    if source not in ("discrete", "discrete-open", "discrete-open-tilde"):
+    if source not in ("discrete-open", "discrete-open-tilde"):
         raise RouteUnsupported(source)
-    mom = discrete_moment_batch(P, dirs, p, open_cube=source != "discrete")
+    mom = discrete_moment_batch(P, dirs, p, open_cube=True)
     base = count_lattice(P, P.dim if source == "discrete-open" else 0)
     return (mom / base) ** (1.0 / pf)
 

@@ -241,9 +241,10 @@ class Polytope:
         x0 = z/D strictly inside, row i is <a_i, x - x0> <= s_i/(den_i D), so
         the dual points a_i den_i / s_i, scaled by the lcm of their
         denominators, are integer.  A dual facet (u, c) is the vertex
-        x0 + (lcm/D) u/c, and the dual points on its plane are the rows tight
-        there; the dual hull's extreme points are the facets.  The boundary
-        triangulation is the pulling triangulation of those incidences.
+        x0 + (lcm/D) u/c, read off the dual hull's integer planes (U, C), and
+        the dual points on its plane are the rows tight there; the dual hull's
+        extreme points are the facets.  The boundary triangulation is the
+        pulling triangulation of those incidences.
         """
         canon: dict[tuple[int, ...], list] = {}  # normal -> [num, den, input rows]
         for i, (a, b) in enumerate(halfspaces):
@@ -292,24 +293,23 @@ class Polytope:
             dual_hull = convex_hull(Y)
         except DegenerateBody as exc:
             raise Unbounded("halfspace intersection is unbounded") from exc
-        verts = []
-        tight = []
-        for u, c in dual_hull.facets:
-            if c <= 0:
-                raise Unbounded("halfspace intersection is unbounded")
-            U, C = [int(x) for x in u], int(c)
-            verts.append(tuple(Fraction(zk * C + lam * uk, D * C) for zk, uk in zip(z, U)))
-            tight.append([j for j, y in enumerate(Y) if sum(map(mul, U, y)) == C])
-        order = sorted(range(len(verts)), key=verts.__getitem__)
-        verts = tuple(verts[k] for k in order)
+        planes = dual_hull.planes  # Y is integer, so the planes are over den 1
+        if any(C <= 0 for _U, C in planes):
+            raise Unbounded("halfspace intersection is unbounded")
+        # the vertices x0 + (lam/D) U/C sort like U/C, that is like U L/C
+        L = lcm(*(C for _U, C in planes))
+        planes = sorted(planes, key=lambda pl: tuple(u * (L // pl[1]) for u in pl[0]))
+        verts = tuple(tuple(Fraction(zk * C + lam * uk, D * C) for zk, uk in zip(z, U))
+                      for U, C in planes)
         facet_rows = dual_hull.vertex_indices
         masks = dict.fromkeys(facet_rows, 0)  # facet row -> bitmask of its vertices
         incidence = []
-        for pos, k in enumerate(order):
-            for j in tight[k]:
+        for pos, (U, C) in enumerate(planes):
+            tight = [j for j, y in enumerate(Y) if sum(map(mul, U, y)) == C]
+            for j in tight:
                 if j in masks:
                     masks[j] |= 1 << pos
-            incidence.append(tuple(i for j in tight[k] for i in canon[keys[j]][2]))
+            incidence.append(tuple(i for j in tight for i in canon[keys[j]][2]))
         P = Polytope(
             dim, dim, verts,
             tuple((tuple(map(Fraction, rows[j][0])), Fraction(rows[j][1], rows[j][2]))

@@ -5,18 +5,13 @@ corpus (>= 12 bodies, dimensions 2 and 3); the fuzz criterion uses 200 seeded
 random hulls.
 """
 
-import math
 import time
 from fractions import Fraction
-
-import numpy as np
-import pytest
 
 from zhangforge import (
     make_polytope,
     project_drop_last,
     transform,
-    volume,
 )
 from zhangforge.harness import (
     BodySpec,
@@ -29,7 +24,6 @@ from zhangforge.harness import (
 from zhangforge.inequalities import (
     BodyWorkspace,
     applicability,
-    checker_ids,
     limit_sweep,
     verify,
 )

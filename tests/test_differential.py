@@ -1117,6 +1117,42 @@ def test_hull_against_fraction_beneath_beyond(dim):
     assert merged or dim == 2  # coplanar simplices shared a facet at least once
 
 
+def _normal_sets(rng, d: int) -> list[list[tuple[int, ...]]]:
+    """Seeded sets of nonzero integer normals in R^d of every rank 1..d:
+    integer combinations of r random generators, so parallel (r = 1) and
+    coplanar (r < d) sets come up as often as spanning ones, plus the
+    signed unit vectors and a few duplicated and negated normals."""
+    sets = []
+    for _ in range(300):
+        r = int(rng.integers(1, d + 1))
+        gens = rng.integers(-3, 4, (r, d))
+        coeffs = rng.integers(-2, 3, (int(rng.integers(1, 8)), r))
+        normals = [tuple(int(x) for x in row) for row in coeffs @ gens if any(row)]
+        if normals:
+            normals += [tuple(-x for x in normals[0]), normals[-1]]
+            sets.append(normals)
+    units = [tuple(s * int(i == j) for j in range(d)) for i in range(d) for s in (1, -1)]
+    sets += [units[:k] for k in range(1, len(units) + 1)]
+    return sets
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_extreme_point_test_against_rank(d):
+    # the hull calls a point extreme when its incident normals span R^d;
+    # in d = 3 it looks for a nonzero triple product instead of a rank
+    from zhangforge.hull import _spans
+
+    rng = np.random.default_rng(3100 + d)
+    ranks = Counter()
+    for normals in _normal_sets(rng, d):
+        want = rank([list(a) for a in normals])
+        ranks[want] += 1
+        assert _spans(set(normals), d) == (want == d), normals
+        assert _spans(normals, d) == (want == d), normals
+        assert _spans(normals[::-1], d) == (want == d), normals
+    assert all(ranks[r] >= 10 for r in range(1, d + 1)), ranks
+
+
 def _lp_cases():
     rng = np.random.default_rng(1967)
     cases = []

@@ -16,7 +16,6 @@ from zhangforge.harness import (
     default_corpus,
     exit_code,
     make_body,
-    report_csv,
     report_json,
     run_suite,
     run_sweeps,
@@ -521,6 +520,24 @@ class TestCli:
         rows = json.loads((tmp_path / "report.json").read_text())["reports"]
         assert [r["verdict"] for r in rows] == ["inconclusive", "holds"]
         assert f"exponent {bad} " in rows[0]["context"]["reason"]
+
+    @pytest.mark.parametrize("verb", ["verify", "sweep", "body"])
+    @pytest.mark.parametrize("text", ["{\"bodies\": [", "", "\xff\xfe"])
+    def test_invalid_json_is_64_with_no_report(self, verb, text, tmp_path):
+        # 1 would mean "a checker fails"; a file that does not parse is a
+        # configuration error, reported before anything runs
+        path = tmp_path / "cfg.json"
+        path.write_bytes(text.encode("latin-1"))
+        out = tmp_path / "out"
+        args = {"verify": ["--config", str(path), "--out", str(out)],
+                "sweep": ["--config", str(path)],
+                "body": ["--spec", str(path), "--op", "volume"]}[verb]
+        res = self._run(verb, *args)
+        assert res.returncode == 64, res.stderr
+        assert res.stderr.startswith("configuration error")
+        assert "Traceback" not in res.stderr
+        assert res.stdout == ""
+        assert not out.exists()
 
     def test_missing_file_is_64(self):
         res = self._run("verify", "--config", "/nonexistent.json")

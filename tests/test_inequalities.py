@@ -1,17 +1,14 @@
 import math
-import time
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from zhangforge import make_polytope, max_section_anchor, moments, project_drop_last, transform
+from zhangforge import make_polytope, max_section_anchor, moments, project_drop_last
 from zhangforge.errors import HypothesesViolated, UnknownChecker
 from zhangforge.harness import BodySpec, default_corpus, make_body
 from zhangforge.inequalities import (
     BodyWorkspace,
-    InequalityReport,
-    SectionProfiles,
     applicability,
     checker_ids,
     checker_statement,
@@ -25,7 +22,7 @@ from zhangforge.inequalities import (
     _h_exact,
     _solve_m0,
 )
-from zhangforge.lattice import count_lattice
+from zhangforge.lattice import count_lattice, lattice_points
 from zhangforge.polytope import Polytope
 from zhangforge.steiner import steiner_symmetrize
 
@@ -447,6 +444,24 @@ class TestVerify:
         assert len(open_calls) == 2
         assert open_calls[0] == len(ws.sample_dirs)
 
+    def test_ball_body_trio_clips_the_closed_points_once(self, simplex3, monkeypatch):
+        # the discrete radials at q = 2 and p = 1 and the difference-set
+        # radial all reduce one closed clip table of the body
+        import zhangforge.inequalities as ineq
+
+        calls = []
+        real = ineq.lattice_clip
+
+        def counting(P, dirs, pts=None):
+            calls.append(len(dirs))
+            return real(P, dirs, pts)
+
+        monkeypatch.setattr(ineq, "lattice_clip", counting)
+        ws = BodyWorkspace(simplex3)
+        for cid in _BALL_BODY_CHECKERS:
+            assert verify(cid, simplex3, ws=ws).holds, cid
+        assert calls == [len(ws.sample_dirs)]
+
     def test_identity_triples_exact(self, big_square):
         rep = verify("identity_triple_discrete", big_square)
         assert rep.holds
@@ -632,6 +647,96 @@ class TestScaledWorkspace:
         calls.clear()
         run_sweeps(config([4, 16, 64]))
         assert Counter(calls) == one and one["convex_hull"] > 0
+
+
+def _trio_bodies():
+    """The corpus bodies the Ball-body trio runs on (n <= 3, origin inside),
+    two random hulls per dimension that contain the origin, and two hulls
+    per dimension of the origin and seeded points with denominators up to 9,
+    whose directions have squared norms that binary64 rounds."""
+    import numpy as np
+
+    specs = list(default_corpus()) + [
+        BodySpec("random_hull", n, {"count": 7, "radius": 2, "seed": s}, name=f"r{n}_{s}")
+        for n in (2, 3) for s in (0, 1)
+    ]
+    bodies = [(spec.name, make_body(spec)) for spec in specs]
+    rng = np.random.default_rng(31)
+    for n in (2, 3):
+        for k in range(2):
+            pts = [tuple(F(int(x), int(q)) for x, q in zip(rng.integers(-12, 13, n),
+                                                            rng.integers(1, 10, n)))
+                   for _ in range(n + 4)]
+            bodies.append((f"q{n}_{k}", make_polytope(pts + [(0,) * n], n)))
+    out = []
+    for name, P in bodies:
+        ws = BodyWorkspace(P)
+        if P.affine_dim == ws.n <= 3 and ws.origin_inside:
+            out.append((name, ws))
+    return out
+
+
+def _sample_dirs_by_double_loop(ws):
+    """``BodyWorkspace.sample_dirs`` as one Python loop per vertex and per
+    (lattice point, vertex) pair, one ``np.linalg.norm`` each: the oracle of
+    the array-built directions."""
+    import numpy as np
+
+    from zhangforge.inequalities import _DIRS_2D, _DIRS_3D, _fib_sphere
+
+    extra = []
+    for v in ws.body.vertices:
+        fv = np.array([float(c) for c in v])
+        nn = np.linalg.norm(fv)
+        if nn > 1e-12:
+            extra.append(fv / nn)
+            extra.append(-fv / nn)
+    for y in lattice_points(ws.body):
+        for v in ws.body.vertices:
+            d = np.array([float(c) for c in y]) - np.array([float(c) for c in v])
+            nn = np.linalg.norm(d)
+            if nn > 1e-12:
+                extra.append(d / nn)
+    if ws.n == 2:
+        ang = 2.0 * math.pi * np.arange(_DIRS_2D) / _DIRS_2D
+        base = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    else:
+        base = _fib_sphere(_DIRS_3D)
+    if extra:
+        base = np.concatenate([base, np.array(extra)], axis=0)
+    return base
+
+
+class TestBallBodySamples:
+    def test_sample_dirs_against_the_double_loop(self):
+        import numpy as np
+
+        bodies = _trio_bodies()
+        assert len(bodies) >= 19
+        for name, ws in bodies:
+            assert np.array_equal(ws.sample_dirs, _sample_dirs_by_double_loop(ws)), name
+
+    def test_sample_radials_equal_radial_batch_bit_for_bit(self):
+        # the radials reduced from the workspace's one closed table equal a
+        # fresh radial_batch on the same directions, and the per-source
+        # reductions written out here on a fresh clip
+        import numpy as np
+
+        from zhangforge.moments import _interval_batch, radial_batch
+
+        for name, ws in _trio_bodies():
+            P, dirs = ws.body, ws.sample_dirs
+            Y = np.array([[float(c) for c in y] for y in lattice_points(P)])
+            lo, hi, feas = _interval_batch(P, Y, dirs, strict=False)
+            for p in (1, 2, 3):
+                got = ws.sample_radial("discrete", p)
+                assert np.array_equal(got, radial_batch("discrete", P, dirs, p)), (name, p)
+                mom = np.where(feas, np.maximum(hi, 0.0) ** p - np.maximum(lo, 0.0) ** p,
+                               0.0).sum(axis=0)
+                assert np.array_equal(got, (mom / count_lattice(P)) ** (1.0 / p)), (name, p)
+            got = ws.sample_radial("difference-set", None)
+            assert np.array_equal(got, radial_batch("difference-set", P, dirs, None)), name
+            assert np.array_equal(got, np.where(feas, hi, 0.0).max(axis=0)), name
 
 
 class TestFullRegistryOnSpotBodies:

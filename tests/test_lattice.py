@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from zhangforge import Direction, Polytope, make_polytope, translate, vertical_section, volume
+from zhangforge import Direction, Polytope, make_polytope, translate, vertical_section
 from zhangforge.errors import DimensionMismatch, ExponentOutOfRange, OriginMissing, Unbounded
 from zhangforge.lattice import (
     column_lengths,
