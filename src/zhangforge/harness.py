@@ -85,8 +85,8 @@ class BodySpec:
             raise ConfigError(f"a body needs a family, an integer dim and params: {obj!r}") from exc
         if not isinstance(spec.name, str):
             raise ConfigError(f"a body name is a string, got {spec.name!r}")
-        if not isinstance(spec.dim, int) or isinstance(spec.dim, bool):
-            raise ConfigError(f"a body dim is an integer, got {spec.dim!r}")
+        if not isinstance(spec.dim, int) or isinstance(spec.dim, bool) or spec.dim < 1:
+            raise ConfigError(f"a body dim is a positive integer, got {spec.dim!r}")
         if not isinstance(spec.anchor, bool):
             raise ConfigError(f"a body anchor is true or false, got {spec.anchor!r}")
         return spec
@@ -105,7 +105,8 @@ def _unit_vec(n: int, i: int, s=1) -> tuple:
 
 def make_body(spec: BodySpec) -> Polytope:
     """Deterministic polytope from a body specification; params that do not
-    parse (a missing key or vector, text where a number belongs) raise
+    parse (a missing key or vector, text where a number belongs, no point, a
+    point or an affine map whose shape does not match ``dim``) raise
     ``ConfigError``."""
     n = spec.dim
     fam = spec.family
@@ -134,6 +135,10 @@ def make_body(spec: BodySpec) -> Polytope:
             b = [parse_rational(c) for c in spec.affine[1]]
     except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"body {spec.name!r}: bad params ({type(exc).__name__}: {exc})") from exc
+    vectors = [*pts, *A, b] if spec.affine else pts
+    if not pts or any(len(v) != n for v in vectors) or spec.affine and len(A) != n:
+        raise ConfigError(f"body {spec.name!r}: needs at least one point, and its points"
+                          f" and affine map in dim {n}")
     P = Polytope.from_points(pts, n)
     if fam == "random_hull" and not P.is_full_dimensional:
         raise DegenerateSpec("random hull did not reach full dimension")

@@ -68,6 +68,7 @@ from .moments import (
 )
 from .polytope import (
     Direction,
+    Memo,
     Polytope,
     axis_direction,
     polar_projection_body,
@@ -330,19 +331,19 @@ def _unit_rows(X: np.ndarray) -> np.ndarray:
     return X[keep] / nn[keep, None]
 
 
-class BodyWorkspace:
+class BodyWorkspace(Memo):
     """Per-body cache shared by the checkers: the symmetral and the anchor
     read off it, the section-length distribution, the profiles, the sample
     radials, the scaled workspaces of the sweeps, and the one e_n ray engine
-    whose ``ray_support`` LP is solved once per body."""
+    whose ``ray_support`` LP is solved once per body.  Quantities with no
+    argument are cached properties; the rest are memo entries, keyed
+    ("radial", source, p), ("workspace", lam), ("body", lam) and
+    ("applicability", cid)."""
 
     def __init__(self, body: Polytope, seed: int = 20240):
         self.body = body
         self.seed = seed
-        self._sample_radials: dict[tuple, np.ndarray] = {}
-        self._scaled_workspaces: dict[int, BodyWorkspace] = {}
-        self._scaled_bodies: dict[int, Polytope] = {}
-        self._applicability: dict[str, str | None] = {}  # cid -> ``applicability``
+        self._memo = {}
 
     @cached_property
     def n(self) -> int:
@@ -383,9 +384,8 @@ class BodyWorkspace:
         """The workspace of lam * ``anchored`` for an integer lam > 0, built
         once per lam.  The scaled body carries lam * ``asym`` as its
         symmetral, so the new workspace builds no hull and solves no LP."""
-        if lam not in self._scaled_workspaces:
-            self._scaled_workspaces[lam] = BodyWorkspace(self.anchored.scaled(lam), self.seed)
-        return self._scaled_workspaces[lam]
+        return self.memo(("workspace", lam),
+                         lambda: BodyWorkspace(self.anchored.scaled(lam), self.seed))
 
     @cached_property
     def profiles(self) -> SectionProfiles:
@@ -440,15 +440,15 @@ class BodyWorkspace:
         costliest), and its table is dropped once reduced.  The D-length
         radials are kept read-only.
         """
-        key = (source, p)
-        if key not in self._sample_radials:
+        def build():
             if source in ("discrete", "difference-set"):
                 rho = clip_radial(source, self.closed_clip, p)
             else:
                 rho = radial_batch(source, self.body, self.sample_dirs, p)
             rho.flags.writeable = False
-            self._sample_radials[key] = rho
-        return self._sample_radials[key]
+            return rho
+
+        return self.memo(("radial", source, p), build)
 
     @cached_property
     def section_dist(self):
@@ -473,9 +473,7 @@ class BodyWorkspace:
     def scaled_body(self, lam: int) -> Polytope:
         """lam * ``body`` for an integer lam > 0, built once per lam, so the
         lattice targets of one scale read one memoized column table."""
-        if lam not in self._scaled_bodies:
-            self._scaled_bodies[lam] = self.body.scaled(lam)
-        return self._scaled_bodies[lam]
+        return self.memo(("body", lam), lambda: self.body.scaled(lam))
 
 
 def _mu_moment_exact(P: Polytope, p: int) -> Fraction:
@@ -1151,15 +1149,12 @@ def checker_statement(cid: str) -> str:
 def applicability(cid: str, ws: BodyWorkspace) -> str | None:
     """None when the checker's preconditions hold; otherwise the reason.
 
-    The decision is made once per checker and workspace and kept there, so
+    The decision is made once per checker and workspace and kept in its memo, so
     the suite's skip of a pair and ``verify``'s guard read one evaluation.
     """
     if cid not in _REGISTRY:
         raise UnknownChecker(cid)
-    decided = ws._applicability
-    if cid not in decided:
-        decided[cid] = _REGISTRY[cid].applicable(ws)
-    return decided[cid]
+    return ws.memo(("applicability", cid), lambda: _REGISTRY[cid].applicable(ws))
 
 
 def verify(cid: str, body: Polytope, params: dict | None = None,

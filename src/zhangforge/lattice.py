@@ -2,21 +2,22 @@
 covariograms, and the exact lattice ray reaches behind discrete moments.
 
 Every column read is one table (:func:`_column_walk`), built once per body
-and k and memoized on the body: over each integer point y of the bounding
-box of the first n-1 coordinates, ``polytope._line_ends`` picks the exact
-ends of the section from the residuals of the body's integer rows.  A line
-of the box in the last coordinate takes one dot product per row at its
-first column; from there each residual steps by the row's last coefficient.
-Lattice points, their count (no point built), column lengths, the column
-measure and the vertical ray moment read the table, in lexicographic order,
-with no projection; the sums add integer numerators per distinct
-denominator and build one Fraction per denominator.  One rule decides
-membership in the open fattening P + (-1,1)^k x {0}^{n-k} for every k: with
-F the closed sum P + [-1,1]^k x {0}^{n-k} (built once per body and k by
-:func:`fattening`, with no hull for a full-dimensional P), x is in the open
-fattening exactly when it satisfies every halfspace of F, strictly on the
-rows whose normal has a nonzero entry among the first k coordinates.  k = 0
-is the body itself.
+and k and kept as the body's memo entry ("columns", k) (``Polytope.memo``):
+over each integer point y of the bounding box of the first n-1 coordinates,
+``polytope._line_ends`` picks the exact ends of the section from the
+residuals of the body's integer rows.  A line of the box in the last
+coordinate takes one dot product per row at its first column; from there
+each residual steps by the row's last coefficient.  Lattice points, their
+count (no point built), column lengths, the column measure and the vertical
+ray moment read the table, in lexicographic order, with no projection; the
+sums add integer numerators per distinct denominator and build one Fraction
+per denominator.  One rule decides membership in the open fattening
+P + (-1,1)^k x {0}^{n-k} for every k: with F the closed sum
+P + [-1,1]^k x {0}^{n-k} (built once per body and k by :func:`fattening`
+and kept as the memo entry ("fattening", k), with no hull for a
+full-dimensional P), x is in the open fattening exactly when it satisfies
+every halfspace of F, strictly on the rows whose normal has a nonzero entry
+among the first k coordinates.  k = 0 is the body itself.
 
 Along a direction theta, every lattice point y of K (or of its open
 fattening) lies in K (strictly inside F), so its ray {y - r theta.raw}
@@ -61,7 +62,8 @@ def closed_unit_cube(k: int, dim: int) -> Polytope:
 
 
 def fattening(P: Polytope, k: int) -> Polytope:
-    """The closed sum P + [-1,1]^k x {0}^{n-k}, memoized on ``P``; P itself for k = 0.
+    """The closed sum P + [-1,1]^k x {0}^{n-k}, P's memo entry ("fattening", k);
+    P itself for k = 0.
 
     A full-dimensional P is fattened with no hull, one segment [-e_i, e_i]
     at a time (``polytope.cube_sum``); a lower-dimensional P hulls the
@@ -69,21 +71,13 @@ def fattening(P: Polytope, k: int) -> Polytope:
     """
     if k == 0:
         return P
-    if P._fattenings is None:
-        P._fattenings = {}
-    if k not in P._fattenings:
-        P._fattenings[k] = (cube_sum(P, k) if P.is_full_dimensional
-                            else minkowski_sum(P, closed_unit_cube(k, P.dim)))
-    return P._fattenings[k]
+    return P.memo(("fattening", k), lambda: cube_sum(P, k) if P.is_full_dimensional
+                  else minkowski_sum(P, closed_unit_cube(k, P.dim)))
 
 
 def _column_walk(P: Polytope, k: int = 0):
-    """:func:`_column_table` of (P, k), built once and memoized on ``P``."""
-    if P._column_tables is None:
-        P._column_tables = {}
-    if k not in P._column_tables:
-        P._column_tables[k] = _column_table(P, k)
-    return P._column_tables[k]
+    """:func:`_column_table` of (P, k), P's memo entry ("columns", k)."""
+    return P.memo(("columns", k), lambda: _column_table(P, k))
 
 
 def _column_table(P: Polytope, k: int):

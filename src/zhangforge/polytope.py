@@ -25,6 +25,10 @@ simplices' integer cofactor normals, so Cauchy's formula
 (``projection_support``) is one integer sum.  The longest-section anchor is
 read off the top face of the Steiner symmetral (``top_face_anchor``), with
 no LP.
+
+Each quantity derived from a body is an entry of its one memo (:class:`Memo`),
+built on its first read.  One table, ``_CARRY``, declares which entries a
+translate and an integer scale take over and how; the image rebuilds the rest.
 """
 
 from __future__ import annotations
@@ -129,25 +133,25 @@ def _scale_pair(a: Vec, b: Fraction) -> tuple[Vec, Fraction]:
     return p, b * s
 
 
-class Polytope:
-    """Immutable rational polytope with vertex and halfspace representations."""
+class Memo:
+    """One keyed memo of derived quantities, ``_memo``, read through ``memo``."""
 
-    __slots__ = (
-        "dim",
-        "affine_dim",
-        "vertices",
-        "halfspaces",
-        "_interior",
-        "_tri",
-        "_volume",
-        "_fweights",
-        "_int_weights",
-        "_fattenings",
-        "_int_rows",
-        "_incidence",
-        "_column_tables",
-        "_symmetral",
-    )
+    __slots__ = ("_memo",)
+
+    def memo(self, key, build):
+        """The entry ``key``, built by ``build()`` on its first read and kept."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+
+class Polytope(Memo):
+    """Immutable rational polytope with vertex and halfspace representations.
+    Its memo keys: "volume", "facet_weights", "int_weights", "int_rows",
+    "symmetral", ("fattening", k) and ("columns", k)."""
+
+    __slots__ = ("dim", "affine_dim", "vertices", "halfspaces", "_interior", "_tri",
+                 "_incidence")
 
     def __init__(self, dim, affine_dim, vertices, halfspaces, interior, tri):
         self.dim = dim
@@ -156,14 +160,16 @@ class Polytope:
         self.halfspaces = halfspaces
         self._interior = interior
         self._tri = tri
-        self._volume: Fraction | None = None
-        self._fweights = None
-        self._int_weights = None  # ((normal, g) per facet, den), see ``_integer_weights``
-        self._fattenings = None
-        self._int_rows = None
         self._incidence = None  # per vertex, the input rows of from_halfspaces tight there
-        self._column_tables = None  # k -> the integer column walk (``lattice._column_walk``)
-        self._symmetral = None  # the Steiner symmetral, kept by ``steiner_symmetrize``
+        self._memo = {}
+
+    def _carry(self, image: "Polytope", maps, x) -> "Polytope":
+        """``image`` with P's memo entries carried by their first rule in ``maps``."""
+        for key, rules in _CARRY.items():
+            rule = next((rules[m] for m in maps if m in rules), None)
+            if rule is not None and key in self._memo:
+                image._memo[key] = rule(self._memo[key], x, self.dim)
+        return image
 
     # -- construction ------------------------------------------------------
 
@@ -317,7 +323,7 @@ class Polytope:
             _hull_interior(verts),
             (verts, _pulling_triangulation(list(masks.values()), dim)),
         )
-        P._int_rows = tuple(rows[j] for j in facet_rows)
+        P._memo["int_rows"] = tuple(rows[j] for j in facet_rows)
         P._incidence = tuple(incidence)
         return P
 
@@ -386,29 +392,23 @@ class Polytope:
 
     def volume_fraction(self) -> Fraction:
         """Full-dimensional volume as an exact rational (0 when degenerate)."""
-        if self._volume is None:
-            if not self.is_full_dimensional:
-                self._volume = _ZERO
-            else:
-                pts, simplices = self._tri
-                self._volume = _rational_cone_volume(pts, simplices, self._interior)
-        return self._volume
+        return self.memo("volume", lambda: _rational_cone_volume(*self._tri, self._interior)
+                         if self.is_full_dimensional else _ZERO)
 
     def facet_weights(self):
         """Per-facet (normal a, offset b, vol_{n-1}(F)/||a||) with the weight exact,
         one ``Fraction`` per facet from :func:`_integer_weights`."""
-        if self._fweights is None:
-            sums, den = _integer_weights(self)
-            self._fweights = tuple((a, b, Fraction(g, den))
-                                   for (a, b), (_a, g) in zip(self.halfspaces, sums))
-        return self._fweights
+        sums, den = _integer_weights(self)
+        return self.memo("facet_weights", lambda: tuple(
+            (a, b, Fraction(g, den)) for (a, b), (_a, g) in zip(self.halfspaces, sums)))
 
     def translated(self, t) -> "Polytope":
-        """P + t, with no hull, and P itself for t = 0; a volume already
-        computed for P is carried across, and so is P's Steiner symmetral
-        when t is horizontal (t_n = 0), since a horizontal translation
-        commutes with the symmetrization."""
+        """P + t, with no hull, and P itself for t = 0.  The memo entries that
+        ``_CARRY`` carries under a translate are taken over, and those it
+        carries under a horizontal one (t_n = 0) when t is horizontal."""
         t = vec(t)
+        if len(t) != self.dim:
+            raise DimensionMismatch(f"translation of length {len(t)}, expected {self.dim}")
         if not any(t):
             return self
 
@@ -422,23 +422,18 @@ class Polytope:
             pts, simplices = self._tri
             tri = (tuple(shift(p) for p in pts), simplices)
         out = Polytope(self.dim, self.affine_dim, verts, hs, shift(self._interior), tri)
-        out._volume = self._volume
-        if self._symmetral is not None and t[-1] == 0:
-            out._symmetral = self._symmetral.translated(t)
-        return out
+        return self._carry(out, ("translate", "horizontal") if t[-1] == 0 else ("translate",), t)
 
     def scaled(self, lam: int) -> "Polytope":
         """lam P for an integer lam > 0.  A full-dimensional P needs no hull:
         each row keeps its normal and takes lam times its offset, and the
         interior point is the one ``transform`` gives; a lower-dimensional P
-        goes through ``transform``, which hulls its image.  The volume, the
-        integer rows and the Steiner symmetral already computed for P are
-        carried across, scaled, since x -> lam x commutes with the
-        symmetrization."""
+        goes through ``transform``, which hulls its image.  The memo entries
+        that ``_CARRY`` carries under a scale are taken over, scaled."""
         n = self.dim
         if not self.is_full_dimensional:
             diag = [[lam * int(i == j) for j in range(n)] for i in range(n)]
-            return transform(self, diag, [0] * n)
+            return self._carry(transform(self, diag, [0] * n), ("scale",), lam)
 
         def scale(p):
             return tuple(lam * x for x in p)
@@ -448,14 +443,21 @@ class Polytope:
         pts, simplices = self._tri
         out = Polytope(n, n, verts, hs, _hull_interior(verts),
                        (tuple(scale(p) for p in pts), simplices))
-        if self._volume is not None:
-            out._volume = lam**n * self._volume
-        if self._int_rows is not None:
-            out._int_rows = tuple((a, lam * num // g, den // g) for a, num, den in self._int_rows
-                                  for g in (gcd(lam * num, den),))
-        if self._symmetral is not None:
-            out._symmetral = self._symmetral.scaled(lam)
-        return out
+        return self._carry(out, ("scale",), lam)
+
+
+# How a memo entry of P carries to an image, keyed like ``Polytope.memo``: per
+# map, the rule (entry, t or lam, n) -> the image's entry.  "translate" holds
+# for any t and "horizontal" for t_n = 0 only; the Steiner symmetral commutes
+# with a horizontal translate and with x -> lam x.  An entry with no rule for
+# the map is rebuilt on the image when it is read.
+_CARRY = {
+    "volume": {"translate": lambda v, _t, _n: v, "scale": lambda v, lam, n: lam**n * v},
+    "int_rows": {"scale": lambda rows, lam, _n: tuple(
+        (a, lam * num // g, den // g) for a, num, den in rows for g in (gcd(lam * num, den),))},
+    "symmetral": {"horizontal": lambda S, t, _n: S.translated(t),
+                  "scale": lambda S, lam, _n: S.scaled(lam)},
+}
 
 
 def _hull_interior(verts) -> Vec:
@@ -470,8 +472,8 @@ def _hull_interior(verts) -> Vec:
 
 
 def _integer_weights(P: Polytope):
-    """((a, g) per halfspace, den), memoized on ``P``: the facet with primitive
-    integer normal a weighs g / den.
+    """((a, g) per halfspace, den), P's memo entry "int_weights": the facet
+    with primitive integer normal a weighs g / den.
 
     Read off the boundary triangulation, over integers: with the points over
     one denominator L, a boundary simplex's cofactor normal N has length
@@ -479,7 +481,7 @@ def _integer_weights(P: Polytope):
     of its facet, so each facet's g is the sum of its simplices' g, and
     den = (n-1)! L^{n-1}.
     """
-    if P._int_weights is None:
+    def build():
         if not P.is_full_dimensional:
             raise DegenerateBody("facet weights need a full-dimensional polytope")
         n = P.dim
@@ -496,8 +498,9 @@ def _integer_weights(P: Polytope):
             a = tuple(x // g for x in N)
             sums[a] = sums.get(a, 0) + abs(g)
         keys = [tuple(int(x) for x in a) for a, _b in P.halfspaces]
-        P._int_weights = (tuple((a, sums[a]) for a in keys), math.factorial(n - 1) * L ** (n - 1))
-    return P._int_weights
+        return tuple((a, sums[a]) for a in keys), math.factorial(n - 1) * L ** (n - 1)
+
+    return P.memo("int_weights", build)
 
 
 def _bits(mask: int) -> tuple[int, ...]:
@@ -596,9 +599,9 @@ def transform(P: Polytope, A, b) -> Polytope:
     """
     rows = [vec(r) for r in A]
     n = P.dim
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise DimensionMismatch("matrix shape does not match polytope dimension")
     shift = vec(b)
+    if len(rows) != n or len(shift) != n or any(len(r) != n for r in rows):
+        raise DimensionMismatch("matrix or shift shape does not match polytope dimension")
     inv = mat_inv(rows) if P.is_full_dimensional else None
     if inv is None:
         return Polytope.from_points(_affine_image(rows, shift, P.vertices), n)
@@ -658,7 +661,7 @@ def cube_sum(P: Polytope, k: int) -> Polytope:
         (verts, _pulling_triangulation(
             [sum(1 << where[j] for j in _bits(m)) for _r, m in facets], n)),
     )
-    Q._int_rows = tuple(r for r, _m in facets)
+    Q._memo["int_rows"] = tuple(r for r, _m in facets)
     return Q
 
 
@@ -720,13 +723,13 @@ def project_drop_last(P: Polytope) -> Polytope:
 
 def integer_rows(P: Polytope) -> tuple[tuple[tuple[int, ...], int, int], ...]:
     """Halfspaces as integer rows (a, num, den), <a, x> <= num/den with den > 0,
-    memoized on ``P``; normals are primitive integer vectors already."""
-    if P._int_rows is None:
+    P's memo entry "int_rows"; normals are primitive integer vectors already."""
+    def build():
         assert all(x.denominator == 1 for a, _ in P.halfspaces for x in a)
-        P._int_rows = tuple(
-            (tuple(int(x) for x in a), b.numerator, b.denominator) for a, b in P.halfspaces
-        )
-    return P._int_rows
+        return tuple((tuple(int(x) for x in a), b.numerator, b.denominator)
+                     for a, b in P.halfspaces)
+
+    return P.memo("int_rows", build)
 
 
 def _column_rows(P: Polytope, k: int = 0):

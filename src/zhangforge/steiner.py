@@ -19,12 +19,15 @@ _ZERO = Fraction(0)
 
 
 def steiner_symmetrize(P: Polytope) -> Polytope:
-    """P's Steiner symmetral, one hull.  It is kept on P, and
-    ``Polytope.translated`` carries it across a horizontal translate, so the
-    body anchored by ``polytope.max_section_anchor`` reuses the symmetral the
-    anchor was read off."""
-    if P._symmetral is not None:
-        return P._symmetral
+    """P's Steiner symmetral, one hull, kept as P's memo entry "symmetral".
+    ``Polytope.translated`` carries it across a horizontal translate and
+    ``Polytope.scaled`` across a scale, so the body anchored by
+    ``polytope.max_section_anchor`` reuses the symmetral the anchor was read
+    off, and so does each scaled body of the sweeps."""
+    return P.memo("symmetral", lambda: _symmetral(P))
+
+
+def _symmetral(P: Polytope) -> Polytope:
     if not P.is_full_dimensional:
         raise DegenerateBody("Steiner symmetrization needs a full-dimensional body")
     n = P.dim
@@ -52,7 +55,6 @@ def steiner_symmetrize(P: Polytope) -> Polytope:
     hint = y0 + (_ZERO,)
     S = Polytope.from_halfspaces(rows, n, interior=hint)
     assert S is not None
-    P._symmetral = S
     return S
 
 

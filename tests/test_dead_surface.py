@@ -6,8 +6,8 @@ name or a string constant (``perfbench/tracer.py`` wraps functions by their
 string names) in any file under ``src/``, ``demos/`` or ``perfbench/``.  A
 use inside the name's own definition does not count.  The files are only
 parsed, never imported.  The same rule holds for the public members of
-``BodyWorkspace``, the checkers' per-body cache, and of the value types
-``Interval`` and ``RayDecomposition``.
+``BodyWorkspace``, the checkers' per-body cache, of ``Polytope``, and of the
+value types ``Interval`` and ``RayDecomposition``.
 """
 
 import ast
@@ -104,6 +104,7 @@ def test_every_public_workspace_member_is_used_outside_the_tests():
 
 
 @pytest.mark.parametrize("name, class_name", [("polytope", "Interval"),
+                                              ("polytope", "Polytope"),
                                               ("lattice", "RayDecomposition")])
 def test_every_public_value_type_member_is_used_outside_the_tests(name, class_name):
     module = PACKAGE / f"{name}.py"

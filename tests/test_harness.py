@@ -22,6 +22,7 @@ from zhangforge.harness import (
 )
 
 F = Fraction
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _count_calls(monkeypatch, *names):
@@ -246,6 +247,23 @@ _BAD_CONFIGS = {
     "random-hull-two-points": {"bodies": [{"family": "random_hull", "dim": 2,
                                            "params": {"count": 2}, "name": "c"}],
                                "sweeps": []},
+    # an affine map or custom points whose shape does not match dim, no point, no dimension
+    "affine-vector-too-long": {"bodies": [{"family": "cube", "dim": 2,
+                                           "affine": [[[1, 0], [0, 1]], [1, 2, 3]],
+                                           "name": "c"}], "sweeps": []},
+    "affine-vector-too-short": {"bodies": [{"family": "cube", "dim": 2,
+                                            "affine": [[[1, 0], [0, 1]], [1]], "name": "c"}],
+                                "sweeps": []},
+    "affine-matrix-2x3": {"bodies": [{"family": "cube", "dim": 2,
+                                      "affine": [[[1, 0, 0], [0, 1, 0]], [0, 0]], "name": "c"}],
+                          "sweeps": []},
+    "custom-points-3d-in-dim-2": {"bodies": [{"family": "custom", "dim": 2,
+                                              "params": {"points": [[0, 0, 0], [1, 0, 0],
+                                                                    [0, 1, 0]]},
+                                              "name": "c"}], "sweeps": []},
+    "custom-no-points": {"bodies": [{"family": "custom", "dim": 2, "params": {"points": []},
+                                     "name": "c"}], "sweeps": []},
+    "body-dim-zero": {"bodies": [{"family": "cube", "dim": 0, "name": "c"}], "sweeps": []},
     **{f"checker-params-{name}": {"bodies": [_SYM_SQUARE], "checker_params": {cid: params},
                                   "sweeps": []}
        for name, cid, params in [
@@ -465,9 +483,12 @@ class TestBodyOperation:
 
 class TestCli:
     def _run(self, *args, **kw):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                          env.get("PYTHONPATH")]))
         return subprocess.run(
             [sys.executable, "-m", "zhangforge", *args],
-            capture_output=True, text=True, **kw,
+            capture_output=True, text=True, env=env, **kw,
         )
 
     def test_list_checkers(self):

@@ -267,6 +267,101 @@ def test_scaled_equals_transform_by_lam_identity(lam):
         assert Q.volume_fraction() == T.volume_fraction() == lam**n * vol, name
 
 
+def _read(P, key):
+    """P's memo entry ``key``, read through the program's own route."""
+    from zhangforge.lattice import _column_walk, fattening
+    from zhangforge.polytope import _integer_weights, integer_rows
+    from zhangforge.steiner import steiner_symmetrize
+
+    if isinstance(key, tuple):
+        kind, k = key
+        return fattening(P, k) if kind == "fattening" else _column_walk(P, k)
+    return {"volume": Polytope.volume_fraction, "facet_weights": Polytope.facet_weights,
+            "int_weights": _integer_weights, "int_rows": integer_rows,
+            "symmetral": steiner_symmetrize}[key](P)
+
+
+def _memo_keys(P) -> set:
+    """Every memo key P can hold: a flat P has no facet weights and no symmetral."""
+    keys = {"volume", "int_rows", *(("fattening", k) for k in range(1, P.dim)),
+            *(("columns", k) for k in range(P.dim))}
+    if P.is_full_dimensional:
+        keys |= {"facet_weights", "int_weights", "symmetral"}
+    return keys
+
+
+def _exact(value):
+    """A memo value as plain data; a polytope (the symmetral) as its vertices,
+    halfspaces, boundary triangulation and interior point."""
+    if isinstance(value, Polytope):
+        return value.vertices, value.halfspaces, value._tri, value.interior_point
+    return value
+
+
+def _carry_faults(bodies) -> list:
+    """(body, map, key) for each memo entry of a horizontal translate, a
+    non-horizontal translate and the scales 2 and 3 of a filled body that is
+    not exactly the entry a fresh build gives on the hull of the image's
+    vertices, or that ``_CARRY`` has no rule for under that map."""
+    from zhangforge.polytope import _CARRY
+
+    faults = []
+    for name, P in bodies:
+        n = P.dim
+        for key in _memo_keys(P):
+            _read(P, key)
+        assert set(P._memo) == _memo_keys(P), name
+        images = [
+            ("horizontal", ("translate", "horizontal"),
+             P.translated((F(1, 2),) * (n - 1) + (F(0),))),
+            ("vertical", ("translate",), P.translated((F(-1, 2),) * (n - 1) + (F(1, 3),))),
+            ("scale2", ("scale",), P.scaled(2)),
+            ("scale3", ("scale",), P.scaled(3)),
+        ]
+        for label, maps, Q in images:
+            carried = {key for key, rules in _CARRY.items()
+                       if key in P._memo and any(m in rules for m in maps)}
+            faults += [(name, label, key) for key in set(Q._memo) ^ carried]
+            fresh = make_polytope(Q.vertices, n)
+            faults += [(name, label, key) for key in set(Q._memo) & carried
+                       if _exact(Q._memo[key]) != _exact(_read(fresh, key))]
+    return faults
+
+
+def _carry_bodies():
+    from zhangforge.harness import default_corpus, make_body
+
+    bodies = [(spec.name, make_body(spec)) for spec in default_corpus()]
+    return bodies + [(f"flat{k}", make_polytope(pts, n))
+                     for k, (pts, n) in enumerate(_FLAT_BODIES)]
+
+
+def test_each_carried_memo_entry_equals_a_fresh_build():
+    # the 14 corpus bodies and the flat ones, every memo key filled
+    bodies = _carry_bodies()
+    assert len(bodies) == 14 + len(_FLAT_BODIES)
+    assert _carry_faults(bodies) == []
+
+
+def test_a_wrong_carry_rule_is_caught(monkeypatch):
+    # the symmetral carried across every translate, the vertical one too
+    from zhangforge.polytope import _CARRY
+
+    rules = dict(_CARRY["symmetral"], translate=lambda S, t, _n: S.translated(t))
+    monkeypatch.setitem(_CARRY, "symmetral", rules)
+    faults = _carry_faults([("triangle", make_polytope([(0, 0), (2, 0), (0, 1)], 2))])
+    assert faults == [("triangle", "vertical", "symmetral")]
+
+
+def test_translate_by_a_vector_of_the_wrong_length_raises(unit_square):
+    # the vector is not cut to the body's dimension
+    for t in [(1,), (1, 2, 3)]:
+        with pytest.raises(DimensionMismatch):
+            translate(unit_square, t)
+    with pytest.raises(DimensionMismatch):
+        transform(unit_square, [[1, 0], [0, 1]], [1, 2, 3])
+
+
 class TestAnchor:
     def test_examples(self, unit_square, triangle):
         assert max_section_anchor(unit_square) == (F(0),)
