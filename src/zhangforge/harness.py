@@ -61,6 +61,23 @@ def parse_rational(v) -> Fraction:
     raise ConfigError(f"cannot parse rational from {v!r}")
 
 
+_BODY_KEYS = frozenset({"family", "dim", "params", "affine", "anchor", "name"})
+# the params each body family reads
+_FAMILY_PARAMS = {"simplex": {"scale"}, "cube": {"edge"}, "cross": {"scale"},
+                  "random_hull": {"count", "radius", "seed", "denominator"},
+                  "custom": {"points"}}
+
+
+def _check_params(spec: "BodySpec") -> None:
+    """Raise ``ConfigError`` naming a param that the body's family does not
+    read (a misspelt key would otherwise fall back to its default)."""
+    known = _FAMILY_PARAMS.get(spec.family) if isinstance(spec.family, str) else None
+    for key in spec.params if known is not None else ():
+        if key not in known:
+            raise ConfigError(f"body {spec.name!r}: unknown {spec.family} param {key!r}"
+                              f" (known: {', '.join(sorted(known))})")
+
+
 @dataclass(frozen=True)
 class BodySpec:
     family: str
@@ -72,6 +89,12 @@ class BodySpec:
 
     @staticmethod
     def from_json(obj: dict) -> "BodySpec":
+        """The body an object describes; ``ConfigError`` for an unknown key, a
+        field of the wrong type or an unknown param of its family."""
+        for key in obj if isinstance(obj, dict) else ():
+            if key not in _BODY_KEYS:
+                raise ConfigError(f"unknown body key {key!r}"
+                                  f" (known: {', '.join(sorted(_BODY_KEYS))})")
         try:
             spec = BodySpec(
                 family=obj["family"],
@@ -89,6 +112,7 @@ class BodySpec:
             raise ConfigError(f"a body dim is a positive integer, got {spec.dim!r}")
         if not isinstance(spec.anchor, bool):
             raise ConfigError(f"a body anchor is true or false, got {spec.anchor!r}")
+        _check_params(spec)
         return spec
 
     def to_json(self) -> dict:
@@ -106,10 +130,11 @@ def _unit_vec(n: int, i: int, s=1) -> tuple:
 def make_body(spec: BodySpec) -> Polytope:
     """Deterministic polytope from a body specification; params that do not
     parse (a missing key or vector, text where a number belongs, no point, a
-    point or an affine map whose shape does not match ``dim``) raise
-    ``ConfigError``."""
+    point or an affine map whose shape does not match ``dim``) or that the
+    family does not read raise ``ConfigError``."""
     n = spec.dim
     fam = spec.family
+    _check_params(spec)
     try:
         if fam == "simplex":
             scale = parse_rational(spec.params.get("scale", 1))

@@ -337,8 +337,9 @@ class BodyWorkspace(Memo):
     radials, the scaled workspaces of the sweeps, and the one e_n ray engine
     whose ``ray_support`` LP is solved once per body.  Quantities with no
     argument are cached properties; the rest are memo entries, keyed
-    ("radial", source, p), ("workspace", lam), ("body", lam) and
-    ("applicability", cid)."""
+    ("radial", source, p), ("workspace", lam) and ("applicability", cid).
+    The dilates lam K themselves are the body's memo entries ("scaled", lam)
+    (``Polytope.scaled``)."""
 
     def __init__(self, body: Polytope, seed: int = 20240):
         self.body = body
@@ -469,11 +470,6 @@ class BodyWorkspace(Memo):
         require_x_n_symmetric(self.asym)
         lengths = column_lengths(fattening(self.asym, self.n - 1))
         return {y: lengths[y] / 2 for y, _lo, _hi in column_ranges(self.asym, self.n - 1)}
-
-    def scaled_body(self, lam: int) -> Polytope:
-        """lam * ``body`` for an integer lam > 0, built once per lam, so the
-        lattice targets of one scale read one memoized column table."""
-        return self.memo(("body", lam), lambda: self.body.scaled(lam))
 
 
 def _mu_moment_exact(P: Polytope, p: int) -> Fraction:
@@ -1231,7 +1227,9 @@ def limit_sweep(body: Polytope | BodyWorkspace, target: str, scales,
     workspace to every target of a body, so its volume, projection volume,
     slab moment, anchor and symmetral are computed once.  The two discrete Zhang
     targets read each scale's workspace off it (``BodyWorkspace.scaled``),
-    with no hull and no LP per scale.  Rows report per-scale values; only
+    with no hull and no LP per scale; ``gn_volume`` and ``mu_volume`` read
+    lam K as ``body.scaled(lam)``, the one image per lam that the scaled
+    workspace holds too when the anchor is 0.  Rows report per-scale values; only
     trends are produced here (assertions over the final scale live with the
     callers/tests).
     """
@@ -1250,12 +1248,12 @@ def limit_sweep(body: Polytope | BodyWorkspace, target: str, scales,
     n = ws.n
     if target == "gn_volume":
         for lam in scales:
-            Q = ws.scaled_body(lam)
+            Q = ws.body.scaled(lam)
             rows.append(_row(lam, "G_n/scale^n", Fraction(count_lattice(Q), lam**n), ws.vol))
         return rows
     if target == "mu_volume":
         for lam in scales:
-            Q = ws.scaled_body(lam)
+            Q = ws.body.scaled(lam)
             rows.append(_row(lam, "mu/scale^n", mu_measure(Q).exact / lam**n, ws.vol))
         return rows
     if target in ("discrete_to_continuous_zhang", "purely_discrete_to_continuous"):

@@ -218,23 +218,18 @@ def primitive(a) -> Vec:
     return tuple(Fraction(v) for v in primitive_int(integer_row(a)[0]))
 
 
-def affine_basis(points: list[Vec]) -> list[int]:
-    """Indices of a maximal affinely independent subset (greedy, deterministic).
+def independent_rows(vectors) -> list[int]:
+    """Indices of a maximal linearly independent subset of integer vectors
+    (greedy, deterministic).
 
-    One incremental fraction-free elimination of the integer differences
-    points[i] - points[0]: each is reduced against the rows kept so far, in
-    order, and kept when something is left.
+    One incremental fraction-free elimination: each vector is reduced
+    against the rows kept so far, in order, and kept when something is left.
     """
-    if not points:
-        return []
-    ints, _den = integer_points(points)
-    origin = ints[0]
-    idx = [0]
+    idx = []
     rows: list[tuple[int, tuple[int, ...]]] = []  # (pivot column, row)
-    for i in range(1, len(points)):
-        if len(idx) > len(origin):
+    for i, v in enumerate(vectors):
+        if len(rows) == len(v):
             break
-        v = [x - y for x, y in zip(ints[i], origin)]
         for c, row in rows:
             f = v[c]
             if f:
@@ -245,3 +240,15 @@ def affine_basis(points: list[Vec]) -> list[int]:
             rows.append((c, primitive_int(v)))
             idx.append(i)
     return idx
+
+
+def affine_basis(points: list[Vec]) -> list[int]:
+    """Indices of a maximal affinely independent subset (greedy, deterministic):
+    0 and the :func:`independent_rows` of the integer differences
+    points[i] - points[0]."""
+    if not points:
+        return []
+    ints, _den = integer_points(points)
+    origin = ints[0]
+    diffs = ([x - y for x, y in zip(p, origin)] for p in ints[1:])
+    return [0] + [i + 1 for i in independent_rows(diffs)]

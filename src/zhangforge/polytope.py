@@ -29,6 +29,8 @@ no LP.
 Each quantity derived from a body is an entry of its one memo (:class:`Memo`),
 built on its first read.  One table, ``_CARRY``, declares which entries a
 translate and an integer scale take over and how; the image rebuilds the rest.
+The dilate lam P is itself an entry, one image per lam, and takes over on
+each read the carried entries that P has gained since it was built.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .linalg import (
     det_int,
     dot,
     frac,
+    independent_rows,
     integer_points,
     integer_row,
     mat_inv,
@@ -148,7 +151,7 @@ class Memo:
 class Polytope(Memo):
     """Immutable rational polytope with vertex and halfspace representations.
     Its memo keys: "volume", "facet_weights", "int_weights", "int_rows",
-    "symmetral", ("fattening", k) and ("columns", k)."""
+    "symmetral", ("fattening", k), ("columns", k) and ("scaled", lam)."""
 
     __slots__ = ("dim", "affine_dim", "vertices", "halfspaces", "_interior", "_tri",
                  "_incidence")
@@ -164,10 +167,11 @@ class Polytope(Memo):
         self._memo = {}
 
     def _carry(self, image: "Polytope", maps, x) -> "Polytope":
-        """``image`` with P's memo entries carried by their first rule in ``maps``."""
+        """``image`` with the memo entries of P that it lacks carried by their
+        first rule in ``maps``."""
         for key, rules in _CARRY.items():
             rule = next((rules[m] for m in maps if m in rules), None)
-            if rule is not None and key in self._memo:
+            if rule is not None and key in self._memo and key not in image._memo:
                 image._memo[key] = rule(self._memo[key], x, self.dim)
         return image
 
@@ -320,7 +324,7 @@ class Polytope(Memo):
             dim, dim, verts,
             tuple((tuple(map(Fraction, rows[j][0])), Fraction(rows[j][1], rows[j][2]))
                   for j in facet_rows),
-            _hull_interior(verts),
+            _dual_interior(z, D, lam, planes),
             (verts, _pulling_triangulation(list(masks.values()), dim)),
         )
         P._memo["int_rows"] = tuple(rows[j] for j in facet_rows)
@@ -385,10 +389,10 @@ class Polytope(Memo):
         return all(dot(a, x) <= b for a, b in self.halfspaces)
 
     def bounding_box(self) -> list[tuple[Fraction, Fraction]]:
-        return [
-            (min(v[i] for v in self.vertices), max(v[i] for v in self.vertices))
-            for i in range(self.dim)
-        ]
+        """Per coordinate (min, max) over the vertices, compared as integer
+        numerators over one denominator."""
+        X, L = integer_points(self.vertices)
+        return [(Fraction(min(c), L), Fraction(max(c), L)) for c in zip(*X)]
 
     def volume_fraction(self) -> Fraction:
         """Full-dimensional volume as an exact rational (0 when degenerate)."""
@@ -425,25 +429,35 @@ class Polytope(Memo):
         return self._carry(out, ("translate", "horizontal") if t[-1] == 0 else ("translate",), t)
 
     def scaled(self, lam: int) -> "Polytope":
-        """lam P for an integer lam > 0.  A full-dimensional P needs no hull:
-        each row keeps its normal and takes lam times its offset, and the
-        interior point is the one ``transform`` gives; a lower-dimensional P
-        goes through ``transform``, which hulls its image.  The memo entries
-        that ``_CARRY`` carries under a scale are taken over, scaled."""
+        """lam P for an integer lam > 0, P's memo entry ("scaled", lam), so each
+        dilate is one object.  On every read the entries that ``_CARRY``
+        carries under a scale are taken over, scaled, when P holds them and
+        the image does not, so an image built before P's memo was filled
+        still shares P's volume, integer rows and symmetral."""
+        return self._carry(self.memo(("scaled", lam), lambda: self._dilate(lam)),
+                           ("scale",), lam)
+
+    def _dilate(self, lam: int) -> "Polytope":
+        """lam P with no memo entry.  A full-dimensional P needs no hull: each
+        coordinate and each offset num/den becomes (lam num)/den, each row
+        keeps its normal, and the interior point is lam times the one
+        ``transform`` would pick, since lam keeps the vertex order and the
+        affine basis; a lower-dimensional P goes through ``transform``, which
+        hulls its image."""
         n = self.dim
         if not self.is_full_dimensional:
             diag = [[lam * int(i == j) for j in range(n)] for i in range(n)]
-            return self._carry(transform(self, diag, [0] * n), ("scale",), lam)
+            return transform(self, diag, [0] * n)
 
         def scale(p):
-            return tuple(lam * x for x in p)
+            return tuple(Fraction(x.numerator * lam, x.denominator) for x in p)
 
-        verts = tuple(scale(v) for v in self.vertices)
-        hs = tuple((a, lam * b) for a, b in self.halfspaces)
+        verts = tuple(map(scale, self.vertices))
+        hs = tuple((a, Fraction(b.numerator * lam, b.denominator)) for a, b in self.halfspaces)
         pts, simplices = self._tri
-        out = Polytope(n, n, verts, hs, _hull_interior(verts),
-                       (tuple(scale(p) for p in pts), simplices))
-        return self._carry(out, ("scale",), lam)
+        tri_pts = verts if pts is self.vertices else tuple(map(scale, pts))
+        return Polytope(n, n, verts, hs, scale(_hull_interior(self.vertices)),
+                        (tri_pts, simplices))
 
 
 # How a memo entry of P carries to an image, keyed like ``Polytope.memo``: per
@@ -460,15 +474,40 @@ _CARRY = {
 }
 
 
-def _hull_interior(verts) -> Vec:
-    """The interior point ``convex_hull`` gives the sorted vertices of a body:
-    the midpoint (n = 1), the vertex centroid (n = 2), or the centroid of the
-    first affinely independent n + 1 vertices."""
-    d = len(verts[0])
+def _interior_choice(items: list, d: int, basis) -> list:
+    """The sorted vertices (or their stand-ins ``items``) whose centroid is the
+    interior point ``convex_hull`` gives a body: the two ends (d = 1), all of
+    them (d = 2), or the first affinely independent d + 1, at the indices
+    ``basis()`` picks."""
     if d == 1:
-        return (Fraction(verts[0][0] + verts[-1][0], 2),)
-    chosen = verts if d == 2 else [verts[i] for i in affine_basis(verts)]
-    return tuple(sum(v[k] for v in chosen) / len(chosen) for k in range(d))
+        return [items[0], items[-1]]
+    return items if d == 2 else [items[i] for i in basis()]
+
+
+def _hull_interior(verts) -> Vec:
+    """The interior point ``convex_hull`` gives the sorted vertices of a body."""
+    return _integer_interior(*integer_points(verts))
+
+
+def _integer_interior(V, L: int) -> Vec:
+    """:func:`_hull_interior` of the sorted vertices V/L, V integer: one
+    ``Fraction`` per coordinate."""
+    chosen = _interior_choice(V, len(V[0]), lambda: affine_basis(V))
+    return tuple(Fraction(sum(col), L * len(chosen)) for col in zip(*chosen))
+
+
+def _dual_interior(z, D: int, lam: int, planes) -> Vec:
+    """:func:`_hull_interior` of the vertices x0 + (lam/D) U/C, x0 = z/D, of
+    ``from_halfspaces``' sorted dual planes (U, C), C > 0, over integers.
+    Those vertices are affinely independent exactly when the (U, C) are
+    linearly independent, and the centroid of m of them is
+    x0 + lam/(D m) sum U/C."""
+    chosen = _interior_choice(planes, len(z),
+                              lambda: independent_rows(U + (C,) for U, C in planes))
+    Lc = lcm(*(C for _U, C in chosen))
+    q = D * Lc * len(chosen)
+    S = [sum(U[k] * (Lc // C) for U, C in chosen) for k in range(len(z))]
+    return tuple(Fraction(zk * (q // D) + lam * sk, q) for zk, sk in zip(z, S))
 
 
 def _integer_weights(P: Polytope):
@@ -652,12 +691,13 @@ def cube_sum(P: Polytope, k: int) -> Polytope:
         V, rows, masks = _add_segment(V, rows, masks, i, L)
     order = sorted(range(len(V)), key=V.__getitem__)
     where = {j: pos for pos, j in enumerate(order)}
-    verts = tuple(tuple(Fraction(x, L) for x in V[j]) for j in order)
+    V = [V[j] for j in order]
+    verts = tuple(tuple(Fraction(x, L) for x in v) for v in V)
     facets = sorted(zip(rows, masks))
     Q = Polytope(
         n, n, verts,
         tuple((tuple(map(Fraction, a)), Fraction(num, den)) for (a, num, den), _m in facets),
-        _hull_interior(verts),
+        _integer_interior(V, L),
         (verts, _pulling_triangulation(
             [sum(1 << where[j] for j in _bits(m)) for _r, m in facets], n)),
     )

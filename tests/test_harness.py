@@ -117,6 +117,25 @@ class TestMakeBody:
         with pytest.raises(DegenerateSpec):
             make_body(BodySpec("random_hull", 2, {"radius": 0}, name="r"))
 
+    @pytest.mark.parametrize("family,params,key", [
+        ("cube", {"edg": [0, 2]}, "edg"),
+        ("simplex", {"edge": [0, 1]}, "edge"),
+        ("cross", {"scale": 2, "seed": 1}, "seed"),
+        ("random_hull", {"count": 6, "denom": 3}, "denom"),
+        ("custom", {"points": [[0, 0], [1, 0], [0, 1]], "scale": 2}, "scale"),
+    ])
+    def test_unknown_param_is_a_config_error_naming_it(self, family, params, key):
+        # a misspelt param would otherwise fall back to its default in silence
+        spec = BodySpec(family, 2, params, name="b")
+        with pytest.raises(ConfigError, match=f"param '{key}'"):
+            make_body(spec)
+        with pytest.raises(ConfigError, match=f"param '{key}'"):
+            BodySpec.from_json(spec.to_json())
+
+    def test_unknown_body_key_is_a_config_error_naming_it(self):
+        with pytest.raises(ConfigError, match="key 'anchr'"):
+            BodySpec.from_json({"family": "cube", "dim": 2, "anchr": True})
+
 
 class TestConfig:
     def test_default_has_enough_bodies(self):
@@ -134,6 +153,22 @@ class TestConfig:
         doc = cfg.to_json()
         again = SuiteConfig.from_json(doc)
         assert again.to_json() == doc
+
+    def test_the_corpus_and_every_benchmark_workload_load(self):
+        # no body of theirs carries a key or param that the checks refuse
+        import importlib.util
+
+        path = ROOT / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        configs = [default_config()] + [workloads.build(name, seed)
+                                        for name in workloads.WORKLOADS for seed in (1, 2)]
+        for cfg in configs:
+            again = SuiteConfig.from_json(cfg.to_json())
+            assert again.to_json() == cfg.to_json()
+            for body in again.bodies:
+                make_body(body)
 
 
     def test_config_with_tolerances_key_still_runs(self):
@@ -264,6 +299,11 @@ _BAD_CONFIGS = {
     "custom-no-points": {"bodies": [{"family": "custom", "dim": 2, "params": {"points": []},
                                      "name": "c"}], "sweeps": []},
     "body-dim-zero": {"bodies": [{"family": "cube", "dim": 0, "name": "c"}], "sweeps": []},
+    # a misspelt param of the body's family, a misspelt body key
+    "edg": {"bodies": [{"family": "cube", "dim": 2, "params": {"edg": [0, 2]}, "name": "c"}],
+            "sweeps": []},
+    "anchr": {"bodies": [{"family": "cube", "dim": 2, "anchr": True, "name": "c"}],
+              "sweeps": []},
     **{f"checker-params-{name}": {"bodies": [_SYM_SQUARE], "checker_params": {cid: params},
                                   "sweeps": []}
        for name, cid, params in [
@@ -584,6 +624,19 @@ class TestCli:
         res = self._run("body", "--spec", str(spec), "--op", "volume")
         assert res.returncode == 0
         assert json.loads(res.stdout)["value"]["exact"] == "1/2"
+
+    @pytest.mark.parametrize("body,key", [
+        ({"family": "cube", "dim": 2, "params": {"edg": [0, 2]}}, "'edg'"),
+        ({"family": "cube", "dim": 2, "anchr": True}, "'anchr'"),
+    ])
+    def test_body_verb_names_an_unknown_key(self, body, key, tmp_path):
+        # exit 0 with the default unit cube, un-anchored, would hide the typo
+        spec = tmp_path / "body.json"
+        spec.write_text(json.dumps(body))
+        res = self._run("body", "--spec", str(spec), "--op", "volume")
+        assert res.returncode == 64, res.stderr
+        assert res.stderr.startswith("configuration error") and key in res.stderr
+        assert res.stdout == ""
 
     def test_sweep_verb(self, tmp_path):
         cfg = {"bodies": [], "sweeps": [{"target": "B_limit", "scales": [100],

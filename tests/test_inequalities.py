@@ -95,9 +95,11 @@ class TestProfiles:
 
 def test_sweep_builds_each_column_table_once(monkeypatch):
     """On the ``sweep`` benchmark config (seed 1) no (polytope, k) column table
-    is built twice: the readers of one body share its memoized walk, and the
-    two lattice targets of one scale share lam K (90 tables; 144 walks over
-    108 bodies before)."""
+    is built twice: the readers of one body share its memoized walk, the two
+    lattice targets of one scale share lam K, and on the four bodies with
+    anchor 0 (cube2, simplex2, cube3, simplex3) so does the scaled workspace
+    of the two Zhang targets (78 tables; 90 when lam K was built twice, 144
+    walks over 108 bodies before that)."""
     import zhangforge.lattice as lattice
     from zhangforge.harness import run_sweeps
 
@@ -113,7 +115,7 @@ def test_sweep_builds_each_column_table_once(monkeypatch):
     monkeypatch.setattr(lattice, "_column_table", counting)
     run_sweeps(_load_workloads().build("sweep", 1))
     assert max(built.values()) == 1
-    assert sum(built.values()) == 90
+    assert sum(built.values()) == 78
 
 
 class TestDiamond:
@@ -637,6 +639,33 @@ class TestScaledWorkspace:
             return SuiteConfig(bodies=[BodySpec("random_hull", 2, {"count": 8, "radius": "1/2",
                                                                    "seed": 3}, name="r")],
                                sweeps=[{"target": t, "body": "r", "scales": scales}
+                                       for t in ("gn_volume", "mu_volume",
+                                                 "discrete_to_continuous_zhang",
+                                                 "purely_discrete_to_continuous")])
+
+        calls = _count_hulls_and_lps(monkeypatch)
+        run_sweeps(config([4]))
+        one = Counter(calls)
+        calls.clear()
+        run_sweeps(config([4, 16, 64]))
+        assert Counter(calls) == one and one["convex_hull"] > 0
+
+    @pytest.mark.parametrize("spec", [BodySpec("cube", 3, {"edge": [0, 1]}, name="cube3"),
+                                      BodySpec("simplex", 2, name="simplex2")],
+                             ids=lambda spec: spec.name)
+    def test_more_scales_build_no_more_hulls_or_lps_at_anchor_0(self, spec, monkeypatch):
+        # gn_volume first: lam K is built before K's symmetral, and the scaled
+        # workspace of the Zhang targets reads that same image, which takes
+        # lam S over from K when it is read again
+        from zhangforge.harness import SuiteConfig, run_sweeps
+
+        ws = BodyWorkspace(make_body(spec))
+        assert ws.anchored is ws.body
+        assert all(ws.scaled(lam).body is ws.body.scaled(lam) for lam in (4, 16))
+
+        def config(scales):
+            return SuiteConfig(bodies=[spec],
+                               sweeps=[{"target": t, "body": spec.name, "scales": scales}
                                        for t in ("gn_volume", "mu_volume",
                                                  "discrete_to_continuous_zhang",
                                                  "purely_discrete_to_continuous")])

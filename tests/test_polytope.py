@@ -343,6 +343,27 @@ def test_each_carried_memo_entry_equals_a_fresh_build():
     assert _carry_faults(bodies) == []
 
 
+def test_a_dilate_built_before_the_memo_takes_the_carried_entries():
+    # lam P is read once on an empty memo, P's memo is filled, and lam P is
+    # read again: the same object, now holding every scale carry of P's
+    # entries, each equal to a fresh build
+    from zhangforge.polytope import _CARRY
+
+    for name, P in _carry_bodies():
+        early = {lam: P.scaled(lam) for lam in (2, 3)}
+        assert all(not Q._memo for Q in early.values()), name
+        for key in _memo_keys(P):
+            _read(P, key)
+        carried = {key for key, rules in _CARRY.items() if "scale" in rules and key in P._memo}
+        assert carried >= {"volume", "int_rows"}, name
+        for lam, Q in early.items():
+            assert P.scaled(lam) is Q, name
+            assert set(Q._memo) == carried, name
+            fresh = make_polytope(Q.vertices, P.dim)
+            for key in carried:
+                assert _exact(Q._memo[key]) == _exact(_read(fresh, key)), (name, lam, key)
+
+
 def test_a_wrong_carry_rule_is_caught(monkeypatch):
     # the symmetral carried across every translate, the vertical one too
     from zhangforge.polytope import _CARRY

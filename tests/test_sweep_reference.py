@@ -4,17 +4,25 @@
 (among them the unit cube and simplex in n = 3) and of the seeded random
 n = 2 hulls that the ``sweep`` workload can pick; no other test sweeps those
 bodies.  This test runs the workload at its default seed and applies the
-benchmark's own check (relative tolerance 1e-9 per row).
+benchmark's own check (relative tolerance 1e-9 per row).  A second test pins
+the SHA-256 of ``report_json`` of the workload's rows at seeds 1 and 2
+(``tests/data/sweep_digest.json``), so a byte change that the tolerance hides
+is caught too.
 ``perfbench/workloads.py`` and ``perfbench/reference.py`` are only imported,
 never modified.
 """
 
+import hashlib
 import importlib.util
+import json
 from pathlib import Path
 
-from zhangforge.harness import run_sweeps
+import pytest
+
+from zhangforge.harness import report_json, run_sweeps
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+DIGESTS = Path(__file__).resolve().parent / "data" / "sweep_digest.json"
 
 
 def _load(name):
@@ -32,3 +40,10 @@ def test_sweep_workload_matches_reference():
     ops, problems = reference.check(run_sweeps(config), config, ref)
     assert problems == []
     assert ops == reference.expected_ops(config, ref, with_rows=False)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_sweep_workload_report_bytes(seed):
+    config = _load("workloads").build("sweep", seed)
+    got = hashlib.sha256(report_json(run_sweeps(config)).encode()).hexdigest()
+    assert got == json.loads(DIGESTS.read_text())[str(seed)]
