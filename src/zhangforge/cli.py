@@ -28,12 +28,15 @@ EX_CONFIG = 64
 
 
 def _read_json(path: str):
-    """The JSON document in ``path``; ``ConfigError`` when it does not parse."""
-    with open(path) as fh:
-        try:
+    """The JSON document in ``path``; ``ConfigError`` when it cannot be read
+    (missing, a directory, unreadable) or does not parse."""
+    try:
+        with open(path) as fh:
             return json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
-            raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _load_config(path: str | None) -> SuiteConfig:
@@ -95,9 +98,6 @@ def main(argv=None) -> int:
                 print(f"{cid}: {checker_statement(cid)}")
             return 0
     except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EX_CONFIG
-    except FileNotFoundError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EX_CONFIG
     return EX_CONFIG

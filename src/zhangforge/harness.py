@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import zlib
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -350,8 +351,11 @@ def check_sweeps(config: SuiteConfig) -> None:
     scales are not a list or params not an object, with an unknown target, an
     unknown body, a lattice scale that is not a positive integer, or a
     ``B_limit`` entry whose n or p is not a positive integer or whose scale is
-    not a positive real."""
+    not a positive real, and for two bodies of one name, which a sweep could
+    not tell apart."""
     names = {b.name for b in config.bodies}
+    if len(names) != len(config.bodies):
+        raise ConfigError("body names must be unique")
     for sw in config.sweeps:
         if not (isinstance(sw, dict) and isinstance(sw.get("scales", []), (list, tuple))
                 and isinstance(sw.get("params", {}), dict)):
@@ -397,13 +401,19 @@ def run_sweeps(config: SuiteConfig) -> list[dict]:
 def run_suite(config: SuiteConfig, out_dir: str | None = None, jobs: int = 1) -> dict:
     """Execute every applicable (body, checker) pair plus the limit sweeps.
 
-    Returns the full report document; also writes JSON/CSV when paths are set.
+    Returns the full report document; also writes JSON/CSV when paths are
+    set.  A bad config, ``jobs`` below 1 or an ``out_dir`` at or under a
+    file raise ``ConfigError`` before any body runs.
     """
-    names = [b.name for b in config.bodies]
-    if len(set(names)) != len(names):
-        raise ConfigError("body names must be unique")
     check_checkers(config.checkers, config.checker_params)
     check_sweeps(config)
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
+    head = None if out_dir is None else os.path.abspath(out_dir)
+    while head is not None and not os.path.exists(head):
+        head = os.path.dirname(head)
+    if head is not None and not os.path.isdir(head):
+        raise ConfigError(f"cannot write reports to {out_dir}: {head} is not a directory")
     tasks = [(b.to_json(), list(config.checkers), config.checker_params, config.seed)
              for b in config.bodies]
     if jobs > 1 and len(tasks) > 1:
@@ -429,8 +439,6 @@ def run_suite(config: SuiteConfig, out_dir: str | None = None, jobs: int = 1) ->
         "summary": summary,
     }
     if out_dir is not None:
-        import os
-
         os.makedirs(out_dir, exist_ok=True)
         jpath = os.path.join(out_dir, config.output_json)
         cpath = os.path.join(out_dir, config.output_csv)

@@ -36,7 +36,8 @@ class HullResult:
 
     planes: unique supporting hyperplanes over integers (a, B), a primitive,
         <a, x> <= B / den.
-    den: the positive common denominator L the points were cleared to.
+    points: the input points as integer numerators over den.
+    den: their least positive common denominator L.
     facets: the same planes as rationals (a, B / den), built on first read.
     simplices: boundary triangulation; tuples of point indices, each simplex
         carried by exactly one facet hyperplane.
@@ -48,14 +49,16 @@ class HullResult:
     simplices, vertex indices and interior points are.
     """
 
-    __slots__ = ("planes", "den", "simplices", "vertex_indices", "interior", "_facets")
+    __slots__ = ("planes", "points", "den", "simplices", "vertex_indices", "interior", "_facets")
 
-    def __init__(self, facets, simplices, vertex_indices, interior, planes=None, den=1):
+    def __init__(self, facets, simplices, vertex_indices, interior, planes=None, den=1,
+                 points=None):
         self._facets: list[tuple[Vec, Fraction]] | None = facets
         self.simplices: list[tuple[int, ...]] = simplices
         self.vertex_indices: list[int] = vertex_indices
         self.interior: Vec = interior
         self.planes: list[Plane] | None = planes
+        self.points: list[tuple[int, ...]] | None = points
         self.den = den
 
     @property
@@ -130,6 +133,7 @@ def _hull_1d(points: list[Vec]) -> HullResult:
         interior=(Fraction(lo[0] + hi[0], 2 * den),),
         planes=[((-1,), -lo[0]), ((1,), hi[0])],
         den=den,
+        points=ipts,
     )
 
 
@@ -164,7 +168,7 @@ def _hull_2d(points: list[Vec]) -> HullResult:
         a0, a1 = primitive_int((yj - yi, xi - xj))  # outward for ccw ring
         planes.append(((a0, a1), a0 * xi + a1 * yi))
         simplices.append((i, j))
-    return HullResult(None, simplices, sorted(ring), interior, planes, den)
+    return HullResult(None, simplices, sorted(ring), interior, planes, den, ipts)
 
 
 def _hull_nd(points: list[Vec], d: int) -> HullResult:
@@ -245,7 +249,7 @@ def _hull_nd(points: list[Vec], d: int) -> HullResult:
             incident.setdefault(v, set()).add(a)
     vertex_indices = sorted(v for v, normals in incident.items() if _spans(normals, d))
     interior = tuple(Fraction(s, (d + 1) * den) for s in inner)
-    return HullResult(None, simplices, vertex_indices, interior, sorted(planes), den)
+    return HullResult(None, simplices, vertex_indices, interior, sorted(planes), den, ipts)
 
 
 def convex_hull(points: list[Vec]) -> HullResult:

@@ -27,7 +27,6 @@ per point, read off the integer rows by :func:`ray_decomposition`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -88,7 +87,8 @@ def _column_table(P: Polytope, k: int):
     only the column's integer points."""
     fat = fattening(P, k)
     rows = _column_rows(fat, k)
-    box = [range(math.ceil(lo), math.floor(hi) + 1) for lo, hi in fat.bounding_box()[:-1]]
+    L = fat._L
+    box = [range(-(-min(c) // L), max(c) // L + 1) for c in list(zip(*fat._V))[:-1]]
     if not box:  # n = 1: the one column y = ()
         return tuple(((), e) for e in _line_ends(rows, ()) if e is not None)
     line = box.pop()

@@ -48,6 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import mul
 
 from .errors import (
     DegenerateBody,
@@ -64,13 +65,14 @@ from .lattice import (
     lattice_points,
     ray_decomposition,
 )
-from .linalg import Vec, det_int, dot, frac, integer_points, mat_inv
+from .linalg import Vec, det_int, dot, frac, integer_row, mat_inv
 from .lp import lp_solve
 from .polytope import (
     Direction,
     Polytope,
     axis_direction,
     _panel_sweep,
+    integer_rows,
     intersect,
     parametric_volume,
     projection_support,
@@ -114,11 +116,16 @@ def ray_support(P: Polytope, theta: Direction) -> tuple[Fraction, Vec]:
     return res.value, res.x[:n]
 
 
-def _overlap_rows(P: Polytope, theta: Direction):
-    """(rows, shifts) with K cap (r theta.raw + K) = {x : <a, x> <= b + r c}: K's
-    rows, then K's rows again shifted by r <a, theta.raw>."""
-    shifts = [_ZERO] * len(P.halfspaces) + [dot(a, theta.raw) for a, _b in P.halfspaces]
-    return list(P.halfspaces) * 2, shifts
+def _overlap_rows(P: Polytope, theta: Direction) -> list[list[int]]:
+    """Integer rows (A, B, C), as lists, with K cap (r theta.raw + K) =
+    {x : <A, x> <= B + r C}: K's rows (a, num, den) as (den a, num, 0), then
+    again shifted by r <a, theta.raw>, (den Lw a, num Lw, den <a, W>) for
+    theta.raw = W/Lw."""
+    W, Lw = integer_row(theta.raw)
+    rows = integer_rows(P)
+    return ([[den * x for x in a] + [num, 0] for a, num, den in rows]
+            + [[den * Lw * x for x in a] + [num * Lw, den * sum(map(mul, a, W))]
+               for a, num, den in rows])
 
 
 def _overlap_point(P: Polytope, r: Fraction, support) -> Vec:
@@ -133,14 +140,15 @@ def _overlap_point(P: Polytope, r: Fraction, support) -> Vec:
 def overlap(P: Polytope, theta: Direction, r, support) -> Polytope | None:
     """K cap (r theta.raw + K), equal to ``intersect(P, translate(P, r theta.raw))``
     but with no translate and, for 0 <= r < R, no LP: one hull of the
-    ``_overlap_rows`` at r, hinted by ``_overlap_point``.  ``support`` is
-    ``ray_support(P, theta)``; from r = R on the overlap has no interior and
-    ``Polytope.from_halfspaces`` finds its affine hull unhinted."""
+    integer ``_overlap_rows`` at r, hinted by ``_overlap_point``.
+    ``support`` is ``ray_support(P, theta)``; from r = R on the overlap has
+    no interior and ``Polytope.from_int_rows`` finds its affine hull
+    unhinted."""
     r = frac(r)
-    rows, shifts = _overlap_rows(P, theta)
+    q, p = r.denominator, r.numerator
+    rows = [(A[:-2], A[-2] * q + p * A[-1], q) for A in _overlap_rows(P, theta)]
     hint = _overlap_point(P, r, support) if 0 <= r < support[0] else None
-    return Polytope.from_halfspaces([(a, b + r * c) for (a, b), c in zip(rows, shifts)], P.dim,
-                                    interior=hint)
+    return Polytope.from_int_rows(rows, P.dim, interior=hint)
 
 
 def covariogram_on_ray(P: Polytope, theta: Direction, r, *, support=None) -> Fraction:
@@ -156,8 +164,8 @@ def ray_breakpoints(P: Polytope, theta: Direction, R: Fraction) -> list[Fraction
     """Sorted kinks of r -> vol(K cap (r theta + K)) in (0, R], R at most the
     ``ray_support`` reach, and R itself: the right ends of the maximal pieces
     on which the overlap keeps one combinatorial type (see ``RayMomentEngine``)."""
-    rows, shifts = _overlap_rows(P, theta)
-    pieces = _panel_sweep(lambda lo, hi: parametric_volume(rows, shifts, lo, hi), _ZERO, R)
+    rows = _overlap_rows(P, theta)
+    pieces = _panel_sweep(lambda lo, hi: parametric_volume(rows, lo, hi), _ZERO, R)
     return [b for _a, b, _c in pieces]
 
 
@@ -194,11 +202,11 @@ class RayMomentEngine:
 
     def _build(self) -> list:
         P, theta = self.P, self.theta
-        rows, shifts = _overlap_rows(P, theta)
+        rows = _overlap_rows(P, theta)
 
         def piece(lo, hi):
             hint = _overlap_point(P, (lo + hi) / 2, self.support)
-            return parametric_volume(rows, shifts, lo, hi, interior=hint)
+            return parametric_volume(rows, lo, hi, interior=hint)
 
         return _panel_sweep(piece, _ZERO, self.support[0])
 
@@ -387,8 +395,7 @@ def section_distribution(S: Polytope) -> SectionDistribution:
         raise DimensionMismatch("section lengths need ambient dimension >= 2")
     require_x_n_symmetric(S)
     d = S.dim - 1
-    pts, simplices = S._tri
-    V, L = integer_points(pts)
+    V, L, simplices = S._tri
     terms = []  # (lower node, upper node, |det| times the coefficients, den)
     for s in simplices:
         W = sorted(2 * V[i][-1] for i in s)
@@ -548,8 +555,9 @@ def _interval_batch(body: Polytope, pts: np.ndarray, dirs: np.ndarray, strict: b
     """
     import numpy as np
 
-    A = np.array([[float(x) for x in a] for a, _ in body.halfspaces])
-    b = np.array([float(c) for _, c in body.halfspaces])
+    rows = integer_rows(body)
+    A = np.array([a for a, _num, _den in rows], dtype=float)
+    b = np.array([num / den for _a, num, den in rows])
     S = A @ dirs.T  # (F, D)
     C = A @ pts.T - b[:, None]  # (F, m)
     tol = 1e-12

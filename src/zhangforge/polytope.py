@@ -2,7 +2,13 @@
 
 A :class:`Polytope` carries both representations at all times: lexicographically
 sorted extreme points and canonical halfspaces (primitive integer normals,
-deduplicated, sorted).  Lower-dimensional sets are legal values (projections,
+deduplicated, sorted).  Both are kept as integer construction data, the
+vertices as numerators over their least common denominator and the rows as
+(a, num, den), with the boundary triangulation's points over their own least
+common denominator; the ``Fraction`` views ``vertices`` and ``halfspaces``
+are built on first read, and the integer readers (volumes, facet weights,
+bounding boxes, column tables, section distributions, fattenings, images)
+never clear them back.  Lower-dimensional sets are legal values (projections,
 slices, touching intersections): their halfspace list contains the affine-hull
 equalities as opposite halfspace pairs and their full-dimensional volume is 0.
 
@@ -10,13 +16,14 @@ Each full-dimensional construction is one run of the exact hull engine, or
 none where the faces follow from a parent's: ``transform`` maps vertices,
 rows and triangulation through an invertible A (``Polytope.translated`` and
 ``Polytope.scaled`` without inverting it), and ``cube_sum`` adds a cube one
-segment at a time.  ``from_points`` hulls the points.
-``from_halfspaces`` hulls the polar dual of integer rows about an interior
-point: the dual hull's facets are the vertices, its extreme points the
-irredundant rows, and the dual points on each facet plane the rows tight at
-that vertex.  Those incidences give the boundary triangulation (pulling, no
-arithmetic) and ``parametric_volume`` its vertex paths; only the ray engine
-of ``moments`` sweeps a parameter with it.  A halfspace set with empty
+segment at a time.  ``from_points`` hulls the points.  ``from_int_rows``
+hulls the polar dual of integer rows about an interior point
+(``from_halfspaces`` clears rational rows for it): the dual hull's facets
+are the vertices, its extreme points the irredundant rows, and the dual
+points on each facet plane the rows tight at that vertex.  Those incidences
+give the boundary triangulation (pulling, no arithmetic) and
+``parametric_volume`` its vertex paths; only the ray engine of ``moments``
+sweeps a parameter with it.  A halfspace set with empty
 interior is the exception: its implicit equalities are found by one LP per
 row, and its vertices re-hulled in the affine hull.  Volumes of boundary
 triangulations, from any construction and in ``parametric_volume``, are
@@ -38,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, repeat
+from itertools import chain, combinations, repeat
 from math import gcd, lcm
 from operator import mul
 
@@ -149,22 +156,41 @@ class Memo:
 
 
 class Polytope(Memo):
-    """Immutable rational polytope with vertex and halfspace representations.
-    Its memo keys: "volume", "facet_weights", "int_weights", "int_rows",
+    """Immutable rational polytope with vertex and halfspace representations,
+    kept as integers: the vertices ``_V`` over ``_L``, the rows ``_rows`` and
+    a full-dimensional body's triangulation ``_tri`` = (points, their
+    denominator, simplices), whose points are ``_V`` itself when they are
+    the vertices.  Its memo keys: "volume", "facet_weights", "int_weights",
     "symmetral", ("fattening", k), ("columns", k) and ("scaled", lam)."""
 
-    __slots__ = ("dim", "affine_dim", "vertices", "halfspaces", "_interior", "_tri",
-                 "_incidence")
+    __slots__ = ("dim", "affine_dim", "_V", "_L", "_rows", "_interior", "_tri", "_incidence",
+                 "_vertices", "_halfspaces")
 
-    def __init__(self, dim, affine_dim, vertices, halfspaces, interior, tri):
+    def __init__(self, dim, affine_dim, V, L, rows, interior, tri):
         self.dim = dim
         self.affine_dim = affine_dim
-        self.vertices = vertices
-        self.halfspaces = halfspaces
+        self._V = V
+        self._L = L
+        self._rows = rows
         self._interior = interior
         self._tri = tri
-        self._incidence = None  # per vertex, the input rows of from_halfspaces tight there
+        self._incidence = None  # per vertex, the input rows of from_int_rows tight there
+        self._vertices = self._halfspaces = None
         self._memo = {}
+
+    @property
+    def vertices(self) -> tuple[Vec, ...]:
+        if self._vertices is None:
+            L = self._L
+            self._vertices = tuple(tuple(Fraction(x, L) for x in v) for v in self._V)
+        return self._vertices
+
+    @property
+    def halfspaces(self) -> tuple[tuple[Vec, Fraction], ...]:
+        if self._halfspaces is None:
+            self._halfspaces = tuple((tuple(map(Fraction, a)), Fraction(num, den))
+                                     for a, num, den in self._rows)
+        return self._halfspaces
 
     def _carry(self, image: "Polytope", maps, x) -> "Polytope":
         """``image`` with the memo entries of P that it lacks carried by their
@@ -194,20 +220,25 @@ class Polytope(Memo):
         r = len(basis) - 1
         if r == dim:
             hull = convex_hull(uniq)
-            verts = tuple(uniq[i] for i in hull.vertex_indices)
-            tri = (tuple(uniq), tuple(hull.simplices))
-            return Polytope(dim, dim, verts, tuple(sorted(hull.facets)), hull.interior, tri)
+            den = hull.den
+            V, L = _least(tuple(hull.points[i] for i in hull.vertex_indices), den)
+            T = V if len(V) == len(uniq) else tuple(hull.points)
+            rows = sorted((a, B // g, den // g) for a, B in hull.planes for g in (gcd(B, den),))
+            P = Polytope(dim, dim, V, L, tuple(rows), hull.interior,
+                         (T, den, tuple(hull.simplices)))
+            P._vertices = tuple(uniq[i] for i in hull.vertex_indices)
+            return P
         return Polytope._degenerate_from_points(uniq, dim, basis, r)
 
     @staticmethod
     def _point(p: Vec, dim: int) -> "Polytope":
-        hs = []
+        rows = []
         for i in range(dim):
-            e = tuple(Fraction(int(j == i)) for j in range(dim))
-            ne = tuple(-x for x in e)
-            hs.append((e, p[i]))
-            hs.append((ne, -p[i]))
-        return Polytope(dim, 0, (p,), tuple(sorted(hs)), p, None)
+            e = tuple(int(j == i) for j in range(dim))
+            rows.append((e, p[i].numerator, p[i].denominator))
+            rows.append((tuple(-x for x in e), -p[i].numerator, p[i].denominator))
+        (V,), L = integer_points([p])
+        return Polytope(dim, 0, (V,), L, tuple(sorted(rows)), p, None)
 
     @staticmethod
     def _degenerate_from_points(uniq, dim, basis, r) -> "Polytope":
@@ -223,7 +254,7 @@ class Polytope(Memo):
         ]
         zpts = [tuple(dot(M[k], vsub(p, origin)) for k in range(r)) for p in uniq]
         hull = convex_hull(zpts)
-        verts = tuple(sorted(uniq[i] for i in hull.vertex_indices))
+        verts = sorted(uniq[i] for i in hull.vertex_indices)
         halfspaces: list[tuple[Vec, Fraction]] = []
         for az, bz in hull.facets:
             a_amb = tuple(
@@ -240,33 +271,45 @@ class Polytope(Memo):
         interior = tuple(
             origin[i] + sum(zint[k] * dirs[k][i] for k in range(r)) for i in range(dim)
         )
-        return Polytope(dim, r, verts, tuple(sorted(set(halfspaces))), interior, None)
+        V, L = integer_points(verts)
+        rows = sorted((tuple(int(x) for x in a), b.numerator, b.denominator)
+                      for a, b in set(halfspaces))
+        return Polytope(dim, r, tuple(V), L, tuple(rows), interior, None)
 
     @staticmethod
     def from_halfspaces(halfspaces, dim: int, interior=None) -> "Polytope | None":
-        """Polytope from <a,x> <= b rows; None when infeasible; Unbounded if unbounded.
+        """Polytope from rational rows <a,x> <= b: :meth:`from_int_rows` of
+        the rows <A, x> <= b L for a = A/L."""
+        rows = []
+        for a, b in halfspaces:
+            (A, L), b = integer_row(vec(a)), frac(b)
+            rows.append((A, b.numerator * L, b.denominator))
+        return Polytope.from_int_rows(rows, dim, interior)
 
-        One hull, over integers.  Each row is made an integer row (a, num, den)
-        with a primitive, and rows with one normal keep the least offset.  With
-        x0 = z/D strictly inside, row i is <a_i, x - x0> <= s_i/(den_i D), so
-        the dual points a_i den_i / s_i, scaled by the lcm of their
-        denominators, are integer.  A dual facet (u, c) is the vertex
-        x0 + (lcm/D) u/c, read off the dual hull's integer planes (U, C), and
-        the dual points on its plane are the rows tight there; the dual hull's
-        extreme points are the facets.  The boundary triangulation is the
-        pulling triangulation of those incidences.
+    @staticmethod
+    def from_int_rows(rows, dim: int, interior=None) -> "Polytope | None":
+        """Polytope from integer rows (a, num, den), <a, x> <= num/den with
+        den > 0; None when infeasible; Unbounded if unbounded.
+
+        One hull, over integers.  Each row is made primitive, and rows with
+        one normal keep the least offset.  With x0 = z/D strictly inside,
+        row i is <a_i, x - x0> <= s_i/(den_i D), so the dual points
+        a_i den_i / s_i, scaled by the lcm of their denominators, are
+        integer.  A dual facet (u, c) is the vertex x0 + (lcm/D) u/c, read
+        off the dual hull's integer planes (U, C), and the dual points on its
+        plane are the rows tight there; the dual hull's extreme points are
+        the facets.  The boundary triangulation is the pulling triangulation
+        of those incidences.
         """
         canon: dict[tuple[int, ...], list] = {}  # normal -> [num, den, input rows]
-        for i, (a, b) in enumerate(halfspaces):
-            ints, la = integer_row(vec(a))
-            b = frac(b)
-            g = gcd(*ints)
+        for i, (a, num, den) in enumerate(rows):
+            g = gcd(*a)
             if g == 0:
-                if b < 0:
+                if num < 0:
                     return None
                 continue
-            key = tuple(x // g for x in ints)
-            num, den = b.numerator * la, b.denominator * g  # <key, x> <= num/den
+            key = tuple(x // g for x in a)
+            den *= g  # <key, x> <= num/den
             row = canon.get(key)
             if row is None or num * row[1] < row[0] * den:
                 canon[key] = [num, den, [i]]
@@ -306,11 +349,11 @@ class Polytope(Memo):
         planes = dual_hull.planes  # Y is integer, so the planes are over den 1
         if any(C <= 0 for _U, C in planes):
             raise Unbounded("halfspace intersection is unbounded")
-        # the vertices x0 + (lam/D) U/C sort like U/C, that is like U L/C
-        L = lcm(*(C for _U, C in planes))
-        planes = sorted(planes, key=lambda pl: tuple(u * (L // pl[1]) for u in pl[0]))
-        verts = tuple(tuple(Fraction(zk * C + lam * uk, D * C) for zk, uk in zip(z, U))
-                      for U, C in planes)
+        # the vertices x0 + (lam/D) U/C = (z Lc + lam U Lc/C) / (D Lc) sort like U Lc/C
+        Lc = lcm(*(C for _U, C in planes))
+        planes = sorted(planes, key=lambda pl: tuple(u * (Lc // pl[1]) for u in pl[0]))
+        V, L = _least(tuple(tuple(zk * Lc + lam * uk * (Lc // C) for zk, uk in zip(z, U))
+                            for U, C in planes), D * Lc)
         facet_rows = dual_hull.vertex_indices
         masks = dict.fromkeys(facet_rows, 0)  # facet row -> bitmask of its vertices
         incidence = []
@@ -320,14 +363,9 @@ class Polytope(Memo):
                 if j in masks:
                     masks[j] |= 1 << pos
             incidence.append(tuple(i for j in tight for i in canon[keys[j]][2]))
-        P = Polytope(
-            dim, dim, verts,
-            tuple((tuple(map(Fraction, rows[j][0])), Fraction(rows[j][1], rows[j][2]))
-                  for j in facet_rows),
-            _dual_interior(z, D, lam, planes),
-            (verts, _pulling_triangulation(list(masks.values()), dim)),
-        )
-        P._memo["int_rows"] = tuple(rows[j] for j in facet_rows)
+        P = Polytope(dim, dim, V, L, tuple(rows[j] for j in facet_rows),
+                     _integer_interior(V, L),
+                     (V, L, _pulling_triangulation(list(masks.values()), dim)))
         P._incidence = tuple(incidence)
         return P
 
@@ -363,14 +401,15 @@ class Polytope(Memo):
         return (
             isinstance(other, Polytope)
             and self.dim == other.dim
-            and self.vertices == other.vertices
+            and self._L == other._L
+            and self._V == other._V
         )
 
     def __hash__(self):
-        return hash((self.dim, self.vertices))
+        return hash((self.dim, self._L, self._V))
 
     def __repr__(self):
-        return f"Polytope(dim={self.dim}, affine_dim={self.affine_dim}, nverts={len(self.vertices)})"
+        return f"Polytope(dim={self.dim}, affine_dim={self.affine_dim}, nverts={len(self._V)})"
 
     @property
     def is_full_dimensional(self) -> bool:
@@ -381,22 +420,22 @@ class Polytope(Memo):
         return self._interior
 
     def contains(self, x, strict: bool = False) -> bool:
-        x = vec(x)
-        if len(x) != self.dim:
+        """Whether x lies in P (strictly inside with ``strict``), over integers."""
+        X, D = integer_row(vec(x))
+        if len(X) != self.dim:
             raise DimensionMismatch("point has wrong length")
-        if strict:
-            return all(dot(a, x) < b for a, b in self.halfspaces)
-        return all(dot(a, x) <= b for a, b in self.halfspaces)
+        holds = int.__lt__ if strict else int.__le__
+        return all(holds(den * sum(map(mul, a, X)), num * D) for a, num, den in self._rows)
 
     def bounding_box(self) -> list[tuple[Fraction, Fraction]]:
         """Per coordinate (min, max) over the vertices, compared as integer
         numerators over one denominator."""
-        X, L = integer_points(self.vertices)
-        return [(Fraction(min(c), L), Fraction(max(c), L)) for c in zip(*X)]
+        L = self._L
+        return [(Fraction(min(c), L), Fraction(max(c), L)) for c in zip(*self._V)]
 
     def volume_fraction(self) -> Fraction:
         """Full-dimensional volume as an exact rational (0 when degenerate)."""
-        return self.memo("volume", lambda: _rational_cone_volume(*self._tri, self._interior)
+        return self.memo("volume", lambda: _cone_volume(*_centred(self))
                          if self.is_full_dimensional else _ZERO)
 
     def facet_weights(self):
@@ -407,25 +446,34 @@ class Polytope(Memo):
             (a, b, Fraction(g, den)) for (a, b), (_a, g) in zip(self.halfspaces, sums)))
 
     def translated(self, t) -> "Polytope":
-        """P + t, with no hull, and P itself for t = 0.  The memo entries that
-        ``_CARRY`` carries under a translate are taken over, and those it
-        carries under a horizontal one (t_n = 0) when t is horizontal."""
+        """P + t, with no hull, and P itself for t = 0, over integers.  The
+        memo entries that ``_CARRY`` carries under a translate are taken
+        over, and those it carries under a horizontal one (t_n = 0) when t is
+        horizontal."""
         t = vec(t)
         if len(t) != self.dim:
             raise DimensionMismatch(f"translation of length {len(t)}, expected {self.dim}")
         if not any(t):
             return self
+        S, Ls = integer_row(t)
 
-        def shift(p):
-            return tuple(p[i] + t[i] for i in range(self.dim))
+        def shift(X, L):
+            M = lcm(L, Ls)
+            return _least(tuple(tuple(x * (M // L) + s * (M // Ls) for x, s in zip(p, S))
+                                for p in X), M)
 
-        verts = tuple(shift(v) for v in self.vertices)
-        hs = tuple((a, b + dot(a, t)) for a, b in self.halfspaces)
+        V, L = shift(self._V, self._L)
+        rows = []
+        for a, num, den in self._rows:  # <a, x> <= num/den + <a, S>/Ls
+            num, den = num * Ls + den * sum(map(mul, a, S)), den * Ls
+            g = gcd(num, den)
+            rows.append((a, num // g, den // g))
         tri = None
         if self._tri is not None:
-            pts, simplices = self._tri
-            tri = (tuple(shift(p) for p in pts), simplices)
-        out = Polytope(self.dim, self.affine_dim, verts, hs, shift(self._interior), tri)
+            X, LX, simplices = self._tri
+            tri = ((V, L) if X is self._V else shift(X, LX)) + (simplices,)
+        out = Polytope(self.dim, self.affine_dim, V, L, tuple(rows),
+                       tuple(c + s for c, s in zip(self._interior, t)), tri)
         return self._carry(out, ("translate", "horizontal") if t[-1] == 0 else ("translate",), t)
 
     def scaled(self, lam: int) -> "Polytope":
@@ -433,31 +481,32 @@ class Polytope(Memo):
         dilate is one object.  On every read the entries that ``_CARRY``
         carries under a scale are taken over, scaled, when P holds them and
         the image does not, so an image built before P's memo was filled
-        still shares P's volume, integer rows and symmetral."""
+        still shares P's volume and symmetral."""
         return self._carry(self.memo(("scaled", lam), lambda: self._dilate(lam)),
                            ("scale",), lam)
 
     def _dilate(self, lam: int) -> "Polytope":
-        """lam P with no memo entry.  A full-dimensional P needs no hull: each
-        coordinate and each offset num/den becomes (lam num)/den, each row
-        keeps its normal, and the interior point is lam times the one
-        ``transform`` would pick, since lam keeps the vertex order and the
-        affine basis; a lower-dimensional P goes through ``transform``, which
-        hulls its image."""
+        """lam P with no memo entry.  A full-dimensional P needs no hull: the
+        numerators X over L become X lam/g over L/g, g = gcd(lam, L), each
+        row keeps its normal, and the interior point is the one ``transform``
+        would pick, since lam keeps the vertex order and the affine basis; a
+        lower-dimensional P goes through ``transform``, which hulls its
+        image."""
         n = self.dim
         if not self.is_full_dimensional:
             diag = [[lam * int(i == j) for j in range(n)] for i in range(n)]
             return transform(self, diag, [0] * n)
 
-        def scale(p):
-            return tuple(Fraction(x.numerator * lam, x.denominator) for x in p)
+        def scale(X, L):
+            g = gcd(lam, L)
+            return tuple(tuple(x * (lam // g) for x in p) for p in X), L // g
 
-        verts = tuple(map(scale, self.vertices))
-        hs = tuple((a, Fraction(b.numerator * lam, b.denominator)) for a, b in self.halfspaces)
-        pts, simplices = self._tri
-        tri_pts = verts if pts is self.vertices else tuple(map(scale, pts))
-        return Polytope(n, n, verts, hs, scale(_hull_interior(self.vertices)),
-                        (tri_pts, simplices))
+        V, L = scale(self._V, self._L)
+        rows = tuple((a, lam * num // g, den // g)
+                     for a, num, den in self._rows for g in (gcd(lam * num, den),))
+        X, LX, simplices = self._tri
+        tri = ((V, L) if X is self._V else scale(X, LX)) + (simplices,)
+        return Polytope(n, n, V, L, rows, _integer_interior(V, L), tri)
 
 
 # How a memo entry of P carries to an image, keyed like ``Polytope.memo``: per
@@ -467,47 +516,29 @@ class Polytope(Memo):
 # the map is rebuilt on the image when it is read.
 _CARRY = {
     "volume": {"translate": lambda v, _t, _n: v, "scale": lambda v, lam, n: lam**n * v},
-    "int_rows": {"scale": lambda rows, lam, _n: tuple(
-        (a, lam * num // g, den // g) for a, num, den in rows for g in (gcd(lam * num, den),))},
     "symmetral": {"horizontal": lambda S, t, _n: S.translated(t),
                   "scale": lambda S, lam, _n: S.scaled(lam)},
 }
 
 
-def _interior_choice(items: list, d: int, basis) -> list:
-    """The sorted vertices (or their stand-ins ``items``) whose centroid is the
-    interior point ``convex_hull`` gives a body: the two ends (d = 1), all of
-    them (d = 2), or the first affinely independent d + 1, at the indices
-    ``basis()`` picks."""
-    if d == 1:
-        return [items[0], items[-1]]
-    return items if d == 2 else [items[i] for i in basis()]
-
-
-def _hull_interior(verts) -> Vec:
-    """The interior point ``convex_hull`` gives the sorted vertices of a body."""
-    return _integer_interior(*integer_points(verts))
+def _least(X, L: int):
+    """The integer points X/L as numerators over their least common
+    denominator."""
+    g = gcd(L, *chain.from_iterable(X))
+    return (X, L) if g == 1 else (tuple(tuple(x // g for x in p) for p in X), L // g)
 
 
 def _integer_interior(V, L: int) -> Vec:
-    """:func:`_hull_interior` of the sorted vertices V/L, V integer: one
-    ``Fraction`` per coordinate."""
-    chosen = _interior_choice(V, len(V[0]), lambda: affine_basis(V))
+    """The interior point ``convex_hull`` gives the sorted vertices V/L of a
+    body, V integer: the centroid of the two ends (d = 1), of all of them
+    (d = 2), or of the first affinely independent d + 1, one ``Fraction`` per
+    coordinate."""
+    d, v0 = len(V[0]), V[0]
+    if d > 2:  # affine_basis over integers: V[0] and the independent differences
+        V = [v0] + [V[i + 1] for i in independent_rows([x - y for x, y in zip(v, v0)]
+                                                        for v in V[1:])]
+    chosen = [v0, V[-1]] if d == 1 else V
     return tuple(Fraction(sum(col), L * len(chosen)) for col in zip(*chosen))
-
-
-def _dual_interior(z, D: int, lam: int, planes) -> Vec:
-    """:func:`_hull_interior` of the vertices x0 + (lam/D) U/C, x0 = z/D, of
-    ``from_halfspaces``' sorted dual planes (U, C), C > 0, over integers.
-    Those vertices are affinely independent exactly when the (U, C) are
-    linearly independent, and the centroid of m of them is
-    x0 + lam/(D m) sum U/C."""
-    chosen = _interior_choice(planes, len(z),
-                              lambda: independent_rows(U + (C,) for U, C in planes))
-    Lc = lcm(*(C for _U, C in chosen))
-    q = D * Lc * len(chosen)
-    S = [sum(U[k] * (Lc // C) for U, C in chosen) for k in range(len(z))]
-    return tuple(Fraction(zk * (q // D) + lam * sk, q) for zk, sk in zip(z, S))
 
 
 def _integer_weights(P: Polytope):
@@ -524,20 +555,19 @@ def _integer_weights(P: Polytope):
         if not P.is_full_dimensional:
             raise DegenerateBody("facet weights need a full-dimensional polytope")
         n = P.dim
-        pts, simplices = P._tri
-        ipts, L = integer_points([*pts, P._interior])
+        ipts, simplices, center, L = _centred(P)
         sums: dict[tuple[int, ...], int] = {}
         for s in simplices:
             base = ipts[s[0]]
             edges = [[x - y for x, y in zip(ipts[i], base)] for i in s[1:]]
             N = _normal(edges) if n > 1 else [1]
             g = gcd(*N)
-            if sum(x * (y - c) for x, y, c in zip(N, base, ipts[-1])) < 0:
+            if sum(x * (y - c) for x, y, c in zip(N, base, center)) < 0:
                 g = -g
             a = tuple(x // g for x in N)
             sums[a] = sums.get(a, 0) + abs(g)
-        keys = [tuple(int(x) for x in a) for a, _b in P.halfspaces]
-        return tuple((a, sums[a]) for a in keys), math.factorial(n - 1) * L ** (n - 1)
+        return (tuple((a, sums[a]) for a, _num, _den in P._rows),
+                math.factorial(n - 1) * L ** (n - 1))
 
     return P.memo("int_weights", build)
 
@@ -588,9 +618,15 @@ def _cone_volume(points, simplices, center, den: int) -> Fraction:
     return Fraction(total, math.factorial(d) * den**d)
 
 
-def _rational_cone_volume(points, simplices, center) -> Fraction:
-    ipts, den = integer_points([*points, center])
-    return _cone_volume(ipts, simplices, ipts[-1], den)
+def _centred(P: Polytope):
+    """P's boundary triangulation and interior point over one denominator M,
+    as :func:`_cone_volume` reads them: (points, simplices, centre, M)."""
+    X, LX, simplices = P._tri
+    Z, Lz = integer_row(P._interior)
+    M = lcm(LX, Lz)
+    if M != LX:
+        X = [[x * (M // LX) for x in p] for p in X]
+    return X, simplices, [c * (M // Lz) for c in Z], M
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +650,7 @@ def translate(P: Polytope, t) -> Polytope:
 def intersect(P: Polytope, Q: Polytope) -> Polytope | None:
     if P.dim != Q.dim:
         raise DimensionMismatch("intersection operands have different dimensions")
-    return Polytope.from_halfspaces(list(P.halfspaces) + list(Q.halfspaces), P.dim)
+    return Polytope.from_int_rows(integer_rows(P) + integer_rows(Q), P.dim)
 
 
 def minkowski_sum(P: Polytope, Q: Polytope) -> Polytope:
@@ -643,34 +679,34 @@ def transform(P: Polytope, A, b) -> Polytope:
         raise DimensionMismatch("matrix or shift shape does not match polytope dimension")
     inv = mat_inv(rows) if P.is_full_dimensional else None
     if inv is None:
-        return Polytope.from_points(_affine_image(rows, shift, P.vertices), n)
-    tri_pts, simplices = P._tri
-    nv = len(P.vertices)
-    images = _affine_image(rows, shift, [*P.vertices, *tri_pts])
-    verts = tuple(sorted(images[:nv]))
+        X, L = _affine_image(rows, shift, P._V, P._L)
+        return Polytope.from_points([tuple(Fraction(x, L) for x in p) for p in X], n)
+    T, LT, simplices = P._tri
+    X, LX = _affine_image(rows, shift, T, LT)
+    V, L = (X, LX) if T is P._V else _affine_image(rows, shift, P._V, P._L)
+    V = tuple(sorted(V))
     # A^{-T} = J^T / dJ and b = B / db over integers; a row (a, num/den) maps to
     # the direction u = J^T a with offset (dJ num/den + <u, B>/db) / dJ
     J, dJ = integer_points(inv)
     B, db = integer_row(shift)
-    hs = []
+    out = []
     for a, num, den in integer_rows(P):
         u = [sum(J[i][j] * a[i] for i in range(n)) for j in range(n)]
         g = gcd(*u)
-        off = Fraction(dJ * db * num + den * sum(map(mul, u, B)), g * den * db)
-        hs.append((tuple(Fraction(x // g) for x in u), off))
-    return Polytope(n, n, verts, tuple(sorted(hs)), _hull_interior(verts),
-                    (tuple(images[nv:]), simplices))
+        num, den = dJ * db * num + den * sum(map(mul, u, B)), g * den * db
+        h = gcd(num, den)
+        out.append((tuple(x // g for x in u), num // h, den // h))
+    return Polytope(n, n, V, L, tuple(sorted(out)), _integer_interior(V, L), (X, LX, simplices))
 
 
-def _affine_image(rows, shift, points) -> list[Vec]:
-    """The points under x -> A x + b, over integers: with A = M/dA, b = B/db
-    and x = X/L, A x + b = (db M X + dA L B) / (dA L db)."""
+def _affine_image(rows, shift, X, L: int):
+    """The points X/L, X integer, under x -> A x + b, as numerators over
+    their least common denominator: with A = M/dA and b = B/db,
+    A x + b = (db M X + dA L B) / (dA L db)."""
     M, dA = integer_points(rows)
     B, db = integer_row(shift)
-    X, L = integer_points(points)
-    den = dA * L * db
-    return [tuple(Fraction(db * sum(map(mul, r, x)) + dA * L * t, den) for r, t in zip(M, B))
-            for x in X]
+    return _least(tuple(tuple(db * sum(map(mul, r, x)) + dA * L * t for r, t in zip(M, B))
+                        for x in X), dA * L * db)
 
 
 def cube_sum(P: Polytope, k: int) -> Polytope:
@@ -680,29 +716,22 @@ def cube_sum(P: Polytope, k: int) -> Polytope:
     :func:`_add_segment` (Fukuda, J. Symbolic Comput. 38, 2004), over
     integers with the vertices over one denominator L.  Each facet carries
     its vertex set as a bitmask from step to step; the final masks give the
-    pulling triangulation, as in ``from_halfspaces``.
+    pulling triangulation, as in ``from_int_rows``.
     """
     n = P.dim
-    V, L = integer_points(P.vertices)
-    rows = list(integer_rows(P))
+    V, L = P._V, P._L
+    rows = list(P._rows)
     masks = [sum(1 << j for j, v in enumerate(V) if den * sum(map(mul, a, v)) == num * L)
              for a, num, den in rows]
     for i in range(k):
         V, rows, masks = _add_segment(V, rows, masks, i, L)
     order = sorted(range(len(V)), key=V.__getitem__)
     where = {j: pos for pos, j in enumerate(order)}
-    V = [V[j] for j in order]
-    verts = tuple(tuple(Fraction(x, L) for x in v) for v in V)
+    V = tuple(V[j] for j in order)
     facets = sorted(zip(rows, masks))
-    Q = Polytope(
-        n, n, verts,
-        tuple((tuple(map(Fraction, a)), Fraction(num, den)) for (a, num, den), _m in facets),
-        _integer_interior(V, L),
-        (verts, _pulling_triangulation(
-            [sum(1 << where[j] for j in _bits(m)) for _r, m in facets], n)),
-    )
-    Q._memo["int_rows"] = tuple(r for r, _m in facets)
-    return Q
+    return Polytope(n, n, V, L, tuple(r for r, _m in facets), _integer_interior(V, L),
+                    (V, L, _pulling_triangulation(
+                        [sum(1 << where[j] for j in _bits(m)) for _r, m in facets], n)))
 
 
 def _add_segment(V, rows, masks, i: int, L: int):
@@ -762,14 +791,10 @@ def project_drop_last(P: Polytope) -> Polytope:
 
 
 def integer_rows(P: Polytope) -> tuple[tuple[tuple[int, ...], int, int], ...]:
-    """Halfspaces as integer rows (a, num, den), <a, x> <= num/den with den > 0,
-    P's memo entry "int_rows"; normals are primitive integer vectors already."""
-    def build():
-        assert all(x.denominator == 1 for a, _ in P.halfspaces for x in a)
-        return tuple((tuple(int(x) for x in a), b.numerator, b.denominator)
-                     for a, b in P.halfspaces)
-
-    return P.memo("int_rows", build)
+    """P's rows (a, num, den), <a, x> <= num/den with a primitive and
+    den > 0, sorted: its construction data, of which ``halfspaces`` is the
+    rational view."""
+    return P._rows
 
 
 def _column_rows(P: Polytope, k: int = 0):
@@ -834,18 +859,12 @@ def vertical_section(P: Polytope, y) -> Interval | None:
 
 
 def slice_at_height(P: Polytope, r) -> Polytope | None:
-    """Slice {y : (y, r) in P}, identified with the first n-1 coordinates."""
+    """Slice {y : (y, r) in P}, identified with the first n-1 coordinates:
+    the rows <a', y> <= num/den - a_n r over integers."""
     r = frac(r)
-    rows = []
-    for a, b in P.halfspaces:
-        head = a[:-1]
-        c = b - a[-1] * r
-        if all(x == 0 for x in head):
-            if c < 0:
-                return None
-            continue
-        rows.append((head, c))
-    return Polytope.from_halfspaces(rows, P.dim - 1)
+    q, p = r.denominator, r.numerator
+    return Polytope.from_int_rows([(a[:-1], num * q - den * a[-1] * p, den * q)
+                                   for a, num, den in integer_rows(P)], P.dim - 1)
 
 
 def _lagrange_coeffs(nodes: list[Fraction], values: list[Fraction]) -> list[Fraction]:
@@ -856,20 +875,21 @@ def _lagrange_coeffs(nodes: list[Fraction], values: list[Fraction]) -> list[Frac
     return list(sol)
 
 
-def parametric_volume(rows, shifts, lo, hi, interior=None):
-    """vol Q(t) for Q(t) = {x : <a_i, x> <= b_i + t c_i} as (coeffs, a, b): ascending
-    coefficients of one polynomial, exact on the largest [a, b] inside [lo, hi]
-    around the midpoint m on which Q keeps the combinatorial type of Q(m).
+def parametric_volume(rows, lo, hi, interior=None):
+    """vol Q(t) for Q(t) = {x : <A_i, x> <= B_i + t C_i}, given by integer
+    rows (A, B, C) as lists, as (coeffs, a, b): ascending coefficients of one
+    polynomial, exact on the largest [a, b] inside [lo, hi] around the
+    midpoint m on which Q keeps the combinatorial type of Q(m).
 
     One hull at m fixes the type.  Each vertex v moves on the line
-    v + (t - m) d with A_act d = c_act over the rows tight at v (read off the
+    v + (t - m) d with A_act d = C_act over the rows tight at v (read off the
     hull's incidences), so the volume over the midpoint's boundary
     triangulation is a polynomial of degree <= dim (Lasserre, JOTA 1983),
     interpolated at dim + 1 nodes inside [a, b].  ``interior`` is an optional
     hint strictly inside Q(m).  When a vertex splits at m (its tight rows have
     no common path) the type holds at m alone and the result is (None, m, m).
 
-    Integer arithmetic throughout: rows are scaled to integers (A, B, C),
+    Integer arithmetic throughout: the midpoint body's rows are integer,
     vertices are numerators over one denominator L, each path is one
     fraction-free solve d = D/delta, and node volumes are integer
     determinants over one denominator.  Every slack is affine in t and the
@@ -881,16 +901,18 @@ def parametric_volume(rows, shifts, lo, hi, interior=None):
     """
     lo, hi = frac(lo), frac(hi)
     m = (lo + hi) / 2
-    rows = [(vec(a), frac(b), frac(c)) for (a, b), c in zip(rows, shifts)]
-    dim = len(rows[0][0])
-    Q = Polytope.from_halfspaces([(a, b + m * c) for a, b, c in rows], dim, interior)
+    dim = len(rows[0]) - 2
+    M = common_denominator((lo, hi))
+    mu = lo.numerator * (M // lo.denominator) + hi.numerator * (M // hi.denominator)
+    # the midpoint body <A, x> <= B + m C, m = mu/2M
+    Q = Polytope.from_int_rows([(r[:dim], 2 * M * r[dim] + mu * r[-1], 2 * M) for r in rows],
+                               dim, interior)
     if Q is None or not Q.is_full_dimensional:
         raise DegenerateBody("parametric volume needs a full-dimensional body at the midpoint")
-    pts, simplices = Q._tri
-    ints = [integer_row(a + (b, c))[0] for a, b, c in rows]  # (A, B, C), positively scaled
+    V, L, simplices = Q._tri
     paths = []  # (D, delta): d = D / delta, delta > 0
     for act in Q._incidence:
-        mat = [ints[i][:dim] + [ints[i][-1]] for i in act]
+        mat = [rows[i][:dim] + [rows[i][-1]] for i in act]
         pivots, delta, _ = _bareiss(mat)
         if dim in pivots:
             return None, m, m
@@ -900,10 +922,7 @@ def parametric_volume(rows, shifts, lo, hi, interior=None):
         if delta < 0:
             D, delta = [-x for x in D], -delta
         paths.append((D, delta))
-    M = common_denominator((lo, hi))
-    mu = lo.numerator * (M // lo.denominator) + hi.numerator * (M // hi.denominator)
-    V, L = integer_points(pts)
-    checks = [(r[:dim], 2 * M * L * r[dim] + L * mu * r[-1], r[-1]) for r in ints]
+    checks = [(r[:dim], 2 * M * L * r[dim] + L * mu * r[-1], r[-1]) for r in rows]
     left = right = None  # (delta S, |P|) of the nearest exit on each side of m
     for v, (D, delta) in zip(V, paths):
         for A, s0, C in checks:
@@ -923,7 +942,7 @@ def parametric_volume(rows, shifts, lo, hi, interior=None):
     Delta = lcm(*(delta for _D, delta in paths))
     base = [[x * Delta * q for x in v] for v in V]
     step = [[x * (L * Delta // delta) for x in D] for D, delta in paths]
-    N, E = len(pts), L * Delta * q
+    N, E = len(V), L * Delta * q
     vals = []
     for w in T:
         X = [[b0 + w * s for b0, s in zip(bv, sv)] for bv, sv in zip(base, step)]
@@ -993,7 +1012,7 @@ def polar_projection_body(P: Polytope) -> Polytope:
     scale or sign of c, so the points are those of any basis of the rows'
     nullspace.
     """
-    rows = [integer_row(a)[0] for a, _b in P.halfspaces]
+    rows = [a for a, _num, _den in integer_rows(P)]
     normals = set()
     for sub in combinations(rows, P.dim - 1):
         c = primitive_int(_normal(list(sub)) if sub else [1])
@@ -1024,8 +1043,8 @@ def top_face_anchor(S: Polytope) -> Vec:
     set of longest sections' anchors at the top height; its lex-min point is
     one of its vertices, which are S's vertices at that height.
     """
-    top = max(v[-1] for v in S.vertices)
-    return min(v[:-1] for v in S.vertices if v[-1] == top)
+    top = max(v[-1] for v in S._V)
+    return tuple(Fraction(x, S._L) for x in min(v[:-1] for v in S._V if v[-1] == top))
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 Writing the input's facets as upper (t <= u_i(y)), lower (t >= l_j(y)) and
 vertical families, the symmetral is cut out directly by the pair family
-+-2t <= u_i(y) - l_j(y) together with the vertical facets; the halfspace
-round trip prunes the redundant pairs and re-enumerates vertices.  The output
-is always the closed symmetral (inputs are compact).
++-2t <= u_i(y) - l_j(y) together with the vertical facets, built over
+integers from the input's integer rows; the halfspace round trip prunes the
+redundant pairs and re-enumerates vertices.  The output is always the closed
+symmetral (inputs are compact).
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DegenerateBody
-from .linalg import integer_points
-from .polytope import Polytope
+from .polytope import Polytope, integer_rows
 
 _ZERO = Fraction(0)
 
@@ -30,30 +30,27 @@ def steiner_symmetrize(P: Polytope) -> Polytope:
 def _symmetral(P: Polytope) -> Polytope:
     if not P.is_full_dimensional:
         raise DegenerateBody("Steiner symmetrization needs a full-dimensional body")
-    n = P.dim
-    uppers = []  # (a', p, b) meaning  <a',y> + p t <= b  with p > 0
+    uppers = []  # (a', p, num, den) meaning  <a',y> + p t <= num/den  with p > 0
     lowers = []
-    rows: list[tuple[tuple[Fraction, ...], Fraction]] = []
-    for a, b in P.halfspaces:
+    rows = []  # integer rows (a, num, den)
+    for a, num, den in integer_rows(P):
         p = a[-1]
         if p == 0:
-            rows.append((a, b))
-        elif p > 0:
-            uppers.append((a[:-1], p, b))
+            rows.append((a, num, den))
         else:
-            lowers.append((a[:-1], p, b))
-    for au, pu, bu in uppers:
-        for al, pl, bl in lowers:
+            (uppers if p > 0 else lowers).append((a[:-1], p, num, den))
+    for au, pu, nu, du in uppers:
+        for al, pl, nl, dl in lowers:
             # 2 pu (-pl) |t| <= (-pl)(bu - <au,y>) + pu (bl - <al,y>)
             w = -pl
-            ay = tuple(w * au[i] + pu * al[i] for i in range(n - 1))
-            rhs = w * bu + pu * bl
+            ay = tuple(w * x + pu * y for x, y in zip(au, al))
+            rhs = w * nu * dl + pu * nl * du
             coef = 2 * pu * w
-            rows.append((ay + (coef,), rhs))
-            rows.append((ay + (-coef,), rhs))
+            rows.append((ay + (coef,), rhs, du * dl))
+            rows.append((ay + (-coef,), rhs, du * dl))
     y0 = P.interior_point[:-1]
     hint = y0 + (_ZERO,)
-    S = Polytope.from_halfspaces(rows, n, interior=hint)
+    S = Polytope.from_int_rows(rows, P.dim, interior=hint)
     assert S is not None
     return S
 
@@ -61,6 +58,6 @@ def _symmetral(P: Polytope) -> Polytope:
 def require_x_n_symmetric(S: Polytope) -> None:
     """Raise ``ValueError`` unless S is symmetric in x_n, that is, unless S is
     its own Steiner symmetral."""
-    verts = set(integer_points(S.vertices)[0])
+    verts = set(S._V)
     if any(v[:-1] + (-v[-1],) not in verts for v in verts):
         raise ValueError("needs a body symmetric in x_n")

@@ -68,6 +68,8 @@ from zhangforge.linalg import (
     affine_basis,
     det,
     dot,
+    integer_points,
+    integer_row,
     mat_inv,
     nullspace,
     primitive,
@@ -94,6 +96,7 @@ from zhangforge.polytope import (
     _column_rows,
     _lagrange_coeffs,
     _line_ends,
+    cube_sum,
     integer_rows,
     parametric_volume,
     projection_support,
@@ -704,8 +707,8 @@ def test_column_table_against_box_scan_of_single_columns():
 def test_column_table_raises_unbounded_at_the_box_scans_column():
     # not a polytope: {2 <= x <= 3, y >= 0} over the box 0 <= x <= 3; the
     # vertical rows leave out the columns x = 0, 1 and x = 2 has no upper row
-    rows = (((F(-1), F(0)), F(-2)), ((F(0), F(-1)), F(0)), ((F(1), F(0)), F(3)))
-    strip = Polytope(2, 2, ((F(0), F(0)), (F(3), F(0))), rows, (F(5, 2), F(1)), None)
+    rows = (((-1, 0), -2, 1), ((0, -1), 0, 1), ((1, 0), 3, 1))
+    strip = Polytope(2, 2, ((0, 0), (3, 0)), 1, rows, (F(5, 2), F(1)), None)
     crows = _column_rows(strip)
     assert [_line_ends(crows, (x,)) for x in (0, 1)] == [[None], [None]]
     with pytest.raises(Unbounded) as want:
@@ -1267,6 +1270,12 @@ def _facet_weights_by_facet_hulls(P):
     return tuple(out)
 
 
+def _tri(P):
+    """P's boundary triangulation with its points as rationals: (points, simplices)."""
+    points, den, simplices = P._tri
+    return tuple(tuple(F(x, den) for x in p) for p in points), simplices
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -1336,6 +1345,146 @@ def test_from_halfspaces_against_two_hulls():
     assert full >= 50 and flat >= 10 and seen[None] >= 10 and seen[Unbounded] >= 10
 
 
+# -- the integer kernel against the rational adapter, the lazy rational views
+# against an eager hull, and the integer producers against their rational-row
+# forms, kept as oracles --
+
+def _same_kernel_outcome(got, want, label):
+    """The same None, ``Unbounded`` or polytope, with the same vertices,
+    halfspaces, integer rows, interior point, incidences and triangulation."""
+    if want is None or want is Unbounded:
+        assert got is want, label
+        return
+    assert got.vertices == want.vertices and got.halfspaces == want.halfspaces, label
+    assert integer_rows(got) == integer_rows(want) and got.affine_dim == want.affine_dim, label
+    assert got.interior_point == want.interior_point, label
+    assert got._incidence == want._incidence and got._tri == want._tri, label
+
+
+def test_from_int_rows_against_from_halfspaces():
+    # each rational row (a, b), cleared to <A, x> <= B, as the integer row
+    # (q A, q^2 B, q): a normal that is not primitive, over a denominator q
+    seen = Counter()
+    for rows, dim, hint in _halfspace_cases():
+        ints = []
+        for i, (a, b) in enumerate(rows):
+            X, _ = integer_row(list(a) + [F(b)])
+            q = i % 3 + 1
+            ints.append(([q * x for x in X[:-1]], q * q * X[-1], q))
+        want = _outcome(Polytope.from_halfspaces, rows, dim, hint)
+        _same_kernel_outcome(_outcome(Polytope.from_int_rows, ints, dim, hint), want, (rows, hint))
+        seen[want if want is None or want is Unbounded else want.is_full_dimensional] += 1
+    assert seen[True] >= 50 and seen[False] >= 10 and seen[None] >= 10 and seen[Unbounded] >= 10
+
+
+def _views_match_an_eager_hull(Q, label):
+    """Q's rational views against a fresh hull of its vertices, and Q's
+    integer vertices and triangulation points over their least common
+    denominators."""
+    fresh = make_polytope(Q.vertices, Q.dim)
+    assert Q.vertices == fresh.vertices and Q.halfspaces == fresh.halfspaces, label
+    assert integer_rows(Q) == integer_rows(fresh), label
+    assert Q.bounding_box() == fresh.bounding_box(), label
+    assert Q.volume_fraction() == fresh.volume_fraction(), label
+    V, L = integer_points(Q.vertices)
+    assert (tuple(V), L) == (Q._V, Q._L), label
+    if Q._tri is not None:
+        X, LX, _simplices = Q._tri
+        pts, _ = _tri(Q)
+        assert integer_points(pts) == (list(X), LX), label
+
+
+def test_each_constructor_builds_views_equal_to_an_eager_hull():
+    # the pyramid has a point on a base edge, with its own denominator, in
+    # its triangulation; the last two bodies are flat
+    pyramid = make_polytope([(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 2),
+                             (F(2, 3), 0, 0)], 3)
+    assert pyramid._tri[0] is not pyramid._V and pyramid._tri[1] == 3
+    bodies = [make_body(spec) for spec in default_corpus()]
+    bodies += [make_polytope([(F(-1, 3),), (F(5, 2),)], 1), pyramid]
+    bodies += [make_body(BodySpec("random_hull", dim, {"count": dim + 4, "radius": 2,
+                                                       "seed": 3})) for dim in (2, 3, 4)]
+    bodies += [make_polytope([(0, 0, 0), (1, 2, F(1, 3))], 3),
+               make_polytope([(0, 0), (1, 0), (F(1, 2), 0)], 2)]
+    made = Counter()
+    for P in bodies:
+        n = P.dim
+        t = tuple(F(k + 1, 3) for k in range(n))
+        A = [[F(i + 1, j + 2) if i != j else F(3) for j in range(n)] for i in range(n)]
+        images = {"from_points": make_polytope(P.vertices, n), "translated": P.translated(t),
+                  "scaled": make_polytope(P.vertices, n).scaled(3), "transform": transform(P, A, t)}
+        if P.is_full_dimensional:
+            images["from_int_rows"] = Polytope.from_int_rows(integer_rows(P), n)
+            images["cube_sum"] = cube_sum(P, n)
+        for name, Q in images.items():
+            _views_match_an_eager_hull(Q, (P, name))
+            made[name] += 1
+    assert len(made) == 6 and min(made.values()) >= len(bodies) - 2
+
+
+def _overlap_by_rational_rows(P, theta, r, support):
+    """``moments.overlap`` over rational rows: K's rows twice, the second
+    copy shifted by r <a, theta.raw>, through ``from_halfspaces``."""
+    from zhangforge.moments import _overlap_point
+
+    shifts = [F(0)] * len(P.halfspaces) + [dot(a, theta.raw) for a, _b in P.halfspaces]
+    rows = [(a, b + r * c) for (a, b), c in zip(list(P.halfspaces) * 2, shifts)]
+    hint = _overlap_point(P, r, support) if 0 <= r < support[0] else None
+    return Polytope.from_halfspaces(rows, P.dim, interior=hint)
+
+
+def _symmetral_by_rational_rows(P):
+    """``steiner._symmetral`` over rational rows: the vertical facets and the
+    pairs +-2 pu (-pl) t <= (-pl)(bu - <au, y>) + pu (bl - <al, y>)."""
+    rows, uppers, lowers = [], [], []
+    for a, b in P.halfspaces:
+        if a[-1] == 0:
+            rows.append((a, b))
+        else:
+            (uppers if a[-1] > 0 else lowers).append((a[:-1], a[-1], b))
+    for au, pu, bu in uppers:
+        for al, pl, bl in lowers:
+            ay = tuple(-pl * x + pu * y for x, y in zip(au, al))
+            rows += [(ay + (s * 2 * pu * -pl,), -pl * bu + pu * bl) for s in (1, -1)]
+    return Polytope.from_halfspaces(rows, P.dim, interior=P.interior_point[:-1] + (F(0),))
+
+
+def test_integer_producers_against_their_rational_row_forms(monkeypatch):
+    # the symmetral, the overlaps K cap (K + r e_n) and the midpoint body of
+    # each ray engine panel, on the corpus and on 10 criterion-8 n = 3 hulls
+    from zhangforge.moments import _overlap_point, _overlap_rows, overlap, ray_breakpoints
+    from zhangforge.steiner import _symmetral
+
+    built = []
+    real = Polytope.from_int_rows
+    monkeypatch.setattr(Polytope, "from_int_rows",
+                        staticmethod(lambda *a, **k: built.append(real(*a, **k)) or built[-1]))
+    checked = Counter()
+    for spec in default_corpus() + _fuzz_specs(10)[10:]:
+        P = make_body(spec)
+        _same_kernel_outcome(_symmetral(P), _symmetral_by_rational_rows(P), spec)
+        e_n = axis_direction(P.dim)
+        support = ray_support(P, e_n)
+        R = support[0]
+        for r in (R / 3, R / 2, R, R + 1):
+            _same_kernel_outcome(overlap(P, e_n, r, support),
+                                 _overlap_by_rational_rows(P, e_n, r, support), (spec, r))
+        rows = _overlap_rows(P, e_n)
+        shifts = [F(0)] * len(P.halfspaces) + [a[-1] for a, _b in P.halfspaces]
+        breaks = [F(0)] + ray_breakpoints(P, e_n, R)
+        for lo, hi in zip(breaks, breaks[1:]):
+            m = (lo + hi) / 2
+            hint = _overlap_point(P, m, support)
+            del built[:]
+            parametric_volume(rows, lo, hi, interior=hint)
+            want = Polytope.from_halfspaces([(a, b + m * c) for (a, b), c in
+                                             zip(list(P.halfspaces) * 2, shifts)], P.dim, hint)
+            _same_kernel_outcome(built[0], want, (spec, lo, hi))
+            checked["midpoint"] += 1
+        checked["body"] += 1
+    assert checked["body"] == 24 and checked["midpoint"] >= 48
+
+
 def _parametric_volume_fraction(rows, shifts, lo, hi, interior=None):
     """parametric_volume over Fractions: dot-scan active sets, Fraction paths,
     the largest interval around m where every path keeps every slack >= 0, and
@@ -1346,7 +1495,7 @@ def _parametric_volume_fraction(rows, shifts, lo, hi, interior=None):
     rows = [(tuple(F(x) for x in a), F(b), F(c)) for (a, b), c in zip(rows, shifts)]
     dim = len(rows[0][0])
     Q = Polytope.from_halfspaces([(a, b + m * c) for a, b, c in rows], dim, interior)
-    pts, simplices = Q._tri
+    pts, simplices = _tri(Q)
     paths = []
     for v in pts:
         act = [(list(a), c) for a, b, c in rows if dot(a, v) == b + m * c]
@@ -1434,7 +1583,8 @@ def test_parametric_volume_against_fraction_paths():
     seen = Counter()
     for rows, shifts, lo, hi, hint in _parametric_cases():
         try:
-            got = parametric_volume(rows, shifts, lo, hi, interior=hint)
+            ints = [integer_row(list(a) + [b, c])[0] for (a, b), c in zip(rows, shifts)]
+            got = parametric_volume(ints, lo, hi, interior=hint)
         except DegenerateBody:
             continue
         want = _parametric_volume_fraction(rows, shifts, lo, hi, hint)
@@ -1699,7 +1849,7 @@ def test_overlap_against_intersect_of_a_translate(monkeypatch):
             Q = overlap(P, e_n, r, support)
             ref = intersect(P, translate(P, (F(0),) * (P.dim - 1) + (r,)))
             assert Q.vertices == ref.vertices and Q.halfspaces == ref.halfspaces, (spec, r)
-            assert Q._tri == ref._tri, (spec, r)
+            assert _tri(Q) == _tri(ref), (spec, r)
             assert Q.volume_fraction() == ref.volume_fraction(), (spec, r)
             assert mu_measure(Q).exact == mu_measure(ref).exact, (spec, r)
             checked += 1
@@ -1759,7 +1909,7 @@ def test_polar_projection_body_against_nullspace_normals():
         P = make_body(spec)
         got, ref = polar_projection_body(P), _polar_projection_body_by_nullspace(P)
         assert got.vertices == ref.vertices and got.halfspaces == ref.halfspaces, spec
-        assert got._tri == ref._tri and got.volume_fraction() == ref.volume_fraction(), spec
+        assert _tri(got) == _tri(ref) and got.volume_fraction() == ref.volume_fraction(), spec
 
 
 def test_carried_symmetral_equals_a_fresh_one():
@@ -1772,5 +1922,5 @@ def test_carried_symmetral_equals_a_fresh_one():
         fresh = steiner_symmetrize(make_polytope(body.vertices, body.dim))
         assert carried.vertices == fresh.vertices, spec
         assert carried.halfspaces == fresh.halfspaces, spec
-        assert carried._tri == fresh._tri and carried.interior_point == fresh.interior_point
+        assert _tri(carried) == _tri(fresh) and carried.interior_point == fresh.interior_point
         assert max_section_anchor(body) == (F(0),) * (body.dim - 1)

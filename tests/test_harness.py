@@ -304,6 +304,10 @@ _BAD_CONFIGS = {
             "sweeps": []},
     "anchr": {"bodies": [{"family": "cube", "dim": 2, "anchr": True, "name": "c"}],
               "sweeps": []},
+    # two bodies of one name: a sweep of "a" could not tell them apart
+    "duplicate-body-names": {"bodies": [{"family": "cube", "dim": 2, "name": "a"},
+                                        {"family": "simplex", "dim": 2, "name": "a"}],
+                             "sweeps": [{"target": "gn_volume", "body": "a", "scales": [2]}]},
     **{f"checker-params-{name}": {"bodies": [_SYM_SQUARE], "checker_params": {cid: params},
                                   "sweeps": []}
        for name, cid, params in [
@@ -507,6 +511,26 @@ def test_default_corpus_run_takes_at_most_14_lps_and_123_hulls(monkeypatch):
     assert 0 < counts["convex_hull"] <= 123
 
 
+def test_default_corpus_run_builds_no_rational_rows(monkeypatch):
+    # a work-count guard: the producers of the halfspace round trip pass
+    # integer rows to Polytope.from_int_rows, never rational rows to the
+    # from_halfspaces adapter, and no reader clears rational points back to
+    # integers that the polytope already holds
+    from collections import Counter
+
+    from zhangforge.polytope import Polytope
+
+    calls = _count_calls(monkeypatch, "integer_points")
+    real = Polytope.from_halfspaces
+    monkeypatch.setattr(Polytope, "from_halfspaces", staticmethod(
+        lambda *a, **k: calls.append("from_halfspaces") or real(*a, **k)))
+    doc = run_suite(default_config(), jobs=1)
+    assert doc["summary"]["fails"] == 0
+    counts = Counter(calls)
+    assert counts["from_halfspaces"] == 0
+    assert 0 < counts["integer_points"] <= 232
+
+
 class TestBodyOperation:
     def test_all_ops(self):
         spec = BodySpec("cube", 2, {"edge": [0, 2]}, name="b")
@@ -603,6 +627,44 @@ class TestCli:
     def test_missing_file_is_64(self):
         res = self._run("verify", "--config", "/nonexistent.json")
         assert res.returncode == 64
+
+    @pytest.mark.parametrize("verb", ["verify", "sweep", "body"])
+    def test_a_directory_as_the_input_file_is_64(self, verb, tmp_path):
+        # not "a checker fails" (1) with an IsADirectoryError traceback
+        args = (["--spec", str(tmp_path), "--op", "volume"] if verb == "body"
+                else ["--config", str(tmp_path)])
+        res = self._run(verb, *args)
+        assert res.returncode == 64, res.stderr
+        assert res.stderr.startswith("configuration error")
+        assert "Traceback" not in res.stderr and res.stdout == ""
+
+    @pytest.mark.parametrize("verb", ["verify", "sweep"])
+    def test_duplicate_body_names_are_64_for_every_verb(self, verb, tmp_path):
+        # the sweep verb used to sweep the last body named "a" and exit 0
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_BAD_CONFIGS["duplicate-body-names"]))
+        res = self._run(verb, "--config", str(path))
+        assert res.returncode == 64, res.stderr
+        assert "body names must be unique" in res.stderr and res.stdout == ""
+
+    @pytest.mark.parametrize("args", [["--out", "report"], ["--jobs", "0"]])
+    def test_a_bad_out_or_jobs_is_64_before_any_body_runs(self, args, tmp_path, monkeypatch,
+                                                          capsys):
+        # --out naming an existing file ran the whole suite and then exited 1
+        # on FileExistsError; --jobs 0 ran serially
+        import zhangforge.harness as harness
+        from zhangforge.cli import main
+
+        ran = []
+        monkeypatch.setattr(harness, "_run_body_task", lambda task: ran.append(task) or [])
+        (tmp_path / "report").write_text("kept")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"bodies": [_SYM_SQUARE], "sweeps": []}))
+        if args[0] == "--out":
+            args = ["--out", str(tmp_path / "report")]
+        assert main(["verify", "--config", str(path), *args]) == 64
+        assert capsys.readouterr().err.startswith("configuration error")
+        assert ran == [] and (tmp_path / "report").read_text() == "kept"
 
     def test_verify_small_config(self, tmp_path):
         cfg = {

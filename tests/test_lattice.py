@@ -125,8 +125,8 @@ class TestMu:
     def test_column_lengths_without_an_upper_row_are_unbounded(self):
         # not a polytope: {x in [0, 1], y >= 0}, which only ``vertical_section``
         # and ``column_lengths`` can be asked about
-        rows = (((F(-1), F(0)), F(0)), ((F(0), F(-1)), F(0)), ((F(1), F(0)), F(1)))
-        half_strip = Polytope(2, 2, ((F(0), F(0)), (F(1), F(0))), rows, (F(1, 2), F(1)), None)
+        rows = (((-1, 0), 0, 1), ((0, -1), 0, 1), ((1, 0), 1, 1))
+        half_strip = Polytope(2, 2, ((0, 0), (1, 0)), 1, rows, (F(1, 2), F(1)), None)
         with pytest.raises(Unbounded):
             vertical_section(half_strip, (0,))
         with pytest.raises(Unbounded):

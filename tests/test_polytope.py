@@ -25,7 +25,7 @@ from zhangforge import (
     volume,
 )
 from zhangforge.errors import DegenerateBody, DimensionMismatch, Unbounded
-from zhangforge.linalg import det
+from zhangforge.linalg import det, integer_row
 from zhangforge.polytope import _panel_sweep, parametric_volume, polytope_to_json
 
 F = Fraction
@@ -254,15 +254,14 @@ def test_scaled_equals_transform_by_lam_identity(lam):
     assert sum(not P.is_full_dimensional for _name, P in bodies) == len(_FLAT_BODIES)
     for name, P in bodies:
         n = P.dim
-        vol = P.volume_fraction()  # these two are carried across, scaled
-        integer_rows(P)
+        vol = P.volume_fraction()  # carried across, scaled
         Q = P.scaled(lam)
         T = transform(P, [[lam * int(i == j) for j in range(n)] for i in range(n)], [0] * n)
         assert Q.affine_dim == T.affine_dim == P.affine_dim, name
         assert Q.vertices == T.vertices, name
         assert Q.halfspaces == T.halfspaces, name
         assert integer_rows(Q) == integer_rows(T), name
-        assert Q._tri == T._tri, name
+        assert _tri(Q) == _tri(T), name
         assert Q.interior_point == T.interior_point, name
         assert Q.volume_fraction() == T.volume_fraction() == lam**n * vol, name
 
@@ -270,20 +269,19 @@ def test_scaled_equals_transform_by_lam_identity(lam):
 def _read(P, key):
     """P's memo entry ``key``, read through the program's own route."""
     from zhangforge.lattice import _column_walk, fattening
-    from zhangforge.polytope import _integer_weights, integer_rows
+    from zhangforge.polytope import _integer_weights
     from zhangforge.steiner import steiner_symmetrize
 
     if isinstance(key, tuple):
         kind, k = key
         return fattening(P, k) if kind == "fattening" else _column_walk(P, k)
     return {"volume": Polytope.volume_fraction, "facet_weights": Polytope.facet_weights,
-            "int_weights": _integer_weights, "int_rows": integer_rows,
-            "symmetral": steiner_symmetrize}[key](P)
+            "int_weights": _integer_weights, "symmetral": steiner_symmetrize}[key](P)
 
 
 def _memo_keys(P) -> set:
     """Every memo key P can hold: a flat P has no facet weights and no symmetral."""
-    keys = {"volume", "int_rows", *(("fattening", k) for k in range(1, P.dim)),
+    keys = {"volume", *(("fattening", k) for k in range(1, P.dim)),
             *(("columns", k) for k in range(P.dim))}
     if P.is_full_dimensional:
         keys |= {"facet_weights", "int_weights", "symmetral"}
@@ -292,18 +290,31 @@ def _memo_keys(P) -> set:
 
 def _exact(value):
     """A memo value as plain data; a polytope (the symmetral) as its vertices,
-    halfspaces, boundary triangulation and interior point."""
+    halfspaces, integer rows, boundary triangulation and interior point."""
+    from zhangforge.polytope import integer_rows
+
     if isinstance(value, Polytope):
-        return value.vertices, value.halfspaces, value._tri, value.interior_point
+        return (value.vertices, value.halfspaces, integer_rows(value), _tri(value),
+                value.interior_point)
     return value
+
+
+def _tri(P):
+    """P's boundary triangulation with its points as rationals, (points,
+    simplices); None for a lower-dimensional P."""
+    if P._tri is None:
+        return None
+    points, den, simplices = P._tri
+    return tuple(tuple(F(x, den) for x in p) for p in points), simplices
 
 
 def _carry_faults(bodies) -> list:
     """(body, map, key) for each memo entry of a horizontal translate, a
     non-horizontal translate and the scales 2 and 3 of a filled body that is
     not exactly the entry a fresh build gives on the hull of the image's
-    vertices, or that ``_CARRY`` has no rule for under that map."""
-    from zhangforge.polytope import _CARRY
+    vertices, or that ``_CARRY`` has no rule for under that map; key "rows"
+    when the image's vertices or integer rows are not the fresh build's."""
+    from zhangforge.polytope import _CARRY, integer_rows
 
     faults = []
     for name, P in bodies:
@@ -323,6 +334,8 @@ def _carry_faults(bodies) -> list:
                        if key in P._memo and any(m in rules for m in maps)}
             faults += [(name, label, key) for key in set(Q._memo) ^ carried]
             fresh = make_polytope(Q.vertices, n)
+            if (Q.vertices, integer_rows(Q)) != (fresh.vertices, integer_rows(fresh)):
+                faults.append((name, label, "rows"))
             faults += [(name, label, key) for key in set(Q._memo) & carried
                        if _exact(Q._memo[key]) != _exact(_read(fresh, key))]
     return faults
@@ -346,8 +359,8 @@ def test_each_carried_memo_entry_equals_a_fresh_build():
 def test_a_dilate_built_before_the_memo_takes_the_carried_entries():
     # lam P is read once on an empty memo, P's memo is filled, and lam P is
     # read again: the same object, now holding every scale carry of P's
-    # entries, each equal to a fresh build
-    from zhangforge.polytope import _CARRY
+    # entries, each equal to a fresh build, as its integer rows are
+    from zhangforge.polytope import _CARRY, integer_rows
 
     for name, P in _carry_bodies():
         early = {lam: P.scaled(lam) for lam in (2, 3)}
@@ -355,11 +368,12 @@ def test_a_dilate_built_before_the_memo_takes_the_carried_entries():
         for key in _memo_keys(P):
             _read(P, key)
         carried = {key for key, rules in _CARRY.items() if "scale" in rules and key in P._memo}
-        assert carried >= {"volume", "int_rows"}, name
+        assert carried >= {"volume"}, name
         for lam, Q in early.items():
             assert P.scaled(lam) is Q, name
             assert set(Q._memo) == carried, name
             fresh = make_polytope(Q.vertices, P.dim)
+            assert integer_rows(Q) == integer_rows(fresh), (name, lam)
             for key in carried:
                 assert _exact(Q._memo[key]) == _exact(_read(fresh, key)), (name, lam, key)
 
@@ -523,11 +537,18 @@ def _symmetral_slice_family(P):
             list(zip(breaks, breaks[1:])))
 
 
+def _int_rows(rows, shifts):
+    """The rows <a, x> <= b + t c as the integer rows (A, B, C) that
+    ``parametric_volume`` reads."""
+    return [integer_row(list(a) + [b, c])[0] for (a, b), c in zip(rows, shifts)]
+
+
 def _slice_sweep(P):
     """u -> vol{ell >= u} by one ``parametric_volume`` sweep of the symmetral's
     slices: one piece per maximal interval of one slice type."""
     rows, shifts, panels = _symmetral_slice_family(P)
-    return _panel_sweep(lambda lo, hi: parametric_volume(rows, shifts, lo, hi),
+    ints = _int_rows(rows, shifts)
+    return _panel_sweep(lambda lo, hi: parametric_volume(ints, lo, hi),
                         F(0), panels[-1][1])
 
 
@@ -557,7 +578,7 @@ def test_parametric_volume_against_full_hulls(dim, raw):
         P = make_body(BodySpec("random_hull", dim, {"count": 6, "radius": 2, "seed": seed}))
         for rows, shifts, panels in (_symmetral_slice_family(P), _overlap_family(P, raw)):
             for lo, hi in panels:
-                coeffs, start, end = parametric_volume(rows, shifts, lo, hi)
+                coeffs, start, end = parametric_volume(_int_rows(rows, shifts), lo, hi)
                 assert (start, end) == (lo, hi), (seed, lo, hi)
                 for t in (lo + (hi - lo) / 5, lo + 5 * (hi - lo) / 7):
                     Q = Polytope.from_halfspaces(
@@ -577,11 +598,12 @@ def test_parametric_volume_rejects_a_kink_left_of_the_midpoint():
         for seed in range(4):
             P = make_body(BodySpec("random_hull", dim, {"count": 6, "radius": 2, "seed": seed}))
             rows, shifts, _panels = _symmetral_slice_family(P)
+            ints = _int_rows(rows, shifts)
             pieces = _slice_sweep(P)
             for (a, b, left), (_b, c, right) in zip(pieces, pieces[1:]):
                 if left != right and b - a < c - b:
-                    assert parametric_volume(rows, shifts, a, c) == (right, b, c), (dim, seed, b)
-                    assert parametric_volume(rows, shifts, a, 2 * b - a)[1:] == (b, b), (dim, seed)
+                    assert parametric_volume(ints, a, c) == (right, b, c), (dim, seed, b)
+                    assert parametric_volume(ints, a, 2 * b - a)[1:] == (b, b), (dim, seed)
                     merged += 1
     assert merged >= 3
 
@@ -654,7 +676,7 @@ def test_one_hull_per_ray_engine_panel(monkeypatch):
     real = mom.parametric_volume
 
     def counted(*args, **kwargs):
-        panels.append(args[2:4])
+        panels.append(args[1:3])
         return real(*args, **kwargs)
 
     P = make_body(BodySpec("random_hull", 3, {"count": 6, "radius": 2, "seed": 0}))
