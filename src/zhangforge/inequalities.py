@@ -621,8 +621,10 @@ def _chk_lattice_zhang(ws: BodyWorkspace, params: dict) -> InequalityReport:
     n = ws.n
     const = Fraction(math.comb(2 * n, n), n**n)
     lhs = MeasureValue.from_exact(const * column_moment(ws.anchored, n))
-    # the longest vertical section of the body, twice the symmetral's top height
-    R = 2 * max(v[-1] for v in ws.asym.vertices)
+    # the longest vertical section of the body, twice the symmetral's top
+    # height, read off its integer vertices
+    S = ws.asym
+    R = Fraction(2 * max(v[-1] for v in S._V), S._L)
     G = ws.G_proj
     pr = ws.profiles
     gsym = _G_sym_fattened(ws)

@@ -1,10 +1,10 @@
 """Exact rational simplex solver (two phases, Bland's rule).
 
 Solves   maximize c.x  subject to  A x <= b,  x free in R^n.
-Inputs and outputs are ``fractions.Fraction``, but the tableau is kept over
-Python ints: each row of (A, b) is scaled by a positive integer to clear its
-denominators, and every pivot is integer-preserving (Edmonds, J. Res. NBS
-1967): the tableau is D times the rational one, D the last pivot, and the
+Inputs are ints or ``fractions.Fraction``s and outputs ``Fraction``s, but
+the tableau is kept over Python ints: each row of (A, b) is scaled by a
+positive integer to clear its denominators, and every pivot is
+integer-preserving (Edmonds, J. Res. NBS 1967): the tableau is D times the rational one, D the last pivot, and the
 update T' = (p T - col row) / D divides exactly.  Positive row scaling only
 rescales the slack and artificial variables, so Bland's entering column (a
 sign) and the ratio test (compared by cross-multiplication) pick the same
@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import Infeasible, Unbounded
-from .linalg import frac, integer_pivot, integer_row
+from .linalg import integer_pivot, integer_row
 
 _ZERO = Fraction(0)
 
@@ -97,7 +97,6 @@ def lp_solve(c, A, b) -> LPResult:
     """maximize c.x s.t. A x <= b (x free). Raises Infeasible / Unbounded."""
     m = len(A)
     n = len(c)
-    c = [frac(v) for v in c]
     if m == 0:
         if any(c):
             raise Unbounded("LP objective unbounded above")
@@ -112,7 +111,7 @@ def lp_solve(c, A, b) -> LPResult:
     basis: list[int] = []
     scales: list[int] = []  # L_i of the rows with an artificial
     for i in range(m):
-        ints, den = integer_row([frac(v) for v in A[i]] + [frac(b[i])])
+        ints, den = integer_row([*A[i], b[i]])
         row = ints[:n] + [-v for v in ints[:n]] + [0] * m + ints[n:]
         row[nx + i] = 1
         if ints[-1] < 0:

@@ -12,7 +12,8 @@ root; only ``polytope.projection_volume`` normalizes.
 
 Exactness policy: ray moments with integer exponents are exact rationals in
 every rational direction and every dimension (``ray_moment`` maps the
-direction to e_n by a rational linear map and reads the layer-cake below).
+direction to e_n by a rational linear map, none for e_n itself, and reads
+the layer-cake below; ``radial_Rp`` is that moment over the volume).
 The independent ray engine is exact too for integer exponents, in every
 dimension: its panels are the exact maximal pieces of one sweep, with no
 bisection.  Fractional exponents and the float radial batches (over unit
@@ -65,12 +66,13 @@ from .lattice import (
     lattice_points,
     ray_decomposition,
 )
-from .linalg import Vec, det_int, dot, frac, integer_row, mat_inv
+from .linalg import Vec, det_int, frac, integer_row, mat_inv
 from .lp import lp_solve
 from .polytope import (
     Direction,
     Polytope,
     axis_direction,
+    _least,
     _panel_sweep,
     integer_rows,
     intersect,
@@ -100,19 +102,13 @@ def covariogram(P: Polytope, x) -> MeasureValue:
 
 def ray_support(P: Polytope, theta: Direction) -> tuple[Fraction, Vec]:
     """(R, u) with R = sup{r : r*theta.raw in K-K} in raw units and u a witness
-    point satisfying u in K and u - R*theta.raw in K."""
+    point satisfying u in K and u - R*theta.raw in K: the LP max r subject to
+    <A, x> - r C <= B over the integer ``_overlap_rows`` (A, B, C)."""
     if theta.dim != P.dim:
         raise DimensionMismatch("direction and body dimensions differ")
     n = P.dim
-    rows = []
-    rhs = []
-    for a, b in P.halfspaces:
-        rows.append(list(a) + [_ZERO])
-        rhs.append(b)
-        rows.append(list(a) + [-dot(a, theta.raw)])
-        rhs.append(b)
-    c = [_ZERO] * n + [_ONE]
-    res = lp_solve(c, rows, rhs)
+    rows = _overlap_rows(P, theta)
+    res = lp_solve([0] * n + [1], [A[:-2] + [-A[-1]] for A in rows], [A[-2] for A in rows])
     return res.value, res.x[:n]
 
 
@@ -128,13 +124,18 @@ def _overlap_rows(P: Polytope, theta: Direction) -> list[list[int]]:
                for a, num, den in rows])
 
 
-def _overlap_point(P: Polytope, r: Fraction, support) -> Vec:
-    """A point strictly inside K cap (r*raw + K) for 0 <= r < R, between the
-    interior point and the ray_support witness."""
+def _overlap_point(P: Polytope, r: Fraction, support) -> tuple[tuple[int, ...], int]:
+    """A point strictly inside K cap (r*raw + K) for 0 <= r < R, as integers
+    (z, D): (1 - lam) c + lam w, lam = r/R = p/q, between P's interior point
+    c = Z/Dc and the ray_support witness w = W/Dw, over D = q lcm(Dc, Dw)."""
     R, witness = support
-    lam = r / R
-    c = P.interior_point
-    return tuple((1 - lam) * c[i] + lam * witness[i] for i in range(P.dim))
+    p, q = r.numerator * R.denominator, r.denominator * R.numerator
+    Z, Dc = P._interior
+    W, Dw = integer_row(witness)
+    M = lcm(Dc, Dw)
+    zc, zw = (q - p) * (M // Dc), p * (M // Dw)
+    (z,), D = _least((tuple(c * zc + w * zw for c, w in zip(Z, W)),), q * M)
+    return z, D
 
 
 def overlap(P: Polytope, theta: Direction, r, support) -> Polytope | None:
@@ -764,14 +765,13 @@ def facet_angles(P: Polytope) -> list[float]:
 # radial mean bodies
 # ---------------------------------------------------------------------------
 
-def _is_last_axis(theta: Direction) -> bool:
-    return all(x == 0 for x in theta.raw[:-1]) and theta.raw[-1] == 1
-
-
 def _along_last_axis(P: Polytope, theta: Direction) -> tuple[Polytope, Fraction]:
     """(TK, |det T|), T the inverse of the matrix with columns e_i (i != k), then
-    theta.raw; k is the last nonzero coordinate of theta, so |det T| = 1/|theta_k|."""
+    theta.raw; k is the last nonzero coordinate of theta, so |det T| = 1/|theta_k|.
+    For theta.raw = e_n, T is the identity and TK is P itself, with its memo."""
     n = P.dim
+    if not any(theta.raw[:-1]) and theta.raw[-1] == 1:
+        return P, _ONE
     k = max(i for i, x in enumerate(theta.raw) if x != 0)
     cols = [axis_direction(n, i).raw for i in range(n) if i != k] + [theta.raw]
     T = mat_inv([[c[i] for c in cols] for i in range(n)])
@@ -783,6 +783,11 @@ def ray_moment(P: Polytope, theta: Direction, p) -> MeasureValue:
     makes it the projection-power moment of TK over |det T|, exact for integer p."""
     if float(p) <= 0:
         raise ExponentOutOfRange("ray moments need p > 0")
+    return _ray_moment(P, theta, p)
+
+
+def _ray_moment(P: Polytope, theta: Direction, p) -> MeasureValue:
+    """``ray_moment`` for any p > -1, p != 0."""
     if theta.dim != P.dim:
         raise DimensionMismatch("direction and body dimensions differ")
     TK, det_T = _along_last_axis(P, theta)
@@ -793,20 +798,14 @@ def ray_moment(P: Polytope, theta: Direction, p) -> MeasureValue:
 
 
 def radial_Rp(P: Polytope, theta: Direction, p) -> MeasureValue:
-    """Radial of the p-th radial mean body R_p K via the projection-power form.
-
-    R_p commutes with linear maps, so any direction other than e_n is moved
-    to e_n by the rational T of ``_along_last_axis``: T theta.raw = e_n, so
-    rho(theta.raw) = rho_{TK}(e_n).
-    """
+    """Radial of the p-th radial mean body R_p K, (ray moment / vol K)^(1/p),
+    for p in (-1, inf), p != 0."""
     pf = float(p)
     if pf == 0 or pf <= -1:
         raise ExponentOutOfRange("the chord-mean radial needs p in (-1, inf), p != 0")
     if not P.is_full_dimensional:
         raise DegenerateBody("chord-mean radials need a full-dimensional body")
-    if not _is_last_axis(theta):
-        return radial_Rp(_along_last_axis(P, theta)[0], axis_direction(P.dim), p)
-    mom = projection_power_moment(section_distribution(steiner_symmetrize(P)), p)
+    mom = _ray_moment(P, theta, p)
     val = (mom.value / float(P.volume_fraction())) ** (1.0 / pf)
     rel = mom.abs_error / mom.value if mom.value > 0 else 0.0
     return MeasureValue.approx(val, abs(val) * rel / abs(pf) + 1e-14)

@@ -5,20 +5,24 @@ sorted extreme points and canonical halfspaces (primitive integer normals,
 deduplicated, sorted).  Both are kept as integer construction data, the
 vertices as numerators over their least common denominator and the rows as
 (a, num, den), with the boundary triangulation's points over their own least
-common denominator; the ``Fraction`` views ``vertices`` and ``halfspaces``
-are built on first read, and the integer readers (volumes, facet weights,
-bounding boxes, column tables, section distributions, fattenings, images)
-never clear them back.  Lower-dimensional sets are legal values (projections,
-slices, touching intersections): their halfspace list contains the affine-hull
-equalities as opposite halfspace pairs and their full-dimensional volume is 0.
+common denominator and the interior point as integers (Z, D) in lowest
+terms; the ``Fraction`` views ``vertices`` and ``halfspaces`` are built on
+first read, and the integer readers (volumes, facet weights, bounding boxes,
+column tables, section distributions, fattenings, images, interior hints)
+never clear them back.  The interior point is read off the vertices alone
+(``_integer_interior``), so every construction of one body has the same.
+Lower-dimensional sets are legal values (projections, slices, touching
+intersections): their halfspace list contains the affine-hull equalities as
+opposite halfspace pairs and their full-dimensional volume is 0.
 
 Each full-dimensional construction is one run of the exact hull engine, or
-none where the faces follow from a parent's: ``transform`` maps vertices,
-rows and triangulation through an invertible A (``Polytope.translated`` and
-``Polytope.scaled`` without inverting it), and ``cube_sum`` adds a cube one
-segment at a time.  ``from_points`` hulls the points.  ``from_int_rows``
-hulls the polar dual of integer rows about an interior point
-(``from_halfspaces`` clears rational rows for it): the dual hull's facets
+none where the faces follow from a parent's: one integer map,
+``Polytope._moved``, builds the translates and the integer dilates lam P + t
+in any affine dimension, ``transform`` maps vertices, rows and triangulation
+through an invertible A, and ``cube_sum`` adds a cube one segment at a time.
+``from_points`` hulls the points.  ``from_int_rows`` hulls the polar dual of
+integer rows about an integer interior hint (``from_halfspaces`` clears
+rational rows and a rational hint for it): the dual hull's facets
 are the vertices, its extreme points the irredundant rows, and the dual
 points on each facet plane the rows tight at that vertex.  Those incidences
 give the boundary triangulation (pulling, no arithmetic) and
@@ -157,10 +161,10 @@ class Memo:
 
 class Polytope(Memo):
     """Immutable rational polytope with vertex and halfspace representations,
-    kept as integers: the vertices ``_V`` over ``_L``, the rows ``_rows`` and
-    a full-dimensional body's triangulation ``_tri`` = (points, their
-    denominator, simplices), whose points are ``_V`` itself when they are
-    the vertices.  Its memo keys: "volume", "facet_weights", "int_weights",
+    kept as integers: the vertices ``_V`` over ``_L``, the rows ``_rows``,
+    the interior point ``_interior`` = (Z, D) and a full-dimensional body's
+    triangulation ``_tri`` = (points, their denominator, simplices), whose
+    points are ``_V`` itself when they are the vertices.  Its memo keys: "volume", "facet_weights", "int_weights",
     "symmetral", ("fattening", k), ("columns", k) and ("scaled", lam)."""
 
     __slots__ = ("dim", "affine_dim", "_V", "_L", "_rows", "_interior", "_tri", "_incidence",
@@ -216,19 +220,18 @@ class Polytope(Memo):
         uniq = sorted(set(pts))
         if len(uniq) == 1:
             return Polytope._point(uniq[0], dim)
-        basis = affine_basis(uniq)
-        r = len(basis) - 1
-        if r == dim:
+        try:
             hull = convex_hull(uniq)
-            den = hull.den
-            V, L = _least(tuple(hull.points[i] for i in hull.vertex_indices), den)
-            T = V if len(V) == len(uniq) else tuple(hull.points)
-            rows = sorted((a, B // g, den // g) for a, B in hull.planes for g in (gcd(B, den),))
-            P = Polytope(dim, dim, V, L, tuple(rows), hull.interior,
-                         (T, den, tuple(hull.simplices)))
-            P._vertices = tuple(uniq[i] for i in hull.vertex_indices)
-            return P
-        return Polytope._degenerate_from_points(uniq, dim, basis, r)
+        except DegenerateBody:  # the points span a proper affine subspace
+            return Polytope._degenerate_from_points(uniq, dim)
+        den = hull.den
+        V, L = _least(tuple(hull.points[i] for i in hull.vertex_indices), den)
+        T = V if len(V) == len(uniq) else tuple(hull.points)
+        rows = sorted((a, B // g, den // g) for a, B in hull.planes for g in (gcd(B, den),))
+        P = Polytope(dim, dim, V, L, tuple(rows), _integer_interior(V, L),
+                     (T, den, tuple(hull.simplices)))
+        P._vertices = tuple(uniq[i] for i in hull.vertex_indices)
+        return P
 
     @staticmethod
     def _point(p: Vec, dim: int) -> "Polytope":
@@ -238,10 +241,12 @@ class Polytope(Memo):
             rows.append((e, p[i].numerator, p[i].denominator))
             rows.append((tuple(-x for x in e), -p[i].numerator, p[i].denominator))
         (V,), L = integer_points([p])
-        return Polytope(dim, 0, (V,), L, tuple(sorted(rows)), p, None)
+        return Polytope(dim, 0, (V,), L, tuple(sorted(rows)), (V, L), None)
 
     @staticmethod
-    def _degenerate_from_points(uniq, dim, basis, r) -> "Polytope":
+    def _degenerate_from_points(uniq, dim) -> "Polytope":
+        basis = affine_basis(uniq)
+        r = len(basis) - 1
         origin = uniq[basis[0]]
         dirs = [vsub(uniq[i], origin) for i in basis[1:]]  # r directions
         # coordinates z with x = origin + sum z_k dirs_k, via left inverse M
@@ -267,29 +272,31 @@ class Polytope(Memo):
             b = dot(a, origin)
             halfspaces.append((a, b))
             halfspaces.append((tuple(-x for x in a), -b))
-        zint = hull.interior
-        interior = tuple(
-            origin[i] + sum(zint[k] * dirs[k][i] for k in range(r)) for i in range(dim)
-        )
         V, L = integer_points(verts)
+        V = tuple(V)
         rows = sorted((tuple(int(x) for x in a), b.numerator, b.denominator)
                       for a, b in set(halfspaces))
-        return Polytope(dim, r, tuple(V), L, tuple(rows), interior, None)
+        return Polytope(dim, r, V, L, tuple(rows), _integer_interior(V, L), None)
 
     @staticmethod
     def from_halfspaces(halfspaces, dim: int, interior=None) -> "Polytope | None":
         """Polytope from rational rows <a,x> <= b: :meth:`from_int_rows` of
-        the rows <A, x> <= b L for a = A/L."""
+        the rows <A, x> <= b L for a = A/L, hinted by the rational point
+        ``interior`` cleared to integers."""
         rows = []
         for a, b in halfspaces:
             (A, L), b = integer_row(vec(a)), frac(b)
             rows.append((A, b.numerator * L, b.denominator))
+        if interior is not None:
+            interior = integer_row(vec(interior))
         return Polytope.from_int_rows(rows, dim, interior)
 
     @staticmethod
     def from_int_rows(rows, dim: int, interior=None) -> "Polytope | None":
         """Polytope from integer rows (a, num, den), <a, x> <= num/den with
-        den > 0; None when infeasible; Unbounded if unbounded.
+        den > 0; None when infeasible; Unbounded if unbounded.  ``interior``
+        is an optional hint (z, D), integers with D > 0: when z/D is strictly
+        inside it replaces the max-slack LP.
 
         One hull, over integers.  Each row is made primitive, and rows with
         one normal keep the least offset.  With x0 = z/D strictly inside,
@@ -322,7 +329,7 @@ class Polytope(Memo):
             g = gcd(num, den)
             rows.append((key, num // g, den // g))
         if interior is not None:
-            z, D = integer_row(vec(interior))
+            z, D = interior
             if not all(den * sum(map(mul, a, z)) < num * D for a, num, den in rows):
                 interior = None
         if interior is None:
@@ -415,10 +422,6 @@ class Polytope(Memo):
     def is_full_dimensional(self) -> bool:
         return self.affine_dim == self.dim
 
-    @property
-    def interior_point(self) -> Vec:
-        return self._interior
-
     def contains(self, x, strict: bool = False) -> bool:
         """Whether x lies in P (strictly inside with ``strict``), over integers."""
         X, D = integer_row(vec(x))
@@ -446,7 +449,7 @@ class Polytope(Memo):
             (a, b, Fraction(g, den)) for (a, b), (_a, g) in zip(self.halfspaces, sums)))
 
     def translated(self, t) -> "Polytope":
-        """P + t, with no hull, and P itself for t = 0, over integers.  The
+        """P + t, with no hull, and P itself for t = 0 (:meth:`_moved`).  The
         memo entries that ``_CARRY`` carries under a translate are taken
         over, and those it carries under a horizontal one (t_n = 0) when t is
         horizontal."""
@@ -455,58 +458,49 @@ class Polytope(Memo):
             raise DimensionMismatch(f"translation of length {len(t)}, expected {self.dim}")
         if not any(t):
             return self
+        return self._carry(self._moved(1, t),
+                           ("translate", "horizontal") if t[-1] == 0 else ("translate",), t)
+
+    def scaled(self, lam: int) -> "Polytope":
+        """lam P for an integer lam > 0 (:meth:`_moved`), P's memo entry
+        ("scaled", lam), so each dilate is one object.  On every read the
+        entries that ``_CARRY`` carries under a scale are taken over, scaled,
+        when P holds them and the image does not, so an image built before
+        P's memo was filled still shares P's volume and symmetral."""
+        return self._carry(self.memo(("scaled", lam), lambda: self._moved(lam, (0,) * self.dim)),
+                           ("scale",), lam)
+
+    def _moved(self, lam: int, t) -> "Polytope":
+        """lam P + t for an integer lam > 0 and a rational t = S/Ls, in any
+        affine dimension, with no hull and no memo entry.  Over integers the
+        points X/L (vertices, triangulation, interior point) become
+        (lam X M/L + S M/Ls)/M, M = lcm(L/g, Ls) after g = gcd(lam, L), in
+        lowest terms (already so when Ls = 1); the map keeps their order,
+        and each row keeps its normal, <a, x> <= num/den becoming
+        <a, y> <= (lam num Ls + den <a, S>)/(den Ls)."""
         S, Ls = integer_row(t)
 
-        def shift(X, L):
+        def move(X, L):
+            g = gcd(lam, L)
+            L //= g
             M = lcm(L, Ls)
-            return _least(tuple(tuple(x * (M // L) + s * (M // Ls) for x, s in zip(p, S))
-                                for p in X), M)
+            k, m = lam // g * (M // L), M // Ls
+            Y = tuple(tuple(x * k + s * m for x, s in zip(p, S)) for p in X)
+            return (Y, M) if Ls == 1 else _least(Y, M)
 
-        V, L = shift(self._V, self._L)
+        V, L = move(self._V, self._L)
         rows = []
-        for a, num, den in self._rows:  # <a, x> <= num/den + <a, S>/Ls
-            num, den = num * Ls + den * sum(map(mul, a, S)), den * Ls
+        for a, num, den in self._rows:
+            num, den = lam * num * Ls + den * sum(map(mul, a, S)), den * Ls
             g = gcd(num, den)
             rows.append((a, num // g, den // g))
         tri = None
         if self._tri is not None:
             X, LX, simplices = self._tri
-            tri = ((V, L) if X is self._V else shift(X, LX)) + (simplices,)
-        out = Polytope(self.dim, self.affine_dim, V, L, tuple(rows),
-                       tuple(c + s for c, s in zip(self._interior, t)), tri)
-        return self._carry(out, ("translate", "horizontal") if t[-1] == 0 else ("translate",), t)
-
-    def scaled(self, lam: int) -> "Polytope":
-        """lam P for an integer lam > 0, P's memo entry ("scaled", lam), so each
-        dilate is one object.  On every read the entries that ``_CARRY``
-        carries under a scale are taken over, scaled, when P holds them and
-        the image does not, so an image built before P's memo was filled
-        still shares P's volume and symmetral."""
-        return self._carry(self.memo(("scaled", lam), lambda: self._dilate(lam)),
-                           ("scale",), lam)
-
-    def _dilate(self, lam: int) -> "Polytope":
-        """lam P with no memo entry.  A full-dimensional P needs no hull: the
-        numerators X over L become X lam/g over L/g, g = gcd(lam, L), each
-        row keeps its normal, and the interior point is the one ``transform``
-        would pick, since lam keeps the vertex order and the affine basis; a
-        lower-dimensional P goes through ``transform``, which hulls its
-        image."""
-        n = self.dim
-        if not self.is_full_dimensional:
-            diag = [[lam * int(i == j) for j in range(n)] for i in range(n)]
-            return transform(self, diag, [0] * n)
-
-        def scale(X, L):
-            g = gcd(lam, L)
-            return tuple(tuple(x * (lam // g) for x in p) for p in X), L // g
-
-        V, L = scale(self._V, self._L)
-        rows = tuple((a, lam * num // g, den // g)
-                     for a, num, den in self._rows for g in (gcd(lam * num, den),))
-        X, LX, simplices = self._tri
-        tri = ((V, L) if X is self._V else scale(X, LX)) + (simplices,)
-        return Polytope(n, n, V, L, rows, _integer_interior(V, L), tri)
+            tri = ((V, L) if X is self._V else move(X, LX)) + (simplices,)
+        Z, D = self._interior
+        (Z,), D = move((Z,), D)
+        return Polytope(self.dim, self.affine_dim, V, L, tuple(rows), (Z, D), tri)
 
 
 # How a memo entry of P carries to an image, keyed like ``Polytope.memo``: per
@@ -528,17 +522,20 @@ def _least(X, L: int):
     return (X, L) if g == 1 else (tuple(tuple(x // g for x in p) for p in X), L // g)
 
 
-def _integer_interior(V, L: int) -> Vec:
-    """The interior point ``convex_hull`` gives the sorted vertices V/L of a
-    body, V integer: the centroid of the two ends (d = 1), of all of them
-    (d = 2), or of the first affinely independent d + 1, one ``Fraction`` per
-    coordinate."""
-    d, v0 = len(V[0]), V[0]
-    if d > 2:  # affine_basis over integers: V[0] and the independent differences
-        V = [v0] + [V[i + 1] for i in independent_rows([x - y for x, y in zip(v, v0)]
-                                                        for v in V[1:])]
-    chosen = [v0, V[-1]] if d == 1 else V
-    return tuple(Fraction(sum(col), L * len(chosen)) for col in zip(*chosen))
+def _integer_interior(V, L: int):
+    """The interior point of the sorted vertices V/L, V integer, as integers
+    (Z, D) in lowest terms: the centroid of all the vertices when they span
+    at most a plane (the two ends of a segment), else of the first affinely
+    independent ones.  It is a point of the relative interior, and ``lam P
+    + t`` maps it to the image's."""
+    v0 = V[0]
+    if len(v0) > 2:  # affine_basis over integers: V[0] and the independent differences
+        basis = [v0] + [V[i + 1] for i in independent_rows([x - y for x, y in zip(v, v0)]
+                                                           for v in V[1:])]
+        if len(basis) > 3:
+            V = basis
+    (Z,), D = _least((tuple(map(sum, zip(*V))),), L * len(V))
+    return Z, D
 
 
 def _integer_weights(P: Polytope):
@@ -622,7 +619,7 @@ def _centred(P: Polytope):
     """P's boundary triangulation and interior point over one denominator M,
     as :func:`_cone_volume` reads them: (points, simplices, centre, M)."""
     X, LX, simplices = P._tri
-    Z, Lz = integer_row(P._interior)
+    Z, Lz = P._interior
     M = lcm(LX, Lz)
     if M != LX:
         X = [[x * (M // LX) for x in p] for p in X]
@@ -886,7 +883,7 @@ def parametric_volume(rows, lo, hi, interior=None):
     hull's incidences), so the volume over the midpoint's boundary
     triangulation is a polynomial of degree <= dim (Lasserre, JOTA 1983),
     interpolated at dim + 1 nodes inside [a, b].  ``interior`` is an optional
-    hint strictly inside Q(m).  When a vertex splits at m (its tight rows have
+    integer hint (z, D) with z/D strictly inside Q(m).  When a vertex splits at m (its tight rows have
     no common path) the type holds at m alone and the result is (None, m, m).
 
     Integer arithmetic throughout: the midpoint body's rows are integer,
@@ -972,7 +969,7 @@ def projection_support(P: Polytope, u) -> Fraction:
     """h_ΠK(u) = ½ Σ_F w_F |<a_F, u>| exactly, for any rational vector u: one
     integer sum over the integer facet weights, and one ``Fraction``."""
     sums, den = _integer_weights(P)
-    U, L = integer_row(vec(u))
+    U, L = integer_row(u)
     total = sum(g * abs(sum(map(mul, a, U))) for a, g in sums)
     return Fraction(total, 2 * den * L)
 

@@ -10,12 +10,8 @@ symmetral (inputs are compact).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import DegenerateBody
 from .polytope import Polytope, integer_rows
-
-_ZERO = Fraction(0)
 
 
 def steiner_symmetrize(P: Polytope) -> Polytope:
@@ -48,9 +44,8 @@ def _symmetral(P: Polytope) -> Polytope:
             coef = 2 * pu * w
             rows.append((ay + (coef,), rhs, du * dl))
             rows.append((ay + (-coef,), rhs, du * dl))
-    y0 = P.interior_point[:-1]
-    hint = y0 + (_ZERO,)
-    S = Polytope.from_int_rows(rows, P.dim, interior=hint)
+    Z, D = P._interior  # (y0, 0) is inside S for P's interior point (y0, t0)
+    S = Polytope.from_int_rows(rows, P.dim, interior=(Z[:-1] + (0,), D))
     assert S is not None
     return S
 

@@ -1276,6 +1276,17 @@ def _tri(P):
     return tuple(tuple(F(x, den) for x in p) for p in points), simplices
 
 
+def _point(pair):
+    """The rational point z/D of an integer pair (z, D)."""
+    z, D = pair
+    return tuple(F(x, D) for x in z)
+
+
+def _interior(P):
+    """P's interior point as rationals, from its integer pair (Z, D)."""
+    return _point(P._interior)
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -1307,7 +1318,7 @@ def _halfspace_cases():
                 extra.append((tuple(2 * x for x in a), 2 * top + F(1, 3)))
         a, b = rows[0]
         dup = [(tuple(3 * x for x in a), 3 * b), (a, b + 1), (a, b - F(1, 7))]
-        inside = P.interior_point
+        inside = _interior(P)
         outside = tuple(x + 100 for x in inside)
         for hint in (None, inside, P.vertices[0], outside):
             cases.append((rows + extra + dup, dim, hint))
@@ -1334,7 +1345,7 @@ def test_from_halfspaces_against_two_hulls():
         assert got.vertices == want.vertices, (rows, hint)
         assert got.halfspaces == want.halfspaces, (rows, hint)
         assert got.affine_dim == want.affine_dim
-        assert got.interior_point == want.interior_point
+        assert got._interior == want._interior
         assert got.volume_fraction() == want.volume_fraction()
         if want.is_full_dimensional:
             assert got.facet_weights() == want.facet_weights()
@@ -1351,19 +1362,20 @@ def test_from_halfspaces_against_two_hulls():
 
 def _same_kernel_outcome(got, want, label):
     """The same None, ``Unbounded`` or polytope, with the same vertices,
-    halfspaces, integer rows, interior point, incidences and triangulation."""
+    halfspaces, integer rows, interior pair, incidences and triangulation."""
     if want is None or want is Unbounded:
         assert got is want, label
         return
     assert got.vertices == want.vertices and got.halfspaces == want.halfspaces, label
     assert integer_rows(got) == integer_rows(want) and got.affine_dim == want.affine_dim, label
-    assert got.interior_point == want.interior_point, label
+    assert got._interior == want._interior, label
     assert got._incidence == want._incidence and got._tri == want._tri, label
 
 
 def test_from_int_rows_against_from_halfspaces():
     # each rational row (a, b), cleared to <A, x> <= B, as the integer row
-    # (q A, q^2 B, q): a normal that is not primitive, over a denominator q
+    # (q A, q^2 B, q): a normal that is not primitive, over a denominator q;
+    # the rational hint x as the integer pair (2 X, 2 L), not in lowest terms
     seen = Counter()
     for rows, dim, hint in _halfspace_cases():
         ints = []
@@ -1371,8 +1383,12 @@ def test_from_int_rows_against_from_halfspaces():
             X, _ = integer_row(list(a) + [F(b)])
             q = i % 3 + 1
             ints.append(([q * x for x in X[:-1]], q * q * X[-1], q))
+        pair = None
+        if hint is not None:
+            X, L = integer_row([F(x) for x in hint])
+            pair = ([2 * x for x in X], 2 * L)
         want = _outcome(Polytope.from_halfspaces, rows, dim, hint)
-        _same_kernel_outcome(_outcome(Polytope.from_int_rows, ints, dim, hint), want, (rows, hint))
+        _same_kernel_outcome(_outcome(Polytope.from_int_rows, ints, dim, pair), want, (rows, hint))
         seen[want if want is None or want is Unbounded else want.is_full_dimensional] += 1
     assert seen[True] >= 50 and seen[False] >= 10 and seen[None] >= 10 and seen[Unbounded] >= 10
 
@@ -1422,14 +1438,21 @@ def test_each_constructor_builds_views_equal_to_an_eager_hull():
     assert len(made) == 6 and min(made.values()) >= len(bodies) - 2
 
 
+def _overlap_point_by_fractions(P, r, support):
+    """``moments._overlap_point`` over Fractions: (1 - lam) c + lam w, lam = r/R,
+    for P's interior point c and the ray_support witness w."""
+    R, witness = support
+    lam = r / R
+    return tuple((1 - lam) * c + lam * w for c, w in zip(_interior(P), witness))
+
+
 def _overlap_by_rational_rows(P, theta, r, support):
     """``moments.overlap`` over rational rows: K's rows twice, the second
-    copy shifted by r <a, theta.raw>, through ``from_halfspaces``."""
-    from zhangforge.moments import _overlap_point
-
+    copy shifted by r <a, theta.raw>, through ``from_halfspaces``, hinted by
+    the Fraction form of ``_overlap_point``."""
     shifts = [F(0)] * len(P.halfspaces) + [dot(a, theta.raw) for a, _b in P.halfspaces]
     rows = [(a, b + r * c) for (a, b), c in zip(list(P.halfspaces) * 2, shifts)]
-    hint = _overlap_point(P, r, support) if 0 <= r < support[0] else None
+    hint = _overlap_point_by_fractions(P, r, support) if 0 <= r < support[0] else None
     return Polytope.from_halfspaces(rows, P.dim, interior=hint)
 
 
@@ -1446,7 +1469,7 @@ def _symmetral_by_rational_rows(P):
         for al, pl, bl in lowers:
             ay = tuple(-pl * x + pu * y for x, y in zip(au, al))
             rows += [(ay + (s * 2 * pu * -pl,), -pl * bu + pu * bl) for s in (1, -1)]
-    return Polytope.from_halfspaces(rows, P.dim, interior=P.interior_point[:-1] + (F(0),))
+    return Polytope.from_halfspaces(rows, P.dim, interior=_interior(P)[:-1] + (F(0),))
 
 
 def test_integer_producers_against_their_rational_row_forms(monkeypatch):
@@ -1475,10 +1498,12 @@ def test_integer_producers_against_their_rational_row_forms(monkeypatch):
         for lo, hi in zip(breaks, breaks[1:]):
             m = (lo + hi) / 2
             hint = _overlap_point(P, m, support)
+            assert _point(hint) == _overlap_point_by_fractions(P, m, support), (spec, m)
             del built[:]
             parametric_volume(rows, lo, hi, interior=hint)
             want = Polytope.from_halfspaces([(a, b + m * c) for (a, b), c in
-                                             zip(list(P.halfspaces) * 2, shifts)], P.dim, hint)
+                                             zip(list(P.halfspaces) * 2, shifts)], P.dim,
+                                            _point(hint))
             _same_kernel_outcome(built[0], want, (spec, lo, hi))
             checked["midpoint"] += 1
         checked["body"] += 1
@@ -1538,7 +1563,7 @@ def _parametric_cases():
     bodies.append(make_polytope([tuple(s * int(i == j) for j in range(3))
                                  for i in range(3) for s in (1, -1)], 3))
     for P in bodies:
-        P = P.translated(tuple(-x for x in P.interior_point))  # b > 0 on every row
+        P = P.translated(tuple(-x for x in _interior(P)))  # b > 0 on every row
         rows = list(P.halfspaces)
         w = tuple(F(int(x), 3) for x in rng.integers(-3, 4, size=P.dim))
         families = [
@@ -1560,7 +1585,7 @@ def _parametric_cases():
         rows = list(P.halfspaces) * 2
         shifts = [F(0)] * len(P.halfspaces) + [dot(a, theta.raw) for a, _b in P.halfspaces]
         for lo, hi in zip(breaks, breaks[1:]):
-            hint = _overlap_point(P, (lo + hi) / 2, support)
+            hint = _point(_overlap_point(P, (lo + hi) / 2, support))
             cases.append((rows, shifts, lo, hi, hint))
     # panels whose type changes inside: merged across a symmetral break, and
     # centred on it so that a vertex splits at the midpoint
@@ -1584,7 +1609,7 @@ def test_parametric_volume_against_fraction_paths():
     for rows, shifts, lo, hi, hint in _parametric_cases():
         try:
             ints = [integer_row(list(a) + [b, c])[0] for (a, b), c in zip(rows, shifts)]
-            got = parametric_volume(ints, lo, hi, interior=hint)
+            got = parametric_volume(ints, lo, hi, interior=hint and integer_row(hint))
         except DegenerateBody:
             continue
         want = _parametric_volume_fraction(rows, shifts, lo, hi, hint)
@@ -1604,7 +1629,7 @@ def _assert_same_body(got, want, label):
     if want.is_full_dimensional:
         assert integer_rows(got) == integer_rows(want), label
         assert got.facet_weights() == want.facet_weights(), label
-        assert got.contains(got.interior_point, strict=True), label
+        assert got.contains(_interior(got), strict=True), label
 
 
 def _derived_body_cases():
@@ -1652,7 +1677,7 @@ def test_affine_images_against_hull_of_mapped_vertices():
             want = make_polytope(image, n)
             got = transform(P, A, b)
             _assert_same_body(got, want, (P.vertices, name))
-            assert got.interior_point == want.interior_point
+            assert got._interior == want._interior
             seen[name, det(A) != 0] += 1
     assert seen["rational", True] >= 10 and seen["singular", False] >= 10
 
@@ -1865,6 +1890,35 @@ def test_overlap_against_intersect_of_a_translate(monkeypatch):
         assert overlap(P, e_n, r, support) == ref
 
 
+def _ray_support_by_rational_rows(P, theta):
+    """``ray_support`` over the rational rows: max r subject to <a, x> <= b
+    and <a, x> - r <a, theta.raw> <= b for each halfspace (a, b) of P."""
+    n = P.dim
+    rows, rhs = [], []
+    for a, b in P.halfspaces:
+        rows += [list(a) + [F(0)], list(a) + [-dot(a, theta.raw)]]
+        rhs += [b, b]
+    res = lp_solve([F(0)] * n + [F(1)], rows, rhs)
+    return res.value, res.x[:n]
+
+
+def test_ray_support_against_the_rational_row_lp():
+    # the LP over the integer overlap rows has the rational-row LP's reach,
+    # and its witness u has u and u - R theta in K, on the corpus and 10
+    # criterion-8 n = 3 hulls, along e_n and two other rational directions
+    checked = 0
+    for spec in default_corpus() + _fuzz_specs(10)[10:]:
+        P = make_body(spec)
+        n = P.dim
+        for raw in ((0,) * (n - 1) + (1,), (1, -2, 3)[:n], (F(1, 2), F(2, 3), F(-3, 4))[:n]):
+            theta = Direction(raw)
+            R, u = ray_support(P, theta)
+            assert R == _ray_support_by_rational_rows(P, theta)[0], (spec, raw)
+            assert P.contains(u) and P.contains(tuple(x - R * w for x, w in zip(u, theta.raw)))
+            checked += 1
+    assert checked == 3 * 24
+
+
 def test_power_integral_against_fraction_sum():
     # one Fraction over one integer numerator against the term-by-term
     # Fraction sum, on seeded rational coefficients and ends
@@ -1922,5 +1976,5 @@ def test_carried_symmetral_equals_a_fresh_one():
         fresh = steiner_symmetrize(make_polytope(body.vertices, body.dim))
         assert carried.vertices == fresh.vertices, spec
         assert carried.halfspaces == fresh.halfspaces, spec
-        assert _tri(carried) == _tri(fresh) and carried.interior_point == fresh.interior_point
+        assert _tri(carried) == _tri(fresh) and carried._interior == fresh._interior
         assert max_section_anchor(body) == (F(0),) * (body.dim - 1)

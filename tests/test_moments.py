@@ -402,3 +402,29 @@ def test_section_length_layer_needs_two_dimensions():
     # the distribution, so this is the layer's one entry
     with pytest.raises(DimensionMismatch):
         section_distribution(make_polytope([(0,), (1,)], 1))
+
+
+def test_ray_moment_along_e_n_reads_the_memoized_symmetral(monkeypatch):
+    # once P's symmetral is in its memo, ray_moment along e_n builds no hull;
+    # radial_Rp is (ray moment / vol)^(1/p) in every direction, on the corpus
+    import zhangforge.polytope as poly
+    from zhangforge.harness import default_corpus, make_body
+
+    hulls = []
+    real = poly.convex_hull
+    for spec in default_corpus():
+        P = make_body(spec)
+        n = P.dim
+        e_n = axis_direction(n)
+        steiner_symmetrize(P)
+        monkeypatch.setattr(poly, "convex_hull", lambda pts: hulls.append(pts) or real(pts))
+        moments = {p: ray_moment(P, e_n, p) for p in (1, 2, n)}
+        monkeypatch.setattr(poly, "convex_hull", real)
+        assert hulls == [], spec.name
+        vol = P.volume_fraction()
+        for raw in ((0,) * (n - 1) + (1,), (1,) * n, (F(1, 2), -1, 3)[:n]):
+            theta = Direction(raw)
+            for p in (1, 2, n):
+                mom = moments[p] if theta.raw == e_n.raw else ray_moment(P, theta, p)
+                want = (float(mom.exact) / float(vol)) ** (1.0 / p)
+                assert radial_Rp(P, theta, p).value == want, (spec.name, raw, p)

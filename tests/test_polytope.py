@@ -244,26 +244,75 @@ _FLAT_BODIES = [
 ]
 
 
-@pytest.mark.parametrize("lam", [2, 3, 7])
-def test_scaled_equals_transform_by_lam_identity(lam):
+def _image_bodies():
+    """The 14 corpus bodies and the flat ones, each with its volume read."""
     from zhangforge.harness import default_corpus, make_body
-    from zhangforge.polytope import integer_rows
 
     bodies = [(spec.name, make_body(spec)) for spec in default_corpus()]
     bodies += [(f"flat{k}", Polytope.from_points(pts, n)) for k, (pts, n) in enumerate(_FLAT_BODIES)]
+    assert len(bodies) == 14 + len(_FLAT_BODIES)
     assert sum(not P.is_full_dimensional for _name, P in bodies) == len(_FLAT_BODIES)
-    for name, P in bodies:
+    for _name, P in bodies:
+        P.volume_fraction()  # carried across
+    return bodies
+
+
+def _images_without_hull_or_lp(monkeypatch, bodies, image):
+    """``image(P)`` per body, with every hull and LP of the polytope layer refused."""
+    import zhangforge.polytope as poly
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the image built a hull or solved an LP")
+
+    with monkeypatch.context() as m:
+        for name in ("convex_hull", "lp_solve", "max_slack_point"):
+            m.setattr(poly, name, refuse)
+        return [image(P) for _name, P in bodies]
+
+
+def _assert_same_image(Q, T, name):
+    """Q and T with the same vertices, rows, triangulation and interior pair,
+    each as integers over its least denominator, and that pair in T."""
+    from zhangforge.polytope import integer_rows
+
+    assert Q.affine_dim == T.affine_dim, name
+    assert (Q._V, Q._L, Q._tri, Q._interior) == (T._V, T._L, T._tri, T._interior), name
+    assert integer_rows(Q) == integer_rows(T) and Q.halfspaces == T.halfspaces, name
+    assert T.contains(_interior(T)), name
+
+
+@pytest.mark.parametrize("lam", [2, 3, 7])
+def test_scaled_equals_transform_by_lam_identity(lam, monkeypatch):
+    # lam P through the integer map, with no hull and no LP, flat bodies too
+    bodies = _image_bodies()
+    images = _images_without_hull_or_lp(monkeypatch, bodies, lambda P: P.scaled(lam))
+    for (name, P), Q in zip(bodies, images):
         n = P.dim
-        vol = P.volume_fraction()  # carried across, scaled
-        Q = P.scaled(lam)
         T = transform(P, [[lam * int(i == j) for j in range(n)] for i in range(n)], [0] * n)
-        assert Q.affine_dim == T.affine_dim == P.affine_dim, name
-        assert Q.vertices == T.vertices, name
-        assert Q.halfspaces == T.halfspaces, name
-        assert integer_rows(Q) == integer_rows(T), name
-        assert _tri(Q) == _tri(T), name
-        assert Q.interior_point == T.interior_point, name
-        assert Q.volume_fraction() == T.volume_fraction() == lam**n * vol, name
+        assert Q.affine_dim == P.affine_dim, name
+        _assert_same_image(Q, T, name)
+        assert Q.volume_fraction() == T.volume_fraction() == lam**n * P.volume_fraction(), name
+
+
+@pytest.mark.parametrize("kind", ["mixed", "horizontal", "vertical"])
+def test_translated_equals_transform_by_identity(kind, monkeypatch):
+    # P + t through the same integer map, with no hull and no LP, flat bodies
+    # too: t with mixed denominators, an integer horizontal t (its numerators
+    # need no reduction) and a vertical t
+    def shift(n):
+        return {"mixed": (F(1, 2), F(-2, 3), F(5, 6))[3 - n:],
+                "horizontal": (2,) * (n - 1) + (0,),
+                "vertical": (0,) * (n - 1) + (F(-7, 4),)}[kind]
+
+    bodies = _image_bodies()
+    assert {P.dim for _name, P in bodies} == {2, 3}
+    images = _images_without_hull_or_lp(monkeypatch, bodies, lambda P: P.translated(shift(P.dim)))
+    for (name, P), Q in zip(bodies, images):
+        n = P.dim
+        T = transform(P, [[int(i == j) for j in range(n)] for i in range(n)], shift(n))
+        assert Q.affine_dim == P.affine_dim, name
+        _assert_same_image(Q, T, name)
+        assert Q.volume_fraction() == T.volume_fraction() == P.volume_fraction(), name
 
 
 def _read(P, key):
@@ -295,7 +344,7 @@ def _exact(value):
 
     if isinstance(value, Polytope):
         return (value.vertices, value.halfspaces, integer_rows(value), _tri(value),
-                value.interior_point)
+                _interior(value))
     return value
 
 
@@ -306,6 +355,12 @@ def _tri(P):
         return None
     points, den, simplices = P._tri
     return tuple(tuple(F(x, den) for x in p) for p in points), simplices
+
+
+def _interior(P):
+    """P's interior point as rationals, from its integer pair (Z, D)."""
+    Z, D = P._interior
+    return tuple(F(z, D) for z in Z)
 
 
 def _carry_faults(bodies) -> list:
