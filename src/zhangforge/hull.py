@@ -10,23 +10,34 @@ hyperplane are merged when facets are reported.
 Dimension 2 uses the monotone chain for speed; dimension 1 is explicit.
 
 Every dimension clears the points to integer numerators over one positive
-common denominator L, which changes neither their lexicographic order nor
-any orientation sign.  Facet normals are integer cofactor vectors made
-primitive, and every visibility and orientation test is an integer dot
-product (against (d+1) L times the interior point).  The planes are returned
-over integers, (a, L b); the rational facets (a, b) are built only when read,
-and only the interior point is built as Fractions.  A point is extreme when
-the normals of its incident facets have rank d: in d = 3, when some triple
+common denominator L (points of ints are taken as they are, over 1), which
+changes neither their lexicographic order nor any orientation sign.  Facet
+normals are integer cofactor vectors made primitive, and every visibility
+and orientation test is an integer dot product (against (d+1) L times the
+interior point).  The planes are returned over integers, (a, L b), and the
+interior point as integers; the rational facets (a, b) and the rational
+interior point are built only when read.  A point is extreme when the
+normals of its incident facets have rank d: in d = 3, when some triple
 product of them is nonzero.
+
+Dimension 3, where every n = 3 body, its symmetral, overlaps, ray-engine
+panels and polar projection body is hulled, runs its own unrolled inner
+loop: a closed-form cross product made primitive by one three-way gcd and
+three-term dot products for the offset, the orientation and the visibility
+test.  It keeps the generic loop's insertion order, facet ids and horizon,
+so its results are the same.  Dimension 4 keeps the generic loop (cofactor
+normals, ``sum(map(mul, ...))`` dot products): it hulls only the 4-d
+bodies, which no default workload builds.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from operator import mul
 
 from .errors import DegenerateBody
-from .linalg import Vec, affine_basis, det_int, integer_points, primitive_int, rank
+from .linalg import Vec, det_int, independent_rows, integer_points, primitive_int, rank
 
 Plane = tuple[tuple[int, ...], int]
 
@@ -42,24 +53,28 @@ class HullResult:
     simplices: boundary triangulation; tuples of point indices, each simplex
         carried by exactly one facet hyperplane.
     vertex_indices: indices of the extreme points, ascending.
-    interior: a strictly interior point.
+    interior: a strictly interior point, built on first read from the
+        integers (z, D) of the point z / D that the builders pass as inner.
 
-    The hull builders pass facets=None with their planes; facets passed in
-    are kept as given.  Two results are equal when their facets,
-    simplices, vertex indices and interior points are.
+    The hull builders pass facets=None and interior=None with their planes
+    and inner point; facets and an interior passed in are kept as given.
+    Two results are equal when their facets, simplices, vertex indices and
+    interior points are.
     """
 
-    __slots__ = ("planes", "points", "den", "simplices", "vertex_indices", "interior", "_facets")
+    __slots__ = ("planes", "points", "den", "simplices", "vertex_indices", "_inner", "_facets",
+                 "_interior")
 
     def __init__(self, facets, simplices, vertex_indices, interior, planes=None, den=1,
-                 points=None):
+                 points=None, inner=None):
         self._facets: list[tuple[Vec, Fraction]] | None = facets
         self.simplices: list[tuple[int, ...]] = simplices
         self.vertex_indices: list[int] = vertex_indices
-        self.interior: Vec = interior
+        self._interior: Vec | None = interior
         self.planes: list[Plane] | None = planes
         self.points: list[tuple[int, ...]] | None = points
         self.den = den
+        self._inner: tuple[list[int], int] | None = inner
 
     @property
     def facets(self) -> list[tuple[Vec, Fraction]]:
@@ -68,6 +83,13 @@ class HullResult:
                             for a, b in self.planes]
         return self._facets
 
+    @property
+    def interior(self) -> Vec:
+        if self._interior is None:
+            z, D = self._inner
+            self._interior = tuple(Fraction(x, D) for x in z)
+        return self._interior
+
     def __eq__(self, other):
         if not isinstance(other, HullResult):
             return NotImplemented
@@ -75,6 +97,14 @@ class HullResult:
                    for f in ("facets", "simplices", "vertex_indices", "interior"))
 
     __hash__ = None
+
+
+def _numerators(points) -> tuple[list[tuple[int, ...]], int]:
+    """The points as integer numerators over their least common denominator;
+    points of ``int``s are taken as they are, over 1."""
+    if all(type(x) is int for p in points for x in p):
+        return list(map(tuple, points)), 1
+    return integer_points(points)
 
 
 def _unique_sorted(ipts: list[tuple[int, ...]]) -> list[int]:
@@ -120,7 +150,7 @@ def _spans(normals, d: int) -> bool:
 
 
 def _hull_1d(points: list[Vec]) -> HullResult:
-    ipts, den = integer_points(points)
+    ipts, den = _numerators(points)
     vals = [(p[0], i) for i, p in enumerate(ipts)]
     lo = min(vals)
     hi = max(vals)
@@ -130,10 +160,11 @@ def _hull_1d(points: list[Vec]) -> HullResult:
         None,
         simplices=[(lo[1],), (hi[1],)],
         vertex_indices=sorted({lo[1], hi[1]}),
-        interior=(Fraction(lo[0] + hi[0], 2 * den),),
+        interior=None,
         planes=[((-1,), -lo[0]), ((1,), hi[0])],
         den=den,
         points=ipts,
+        inner=([lo[0] + hi[0]], 2 * den),
     )
 
 
@@ -142,7 +173,7 @@ def _cross2(o: tuple[int, ...], a: tuple[int, ...], b: tuple[int, ...]) -> int:
 
 
 def _hull_2d(points: list[Vec]) -> HullResult:
-    ipts, den = integer_points(points)
+    ipts, den = _numerators(points)
     uniq = _unique_sorted(ipts)
 
     def chain(idx: list[int]) -> list[int]:
@@ -158,8 +189,7 @@ def _hull_2d(points: list[Vec]) -> HullResult:
     ring = lower[:-1] + upper[:-1]  # counterclockwise
     if len(ring) < 3:
         raise DegenerateBody("2-d hull is not full-dimensional")
-    scale = len(ring) * den
-    interior = tuple(Fraction(sum(ipts[i][k] for i in ring), scale) for k in range(2))
+    inner = ([sum(ipts[i][k] for i in ring) for k in range(2)], len(ring) * den)
     planes: list[Plane] = []
     simplices: list[tuple[int, ...]] = []
     for k in range(len(ring)):
@@ -168,15 +198,18 @@ def _hull_2d(points: list[Vec]) -> HullResult:
         a0, a1 = primitive_int((yj - yi, xi - xj))  # outward for ccw ring
         planes.append(((a0, a1), a0 * xi + a1 * yi))
         simplices.append((i, j))
-    return HullResult(None, simplices, sorted(ring), interior, planes, den, ipts)
+    return HullResult(None, simplices, sorted(ring), None, planes, den, ipts, inner)
 
 
 def _hull_nd(points: list[Vec], d: int) -> HullResult:
-    ipts, den = integer_points(points)
+    ipts, den = _numerators(points)
     uniq = _unique_sorted(ipts)
 
-    # initial affinely independent d+1 points
-    init = [uniq[k] for k in affine_basis([ipts[i] for i in uniq])]
+    # initial affinely independent d+1 points: the first one and the
+    # independent differences from it
+    o = ipts[uniq[0]]
+    init = [uniq[0]] + [uniq[k + 1] for k in independent_rows(
+        [x - y for x, y in zip(ipts[i], o)] for i in uniq[1:])]
     if len(init) != d + 1:
         raise DegenerateBody("point set is not full-dimensional")
 
@@ -188,24 +221,60 @@ def _hull_nd(points: list[Vec], d: int) -> HullResult:
     ridge_map: dict[tuple[int, ...], list[int]] = {}
     next_id = 0
 
-    def ridges(verts: tuple[int, ...]):
-        return (verts[:skip] + verts[skip + 1:] for skip in range(len(verts)))
+    if d == 3:
+        c0, c1, c2 = inner
+
+        def ridges(verts: tuple[int, ...]):
+            u, v, w = verts
+            return (v, w), (u, w), (u, v)
+
+        def plane(verts: tuple[int, ...]) -> Plane:
+            (x, y, z), p, q = (ipts[v] for v in verts)
+            x1, y1, z1 = p[0] - x, p[1] - y, p[2] - z
+            x2, y2, z2 = q[0] - x, q[1] - y, q[2] - z
+            a0, a1, a2 = y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2
+            g = gcd(a0, a1, a2)
+            if g != 1:
+                if not g:
+                    raise ValueError("degenerate facet points")
+                a0, a1, a2 = a0 // g, a1 // g, a2 // g
+            b = a0 * x + a1 * y + a2 * z
+            s = a0 * c0 + a1 * c1 + a2 * c2 - 4 * b
+            if s > 0:
+                return (-a0, -a1, -a2), -b
+            if s == 0:
+                raise ValueError("interior point on facet hyperplane")
+            return (a0, a1, a2), b
+
+        def visible_to(p: tuple[int, ...]) -> list[int]:
+            p0, p1, p2 = p
+            return [fid for fid, (_, (a0, a1, a2), b) in facets.items()
+                    if a0 * p0 + a1 * p1 + a2 * p2 > b]
+    else:
+        def ridges(verts: tuple[int, ...]):
+            return (verts[:skip] + verts[skip + 1:] for skip in range(len(verts)))
+
+        def plane(verts: tuple[int, ...]) -> Plane:
+            base = ipts[verts[0]]
+            a = primitive_int(_normal([[x - y for x, y in zip(ipts[v], base)] for v in verts[1:]]))
+            if not any(a):
+                raise ValueError("degenerate facet points")
+            b = sum(map(mul, a, base))
+            s = sum(map(mul, a, inner)) - (d + 1) * b
+            if s > 0:
+                return tuple(-x for x in a), -b
+            if s == 0:
+                raise ValueError("interior point on facet hyperplane")
+            return a, b
+
+        def visible_to(p: tuple[int, ...]) -> list[int]:
+            return [fid for fid, (_, a, b) in facets.items() if sum(map(mul, a, p)) > b]
 
     def add_facet(verts: tuple[int, ...]) -> None:
         nonlocal next_id
-        base = ipts[verts[0]]
-        a = primitive_int(_normal([[x - y for x, y in zip(ipts[v], base)] for v in verts[1:]]))
-        if not any(a):
-            raise ValueError("degenerate facet points")
-        b = sum(map(mul, a, base))
-        s = sum(map(mul, a, inner)) - (d + 1) * b
-        if s > 0:
-            a, b = tuple(-x for x in a), -b
-        elif s == 0:
-            raise ValueError("interior point on facet hyperplane")
         fid = next_id
         next_id += 1
-        facets[fid] = (verts, a, b)
+        facets[fid] = (verts, *plane(verts))
         for ridge in ridges(verts):
             ridge_map.setdefault(ridge, []).append(fid)
 
@@ -216,8 +285,7 @@ def _hull_nd(points: list[Vec], d: int) -> HullResult:
     for i in uniq:
         if i in used:
             continue
-        p = ipts[i]
-        visible = [fid for fid, (_, a, b) in facets.items() if sum(map(mul, a, p)) > b]
+        visible = visible_to(ipts[i])
         if not visible:
             continue
         visible_set = set(visible)
@@ -248,8 +316,8 @@ def _hull_nd(points: list[Vec], d: int) -> HullResult:
         for v in verts:
             incident.setdefault(v, set()).add(a)
     vertex_indices = sorted(v for v, normals in incident.items() if _spans(normals, d))
-    interior = tuple(Fraction(s, (d + 1) * den) for s in inner)
-    return HullResult(None, simplices, vertex_indices, interior, sorted(planes), den, ipts)
+    return HullResult(None, simplices, vertex_indices, None, sorted(planes), den, ipts,
+                      (inner, (d + 1) * den))
 
 
 def convex_hull(points: list[Vec]) -> HullResult:

@@ -365,7 +365,11 @@ class Polytope(Memo):
         masks = dict.fromkeys(facet_rows, 0)  # facet row -> bitmask of its vertices
         incidence = []
         for pos, (U, C) in enumerate(planes):
-            tight = [j for j, y in enumerate(Y) if sum(map(mul, U, y)) == C]
+            if dim == 3:
+                u0, u1, u2 = U
+                tight = [j for j, (y0, y1, y2) in enumerate(Y) if u0 * y0 + u1 * y1 + u2 * y2 == C]
+            else:
+                tight = [j for j, y in enumerate(Y) if sum(map(mul, U, y)) == C]
             for j in tight:
                 if j in masks:
                     masks[j] |= 1 << pos

@@ -4,7 +4,7 @@ import math
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -1105,7 +1105,42 @@ def _hull_point_sets(d):
     ts = [F(v, 2) for v in range(-3, 4)]
     sets.append(_sphere_points(d, list(product(ts, repeat=d - 1))[::2 if d < 4 else 7]))
     sets.append(_sphere_points(d, list(product([-1, 0, 1, F(1, 3)], repeat=d - 1))))
+    if d == 3:
+        sets.append(_polar_zonotope_points(make_body(BodySpec(
+            "random_hull", 3, {"count": 6, "radius": 2, "seed": 100}))))
+        sets.append(_dual_points(make_body(BodySpec(
+            "random_hull", 3, {"count": 6, "radius": 2, "seed": 101}))))
     return sets
+
+
+def _polar_zonotope_points(P):
+    """The points ±c/h_ΠK(c) that ``polar_projection_body`` hulls for a 3-d P,
+    one denominator per point: c the cross product of two facet normals,
+    parallel normals repeated."""
+    rows = [a for a, _num, _den in integer_rows(P)]
+    pts = []
+    for (a0, a1, a2), (b0, b1, b2) in combinations(rows, 2):
+        c = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+        if any(c):
+            h = projection_support(P, c)
+            pts += [tuple(x / h for x in c), tuple(-x / h for x in c)]
+    return pts
+
+
+def _dual_points(P):
+    """The dual points a/(b - <a, x0>) of P's rows about its interior point
+    x0, cleared to ``int``s as ``Polytope.from_int_rows`` hulls them; two
+    weakly redundant rows put dual points on dual facets, and a row parallel
+    to a facet's, with a larger offset, puts one inside."""
+    x0 = _interior(P)
+    rows = list(P.halfspaces)
+    for a in ((1, 1, 1), (2, -1, 0)):
+        rows.append((a, max(dot(a, v) for v in P.vertices)))
+    a, b = rows[0]
+    rows.append((a, b + 1))
+    Y, _ = integer_points([tuple(x / (b - dot(a, x0)) for x in a) for a, b in rows])
+    assert all(type(x) is int for y in Y for x in y)
+    return Y
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -1372,17 +1407,23 @@ def _same_kernel_outcome(got, want, label):
     assert got._incidence == want._incidence and got._tri == want._tri, label
 
 
+def _int_rows(rows):
+    """Each rational row (a, b), cleared to <A, x> <= B, as the integer row
+    (q A, q^2 B, q): a normal that is not primitive, over a denominator q."""
+    ints = []
+    for i, (a, b) in enumerate(rows):
+        X, _ = integer_row(list(a) + [F(b)])
+        q = i % 3 + 1
+        ints.append(([q * x for x in X[:-1]], q * q * X[-1], q))
+    return ints
+
+
 def test_from_int_rows_against_from_halfspaces():
-    # each rational row (a, b), cleared to <A, x> <= B, as the integer row
-    # (q A, q^2 B, q): a normal that is not primitive, over a denominator q;
-    # the rational hint x as the integer pair (2 X, 2 L), not in lowest terms
+    # the rows as _int_rows; the rational hint x as the integer pair
+    # (2 X, 2 L), not in lowest terms
     seen = Counter()
     for rows, dim, hint in _halfspace_cases():
-        ints = []
-        for i, (a, b) in enumerate(rows):
-            X, _ = integer_row(list(a) + [F(b)])
-            q = i % 3 + 1
-            ints.append(([q * x for x in X[:-1]], q * q * X[-1], q))
+        ints = _int_rows(rows)
         pair = None
         if hint is not None:
             X, L = integer_row([F(x) for x in hint])
@@ -1391,6 +1432,26 @@ def test_from_int_rows_against_from_halfspaces():
         _same_kernel_outcome(_outcome(Polytope.from_int_rows, ints, dim, pair), want, (rows, hint))
         seen[want if want is None or want is Unbounded else want.is_full_dimensional] += 1
     assert seen[True] >= 50 and seen[False] >= 10 and seen[None] >= 10 and seen[Unbounded] >= 10
+
+
+def test_from_int_rows_incidence_against_fraction_tight_rows():
+    # per vertex, the input rows tight there, recounted with Fraction dot
+    # products: duplicated rows (a normal scaled by 3, or the same row over
+    # another denominator) and weakly redundant rows are tight where their
+    # plane touches, and a row with a larger offset never is
+    full = with_spare = 0
+    for rows, dim, hint in _halfspace_cases():
+        pair = None if hint is None else integer_row([F(x) for x in hint])
+        P = _outcome(Polytope.from_int_rows, _int_rows(rows), dim, pair)
+        if P is None or P is Unbounded or not P.is_full_dimensional:
+            continue
+        assert len(P._incidence) == len(P.vertices), (rows, hint)
+        for v, got in zip(P.vertices, P._incidence):
+            want = [i for i, (a, b) in enumerate(rows) if any(a) and dot(a, v) == b]
+            assert sorted(got) == want, (rows, hint, v)
+            with_spare += len(want) > dim
+        full += 1
+    assert full >= 50 and with_spare > 0
 
 
 def _views_match_an_eager_hull(Q, label):

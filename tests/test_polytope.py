@@ -555,14 +555,19 @@ class TestDegenerateHalfspacePaths:
         assert isinstance(info.value.__cause__, DegenerateBody)
 
     def test_a_hull_fault_is_not_reported_as_unbounded(self, monkeypatch):
-        # a kernel check that fires inside the dual hull surfaces as itself
+        # a kernel check that fires inside the dual hull surfaces as itself,
+        # in the unrolled d = 3 loop (a zero normal has gcd 0) and in the
+        # generic loop (a zero cofactor normal)
         import zhangforge.hull as hull
 
-        monkeypatch.setattr(hull, "_normal", lambda edges: [0] * (len(edges) + 1))
-        cube = [(tuple(F(s * int(i == j)) for j in range(3)), F(1))
-                for i in range(3) for s in (1, -1)]
-        with pytest.raises(ValueError, match="degenerate facet points"):
-            Polytope.from_halfspaces(cube, 3)
+        faults = {3: ("gcd", lambda *a: 0), 4: ("_normal", lambda edges: [0] * (len(edges) + 1))}
+        for dim, (name, fake) in faults.items():
+            cube = [(tuple(F(s * int(i == j)) for j in range(dim)), F(1))
+                    for i in range(dim) for s in (1, -1)]
+            with monkeypatch.context() as m:
+                m.setattr(hull, name, fake)
+                with pytest.raises(ValueError, match="degenerate facet points"):
+                    Polytope.from_halfspaces(cube, dim)
 
 
 def test_scipy_hull_cross_check():
