@@ -228,6 +228,10 @@ def _hull_nd(points: list[Vec], d: int) -> HullResult:
             u, v, w = verts
             return (v, w), (u, w), (u, v)
 
+        def with_apex(ridge: tuple[int, ...], i: int) -> tuple[int, ...]:
+            u, v = ridge  # sorted: two comparisons place i
+            return (i, u, v) if i < u else (u, i, v) if i < v else (u, v, i)
+
         def plane(verts: tuple[int, ...]) -> Plane:
             (x, y, z), p, q = (ipts[v] for v in verts)
             x1, y1, z1 = p[0] - x, p[1] - y, p[2] - z
@@ -253,6 +257,9 @@ def _hull_nd(points: list[Vec], d: int) -> HullResult:
     else:
         def ridges(verts: tuple[int, ...]):
             return (verts[:skip] + verts[skip + 1:] for skip in range(len(verts)))
+
+        def with_apex(ridge: tuple[int, ...], i: int) -> tuple[int, ...]:
+            return tuple(sorted(ridge + (i,)))
 
         def plane(verts: tuple[int, ...]) -> Plane:
             base = ipts[verts[0]]
@@ -304,7 +311,7 @@ def _hull_nd(points: list[Vec], d: int) -> HullResult:
                 elif owners[0] not in visible_set:
                     horizon.append(ridge)
         for ridge in horizon:
-            add_facet(tuple(sorted(ridge + (i,))))
+            add_facet(with_apex(ridge, i))
 
     # integer planes (a, L b) sort like the rational planes (a, b) since L > 0
     planes: set[Plane] = set()

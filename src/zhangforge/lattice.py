@@ -3,15 +3,18 @@ covariograms, and the exact lattice ray reaches behind discrete moments.
 
 Every column read is one table (:func:`_column_walk`), built once per body
 and k and kept as the body's memo entry ("columns", k) (``Polytope.memo``):
-over each integer point y of the bounding box of the first n-1 coordinates,
-``polytope._line_ends`` picks the exact ends of the section from the
-residuals of the body's integer rows.  A line of the box in the last
-coordinate takes one dot product per row at its first column; from there
-each residual steps by the row's last coefficient.  Lattice points, their
-count (no point built), column lengths, the column measure and the vertical
-ray moment read the table, in lexicographic order, with no projection; the
-sums add integer numerators per distinct denominator and build one Fraction
-per denominator.  One rule decides membership in the open fattening
+``polytope._column_rows`` sets the body's integer rows up once, over one
+common denominator for the upper and one for the lower rows, and along each
+line of the bounding box in the last of the first n-1 coordinates
+``polytope._line_runs`` reads the ends as the lower envelopes of the rows'
+residual progressions: piecewise linear in the column, so the table takes
+each run of non-empty columns as progressions, with no minimum per column.
+Lattice points, their count (no point built), column lengths, the column
+measure and the vertical ray moment read the table, in lexicographic order,
+with no projection; every entry has the same denominators, so each sum is
+one integer sum and one Fraction.
+
+One rule decides membership in the open fattening
 P + (-1,1)^k x {0}^{n-k} for every k: with F the closed sum
 P + [-1,1]^k x {0}^{n-k} (built once per body and k by :func:`fattening`
 and kept as the memo entry ("fattening", k), with no hull for a
@@ -41,6 +44,8 @@ from .polytope import (
     Polytope,
     _column_rows,
     _line_ends,
+    _line_runs,
+    _run_ends,
     cube_sum,
     integer_rows,
     minkowski_sum,
@@ -82,30 +87,35 @@ def _column_walk(P: Polytope, k: int = 0):
 def _column_table(P: Polytope, k: int):
     """(y, ends) for each integer column y of the k-fattening's bounding box
     with a non-empty section, in lexicographic order, ends as
-    ``polytope._line_ends`` gives them, one line of the box in the last
-    coordinate at a time; with k > 0 the rows are strict and the ends bound
-    only the column's integer points."""
+    ``polytope._line_ends`` gives them: one line of the box in the last
+    coordinate at a time, each run of ``polytope._line_runs`` emitted from
+    its progressions.  Every entry has the one denominator pair
+    lo_d = Qd, hi_d = Qu of the rows; with k > 0 the rows are strict and the
+    ends bound only the column's integer points."""
     fat = fattening(P, k)
     rows = _column_rows(fat, k)
+    (Qu, _up), (Qd, _down), _flat = rows
     L = fat._L
     box = [range(-(-min(c) // L), max(c) // L + 1) for c in list(zip(*fat._V))[:-1]]
     if not box:  # n = 1: the one column y = ()
         return tuple(((), e) for e in _line_ends(rows, ()) if e is not None)
     line = box.pop()
+    t0, length = line.start, len(line)
     table = []
     for head in product(*box):
-        ends = _line_ends(rows, head + (line.start,), 1, len(line))
-        table += [(head + (t,), e) for t, e in zip(line, ends) if e is not None]
+        for run in _line_runs(rows, head + (t0,), 1, length):
+            table += zip(map(head.__add__, zip(range(t0 + run[0], t0 + run[1]))), _run_ends(run, Qd, Qu))
     return tuple(table)
 
 
-def _per_denominator(pairs) -> Fraction:
-    """Sum of num/den over integer pairs, den > 0: the numerators are added
-    per distinct den, one Fraction each."""
-    acc: dict[int, int] = {}
-    for num, den in pairs:
-        acc[den] = acc.get(den, 0) + num
-    return sum((Fraction(num, den) for den, num in acc.items()), _ZERO)
+def _length_sum(table, e: int) -> Fraction:
+    """Sum of ell^e over a column table's entries, ell = hi_n/hi_d - lo_n/lo_d:
+    one integer sum over the table's one denominator pair, one Fraction."""
+    if not table:
+        return _ZERO
+    _y, (_lo, lo_d, _hi, hi_d) = table[0]
+    return Fraction(sum((hi_n * lo_d - lo_n * hi_d) ** e for _y, (lo_n, _ld, hi_n, _hd) in table),
+                    (hi_d * lo_d) ** e)
 
 
 def column_ranges(P: Polytope, open_cube_k: int = 0):
@@ -144,30 +154,31 @@ def column_lengths(P: Polytope) -> dict[tuple[int, ...], Fraction]:
 
 def column_length_sum(P: Polytope, e: int) -> Fraction:
     """Sum of ell_y^e over the integer columns y of P, ell_y the vertical-section
-    length, summed per denominator."""
+    length."""
     if P.dim < 2:
         raise DimensionMismatch("column measure needs ambient dimension >= 2")
-    return _per_denominator(((hi_n * lo_d - lo_n * hi_d) ** e, (hi_d * lo_d) ** e)
-                            for _y, (lo_n, lo_d, hi_n, hi_d) in _column_walk(P))
+    return _length_sum(_column_walk(P), e)
 
 
 def fattened_mu(P: Polytope) -> Fraction:
     """mu(P + (-1,1)^{n-1} x {0}): over each integer column of the open
     fattening, the section length of the closed one there (its supremum over
-    the open window), summed per denominator."""
+    the open window)."""
     cols = {y for y, _lo, _hi in column_ranges(P, P.dim - 1)}
-    return _per_denominator((hi_n * lo_d - lo_n * hi_d, hi_d * lo_d)
-                            for y, (lo_n, lo_d, hi_n, hi_d) in _column_walk(fattening(P, P.dim - 1))
-                            if y in cols)
+    return _length_sum([entry for entry in _column_walk(fattening(P, P.dim - 1)) if entry[0] in cols], 1)
 
 
 def column_moment(P: Polytope, p: int) -> Fraction:
     """p * integral of r^{p-1} G_n(P cap (r e_n + P)) dr for an integer p >= 1:
     the sum of (t - a_y)^p over the lattice points (y, t) of P, a_y = lo_n/lo_d
-    the lower end of the column (y - r e_n is in P for 0 <= r <= t - a_y)."""
-    return _per_denominator(
-        (sum((t * lo_d - lo_n) ** p for t in range(-(-lo_n // lo_d), hi_n // hi_d + 1)), lo_d**p)
-        for _y, (lo_n, lo_d, hi_n, hi_d) in _column_walk(P))
+    the lower end of the column (y - r e_n is in P for 0 <= r <= t - a_y), over
+    the table's one lower denominator."""
+    table = _column_walk(P)
+    if not table:
+        return _ZERO
+    lo_d = table[0][1][1]
+    return Fraction(sum((t * lo_d - lo_n) ** p for _y, (lo_n, _ld, hi_n, hi_d) in table
+                        for t in range(-(-lo_n // lo_d), hi_n // hi_d + 1)), lo_d**p)
 
 
 def mu_measure(P: Polytope) -> MeasureValue:

@@ -799,51 +799,134 @@ def integer_rows(P: Polytope) -> tuple[tuple[tuple[int, ...], int, int], ...]:
 
 
 def _column_rows(P: Polytope, k: int = 0):
-    """P's integer rows as bounds den*a_n*t <= c - <h, y> on x_n over a column y,
-    h = den*a': (up, down, flat) lists of (h, c, den*|a_n|) by the sign of a_n.
-    With k > 0, P is a closed fattening and the rows touching the first k
-    coordinates are strict, den*<a, x> <= num - 1, as over integers."""
+    """P's integer rows as bounds on x_n along the lines of columns
+    y = (z + j e)/D, e the last unit vector, set up once per body and k.
+
+    A row den*<a', y> + den*a_n*t <= c, with c = num (or num - 1 where a
+    touches the first k coordinates: with k > 0, P is a closed fattening and
+    those rows are strict, as over integers), is kept as (h, c, s) scaled by
+    m = Q/(den*|a_n|), Q the lcm of den*|a_n| over the rows with the same
+    sign of a_n (m = 1 for a flat row, a_n = 0): h = m*den*a', c = m*c and
+    the step s = -h[-1].  Its residual at column j is then r + s j with
+    r = c D - <h, z>; an up row (a_n > 0) bounds t <= (r + s j)/(Qu D), a
+    down row t >= -(r + s j)/(Qd D), and a flat row holds when r + s j >= 0.
+    Returns ((Qu, up), (Qd, down), flat)."""
+    rows = integer_rows(P)
+    Qu = Qd = 1
+    for a, _num, den in rows:
+        if a[-1] > 0:
+            Qu = lcm(Qu, den * a[-1])
+        elif a[-1] < 0:
+            Qd = lcm(Qd, -den * a[-1])
     up, down, flat = [], [], []
-    for a, num, den in integer_rows(P):
-        row = (tuple(den * x for x in a[:-1]), num - any(a[:k]), den * abs(a[-1]))
-        (up if a[-1] > 0 else down if a[-1] < 0 else flat).append(row)
-    return up, down, flat
+    for a, num, den in rows:
+        if a[-1] > 0:
+            f, part = Qu // a[-1], up
+        elif a[-1] < 0:
+            f, part = Qd // -a[-1], down
+        else:
+            f, part = den, flat
+        if k and any(a[:k]):
+            num -= 1
+        h = a[:-1] if f == 1 else tuple([f * x for x in a[:-1]])
+        part.append((h, num * (f // den), -h[-1] if h else 0))
+    return (Qu, up), (Qd, down), flat
+
+
+def _envelope(progs, a: int, b: int) -> list:
+    """The lower envelope of the progressions r + s j, (r, s) in ``progs``,
+    over a <= j < b, as pieces (j, r, s), each from its first column j.  It
+    is concave, so each piece's step is below the one before, and the next
+    piece starts at the least column where a progression of lower step comes
+    down to the current one: ceil((r' - r)/(s - s')), by exact floor
+    division."""
+    if len(progs) == 1:
+        return [(a, *progs[0])]
+    pieces = []
+    j = a
+    while j < b:
+        _v, s, r = min([(ri + si * j, si, ri) for ri, si in progs])
+        pieces.append((j, r, s))
+        j = min([-((r - ri) // (s - si)) for ri, si in progs if si < s], default=b)
+    return pieces
+
+
+def _line_runs(rows, z, D: int, length: int) -> list:
+    """The non-empty sections over the columns (z + j e)/D, j < ``length``, of
+    :func:`_column_rows`' ``rows``, as runs (j0, j1, lo, dlo, hi, dhi): for
+    j0 <= j < j1 the section is lo_n/(Qd D) <= t <= hi_n/(Qu D) with
+    lo_n = lo + dlo (j - j0) and hi_n = hi + dhi (j - j0).
+
+    The flat rows admit one run of columns a <= j < b, cut by floor
+    division.  Over it the up and the down ends are the lower envelopes
+    (:func:`_envelope`) of the residual progressions of the up and of the
+    down rows; on each joint piece, with the up line (ru, su) and the down
+    line (rd, sd), the section is non-empty where
+    (ru + su j) Qd + (rd + sd j) Qu >= 0, linear in j, so its entries form
+    one run.  A column that the flat rows admit, with no up or no down row,
+    raises ``Unbounded`` naming the first such column."""
+    (Qu, up), (Qd, down), flat = rows
+    a, b = 0, length
+    for h, c, s in flat:
+        r = c * D - sum(map(mul, h, z))
+        if s > 0:
+            a = max(a, -(r // s))
+        elif s < 0:
+            b = min(b, r // -s + 1)
+        elif r < 0:
+            return []
+    if a >= b:
+        return []
+    if not up or not down:
+        y = tuple(z[:-1]) + (z[-1] + a,) if z else ()
+        raise Unbounded(f"vertical line section over {y}/{D} is unbounded")
+    his = _envelope([(c * D - sum(map(mul, h, z)), s) for h, c, s in up], a, b)
+    los = _envelope([(c * D - sum(map(mul, h, z)), s) for h, c, s in down], a, b)
+    his.append((b,))
+    los.append((b,))
+    runs = []
+    iu = idn = 0
+    j = a
+    while j < b:
+        _j, ru, su = his[iu]
+        _j, rd, sd = los[idn]
+        eu, ed = his[iu + 1][0], los[idn + 1][0]
+        e = min(eu, ed)
+        A, B = ru * Qd + rd * Qu, su * Qd + sd * Qu
+        j0, j1 = j, e
+        if B > 0:
+            j0 = max(j, -(A // B))
+        elif B < 0:
+            j1 = min(e, A // -B + 1)
+        elif A < 0:
+            j1 = j
+        if j0 < j1:
+            runs.append((j0, j1, -(rd + sd * j0), -sd, ru + su * j0, su))
+        j = e
+        iu += eu == e
+        idn += ed == e
+    return runs
+
+
+def _run_ends(run, lo_d: int, hi_d: int):
+    """The ends (lo_n, lo_d, hi_n, hi_d) over the columns of a run of
+    :func:`_line_runs`, zipped from its progressions."""
+    j0, j1, lo, dlo, hi, dhi = run
+    n = j1 - j0
+    return zip(range(lo, lo + dlo * n, dlo) if dlo else repeat(lo, n), repeat(lo_d),
+               range(hi, hi + dhi * n, dhi) if dhi else repeat(hi, n), repeat(hi_d))
 
 
 def _line_ends(rows, z, D: int = 1, length: int = 1) -> list:
     """The sections {t : (y, t) meets :func:`_column_rows`' ``rows``} over the
     columns y = (z + j e)/D, j < ``length``, e the last unit vector, each as
-    integers (lo_n, lo_d, hi_n, hi_d), lo_n/lo_d <= t <= hi_n/hi_d, or None
-    when empty.
-
-    A row (h, c, q) has the residual r = c D - <h, z> at the line's first
-    column, and r steps by -h[-1] along the line: an up row bounds
-    t <= r/(q D), a down row t >= -r/(q D), and a flat row (q = 0) holds when
-    r >= 0.  Over the common denominator Q = lcm(q) of the up (down) rows
-    each bound is the progression r Q/q, and the binding end is its least
-    term.  A column that the flat rows admit, with no up or no down row,
-    raises ``Unbounded`` naming the column."""
-
-    def least(part):  # (Q, the least r Q/q over each column), None with no rows
-        Q = lcm(*(q for _h, _c, q in part))
-        terms = []
-        for h, c, q in part:
-            m = Q // q if q else 1
-            r = (c * D - sum(map(mul, h, z))) * m
-            s = -h[-1] * m if length > 1 else 0
-            terms.append(range(r, r + s * length, s) if s else repeat(r, length))
-        return Q, map(min, zip(*terms)) if terms else None
-
-    (Qu, his), (Qd, los), (_Q, flats) = map(least, rows)
-    admitted = repeat(True, length) if flats is None else map((0).__le__, flats)
-    if his is None or los is None:
-        for j, ok in enumerate(admitted):
-            if ok:
-                y = tuple(z[:-1]) + (z[-1] + j,) if z else ()
-                raise Unbounded(f"vertical line section over {y}/{D} is unbounded")
-        return [None] * length
-    return [(-lo, Qd * D, hi, Qu * D) if ok and -lo * Qu <= hi * Qd else None
-            for lo, hi, ok in zip(los, his, admitted)]
+    integers (lo_n, Qd D, hi_n, Qu D), lo_n/(Qd D) <= t <= hi_n/(Qu D), or
+    None when empty: the runs of :func:`_line_runs` expanded per column."""
+    (Qu, _up), (Qd, _down), _flat = rows
+    ends = [None] * length
+    for run in _line_runs(rows, z, D, length):
+        ends[run[0]:run[1]] = _run_ends(run, Qd * D, Qu * D)
+    return ends
 
 
 def vertical_section(P: Polytope, y) -> Interval | None:

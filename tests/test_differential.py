@@ -649,8 +649,11 @@ def _column_table_by_box_scan(P, k):
 def _column_table_cases():
     """(body, ks): the corpus and its symmetrals with k = 0..n, the corpus
     with n < 4 scaled by 4 and 16, a prism whose slanted vertical facet cuts
-    columns out of the box, and 1-d bodies (an empty prefix box): two
-    segments and the projections of the planar corpus bodies."""
+    columns out of the box, 1-d bodies (an empty prefix box: two segments
+    and the projections of the planar corpus bodies), the lattice bodies
+    with k = 0..n, and seeded rational hulls with n = 2, 3 and k = 0..n at
+    dilates 1, 4, 16 and 64, on some of whose lines the strict vertical
+    facets start or end the admitted run inside an envelope piece."""
     corpus = [make_body(spec) for spec in default_corpus()]
     cases = [(P, range(P.dim + 1)) for P in corpus]
     cases += [(steiner_symmetrize(P), range(P.dim + 1)) for P in corpus]
@@ -660,7 +663,50 @@ def _column_table_cases():
     cases += [(make_polytope([(F(-3, 2),), (F(5, 2),)], 1), (0, 1)),
               (make_polytope([(F(1, 3),), (F(1, 2),)], 1), (0, 1))]
     cases += [(project_drop_last(P), (0, 1)) for P in corpus if P.dim == 2]
+    cases += [(P, range(P.dim + 1)) for P in _lattice_bodies()]
+    rng = np.random.default_rng(37)
+    cases += [(P.scaled(lam), range(dim + 1)) for dim in (2, 3) for _ in range(2)
+              for P in (_random_body(rng, dim, count=dim + 4, den=15),) for lam in (1, 4, 16, 64)]
     return cases
+
+
+def _line_pieces(P, k):
+    """Brute force over each line of the k-fattening's box in the last
+    coordinate of the columns: (first, last, pieces), the first and the last
+    column the vertical rows admit, counted from the line's start, and each
+    column's joint envelope piece.  A piece is a run of columns over which
+    the binding upper row and the binding lower row (least bound, then least
+    step) stay the same affine functions along the line.  Lines that the
+    vertical rows leave empty, or with no upper or no lower row, are left
+    out."""
+    fat = fattening(P, k)
+    parts = {1: [], -1: [], 0: []}
+    for a, num, den in integer_rows(fat):
+        parts[(a[-1] > 0) - (a[-1] < 0)].append((a, num - any(a[:k]), den))
+    if not parts[1] or not parts[-1]:
+        return
+    # each row's slack c - den <a', y> times Q / (den |a_n|), Q the lcm of its
+    # part (1 for the vertical rows), as (m, c, den a') per part
+    scaled = {}
+    for sgn, part in parts.items():
+        Q = math.lcm(*(den * abs(a[-1]) for a, _c, den in part)) if sgn else 1
+        scaled[sgn] = [(Q // (den * abs(a[-1])) if sgn else 1, c, [den * x for x in a[:-1]])
+                       for a, c, den in part]
+    box = [range(math.ceil(lo), math.floor(hi) + 1) for lo, hi in fat.bounding_box()[:-1]]
+    for head in product(*box[:-1]):
+        # each row's scaled slack along the line as (value at t = 0, step)
+        lines = {sgn: [(m * (c - dot(h[:-1], head)), -m * h[-1]) for m, c, h in rows]
+                 for sgn, rows in scaled.items()}
+        admitted, pieces, keys = [], [], None
+        for t in box[-1]:
+            if all(v + s * t >= 0 for v, s in lines[0]):
+                admitted.append(len(pieces))
+            # the binding row of each part as (step, value at t = 0)
+            key = [min((v + s * t, s, v) for v, s in lines[sgn])[1:] for sgn in (1, -1)]
+            pieces.append(pieces[-1] + (key != keys) if pieces else 0)
+            keys = key
+        if admitted:
+            yield admitted[0], admitted[-1], pieces
 
 
 def _height_counts_per_point(ranges):
@@ -690,6 +736,13 @@ def test_column_table_against_box_scan_of_single_columns():
             got = _height_counts(column_ranges(P, k))
             assert got == _height_counts_per_point(column_ranges(P, k)), (P, k)
             assert list(got) == sorted(got)
+            for first, last, pieces in _line_pieces(P, k) if P.dim > 1 else ():
+                # a piece boundary among the columns that the vertical rows
+                # leave out before (after) the admitted run: a walk must skip
+                # the pieces before the run and stop at its end
+                kinds["run starts inside a later piece"] += first > 0 and pieces[first - 1] > 0
+                kinds["run ends inside an earlier piece"] += (
+                    last + 1 < len(pieces) and pieces[last + 1] < pieces[-1])
         kinds["1-d"] += P.dim == 1
         # a vertical facet whose residual steps along the box's lines
         kinds["stepped flat row"] += any(a[-1] == 0 and a[-2] != 0 for a, _b in P.halfspaces)
@@ -702,6 +755,18 @@ def test_column_table_against_box_scan_of_single_columns():
         for p in (1, P.dim):
             assert column_moment(P, p) == _column_moment_per_column(P, p), (P, p)
     assert kinds["1-d"] and kinds["stepped flat row"], kinds
+    assert kinds["run starts inside a later piece"] and kinds["run ends inside an earlier piece"], kinds
+
+
+def test_column_table_has_one_denominator_pair():
+    # every entry's ends are over Qd and Qu, the lcm of den*|a_n| over the
+    # fattening's lower and upper rows
+    for P, ks in _column_table_cases():
+        for k in ks:
+            rows = integer_rows(fattening(P, k))
+            Qu = math.lcm(*(den * a[-1] for a, _num, den in rows if a[-1] > 0))
+            Qd = math.lcm(*(-den * a[-1] for a, _num, den in rows if a[-1] < 0))
+            assert {(lo_d, hi_d) for _y, (_lo, lo_d, _hi, hi_d) in _column_walk(P, k)} <= {(Qd, Qu)}
 
 
 def test_column_table_raises_unbounded_at_the_box_scans_column():
