@@ -541,7 +541,8 @@ def _interval_batch(body: Polytope, pts: np.ndarray, dirs: np.ndarray, strict: b
 
     Row (a, b) reads c <= r s with c = <a, y> - b and s = <a, theta>: a lower
     bound c/s where s > 0, an upper bound c/s where s < 0, and, where
-    |s| <= 1e-12, a feasibility test of c alone.  The divisors are masked
+    |s| <= 1e-12, a feasibility test of c alone (run only on facets where some
+    c fails it, since the others leave every pair feasible).  The divisors are masked
     once, S+ = S where S > tol and S- = S where S < -tol, NaN elsewhere, so a
     facet's quotients are NaN exactly where it does not bound r, and
     ``fmin``/``fmax``, which ignore NaN, apply each facet to the whole m x D
@@ -566,7 +567,7 @@ def _interval_batch(body: Polytope, pts: np.ndarray, dirs: np.ndarray, strict: b
     feas = np.ones((m, D), dtype=bool)
     zero = np.abs(S) <= tol
     bad = C > (-tol if strict else tol)
-    for f in np.flatnonzero(zero.any(axis=1)):
+    for f in np.flatnonzero(zero.any(axis=1) & bad.any(axis=1)):
         feas &= ~np.outer(bad[f], zero[f])
     s_neg = np.where(S < -tol, S, np.nan)
     s_pos = np.where(S > tol, S, np.nan)

@@ -11,6 +11,7 @@ from zhangforge.errors import ConfigError, DegenerateSpec, NoCrossing, NoRoot
 from zhangforge.harness import (
     BodySpec,
     SuiteConfig,
+    _random_hull_points,
     body_operation,
     default_config,
     default_corpus,
@@ -20,6 +21,7 @@ from zhangforge.harness import (
     run_suite,
     run_sweeps,
 )
+from zhangforge.linalg import affine_basis
 
 F = Fraction
 ROOT = Path(__file__).resolve().parents[1]
@@ -44,6 +46,53 @@ def _count_calls(monkeypatch, *names):
                 monkeypatch.setattr(mod, name, lambda *a, _real=real, _name=name, **k:
                                     calls.append(_name) or _real(*a, **k))
     return calls
+
+
+# a random_hull integer param that int() would change or that is out of
+# range, and the key the error names
+_BAD_DRAW_PARAMS = [
+    ({"seed": 1.5}, "seed"),
+    ({"seed": True}, "seed"),
+    ({"count": 8.7}, "count"),
+    ({"count": -2}, "count"),
+    ({"denominator": 2.5}, "denominator"),
+    ({"denominator": 0}, "denominator"),
+    ({"denominator": -4}, "denominator"),
+    ({"count": "8"}, "count"),
+]
+
+# every random_hull body the repo names: the default corpus's two, criterion
+# 8's 200, criterion 9's two and the sweep workload's pool; then seeds of more
+# than one 32-bit word, 15 draws a round redrawn twice (so the unused half of
+# a 64-bit draw carries into the next round), a span that rejects about half
+# its Lemire draws (2^31 + 7) and a span on the 64-bit path
+_NAMED_RANDOM_HULLS = [
+    *((b.dim, b.params) for b in default_corpus() if b.family == "random_hull"),
+    *((2, {"count": 8, "radius": 2, "seed": s}) for s in range(100)),
+    *((3, {"count": 6, "radius": 2, "seed": 100 + s}) for s in range(100)),
+    (2, {"count": 7, "seed": 5}),
+    (3, {"count": 6, "seed": 6}),
+    *((2, {"count": 8, "radius": "1/2", "seed": s}) for s in range(64)),
+    *((2, {"count": 8, "radius": 2, "seed": s}) for s in (2**32 + 5, 2**63 - 1, 10**30, 3**200)),
+    (3, {"count": 5, "radius": "1/4", "seed": 27}),
+    (3, {"count": 6, "radius": 2**30 + 3, "denominator": 1, "seed": 3}),
+    (2, {"count": 5, "radius": 2**32, "denominator": 1, "seed": 4}),
+]
+
+
+def _numpy_hull_points(spec: BodySpec) -> list:
+    """The oracle: a random_hull body's points as numpy's generator draws them."""
+    import numpy as np
+
+    n, params = spec.dim, spec.params
+    den = params.get("denominator", 4)
+    top = int(F(params.get("radius", 1)) * den)
+    rng = np.random.default_rng(params.get("seed", 0))
+    for _round in range(100):
+        raw = rng.integers(-top, top + 1, size=(params.get("count", 8), n))
+        pts = [tuple(F(int(v), den) for v in row) for row in raw]
+        if len(affine_basis(sorted(set(pts)))) == n + 1:
+            return pts
 
 
 class TestMakeBody:
@@ -107,11 +156,23 @@ class TestMakeBody:
         {"seed": -1},  # the seed must be a non-negative integer
         {"radius": 2**62},  # -radius * denominator is below the int64 range
         {"radius": -1},  # an empty range of draws
+        *(params for params, _key in _BAD_DRAW_PARAMS),
     ])
     def test_random_hull_bad_draw_is_a_config_error(self, params):
         with pytest.raises(ConfigError) as info:
             make_body(BodySpec("random_hull", 2, params, name="r"))
         assert isinstance(info.value.__cause__, ValueError)
+
+    @pytest.mark.parametrize("params,key", [
+        *_BAD_DRAW_PARAMS, ({"seed": -1}, "seed"), ({"radius": -1}, "radius")])
+    def test_random_hull_bad_draw_names_its_param(self, params, key):
+        with pytest.raises(ConfigError, match=f"random_hull {key} is"):
+            make_body(BodySpec("random_hull", 2, params, name="r"))
+
+    def test_random_hull_points_are_the_numpy_draw(self):
+        for dim, params in _NAMED_RANDOM_HULLS:
+            spec = BodySpec("random_hull", dim, params)
+            assert _random_hull_points(spec) == _numpy_hull_points(spec), (dim, params)
 
     def test_random_hull_of_radius_zero_is_degenerate(self):
         with pytest.raises(DegenerateSpec):
@@ -714,7 +775,7 @@ class TestCli:
 _IMPORT_GUARD = """
 import contextlib, io, sys
 import zhangforge.cli
-from zhangforge.harness import BodySpec, SuiteConfig, default_config, run_sweeps
+from zhangforge.harness import BodySpec, SuiteConfig, body_operation, default_config, run_sweeps
 default_config()
 with contextlib.redirect_stdout(io.StringIO()):
     assert zhangforge.cli.main(["list-checkers"]) == 0
@@ -723,6 +784,9 @@ bodies = [BodySpec("cube", 2, {"edge": [0, 1]}, name="square"),
 bodies += [BodySpec("cross", 2, {"scale": 2}, name="diamond"),
            BodySpec("custom", 2, {"points": [[0, 0], [3, 1], ["5/2", 2], [0, "3/2"]]},
                     name="quad")]
+bodies += [BodySpec("random_hull", 2, {"count": 7, "seed": 5}, name="r2"),
+           BodySpec("random_hull", 3, {"count": 6, "seed": 6}, name="r3")]
+body_operation(BodySpec("random_hull", 3, {"count": 6, "radius": 2, "seed": 11}), "volume")
 targets = ("gn_volume", "mu_volume", "discrete_to_continuous_zhang",
            "purely_discrete_to_continuous")
 run_sweeps(SuiteConfig(bodies=bodies, sweeps=[
@@ -732,8 +796,9 @@ print(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "concurrent"
 
 
 def test_exact_paths_load_neither_numpy_nor_the_process_pool():
-    # numpy is loaded only by the binary64 Ball-body radials and by drawing a
-    # random_hull body, the process pool only by run_suite with jobs > 1
+    # numpy is loaded only by the binary64 Ball-body radials and by
+    # convexhull_inclusion's sampled combinations, the process pool only by
+    # run_suite with jobs > 1
     import zhangforge
 
     src = str(Path(zhangforge.__file__).resolve().parents[1])
