@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import zlib
 from dataclasses import dataclass, field
@@ -46,7 +47,19 @@ SCHEMA = "zhang-forge/1"
 _SWEEP_SCALES = [4, 16, 64]  # a sweep entry's scales when it names none
 
 
+def _is_integer(v) -> bool:
+    """Whether ``v`` is an integer value: not a bool, and kept by ``int()``."""
+    try:
+        return not isinstance(v, bool) and int(v) == v
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 def parse_rational(v) -> Fraction:
+    """A config value as a rational: a ``Fraction``, an int, a finite float
+    (to denominators up to 10^12), a string such as "3/4", or a pair
+    [num, den] of integer values.  ``ConfigError`` names a bool, a float
+    that is not finite and a pair entry that is not an integer."""
     if isinstance(v, Fraction):
         return v
     if isinstance(v, bool):
@@ -54,10 +67,15 @@ def parse_rational(v) -> Fraction:
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, float):
+        if not math.isfinite(v):
+            raise ConfigError(f"{v!r} is not a rational")
         return Fraction(v).limit_denominator(10**12)
     if isinstance(v, str):
         return Fraction(v)
     if isinstance(v, (list, tuple)) and len(v) == 2:
+        for x in v:
+            if not _is_integer(x):
+                raise ConfigError(f"a rational [num, den] takes integers, got {x!r} in {v!r}")
         return Fraction(int(v[0]), int(v[1]))
     raise ConfigError(f"cannot parse rational from {v!r}")
 
@@ -183,11 +201,7 @@ def _int_param(params: dict, key: str, default: int, least: int) -> int:
     ``ValueError`` naming the key for a bool, a value that ``int()`` would
     change or one below ``least``."""
     v = params.get(key, default)
-    try:
-        ok = not isinstance(v, bool) and int(v) == v and v >= least
-    except (TypeError, ValueError, OverflowError):
-        ok = False
-    if not ok:
+    if not (_is_integer(v) and v >= least):
         raise ValueError(f"random_hull {key} is an integer >= {least}, got {v!r}")
     return int(v)
 

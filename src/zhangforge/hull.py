@@ -14,11 +14,10 @@ common denominator L (points of ints are taken as they are, over 1), which
 changes neither their lexicographic order nor any orientation sign.  Facet
 normals are integer cofactor vectors made primitive, and every visibility
 and orientation test is an integer dot product (against (d+1) L times the
-interior point).  The planes are returned over integers, (a, L b), and the
-interior point as integers; the rational facets (a, b) and the rational
-interior point are built only when read.  A point is extreme when the
-normals of its incident facets have rank d: in d = 3, when some triple
-product of them is nonzero.
+interior point).  The result is integer only: the planes (a, L b) and the
+points as numerators over L, with no rational view of either.  A point is
+extreme when the normals of its incident facets have rank d: in d = 3, when
+some triple product of them is nonzero.
 
 Dimension 3, where every n = 3 body, its symmetral, overlaps, ray-engine
 panels and polar projection body is hulled, runs its own unrolled inner
@@ -32,7 +31,6 @@ bodies, which no default workload builds.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from operator import mul
 
@@ -43,60 +41,26 @@ Plane = tuple[tuple[int, ...], int]
 
 
 class HullResult:
-    """Convex hull of a full-dimensional point set.
+    """Convex hull of a full-dimensional point set, over integers.
 
-    planes: unique supporting hyperplanes over integers (a, B), a primitive,
+    planes: unique supporting hyperplanes (a, B), a primitive,
         <a, x> <= B / den.
     points: the input points as integer numerators over den.
     den: their least positive common denominator L.
-    facets: the same planes as rationals (a, B / den), built on first read.
     simplices: boundary triangulation; tuples of point indices, each simplex
-        carried by exactly one facet hyperplane.
+        carried by exactly one plane.
     vertex_indices: indices of the extreme points, ascending.
-    interior: a strictly interior point, built on first read from the
-        integers (z, D) of the point z / D that the builders pass as inner.
-
-    The hull builders pass facets=None and interior=None with their planes
-    and inner point; facets and an interior passed in are kept as given.
-    Two results are equal when their facets, simplices, vertex indices and
-    interior points are.
     """
 
-    __slots__ = ("planes", "points", "den", "simplices", "vertex_indices", "_inner", "_facets",
-                 "_interior")
+    __slots__ = ("planes", "points", "den", "simplices", "vertex_indices")
 
-    def __init__(self, facets, simplices, vertex_indices, interior, planes=None, den=1,
-                 points=None, inner=None):
-        self._facets: list[tuple[Vec, Fraction]] | None = facets
-        self.simplices: list[tuple[int, ...]] = simplices
-        self.vertex_indices: list[int] = vertex_indices
-        self._interior: Vec | None = interior
-        self.planes: list[Plane] | None = planes
-        self.points: list[tuple[int, ...]] | None = points
+    def __init__(self, planes: list[Plane], points: list[tuple[int, ...]], den: int,
+                 simplices: list[tuple[int, ...]], vertex_indices: list[int]):
+        self.planes = planes
+        self.points = points
         self.den = den
-        self._inner: tuple[list[int], int] | None = inner
-
-    @property
-    def facets(self) -> list[tuple[Vec, Fraction]]:
-        if self._facets is None:
-            self._facets = [(tuple(map(Fraction, a)), Fraction(b, self.den))
-                            for a, b in self.planes]
-        return self._facets
-
-    @property
-    def interior(self) -> Vec:
-        if self._interior is None:
-            z, D = self._inner
-            self._interior = tuple(Fraction(x, D) for x in z)
-        return self._interior
-
-    def __eq__(self, other):
-        if not isinstance(other, HullResult):
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f)
-                   for f in ("facets", "simplices", "vertex_indices", "interior"))
-
-    __hash__ = None
+        self.simplices = simplices
+        self.vertex_indices = vertex_indices
 
 
 def _numerators(points) -> tuple[list[tuple[int, ...]], int]:
@@ -156,16 +120,8 @@ def _hull_1d(points: list[Vec]) -> HullResult:
     hi = max(vals)
     if lo[0] == hi[0]:
         raise DegenerateBody("1-d hull of a single point is not full-dimensional")
-    return HullResult(
-        None,
-        simplices=[(lo[1],), (hi[1],)],
-        vertex_indices=sorted({lo[1], hi[1]}),
-        interior=None,
-        planes=[((-1,), -lo[0]), ((1,), hi[0])],
-        den=den,
-        points=ipts,
-        inner=([lo[0] + hi[0]], 2 * den),
-    )
+    return HullResult([((-1,), -lo[0]), ((1,), hi[0])], ipts, den, [(lo[1],), (hi[1],)],
+                      sorted({lo[1], hi[1]}))
 
 
 def _cross2(o: tuple[int, ...], a: tuple[int, ...], b: tuple[int, ...]) -> int:
@@ -189,7 +145,6 @@ def _hull_2d(points: list[Vec]) -> HullResult:
     ring = lower[:-1] + upper[:-1]  # counterclockwise
     if len(ring) < 3:
         raise DegenerateBody("2-d hull is not full-dimensional")
-    inner = ([sum(ipts[i][k] for i in ring) for k in range(2)], len(ring) * den)
     planes: list[Plane] = []
     simplices: list[tuple[int, ...]] = []
     for k in range(len(ring)):
@@ -198,7 +153,7 @@ def _hull_2d(points: list[Vec]) -> HullResult:
         a0, a1 = primitive_int((yj - yi, xi - xj))  # outward for ccw ring
         planes.append(((a0, a1), a0 * xi + a1 * yi))
         simplices.append((i, j))
-    return HullResult(None, simplices, sorted(ring), None, planes, den, ipts, inner)
+    return HullResult(planes, ipts, den, simplices, sorted(ring))
 
 
 def _hull_nd(points: list[Vec], d: int) -> HullResult:
@@ -323,8 +278,7 @@ def _hull_nd(points: list[Vec], d: int) -> HullResult:
         for v in verts:
             incident.setdefault(v, set()).add(a)
     vertex_indices = sorted(v for v, normals in incident.items() if _spans(normals, d))
-    return HullResult(None, simplices, vertex_indices, None, sorted(planes), den, ipts,
-                      (inner, (d + 1) * den))
+    return HullResult(sorted(planes), ipts, den, simplices, vertex_indices)
 
 
 def convex_hull(points: list[Vec]) -> HullResult:

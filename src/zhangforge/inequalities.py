@@ -50,11 +50,12 @@ from .lattice import (
     lattice_points,
     mu_measure,
 )
-from .linalg import dot, frac
+from .linalg import frac
 from .lp import lp_solve
 from .moments import (
     RayMomentEngine,
     _float_points,
+    _power_integral,
     clip_radial,
     discrete_moment,
     lattice_clip,
@@ -538,7 +539,7 @@ def _theta(params: dict) -> Direction | None:
         return theta
     try:
         return Direction(tuple(frac(c) for c in theta))
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ConfigError(f"theta must be a nonzero list of rationals, got {theta!r}") from exc
 
 
@@ -814,10 +815,9 @@ def _chk_identity_triple_discrete(ws: BodyWorkspace, params: dict) -> Inequality
     worst = _ZERO
     for p in ps:
         a_val = _mu_moment_exact(ws.body, p)
-        b_val = _ZERO
-        for alpha, beta, c0, c1 in pieces:
-            b_val += c0 * (beta**p - alpha**p)
-            b_val += c1 * Fraction(p, p + 1) * (beta ** (p + 1) - alpha ** (p + 1))
+        # route B: p int r^(p-1) mu(r) dr over the linear pieces of mu
+        b_val = sum((p * _power_integral([c0, c1], alpha, beta, p - 1)
+                     for alpha, beta, c0, c1 in pieces), _ZERO)
         # route C: 2^{p+1} sum h^{p+1} / (p+1) over the symmetral's half lengths h
         c_val = _mu_moment_exact(ws.sym, p)
         vals = (a_val, b_val, c_val)
@@ -897,7 +897,8 @@ def _discrete_star_volume(P: Polytope) -> Fraction:
     pts = lattice_points(P)
     G = len(pts)
     ysum = tuple(sum(c) for c in zip(*pts))
-    return sum(((G * b - dot(a, ysum)) * w for a, b, w in P.facet_weights()),
+    return sum(((G * b - sum(x * y for x, y in zip(a, ysum))) * w
+                for a, b, w in P.facet_weights()),
                _ZERO) / (P.dim * G)
 
 

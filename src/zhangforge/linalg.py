@@ -1,12 +1,13 @@
-"""Small dense linear algebra over exact rationals.
+"""Small dense linear algebra over exact rationals, eliminated over integers.
 
-Inputs and outputs are ``fractions.Fraction`` (ints are accepted too), but the
-eliminations run over Python ints: each row is scaled by the least common
-multiple of its denominators, which leaves its solution set and the reduced row
-echelon form unchanged, and :func:`_bareiss` eliminates fraction-free (Bareiss,
-Math. Comp. 1968).  A ``Fraction`` is built only for each returned entry.  The
-systems are tiny (dimension <= 5 or so), so no pivoting heuristic beyond exact
-nonzero selection is needed.
+``rref``, ``rank``, ``det`` and ``mat_inv`` take ``fractions.Fraction`` rows
+(ints are accepted too): each row is scaled by the least common multiple of
+its denominators, which leaves its solution set and the reduced row echelon
+form unchanged, :func:`_bareiss` eliminates fraction-free (Bareiss, Math.
+Comp. 1968), and a ``Fraction`` is built only for each returned entry.  The
+other helpers take and return integers.  The systems are tiny (dimension
+<= 5 or so), so no pivoting heuristic beyond exact nonzero selection is
+needed.
 """
 
 from __future__ import annotations
@@ -23,14 +24,6 @@ def frac(x) -> Fraction:
 
 def vec(xs) -> Vec:
     return tuple(frac(x) for x in xs)
-
-
-def dot(a, b) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
-
-
-def vsub(a, b) -> Vec:
-    return tuple(x - y for x, y in zip(a, b))
 
 
 def common_denominator(xs) -> int:
@@ -123,36 +116,21 @@ def rank(rows) -> int:
     return len(_bareiss(_integer_matrix(rows))[0])
 
 
-def solve_linear(rows, rhs) -> Vec | None:
-    """One solution of A x = b, or None if inconsistent (underdetermined allowed)."""
-    n = len(rows[0])
-    m = [integer_row(list(r) + [frac(v)])[0] for r, v in zip(rows, rhs)]
+def _null_vectors(m: list[list[int]], n: int) -> tuple[list[int], list[tuple[int, ...]]]:
+    """(pivot columns, null vectors) of the integer matrix ``m`` with n
+    columns, eliminated in place by :func:`_bareiss`.  One primitive integer
+    vector per free column c, ascending: the positive multiple of the
+    rational basis vector with x_c = 1 read off the reduced row echelon form."""
     pivots, D, _ = _bareiss(m)
-    if n in pivots:
-        return None
-    x = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        x[c] = Fraction(m[i][-1], D)
-    return tuple(x)
-
-
-def nullspace(rows, n: int) -> list[Vec]:
-    """Basis of {x : A x = 0} for A given as rows of length n."""
-    if not rows:
-        return [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
-    m = _integer_matrix(rows)
-    pivots, D, _ = _bareiss(m)
-    pivot_set = set(pivots)
-    basis = []
-    for fc in range(n):
-        if fc in pivot_set:
-            continue
-        x = [Fraction(0)] * n
-        x[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            x[pc] = Fraction(-m[i][fc], D)
-        basis.append(tuple(x))
-    return basis
+    s = 1 if D > 0 else -1
+    vectors = []
+    for c in (c for c in range(n) if c not in pivots):
+        x = [0] * n
+        x[c] = s * D
+        for row, pc in zip(m, pivots):
+            x[pc] = -s * row[c]
+        vectors.append(primitive_int(x))
+    return pivots, vectors
 
 
 def det_int(m: list[list[int]]) -> int:
@@ -206,16 +184,6 @@ def primitive_int(a) -> tuple[int, ...]:
     if g <= 1:
         return tuple(a)
     return tuple(v // g for v in a)
-
-
-def primitive(a) -> Vec:
-    """Scale a rational vector by a positive factor to a primitive integer vector.
-
-    The direction and the sign of every entry are preserved (halfspace
-    orientation depends on it); the common denominator is cleared and the
-    integer gcd divided out.  The zero vector is returned unchanged.
-    """
-    return tuple(Fraction(v) for v in primitive_int(integer_row(a)[0]))
 
 
 def independent_rows(vectors) -> list[int]:

@@ -27,9 +27,13 @@ are the vertices, its extreme points the irredundant rows, and the dual
 points on each facet plane the rows tight at that vertex.  Those incidences
 give the boundary triangulation (pulling, no arithmetic) and
 ``parametric_volume`` its vertex paths; only the ray engine of ``moments``
-sweeps a parameter with it.  A halfspace set with empty
-interior is the exception: its implicit equalities are found by one LP per
-row, and its vertices re-hulled in the affine hull.  Volumes of boundary
+sweeps a parameter with it.  Flat sets are built over integers by one
+rule: the points are hulled in the pivot columns of their affine hull,
+whose integer equality normals (``_null_vectors``) join a boundary
+simplex's edges in the cofactor normal of each facet.  A halfspace set with
+empty interior finds its implicit equalities by one LP per row, solves
+its rows over x0 + N z for the same null vectors N, and hulls the vertices
+so found by that rule.  Volumes of boundary
 triangulations, from any construction and in ``parametric_volume``, are
 sums of integer determinants, and facet weights are sums of their
 simplices' integer cofactor normals, so Cauchy's formula
@@ -58,21 +62,16 @@ from .hull import _normal, convex_hull
 from .linalg import (
     Vec,
     _bareiss,
-    affine_basis,
+    _null_vectors,
     common_denominator,
     det_int,
-    dot,
     frac,
     independent_rows,
     integer_points,
     integer_row,
     mat_inv,
-    nullspace,
-    primitive,
     primitive_int,
-    solve_linear,
     vec,
-    vsub,
 )
 from .lp import lp_solve, max_slack_point
 from .verdict import MeasureValue
@@ -139,13 +138,6 @@ def axis_direction(dim: int, axis: int = -1) -> Direction:
 # ---------------------------------------------------------------------------
 # polytope
 # ---------------------------------------------------------------------------
-
-def _scale_pair(a: Vec, b: Fraction) -> tuple[Vec, Fraction]:
-    p = primitive(a)
-    j = next(i for i, x in enumerate(a) if x != 0)
-    s = p[j] / a[j]
-    return p, b * s
-
 
 class Memo:
     """One keyed memo of derived quantities, ``_memo``, read through ``memo``."""
@@ -223,7 +215,7 @@ class Polytope(Memo):
         try:
             hull = convex_hull(uniq)
         except DegenerateBody:  # the points span a proper affine subspace
-            return Polytope._degenerate_from_points(uniq, dim)
+            return Polytope._degenerate_from_points(*integer_points(uniq), dim)
         den = hull.den
         V, L = _least(tuple(hull.points[i] for i in hull.vertex_indices), den)
         T = V if len(V) == len(uniq) else tuple(hull.points)
@@ -244,39 +236,37 @@ class Polytope(Memo):
         return Polytope(dim, 0, (V,), L, tuple(sorted(rows)), (V, L), None)
 
     @staticmethod
-    def _degenerate_from_points(uniq, dim) -> "Polytope":
-        basis = affine_basis(uniq)
-        r = len(basis) - 1
-        origin = uniq[basis[0]]
-        dirs = [vsub(uniq[i], origin) for i in basis[1:]]  # r directions
-        # coordinates z with x = origin + sum z_k dirs_k, via left inverse M
-        gram = [[dot(di, dj) for dj in dirs] for di in dirs]
-        ginv = mat_inv(gram)
-        assert ginv is not None
-        M = [
-            tuple(sum(ginv[k][j] * dirs[j][i] for j in range(r)) for i in range(dim))
-            for k in range(r)
-        ]
-        zpts = [tuple(dot(M[k], vsub(p, origin)) for k in range(r)) for p in uniq]
-        hull = convex_hull(zpts)
-        verts = sorted(uniq[i] for i in hull.vertex_indices)
-        halfspaces: list[tuple[Vec, Fraction]] = []
-        for az, bz in hull.facets:
-            a_amb = tuple(
-                sum(az[k] * M[k][i] for k in range(r)) for i in range(dim)
-            )
-            b_amb = bz + dot(a_amb, origin)
-            halfspaces.append(_scale_pair(a_amb, b_amb))
-        for nrm in nullspace([list(d) for d in dirs], dim):
-            a = primitive(nrm)
-            b = dot(a, origin)
-            halfspaces.append((a, b))
-            halfspaces.append((tuple(-x for x in a), -b))
-        V, L = integer_points(verts)
-        V = tuple(V)
-        rows = sorted((tuple(int(x) for x in a), b.numerator, b.denominator)
-                      for a, b in set(halfspaces))
-        return Polytope(dim, r, V, L, tuple(rows), _integer_interior(V, L), None)
+    def _degenerate_from_points(X, L: int, dim: int) -> "Polytope":
+        """The hull of the sorted distinct points X/L, X integer, of affine
+        dimension 0 < r < dim, by one hull in r dimensions.
+
+        :func:`_null_vectors` of the differences X_i - X_0 gives their r
+        pivot columns and the normals of the affine hull's equalities.  The
+        points are hulled in the pivot columns, which the affine hull maps
+        onto one to one, so the hull's extreme points and boundary simplices
+        are the points' own.  A facet's normal is the cofactor vector
+        (``_normal``) of the edges of one of its boundary simplices together
+        with the equality normals, made primitive and pointed away from the
+        centroid of the points, a point of the relative interior."""
+        x0 = X[0]
+        pivots, normals = _null_vectors([[x - y for x, y in zip(p, x0)] for p in X[1:]], dim)
+        hull = convex_hull([tuple(p[c] for c in pivots) for p in X])
+        centroid = [sum(col) for col in zip(*X)]
+        planes = set()  # (a, B): <a, x> <= B/L
+        for s in hull.simplices:
+            base = X[s[0]]
+            a = primitive_int(_normal([[x - y for x, y in zip(X[i], base)] for i in s[1:]]
+                                      + normals))
+            b = sum(map(mul, a, base))
+            if sum(map(mul, a, centroid)) > len(X) * b:
+                a, b = tuple(-x for x in a), -b
+            planes.add((a, b))
+        for a in normals:
+            b = sum(map(mul, a, x0))
+            planes.update(((a, b), (tuple(-x for x in a), -b)))
+        rows = sorted((a, b // g, L // g) for a, b in planes for g in (gcd(b, L),))
+        V, LV = _least(tuple(X[i] for i in hull.vertex_indices), L)
+        return Polytope(dim, len(pivots), V, LV, tuple(rows), _integer_interior(V, LV), None)
 
     @staticmethod
     def from_halfspaces(halfspaces, dim: int, interior=None) -> "Polytope | None":
@@ -338,8 +328,7 @@ class Polytope(Memo):
             if t < 0:
                 return None
             if t == 0:
-                frows = [(tuple(map(Fraction, a)), Fraction(num, den)) for a, num, den in rows]
-                return Polytope._degenerate_from_halfspaces(frows, dim, x0)
+                return Polytope._degenerate_from_halfspaces(rows, dim, x0)
             z, D = integer_row(x0)
         duals = []
         lam = 1
@@ -381,30 +370,29 @@ class Polytope(Memo):
         return P
 
     @staticmethod
-    def _degenerate_from_halfspaces(rows, dim, x0) -> "Polytope | None":
-        eq_rows: list[Vec] = []
-        for a, b in rows:
-            res = lp_solve([-x for x in a], [list(r) for r, _ in rows], [c for _, c in rows])
-            if -res.value == b:  # max slack of this constraint over P is zero
-                eq_rows.append(a)
-        basis = nullspace([list(a) for a in eq_rows], dim)
-        if not basis:
-            return Polytope.from_points([x0], dim)
+    def _degenerate_from_halfspaces(rows, dim, x0) -> "Polytope":
+        """The set of the canonical integer rows (a, num, den) whose max-slack
+        point x0 has slack 0.  The rows that are tight all over it, one LP
+        each, are its implicit equalities; with N their
+        :func:`_null_vectors`, the set is x0 + N z for z in the set of the
+        rows <a N, z> <= num/den - <a, x0>, which is full-dimensional, and
+        its vertices are hulled in the affine hull."""
+        A = [list(a) for a, _num, _den in rows]
+        b = [Fraction(num, den) for _a, num, den in rows]
+        eqs = [a for a, bi in zip(A, b) if -lp_solve([-x for x in a], A, b).value == bi]
+        _pivots, N = _null_vectors(eqs, dim)
+        if not N:
+            return Polytope._point(x0, dim)
+        X0, D = integer_row(x0)
         red = []
-        for a, b in rows:
-            az = tuple(dot(a, nb) for nb in basis)
-            bz = b - dot(a, x0)
-            if all(x == 0 for x in az):
-                continue
-            red.append((az, bz))
-        sub = Polytope.from_halfspaces(red, len(basis))
-        if sub is None:
-            return None
-        amb = [
-            tuple(x0[i] + sum(z[k] * basis[k][i] for k in range(len(basis))) for i in range(dim))
-            for z in sub.vertices
-        ]
-        return Polytope.from_points(amb, dim)
+        for a, num, den in rows:
+            az = [sum(map(mul, a, v)) for v in N]
+            if any(az):
+                red.append((az, num * D - den * sum(map(mul, a, X0)), den * D))
+        sub = Polytope.from_int_rows(red, len(N))
+        X = sorted(tuple(x * sub._L + D * sum(map(mul, z, col)) for x, col in zip(X0, zip(*N)))
+                   for z in sub._V)
+        return Polytope._degenerate_from_points(X, D * sub._L, dim)
 
     # -- basic queries -------------------------------------------------------
 
@@ -442,8 +430,14 @@ class Polytope(Memo):
 
     def volume_fraction(self) -> Fraction:
         """Full-dimensional volume as an exact rational (0 when degenerate)."""
-        return self.memo("volume", lambda: _cone_volume(*_centred(self))
-                         if self.is_full_dimensional else _ZERO)
+        def build():
+            if not self.is_full_dimensional:
+                return _ZERO
+            points, simplices, center, M = _centred(self)
+            return Fraction(_cone_sum(points, simplices, center),
+                            math.factorial(self.dim) * M**self.dim)
+
+        return self.memo("volume", build)
 
     def facet_weights(self):
         """Per-facet (normal a, offset b, vol_{n-1}(F)/||a||) with the weight exact,
@@ -608,20 +602,17 @@ def _pulling_triangulation(facets: list[int], dim: int) -> tuple[tuple[int, ...]
     return tuple(out)
 
 
-def _cone_volume(points, simplices, center, den: int) -> Fraction:
-    """Volume of the cones from ``center`` over the boundary ``simplices``, for
-    integer ``points`` and ``center`` over the common denominator ``den``:
-    sum |det(p_i - center)| / (d! den^d)."""
-    total = 0
-    for s in simplices:
-        total += abs(det_int([[x - c for x, c in zip(points[i], center)] for i in s]))
-    d = len(center)
-    return Fraction(total, math.factorial(d) * den**d)
+def _cone_sum(points, simplices, center) -> int:
+    """d! den^d times the volume of the cones from ``center`` over the
+    boundary ``simplices``, for integer ``points`` and ``center`` over one
+    common denominator den: sum |det(p_i - center)|."""
+    return sum(abs(det_int([[x - c for x, c in zip(points[i], center)] for i in s]))
+               for s in simplices)
 
 
 def _centred(P: Polytope):
     """P's boundary triangulation and interior point over one denominator M,
-    as :func:`_cone_volume` reads them: (points, simplices, centre, M)."""
+    as :func:`_cone_sum` reads them: (points, simplices, centre, M)."""
     X, LX, simplices = P._tri
     Z, Lz = P._interior
     M = lcm(LX, Lz)
@@ -951,14 +942,6 @@ def slice_at_height(P: Polytope, r) -> Polytope | None:
                                    for a, num, den in integer_rows(P)], P.dim - 1)
 
 
-def _lagrange_coeffs(nodes: list[Fraction], values: list[Fraction]) -> list[Fraction]:
-    """Exact coefficients (ascending powers) of the interpolating polynomial."""
-    k = len(nodes)
-    sol = solve_linear([[x**j for j in range(k)] for x in nodes], values)
-    assert sol is not None
-    return list(sol)
-
-
 def parametric_volume(rows, lo, hi, interior=None):
     """vol Q(t) for Q(t) = {x : <A_i, x> <= B_i + t C_i}, given by integer
     rows (A, B, C) as lists, as (coeffs, a, b): ascending coefficients of one
@@ -975,8 +958,9 @@ def parametric_volume(rows, lo, hi, interior=None):
 
     Integer arithmetic throughout: the midpoint body's rows are integer,
     vertices are numerators over one denominator L, each path is one
-    fraction-free solve d = D/delta, and node volumes are integer
-    determinants over one denominator.  Every slack is affine in t and the
+    fraction-free solve d = D/delta, node volumes are integer determinants
+    over one denominator, and the coefficients are one fraction-free solve
+    of the Vandermonde system at the nodes.  Every slack is affine in t and the
     type holds while all are >= 0.  With m = mu/2M, the slack of a row at a
     vertex is S/2ML and its rate P/delta, S = 2ML B + L mu C - 2M <A, V> and
     P = delta C - <A, D>, so it stays >= 0 for |t - m| <= delta S / (2ML |P|)
@@ -1019,20 +1003,30 @@ def parametric_volume(rows, lo, hi, interior=None):
                     right = (s, -rate)
     a = lo if left is None else max(lo, m - Fraction(left[0], 2 * M * L * left[1]))
     b = hi if right is None else min(hi, m + Fraction(right[0], 2 * M * L * right[1]))
-    # x_k(t_j) = V_k / L + tau_j D_k / delta_k with tau_j = t_j - m = T_j / q,
-    # all over the one denominator E = L Delta q
-    nodes = [a + (b - a) * Fraction(j + 1, dim + 2) for j in range(dim + 1)]
-    T, q = integer_row([t - m for t in nodes])
+    # the nodes t_j = a + (b - a)(j + 1)/(dim + 2) = S_j / Q, so that
+    # x_k(t_j) = V_k / L + (t_j - m) D_k / delta_k over the one denominator
+    # E = L Delta Q, with t_j - m = (S_j - mQ) / Q
+    Q = lcm(a.denominator, b.denominator, 2 * M)
+    an, bn = a.numerator * (Q // a.denominator), b.numerator * (Q // b.denominator)
+    S = [(dim + 2) * an + (j + 1) * (bn - an) for j in range(dim + 1)]
+    Q *= dim + 2
+    mQ = mu * (Q // (2 * M))
     Delta = lcm(*(delta for _D, delta in paths))
-    base = [[x * Delta * q for x in v] for v in V]
+    base = [[x * Delta * Q for x in v] for v in V]
     step = [[x * (L * Delta // delta) for x in D] for D, delta in paths]
-    N, E = len(V), L * Delta * q
-    vals = []
-    for w in T:
+    N, E = len(V), L * Delta * Q
+    # vol Q(t_j) = I_j / K, K = dim! (N E)^dim, so the coefficients c_k of the
+    # volume solve sum_k (K c_k) S_j^k Q^(dim - k) = Q^dim I_j, fraction-free
+    system = []
+    for Sj in S:
+        w = Sj - mQ
         X = [[b0 + w * s for b0, s in zip(bv, sv)] for bv, sv in zip(base, step)]
         cen = [sum(col) for col in zip(*X)]
-        vals.append(_cone_volume([[N * x for x in p] for p in X], simplices, cen, N * E))
-    return _lagrange_coeffs(nodes, vals), a, b
+        vol = _cone_sum([[N * x for x in p] for p in X], simplices, cen)
+        system.append([Sj**k * Q**(dim - k) for k in range(dim + 1)] + [Q**dim * vol])
+    _pivots, piv, _ = _bareiss(system)
+    K = math.factorial(dim) * (N * E)**dim
+    return [Fraction(row[-1], piv * K) for row in system], a, b
 
 
 def _panel_sweep(piece, lo, hi) -> list[tuple[Fraction, Fraction, list]]:

@@ -7,7 +7,8 @@ string names) in any file under ``src/``, ``demos/`` or ``perfbench/``.  A
 use inside the name's own definition does not count.  The files are only
 parsed, never imported.  The same rule holds for the public members of
 ``BodyWorkspace``, the checkers' per-body cache, of ``Polytope``, and of the
-value types ``Interval`` and ``RayDecomposition``.
+value types ``Interval``, ``RayDecomposition``, ``HullResult``,
+``SectionDistribution`` and ``SectionProfiles``.
 """
 
 import ast
@@ -105,7 +106,10 @@ def test_every_public_workspace_member_is_used_outside_the_tests():
 
 @pytest.mark.parametrize("name, class_name", [("polytope", "Interval"),
                                               ("polytope", "Polytope"),
-                                              ("lattice", "RayDecomposition")])
+                                              ("lattice", "RayDecomposition"),
+                                              ("hull", "HullResult"),
+                                              ("moments", "SectionDistribution"),
+                                              ("inequalities", "SectionProfiles")])
 def test_every_public_value_type_member_is_used_outside_the_tests(name, class_name):
     module = PACKAGE / f"{name}.py"
     dead = _dead_members(ast.parse(module.read_text(), str(module)), class_name,

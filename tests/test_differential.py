@@ -26,7 +26,7 @@ from zhangforge import (
     volume,
 )
 from zhangforge.errors import DegenerateBody, Infeasible, Unbounded
-from zhangforge.hull import HullResult, convex_hull
+from zhangforge.hull import convex_hull
 from zhangforge.harness import (
     BodySpec,
     default_config,
@@ -65,17 +65,14 @@ from zhangforge.lattice import (
     ray_decomposition,
 )
 from zhangforge.linalg import (
+    _null_vectors,
     affine_basis,
     det,
-    dot,
     integer_points,
     integer_row,
     mat_inv,
-    nullspace,
-    primitive,
     rank,
     rref,
-    solve_linear,
 )
 from zhangforge.lp import LPResult, lp_solve, max_slack_point
 from zhangforge.moments import (
@@ -94,7 +91,7 @@ from zhangforge.moments import (
 from zhangforge.polytope import (
     Polytope,
     _column_rows,
-    _lagrange_coeffs,
+    _integer_interior,
     _line_ends,
     cube_sum,
     integer_rows,
@@ -104,6 +101,10 @@ from zhangforge.polytope import (
 from zhangforge.steiner import steiner_symmetrize
 
 F = Fraction
+
+
+def dot(a, b):
+    return sum((x * y for x, y in zip(a, b)), F(0))
 
 
 def _random_body(rng, dim, count=7, den=4):
@@ -977,7 +978,8 @@ def _affine_basis_fraction(points):
 
 
 def _hull_fraction(points):
-    """Monotone chain (d = 2) or beneath-beyond (d >= 3) over Fractions."""
+    """Monotone chain (d = 2) or beneath-beyond (d >= 3) over Fractions:
+    (facets (a, b), simplices, vertex indices)."""
     d = len(points[0])
     dotf = lambda a, b: sum((x * y for x, y in zip(a, b)), F(0))  # noqa: E731
     uniq = []
@@ -997,14 +999,13 @@ def _hull_fraction(points):
             return out
 
         ring = chain(uniq)[:-1] + chain(uniq[::-1])[:-1]
-        interior = tuple(sum((points[i][k] for i in ring), F(0)) / len(ring) for k in range(2))
         facets = []
         for k in range(len(ring)):
             i, j = ring[k], ring[(k + 1) % len(ring)]
             a = _primitive_fraction((points[j][1] - points[i][1], points[i][0] - points[j][0]))
             facets.append((a, dotf(a, points[i])))
         simplices = [(ring[k], ring[(k + 1) % len(ring)]) for k in range(len(ring))]
-        return HullResult(facets, simplices, sorted(ring), interior)
+        return facets, simplices, sorted(ring)
 
     init, dirs = [uniq[0]], []
     for i in uniq[1:]:
@@ -1055,7 +1056,7 @@ def _hull_fraction(points):
     vertex_indices = sorted(v for v, keys in incident.items()
                             if _rank_fraction([list(a) for a, _ in keys]) == d)
     planes = {(a, b) for _, a, b in facets.values()}
-    return HullResult(sorted(planes), [v for v, _, _ in facets.values()], vertex_indices, interior)
+    return sorted(planes), [v for v, _, _ in facets.values()], vertex_indices
 
 
 def _lp_fraction(c, A, b):
@@ -1130,16 +1131,17 @@ def test_linalg_against_fraction_elimination():
     for trial in range(300):
         r, c = int(rng.integers(1, 6)), int(rng.integers(1, 7))
         M = _random_matrix(rng, r, c, int(rng.choice([1, 2, 997])))
-        rhs = [F(int(v), 997) for v in rng.integers(-5, 6, r)]
         S = [row[:r] + [F(0)] * (r - len(row[:r])) for row in M]
         assert rref(M) == _rref_fraction(M)
         assert rank(M) == _rank_fraction(M)
-        assert nullspace(M, c) == _nullspace_fraction(M, c)
-        assert solve_linear(M, rhs) == _solve_fraction(M, rhs)
         assert det(S) == _det_fraction(S)
         assert mat_inv(S) == _inv_fraction(S)
-        assert primitive(M[0]) == _primitive_fraction(M[0])
         assert affine_basis([tuple(x) for x in M]) == _affine_basis_fraction(M)
+        # the null vectors are the primitive multiples of the Fraction basis
+        pivots, vectors = _null_vectors([integer_row(row)[0] for row in M], c)
+        assert pivots == _rref_fraction(M)[1]
+        assert vectors == [_primitive_fraction(v) for v in _nullspace_fraction(M, c)]
+    assert _null_vectors([], 3) == ([], [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
 
 
 def _sphere_points(d, params):
@@ -1215,8 +1217,9 @@ def test_hull_against_fraction_beneath_beyond(dim):
         if _rank_fraction([[x - y for x, y in zip(p, pts[0])] for p in pts]) < dim:
             continue
         got = convex_hull(pts)
-        assert got == _hull_fraction(pts), pts
-        merged += len(got.simplices) > len(got.facets)
+        facets = [(tuple(map(F, a)), F(b, got.den)) for a, b in got.planes]
+        assert (facets, got.simplices, got.vertex_indices) == _hull_fraction(pts), pts
+        merged += len(got.simplices) > len(got.planes)
     assert merged or dim == 2  # coplanar simplices shared a facet at least once
 
 
@@ -1316,9 +1319,73 @@ def test_lp_against_fraction_simplex():
 
 
 # ---------------------------------------------------------------------------
-# the polytope layer: the two-hull from_halfspaces and the Fraction
-# parametric_volume, kept as oracles for the integer one-hull versions
+# the polytope layer: the two-hull from_halfspaces, the Fraction flat sets
+# and the Fraction parametric_volume, kept as oracles for the integer
+# versions
 # ---------------------------------------------------------------------------
+
+def _scale_pair_fraction(a, b):
+    """(a, b) scaled by the positive factor that makes a primitive."""
+    p = _primitive_fraction(a)
+    j = next(i for i, x in enumerate(a) if x != 0)
+    return p, b * p[j] / a[j]
+
+
+def _flat_from_points_fraction(uniq, dim):
+    """The hull of the sorted distinct rational points ``uniq`` of affine
+    dimension r < dim, over Fractions: coordinates z with x = origin +
+    sum z_k dirs_k through the left inverse of the Gram matrix of the
+    affinely independent directions, one hull in those coordinates, its
+    facets mapped back, and the equalities from the Fraction nullspace of the
+    directions."""
+    basis = _affine_basis_fraction(uniq)
+    r = len(basis) - 1
+    origin = uniq[basis[0]]
+    dirs = [tuple(x - y for x, y in zip(uniq[i], origin)) for i in basis[1:]]
+    ginv = _inv_fraction([[dot(di, dj) for dj in dirs] for di in dirs])
+    M = [tuple(sum(ginv[k][j] * dirs[j][i] for j in range(r)) for i in range(dim))
+         for k in range(r)]
+    verts, halfspaces = [origin], []
+    if r:
+        hull = convex_hull([tuple(dot(M[k], [x - y for x, y in zip(p, origin)])
+                                  for k in range(r)) for p in uniq])
+        verts = sorted(uniq[i] for i in hull.vertex_indices)
+        for az, B in hull.planes:
+            a_amb = tuple(sum(az[k] * M[k][i] for k in range(r)) for i in range(dim))
+            halfspaces.append(_scale_pair_fraction(a_amb, F(B, hull.den) + dot(a_amb, origin)))
+    for nrm in _nullspace_fraction([list(d) for d in dirs], dim):
+        a = _primitive_fraction(nrm)
+        halfspaces += [(a, dot(a, origin)), (tuple(-x for x in a), -dot(a, origin))]
+    V, L = integer_points(verts)
+    V = tuple(V)
+    rows = sorted((tuple(int(x) for x in a), b.numerator, b.denominator)
+                  for a, b in set(halfspaces))
+    return Polytope(dim, r, V, L, tuple(rows), _integer_interior(V, L), None)
+
+
+def _flat_from_halfspaces_fraction(rows, dim, x0):
+    """The set of the canonical Fraction rows (a, b) whose max-slack point x0
+    has slack 0: the rows with zero slack over it (one LP each) are its
+    equalities, and the rows restricted to x0 + their Fraction nullspace
+    give its vertices, hulled by :func:`_flat_from_points_fraction`."""
+    eq_rows = []
+    for a, b in rows:
+        res = lp_solve([-x for x in a], [list(r) for r, _ in rows], [c for _, c in rows])
+        if -res.value == b:
+            eq_rows.append(a)
+    basis = _nullspace_fraction([list(a) for a in eq_rows], dim)
+    if not basis:
+        return _flat_from_points_fraction([x0], dim)
+    red = []
+    for a, b in rows:
+        az = tuple(dot(a, nb) for nb in basis)
+        if any(az):
+            red.append((az, b - dot(a, x0)))
+    sub = Polytope.from_halfspaces(red, len(basis))
+    amb = {tuple(x0[i] + sum(z[k] * basis[k][i] for k in range(len(basis))) for i in range(dim))
+           for z in sub.vertices}
+    return _flat_from_points_fraction(sorted(amb), dim)
+
 
 def _from_halfspaces_two_hulls(halfspaces, dim, interior=None):
     """Fraction rows, the polar dual hull for the vertices, then ``from_points``
@@ -1330,9 +1397,7 @@ def _from_halfspaces_two_hulls(halfspaces, dim, interior=None):
             if b < 0:
                 return None
             continue
-        p = primitive(a)
-        j = next(i for i, x in enumerate(a) if x)
-        a, b = p, b * p[j] / a[j]
+        a, b = _scale_pair_fraction(a, b)
         canon[a] = min(canon.get(a, b), b)
     rows = sorted(canon.items())
     if interior is not None:
@@ -1344,17 +1409,17 @@ def _from_halfspaces_two_hulls(halfspaces, dim, interior=None):
         if t < 0:
             return None
         if t == 0:
-            return Polytope._degenerate_from_halfspaces(rows, dim, x0)
+            return _flat_from_halfspaces_fraction(rows, dim, x0)
     duals = [tuple(x / (b - dot(a, x0)) for x in a) for a, b in rows]
     try:
         dual_hull = convex_hull(duals)
     except DegenerateBody as exc:
         raise Unbounded("halfspace intersection is unbounded") from exc
     verts = []
-    for u, c in dual_hull.facets:
-        if c <= 0:
+    for u, C in dual_hull.planes:
+        if C <= 0:
             raise Unbounded("halfspace intersection is unbounded")
-        verts.append(tuple(x0[i] + u[i] / c for i in range(dim)))
+        verts.append(tuple(x0[i] + F(u[i] * dual_hull.den, C) for i in range(dim)))
     return Polytope.from_points(verts, dim)
 
 
@@ -1454,6 +1519,126 @@ def test_from_halfspaces_against_two_hulls():
         else:
             flat += 1
     assert full >= 50 and flat >= 10 and seen[None] >= 10 and seen[Unbounded] >= 10
+
+
+def _flat_point_sets():
+    """Seeded point sets of affine dimension r < n in n = 2..4: a rational
+    origin plus combinations of r tilted integer directions over a
+    denominator, with the coefficients on a half-integer grid, so that
+    several points share a facet, and some off it."""
+    rng = np.random.default_rng(2945)
+    sets = []
+    for n in (2, 3, 4):
+        for r in range(n):
+            for _ in range(8):
+                origin = tuple(F(int(x), int(d)) for x, d in zip(rng.integers(-6, 7, n),
+                                                                  rng.integers(1, 5, n)))
+                dirs = rng.integers(-3, 4, (r, n))
+                den = int(rng.choice([1, 3, 7]))
+                pts = []
+                for _ in range(int(rng.integers(r + 1, r + 9))):
+                    lam = [F(int(x), 2) for x in rng.integers(0, 4, r)]
+                    if rng.random() < 0.2:
+                        lam = [F(int(x), 5) for x in rng.integers(0, 16, r)]
+                    pts.append(tuple(o + sum((k * int(w[i]) for k, w in zip(lam, dirs)), F(0)) / den
+                                     for i, o in enumerate(origin)))
+                sets.append((pts, n))
+    return sets
+
+
+def _flat_halfspace_sets(flat_bodies):
+    """(family, integer rows, dim) with an empty interior, mostly: the rows
+    of flat bodies with loosened and scaled copies, the touching
+    intersections K cap (K + v - w) for the vertices v, w of K extreme along
+    u and -u, and the top slices of Steiner symmetrals.  Prisms over random
+    bases touch along a whole facet."""
+    sets = []
+    for P in flat_bodies:
+        rows = list(integer_rows(P))
+        extra = [(tuple(3 * x for x in a), 3 * num, den) for a, num, den in rows[::2]]
+        extra += [(a, num + den, den) for a, num, den in rows[1::3]]
+        extra += [(tuple(2 * x for x in a), 6 * num + 1, 3 * den) for a, num, den in rows[::4]]
+        sets.append(("flat body", rows + extra, P.dim))
+    rng = np.random.default_rng(1676)
+    bodies = [make_body(BodySpec("random_hull", n, {"count": n + 4, "radius": 2, "seed": s}))
+              for n, seeds in ((2, 3), (3, 3), (4, 1)) for s in range(seeds)]
+    bodies += [make_body(BodySpec(fam, n)) for fam in ("cube", "cross", "simplex") for n in (2, 3)]
+    bodies.append(make_body(BodySpec("simplex", 4)))
+    for n in (2, 3, 4):
+        base = [tuple(F(int(x), 2) for x in row) for row in rng.integers(-4, 5, (n + 2, n - 1))]
+        bodies.append(make_polytope([p + (F(0),) for p in base] + [p + (F(3, 2),) for p in base], n))
+    for P in bodies:
+        normals = [a for a, _b in P.halfspaces][:2] + [axis_direction(P.dim).raw]
+        normals += [tuple(F(int(x)) for x in rng.integers(-3, 4, P.dim)) for _ in range(2)]
+        for u in normals:
+            if not any(u):
+                continue
+            # the lex-least vertices of the top and the bottom face
+            v = min(P.vertices, key=lambda x: (-dot(u, x), x))
+            w = min(P.vertices, key=lambda x: (dot(u, x), x))
+            T = translate(P, tuple(x - y for x, y in zip(v, w)))
+            sets.append(("touching", list(integer_rows(P)) + list(integer_rows(T)), P.dim))
+        S = steiner_symmetrize(P)
+        h = max(x[-1] for x in S.vertices)
+        sets.append(("top slice", [(a[:-1], num * h.denominator - den * a[-1] * h.numerator,
+                                    den * h.denominator) for a, num, den in integer_rows(S)],
+                     P.dim - 1))
+    return sets
+
+
+def _flat_fields(P):
+    return P._V, P._L, P._rows, P.affine_dim, P._interior
+
+
+def test_flat_sets_against_fraction_oracles(monkeypatch):
+    # the integer flat paths of from_points and from_int_rows against the
+    # Fraction Gram-matrix and nullspace routes; a flat from_points builds
+    # one hull and solves no LP, a flat halfspace set with m canonical rows
+    # two hulls and m + 2 LPs (none and m + 1 for a point)
+    import zhangforge.lp as lp
+    import zhangforge.polytope as poly
+
+    hulls, lps = [], []
+    real_hull, real_lp = poly.convex_hull, lp.lp_solve
+
+    def counted_hull(points):
+        hull = real_hull(points)
+        hulls.append(hull)
+        return hull
+
+    def counted_lp(*args):
+        lps.append(args)
+        return real_lp(*args)
+
+    monkeypatch.setattr(poly, "convex_hull", counted_hull)
+    monkeypatch.setattr(poly, "lp_solve", counted_lp)
+    monkeypatch.setattr(lp, "lp_solve", counted_lp)
+
+    def cost(fn, *args):
+        del hulls[:], lps[:]
+        return fn(*args), len(hulls), len(lps)
+
+    seen = Counter()
+    flat_bodies = []
+    for pts, n in _flat_point_sets():
+        got, nhull, nlp = cost(make_polytope, pts, n)
+        want = _flat_from_points_fraction(sorted(set(pts)), n)
+        assert _flat_fields(got) == _flat_fields(want), pts
+        assert (nhull, nlp) == (int(want.affine_dim > 0), 0), pts
+        seen["points", n, want.affine_dim] += 1
+        flat_bodies.append(got)
+    for family, rows, n in _flat_halfspace_sets(flat_bodies):
+        got, nhull, nlp = cost(Polytope.from_int_rows, rows, n)
+        want = _from_halfspaces_two_hulls([(a, F(num, den)) for a, num, den in rows], n)
+        assert _flat_fields(got) == _flat_fields(want), rows
+        if not want.is_full_dimensional:
+            m = len({tuple(x // math.gcd(*a) for x in a) for a, _num, _den in rows if any(a)})
+            assert (nhull, nlp) == ((2, m + 2) if want.affine_dim else (0, m + 1)), rows
+        seen[family, n, want.affine_dim] += 1
+    assert all(seen["points", n, r] >= 5 for n in (2, 3, 4) for r in range(n)), seen
+    assert all(seen["flat body", n, r] >= 5 for n in (2, 3, 4) for r in range(n)), seen
+    assert sum(k for (fam, _n, r), k in seen.items() if fam == "touching" and r) >= 15, seen
+    assert sum(k for (fam, n, r), k in seen.items() if fam == "top slice" and r < n) >= 10, seen
 
 
 # -- the integer kernel against the rational adapter, the lazy rational views
@@ -1650,7 +1835,7 @@ def _parametric_volume_fraction(rows, shifts, lo, hi, interior=None):
     paths = []
     for v in pts:
         act = [(list(a), c) for a, b, c in rows if dot(a, v) == b + m * c]
-        d = solve_linear([a for a, _c in act], [c for _a, c in act])
+        d = _solve_fraction([a for a, _c in act], [c for _a, c in act])
         if d is None:
             return None, m, m
         paths.append((v, d))
@@ -1673,7 +1858,7 @@ def _parametric_volume_fraction(rows, shifts, lo, hi, interior=None):
         cen = tuple(sum(x[i] for x in xs) / len(xs) for i in range(dim))
         total = sum(abs(det([[x - c for x, c in zip(xs[i], cen)] for i in s])) for s in simplices)
         vals.append(total / math.factorial(dim))
-    return _lagrange_coeffs(nodes, vals), a, b
+    return list(_solve_fraction([[t**k for k in range(dim + 1)] for t in nodes], vals)), a, b
 
 
 def _parametric_cases():
@@ -2073,7 +2258,7 @@ def _polar_projection_body_by_nullspace(P):
 
     pts = []
     for sub in combinations([a for a, _b, _w in P.facet_weights()], P.dim - 1):
-        basis = nullspace([list(a) for a in sub], P.dim)
+        basis = _nullspace_fraction([list(a) for a in sub], P.dim)
         if len(basis) == 1:
             c = basis[0]
             h = projection_support(P, c)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -173,6 +174,18 @@ class TestMakeBody:
         for dim, params in _NAMED_RANDOM_HULLS:
             spec = BodySpec("random_hull", dim, params)
             assert _random_hull_points(spec) == _numpy_hull_points(spec), (dim, params)
+
+    @pytest.mark.parametrize("family,params,bad", [
+        ("cube", {"edge": [[1.5, 2], 1]}, "1.5"),  # not truncated to 1/2
+        ("cube", {"edge": [0, [True, 1]]}, "True"),  # not read as 1
+        ("cube", {"edge": [0, ["3", 4]]}, "'3'"),
+        ("cross", {"scale": [1, float("inf")]}, "inf"),
+        ("simplex", {"scale": float("inf")}, "inf"),
+        ("simplex", {"scale": float("nan")}, "nan"),
+    ])
+    def test_bad_rational_is_a_config_error_naming_it(self, family, params, bad):
+        with pytest.raises(ConfigError, match=re.escape(bad)):
+            make_body(BodySpec(family, 2, params, name="b"))
 
     def test_random_hull_of_radius_zero_is_degenerate(self):
         with pytest.raises(DegenerateSpec):
@@ -360,6 +373,10 @@ _BAD_CONFIGS = {
     "custom-no-points": {"bodies": [{"family": "custom", "dim": 2, "params": {"points": []},
                                      "name": "c"}], "sweeps": []},
     "body-dim-zero": {"bodies": [{"family": "cube", "dim": 0, "name": "c"}], "sweeps": []},
+    # a scale of Infinity, which Python's json reads
+    "simplex-scale-infinity": {"bodies": [{"family": "simplex", "dim": 2,
+                                           "params": {"scale": float("inf")}, "name": "c"}],
+                               "sweeps": []},
     # a misspelt param of the body's family, a misspelt body key
     "edg": {"bodies": [{"family": "cube", "dim": 2, "params": {"edg": [0, 2]}, "name": "c"}],
             "sweeps": []},
@@ -377,6 +394,7 @@ _BAD_CONFIGS = {
            ("pairs-flat", "berwald_discrete", {"pairs": [1, 2]}),
            ("theta-text", "zhang_directional", {"theta": "ab"}),
            ("theta-zero", "zhang_directional", {"theta": [0, 0]}),
+           ("theta-infinity", "zhang_directional", {"theta": [1, float("inf")]}),
            ("qs-number", "completely_discrete_berwald", {"qs": 3}),
        ]},
     # the same params on [1,2]^2, to which neither checker applies (no origin, M = 0)
@@ -760,6 +778,17 @@ class TestCli:
         assert res.returncode == 64, res.stderr
         assert res.stderr.startswith("configuration error") and key in res.stderr
         assert res.stdout == ""
+
+    @pytest.mark.parametrize("params,bad", [({"edge": [[1.5, 2], [True, 1]]}, "1.5"),
+                                            ({"edge": [0, float("inf")]}, "inf")])
+    def test_body_verb_names_a_bad_rational(self, params, bad, tmp_path):
+        # not the square [1/2, 1]^2 with exit 0, nor a traceback with exit 1
+        spec = tmp_path / "body.json"
+        spec.write_text(json.dumps({"family": "cube", "dim": 2, "params": params}))
+        res = self._run("body", "--spec", str(spec), "--op", "volume")
+        assert res.returncode == 64, res.stderr
+        assert res.stderr.startswith("configuration error") and bad in res.stderr
+        assert "Traceback" not in res.stderr and res.stdout == ""
 
     def test_sweep_verb(self, tmp_path):
         cfg = {"bodies": [], "sweeps": [{"target": "B_limit", "scales": [100],

@@ -349,7 +349,7 @@ def test_every_ray_breakpoint_separates_two_polynomials():
     # overlap keeps one type between two neighbours, and neighbouring panels
     # carry different polynomials
     from zhangforge.harness import BodySpec, make_body
-    from zhangforge.linalg import dot, integer_row
+    from zhangforge.linalg import integer_row
     from zhangforge.moments import ray_breakpoints
     from zhangforge.polytope import parametric_volume
 
@@ -360,7 +360,8 @@ def test_every_ray_breakpoint_separates_two_polynomials():
         breaks = ray_breakpoints(P, theta, R)
         assert breaks[-1] == R and len(breaks) >= 3
         rows = list(P.halfspaces) * 2
-        shifts = [0] * len(P.halfspaces) + [dot(a, theta.raw) for a, _b in P.halfspaces]
+        shifts = [0] * len(P.halfspaces) + [sum(x * y for x, y in zip(a, theta.raw))
+                                            for a, _b in P.halfspaces]
         ints = [integer_row(list(a) + [b, c])[0] for (a, b), c in zip(rows, shifts)]
         polys = []
         for lo, hi in zip([0] + breaks, breaks):
