@@ -15,10 +15,9 @@ import json
 import math
 import os
 import zlib
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ConfigError, DegenerateSpec, SingularMap
+from .errors import ConfigError, DegenerateSpec, FrozenRecord, Record, SingularMap
 from .inequalities import (
     SWEEP_TARGETS,
     BodyWorkspace,
@@ -97,14 +96,20 @@ def _check_params(spec: "BodySpec") -> None:
                               f" (known: {', '.join(sorted(known))})")
 
 
-@dataclass(frozen=True)
-class BodySpec:
-    family: str
-    dim: int
-    params: dict = field(default_factory=dict)
-    affine: tuple | None = None  # (matrix, vector) of rationals
-    anchor: bool = False
-    name: str = ""
+_set = object.__setattr__
+
+
+class BodySpec(FrozenRecord):
+    __slots__ = _fields = ("family", "dim", "params", "affine", "anchor", "name")
+
+    def __init__(self, family: str, dim: int, params: dict | None = None,
+                 affine: tuple | None = None, anchor: bool = False, name: str = ""):
+        _set(self, "family", family)
+        _set(self, "dim", dim)
+        _set(self, "params", {} if params is None else params)
+        _set(self, "affine", affine)  # (matrix, vector) of rationals
+        _set(self, "anchor", anchor)
+        _set(self, "name", name)
 
     @staticmethod
     def from_json(obj: dict) -> "BodySpec":
@@ -320,15 +325,21 @@ _CONFIG_FIELDS = {"bodies": list, "checkers": list, "checker_params": dict, "swe
 _KIND_NAMES = {list: "a list", dict: "an object", int: "an integer"}
 
 
-@dataclass
-class SuiteConfig:
-    bodies: list[BodySpec]
-    checkers: list[str] = field(default_factory=checker_ids)
-    checker_params: dict = field(default_factory=dict)
-    sweeps: list[dict] = field(default_factory=list)
-    seed: int = 20240
-    output_json: str = "report.json"
-    output_csv: str = "report.csv"
+class SuiteConfig(Record):
+    __slots__ = _fields = ("bodies", "checkers", "checker_params", "sweeps", "seed",
+                           "output_json", "output_csv")
+
+    def __init__(self, bodies: list[BodySpec], checkers: list[str] | None = None,
+                 checker_params: dict | None = None, sweeps: list[dict] | None = None,
+                 seed: int = 20240, output_json: str = "report.json",
+                 output_csv: str = "report.csv"):
+        self.bodies = bodies
+        self.checkers = checker_ids() if checkers is None else checkers
+        self.checker_params = {} if checker_params is None else checker_params
+        self.sweeps = [] if sweeps is None else sweeps
+        self.seed = seed
+        self.output_json = output_json
+        self.output_csv = output_csv
 
     @staticmethod
     def from_json(obj: dict) -> "SuiteConfig":
@@ -458,10 +469,10 @@ def check_sweeps(config: SuiteConfig) -> None:
     scales are not a list or params not an object, with an unknown target, an
     unknown body, a lattice scale that is not a positive integer, or a
     ``B_limit`` entry whose n or p is not a positive integer or whose scale is
-    not a positive real, and for two bodies of one name, which a sweep could
-    not tell apart."""
-    names = {b.name for b in config.bodies}
-    if len(names) != len(config.bodies):
+    not a positive real, a body of too low a dimension for its target, and for
+    two bodies of one name, which a sweep could not tell apart."""
+    specs = {b.name: b for b in config.bodies}
+    if len(specs) != len(config.bodies):
         raise ConfigError("body names must be unique")
     for sw in config.sweeps:
         if not (isinstance(sw, dict) and isinstance(sw.get("scales", []), (list, tuple))
@@ -474,16 +485,42 @@ def check_sweeps(config: SuiteConfig) -> None:
             check_B_limit(sw.get("scales", _SWEEP_SCALES), sw.get("params", {}))
             continue
         name = sw.get("body")
-        if name not in names:
+        if name not in specs:
             raise ConfigError(f"sweep references unknown body {name!r}")
         check_lattice_scales(sw.get("scales", _SWEEP_SCALES))
+        _check_body_dim(name, specs[name].dim, target)
+
+
+# the least dimension of the body, and whether it must be full-dimensional,
+# for each body operation and sweep target that cannot take every body
+_BODY_NEEDS = {"mu": (2, False), "steiner": (1, True), "mu_volume": (2, False),
+               "discrete_to_continuous_zhang": (2, True),
+               "purely_discrete_to_continuous": (2, True)}
+
+
+def _check_body_dim(name: str, dim: int, what: str) -> None:
+    """Raise ``ConfigError`` naming the body when the operation or sweep
+    target ``what`` needs a higher dimension (the kernel would raise
+    ``DimensionMismatch``); the spec's dim is the body's, so no body is built."""
+    least = _BODY_NEEDS.get(what, (1, False))[0]
+    if dim < least:
+        raise ConfigError(f"body {name!r}: {what} needs dim >= {least}, got {dim}")
+
+
+def _check_body_takes(spec: BodySpec, P: Polytope, what: str) -> None:
+    """``_check_body_dim``, and ``ConfigError`` for a flat body when ``what``
+    needs a full-dimensional one (the kernel would raise ``DegenerateBody``)."""
+    _check_body_dim(spec.name, P.dim, what)
+    if _BODY_NEEDS.get(what, (1, False))[1] and not P.is_full_dimensional:
+        raise ConfigError(f"body {spec.name!r}: {what} needs a full-dimensional body,"
+                          f" got affine dimension {P.affine_dim} in dim {P.dim}")
 
 
 def run_sweeps(config: SuiteConfig) -> list[dict]:
     """Every sweep of ``config``, in order, after one check of every entry.
 
     Each swept body is built once, and its one workspace serves every target
-    that sweeps it.
+    that sweeps it.  A body a target cannot take raises ``ConfigError``.
     """
     check_sweeps(config)
     specs = {b.name: b for b in config.bodies}
@@ -500,6 +537,7 @@ def run_sweeps(config: SuiteConfig) -> list[dict]:
         name = sw["body"]
         if name not in workspaces:
             workspaces[name] = BodyWorkspace(make_body(specs[name]))
+        _check_body_takes(specs[name], workspaces[name].body, target)
         rows = limit_sweep(workspaces[name], target, scales, params)
         out.append({"target": target, "body": name, "params": params, "rows": rows})
     return out
@@ -582,7 +620,10 @@ def exit_code(summary: dict) -> int:
 # ---------------------------------------------------------------------------
 
 def body_operation(spec: BodySpec, op: str) -> dict:
+    """The JSON result of ``op`` on the body; ``ConfigError`` for an unknown
+    op or a body the op cannot take."""
     P = make_body(spec)
+    _check_body_takes(spec, P, op)
     if op == "volume":
         mv = volume(P)
         return {"op": op, "value": _mv_json(mv), "polytope": polytope_to_json(P)}

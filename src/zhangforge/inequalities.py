@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -34,6 +33,7 @@ from .errors import (
     ConfigError,
     EmptyProjectionLattice,
     ExponentOutOfRange,
+    FrozenRecord,
     HypothesesViolated,
     NoCrossing,
     NoRoot,
@@ -135,16 +135,22 @@ def _B_exact(m: Fraction, p: int, n: int) -> Fraction:
     return _h_exact(m, p, n) / m**p
 
 
-@dataclass(frozen=True)
-class SectionProfiles:
+_set = object.__setattr__
+
+
+class SectionProfiles(FrozenRecord):
     """Lattice counts of symmetral slices (plain f and open-fattened f~) and
     columns of an n-dimensional body."""
 
-    n: int
-    f: dict[int, int]
-    f_tilde: dict[int, int]
-    M: int
-    column_counts: dict[tuple[int, ...], int]
+    __slots__ = _fields = ("n", "f", "f_tilde", "M", "column_counts")
+
+    def __init__(self, n: int, f: dict[int, int], f_tilde: dict[int, int], M: int,
+                 column_counts: dict[tuple[int, ...], int]):
+        _set(self, "n", n)
+        _set(self, "f", f)
+        _set(self, "f_tilde", f_tilde)
+        _set(self, "M", M)
+        _set(self, "column_counts", column_counts)
 
     @property
     def G_proj(self) -> int:
@@ -964,7 +970,9 @@ def _unless(ok: bool, reason: str):
 
 
 def _needs_full_dim(ws: BodyWorkspace):
-    return _unless(ws.body.is_full_dimensional, "the body is not full-dimensional")
+    """Every checker compares sections or columns over P K, in R^(n-1)."""
+    return (_unless(ws.n >= 2, "the statements need dimension n >= 2")
+            or _unless(ws.body.is_full_dimensional, "the body is not full-dimensional"))
 
 
 def _needs_origin(ws: BodyWorkspace):
@@ -993,11 +1001,13 @@ def _one_point_applicable(ws: BodyWorkspace):
         "the lattice set of the body is not exactly {0}")
 
 
-@dataclass(frozen=True)
-class CheckerEntry:
-    run: object
-    applicable: object
-    statement: str
+class CheckerEntry(FrozenRecord):
+    __slots__ = _fields = ("run", "applicable", "statement")
+
+    def __init__(self, run, applicable, statement: str):
+        _set(self, "run", run)
+        _set(self, "applicable", applicable)
+        _set(self, "statement", statement)
 
 
 _REGISTRY: dict[str, CheckerEntry] = {}

@@ -30,13 +30,12 @@ per point, read off the integer rows by :func:`ray_decomposition`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
 from operator import mul
 
-from .errors import DimensionMismatch, ExponentOutOfRange, OriginMissing
+from .errors import DimensionMismatch, ExponentOutOfRange, FrozenRecord, OriginMissing
 from .linalg import integer_row
 from .lp import lp_solve  # noqa: F401  (unused here; perfbench/tracer.py's REQUIRED_BINDINGS needs it)
 from .polytope import (
@@ -196,8 +195,10 @@ def discrete_covariogram(P: Polytope, x) -> int:
     return count_lattice(Q)
 
 
-@dataclass(frozen=True)
-class RayDecomposition:
+_set = object.__setattr__
+
+
+class RayDecomposition(FrozenRecord):
     """The reach rho_y of each lattice point y of K (or of its open
     fattening): y - r theta.raw is in K for r in [0, rho_y], and in the open
     fattening for r in [0, rho_y) when ``open_cube`` is set.
@@ -208,8 +209,11 @@ class RayDecomposition:
     rho^p of degree p, so a raw direction needs no normalization.
     """
 
-    entries: tuple[tuple[tuple[int, ...], Fraction], ...]
-    open_cube: bool
+    __slots__ = _fields = ("entries", "open_cube")
+
+    def __init__(self, entries: tuple[tuple[tuple[int, ...], Fraction], ...], open_cube: bool):
+        _set(self, "entries", entries)
+        _set(self, "open_cube", open_cube)
 
     def max_reach(self) -> Fraction:
         """Largest reach; the radial of (K cap Z^n) - K for closed decompositions."""

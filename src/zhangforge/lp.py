@@ -15,20 +15,21 @@ with exact arithmetic there is no tolerance tuning.  Problems here are tiny
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import Infeasible, Unbounded
+from .errors import Infeasible, Record, Unbounded
 from .linalg import integer_pivot, integer_row
 
 _ZERO = Fraction(0)
 
 
-@dataclass
-class LPResult:
-    x: tuple[Fraction, ...]
-    value: Fraction
+class LPResult(Record):
+    __slots__ = _fields = ("x", "value")
+
+    def __init__(self, x: tuple[Fraction, ...], value: Fraction):
+        self.x = x
+        self.value = value
 
 
 class _Tableau:

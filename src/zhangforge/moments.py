@@ -45,7 +45,6 @@ piecewise linear ell_theta^{p+1} in closed form, exactly for every p.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -56,6 +55,7 @@ from .errors import (
     DimensionMismatch,
     ExponentOutOfRange,
     OriginMissing,
+    Record,
     RouteUnsupported,
     ZeroBase,
 )
@@ -331,14 +331,17 @@ def discrete_moment(P: Polytope, theta: Direction, p, open_cube: bool = False) -
 # layer-cake section-power integrals (any q > -1, q != 0)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SectionDistribution:
+class SectionDistribution(Record):
     """Piecewise polynomials of u -> vol{y : ell(y) >= u} on [0, max ell] of
     the symmetral S they were read off."""
 
-    pieces: list[tuple[Fraction, Fraction, list[Fraction]]]
-    symmetral: Polytope
-    reach: Fraction
+    _fields = ("pieces", "symmetral", "reach")  # no __slots__: ``projvol`` is cached in __dict__
+
+    def __init__(self, pieces: list[tuple[Fraction, Fraction, list[Fraction]]],
+                 symmetral: Polytope, reach: Fraction):
+        self.pieces = pieces
+        self.symmetral = symmetral
+        self.reach = reach
 
     @cached_property
     def projvol(self) -> Fraction:

@@ -51,13 +51,12 @@ each read the carried entries that P has gained since it was built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, repeat
 from math import gcd, lcm
 from operator import mul
 
-from .errors import DegenerateBody, DimensionMismatch, Unbounded
+from .errors import DegenerateBody, DimensionMismatch, FrozenRecord, Unbounded
 from .hull import _normal, convex_hull
 from .linalg import (
     Vec,
@@ -83,33 +82,35 @@ _ZERO = Fraction(0)
 # value types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Interval:
+_set = object.__setattr__
+
+
+class Interval(FrozenRecord):
     """Closed rational segment [lo, hi] of a section parameter."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = _fields = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
+    def __init__(self, lo: Fraction, hi: Fraction):
+        if lo > hi:
             raise ValueError("interval with lo > hi")
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
 
     @property
     def length(self) -> Fraction:
         return self.hi - self.lo
 
 
-@dataclass(frozen=True)
-class Direction:
+class Direction(FrozenRecord):
     """A nonzero rational direction."""
 
-    raw: Vec
+    __slots__ = _fields = ("raw",)
 
-    def __post_init__(self):
-        raw = vec(self.raw)
+    def __init__(self, raw: Vec):
+        raw = vec(raw)
         if all(x == 0 for x in raw):
             raise ValueError("zero direction")
-        object.__setattr__(self, "raw", raw)
+        _set(self, "raw", raw)
 
     @property
     def dim(self) -> int:

@@ -17,28 +17,33 @@ the rule: ``inconclusive`` (a checker that cannot run, with the reason) and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import NoCrossing, NoRoot
+from .errors import FrozenRecord, NoCrossing, NoRoot, Record
 
 # no root of the profile scale, no crossing point: each falsifies a lemma
 HARD_FAILURES = (NoRoot, NoCrossing)
 
 
-@dataclass(frozen=True)
-class MeasureValue:
+_set = object.__setattr__
+
+
+class MeasureValue(FrozenRecord):
     """A scalar measurement with exactness provenance and an error bound.
 
     ``lo``/``hi`` bound the true value rationally (both ``exact`` when it is
     known; ``hi`` may be ``math.inf``); ``approx`` values have no bounds.
     """
 
-    value: float
-    exact: Fraction | None = None
-    abs_error: float = 0.0
-    lo: Fraction | None = None
-    hi: Fraction | float | None = None
+    __slots__ = _fields = ("value", "exact", "abs_error", "lo", "hi")
+
+    def __init__(self, value: float, exact: Fraction | None = None, abs_error: float = 0.0,
+                 lo: Fraction | None = None, hi: Fraction | float | None = None):
+        _set(self, "value", value)
+        _set(self, "exact", exact)
+        _set(self, "abs_error", abs_error)
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
 
     @staticmethod
     def from_exact(q) -> "MeasureValue":
@@ -61,14 +66,17 @@ class MeasureValue:
         return MeasureValue(value=float(value), exact=None, abs_error=float(abs_error))
 
 
-@dataclass
-class InequalityReport:
-    id: str
-    lhs: MeasureValue
-    rhs: MeasureValue
-    slack: float
-    verdict: str
-    context: dict = field(default_factory=dict)
+class InequalityReport(Record):
+    __slots__ = _fields = ("id", "lhs", "rhs", "slack", "verdict", "context")
+
+    def __init__(self, id: str, lhs: MeasureValue, rhs: MeasureValue, slack: float,
+                 verdict: str, context: dict | None = None):
+        self.id = id
+        self.lhs = lhs
+        self.rhs = rhs
+        self.slack = slack
+        self.verdict = verdict
+        self.context = {} if context is None else context
 
     @property
     def holds(self) -> bool:

@@ -317,6 +317,15 @@ _BAD_SWEEPS = {
 # affine map, a random hull that cannot reach full dimension, a misspelt
 # checker_params key, and checker params of the wrong type or shape
 _SYM_SQUARE = {"family": "cube", "dim": 2, "params": {"edge": [-1, 1]}, "name": "c"}
+_UNIT_INTERVAL = {"family": "cube", "dim": 1, "name": "unit_interval"}
+_FLAT_SEGMENT = {"family": "custom", "dim": 2, "params": {"points": [[0, 0], [1, 1]]},
+                 "name": "diagonal"}
+_UNTAKEN_SWEEPS = {
+    "sweep-mu_volume-of-a-1d-body": {"bodies": [_UNIT_INTERVAL], "sweeps": [
+        {"target": "mu_volume", "body": "unit_interval", "scales": [4]}]},
+    "sweep-discrete_to_continuous_zhang-of-a-flat-body": {"bodies": [_FLAT_SEGMENT], "sweeps": [
+        {"target": "discrete_to_continuous_zhang", "body": "diagonal", "scales": [4]}]},
+}
 _OFF_ORIGIN_SQUARE = {"family": "cube", "dim": 2, "params": {"edge": [1, 2]}, "name": "c"}
 _BAD_CONFIGS = {
     "body-dim-fractional": {"bodies": [{"family": "cube", "dim": 2.7, "name": "c"}],
@@ -382,6 +391,9 @@ _BAD_CONFIGS = {
             "sweeps": []},
     "anchr": {"bodies": [{"family": "cube", "dim": 2, "anchr": True, "name": "c"}],
               "sweeps": []},
+    # a body a sweep target cannot take: a 1-d body has no columns, a flat one
+    # no Steiner symmetral
+    **_UNTAKEN_SWEEPS,
     # two bodies of one name: a sweep of "a" could not tell them apart
     "duplicate-body-names": {"bodies": [{"family": "cube", "dim": 2, "name": "a"},
                                         {"family": "simplex", "dim": 2, "name": "a"}],
@@ -474,6 +486,18 @@ class TestSweepConfig:
         assert ran == []
         with pytest.raises(ConfigError):
             run_sweeps(cfg)
+
+    def test_a_body_of_too_low_a_dimension_fails_before_any_body_task(self, monkeypatch):
+        # the target's dimension is read off the spec, so no checker runs first
+        import zhangforge.harness as harness
+
+        ran = []
+        monkeypatch.setattr(harness, "_run_body_task", lambda task: ran.append(task) or [])
+        monkeypatch.setattr(harness, "make_body", lambda spec: ran.append(spec))
+        cfg = SuiteConfig.from_json(_UNTAKEN_SWEEPS["sweep-mu_volume-of-a-1d-body"])
+        with pytest.raises(ConfigError, match="'unit_interval': mu_volume needs dim >= 2"):
+            run_suite(cfg)
+        assert ran == []
 
     def test_each_swept_body_is_built_once(self, monkeypatch):
         import zhangforge.harness as harness
@@ -670,6 +694,24 @@ class TestCli:
         assert res.stderr.startswith("configuration error")
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [["verify"], ["verify", "--jobs", "2"], ["sweep"]])
+    @pytest.mark.parametrize("kind,reason", [
+        ("sweep-mu_volume-of-a-1d-body", "'unit_interval': mu_volume needs dim >= 2"),
+        ("sweep-discrete_to_continuous_zhang-of-a-flat-body",
+         "'diagonal': discrete_to_continuous_zhang needs a full-dimensional body"),
+    ])
+    def test_a_body_a_sweep_cannot_take_is_64_naming_it(self, kind, reason, args, tmp_path):
+        # exit 1 means a verdict failed; a body the target cannot take is a
+        # configuration error, named before any report is written
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_BAD_CONFIGS[kind]))
+        out = tmp_path / "out"
+        res = self._run(*args, "--config", str(path), *(["--out", str(out)] if args[0] == "verify"
+                                                        else []))
+        assert res.returncode == 64, res.stderr
+        assert res.stderr.startswith("configuration error") and reason in res.stderr
+        assert "Traceback" not in res.stderr and res.stdout == "" and not out.exists()
+
     @pytest.mark.parametrize("pair,bad", [([1, 2.5], "2.5"), ([0, 1], "0")])
     def test_bad_exponent_is_an_inconclusive_row(self, pair, bad, tmp_path):
         # a fractional or zero exponent is reported, not a crash of the run
@@ -790,6 +832,25 @@ class TestCli:
         assert res.stderr.startswith("configuration error") and bad in res.stderr
         assert "Traceback" not in res.stderr and res.stdout == ""
 
+    @pytest.mark.parametrize("body,op,reason", [
+        ({"family": "custom", "dim": 3, "params": {"points": [[0, 0, 0], [1, 0, 0], [0, 1, 0]]},
+          "name": "triangle"}, "steiner", "'triangle': steiner needs a full-dimensional body"),
+        (_FLAT_SEGMENT, "steiner", "'diagonal': steiner needs a full-dimensional body"),
+        (_UNIT_INTERVAL, "mu", "'unit_interval': mu needs dim >= 2"),
+    ])
+    def test_body_verb_names_a_body_the_op_cannot_take(self, body, op, reason, tmp_path):
+        # a configuration error, not a failed verdict; the ops that take every
+        # body still take these
+        spec = tmp_path / "body.json"
+        spec.write_text(json.dumps(body))
+        res = self._run("body", "--spec", str(spec), "--op", op)
+        assert res.returncode == 64, res.stderr
+        assert res.stderr.startswith("configuration error") and reason in res.stderr
+        assert "Traceback" not in res.stderr and res.stdout == ""
+        for op in ("volume", "lattice"):
+            res = self._run("body", "--spec", str(spec), "--op", op)
+            assert res.returncode == 0, res.stderr
+
     def test_sweep_verb(self, tmp_path):
         cfg = {"bodies": [], "sweeps": [{"target": "B_limit", "scales": [100],
                                          "params": {"n": 2, "p": 1}}]}
@@ -822,6 +883,29 @@ run_sweeps(SuiteConfig(bodies=bodies, sweeps=[
     {"target": t, "body": b.name, "scales": [4, 16]} for b in bodies for t in targets]))
 print(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "concurrent")))
 """
+
+
+_START_UP = """
+import contextlib, io, sys
+loaded = lambda: sorted(m for m in sys.modules if m in ("dataclasses", "inspect", "numpy"))
+import zhangforge.cli
+print(loaded())
+with contextlib.redirect_stdout(io.StringIO()):
+    assert zhangforge.cli.main(["list-checkers"]) == 0
+print(loaded())
+"""
+
+
+def test_start_up_loads_neither_dataclasses_nor_inspect_nor_numpy():
+    # each would cost every CLI process its import time before any geometry runs
+    import zhangforge
+
+    src = str(Path(zhangforge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    res = subprocess.run([sys.executable, "-c", _START_UP], capture_output=True, text=True,
+                         env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split("\n")[:2] == ["[]", "[]"]
 
 
 def test_exact_paths_load_neither_numpy_nor_the_process_pool():
