@@ -34,6 +34,7 @@ from .lattice import count_lattice, lattice_points, mu_measure
 from .linalg import affine_basis, det
 from .polytope import (
     Polytope,
+    axis_direction,
     max_section_anchor,
     polytope_to_json,
     transform,
@@ -147,10 +148,6 @@ class BodySpec(FrozenRecord):
         return out
 
 
-def _unit_vec(n: int, i: int, s=1) -> tuple:
-    return tuple(Fraction(s if j == i else 0) for j in range(n))
-
-
 def make_body(spec: BodySpec) -> Polytope:
     """Deterministic polytope from a body specification; params that do not
     parse (a missing key or vector, text where a number belongs, no point, a
@@ -163,7 +160,7 @@ def make_body(spec: BodySpec) -> Polytope:
         if fam == "simplex":
             scale = parse_rational(spec.params.get("scale", 1))
             pts = [tuple(Fraction(0) for _ in range(n))]
-            pts += [tuple(scale * c for c in _unit_vec(n, i)) for i in range(n)]
+            pts += [tuple(scale * c for c in axis_direction(n, i).raw) for i in range(n)]
         elif fam == "cube":
             edge = spec.params.get("edge", [0, 1])
             if not isinstance(edge, (list, tuple)) or len(edge) != 2:
@@ -172,7 +169,8 @@ def make_body(spec: BodySpec) -> Polytope:
             pts = [tuple(hi if (mask >> i) & 1 else lo for i in range(n)) for mask in range(2**n)]
         elif fam == "cross":
             scale = parse_rational(spec.params.get("scale", 1))
-            pts = [tuple(scale * c for c in _unit_vec(n, i, s)) for i in range(n) for s in (1, -1)]
+            pts = [tuple(s * scale * c for c in axis_direction(n, i).raw)
+                   for i in range(n) for s in (1, -1)]
         elif fam == "random_hull":
             pts = _random_hull_points(spec)
         elif fam == "custom":
@@ -196,6 +194,7 @@ def make_body(spec: BodySpec) -> Polytope:
             raise SingularMap("corpus bodies need an invertible affine map")
         P = transform(P, A, b)
     if spec.anchor:
+        _check_body_takes(spec, P, "anchor")
         y = max_section_anchor(P)
         P = P.translated(tuple(-c for c in y) + (Fraction(0),))
     return P
@@ -228,9 +227,9 @@ def _random_hull_points(spec: BodySpec):
     rng = _PCG64(seed)
     for _round in range(100):
         raw = rng.integers(-top, top + 1, count * n)
-        pts = [tuple(Fraction(v, den) for v in raw[i:i + n]) for i in range(0, count * n, n)]
-        if len(affine_basis(sorted(set(pts)))) == n + 1:
-            return pts
+        ints = [tuple(raw[i:i + n]) for i in range(0, count * n, n)]
+        if len(affine_basis(ints)) == n + 1:
+            return [tuple(Fraction(v, den) for v in p) for p in ints]
     raise DegenerateSpec("no full-dimensional hull after 100 rejection rounds")
 
 
@@ -492,9 +491,9 @@ def check_sweeps(config: SuiteConfig) -> None:
 
 
 # the least dimension of the body, and whether it must be full-dimensional,
-# for each body operation and sweep target that cannot take every body
-_BODY_NEEDS = {"mu": (2, False), "steiner": (1, True), "mu_volume": (2, False),
-               "discrete_to_continuous_zhang": (2, True),
+# for each body operation, sweep target and anchor that cannot take every body
+_BODY_NEEDS = {"mu": (2, False), "steiner": (1, True), "anchor": (1, True),
+               "mu_volume": (2, False), "discrete_to_continuous_zhang": (2, True),
                "purely_discrete_to_continuous": (2, True)}
 
 

@@ -1,8 +1,9 @@
 """Exact convex hulls of rational point sets in dimensions 1..4.
 
 The general path is an incremental beneath-beyond construction with strict
-(exact) visibility tests.  It yields a simplicial triangulation of the hull
-boundary, the set of supporting facet hyperplanes, and the extreme points.
+(exact) visibility tests, from the simplex ``linalg.affine_basis`` picks.  It
+yields a simplicial triangulation of the hull boundary, the set of
+supporting facet hyperplanes, and the extreme points.
 Coplanar points never corrupt the result: a point lying on a supporting
 hyperplane is invisible to its facets, and simplicial facets sharing a
 hyperplane are merged when facets are reported.
@@ -17,7 +18,7 @@ and orientation test is an integer dot product (against (d+1) L times the
 interior point).  The result is integer only: the planes (a, L b) and the
 points as numerators over L, with no rational view of either.  A point is
 extreme when the normals of its incident facets have rank d: in d = 3, when
-some triple product of them is nonzero.
+some triple product of them is nonzero, in d = 4 by ``independent_rows``.
 
 Dimension 3, where every n = 3 body, its symmetral, overlaps, ray-engine
 panels and polar projection body is hulled, runs its own unrolled inner
@@ -35,7 +36,7 @@ from math import gcd
 from operator import mul
 
 from .errors import DegenerateBody
-from .linalg import Vec, det_int, independent_rows, integer_points, primitive_int, rank
+from .linalg import Vec, affine_basis, det_int, independent_rows, integer_points, primitive_int
 
 Plane = tuple[tuple[int, ...], int]
 
@@ -61,14 +62,6 @@ class HullResult:
         self.den = den
         self.simplices = simplices
         self.vertex_indices = vertex_indices
-
-
-def _numerators(points) -> tuple[list[tuple[int, ...]], int]:
-    """The points as integer numerators over their least common denominator;
-    points of ``int``s are taken as they are, over 1."""
-    if all(type(x) is int for p in points for x in p):
-        return list(map(tuple, points)), 1
-    return integer_points(points)
 
 
 def _unique_sorted(ipts: list[tuple[int, ...]]) -> list[int]:
@@ -97,9 +90,9 @@ def _spans(normals, d: int) -> bool:
     cross product of the first normal and the first one not parallel to it,
     every normal before that one is parallel to the first, so the normals
     span exactly when some later one leaves c's orthogonal plane.  Other d
-    keep ``rank``."""
+    count ``independent_rows``."""
     if d != 3:
-        return rank(list(normals)) == d
+        return len(independent_rows(normals)) == d
     (a0, a1, a2), *rest = normals
     c = None
     for b0, b1, b2 in rest:
@@ -114,7 +107,7 @@ def _spans(normals, d: int) -> bool:
 
 
 def _hull_1d(points: list[Vec]) -> HullResult:
-    ipts, den = _numerators(points)
+    ipts, den = integer_points(points)
     vals = [(p[0], i) for i, p in enumerate(ipts)]
     lo = min(vals)
     hi = max(vals)
@@ -129,7 +122,7 @@ def _cross2(o: tuple[int, ...], a: tuple[int, ...], b: tuple[int, ...]) -> int:
 
 
 def _hull_2d(points: list[Vec]) -> HullResult:
-    ipts, den = _numerators(points)
+    ipts, den = integer_points(points)
     uniq = _unique_sorted(ipts)
 
     def chain(idx: list[int]) -> list[int]:
@@ -157,14 +150,10 @@ def _hull_2d(points: list[Vec]) -> HullResult:
 
 
 def _hull_nd(points: list[Vec], d: int) -> HullResult:
-    ipts, den = _numerators(points)
+    ipts, den = integer_points(points)
     uniq = _unique_sorted(ipts)
 
-    # initial affinely independent d+1 points: the first one and the
-    # independent differences from it
-    o = ipts[uniq[0]]
-    init = [uniq[0]] + [uniq[k + 1] for k in independent_rows(
-        [x - y for x, y in zip(ipts[i], o)] for i in uniq[1:])]
+    init = [uniq[k] for k in affine_basis([ipts[i] for i in uniq])]
     if len(init) != d + 1:
         raise DegenerateBody("point set is not full-dimensional")
 

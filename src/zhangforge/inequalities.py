@@ -943,12 +943,8 @@ def _chk_one_point_collapse(ws: BodyWorkspace, params: dict) -> InequalityReport
         if any(c != 0 for c in v):
             test_dirs.append(tuple(-c for c in v))
     for i in range(n):
-        e = [Fraction(0)] * n
-        e[i] = Fraction(1)
-        test_dirs.append(tuple(e))
-        e2 = list(e)
-        e2[i] = Fraction(-1)
-        test_dirs.append(tuple(e2))
+        e = axis_direction(n, i).raw
+        test_dirs += [e, tuple(-c for c in e)]
     worst = _ZERO
     details = []
     for raw in test_dirs:

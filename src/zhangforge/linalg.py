@@ -1,13 +1,13 @@
 """Small dense linear algebra over exact rationals, eliminated over integers.
 
-``rref``, ``rank``, ``det`` and ``mat_inv`` take ``fractions.Fraction`` rows
-(ints are accepted too): each row is scaled by the least common multiple of
-its denominators, which leaves its solution set and the reduced row echelon
+``rref``, ``det`` and ``mat_inv`` take ``fractions.Fraction`` rows (ints
+are accepted too): each row is scaled by the least common multiple of its
+denominators, which leaves its solution set and the reduced row echelon
 form unchanged, :func:`_bareiss` eliminates fraction-free (Bareiss, Math.
 Comp. 1968), and a ``Fraction`` is built only for each returned entry.  The
-other helpers take and return integers.  The systems are tiny (dimension
-<= 5 or so), so no pivoting heuristic beyond exact nonzero selection is
-needed.
+other helpers take and return integers; every rank is counted by
+:func:`independent_rows`.  The systems are tiny (dimension <= 5 or so), so
+no pivoting heuristic beyond exact nonzero selection is needed.
 """
 
 from __future__ import annotations
@@ -37,7 +37,10 @@ def common_denominator(xs) -> int:
 
 
 def integer_points(points) -> tuple[list[tuple[int, ...]], int]:
-    """The points as integer numerators over one positive common denominator L."""
+    """The points as integer numerators over one positive common denominator L;
+    points of ``int``s are taken as they are, over 1."""
+    if all(type(x) is int for p in points for x in p):
+        return list(map(tuple, points)), 1
     den = common_denominator(x for p in points for x in p)
     return [tuple(x.numerator * (den // x.denominator) for x in p) for p in points], den
 
@@ -99,21 +102,11 @@ def _bareiss(m: list[list[int]]) -> tuple[list[int], int, int]:
     return pivots, prev, sign
 
 
-def _integer_matrix(rows) -> list[list[int]]:
-    return [integer_row(r)[0] for r in rows]
-
-
 def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (rref rows, pivot column indices)."""
-    m = _integer_matrix(rows)
+    m = [integer_row(r)[0] for r in rows]
     pivots, D, _ = _bareiss(m)
     return [[Fraction(x, D) for x in row] for row in m], pivots
-
-
-def rank(rows) -> int:
-    if not rows:
-        return 0
-    return len(_bareiss(_integer_matrix(rows))[0])
 
 
 def _null_vectors(m: list[list[int]], n: int) -> tuple[list[int], list[tuple[int, ...]]]:
@@ -210,13 +203,12 @@ def independent_rows(vectors) -> list[int]:
     return idx
 
 
-def affine_basis(points: list[Vec]) -> list[int]:
-    """Indices of a maximal affinely independent subset (greedy, deterministic):
-    0 and the :func:`independent_rows` of the integer differences
-    points[i] - points[0]."""
+def affine_basis(points) -> list[int]:
+    """Indices of a maximal affinely independent subset of integer points
+    (greedy, deterministic): 0 and the :func:`independent_rows` of the
+    differences points[i] - points[0]."""
     if not points:
         return []
-    ints, _den = integer_points(points)
-    origin = ints[0]
-    diffs = ([x - y for x, y in zip(p, origin)] for p in ints[1:])
-    return [0] + [i + 1 for i in independent_rows(diffs)]
+    origin = points[0]
+    return [0] + [i + 1 for i in independent_rows(
+        [x - y for x, y in zip(p, origin)] for p in points[1:])]

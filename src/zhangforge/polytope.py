@@ -62,10 +62,10 @@ from .linalg import (
     Vec,
     _bareiss,
     _null_vectors,
+    affine_basis,
     common_denominator,
     det_int,
     frac,
-    independent_rows,
     integer_points,
     integer_row,
     mat_inv,
@@ -476,7 +476,9 @@ class Polytope(Memo):
         (lam X M/L + S M/Ls)/M, M = lcm(L/g, Ls) after g = gcd(lam, L), in
         lowest terms (already so when Ls = 1); the map keeps their order,
         and each row keeps its normal, <a, x> <= num/den becoming
-        <a, y> <= (lam num Ls + den <a, S>)/(den Ls)."""
+        <a, y> <= (lam num Ls + den <a, S>)/(den Ls).  It stays beside
+        :func:`transform`'s general map, which costs several times as much
+        per image on the scalar maps a sweep makes."""
         S, Ls = integer_row(t)
 
         def move(X, L):
@@ -527,12 +529,10 @@ def _integer_interior(V, L: int):
     at most a plane (the two ends of a segment), else of the first affinely
     independent ones.  It is a point of the relative interior, and ``lam P
     + t`` maps it to the image's."""
-    v0 = V[0]
-    if len(v0) > 2:  # affine_basis over integers: V[0] and the independent differences
-        basis = [v0] + [V[i + 1] for i in independent_rows([x - y for x, y in zip(v, v0)]
-                                                           for v in V[1:])]
+    if len(V[0]) > 2:
+        basis = affine_basis(V)
         if len(basis) > 3:
-            V = basis
+            V = [V[i] for i in basis]
     (Z,), D = _least((tuple(map(sum, zip(*V))),), L * len(V))
     return Z, D
 
@@ -1071,12 +1071,11 @@ def projection_volume(P: Polytope, theta: Direction) -> MeasureValue:
 
 
 def difference_body(P: Polytope) -> Polytope:
-    """Minkowski sum of P and its reflection through the origin."""
-    neg = [tuple(-x for x in v) for v in P.vertices]
-    sums = [
-        tuple(v[i] + w[i] for i in range(P.dim)) for v in P.vertices for w in neg
-    ]
-    return Polytope.from_points(sums, P.dim)
+    """Minkowski sum of P and its reflection -P through the origin, which
+    ``transform`` builds (with no hull when P is full-dimensional)."""
+    n = P.dim
+    minus = [[-1 if i == j else 0 for j in range(n)] for i in range(n)]
+    return minkowski_sum(P, transform(P, minus, (0,) * n))
 
 
 def polar_projection_body(P: Polytope) -> Polytope:

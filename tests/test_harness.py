@@ -22,7 +22,7 @@ from zhangforge.harness import (
     run_suite,
     run_sweeps,
 )
-from zhangforge.linalg import affine_basis
+from zhangforge.linalg import affine_basis, integer_points
 
 F = Fraction
 ROOT = Path(__file__).resolve().parents[1]
@@ -92,7 +92,7 @@ def _numpy_hull_points(spec: BodySpec) -> list:
     for _round in range(100):
         raw = rng.integers(-top, top + 1, size=(params.get("count", 8), n))
         pts = [tuple(F(int(v), den) for v in row) for row in raw]
-        if len(affine_basis(sorted(set(pts)))) == n + 1:
+        if len(affine_basis(integer_points(pts)[0])) == n + 1:
             return pts
 
 
@@ -394,6 +394,11 @@ _BAD_CONFIGS = {
     # a body a sweep target cannot take: a 1-d body has no columns, a flat one
     # no Steiner symmetral
     **_UNTAKEN_SWEEPS,
+    # an anchored flat body: the anchor is read off the Steiner symmetral
+    "anchor-of-a-flat-body": {"bodies": [{"family": "custom", "dim": 2,
+                                          "params": {"points": [[0, 0], [2, 1]]},
+                                          "anchor": True, "name": "flat"}],
+                              "sweeps": [{"target": "gn_volume", "body": "flat", "scales": [2]}]},
     # two bodies of one name: a sweep of "a" could not tell them apart
     "duplicate-body-names": {"bodies": [{"family": "cube", "dim": 2, "name": "a"},
                                         {"family": "simplex", "dim": 2, "name": "a"}],
@@ -699,6 +704,7 @@ class TestCli:
         ("sweep-mu_volume-of-a-1d-body", "'unit_interval': mu_volume needs dim >= 2"),
         ("sweep-discrete_to_continuous_zhang-of-a-flat-body",
          "'diagonal': discrete_to_continuous_zhang needs a full-dimensional body"),
+        ("anchor-of-a-flat-body", "'flat': anchor needs a full-dimensional body"),
     ])
     def test_a_body_a_sweep_cannot_take_is_64_naming_it(self, kind, reason, args, tmp_path):
         # exit 1 means a verdict failed; a body the target cannot take is a
@@ -850,6 +856,22 @@ class TestCli:
         for op in ("volume", "lattice"):
             res = self._run("body", "--spec", str(spec), "--op", op)
             assert res.returncode == 0, res.stderr
+
+    @pytest.mark.parametrize("points", [[[0, 0], [2, 1]], [[1, 1]]])
+    def test_body_verb_names_an_anchored_flat_body(self, points, tmp_path):
+        # max_section_anchor raised DegenerateBody: exit 1 with a traceback;
+        # a 1-d body is full-dimensional and still anchors
+        spec = tmp_path / "body.json"
+        spec.write_text(json.dumps({"family": "custom", "dim": 2, "params": {"points": points},
+                                    "anchor": True, "name": "flat"}))
+        res = self._run("body", "--spec", str(spec), "--op", "volume")
+        assert res.returncode == 64, res.stderr
+        assert "'flat': anchor needs a full-dimensional body, got affine dimension" in res.stderr
+        assert "Traceback" not in res.stderr and res.stdout == ""
+        spec.write_text(json.dumps({**_UNIT_INTERVAL, "anchor": True}))
+        res = self._run("body", "--spec", str(spec), "--op", "volume")
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["value"]["exact"] == "1/1"
 
     def test_sweep_verb(self, tmp_path):
         cfg = {"bodies": [], "sweeps": [{"target": "B_limit", "scales": [100],

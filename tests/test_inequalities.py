@@ -292,6 +292,30 @@ class TestVerify:
             assert on_axis.lhs.exact == pre.lhs.exact
             assert on_axis.rhs.exact == pre.rhs.exact
 
+    @pytest.mark.parametrize("name,raw,tie", [
+        *((name, raw, True) for name, raw in [
+            ("simplex2", (1, 0)), ("simplex2", (0, 1)), ("simplex2", (2, -1)),
+            ("simplex2", (1, 3)), ("simplex3", (1, 0, 0)), ("simplex3", (1, 2, -1)),
+            ("simplex2_scaled", (3, -2)), ("cube2", (1, 1)), ("cube2", (1, -1)),
+            ("sym_cube2", (1, -1)), ("rect2", (1, -1)), ("tiny2", (-1, 1)),
+            ("cross2", (1, 0)), ("cross2", (0, 1)), ("cross3", (1, 0, 0)),
+            ("cross3", (0, 0, 1)), ("cube3", (1, 1, 1)), ("cube3", (1, -1, 1))]),
+        *((name, raw, False) for name, raw in [
+            ("cube2", (1, 0)), ("cube2", (2, 1)), ("cross2", (1, 1)), ("cross3", (1, 1, 0)),
+            ("cube3", (1, 1, 0)), ("rand2_7", (1, 1)), ("rand2_7", (1, 0)),
+            ("slab2", (1, 0)), ("slab2", (0, 1))]),
+    ])
+    def test_zhang_directional_ties_away_from_the_default_theta(self, name, raw, tie):
+        # the corpus bodies' exact ties, and strict inequalities, at directions
+        # other than the all-ones default
+        spec = next(s for s in default_corpus() if s.name == name)
+        rep = verify("zhang_directional", make_body(spec), {"theta": list(raw)})
+        assert rep.context["decided_by"] == "exact"
+        if tie:
+            assert rep.lhs.exact == rep.rhs.exact
+        else:
+            assert rep.lhs.exact < rep.rhs.exact
+
     def test_zhang_volume_equality_case(self, triangle):
         rep = verify("zhang_volume", triangle)
         assert rep.holds

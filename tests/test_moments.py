@@ -4,9 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from zhangforge import Direction, axis_direction, make_polytope, volume
+from zhangforge import Direction, axis_direction, make_polytope, vertical_section, volume
 from zhangforge.errors import DimensionMismatch, ExponentOutOfRange, RouteUnsupported
-from zhangforge.lattice import lattice_points
+from zhangforge.harness import default_corpus, make_body
+from zhangforge.lattice import discrete_ray_moment, lattice_points, ray_decomposition
 from zhangforge.moments import (
     SOURCES,
     RayMomentEngine,
@@ -92,6 +93,30 @@ class TestRoutes:
         assert discrete_moment(big_square, e1, 2).exact == 15
         # columns 0,1,2 -> open reach 1,2,3 per 3 rows
         assert discrete_moment(big_square, e1, 1, open_cube=True).exact == 18
+
+    @pytest.mark.parametrize("name", ["cube2", "rand2_7", "rand3_11", "cross3"])
+    def test_fractional_exponents_along_e_n(self, name):
+        # the binary64 branches: the engine against the projection-power
+        # form, and the discrete moment and Ball body against a direct sum of
+        # the reaches rho_y = y_n - lo(y'), each within the asserted errors
+        P = make_body(next(s for s in default_corpus() if s.name == name))
+        e_n = axis_direction(P.dim)
+        engine = RayMomentEngine(P, e_n)
+        for p in (F(1, 2), F(3, 2), F(5, 2)):
+            got, want = engine.moment(p), projection_power_moment(_dist(P), p)
+            assert got.exact is None and want.exact is None
+            assert abs(got.value - want.value) <= got.abs_error + want.abs_error, p
+        if not P.contains((0,) * P.dim):
+            return
+        pts = lattice_points(P)
+        reaches = [float(y[-1] - vertical_section(P, y[:-1]).lo) for y in pts]
+        for p in (F(1, 2), F(3, 2)):
+            total = math.fsum(r ** float(p) for r in reaches)
+            mom = discrete_ray_moment(ray_decomposition(P, e_n), p)
+            assert mom.exact is None and abs(mom.value - total) <= mom.abs_error, p
+            rho = radial_ball_body("discrete", P, e_n, p)
+            want = (total / len(pts)) ** (1 / float(p))
+            assert rho.exact is None and abs(rho.value - want) <= rho.abs_error, p
 
 
 class TestSectionPowers:
