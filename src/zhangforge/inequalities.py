@@ -4,11 +4,12 @@ scaling-limit sweeps.
 
 The discrete bounds read the Steiner symmetral S of the anchored body fattened
 by the unit cube of e_n^perp.  Every such quantity reads the lattice layer's
-integer columns of S, of its open fattening and of its memoized closed
+run tables of S, of its open fattening and of its memoized closed
 fattening F = ``lattice.fattening(S, n-1)``, with no LP, no slice and no
-point set: the profiles f, f~, the top height M and the column counts are
-height counts and sizes of column ranges, G_{n-1}(P K) is the number of
-columns of S, and the diamond extension is half a column length of F.
+point set: the profiles f, f~ and the top height M count the columns that
+reach each height, run by run; G_{n-1}(P K) is the number of columns of S,
+and the count at column 0 and the largest count are read off the runs'
+ends; the diamond extension is half a column length of F.
 
 Each checker hands ``verdict.report`` the two quantities it compares (see
 ``verdict`` for the decision rule); a chain of comparisons goes through
@@ -27,7 +28,6 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
 
 from .errors import (
     ConfigError,
@@ -40,10 +40,13 @@ from .errors import (
     UnknownChecker,
 )
 from .lattice import (
+    _column_walk,
+    _columns,
+    _fattened_runs,
+    _power_sums,
     column_length_sum,
     column_lengths,
     column_moment,
-    column_ranges,
     count_lattice,
     fattened_mu,
     fattening,
@@ -96,17 +99,6 @@ _ONE = Fraction(1)
 # comparison-profile machinery
 # ---------------------------------------------------------------------------
 
-def _power_sums(j: int, top: int) -> list[int]:
-    """[S_0, ..., S_top], S_e = sum_{k=0}^{j} k^e with 0^0 = 1, in O(top^2)
-    integer steps whatever j: telescoping sum_k ((k+1)^{e+1} - k^{e+1}) gives
-    (e+1) S_e = (j+1)^{e+1} - sum_{i<e} C(e+1, i) S_i."""
-    S: list[int] = []
-    for e in range(top + 1):
-        S.append(((j + 1) ** (e + 1) - sum(math.comb(e + 1, i) * s for i, s in enumerate(S)))
-                 // (e + 1))
-    return S
-
-
 def _h_segment(j: int, p: int, n: int) -> list[int]:
     """Coefficients c_0..c_{n-1} of x^{n-1} h_p(x) = p sum_{k<=j} (x - k)^{n-1} k^{p-1}
     on [j, j+1) (on [j, j+1] for n >= 2), from power sums with 0^0 = 1."""
@@ -140,22 +132,20 @@ _set = object.__setattr__
 
 class SectionProfiles(FrozenRecord):
     """Lattice counts of symmetral slices (plain f and open-fattened f~) and
-    columns of an n-dimensional body."""
+    columns of an n-dimensional body: the top height M, G_{n-1}(P K), the
+    count of the column at 0 and the largest column count."""
 
-    __slots__ = _fields = ("n", "f", "f_tilde", "M", "column_counts")
+    __slots__ = _fields = ("n", "f", "f_tilde", "M", "G_proj", "zero_count", "max_count")
 
-    def __init__(self, n: int, f: dict[int, int], f_tilde: dict[int, int], M: int,
-                 column_counts: dict[tuple[int, ...], int]):
+    def __init__(self, n: int, f: dict[int, int], f_tilde: dict[int, int], M: int, G_proj: int,
+                 zero_count: int, max_count: int):
         _set(self, "n", n)
         _set(self, "f", f)
         _set(self, "f_tilde", f_tilde)
         _set(self, "M", M)
-        _set(self, "column_counts", column_counts)
-
-    @property
-    def G_proj(self) -> int:
-        """G_{n-1}(P K): S is symmetric in x_n, so it meets each column of P K at 0."""
-        return len(self.column_counts)
+        _set(self, "G_proj", G_proj)
+        _set(self, "zero_count", zero_count)
+        _set(self, "max_count", max_count)
 
     def f_at(self, k: int) -> int:
         return self.f.get(k, 0)
@@ -166,20 +156,45 @@ class SectionProfiles(FrozenRecord):
     @property
     def satisfies_h(self) -> bool:
         """The hypotheses (H): the column at 0 is a longest one, and M >= 1."""
-        at_zero = self.column_counts.get((0,) * (self.n - 1), 0)
-        return at_zero > 0 and at_zero == max(self.column_counts.values()) and self.M >= 1
+        return self.zero_count > 0 and self.zero_count == self.max_count and self.M >= 1
 
 
-def _height_counts(ranges) -> dict[int, int]:
-    """Number of lattice points at each height x_n = k >= 0 of columns (y, lo, hi),
-    lo <= hi, heights ascending, by a difference array over the ranges."""
-    diff: dict[int, int] = {}
-    for _y, lo, hi in ranges:
-        if hi >= 0:
-            diff[max(lo, 0)] = diff.get(max(lo, 0), 0) + 1
-            diff[hi + 1] = diff.get(hi + 1, 0) - 1
-    counts = accumulate(diff.get(k, 0) for k in range(max(diff, default=0)))
-    return {k: c for k, c in enumerate(counts) if c}
+def _top_heights(table) -> dict[int, int]:
+    """The number of columns of a run table whose top lattice height
+    floor(hi_n/Qu) is h, for each h.  Along a run that height is monotone and
+    reaches h at the column i = ceil((h Qu - hi)/dhi) (a run with dhi < 0 is
+    read backwards), so a run costs the fewer of its columns and its
+    heights."""
+    _Qd, Qu, lines = table
+    hist: dict[int, int] = {}
+    for _head, _t0, runs in lines:
+        for j0, j1, _lo, _dlo, hi, dhi in runs:
+            m = j1 - j0
+            if dhi < 0:
+                hi, dhi = hi + dhi * (m - 1), -dhi
+            h0, h1 = hi // Qu, (hi + dhi * (m - 1)) // Qu
+            if h1 - h0 >= m:  # steep: one height per column
+                for h in range(hi, hi + dhi * m, dhi):
+                    hist[h // Qu] = hist.get(h // Qu, 0) + 1
+                continue
+            i = 0  # the first column at height h
+            for h in range(h0, h1):
+                nxt = -((hi - (h + 1) * Qu) // dhi)
+                hist[h] = hist.get(h, 0) + nxt - i
+                i = nxt
+            hist[h1] = hist.get(h1, 0) + m - i
+    return hist
+
+
+def _height_profile(hist: dict[int, int]) -> dict[int, int]:
+    """{k: number of columns with top height >= k} for 0 <= k <= the largest
+    height, ascending: a symmetric body's column of top height h holds one
+    lattice point at each height -h..h."""
+    counts, acc = [], 0
+    for h in range(max(hist, default=-1), -1, -1):
+        acc += hist.get(h, 0)
+        counts.append(acc)
+    return dict(enumerate(reversed(counts)))
 
 
 def section_profiles(S: Polytope) -> SectionProfiles:
@@ -188,17 +203,31 @@ def section_profiles(S: Polytope) -> SectionProfiles:
     symmetric in x_n (such a body is its own symmetral).
 
     The slice of S + (-1,1)^{n-1} x {0} at an integer height is the slice of S
-    plus the open cube, so both profiles are height counts of column ranges.
+    plus the open cube, so both profiles are counts of the columns of S (of
+    its open fattening) that reach that height, read off the run tables
+    (``lattice._column_walk``) with no column expanded.  Each column of S
+    is [-h, h], so its count 2 floor(h) + 1 is monotone along a run and the
+    largest count is at a run's end.
     """
     n = S.dim
     require_x_n_symmetric(S)
     # S is symmetric in x_n, so (0, 0) is in S exactly when 0 is in P(K)
     if not S.contains(tuple(_ZERO for _ in range(n))):
         raise EmptyProjectionLattice("profiles need 0 in the projection")
-    cols = list(column_ranges(S))
-    f = _height_counts(cols)
-    ft = _height_counts(column_ranges(S, n - 1))
-    return SectionProfiles(n, f, ft, max(f, default=0), {y: hi - lo + 1 for y, lo, hi in cols})
+    table = _column_walk(S)
+    Qd, Qu, lines = table
+    hist = _top_heights(table)
+    zero_count = max_count = 0
+    for head, t0, runs in lines:
+        for j0, j1, lo, dlo, hi, dhi in runs:
+            for i in (0, j1 - j0 - 1):
+                max_count = max(max_count, (hi + dhi * i) // Qu + (-lo - dlo * i) // Qd + 1)
+            i = -j0 if t0 is None else -t0 - j0  # the column at 0, when on this run
+            if 0 <= i < j1 - j0 and not any(head):
+                zero_count = (hi + dhi * i) // Qu + (-lo - dlo * i) // Qd + 1
+    f = _height_profile(hist)
+    return SectionProfiles(n, f, _height_profile(_top_heights(_column_walk(S, n - 1))),
+                           max(f, default=0), sum(hist.values()), zero_count, max_count)
 
 
 def diamond_extension(S: Polytope, x) -> MeasureValue:
@@ -475,8 +504,8 @@ class BodyWorkspace(Memo):
         (the columns of the open-fattened symmetral, which holds each (y, 0)),
         with one symmetry check: half the symmetric fattening F's column length."""
         require_x_n_symmetric(self.asym)
-        lengths = column_lengths(fattening(self.asym, self.n - 1))
-        return {y: lengths[y] / 2 for y, _lo, _hi in column_ranges(self.asym, self.n - 1)}
+        Qd, Qu, lines = _fattened_runs(self.asym)
+        return {y: Fraction(hi_n * Qd - lo_n * Qu, 2 * Qu * Qd) for y, lo_n, hi_n in _columns(lines)}
 
 
 def _mu_moment_exact(P: Polytope, p: int) -> Fraction:

@@ -1,18 +1,22 @@
 """Counting measures on polytopes: G_k, the mixed column measure, discrete
 covariograms, and the exact lattice ray reaches behind discrete moments.
 
-Every column read is one table (:func:`_column_walk`), built once per body
+Every column read is one run table (:func:`_run_table`), built once per body
 and k and kept as the body's memo entry ("columns", k) (``Polytope.memo``):
 ``polytope._column_rows`` sets the body's integer rows up once, over one
 common denominator for the upper and one for the lower rows, and along each
 line of the bounding box in the last of the first n-1 coordinates
 ``polytope._line_runs`` reads the ends as the lower envelopes of the rows'
-residual progressions: piecewise linear in the column, so the table takes
-each run of non-empty columns as progressions, with no minimum per column.
-Lattice points, their count (no point built), column lengths, the column
-measure and the vertical ray moment read the table, in lexicographic order,
-with no projection; every entry has the same denominators, so each sum is
-one integer sum and one Fraction.
+residual progressions: piecewise linear in the column, so the table keeps
+each run of non-empty columns as two arithmetic progressions, and no
+column.  Sums over the columns are closed forms per run: the lattice count
+is two floor sums (:func:`_floor_sum`), and the column measure and its
+moments are power sums (:func:`_power_sum`), so a dilate lam P costs its
+runs whatever lam.  The per-column reads (lattice points, column lengths,
+the vertical ray moment, the diamond values) expand the runs as they go
+(:func:`_columns`), in lexicographic order, with no projection and no second
+table; every run has the same denominators, so each sum is one integer sum
+and one Fraction.
 
 One rule decides membership in the open fattening
 P + (-1,1)^k x {0}^{n-k} for every k: with F the closed sum
@@ -32,7 +36,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import count, product
+from math import comb
 from operator import mul
 
 from .errors import DimensionMismatch, ExponentOutOfRange, FrozenRecord, OriginMissing
@@ -42,14 +47,13 @@ from .polytope import (
     Direction,
     Polytope,
     _column_rows,
-    _line_ends,
     _line_runs,
-    _run_ends,
     cube_sum,
     integer_rows,
     minkowski_sum,
     translate,
 )
+from .steiner import require_x_n_symmetric
 from .verdict import MeasureValue
 
 _ZERO = Fraction(0)
@@ -79,76 +83,126 @@ def fattening(P: Polytope, k: int) -> Polytope:
 
 
 def _column_walk(P: Polytope, k: int = 0):
-    """:func:`_column_table` of (P, k), P's memo entry ("columns", k)."""
-    return P.memo(("columns", k), lambda: _column_table(P, k))
+    """:func:`_run_table` of (P, k), P's memo entry ("columns", k)."""
+    return P.memo(("columns", k), lambda: _run_table(P, k))
 
 
-def _column_table(P: Polytope, k: int):
-    """(y, ends) for each integer column y of the k-fattening's bounding box
-    with a non-empty section, in lexicographic order, ends as
-    ``polytope._line_ends`` gives them: one line of the box in the last
-    coordinate at a time, each run of ``polytope._line_runs`` emitted from
-    its progressions.  Every entry has the one denominator pair
-    lo_d = Qd, hi_d = Qu of the rows; with k > 0 the rows are strict and the
-    ends bound only the column's integer points."""
+def _run_table(P: Polytope, k: int):
+    """(Qd, Qu, lines): for each line of the k-fattening's bounding box in the
+    last coordinate with a non-empty section, (head, t0, runs), the runs
+    (j0, j1, lo, dlo, hi, dhi) of ``polytope._line_runs`` over the columns
+    head + (t0 + j,), in lexicographic order.  Over a run the section is
+    lo_n/Qd <= t <= hi_n/Qu with lo_n = lo + dlo i and hi_n = hi + dhi i at
+    j = j0 + i, Qd and Qu the one denominator pair of the rows; with k > 0
+    the rows are strict and the ends bound only the column's integer points.
+    For n = 1 the one line is ((), None, runs), its one column y = ()."""
     fat = fattening(P, k)
     rows = _column_rows(fat, k)
     (Qu, _up), (Qd, _down), _flat = rows
     L = fat._L
     box = [range(-(-min(c) // L), max(c) // L + 1) for c in list(zip(*fat._V))[:-1]]
     if not box:  # n = 1: the one column y = ()
-        return tuple(((), e) for e in _line_ends(rows, ()) if e is not None)
+        runs = _line_runs(rows, (), 1, 1)
+        return Qd, Qu, (((), None, tuple(runs)),) if runs else ()
     line = box.pop()
     t0, length = line.start, len(line)
-    table = []
+    lines = []
     for head in product(*box):
-        for run in _line_runs(rows, head + (t0,), 1, length):
-            table += zip(map(head.__add__, zip(range(t0 + run[0], t0 + run[1]))), _run_ends(run, Qd, Qu))
-    return tuple(table)
+        runs = _line_runs(rows, head + (t0,), 1, length)
+        if runs:
+            lines.append((head, t0, tuple(runs)))
+    return Qd, Qu, tuple(lines)
 
 
-def _length_sum(table, e: int) -> Fraction:
-    """Sum of ell^e over a column table's entries, ell = hi_n/hi_d - lo_n/lo_d:
-    one integer sum over the table's one denominator pair, one Fraction."""
-    if not table:
-        return _ZERO
-    _y, (_lo, lo_d, _hi, hi_d) = table[0]
-    return Fraction(sum((hi_n * lo_d - lo_n * hi_d) ** e for _y, (lo_n, _ld, hi_n, _hd) in table),
-                    (hi_d * lo_d) ** e)
+def _columns(lines):
+    """(y, lo_n, hi_n) for each column of a run table's ``lines``, in order:
+    the runs expanded per column."""
+    for head, t0, runs in lines:
+        for j0, j1, lo, dlo, hi, dhi in runs:
+            ys = (head,) if t0 is None else map(head.__add__, zip(range(t0 + j0, t0 + j1)))
+            yield from zip(ys, count(lo, dlo), count(hi, dhi))
 
 
-def column_ranges(P: Polytope, open_cube_k: int = 0):
-    """(y, lo, hi) for each integer column y holding the integer points
-    (y, lo), ..., (y, hi) of P (open_cube_k = 0) or of
-    P + (-1,1)^k x {0}^{n-k}, lo <= hi, in lexicographic order."""
-    for y, (lo_n, lo_d, hi_n, hi_d) in _column_walk(P, open_cube_k):
-        lo, hi = -(-lo_n // lo_d), hi_n // hi_d
-        if lo <= hi:
-            yield y, lo, hi
+def _power_sums(j: int, top: int) -> list[int]:
+    """[S_0, ..., S_top], S_e = sum_{k=0}^{j} k^e with 0^0 = 1, in O(top^2)
+    integer steps whatever j: telescoping sum_k ((k+1)^{e+1} - k^{e+1}) gives
+    (e+1) S_e = (j+1)^{e+1} - sum_{i<e} C(e+1, i) S_i."""
+    S: list[int] = []
+    for e in range(top + 1):
+        S.append(((j + 1) ** (e + 1) - sum(comb(e + 1, i) * s for i, s in enumerate(S)))
+                 // (e + 1))
+    return S
+
+
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum_{i=0}^{n-1} floor((a i + b) / m) for n >= 0, m > 0 and a, b of any
+    sign, in O(log m) steps (Graham, Knuth and Patashnik, *Concrete
+    Mathematics*, ch. 3): with 0 <= a, b < m, the sum counts the lattice
+    points under a line, and swapping the roles of the axes gives the same
+    sum with (m, a) replaced by (a, m), as Euclid's algorithm does."""
+    qa, a = divmod(a, m)
+    qb, b = divmod(b, m)
+    total = qa * (n * (n - 1) // 2) + qb * n
+    while True:
+        if a >= m:
+            total += n * (n - 1) // 2 * (a // m)
+            a %= m
+        if b >= m:
+            total += n * (b // m)
+            b %= m
+        top = a * n + b
+        if top < m:
+            return total
+        n, b = divmod(top, m)
+        m, a = a, m
+
+
+def _power_sum(n: int, a: int, b: int, e: int) -> int:
+    """sum_{i=0}^{n-1} (a + b i)^e, by the binomial theorem over the power
+    sums of 0..n-1 (0^0 = 1)."""
+    if e == 1:
+        return n * a + b * (n * (n - 1) // 2)
+    S = _power_sums(n - 1, e)
+    return sum(comb(e, c) * a ** (e - c) * b**c * S[c] for c in range(e + 1))
+
+
+def _run_length_sum(table, e: int) -> Fraction:
+    """Sum of ell^e over the columns of a run table, ell = hi_n/Qu - lo_n/Qd:
+    over a run, ell Qu Qd = (hi Qd - lo Qu) + (dhi Qd - dlo Qu) i, so each run
+    is one power sum, and the whole table one integer sum and one Fraction."""
+    Qd, Qu, lines = table
+    return Fraction(sum(_power_sum(j1 - j0, hi * Qd - lo * Qu, dhi * Qd - dlo * Qu, e)
+                        for _head, _t0, runs in lines for j0, j1, lo, dlo, hi, dhi in runs),
+                    (Qu * Qd) ** e)
 
 
 def lattice_points(P: Polytope, open_cube_k: int = 0) -> tuple[tuple[int, ...], ...]:
     """Integer points of P (open_cube_k = 0) or of P + (-1,1)^k x {0}^{n-k},
     sorted."""
+    Qd, Qu, lines = _column_walk(P, open_cube_k)
     pts = []
     # ascending columns, ascending t within each: lexicographic order
-    for y, lo, hi in column_ranges(P, open_cube_k):
-        pts.extend(y + (t,) for t in range(lo, hi + 1))
+    for y, lo_n, hi_n in _columns(lines):
+        pts.extend(y + (t,) for t in range(-(-lo_n // Qd), hi_n // Qu + 1))
     return tuple(pts)
 
 
 def count_lattice(P: Polytope, open_cube_k: int = 0) -> int:
-    """len(lattice_points(P, open_cube_k)), with no point built."""
-    return sum(hi - lo + 1 for _y, lo, hi in column_ranges(P, open_cube_k))
+    """len(lattice_points(P, open_cube_k)), with no point built: a column
+    holds floor(hi_n/Qu) + floor(-lo_n/Qd) + 1 >= 0 points (its section is
+    not empty), so a run of m columns holds two floor sums and m."""
+    Qd, Qu, lines = _column_walk(P, open_cube_k)
+    return sum(_floor_sum(j1 - j0, Qu, dhi, hi) + _floor_sum(j1 - j0, Qd, -dlo, -lo) + j1 - j0
+               for _head, _t0, runs in lines for j0, j1, lo, dlo, hi, dhi in runs)
 
 
 def column_lengths(P: Polytope) -> dict[tuple[int, ...], Fraction]:
     """Vertical-section length over each integer point y of the projection of P
-    (length-0 columns kept), one Fraction per column of the walk."""
+    (length-0 columns kept), one Fraction per column of the runs."""
     if P.dim < 2:
         raise DimensionMismatch("column lengths need ambient dimension >= 2")
-    return {y: Fraction(hi_n * lo_d - lo_n * hi_d, hi_d * lo_d)
-            for y, (lo_n, lo_d, hi_n, hi_d) in _column_walk(P)}
+    Qd, Qu, lines = _column_walk(P)
+    return {y: Fraction(hi_n * Qd - lo_n * Qu, Qu * Qd) for y, lo_n, hi_n in _columns(lines)}
 
 
 def column_length_sum(P: Polytope, e: int) -> Fraction:
@@ -156,28 +210,51 @@ def column_length_sum(P: Polytope, e: int) -> Fraction:
     length."""
     if P.dim < 2:
         raise DimensionMismatch("column measure needs ambient dimension >= 2")
-    return _length_sum(_column_walk(P), e)
+    return _run_length_sum(_column_walk(P), e)
+
+
+def _fattened_runs(P: Polytope):
+    """The run table of the closed fattening F = P + [-1,1]^{n-1} x {0} cut
+    to the columns of the open fattening, for P symmetric in x_n.  The open
+    fattening is then symmetric in x_n too, so each column of its run table
+    holds (y, 0), and the columns are the integer points of a line through
+    its (convex) projection: one span per line, from the first run's start
+    to the last run's end.  Both tables share F's bounding box, so a line of
+    one is the line of the other with the same head."""
+    k = P.dim - 1
+    spans = {head: (runs[0][0], runs[-1][1]) for head, _t0, runs in _column_walk(P, k)[2]}
+    Qd, Qu, lines = _column_walk(fattening(P, k))
+    cut = []
+    for head, t0, runs in lines:
+        a, b = spans.get(head, (0, 0))
+        part = []
+        for j0, j1, lo, dlo, hi, dhi in runs:
+            c0, c1 = max(j0, a), min(j1, b)
+            if c0 < c1:
+                part.append((c0, c1, lo + dlo * (c0 - j0), dlo, hi + dhi * (c0 - j0), dhi))
+        if part:
+            cut.append((head, t0, tuple(part)))
+    return Qd, Qu, tuple(cut)
 
 
 def fattened_mu(P: Polytope) -> Fraction:
-    """mu(P + (-1,1)^{n-1} x {0}): over each integer column of the open
-    fattening, the section length of the closed one there (its supremum over
-    the open window)."""
-    cols = {y for y, _lo, _hi in column_ranges(P, P.dim - 1)}
-    return _length_sum([entry for entry in _column_walk(fattening(P, P.dim - 1)) if entry[0] in cols], 1)
+    """mu(P + (-1,1)^{n-1} x {0}) for P symmetric in x_n (``ValueError``
+    otherwise): over each integer column of the open fattening, the section
+    length of the closed one there (its supremum over the open window).  A
+    body that is not symmetric may have columns of the open fattening with
+    no lattice point, which this read of the runs would miss."""
+    require_x_n_symmetric(P)
+    return _run_length_sum(_fattened_runs(P), 1)
 
 
 def column_moment(P: Polytope, p: int) -> Fraction:
     """p * integral of r^{p-1} G_n(P cap (r e_n + P)) dr for an integer p >= 1:
-    the sum of (t - a_y)^p over the lattice points (y, t) of P, a_y = lo_n/lo_d
+    the sum of (t - a_y)^p over the lattice points (y, t) of P, a_y = lo_n/Qd
     the lower end of the column (y - r e_n is in P for 0 <= r <= t - a_y), over
     the table's one lower denominator."""
-    table = _column_walk(P)
-    if not table:
-        return _ZERO
-    lo_d = table[0][1][1]
-    return Fraction(sum((t * lo_d - lo_n) ** p for _y, (lo_n, _ld, hi_n, hi_d) in table
-                        for t in range(-(-lo_n // lo_d), hi_n // hi_d + 1)), lo_d**p)
+    Qd, Qu, lines = _column_walk(P)
+    return Fraction(sum((t * Qd - lo_n) ** p for _y, lo_n, hi_n in _columns(lines)
+                        for t in range(-(-lo_n // Qd), hi_n // Qu + 1)), Qd**p)
 
 
 def mu_measure(P: Polytope) -> MeasureValue:

@@ -158,7 +158,8 @@ class Polytope(Memo):
     the interior point ``_interior`` = (Z, D) and a full-dimensional body's
     triangulation ``_tri`` = (points, their denominator, simplices), whose
     points are ``_V`` itself when they are the vertices.  Its memo keys: "volume", "facet_weights", "int_weights",
-    "symmetral", ("fattening", k), ("columns", k) and ("scaled", lam)."""
+    "symmetral", ("fattening", k), ("columns", k) (the run table of
+    ``lattice._run_table``) and ("scaled", lam)."""
 
     __slots__ = ("dim", "affine_dim", "_V", "_L", "_rows", "_interior", "_tri", "_incidence",
                  "_vertices", "_halfspaces")

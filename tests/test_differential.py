@@ -41,22 +41,24 @@ from zhangforge.inequalities import (
     _discrete_star_volume,
     _g_profile,
     _h_exact,
-    _height_counts,
-    _power_sums,
     _profile_sum,
     _purely_discrete_zhang_sides,
     _solve_m0,
+    _top_heights,
     applicability,
     diamond_extension,
     section_profiles,
 )
 from zhangforge.lattice import (
     _column_walk,
+    _columns,
+    _floor_sum,
+    _run_length_sum,
+    _power_sums,
     closed_unit_cube,
     column_length_sum,
     column_lengths,
     column_moment,
-    column_ranges,
     count_lattice,
     fattened_mu,
     fattening,
@@ -654,7 +656,8 @@ def _column_table_cases():
     and the projections of the planar corpus bodies), the lattice bodies
     with k = 0..n, and seeded rational hulls with n = 2, 3 and k = 0..n at
     dilates 1, 4, 16 and 64, on some of whose lines the strict vertical
-    facets start or end the admitted run inside an envelope piece."""
+    facets start or end the admitted run inside an envelope piece, and two
+    seeded hulls with n = 4 and the symmetral of one, with k = 0..n."""
     corpus = [make_body(spec) for spec in default_corpus()]
     cases = [(P, range(P.dim + 1)) for P in corpus]
     cases += [(steiner_symmetrize(P), range(P.dim + 1)) for P in corpus]
@@ -668,6 +671,9 @@ def _column_table_cases():
     rng = np.random.default_rng(37)
     cases += [(P.scaled(lam), range(dim + 1)) for dim in (2, 3) for _ in range(2)
               for P in (_random_body(rng, dim, count=dim + 4, den=15),) for lam in (1, 4, 16, 64)]
+    fours = [make_body(BodySpec("random_hull", 4, {"count": 9, "radius": 2, "seed": s}))
+             for s in (0, 1)]
+    cases += [(P, range(5)) for P in fours + [steiner_symmetrize(fours[0])]]
     return cases
 
 
@@ -710,15 +716,17 @@ def _line_pieces(P, k):
             yield admitted[0], admitted[-1], pieces
 
 
-def _height_counts_per_point(ranges):
-    """The route ``_height_counts`` replaced: one Counter step per lattice point."""
-    return dict(Counter(k for _y, lo, hi in ranges for k in range(max(lo, 0), hi + 1)))
+def _expanded(table):
+    """A run table's columns as (y, (lo_n, Qd, hi_n, Qu)), the per-column
+    table the runs replaced."""
+    Qd, Qu, lines = table
+    return tuple((y, (lo_n, Qd, hi_n, Qu)) for y, lo_n, hi_n in _columns(lines))
 
 
 def _column_moment_per_column(P, p):
     """The route ``column_moment`` replaced: one Fraction per column."""
     total = F(0)
-    for _y, (lo_n, lo_d, hi_n, hi_d) in _column_walk(P):
+    for _y, (lo_n, lo_d, hi_n, hi_d) in _expanded(_column_walk(P)):
         ts = range(-(-lo_n // lo_d), hi_n // hi_d + 1)
         total += F(sum((t * lo_d - lo_n) ** p for t in ts), lo_d**p)
     return total
@@ -729,14 +737,11 @@ def test_column_table_against_box_scan_of_single_columns():
     for P, ks in _column_table_cases():
         for k in ks:
             table = _column_walk(P, k)
-            assert table == _column_table_by_box_scan(P, k), (P, k)
+            assert _expanded(table) == _column_table_by_box_scan(P, k), (P, k)
             assert _column_walk(P, k) is table  # built once per (P, k)
             if k == 0 and P.dim > 1:  # the ends against the rows in Fractions
-                for y, (lo_n, lo_d, hi_n, hi_d) in table:
+                for y, (lo_n, lo_d, hi_n, hi_d) in _expanded(table):
                     assert (F(lo_n, lo_d), F(hi_n, hi_d)) == _section_fraction(P, y), (P, y)
-            got = _height_counts(column_ranges(P, k))
-            assert got == _height_counts_per_point(column_ranges(P, k)), (P, k)
-            assert list(got) == sorted(got)
             for first, last, pieces in _line_pieces(P, k) if P.dim > 1 else ():
                 # a piece boundary among the columns that the vertical rows
                 # leave out before (after) the admitted run: a walk must skip
@@ -759,15 +764,54 @@ def test_column_table_against_box_scan_of_single_columns():
     assert kinds["run starts inside a later piece"] and kinds["run ends inside an earlier piece"], kinds
 
 
+def test_run_sums_against_per_column_sums():
+    # the closed forms per run (floor sums, power sums, top heights) against
+    # the same sums over the expanded columns, for every k
+    kinds = Counter()
+    for P, ks in _column_table_cases():
+        for k in ks:
+            table = _column_walk(P, k)
+            cols = _expanded(table)
+            counts = [hi_n // hi_d + (-lo_n // lo_d) + 1 for _y, (lo_n, lo_d, hi_n, hi_d) in cols]
+            assert min(counts, default=0) >= 0, (P, k)
+            assert count_lattice(P, k) == sum(counts) == len(lattice_points(P, k)), (P, k)
+            for e in (1, 2, 3, P.dim + 1):
+                want = sum((F(hi_n * lo_d - lo_n * hi_d, hi_d * lo_d) ** e
+                            for _y, (lo_n, lo_d, hi_n, hi_d) in cols), F(0))
+                assert _run_length_sum(table, e) == want, (P, k, e)
+            want = Counter(hi_n // hi_d for _y, (_lo, _ld, hi_n, hi_d) in cols)
+            assert _top_heights(table) == dict(want), (P, k)
+            for j0, j1, _lo, dlo, _hi, dhi in (run for line in table[2] for run in line[2]):
+                kinds["length-1 run"] += j1 - j0 == 1
+                kinds["negative step"] += dlo < 0 or dhi < 0
+                kinds["steep run"] += abs(dhi) > table[1]
+            kinds[f"n = {P.dim}"] += 1
+    assert all(kinds[f"n = {n}"] for n in (1, 2, 3, 4)), kinds
+    assert kinds["length-1 run"] and kinds["negative step"] and kinds["steep run"], kinds
+
+
+def test_floor_sum_against_brute_force():
+    # sum_{i<n} floor((a i + b) / m) for signed a, b, including n = 0 and m = 1
+    rng = np.random.default_rng(41)
+    for _ in range(3000):
+        n = int(rng.integers(0, 40))
+        m = int(rng.integers(1, 60))
+        a, b = (int(x) for x in rng.integers(-500, 500, size=2))
+        assert _floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n)), (n, m, a, b)
+    big = 10**12 + 39
+    assert _floor_sum(10**5, big, -(10**9 + 7), big - 1) == sum(
+        (-(10**9 + 7) * i + big - 1) // big for i in range(10**5))
+
+
 def test_column_table_has_one_denominator_pair():
-    # every entry's ends are over Qd and Qu, the lcm of den*|a_n| over the
+    # every run's ends are over Qd and Qu, the lcm of den*|a_n| over the
     # fattening's lower and upper rows
     for P, ks in _column_table_cases():
         for k in ks:
             rows = integer_rows(fattening(P, k))
             Qu = math.lcm(*(den * a[-1] for a, _num, den in rows if a[-1] > 0))
             Qd = math.lcm(*(-den * a[-1] for a, _num, den in rows if a[-1] < 0))
-            assert {(lo_d, hi_d) for _y, (_lo, lo_d, _hi, hi_d) in _column_walk(P, k)} <= {(Qd, Qu)}
+            assert _column_walk(P, k)[:2] == (Qd, Qu)
 
 
 def test_column_table_raises_unbounded_at_the_box_scans_column():
@@ -834,7 +878,12 @@ def test_column_reads_against_point_routes():
     for ws in cases:
         pr = ws.profiles
         counts = Counter(x[:-1] for x in lattice_points(ws.asym))
-        assert list(pr.column_counts.items()) == list(counts.items()), ws.body
+        assert (pr.G_proj, pr.zero_count, pr.max_count) == (
+            len(counts), counts[(0,) * (ws.n - 1)], max(counts.values())), ws.body
+        for prof, k in ((pr.f, 0), (pr.f_tilde, ws.n - 1)):
+            heights = Counter(x[-1] for x in lattice_points(ws.asym, k) if x[-1] >= 0)
+            assert list(prof.items()) == sorted(heights.items()), (ws.body, k)
+        assert pr.M == max(pr.f)
         proj = project_drop_last(ws.anchored)
         assert pr.G_proj == ws.G_proj == count_lattice(proj)
         got = ws.diamond_values

@@ -623,12 +623,32 @@ def test_default_corpus_run_builds_no_rational_rows(monkeypatch):
     # a work-count guard: the producers of the halfspace round trip pass
     # integer rows to Polytope.from_int_rows, never rational rows to the
     # from_halfspaces adapter, and no reader clears rational points back to
-    # integers that the polytope already holds
+    # integers that the polytope already holds.  Only the integer_points
+    # calls that clear a non-int coordinate count; the hull's all-int points
+    # pass through uncounted (59 clearing calls, 93 pass-throughs measured)
+    import importlib
+    import pkgutil
     from collections import Counter
 
+    import zhangforge
     from zhangforge.polytope import Polytope
 
-    calls = _count_calls(monkeypatch, "integer_points")
+    calls = []
+
+    def clearing(real):
+        def wrapper(points, *a, **k):
+            if any(type(x) is not int for p in points for x in p):
+                calls.append("integer_points")
+            return real(points, *a, **k)
+        return wrapper
+
+    for info in pkgutil.iter_modules(zhangforge.__path__):
+        if info.name.startswith("__"):
+            continue
+        mod = importlib.import_module(f"zhangforge.{info.name}")
+        real = getattr(mod, "integer_points", None)
+        if real is not None:
+            monkeypatch.setattr(mod, "integer_points", clearing(real))
     real = Polytope.from_halfspaces
     monkeypatch.setattr(Polytope, "from_halfspaces", staticmethod(
         lambda *a, **k: calls.append("from_halfspaces") or real(*a, **k)))
@@ -636,7 +656,7 @@ def test_default_corpus_run_builds_no_rational_rows(monkeypatch):
     assert doc["summary"]["fails"] == 0
     counts = Counter(calls)
     assert counts["from_halfspaces"] == 0
-    assert 0 < counts["integer_points"] <= 232
+    assert 0 < counts["integer_points"] <= 59
 
 
 class TestBodyOperation:

@@ -64,6 +64,18 @@ class TestProfiles:
         assert pr.f_tilde == {0: 3, 1: 3}
         assert pr.M == 1
 
+    def test_longest_column_at_the_end_of_a_run(self):
+        # conv{(0,0), (4,-2), (4,2)}: the columns x = 0..4 reach heights
+        # 0, 0, 1, 1, 2 along one run, so the longest column (5 points) is
+        # the run's last and the column at 0 holds one point: (H) fails
+        S = make_polytope([(0, 0), (4, -2), (4, 2)], 2)
+        pr = section_profiles(S)
+        assert pr.f == {0: 5, 1: 3, 2: 1} and pr.M == 2
+        assert (pr.G_proj, pr.zero_count, pr.max_count) == (5, 1, 5)
+        assert not pr.satisfies_h
+        mirrored = section_profiles(make_polytope([(0, 0), (-4, -2), (-4, 2)], 2))
+        assert (mirrored.G_proj, mirrored.zero_count, mirrored.max_count) == (5, 1, 5)
+
     def test_layer_reads_only_a_symmetral(self, triangle, slab_body):
         # a body not symmetric in x_n is not its own symmetral: the
         # section-length and profile layers refuse it, and take its symmetral
@@ -94,28 +106,40 @@ class TestProfiles:
 
 
 def test_sweep_builds_each_column_table_once(monkeypatch):
-    """On the ``sweep`` benchmark config (seed 1) no (polytope, k) column table
-    is built twice: the readers of one body share its memoized walk, the two
+    """On the ``sweep`` benchmark config (seed 1) no (polytope, k) run table
+    is built twice: the readers of one body share its memoized runs, the two
     lattice targets of one scale share lam K, and on the four bodies with
     anchor 0 (cube2, simplex2, cube3, simplex3) so does the scaled workspace
     of the two Zhang targets (78 tables; 90 when lam K was built twice, 144
-    walks over 108 bodies before that)."""
+    walks over 108 bodies before that).  Every sweep read is a closed form
+    per run: no run is expanded into its columns."""
+    import zhangforge.inequalities as inequalities
     import zhangforge.lattice as lattice
     from zhangforge.harness import run_sweeps
 
     built = Counter()
     keep = []  # the polytopes stay alive, so no id is reused
-    real = lattice._column_table
+    real = lattice._run_table
 
     def counting(P, k):
         keep.append(P)
         built[id(P), k] += 1
         return real(P, k)
 
-    monkeypatch.setattr(lattice, "_column_table", counting)
+    expanded = []
+    real_columns = lattice._columns
+
+    def columns(lines):
+        expanded.append(lines)
+        return real_columns(lines)
+
+    monkeypatch.setattr(lattice, "_run_table", counting)
+    for mod in (lattice, inequalities):
+        monkeypatch.setattr(mod, "_columns", columns)
     run_sweeps(_load_workloads().build("sweep", 1))
     assert max(built.values()) == 1
     assert sum(built.values()) == 78
+    assert expanded == []
 
 
 class TestDiamond:

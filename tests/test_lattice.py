@@ -11,6 +11,7 @@ from zhangforge.lattice import (
     count_lattice,
     discrete_covariogram,
     discrete_ray_moment,
+    fattened_mu,
     lattice_points,
     mu_measure,
     ray_decomposition,
@@ -99,6 +100,15 @@ class TestCounting:
                 want = {x for x in product(*box) if member(body, x, k)}
                 assert got == want, (body, k)
 
+    def test_large_dilates_exactly(self):
+        # a run of columns is counted in closed form, so the count of a
+        # dilate costs its runs, not its columns
+        simplex2 = make_polytope([(0, 0), (1, 0), (0, 1)], 2)
+        cube3 = make_polytope([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)], 3)
+        lam = 10**6
+        assert count_lattice(simplex2.scaled(lam)) == (lam + 1) * (lam + 2) // 2
+        assert count_lattice(cube3.scaled(1000)) == 1001**3
+
     def test_sorted_and_json(self, unit_square):
         pts = lattice_points(unit_square)
         assert type(pts) is tuple and list(pts) == sorted(pts)
@@ -131,6 +141,19 @@ class TestMu:
             vertical_section(half_strip, (0,))
         with pytest.raises(Unbounded):
             column_lengths(half_strip)
+
+    def test_large_dilate(self, unit_square):
+        for lam in (1, 7, 10**6):
+            assert mu_measure(unit_square.scaled(lam)).exact == lam * (lam + 1)
+
+    def test_fattened_mu_needs_a_symmetric_body(self):
+        # the open fattening of [0,3] x [1/5,7/10] has mu 4 * 1/2 = 2 but no
+        # lattice point, so a read of its lattice columns would give 0; its
+        # symmetral [0,3] x [-1/4,1/4] holds each (x, 0) and reads 2
+        P = make_polytope([(x, y) for x in (0, 3) for y in (F(1, 5), F(7, 10))], 2)
+        with pytest.raises(ValueError, match="symmetric in x_n"):
+            fattened_mu(P)
+        assert fattened_mu(steiner_symmetrize(P)) == 2
 
     def test_column_measure_needs_two_dimensions(self):
         with pytest.raises(DimensionMismatch):

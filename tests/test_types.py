@@ -88,8 +88,8 @@ _VALUE_TYPES = [
      {}, True),
     (SectionDistribution, ("pieces", "symmetral", "reach"), (_DIST.pieces, _SYM, _DIST.reach),
      {}, False),
-    (ineq.SectionProfiles, ("n", "f", "f_tilde", "M", "column_counts"),
-     (2, {0: 3, 1: 2}, {0: 5, 1: 4}, 1, {(0,): 3, (1,): 1}), {}, True),
+    (ineq.SectionProfiles, ("n", "f", "f_tilde", "M", "G_proj", "zero_count", "max_count"),
+     (2, {0: 3, 1: 2}, {0: 5, 1: 4}, 1, 3, 3, 3), {}, True),
     (ineq.CheckerEntry, ("run", "applicable", "statement"),
      (ineq._chk_zhang_volume, ineq._needs_full_dim, "a <= b"), {}, True),
     (BodySpec, ("family", "dim", "params", "affine", "anchor", "name"),
