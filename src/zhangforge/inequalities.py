@@ -44,6 +44,7 @@ from .lattice import (
     _columns,
     _fattened_runs,
     _power_sums,
+    column_count,
     column_length_sum,
     column_lengths,
     column_moment,
@@ -70,6 +71,7 @@ from .moments import (
     section_power_integral,
     slab_moment,
 )
+from .pcg import _PCG64
 from .polytope import (
     Direction,
     Memo,
@@ -803,7 +805,7 @@ def _chk_different_inclusion(ws: BodyWorkspace, params: dict) -> InequalityRepor
 def _chk_mu_gn_sandwich(ws: BodyWorkspace, params: dict) -> InequalityReport:
     mu = mu_measure(ws.body).exact
     gn = count_lattice(ws.body)
-    gp = len(column_lengths(ws.body))
+    gp = column_count(ws.body)
     lhs = MeasureValue.from_exact(abs(mu - gn))
     rhs = MeasureValue.from_exact(gp)
     return report("mu_gn_sandwich", lhs, rhs, mu=str(mu), G_n=gn, G_proj=gp)
@@ -879,22 +881,20 @@ def _chk_ball_inclusion_discrete(ws: BodyWorkspace, params: dict) -> InequalityR
 def _chk_convexhull_inclusion(ws: BodyWorkspace, params: dict) -> InequalityReport:
     import numpy as np
 
-    n = ws.n
     (p,) = _exponents([params.get("p", 1)])
     combos = params.get("combos", 200)
     dirs = ws.sample_dirs
     rho = ws.sample_radial("discrete", p)
     pts = rho[:, None] * dirs
-    rng = np.random.default_rng(ws.seed ^ 0x5EED)
+    # numpy's default_rng(seed).integers, .integers, .uniform, in that order
+    rng = _PCG64(ws.seed ^ 0x5EED)
+    ra = rng.integers(0, len(pts), combos)
+    rb = rng.integers(0, len(pts), combos)
+    rl = rng.uniform(combos)
     idx_a = np.arange(len(pts))
-    idx_b = np.roll(idx_a, -1)
-    lam_mid = np.full(len(pts), 0.5)
-    ra = rng.integers(0, len(pts), size=combos)
-    rb = rng.integers(0, len(pts), size=combos)
-    rl = rng.uniform(0.0, 1.0, size=combos)
-    ia = np.concatenate([idx_a, ra])
-    ib = np.concatenate([idx_b, rb])
-    ll = np.concatenate([lam_mid, rl])
+    ia = np.concatenate([idx_a, np.array(ra, dtype=np.intp)])
+    ib = np.concatenate([np.roll(idx_a, -1), np.array(rb, dtype=np.intp)])
+    ll = np.concatenate([np.full(len(pts), 0.5), np.array(rl, dtype=float)])
     z = ll[:, None] * pts[ia] + (1.0 - ll[:, None]) * pts[ib]
     norms = np.linalg.norm(z, axis=1)
     keep = norms > 1e-9

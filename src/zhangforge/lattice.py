@@ -205,6 +205,12 @@ def column_lengths(P: Polytope) -> dict[tuple[int, ...], Fraction]:
     return {y: Fraction(hi_n * Qd - lo_n * Qu, Qu * Qd) for y, lo_n, hi_n in _columns(lines)}
 
 
+def column_count(P: Polytope) -> int:
+    """G_{n-1}(P K): the number of integer columns of P, the sum of its run
+    lengths, with no column expanded."""
+    return sum(j1 - j0 for _head, _t0, runs in _column_walk(P)[2] for j0, j1, *_ends in runs)
+
+
 def column_length_sum(P: Polytope, e: int) -> Fraction:
     """Sum of ell_y^e over the integer columns y of P, ell_y the vertical-section
     length."""

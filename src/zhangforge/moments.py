@@ -35,7 +35,9 @@ The float radial batches clip rays against a body in one place,
 body's lattice points (``lattice_clip``) does not depend on the exponent:
 the ``discrete`` radials of every p and the ``difference-set`` radial are
 reductions of that one table (``clip_radial``), which
-``inequalities.BodyWorkspace`` builds once per body.  The continuous source
+``inequalities.BodyWorkspace`` builds once per body.  The open-fattened
+passes (``discrete_moment_batch``) reduce the same clip one block of
+directions at a time, so they never hold a whole m x D table.  The continuous source
 (n = 2) uses the chord form
 p int r^{p-1} vol(K cap (r theta + K)) dr = (1/(p+1)) int ell_theta^{p+1}
 (Gardner-Zhang): it clips the chord through each vertex and integrates the
@@ -558,27 +560,37 @@ def _interval_batch(body: Polytope, pts: np.ndarray, dirs: np.ndarray, strict: b
     (c <= 0 exactly) the pass fires only on boundary points that binary64
     rounded outward.
     """
+    return _clip_table(*_clip_rows(body, pts, dirs), strict)
+
+
+_TOL = 1e-12  # |s| at or below it is parallel to the facet
+_BLOCK = 256  # directions per block of ``discrete_moment_batch``
+
+
+def _clip_rows(body: Polytope, pts: np.ndarray, dirs: np.ndarray):
+    """S = <a, theta> (F x D) and C = <a, y> - b (F x m) per facet row (a, b)."""
     import numpy as np
 
     rows = integer_rows(body)
     A = np.array([a for a, _num, _den in rows], dtype=float)
     b = np.array([num / den for _a, num, den in rows])
-    S = A @ dirs.T  # (F, D)
-    C = A @ pts.T - b[:, None]  # (F, m)
-    tol = 1e-12
-    m, D = pts.shape[0], S.shape[1]
+    return A @ dirs.T, A @ pts.T - b[:, None]
+
+
+def _clip_table(S: np.ndarray, C: np.ndarray, strict: bool):
+    """``_interval_batch``'s (lo, hi, feas) from its S and C; a block of S's
+    columns gives the same block of the table, entry for entry."""
+    import numpy as np
+
+    m, D = C.shape[1], S.shape[1]
     feas = np.ones((m, D), dtype=bool)
-    zero = np.abs(S) <= tol
-    bad = C > (-tol if strict else tol)
+    zero = np.abs(S) <= _TOL
+    bad = C > (-_TOL if strict else _TOL)
     for f in np.flatnonzero(zero.any(axis=1) & bad.any(axis=1)):
         feas &= ~np.outer(bad[f], zero[f])
-    s_neg = np.where(S < -tol, S, np.nan)
-    s_pos = np.where(S > tol, S, np.nan)
     buf = np.empty((m, D))
-    hi = np.full((m, D), np.inf)
-    for c, s in zip(C, s_neg):
-        np.divide(c[:, None], s, out=buf)
-        np.fmin(hi, buf, out=hi)
+    hi = _clip_hi(S, C, buf)
+    s_pos = np.where(S > _TOL, S, np.nan)
     lo = np.zeros((m, D))
     for f in np.flatnonzero((C > 0).any(axis=1)):
         np.divide(C[f][:, None], s_pos[f], out=buf)
@@ -586,6 +598,19 @@ def _interval_batch(body: Polytope, pts: np.ndarray, dirs: np.ndarray, strict: b
     np.subtract(lo, 1e-12, out=buf)
     feas &= hi >= buf
     return lo, hi, feas
+
+
+def _clip_hi(S: np.ndarray, C: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """The hi table: min c/s over the facets with s < -tol (+inf where none),
+    through ``buf``, an m x D scratch table."""
+    import numpy as np
+
+    s_neg = np.where(S < -_TOL, S, np.nan)
+    hi = np.full(buf.shape, np.inf)
+    for c, s in zip(C, s_neg):
+        np.divide(c[:, None], s, out=buf)
+        np.fmin(hi, buf, out=hi)
+    return hi
 
 
 def _float_points(pts, dim: int) -> np.ndarray:
@@ -613,10 +638,34 @@ def _clip_moment(clip, p, keep: bool = True) -> np.ndarray:
 
 
 def discrete_moment_batch(P: Polytope, dirs: np.ndarray, p, open_cube: bool) -> np.ndarray:
-    """sum_y (b_y^p - a_y^p) per unit direction (binary64)."""
+    """sum_y (b_y^p - a_y^p) per unit direction (binary64), over about
+    ``_BLOCK`` directions at a time: S and C are computed once and S is
+    sliced, so each block's m x block table is that block of the full clip
+    table.  No block is one direction wide unless D = 1, because numpy sums
+    a one-column table pairwise and a wider one row by row.
+
+    When every point is strictly inside every facet (c <= -tol), lo = 0 and
+    every pair is feasible, as the full clip finds them, so the sum is that
+    of max(hi, 0)^p alone, with no lower pass and no feasibility table."""
+    import numpy as np
+
     k = P.dim if open_cube else 0
     Y = _float_points(lattice_points(P, k), P.dim)
-    return _clip_moment(_interval_batch(fattening(P, k), Y, dirs, open_cube), p, keep=False)
+    S, C = _clip_rows(fattening(P, k), Y, dirs)
+    inside = not (C > -_TOL).any()
+    D = S.shape[1]
+    cuts = [*range(0, max(D - 1, 1), _BLOCK), D]
+    out = np.empty(D)
+    for j0, j1 in zip(cuts, cuts[1:]):
+        Sj = S[:, j0:j1]
+        if inside:
+            top = _clip_hi(Sj, C, np.empty((len(Y), j1 - j0)))
+            np.maximum(top, 0.0, out=top)
+            top **= float(p)
+            out[j0:j1] = top.sum(axis=0)
+        else:
+            out[j0:j1] = _clip_moment(_clip_table(Sj, C, open_cube), p, keep=False)
+    return out
 
 
 def lattice_clip(P: Polytope, dirs: np.ndarray, pts=None):

@@ -56,6 +56,7 @@ from zhangforge.lattice import (
     _run_length_sum,
     _power_sums,
     closed_unit_cube,
+    column_count,
     column_length_sum,
     column_lengths,
     column_moment,
@@ -373,6 +374,48 @@ def test_interval_batch_against_per_facet_clip(dim):
     assert lower_fired and zero_decided
 
 
+@pytest.mark.parametrize("name", ["cross3", "rand3_11", "tiny2", "slab2"])
+def test_blocked_moment_against_the_full_table(name, monkeypatch):
+    # discrete_moment_batch clips a few directions at a time; with blocks of
+    # 7 (several blocks, a partial last one) and of 2 it equals the
+    # full-table reduction of _interval_batch bit for bit, on the sample
+    # directions and on a count D = 1 mod 7, whose last block takes 8.  The
+    # open passes take the strictly-inside path; the closed passes of cross3
+    # and rand3_11 clip lattice points on facets (c = 0) by the full table,
+    # and tiny2 and slab2 have no closed lattice point at all (G = 0)
+    import zhangforge.moments as moments
+    from zhangforge.moments import _clip_moment, discrete_moment_batch
+
+    P = make_body({b.name: b for b in default_corpus()}[name])
+    full_calls = []
+    real = moments._clip_table
+
+    def counting(S, C, strict):
+        full_calls.append(S.shape[1])
+        return real(S, C, strict)
+
+    monkeypatch.setattr(moments, "_clip_table", counting)
+    dirs = BodyWorkspace(P).sample_dirs
+    paths = set()
+    for block in (7, 2):
+        monkeypatch.setattr(moments, "_BLOCK", block)
+        for D in (len(dirs), 15):
+            for open_cube in (True, False):
+                k = P.dim if open_cube else 0
+                Y = _float_points(lattice_points(P, k))
+                Y = Y.reshape(len(Y), P.dim)
+                for p in (1, 2):
+                    full = _interval_batch(fattening(P, k), Y, dirs[:D], open_cube)
+                    want = _clip_moment(full, p)
+                    del full_calls[:]
+                    got = discrete_moment_batch(P, dirs[:D], p, open_cube)
+                    assert got.tobytes() == want.tobytes(), (name, block, D, open_cube, p)
+                    assert all(2 <= w <= block + 1 for w in full_calls)
+                    paths.add((open_cube, bool(full_calls)))
+    assert (True, False) in paths
+    assert ((False, True) in paths) == (name in ("cross3", "rand3_11"))
+
+
 _HULLS = [BodySpec("random_hull", 2, {"count": 8, "radius": 2, "seed": s}) for s in range(4)] + [
     BodySpec("random_hull", 3, {"count": 6, "radius": 2, "seed": s}) for s in range(3)
 ]
@@ -618,6 +661,7 @@ def test_projection_reads_against_the_projection_hull():
         proj = project_drop_last(P)
         assert projection_support(P, axis_direction(P.dim).raw) == proj.volume_fraction(), P
         assert len(column_lengths(P)) == count_lattice(proj), P
+        assert column_count(P) == count_lattice(proj), P
 
 
 def test_suite_builds_no_projection_hull(monkeypatch):

@@ -12,6 +12,7 @@ from zhangforge.errors import ConfigError, DegenerateSpec, NoCrossing, NoRoot
 from zhangforge.harness import (
     BodySpec,
     SuiteConfig,
+    _body_seed,
     _random_hull_points,
     body_operation,
     default_config,
@@ -23,6 +24,7 @@ from zhangforge.harness import (
     run_sweeps,
 )
 from zhangforge.linalg import affine_basis, integer_points
+from zhangforge.pcg import _PCG64
 
 F = Fraction
 ROOT = Path(__file__).resolve().parents[1]
@@ -174,6 +176,25 @@ class TestMakeBody:
         for dim, params in _NAMED_RANDOM_HULLS:
             spec = BodySpec("random_hull", dim, params)
             assert _random_hull_points(spec) == _numpy_hull_points(spec), (dim, params)
+
+    @pytest.mark.parametrize("count,span", [(200, 1397), (7, 5), (3, 2**33 + 7), (0, 9)])
+    def test_combination_draws_are_the_numpy_draws(self, count, span):
+        # convexhull_inclusion draws integers, integers, uniform from one
+        # stream; an odd count of 32-bit draws leaves the high half of a
+        # 64-bit draw, which numpy carries into the next call, and uniform
+        # takes a 64-bit draw of its own without spending that half
+        import numpy as np
+
+        config = default_config()
+        seeds = [_body_seed(config.seed, b.name) ^ 0x5EED for b in config.bodies]
+        for seed in [*seeds, 2**64 + 0x5EED]:
+            ours, theirs = _PCG64(seed), np.random.default_rng(seed)
+            for _call in range(2):
+                assert ours.integers(0, span, count) == theirs.integers(0, span, count).tolist()
+            assert ours.uniform(count) == theirs.uniform(0.0, 1.0, count).tolist()
+            for _call in range(2):  # one 32-bit draw leaves a half across uniform
+                assert ours.integers(0, span, 1) == theirs.integers(0, span, 1).tolist()
+                assert ours.uniform(1) == theirs.uniform(0.0, 1.0, 1).tolist(), seed
 
     @pytest.mark.parametrize("family,params,bad", [
         ("cube", {"edge": [[1.5, 2], 1]}, "1.5"),  # not truncated to 1/2
@@ -951,14 +972,36 @@ def test_start_up_loads_neither_dataclasses_nor_inspect_nor_numpy():
 
 
 def test_exact_paths_load_neither_numpy_nor_the_process_pool():
-    # numpy is loaded only by the binary64 Ball-body radials and by
-    # convexhull_inclusion's sampled combinations, the process pool only by
-    # run_suite with jobs > 1
+    # numpy is loaded only by the binary64 Ball-body radials (convexhull's
+    # combinations come from the package's own stream), the process pool
+    # only by run_suite with jobs > 1
     import zhangforge
 
     src = str(Path(zhangforge.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     res = subprocess.run([sys.executable, "-c", _IMPORT_GUARD], capture_output=True, text=True,
+                         env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
+_VERIFY_GUARD = """
+import contextlib, io, sys, tempfile
+import zhangforge.cli
+with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+    assert zhangforge.cli.main(["verify", "--out", out]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "random"]))
+"""
+
+
+def test_verify_loads_no_numpy_random():
+    # convexhull_inclusion draws its combinations from pcg._PCG64, numpy's
+    # stream in plain Python; numpy's core still serves the binary64 radials
+    import zhangforge
+
+    src = str(Path(zhangforge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    res = subprocess.run([sys.executable, "-c", _VERIFY_GUARD], capture_output=True, text=True,
                          env=env)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
