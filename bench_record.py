@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Record a parent/change comparison of one benchmark workload as BENCH_<workload>.json.
 
-    python3 bench_record.py --workload corpus [--parent REV] [--change REV]
-                            [--pairs 10] [--seconds 5] [--seed 1]
+    python3 bench_record.py --workload corpus [--parent REV] [--pairs 10] [--seed 1]
 
 Runs ``perfbench/run.py --trace 0`` on the parent and on the change in
 alternating pairs (the parent first in even pairs, the change first in odd
-ones), each side from its own copy of the source.  The parent (default
-``HEAD~1``) is exported with ``git archive`` into a temporary directory; the
-change is the working tree, or ``--change REV`` exported the same way.  Each
-side runs its own ``perfbench/run.py``, which imports the ``src/`` beside it.
+ones), each run as long as ``BENCHMARK.json``'s ``run_seconds``.  The parent
+(default ``HEAD~1``) is exported with ``git archive`` into a temporary
+directory; the change is the working tree (its id marked ``+dirty`` when it
+has uncommitted edits).  Each side runs its own ``perfbench/run.py``, which
+imports the ``src/`` beside it.
 
 The file holds, per end-to-end metric of ``BENCHMARK.json``, each side's runs,
 median and quartiles, the change's median over the parent's, and the pairs the
@@ -67,9 +67,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True, help="a workload of BENCHMARK.json")
     ap.add_argument("--parent", default="HEAD~1", help="git revision of the parent")
-    ap.add_argument("--change", default=None, help="git revision (default: the working tree)")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=int, default=5, help="measuring window of each run")
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
     if args.pairs < 2:
@@ -79,25 +77,19 @@ def main(argv=None) -> int:
         spec = json.load(fh)
     if args.workload not in {w["name"] for w in spec["workloads"]}:
         ap.error(f"unknown workload {args.workload!r}")
-    metrics = spec["end_to_end"]
+    metrics, seconds = spec["end_to_end"], spec["run_seconds"]
     parent_id = git("rev-parse", args.parent)
-    if args.change is None:
-        dirty = git("status", "--porcelain", "--", ".", ":!BENCH_*.json")
-        change_id = git("rev-parse", "HEAD") + ("+dirty" if dirty else "")
-    else:
-        change_id = git("rev-parse", args.change)
+    dirty = git("status", "--porcelain", "--", ".", ":!BENCH_*.json")
+    change_id = git("rev-parse", "HEAD") + ("+dirty" if dirty else "")
 
     runs = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="bench-record-") as tmp:
         roots = {"parent": os.path.join(tmp, "parent"), "change": ROOT}
         export(parent_id, roots["parent"])
-        if args.change is not None:
-            roots["change"] = os.path.join(tmp, "change")
-            export(change_id, roots["change"])
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                out = run_once(roots[side], args.workload, args.seed, args.seconds)
+                out = run_once(roots[side], args.workload, args.seed, seconds)
                 runs[side].append(out)
                 vals = " ".join(f"{m['name']}={out['metrics'][m['name']]['value']:.4g}"
                                 for m in metrics)
@@ -109,7 +101,7 @@ def main(argv=None) -> int:
         "parent": parent_id,
         "change": change_id,
         "pairs": args.pairs,
-        "seconds": args.seconds,
+        "seconds": seconds,
         "seed": args.seed,
         "host": {"python": platform.python_version(), "cpus": os.cpu_count(),
                  "machine": platform.machine()},

@@ -208,6 +208,8 @@ def column_lengths(P: Polytope) -> dict[tuple[int, ...], Fraction]:
 def column_count(P: Polytope) -> int:
     """G_{n-1}(P K): the number of integer columns of P, the sum of its run
     lengths, with no column expanded."""
+    if P.dim < 2:
+        raise DimensionMismatch("column count needs ambient dimension >= 2")
     return sum(j1 - j0 for _head, _t0, runs in _column_walk(P)[2] for j0, j1, *_ends in runs)
 
 

@@ -7,6 +7,8 @@ import pytest
 from zhangforge import Direction, Polytope, make_polytope, translate, vertical_section
 from zhangforge.errors import DimensionMismatch, ExponentOutOfRange, OriginMissing, Unbounded
 from zhangforge.lattice import (
+    column_count,
+    column_length_sum,
     column_lengths,
     count_lattice,
     discrete_covariogram,
@@ -158,6 +160,12 @@ class TestMu:
     def test_column_measure_needs_two_dimensions(self):
         with pytest.raises(DimensionMismatch):
             mu_measure(make_polytope([(0,), (2,)], 1))
+
+    def test_column_reads_need_two_dimensions(self):
+        segment = make_polytope([(0,), (2,)], 1)
+        for read in (column_lengths, column_count, lambda P: column_length_sum(P, 1)):
+            with pytest.raises(DimensionMismatch):
+                read(segment)
 
     def test_symmetral_invariance(self, triangle, big_square, slab_body):
         for P in (triangle, big_square, slab_body):
