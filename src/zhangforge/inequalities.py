@@ -44,6 +44,7 @@ from .lattice import (
     _columns,
     _fattened_runs,
     _power_sums,
+    _rows_mu,
     column_count,
     column_length_sum,
     column_lengths,
@@ -59,11 +60,12 @@ from .lp import lp_solve
 from .moments import (
     RayMomentEngine,
     _float_points,
+    _overlap_rows,
     _power_integral,
+    _rows_at,
     clip_radial,
     discrete_moment,
     lattice_clip,
-    overlap,
     projection_power_moment,
     radial_batch,
     ray_moment,
@@ -496,8 +498,8 @@ class BodyWorkspace(Memo):
     @cached_property
     def en_engine(self) -> RayMomentEngine:
         """The body's one e_n ``RayMomentEngine``: its moments are the third
-        route of ``identity_triple_continuous``, and its ``support`` (one LP
-        per body) hints the overlaps of ``identity_triple_discrete``."""
+        route of ``identity_triple_continuous``, and its ``support`` is the
+        body's one LP."""
         return RayMomentEngine(self.body, axis_direction(self.n))
 
     @cached_property
@@ -829,21 +831,18 @@ def _chk_identity_triple_continuous(ws: BodyWorkspace, params: dict) -> Inequali
 def _chk_identity_triple_discrete(ws: BodyWorkspace, params: dict) -> InequalityReport:
     n = ws.n
     ps = _exponents(params.get("ps") or sorted({1, 2, n}))
-    cols = column_lengths(ws.body)
     # route B: exact piecewise-linear integration of the column measure of
-    # K cap (r e_n + K), each overlap hulled on its own and hinted by the
-    # e_n engine's support; route C: column sums over the symmetral
-    e_n, support = ws.en_engine.theta, ws.en_engine.support
-    ells = sorted({ell for ell in cols.values() if ell > 0})
+    # K cap (r e_n + K), read at two nodes per gap between K's column lengths
+    # (the kinks of r -> mu) off the overlap's integer rows over K's bounding
+    # box, with no hull; route C: column sums over the symmetral
+    rows = _overlap_rows(ws.body, axis_direction(n))
+    ells = sorted({ell for ell in column_lengths(ws.body).values() if ell > 0})
     pieces = []
     prev = _ZERO
     for brk in ells:
         w = brk - prev
         nodes = (prev + w / 3, prev + 2 * w / 3)
-        vals = []
-        for r in nodes:
-            Q = overlap(ws.body, e_n, r, support)
-            vals.append(_ZERO if Q is None else mu_measure(Q).exact)
+        vals = [_rows_mu(_rows_at(rows, r), ws.body) for r in nodes]
         slope = (vals[1] - vals[0]) / (nodes[1] - nodes[0])
         const = vals[0] - slope * nodes[0]
         pieces.append((prev, brk, const, slope))

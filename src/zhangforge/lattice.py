@@ -1,11 +1,13 @@
 """Counting measures on polytopes: G_k, the mixed column measure, discrete
 covariograms, and the exact lattice ray reaches behind discrete moments.
 
-Every column read is one run table (:func:`_run_table`), built once per body
-and k and kept as the body's memo entry ("columns", k) (``Polytope.memo``):
-``polytope._column_rows`` sets the body's integer rows up once, over one
-common denominator for the upper and one for the lower rows, and along each
-line of the bounding box in the last of the first n-1 coordinates
+Every column read is one run table (:func:`_box_runs`): of a body's rows
+over its bounding box (:func:`_run_table`), built once per body and k and
+kept as the body's memo entry ("columns", k) (``Polytope.memo``), or of
+given rows over a body's box that holds them (:func:`_rows_mu`, the overlaps
+K cap (r e_n + K) inside K).  ``polytope._column_rows_of`` sets the rows up
+once, over one common denominator for the upper and one for the lower rows,
+and along each line of the box in the last of the first n-1 coordinates
 ``polytope._line_runs`` reads the ends as the lower envelopes of the rows'
 residual progressions: piecewise linear in the column, so the table keeps
 each run of non-empty columns as two arithmetic progressions, and no
@@ -47,6 +49,7 @@ from .polytope import (
     Direction,
     Polytope,
     _column_rows,
+    _column_rows_of,
     _line_runs,
     cube_sum,
     integer_rows,
@@ -88,30 +91,45 @@ def _column_walk(P: Polytope, k: int = 0):
 
 
 def _run_table(P: Polytope, k: int):
-    """(Qd, Qu, lines): for each line of the k-fattening's bounding box in the
-    last coordinate with a non-empty section, (head, t0, runs), the runs
+    """:func:`_box_runs` of the k-fattening's rows (strict where they touch the
+    first k coordinates) over its own bounding box."""
+    fat = fattening(P, k)
+    return _box_runs(_column_rows(fat, k), fat)
+
+
+def _box_runs(rows, B: Polytope):
+    """(Qd, Qu, lines): for each line of B's bounding box in the last
+    coordinate with a non-empty section of ``polytope._column_rows_of``'
+    ``rows`` (a body that B's box holds), (head, t0, runs), the runs
     (j0, j1, lo, dlo, hi, dhi) of ``polytope._line_runs`` over the columns
     head + (t0 + j,), in lexicographic order.  Over a run the section is
     lo_n/Qd <= t <= hi_n/Qu with lo_n = lo + dlo i and hi_n = hi + dhi i at
-    j = j0 + i, Qd and Qu the one denominator pair of the rows; with k > 0
-    the rows are strict and the ends bound only the column's integer points.
-    For n = 1 the one line is ((), None, runs), its one column y = ()."""
-    fat = fattening(P, k)
-    rows = _column_rows(fat, k)
+    j = j0 + i, Qd and Qu the one denominator pair of the rows; with strict
+    rows the ends bound only the column's integer points.  For n = 1 the one
+    line is ((), None, runs), its one column y = ().  A line is taken by its
+    ends: its runs are closed forms, so a dilate's line may hold more columns
+    than a machine integer counts."""
     (Qu, _up), (Qd, _down), _flat = rows
-    L = fat._L
-    box = [range(-(-min(c) // L), max(c) // L + 1) for c in list(zip(*fat._V))[:-1]]
+    L = B._L
+    box = [range(-(-min(c) // L), max(c) // L + 1) for c in list(zip(*B._V))[:-1]]
     if not box:  # n = 1: the one column y = ()
         runs = _line_runs(rows, (), 1, 1)
         return Qd, Qu, (((), None, tuple(runs)),) if runs else ()
     line = box.pop()
-    t0, length = line.start, len(line)
+    t0, length = line.start, line.stop - line.start
     lines = []
     for head in product(*box):
         runs = _line_runs(rows, head + (t0,), 1, length)
         if runs:
             lines.append((head, t0, tuple(runs)))
     return Qd, Qu, tuple(lines)
+
+
+def _rows_mu(rows, B: Polytope) -> Fraction:
+    """mu of the body {x : <a, x> <= num/den} of integer ``rows`` (a, num, den)
+    that B's bounding box holds: one :func:`_box_runs` table of the rows over
+    B's box, and its closed-form length sum, with no hull."""
+    return _run_length_sum(_box_runs(_column_rows_of(rows), B), 1)
 
 
 def _columns(lines):

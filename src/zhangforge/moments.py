@@ -126,6 +126,13 @@ def _overlap_rows(P: Polytope, theta: Direction) -> list[list[int]]:
                for a, num, den in rows])
 
 
+def _rows_at(rows, r: Fraction) -> list:
+    """The integer rows (a, num, den) of K cap (r theta.raw + K) at a rational
+    r = p/q, from its ``_overlap_rows`` (A, B, C): (A, B q + p C, q)."""
+    q, p = r.denominator, r.numerator
+    return [(A[:-2], A[-2] * q + p * A[-1], q) for A in rows]
+
+
 def _overlap_point(P: Polytope, r: Fraction, support) -> tuple[tuple[int, ...], int]:
     """A point strictly inside K cap (r*raw + K) for 0 <= r < R, as integers
     (z, D): (1 - lam) c + lam w, lam = r/R = p/q, between P's interior point
@@ -148,8 +155,7 @@ def overlap(P: Polytope, theta: Direction, r, support) -> Polytope | None:
     no interior and ``Polytope.from_int_rows`` finds its affine hull
     unhinted."""
     r = frac(r)
-    q, p = r.denominator, r.numerator
-    rows = [(A[:-2], A[-2] * q + p * A[-1], q) for A in _overlap_rows(P, theta)]
+    rows = _rows_at(_overlap_rows(P, theta), r)
     hint = _overlap_point(P, r, support) if 0 <= r < support[0] else None
     return Polytope.from_int_rows(rows, P.dim, interior=hint)
 
@@ -190,10 +196,8 @@ class RayMomentEngine:
     and equal ``ray_moment``.  Checkers read the exact ``ray_moment``;
     the engine is the independent third route of ``identity_triple_continuous``.
 
-    ``support`` (the ``ray_support`` LP, solved once at construction) also
-    hints every ``overlap`` of K along theta, so a body's one e_n engine
-    (``inequalities.BodyWorkspace.en_engine``) serves the overlaps of
-    ``identity_triple_discrete`` with no further LP.
+    ``support`` is the ``ray_support`` LP, solved once at construction: it
+    bounds the sweep and hints the hull of each panel's midpoint overlap.
     """
 
     def __init__(self, P: Polytope, theta: Direction):

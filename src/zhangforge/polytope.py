@@ -792,8 +792,13 @@ def integer_rows(P: Polytope) -> tuple[tuple[tuple[int, ...], int, int], ...]:
 
 
 def _column_rows(P: Polytope, k: int = 0):
-    """P's integer rows as bounds on x_n along the lines of columns
-    y = (z + j e)/D, e the last unit vector, set up once per body and k.
+    """:func:`_column_rows_of` P's integer rows, set up once per body and k."""
+    return _column_rows_of(integer_rows(P), k)
+
+
+def _column_rows_of(rows, k: int = 0):
+    """Integer rows (a, num, den), <a, x> <= num/den with den > 0, as bounds
+    on x_n along the lines of columns y = (z + j e)/D, e the last unit vector.
 
     A row den*<a', y> + den*a_n*t <= c, with c = num (or num - 1 where a
     touches the first k coordinates: with k > 0, P is a closed fattening and
@@ -804,7 +809,6 @@ def _column_rows(P: Polytope, k: int = 0):
     r = c D - <h, z>; an up row (a_n > 0) bounds t <= (r + s j)/(Qu D), a
     down row t >= -(r + s j)/(Qd D), and a flat row holds when r + s j >= 0.
     Returns ((Qu, up), (Qd, down), flat)."""
-    rows = integer_rows(P)
     Qu = Qd = 1
     for a, _num, den in rows:
         if a[-1] > 0:

@@ -48,6 +48,7 @@ from zhangforge.inequalities import (
     applicability,
     diamond_extension,
     section_profiles,
+    verify,
 )
 from zhangforge.lattice import (
     _column_walk,
@@ -55,6 +56,7 @@ from zhangforge.lattice import (
     _floor_sum,
     _run_length_sum,
     _power_sums,
+    _rows_mu,
     closed_unit_cube,
     column_count,
     column_length_sum,
@@ -2260,9 +2262,9 @@ def _fuzz_specs(count_per_dim):
 
 
 def test_overlap_against_intersect_of_a_translate(monkeypatch):
-    # the hinted overlap of route B against K cap (K + r e_n) built from a
-    # translate, on the corpus and on 20 criterion-8 hulls; the overlaps take
-    # no LP once the e_n support is known
+    # the hinted overlap that covariogram_on_ray hulls against K cap (K + r e_n)
+    # built from a translate, at route B's nodes on the corpus and on 20
+    # criterion-8 hulls; the overlaps take no LP once the e_n support is known
     import zhangforge.polytope as poly
     from zhangforge.moments import overlap
 
@@ -2292,6 +2294,40 @@ def test_overlap_against_intersect_of_a_translate(monkeypatch):
     for r in (support[0], support[0] + 1):
         ref = intersect(P, translate(P, (F(0),) * (P.dim - 1) + (r,)))
         assert overlap(P, e_n, r, support) == ref
+
+
+def test_route_b_row_read_against_the_hulled_overlap():
+    # identity_triple_discrete's route B reads mu(K cap (r e_n + K)) off the
+    # overlap's integer rows over K's bounding box, with no hull; at each of
+    # its nodes that is mu of the hulled overlap, on the corpus and on 20
+    # criterion-8 hulls
+    from zhangforge.moments import _overlap_rows, _rows_at, overlap
+
+    checked = 0
+    for spec in default_corpus() + _fuzz_specs(10):
+        P = make_body(spec)
+        e_n = axis_direction(P.dim)
+        support = ray_support(P, e_n)
+        rows = _overlap_rows(P, e_n)
+        for r in _route_b_nodes(P):
+            want = mu_measure(overlap(P, e_n, r, support)).exact
+            assert _rows_mu(_rows_at(rows, r), P) == want, (spec, r)
+            checked += 1
+    assert checked > 100
+
+
+@pytest.mark.parametrize("name", ["cube2", "rand3_11"])
+def test_route_b_without_the_shifted_rows_does_not_hold(monkeypatch, name):
+    # a mutation check: with K's own rows for the overlap's, dropping the
+    # shifted copy, route B reads mu(K) at every node and the triple fails
+    import zhangforge.inequalities as ineq
+
+    P = make_body(next(spec for spec in default_corpus() if spec.name == name))
+    assert verify("identity_triple_discrete", P).holds
+    real = ineq._overlap_rows
+    monkeypatch.setattr(ineq, "_overlap_rows",
+                        lambda body, theta: real(body, theta)[:len(integer_rows(body))])
+    assert not verify("identity_triple_discrete", P).holds
 
 
 def _ray_support_by_rational_rows(P, theta):

@@ -627,9 +627,10 @@ class TestRunSuite:
         assert thetas == {"T2": ["2", "1"], "T3": ["1", "1", "1"]}
 
 
-def test_default_corpus_run_takes_at_most_14_lps_and_123_hulls(monkeypatch):
-    # a work-count guard: one LP per body (the e_n ray support), none per
-    # overlap, and no more hulls than the corpus needs today
+def test_default_corpus_run_takes_at_most_14_lps_and_81_hulls(monkeypatch):
+    # a work-count guard: one LP per body (the e_n ray support), and no more
+    # hulls than the corpus needs today; identity_triple_discrete reads its
+    # overlaps off their rows, with no hull
     from collections import Counter
 
     calls = _count_calls(monkeypatch, "lp_solve", "convex_hull")
@@ -637,7 +638,7 @@ def test_default_corpus_run_takes_at_most_14_lps_and_123_hulls(monkeypatch):
     assert doc["summary"]["fails"] == 0
     counts = Counter(calls)
     assert 0 < counts["lp_solve"] <= 14
-    assert 0 < counts["convex_hull"] <= 123
+    assert 0 < counts["convex_hull"] <= 81
 
 
 def test_default_corpus_run_builds_no_rational_rows(monkeypatch):

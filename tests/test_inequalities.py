@@ -608,6 +608,12 @@ class TestSweeps:
         assert r64["rel_error"] == pytest.approx((65 / 64) ** 2 - 1)
         assert r64["rel_error"] < 0.05
 
+    def test_lattice_sweeps_past_a_machine_integer(self, triangle):
+        # at scale 10**20 a bounding-box line holds more than 2**63 columns
+        for target in ("gn_volume", "mu_volume"):
+            (row,) = limit_sweep(triangle, target, [10**20])
+            assert row["scale"] == 1e20 and row["value"] == row["reference"] == 0.5
+
     def test_B_limit(self):
         rows = limit_sweep(None, "B_limit", [1000], {"n": 2, "p": 1})
         assert rows[0]["value"] == pytest.approx(0.5005, abs=1e-6)

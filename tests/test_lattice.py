@@ -111,6 +111,15 @@ class TestCounting:
         assert count_lattice(simplex2.scaled(lam)) == (lam + 1) * (lam + 2) // 2
         assert count_lattice(cube3.scaled(1000)) == 1001**3
 
+    def test_dilates_past_a_machine_integer(self):
+        # a bounding-box line of more than 2**63 columns is read by its ends:
+        # its runs are closed forms, so no column count is taken of it
+        simplex2 = make_polytope([(0, 0), (1, 0), (0, 1)], 2)
+        for N in (10**20, 10**40):
+            P = simplex2.scaled(N)
+            assert count_lattice(P) == (N + 1) * (N + 2) // 2
+            assert mu_measure(P).exact == N * (N + 1) // 2
+
     def test_sorted_and_json(self, unit_square):
         pts = lattice_points(unit_square)
         assert type(pts) is tuple and list(pts) == sorted(pts)
