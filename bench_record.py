@@ -7,8 +7,9 @@ Runs ``perfbench/run.py --trace 0`` on the parent and on the change in
 alternating pairs (the parent first in even pairs, the change first in odd
 ones), each run as long as ``BENCHMARK.json``'s ``run_seconds``.  The parent
 (default ``HEAD~1``) is exported with ``git archive`` into a temporary
-directory; the change is the working tree (its id marked ``+dirty`` when it
-has uncommitted edits).  Each side runs its own ``perfbench/run.py``, which
+directory; the change is the working tree (its id marked ``+dirty`` when
+``src/``, ``perfbench/`` or ``BENCHMARK.json``, the files the runs measure,
+differ from HEAD).  Each side runs its own ``perfbench/run.py``, which
 imports the ``src/`` beside it.
 
 The file holds, per end-to-end metric of ``BENCHMARK.json``, each side's runs,
@@ -31,11 +32,19 @@ import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.abspath(__file__))
+MEASURED = ("src", "perfbench", "BENCHMARK.json")  # what the runs import and read
 
 
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+def dirty() -> bool:
+    """Whether a file the runs measure differs from HEAD: edited, staged,
+    deleted or new under ``MEASURED``.  Notes, records and other files
+    outside it leave a measurement clean."""
+    return bool(git("status", "--porcelain", "--", *MEASURED))
 
 
 def export(rev: str, dest: str) -> None:
@@ -79,8 +88,7 @@ def main(argv=None) -> int:
         ap.error(f"unknown workload {args.workload!r}")
     metrics, seconds = spec["end_to_end"], spec["run_seconds"]
     parent_id = git("rev-parse", args.parent)
-    dirty = git("status", "--porcelain", "--", ".", ":!BENCH_*.json")
-    change_id = git("rev-parse", "HEAD") + ("+dirty" if dirty else "")
+    change_id = git("rev-parse", "HEAD") + ("+dirty" if dirty() else "")
 
     runs = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="bench-record-") as tmp:

@@ -60,9 +60,7 @@ from .lp import lp_solve
 from .moments import (
     RayMomentEngine,
     _float_points,
-    _overlap_rows,
     _power_integral,
-    _rows_at,
     clip_radial,
     discrete_moment,
     lattice_clip,
@@ -78,6 +76,8 @@ from .polytope import (
     Direction,
     Memo,
     Polytope,
+    _overlap_rows,
+    _rows_at,
     axis_direction,
     polar_projection_body,
     projection_support,
@@ -838,15 +838,11 @@ def _chk_identity_triple_discrete(ws: BodyWorkspace, params: dict) -> Inequality
     rows = _overlap_rows(ws.body, axis_direction(n))
     ells = sorted({ell for ell in column_lengths(ws.body).values() if ell > 0})
     pieces = []
-    prev = _ZERO
-    for brk in ells:
-        w = brk - prev
-        nodes = (prev + w / 3, prev + 2 * w / 3)
+    for lo, hi in zip([_ZERO] + ells, ells):
+        nodes = (lo + (hi - lo) / 3, lo + 2 * (hi - lo) / 3)
         vals = [_rows_mu(_rows_at(rows, r), ws.body) for r in nodes]
         slope = (vals[1] - vals[0]) / (nodes[1] - nodes[0])
-        const = vals[0] - slope * nodes[0]
-        pieces.append((prev, brk, const, slope))
-        prev = brk
+        pieces.append((lo, hi, vals[0] - slope * nodes[0], slope))
     per_p = []
     worst = _ZERO
     for p in ps:

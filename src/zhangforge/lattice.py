@@ -4,15 +4,16 @@ covariograms, and the exact lattice ray reaches behind discrete moments.
 Every column read is one run table (:func:`_box_runs`): of a body's rows
 over its bounding box (:func:`_run_table`), built once per body and k and
 kept as the body's memo entry ("columns", k) (``Polytope.memo``), or of
-given rows over a body's box that holds them (:func:`_rows_mu`, the overlaps
-K cap (r e_n + K) inside K).  ``polytope._column_rows_of`` sets the rows up
-once, over one common denominator for the upper and one for the lower rows,
-and along each line of the box in the last of the first n-1 coordinates
-``polytope._line_runs`` reads the ends as the lower envelopes of the rows'
-residual progressions: piecewise linear in the column, so the table keeps
-each run of non-empty columns as two arithmetic progressions, and no
-column.  Sums over the columns are closed forms per run: the lattice count
-is two floor sums (:func:`_floor_sum`), and the column measure and its
+given rows over a body's box that holds them (the overlap rows of
+``polytope._overlap_rows``, in :func:`_rows_mu` and
+:func:`discrete_covariogram`).  ``polytope._column_rows_of`` sets the rows
+up once, over one common denominator for the upper and one for the lower
+rows, and along each line of the box in the last of the first n-1
+coordinates ``polytope._line_runs`` reads the ends as the lower envelopes
+of the rows' residual progressions: piecewise linear in the column, so the
+table keeps each run of non-empty columns as two arithmetic progressions,
+and no column.  Sums over the columns are closed forms per run: the lattice
+count is two floor sums (:func:`_run_count`), and the column measure and its
 moments are power sums (:func:`_power_sum`), so a dilate lam P costs its
 runs whatever lam.  The per-column reads (lattice points, column lengths,
 the vertical ray moment, the diamond values) expand the runs as they go
@@ -43,7 +44,7 @@ from math import comb
 from operator import mul
 
 from .errors import DimensionMismatch, ExponentOutOfRange, FrozenRecord, OriginMissing
-from .linalg import integer_row
+from .linalg import integer_row, vec
 from .lp import lp_solve  # noqa: F401  (unused here; perfbench/tracer.py's REQUIRED_BINDINGS needs it)
 from .polytope import (
     Direction,
@@ -51,10 +52,12 @@ from .polytope import (
     _column_rows,
     _column_rows_of,
     _line_runs,
+    _overlap_rows,
+    _rows_at,
+    axis_direction,
     cube_sum,
     integer_rows,
     minkowski_sum,
-    translate,
 )
 from .steiner import require_x_n_symmetric
 from .verdict import MeasureValue
@@ -205,13 +208,18 @@ def lattice_points(P: Polytope, open_cube_k: int = 0) -> tuple[tuple[int, ...], 
     return tuple(pts)
 
 
-def count_lattice(P: Polytope, open_cube_k: int = 0) -> int:
-    """len(lattice_points(P, open_cube_k)), with no point built: a column
-    holds floor(hi_n/Qu) + floor(-lo_n/Qd) + 1 >= 0 points (its section is
-    not empty), so a run of m columns holds two floor sums and m."""
-    Qd, Qu, lines = _column_walk(P, open_cube_k)
+def _run_count(table) -> int:
+    """The lattice points of a run table, with no point built: a column holds
+    floor(hi_n/Qu) + floor(-lo_n/Qd) + 1 >= 0 points (its section is not
+    empty), so a run of m columns holds two floor sums and m."""
+    Qd, Qu, lines = table
     return sum(_floor_sum(j1 - j0, Qu, dhi, hi) + _floor_sum(j1 - j0, Qd, -dlo, -lo) + j1 - j0
                for _head, _t0, runs in lines for j0, j1, lo, dlo, hi, dhi in runs)
+
+
+def count_lattice(P: Polytope, open_cube_k: int = 0) -> int:
+    """len(lattice_points(P, open_cube_k)), off P's run table."""
+    return _run_count(_column_walk(P, open_cube_k))
 
 
 def column_lengths(P: Polytope) -> dict[tuple[int, ...], Fraction]:
@@ -289,13 +297,11 @@ def mu_measure(P: Polytope) -> MeasureValue:
 
 
 def discrete_covariogram(P: Polytope, x) -> int:
-    """Number of integer points of P cap (x + P); 0 when the sets are disjoint."""
-    from .polytope import intersect
-
-    Q = intersect(P, translate(P, x))
-    if Q is None:
-        return 0
-    return count_lattice(Q)
+    """Number of integer points of P cap (x + P): the ``_overlap_rows`` along
+    x at r = 1 (at r = 0, P's rows, for x = 0) counted over P's box, no hull."""
+    x = vec(x)
+    theta, r = (Direction(x), 1) if any(x) else (axis_direction(len(x)), 0)
+    return _run_count(_box_runs(_column_rows_of(_rows_at(_overlap_rows(P, theta), r)), P))
 
 
 _set = object.__setattr__

@@ -25,9 +25,9 @@ dimension: the layer-cake over the section-length distribution u -> vol{ell >= u
 which is the slice volume of the Steiner symmetral (its slice at height u/2
 is {ell >= u}).  ``section_distribution`` reads it off the symmetral's upper
 boundary simplices by divided differences, with no hull and no LP.  The
-projected overlap K cap (K + u e_n) is the same function; it is left as a
-test oracle, and the ray engine, whose panels read K cap (K + r theta) off
-``polytope.parametric_volume``, stays the independent route.  No checker
+projected overlap K cap (K + u e_n) is the same function, and the ray
+engine, whose panels read K cap (r theta + K) off ``parametric_volume`` over
+``polytope._overlap_rows``, stays the independent route.  No checker
 samples; Monte Carlo is left only as a test oracle (``mc_section_samples``).
 
 The float radial batches clip rays against a body in one place,
@@ -50,7 +50,6 @@ import math
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from operator import mul
 
 from .errors import (
     DegenerateBody,
@@ -68,20 +67,20 @@ from .lattice import (
     lattice_points,
     ray_decomposition,
 )
-from .linalg import Vec, det_int, frac, integer_row, mat_inv
+from .linalg import Vec, det_int, frac, integer_row, mat_inv, vec
 from .lp import lp_solve
 from .polytope import (
     Direction,
     Polytope,
     axis_direction,
     _least,
+    _overlap_rows,
     _panel_sweep,
+    _rows_at,
     integer_rows,
-    intersect,
     parametric_volume,
     projection_support,
     transform,
-    translate,
 )
 from .steiner import require_x_n_symmetric, steiner_symmetrize
 from .verdict import MeasureValue
@@ -95,42 +94,23 @@ _ONE = Fraction(1)
 # ---------------------------------------------------------------------------
 
 def covariogram(P: Polytope, x) -> MeasureValue:
-    """vol_n(K cap (x+K)) as an exact rational; 0 outside the difference body."""
-    Q = intersect(P, translate(P, x))
-    if Q is None:
-        return MeasureValue.from_exact(0)
-    return MeasureValue.from_exact(Q.volume_fraction())
+    """vol_n(K cap (x+K)) as an exact rational: vol K at x = 0, else
+    ``covariogram_on_ray`` along x at r = 1; 0 outside the difference body."""
+    x = vec(x)
+    if any(x):
+        return MeasureValue.from_exact(covariogram_on_ray(P, Direction(x), 1))
+    if len(x) != P.dim:
+        raise DimensionMismatch("direction and body dimensions differ")
+    return MeasureValue.from_exact(P.volume_fraction())
 
 
 def ray_support(P: Polytope, theta: Direction) -> tuple[Fraction, Vec]:
     """(R, u) with R = sup{r : r*theta.raw in K-K} in raw units and u a witness
     point satisfying u in K and u - R*theta.raw in K: the LP max r subject to
-    <A, x> - r C <= B over the integer ``_overlap_rows`` (A, B, C)."""
-    if theta.dim != P.dim:
-        raise DimensionMismatch("direction and body dimensions differ")
-    n = P.dim
+    <A, x> - r C <= B over the ``_overlap_rows`` (A, B, C), exact for r >= 0."""
     rows = _overlap_rows(P, theta)
-    res = lp_solve([0] * n + [1], [A[:-2] + [-A[-1]] for A in rows], [A[-2] for A in rows])
-    return res.value, res.x[:n]
-
-
-def _overlap_rows(P: Polytope, theta: Direction) -> list[list[int]]:
-    """Integer rows (A, B, C), as lists, with K cap (r theta.raw + K) =
-    {x : <A, x> <= B + r C}: K's rows (a, num, den) as (den a, num, 0), then
-    again shifted by r <a, theta.raw>, (den Lw a, num Lw, den <a, W>) for
-    theta.raw = W/Lw."""
-    W, Lw = integer_row(theta.raw)
-    rows = integer_rows(P)
-    return ([[den * x for x in a] + [num, 0] for a, num, den in rows]
-            + [[den * Lw * x for x in a] + [num * Lw, den * sum(map(mul, a, W))]
-               for a, num, den in rows])
-
-
-def _rows_at(rows, r: Fraction) -> list:
-    """The integer rows (a, num, den) of K cap (r theta.raw + K) at a rational
-    r = p/q, from its ``_overlap_rows`` (A, B, C): (A, B q + p C, q)."""
-    q, p = r.denominator, r.numerator
-    return [(A[:-2], A[-2] * q + p * A[-1], q) for A in rows]
+    res = lp_solve([0] * P.dim + [1], [A[:-2] + [-A[-1]] for A in rows], [A[-2] for A in rows])
+    return res.value, res.x[:P.dim]
 
 
 def _overlap_point(P: Polytope, r: Fraction, support) -> tuple[tuple[int, ...], int]:
@@ -147,26 +127,19 @@ def _overlap_point(P: Polytope, r: Fraction, support) -> tuple[tuple[int, ...], 
     return z, D
 
 
-def overlap(P: Polytope, theta: Direction, r, support) -> Polytope | None:
-    """K cap (r theta.raw + K), equal to ``intersect(P, translate(P, r theta.raw))``
-    but with no translate and, for 0 <= r < R, no LP: one hull of the
-    integer ``_overlap_rows`` at r, hinted by ``_overlap_point``.
-    ``support`` is ``ray_support(P, theta)``; from r = R on the overlap has
-    no interior and ``Polytope.from_int_rows`` finds its affine hull
-    unhinted."""
-    r = frac(r)
-    rows = _rows_at(_overlap_rows(P, theta), r)
-    hint = _overlap_point(P, r, support) if 0 <= r < support[0] else None
-    return Polytope.from_int_rows(rows, P.dim, interior=hint)
-
-
 def covariogram_on_ray(P: Polytope, theta: Direction, r, *, support=None) -> Fraction:
+    """g_K(r theta.raw) for r >= 0, exactly: 0 from the reach of ``support``
+    (``ray_support(P, theta)``, solved when not given) on, and below it the
+    volume of one hull of the ``_overlap_rows`` at r, hinted (no LP)."""
     r = frac(r)
+    if r < 0:
+        raise ValueError("the overlap rows hold for r >= 0")
     if support is None:
         support = ray_support(P, theta)
     if r >= support[0]:
         return _ZERO
-    return overlap(P, theta, r, support).volume_fraction()
+    return Polytope.from_int_rows(_rows_at(_overlap_rows(P, theta), r), P.dim,
+                                  interior=_overlap_point(P, r, support)).volume_fraction()
 
 
 def ray_breakpoints(P: Polytope, theta: Direction, R: Fraction) -> list[Fraction]:
@@ -186,8 +159,8 @@ class RayMomentEngine:
     """Shared per-(body, direction) covariogram moments along a ray.
 
     r -> vol(K cap (r theta + K)) is read off one sweep of [0, R] by
-    ``polytope.parametric_volume`` over K's rows twice (the second copy
-    shifted by r <a, theta>): each call hulls the overlap once at a gap
+    ``polytope.parametric_volume`` over the overlap's rows, one per row of K
+    (``polytope._overlap_rows``): each call hulls the overlap once at a gap
     midpoint and returns the polynomial of degree <= n on the largest interval
     where the overlap keeps that type, its ends exact rationals, and the
     gaps left on either side are swept the same way.  Every panel is exact, in

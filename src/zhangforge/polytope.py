@@ -26,11 +26,12 @@ rational rows and a rational hint for it): the dual hull's facets
 are the vertices, its extreme points the irredundant rows, and the dual
 points on each facet plane the rows tight at that vertex.  Those incidences
 give the boundary triangulation (pulling, no arithmetic) and
-``parametric_volume`` its vertex paths; only the ray engine of ``moments``
-sweeps a parameter with it.  Flat sets are built over integers by one
-rule: the points are hulled in the pivot columns of their affine hull,
-whose integer equality normals (``_null_vectors``) join a boundary
-simplex's edges in the cofactor normal of each facet.  A halfspace set with
+``parametric_volume`` its vertex paths, along the rows of an overlap
+K cap (r theta + K), r >= 0, one per row of K (``_overlap_rows``).  Flat
+sets are built over integers by one rule: the points are hulled in the
+pivot columns of their affine hull, whose integer equality normals
+(``_null_vectors``) join a boundary simplex's edges in the cofactor normal
+of each facet.  A halfspace set with
 empty interior finds its implicit equalities by one LP per row, solves
 its rows over x0 + N z for the same null vectors N, and hulls the vertices
 so found by that rule.  Volumes of boundary
@@ -946,6 +947,29 @@ def slice_at_height(P: Polytope, r) -> Polytope | None:
     q, p = r.denominator, r.numerator
     return Polytope.from_int_rows([(a[:-1], num * q - den * a[-1] * p, den * q)
                                    for a, num, den in integer_rows(P)], P.dim - 1)
+
+
+def _overlap_rows(P: Polytope, theta: Direction) -> list[list[int]]:
+    """Integer rows (A, B, C), as lists, one per row (a, num, den) of K, with
+    K cap (r theta.raw + K) = {x : <A, x> <= B + r C} for r >= 0.  Both x and
+    x - r theta.raw are in K, so <a, x> <= num/den + r min(0, s),
+    s = <a, theta.raw>: K's own row (den a, num, 0) where s >= 0, the shifted
+    one (den Lw a, num Lw, den <a, W>), theta.raw = W/Lw, where s < 0."""
+    if theta.dim != P.dim:
+        raise DimensionMismatch("direction and body dimensions differ")
+    W, Lw = integer_row(theta.raw)
+    rows = []
+    for a, num, den in integer_rows(P):
+        s = sum(map(mul, a, W))
+        m = Lw if s < 0 else 1
+        rows.append([den * m * x for x in a] + [num * m, den * min(s, 0)])
+    return rows
+
+
+def _rows_at(rows, r) -> list:
+    """The integer rows (a, num, den) of K cap (r theta.raw + K) at a rational
+    r = p/q >= 0, from its ``_overlap_rows`` (A, B, C): (A, B q + p C, q)."""
+    return [(A[:-2], A[-2] * r.denominator + r.numerator * A[-1], r.denominator) for A in rows]
 
 
 def parametric_volume(rows, lo, hi, interior=None):

@@ -13,6 +13,7 @@ from scipy.spatial import ConvexHull
 from zhangforge import (
     Direction,
     axis_direction,
+    difference_body,
     intersect,
     make_polytope,
     max_section_anchor,
@@ -1852,12 +1853,17 @@ def _overlap_point_by_fractions(P, r, support):
     return tuple((1 - lam) * c + lam * w for c, w in zip(_interior(P), witness))
 
 
+def _overlap_shifts(P, theta):
+    """The rate c of each rational row (a, b + r c) of K cap (r theta.raw + K),
+    r >= 0: <a, theta.raw> where that is negative, else 0 (K's own row)."""
+    return [min(dot(a, theta.raw), F(0)) for a, _b in P.halfspaces]
+
+
 def _overlap_by_rational_rows(P, theta, r, support):
-    """``moments.overlap`` over rational rows: K's rows twice, the second
-    copy shifted by r <a, theta.raw>, through ``from_halfspaces``, hinted by
-    the Fraction form of ``_overlap_point``."""
-    shifts = [F(0)] * len(P.halfspaces) + [dot(a, theta.raw) for a, _b in P.halfspaces]
-    rows = [(a, b + r * c) for (a, b), c in zip(list(P.halfspaces) * 2, shifts)]
+    """The overlap hull over rational rows: each row of K shifted by
+    r min(<a, theta.raw>, 0), through ``from_halfspaces``, hinted by the
+    Fraction form of ``_overlap_point`` below the reach."""
+    rows = [(a, b + r * c) for (a, b), c in zip(P.halfspaces, _overlap_shifts(P, theta))]
     hint = _overlap_point_by_fractions(P, r, support) if 0 <= r < support[0] else None
     return Polytope.from_halfspaces(rows, P.dim, interior=hint)
 
@@ -1879,9 +1885,12 @@ def _symmetral_by_rational_rows(P):
 
 
 def test_integer_producers_against_their_rational_row_forms(monkeypatch):
-    # the symmetral, the overlaps K cap (K + r e_n) and the midpoint body of
-    # each ray engine panel, on the corpus and on 10 criterion-8 n = 3 hulls
-    from zhangforge.moments import _overlap_point, _overlap_rows, overlap, ray_breakpoints
+    # the symmetral, the overlaps K cap (K + r e_n) (covariogram_on_ray's hull
+    # below the reach, the rows' unhinted hull from it on) and the midpoint
+    # body of each ray engine panel, on the corpus and on 10 criterion-8 n = 3
+    # hulls
+    from zhangforge.moments import _overlap_point, ray_breakpoints
+    from zhangforge.polytope import _overlap_rows, _rows_at
     from zhangforge.steiner import _symmetral
 
     built = []
@@ -1895,11 +1904,16 @@ def test_integer_producers_against_their_rational_row_forms(monkeypatch):
         e_n = axis_direction(P.dim)
         support = ray_support(P, e_n)
         R = support[0]
-        for r in (R / 3, R / 2, R, R + 1):
-            _same_kernel_outcome(overlap(P, e_n, r, support),
-                                 _overlap_by_rational_rows(P, e_n, r, support), (spec, r))
         rows = _overlap_rows(P, e_n)
-        shifts = [F(0)] * len(P.halfspaces) + [a[-1] for a, _b in P.halfspaces]
+        for r in (R / 3, R / 2):
+            del built[:]
+            covariogram_on_ray(P, e_n, r, support=support)
+            assert len(built) == 1, (spec, r)
+            _same_kernel_outcome(built[0], _overlap_by_rational_rows(P, e_n, r, support), (spec, r))
+        for r in (R, R + 1):
+            _same_kernel_outcome(Polytope.from_int_rows(_rows_at(rows, r), P.dim),
+                                 _overlap_by_rational_rows(P, e_n, r, support), (spec, r))
+        shifts = _overlap_shifts(P, e_n)
         breaks = [F(0)] + ray_breakpoints(P, e_n, R)
         for lo, hi in zip(breaks, breaks[1:]):
             m = (lo + hi) / 2
@@ -1908,8 +1922,7 @@ def test_integer_producers_against_their_rational_row_forms(monkeypatch):
             del built[:]
             parametric_volume(rows, lo, hi, interior=hint)
             want = Polytope.from_halfspaces([(a, b + m * c) for (a, b), c in
-                                             zip(list(P.halfspaces) * 2, shifts)], P.dim,
-                                            _point(hint))
+                                             zip(P.halfspaces, shifts)], P.dim, _point(hint))
             _same_kernel_outcome(built[0], want, (spec, lo, hi))
             checked["midpoint"] += 1
         checked["body"] += 1
@@ -1980,7 +1993,9 @@ def _parametric_cases():
         for shifts in families:
             for lo, hi in ((F(0), F(1, 8)), (F(1, 16), F(1, 5))):
                 cases.append((rows, shifts, lo, hi, None))
-    # the ray engine: doubled rows, zero shifts on the first copy
+    # the ray engine's panels: its rows, one per row of K, and K's rows twice,
+    # the second copy shifted (a redundant row per facet, a duplicate where
+    # <a, theta> = 0)
     from zhangforge.moments import _overlap_point, ray_breakpoints
 
     for dim, raw in ((2, (1, 2)), (3, (1, 2, 2)), (3, (0, 1, -1))):
@@ -1988,11 +2003,12 @@ def _parametric_cases():
         theta = Direction(raw)
         support = ray_support(P, theta)
         breaks = [F(0)] + ray_breakpoints(P, theta, support[0])
-        rows = list(P.halfspaces) * 2
-        shifts = [F(0)] * len(P.halfspaces) + [dot(a, theta.raw) for a, _b in P.halfspaces]
-        for lo, hi in zip(breaks, breaks[1:]):
-            hint = _point(_overlap_point(P, (lo + hi) / 2, support))
-            cases.append((rows, shifts, lo, hi, hint))
+        doubled = [F(0)] * len(P.halfspaces) + [dot(a, theta.raw) for a, _b in P.halfspaces]
+        for rows, shifts in ((list(P.halfspaces), _overlap_shifts(P, theta)),
+                             (list(P.halfspaces) * 2, doubled)):
+            for lo, hi in zip(breaks, breaks[1:]):
+                hint = _point(_overlap_point(P, (lo + hi) / 2, support))
+                cases.append((rows, shifts, lo, hi, hint))
     # panels whose type changes inside: merged across a symmetral break, and
     # centred on it so that a vertex splits at the midpoint
     for dim in (2, 3):
@@ -2266,10 +2282,12 @@ def test_overlap_against_intersect_of_a_translate(monkeypatch):
     # built from a translate, at route B's nodes on the corpus and on 20
     # criterion-8 hulls; the overlaps take no LP once the e_n support is known
     import zhangforge.polytope as poly
-    from zhangforge.moments import overlap
+    from zhangforge.polytope import _overlap_rows, _rows_at
 
     real = poly.max_slack_point
+    real_rows = Polytope.from_int_rows
     lps = []
+    built = []
     checked = 0
     for spec in default_corpus() + _fuzz_specs(10):
         P = make_body(spec)
@@ -2277,40 +2295,43 @@ def test_overlap_against_intersect_of_a_translate(monkeypatch):
         support = ray_support(P, e_n)
         monkeypatch.setattr(poly, "max_slack_point", lambda *a: lps.append(a) or real(*a))
         for r in _route_b_nodes(P):
-            Q = overlap(P, e_n, r, support)
+            monkeypatch.setattr(Polytope, "from_int_rows", staticmethod(
+                lambda *a, **k: built.append(real_rows(*a, **k)) or built[-1]))
+            g = covariogram_on_ray(P, e_n, r, support=support)
+            monkeypatch.setattr(Polytope, "from_int_rows", staticmethod(real_rows))
+            Q = built.pop()
             ref = intersect(P, translate(P, (F(0),) * (P.dim - 1) + (r,)))
             assert Q.vertices == ref.vertices and Q.halfspaces == ref.halfspaces, (spec, r)
             assert _tri(Q) == _tri(ref), (spec, r)
-            assert Q.volume_fraction() == ref.volume_fraction(), (spec, r)
+            assert g == Q.volume_fraction() == ref.volume_fraction(), (spec, r)
             assert mu_measure(Q).exact == mu_measure(ref).exact, (spec, r)
             checked += 1
         monkeypatch.setattr(poly, "max_slack_point", real)
     # the intersects took one LP each, the overlaps none
-    assert len(lps) == checked and checked > 100
+    assert len(lps) == checked and checked > 100 and not built
     # at and beyond the reach the overlap is the intersect too, unhinted
     P = make_body(default_corpus()[0])
     e_n = axis_direction(P.dim)
     support = ray_support(P, e_n)
     for r in (support[0], support[0] + 1):
         ref = intersect(P, translate(P, (F(0),) * (P.dim - 1) + (r,)))
-        assert overlap(P, e_n, r, support) == ref
+        assert Polytope.from_int_rows(_rows_at(_overlap_rows(P, e_n), r), P.dim) == ref
+        assert covariogram_on_ray(P, e_n, r, support=support) == 0
 
 
 def test_route_b_row_read_against_the_hulled_overlap():
     # identity_triple_discrete's route B reads mu(K cap (r e_n + K)) off the
     # overlap's integer rows over K's bounding box, with no hull; at each of
-    # its nodes that is mu of the hulled overlap, on the corpus and on 20
-    # criterion-8 hulls
-    from zhangforge.moments import _overlap_rows, _rows_at, overlap
+    # its nodes that is mu of the overlap hulled from a translate, on the
+    # corpus and on 20 criterion-8 hulls
+    from zhangforge.polytope import _overlap_rows, _rows_at
 
     checked = 0
     for spec in default_corpus() + _fuzz_specs(10):
         P = make_body(spec)
-        e_n = axis_direction(P.dim)
-        support = ray_support(P, e_n)
-        rows = _overlap_rows(P, e_n)
+        rows = _overlap_rows(P, axis_direction(P.dim))
         for r in _route_b_nodes(P):
-            want = mu_measure(overlap(P, e_n, r, support)).exact
+            want = mu_measure(intersect(P, translate(P, (F(0),) * (P.dim - 1) + (r,)))).exact
             assert _rows_mu(_rows_at(rows, r), P) == want, (spec, r)
             checked += 1
     assert checked > 100
@@ -2318,16 +2339,93 @@ def test_route_b_row_read_against_the_hulled_overlap():
 
 @pytest.mark.parametrize("name", ["cube2", "rand3_11"])
 def test_route_b_without_the_shifted_rows_does_not_hold(monkeypatch, name):
-    # a mutation check: with K's own rows for the overlap's, dropping the
-    # shifted copy, route B reads mu(K) at every node and the triple fails
+    # a mutation check: with the down rows (<a, e_n> < 0) left unshifted, the
+    # overlap's rows are K's own, route B reads mu(K) at every node and the
+    # triple fails
     import zhangforge.inequalities as ineq
 
     P = make_body(next(spec for spec in default_corpus() if spec.name == name))
     assert verify("identity_triple_discrete", P).holds
-    real = ineq._overlap_rows
-    monkeypatch.setattr(ineq, "_overlap_rows",
-                        lambda body, theta: real(body, theta)[:len(integer_rows(body))])
+    monkeypatch.setattr(ineq, "_overlap_rows", lambda body, theta: [
+        [den * x for x in a] + [num, 0] for a, num, den in integer_rows(body)])
     assert not verify("identity_triple_discrete", P).holds
+
+
+def test_overlap_rows_against_intersect_of_a_translate():
+    # one overlap row per row of K; the rows' hull at r in {0, R/3, R/2, R,
+    # R + 1}, hinted below the reach as covariogram_on_ray hints it, against
+    # K cap (r theta + K) hulled from a translate, in vertices, rows, volume
+    # and lattice count, on the corpus and 10 criterion-8 n = 3 hulls, along
+    # e_n and two rational directions that are not axes
+    from zhangforge.moments import _overlap_point
+    from zhangforge.polytope import _overlap_rows, _rows_at
+
+    seen = Counter()
+    for spec in default_corpus() + _fuzz_specs(10)[10:]:
+        P = make_body(spec)
+        n = P.dim
+        for raw in ((0,) * (n - 1) + (1,), (1, -2, 3)[:n], (F(1, 2), F(2, 3), F(-3, 4))[:n]):
+            theta = Direction(raw)
+            rows = _overlap_rows(P, theta)
+            assert len(rows) == len(integer_rows(P)), (spec, raw)
+            support = ray_support(P, theta)
+            R = support[0]
+            for r in (F(0), R / 3, R / 2, R, R + 1):
+                hint = _overlap_point(P, r, support) if r < R else None
+                Q = Polytope.from_int_rows(_rows_at(rows, r), n, interior=hint)
+                ref = intersect(P, translate(P, tuple(r * w for w in theta.raw)))
+                label = (spec, raw, r)
+                if ref is None:
+                    assert Q is None, label
+                    seen["empty"] += 1
+                    continue
+                assert Q.vertices == ref.vertices and Q.halfspaces == ref.halfspaces, label
+                assert integer_rows(Q) == integer_rows(ref), label
+                assert Q.volume_fraction() == ref.volume_fraction(), label
+                assert count_lattice(Q) == count_lattice(ref), label
+                seen["full" if Q.is_full_dimensional else "flat"] += 1
+    assert seen["empty"] == seen["flat"] == 3 * 24 and seen["full"] == 3 * 3 * 24, seen
+
+
+def _covariogram_points(P):
+    """x for the covariograms: 0, a grid with negative entries, the vertices
+    of K - K and midpoints of its vertex pairs on its boundary, and points
+    past the vertices."""
+    D = difference_body(P)
+    steps = (-2, -1, F(-1, 2), 0, F(1, 3), 1) if P.dim < 3 else (-1, F(-1, 2), 0, 1)
+    xs = list(product(steps, repeat=P.dim))
+    xs += D.vertices
+    xs += [tuple(2 * c for c in v) for v in D.vertices]
+    xs += [m for v, w in combinations(D.vertices, 2)
+           for m in [tuple((a + b) / 2 for a, b in zip(v, w))]
+           if D.contains(m) and not D.contains(m, strict=True)]
+    return xs
+
+
+def test_covariograms_against_intersect_of_a_translate():
+    # covariogram and discrete_covariogram against the volume and the lattice
+    # count of K cap (x + K) hulled from a translate, on corpus bodies, flat
+    # bodies and 1-d bodies
+    from zhangforge.lattice import discrete_covariogram
+    from zhangforge.moments import covariogram
+
+    corpus = {spec.name: make_body(spec) for spec in default_corpus()}
+    bodies = [corpus[name] for name in ("simplex2", "rand2_7", "slab2", "simplex3", "cross3")]
+    bodies += [make_polytope([(0, 0), (2, 1)], 2), make_polytope([(F(-1, 2), 1), (F(5, 2), 1)], 2),
+               make_polytope([(0, 0, 1), (2, 0, 1), (0, 2, 1)], 3),
+               make_polytope([(F(-3, 2),), (F(5, 2),)], 1), make_polytope([(0,), (3,)], 1)]
+    seen = Counter()
+    for P in bodies:
+        for x in _covariogram_points(P):
+            ref = intersect(P, translate(P, x))
+            vol = F(0) if ref is None else ref.volume_fraction()
+            count = 0 if ref is None else count_lattice(ref)
+            assert covariogram(P, x).exact == vol, (P, x)
+            assert discrete_covariogram(P, x) == count, (P, x)
+            seen["empty" if ref is None else "positive" if vol else "count" if count else "zero"] += 1
+        seen["flat"] += not P.is_full_dimensional
+        seen["1-d"] += P.dim == 1
+    assert min(seen.values()) >= 2, seen
 
 
 def _ray_support_by_rational_rows(P, theta):

@@ -7,11 +7,17 @@ import pytest
 from zhangforge import Direction, axis_direction, make_polytope, vertical_section, volume
 from zhangforge.errors import DimensionMismatch, ExponentOutOfRange, RouteUnsupported
 from zhangforge.harness import default_corpus, make_body
-from zhangforge.lattice import discrete_ray_moment, lattice_points, ray_decomposition
+from zhangforge.lattice import (
+    discrete_covariogram,
+    discrete_ray_moment,
+    lattice_points,
+    ray_decomposition,
+)
 from zhangforge.moments import (
     SOURCES,
     RayMomentEngine,
     covariogram,
+    covariogram_on_ray,
     discrete_moment,
     facet_angles,
     polar_projection_radial,
@@ -19,6 +25,7 @@ from zhangforge.moments import (
     radial_Rp,
     radial_ball_body,
     radial_batch,
+    ray_breakpoints,
     ray_moment,
     ray_support,
     section_distribution,
@@ -53,6 +60,27 @@ class TestCovariogram:
         for x in [(F(3, 2), 0), (0, F(3, 2)), (F(1), F(1))]:
             assert not D.contains(x, strict=True)
             assert covariogram(triangle, x).exact == 0
+
+    @pytest.mark.parametrize("x", [(0, 1, 5), (1, 0, 0), (1,), (0, 0, 0)])
+    def test_wrong_length_direction_raises(self, unit_square, x):
+        # no coordinate of the direction is dropped or padded
+        calls = [lambda: covariogram(unit_square, x),
+                 lambda: discrete_covariogram(unit_square, x)]
+        if any(x):
+            theta = Direction(x)
+            calls += [lambda: ray_support(unit_square, theta),
+                      lambda: ray_breakpoints(unit_square, theta, F(1)),
+                      lambda: covariogram_on_ray(unit_square, theta, F(1, 2)),
+                      lambda: covariogram_on_ray(unit_square, theta, F(1, 2),
+                                                 support=(F(1), (F(0), F(0))))]
+        for call in calls:
+            with pytest.raises(DimensionMismatch):
+                call()
+
+    def test_negative_radius_raises(self, unit_square):
+        # the overlap rows describe K cap (r theta + K) for r >= 0 only
+        with pytest.raises(ValueError):
+            covariogram_on_ray(unit_square, E2, F(-1, 2))
 
 
 def _three_routes(P, theta, p):
