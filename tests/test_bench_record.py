@@ -38,7 +38,7 @@ def test_only_measured_files_mark_a_change_dirty(tmp_path, monkeypatch):
     # notes, records and untracked files outside the measured paths
     (tmp_path / "README.md").write_text("edited\n")
     (tmp_path / "BENCH_corpus.json").write_text('{"pairs": 10}\n')
-    (tmp_path / "ISSUE.md").write_text("untracked\n")
+    (tmp_path / "NOTES.md").write_text("untracked\n")
     assert not bench_record.dirty()
     for name in ("src/pkg/mod.py", "perfbench/run.py", "BENCHMARK.json"):
         (tmp_path / name).write_text("edited\n")
